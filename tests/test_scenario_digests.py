@@ -1,0 +1,67 @@
+"""Golden digests: every catalogue scenario pinned against a stored value.
+
+``--check-determinism`` only compares a run with a second run of the *same*
+code, so a refactor that changes scenario output consistently passes it.
+This module pins ``sha256(canonical JSON of run_scenario(name, seed=s))``
+against ``tests/golden/scenario_digests.json`` — all catalogue scenarios at
+seeds 7 and 23 with default parameters, plus three points that sit on the
+far side of a parameter-dependent code path (an open-loop fleet, a one-shard
+sharded fleet, a larger lossy deployment).
+
+A digest that moves means scenario output changed.  If that is intended,
+regenerate the file and say why in the commit::
+
+    PYTHONPATH=src python tests/test_scenario_digests.py > tests/golden/scenario_digests.json
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.network.scenarios import run_scenario, scenario_names
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "scenario_digests.json"
+
+SEEDS = (7, 23)
+FORK_SENSITIVE = [
+    ("gdpr-erasure", 23, {"n_clients": 3}),
+    ("sharded-fleet", 7, {"shards": 1}),
+    ("vehicle-telemetry", 7, {"vehicles": 60, "anchors": 6}),
+]
+
+
+def points():
+    return [(name, seed, {}) for name in scenario_names() for seed in SEEDS] + FORK_SENSITIVE
+
+
+def point_id(name, seed, params):
+    suffix = "".join(f" {key}={params[key]}" for key in sorted(params))
+    return f"{name} @{seed}{suffix}"
+
+
+def scenario_digest(name, seed, params):
+    result = run_scenario(name, seed=seed, **params)
+    canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_golden_file_covers_exactly_the_pinned_points():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(point_id(*point) for point in points())
+
+
+@pytest.mark.parametrize(
+    "name, seed, params", points(), ids=[point_id(*point) for point in points()]
+)
+def test_scenario_output_matches_its_golden_digest(name, seed, params):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert scenario_digest(name, seed, params) == golden[point_id(name, seed, params)], (
+        f"scenario {name!r} at seed {seed} (overrides {params}) no longer produces "
+        f"its golden output — see the module docstring to regenerate"
+    )
+
+
+if __name__ == "__main__":
+    print(json.dumps({point_id(*point): scenario_digest(*point) for point in points()}, indent=2))
