@@ -15,8 +15,8 @@ measures, at each size,
 * the marginal cost of sealing one more block,
 
 for the indexed implementation, next to the retained legacy linear-scan
-reference implementations (:func:`repro.core.legacy_find_entry`,
-:func:`repro.core.legacy_aggregates`).  Expected shape: the indexed numbers
+reference implementations (:func:`repro.core.index.legacy_find_entry`,
+:func:`repro.core.index.legacy_aggregates`).  Expected shape: the indexed numbers
 stay flat (within 3×) across a 100× size spread while the legacy scans grow
 roughly linearly.  The measured trajectory is written to ``BENCH_index.json``
 in the repository root.
@@ -32,7 +32,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core import Blockchain, ChainConfig, EntryReference, legacy_aggregates, legacy_find_entry
+from repro.core import Blockchain, ChainConfig, EntryReference
+from repro.core.index import legacy_aggregates, legacy_find_entry
 
 DEFAULT_SIZES = (100, 1_000, 10_000)
 #: Full-size runs refresh the committed trajectory; runs with overridden

@@ -7,9 +7,8 @@ means the latency expressed in wall-clock (here: virtual) time scales with
 how fast blocks are produced, i.e. with the workload's arrival rate.
 
 This benchmark sweeps the ``gdpr-erasure`` scenario's ``mean_gap_ms`` — the
-arrival-rate knob of the workload→scenario bridge
-(:class:`repro.workloads.driver.ScenarioWorkloadDriver`) — and records, per
-rate,
+arrival-rate knob of the traffic engine
+(:class:`repro.workloads.fleet.FleetDriver`) — and records, per rate,
 
 * the virtual-millisecond deletion latency histogram (request → physical
   cut-off at a marker shift),

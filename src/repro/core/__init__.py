@@ -27,7 +27,7 @@ from repro.core.deletion import (
 )
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.events import AUDIT_EVENT_TYPES, EventBus, EventType, Subscription
-from repro.core.index import ChainIndex, SequenceAggregate, legacy_aggregates, legacy_find_entry
+from repro.core.index import ChainIndex, SequenceAggregate
 from repro.core.errors import (
     AuthorizationError,
     ChainIntegrityError,
@@ -87,8 +87,6 @@ __all__ = [
     "Subscription",
     "ChainIndex",
     "SequenceAggregate",
-    "legacy_aggregates",
-    "legacy_find_entry",
     "AuthorizationError",
     "ChainIntegrityError",
     "CohesionError",

@@ -1,8 +1,8 @@
 """Documentation rules (``REPRO-DOC4xx``).
 
-The docs checks that used to live in ``scripts/check_doc_links.py`` plus the
-table-sync checks the test suite pins, folded into the lint pass so one
-command (``python -m repro lint``) gates code *and* documentation:
+The relative-link check plus the table-sync checks the test suite pins,
+folded into the lint pass so one command (``python -m repro lint``) gates
+code *and* documentation:
 
 * every local markdown link must resolve to a real file (``REPRO-DOC401``),
 * the scenario-catalogue table in ``docs/ARCHITECTURE.md`` must mirror the

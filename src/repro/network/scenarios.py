@@ -53,10 +53,8 @@ run pairs the attack counters with the quorum's defence counters under
   failover; its future timestamps age temporary entries prematurely.
 
 Workload scenarios (the full paper workload generators on virtual arrival
-timelines — one closed-loop
-:class:`~repro.workloads.driver.ScenarioWorkloadDriver` by default, an
-open-loop :class:`~repro.workloads.fleet.FleetDriver` when ``n_clients``
-is raised above 1):
+timelines, driven by a :class:`~repro.workloads.fleet.FleetDriver` — closed
+loop at the default ``n_clients=1``, open loop when it is raised above 1):
 
 * ``gdpr-erasure``          — Art. 17 erasure requests trail a personal-data
   stream; deletion latency is measured in virtual milliseconds.
@@ -106,7 +104,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.transport import GeoLatencyModel, LatencyModel
 from repro.service.sharding import ShardRouter
 from repro.workloads.coins import CoinTransferWorkload
-from repro.workloads.fleet import derive_client_seed
+from repro.workloads.fleet import FleetDriver, derive_client_seed
 from repro.workloads.stats import has_samples
 from repro.workloads.gdpr import GdprErasureWorkload
 from repro.workloads.logging import LoginAuditWorkload
@@ -1139,11 +1137,11 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
-# Workload scenarios (repro.workloads.driver)
+# Workload scenarios (repro.workloads.fleet)
 # --------------------------------------------------------------------- #
 #
 # Each scenario runs one of the paper's application workload generators
-# through a ScenarioWorkloadDriver: the workload's events receive virtual
+# through a FleetDriver: the workload's events receive virtual
 # arrival times (workloads.arrival_schedule) and execute against a
 # RemoteLedgerClient on a kernel-backed anchor deployment — so deletion
 # latency, marker shifts, temporary-entry expiry and anti-entropy interact
@@ -1184,59 +1182,23 @@ def _drive_traffic(
     params: dict[str, Any],
     build_workload: Callable[[int], Any],
     **drive_kwargs: Any,
-) -> Any:
-    """One closed-loop driver or an open-loop fleet, per ``n_clients``.
+) -> FleetDriver:
+    """A closed-loop client or an open-loop fleet, per ``n_clients``.
 
     ``build_workload(client_index)`` constructs client ``client_index``'s
     pre-seeded workload (scenarios derive sub-seeds with
     :func:`~repro.workloads.fleet.derive_client_seed`, whose client 0 keeps
     the base seed).  ``n_clients == 1`` — every workload scenario's default —
-    takes the original :meth:`~NetworkSimulator.drive_workload` path
-    unchanged, so single-client runs stay byte-identical to the catalogue
-    before fleets existed; ``n_clients > 1`` builds an open-loop
-    :class:`~repro.workloads.fleet.FleetDriver` under the default in-flight
-    budget.
+    issues requests sequentially (budget 0); ``n_clients > 1`` runs open
+    loop under the default in-flight budget.
     """
     n_clients = int(params.get("n_clients", 1))
     if n_clients < 1:
         raise ValueError("n_clients must be at least 1")
-    if n_clients == 1:
-        return simulator.drive_workload(build_workload(0), **drive_kwargs)
     return simulator.drive_fleet(
         [build_workload(client_index) for client_index in range(n_clients)],
+        in_flight_budget=0 if n_clients == 1 else 8,
         **drive_kwargs,
-    )
-
-
-def _set_submit_hook(driver: Any, params: dict[str, Any], hook: Callable[..., None]) -> None:
-    """Install a client-indexed submit hook on either driver kind.
-
-    Scenario hooks take ``(client_index, position, event, receipt)``; the
-    single-driver path adapts them to its ``(position, event, receipt)``
-    signature with client index 0.
-    """
-    if int(params.get("n_clients", 1)) == 1:
-        driver.on_submitted = (
-            lambda position, event, receipt: hook(0, position, event, receipt)
-        )
-    else:
-        driver.on_submitted = hook
-
-
-def _traffic_deletion(
-    driver: Any,
-    params: dict[str, Any],
-    client_index: int,
-    target: Any,
-    author: str,
-    *,
-    reason: str = "",
-) -> Any:
-    """Route an application-level deletion through the issuing client."""
-    if int(params.get("n_clients", 1)) == 1:
-        return driver.request_deletion(target, author, reason=reason)
-    return driver.request_deletion(
-        target, author, reason=reason, client_index=client_index
     )
 
 
@@ -1279,7 +1241,6 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     )
     kernel = simulator.kernel
     assert kernel is not None
-    n_clients = int(params["n_clients"])
 
     def build_workload(client_index: int) -> GdprErasureWorkload:
         return GdprErasureWorkload(
@@ -1300,7 +1261,7 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     )
     # Per-client application state: every fleet client runs its own
     # derived-seed record stream with its own erasure schedule.
-    workloads = [driver.workload] if n_clients == 1 else driver.workloads
+    workloads = driver.workloads
     subjects = [
         {case.record_index: case.subject for case in workload.cases()}
         for workload in workloads
@@ -1312,13 +1273,11 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     def erase(client_index: int, record_index: int) -> None:
         reference = references[client_index].get(record_index)
         if reference is not None:
-            _traffic_deletion(
-                driver,
-                params,
-                client_index,
+            driver.request_deletion(
                 reference,
                 subjects[client_index][record_index],
                 reason="Art. 17 erasure request",
+                client_index=client_index,
             )
 
     def on_submitted(client_index: int, position: int, event: Any, receipt: Any) -> None:
@@ -1351,7 +1310,7 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             simulator, params, until=kernel.now + float(params["settle_ms"])
         )
 
-    _set_submit_hook(driver, params, on_submitted)
+    driver.on_submitted = on_submitted
     driver.on_finished = after_traffic
     driver.schedule()
     kernel.run()
@@ -1426,7 +1385,7 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         start_at_ms=20.0,
         expiry_ms_per_tick=float(params["expiry_ms_per_tick"]),
     )
-    workloads = [driver.workload] if n_clients == 1 else driver.workloads
+    workloads = driver.workloads
     # Per-client recall draws and reference maps: fleet clients ship
     # identically-named product ids, so everything is keyed by client.
     recalled: list[set[str]] = []
@@ -1452,13 +1411,11 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         if product in recalled[client_index] and event.data.get("stage") == final_stage:
             for reference in product_refs[client_index][product]:
                 recall_requests += 1
-                _traffic_deletion(
-                    driver,
-                    params,
-                    client_index,
+                driver.request_deletion(
                     reference,
                     "REGULATOR",
                     reason=f"recall of {product}",
+                    client_index=client_index,
                 )
 
     completion: dict[str, float] = {}
@@ -1469,7 +1426,7 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             simulator, params, until=kernel.now + float(params["settle_ms"])
         )
 
-    _set_submit_hook(driver, params, on_submitted)
+    driver.on_submitted = on_submitted
     driver.on_finished = after_traffic
     driver.schedule()
     kernel.run()
@@ -1566,13 +1523,11 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         if event.data.get("maintenance") == "decommissioned":
             decommissioned.append(vin if n_clients == 1 else f"c{client_index}:{vin}")
             for reference in vehicle_refs.get((client_index, vin), []):
-                _traffic_deletion(
-                    driver,
-                    params,
-                    client_index,
+                driver.request_deletion(
                     reference,
                     "REGISTRATION-AUTHORITY",
                     reason=f"{vin} decommissioned",
+                    client_index=client_index,
                 )
         else:
             vehicle_refs.setdefault((client_index, vin), []).append(receipt.reference)
@@ -1593,7 +1548,7 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             until=kernel.now + settle + quiet,
         )
 
-    _set_submit_hook(driver, params, on_submitted)
+    driver.on_submitted = on_submitted
     driver.on_finished = after_traffic
     driver.schedule()
     kernel.run()
@@ -1667,7 +1622,7 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         mean_gap_ms=float(params["mean_gap_ms"]),
         start_at_ms=20.0,
     )
-    workloads = [driver.workload] if n_clients == 1 else driver.workloads
+    workloads = driver.workloads
     # Per-client economies: wallet names and transfer ids repeat across
     # fleet clients, so lost-wallet bookkeeping is keyed by client.
     lost = [workload.lost_wallets() for workload in workloads]
@@ -1702,13 +1657,11 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             reference = transfer_refs.get((client_index, transfer_id))
             if reference is None:
                 continue
-            receipt = _traffic_deletion(
-                driver,
-                params,
-                client_index,
+            receipt = driver.request_deletion(
                 reference,
                 "RECOVERY",
                 reason="lost-key recovery (Section V-A)",
+                client_index=client_index,
             )
             if receipt.approved:
                 recovered.append(transfer_id)
@@ -1732,7 +1685,7 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             until=kernel.now + settle + quiet,
         )
 
-    _set_submit_hook(driver, params, on_submitted)
+    driver.on_submitted = on_submitted
     driver.on_finished = after_traffic
     driver.schedule()
     kernel.run()

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - service imports network, not vice versa
     from repro.service.remote import RemoteLedgerClient
     from repro.sync.antientropy import AntiEntropyService
     from repro.workloads.base import Workload
-    from repro.workloads.driver import ScenarioWorkloadDriver, SubmitHook
     from repro.workloads.fleet import (
         FleetArrival,
         FleetDriver,
@@ -74,7 +73,7 @@ class SimulationReport:
     anti_entropy: dict[str, Any] = field(default_factory=dict)
     #: Per-workload counters (entries, deletions, virtual-ms deletion
     #: latency), keyed by workload name — filled by :meth:`finalize` for
-    #: every driver attached via :meth:`NetworkSimulator.drive_workload`.
+    #: every driver attached via :meth:`NetworkSimulator.drive_fleet`.
     workloads: dict[str, Any] = field(default_factory=dict)
     #: Adversarial bookkeeping — per-actor attack counters under
     #: ``"actors"``, the quorum's aggregated defence counters under
@@ -140,7 +139,7 @@ class NetworkSimulator:
             latency=latency, kernel=kernel, loss_rate=loss_rate, loss_seed=loss_seed
         )
         self.anti_entropy: Optional["AntiEntropyService"] = None
-        self._workload_drivers: list["ScenarioWorkloadDriver"] = []
+        self._workload_drivers: list["FleetDriver"] = []
         #: Injected byzantine actors (see :mod:`repro.adversary`); their
         #: attack counters are folded into ``report.adversary``.
         self.adversaries: list["AdversaryActor"] = []
@@ -352,50 +351,8 @@ class NetworkSimulator:
         return self.anti_entropy
 
     # ------------------------------------------------------------------ #
-    # Workload timelines (repro.workloads.driver)
+    # Workload timelines (repro.workloads.fleet)
     # ------------------------------------------------------------------ #
-
-    def drive_workload(
-        self,
-        workload: "Workload",
-        *,
-        mean_gap_ms: float,
-        jitter: float = 0.5,
-        ms_per_tick: float = 1.0,
-        start_at_ms: float = 0.0,
-        expiry_ms_per_tick: Optional[float] = None,
-        on_submitted: Optional["SubmitHook"] = None,
-        anchor_id: Optional[str] = None,
-    ) -> "ScenarioWorkloadDriver":
-        """Bind a workload timeline to this deployment (kernel required).
-
-        Builds a :class:`~repro.workloads.driver.ScenarioWorkloadDriver`
-        around a :class:`~repro.service.remote.RemoteLedgerClient` for
-        ``anchor_id`` (default: the producer), wired to this deployment's
-        kernel and the producer chain's event bus so deletion latency is
-        measured in virtual milliseconds.  The caller still calls
-        :meth:`~repro.workloads.driver.ScenarioWorkloadDriver.schedule` —
-        after installing any application-level hooks — and advances the
-        kernel; :meth:`finalize` folds the driver's counters into
-        ``report.workloads``.
-        """
-        from repro.workloads.driver import ScenarioWorkloadDriver
-
-        kernel = self._require_kernel()
-        driver = ScenarioWorkloadDriver(
-            workload,
-            self.ledger_client(anchor_id),
-            mean_gap_ms=mean_gap_ms,
-            jitter=jitter,
-            ms_per_tick=ms_per_tick,
-            kernel=kernel,
-            bus=self.producer.chain.bus,
-            start_at_ms=start_at_ms,
-            expiry_ms_per_tick=expiry_ms_per_tick,
-            on_submitted=on_submitted,
-        )
-        self._workload_drivers.append(driver)
-        return driver
 
     def drive_fleet(
         self,
@@ -414,7 +371,7 @@ class NetworkSimulator:
         lane_of: Optional["Callable[[FleetArrival], int]"] = None,
         lane_count: Optional[int] = None,
     ) -> "FleetDriver":
-        """Bind a multi-client fleet to this deployment (kernel required).
+        """Bind a workload fleet to this deployment (kernel required).
 
         Builds a :class:`~repro.workloads.fleet.FleetDriver` over one
         :class:`~repro.service.remote.RemoteLedgerClient` per fleet client
@@ -426,6 +383,8 @@ class NetworkSimulator:
         :meth:`~repro.workloads.fleet.FleetDriver.schedule`, and advances
         the kernel; :meth:`finalize` folds the fleet statistics (per-client
         and aggregate latency percentiles) into ``report.workloads``.
+        ``in_flight_budget=0`` runs the closed loop; with one workload its
+        report entry is the flat per-workload counter block.
 
         ``clients`` overrides the per-client ledger clients (a sharded
         deployment passes one shared :class:`~repro.service.sharding.ShardRouter`

@@ -112,8 +112,8 @@ class TransportStatistics:
     ``delivery_latency_ms`` sums the per-message latency samples.  In
     scheduled mode these are true delivery latencies (they decided *when*
     each message arrived); in synchronous mode they remain accounting-only
-    figures that never influenced ordering — the historical behaviour, kept
-    under the historical alias ``simulated_latency_ms``.
+    figures that never influenced ordering.  Reports repeat the sum under
+    its historical key ``simulated_latency_ms``.
 
     ``dropped`` counts messages undeliverable for *structural* reasons
     (offline node, blocked link, unknown recipient); ``lost`` counts
@@ -129,11 +129,6 @@ class TransportStatistics:
     timeouts: int = 0
     bytes_transferred: int = 0
     delivery_latency_ms: float = 0.0
-
-    @property
-    def simulated_latency_ms(self) -> float:
-        """Deprecated alias for :attr:`delivery_latency_ms`."""
-        return self.delivery_latency_ms
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for reports."""

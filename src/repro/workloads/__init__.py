@@ -9,7 +9,6 @@ from repro.workloads.base import (
     replay,
 )
 from repro.workloads.coins import CoinTransferWorkload, Transfer
-from repro.workloads.driver import ScenarioWorkloadDriver, WorkloadRunStats
 from repro.workloads.fleet import (
     FleetArrival,
     FleetClientStats,
@@ -28,6 +27,7 @@ from repro.workloads.logging import (
 )
 from repro.workloads.stats import (
     PERCENTILE_LEVELS,
+    WorkloadRunStats,
     has_samples,
     latency_summary,
     percentile,
@@ -49,7 +49,6 @@ __all__ = [
     "FleetPolicy",
     "FleetRunStats",
     "PERCENTILE_LEVELS",
-    "ScenarioWorkloadDriver",
     "Transfer",
     "WorkloadRunStats",
     "derive_client_seed",

@@ -1,43 +1,51 @@
-"""Open-loop multi-client traffic engine.
+"""The workload → kernel traffic engine: one driver, two admission modes.
 
-:class:`~repro.workloads.driver.ScenarioWorkloadDriver` is a *closed loop*:
-event ``n+1`` is booked only once event ``n`` completes, so the deployment
-services exactly one request at a time and every latency number is an
-artifact of sequential issue.  A real population of clients does not wait
-for each other — requests land when their senders decide, and a saturated
-service accumulates backlog or drops work.  This module supplies that
-missing traffic model:
+:func:`~repro.workloads.base.replay` executes a workload synchronously —
+event after event, no notion of time between them.  The paper's evaluation
+is about application workloads (erasure requests, audit logs, telemetry)
+exercising selective deletion under realistic network conditions, so
+:class:`FleetDriver` books every :class:`~repro.workloads.base.WorkloadEvent`
+of N seeded clients as a *kernel event* at its virtual arrival time, executed
+against any :class:`~repro.service.client.LedgerClient` — in the named
+scenarios a :class:`~repro.service.remote.RemoteLedgerClient` bound to a
+replicated anchor deployment, so deletion latency, marker shifts and
+anti-entropy interact with message latency, loss and partitions on virtual
+time (the trace-driven style of the BlockSim-family simulators).
 
 * :func:`derive_client_seed` derives one sub-seed per fleet client from the
-  fleet seed (client 0 keeps the fleet seed itself, so a one-client fleet is
-  the single-driver run under another name);
+  fleet seed (client 0 keeps the fleet seed itself);
 * :func:`fleet_timeline` builds every client's
   :func:`~repro.workloads.base.arrival_schedule` timeline and interleaves
   them deterministically (sorted by arrival time, ties broken by client then
   position — a pure function of ``(seed, n_clients)``);
-* :class:`FleetDriver` books the interleaved arrivals on the shared
-  :class:`~repro.network.kernel.EventKernel` *up front* — open loop: an
-  arrival fires at its scheduled time regardless of what completed — and
-  admits them to service under a shared **in-flight budget**.  When the
-  budget is exhausted the typed :class:`FleetPolicy` decides: ``SHED`` drops
-  the request on the floor (counted, never issued), ``QUEUE`` parks it in a
-  client-side backlog that is admitted as slots free up.  Request latency is
-  measured from the *scheduled arrival* to completion, so queueing delay is
-  charged to the service instead of silently vanishing (no coordinated
-  omission), and the per-client / fleet-aggregate percentiles of
-  :func:`~repro.workloads.stats.latency_summary` land under
-  ``report["workloads"]``.
+* :class:`FleetDriver` admits the interleaved arrivals to service in one of
+  two modes, selected by ``in_flight_budget``:
 
-``in_flight_budget=0`` selects the **closed-loop spec mode**: the global
-interleaved timeline is chained exactly like the single driver (event
-``k+1`` books when ``k`` completes, at ``max(arrival, now)``), which makes a
-one-client zero-budget fleet reproduce the
-:class:`~repro.workloads.driver.ScenarioWorkloadDriver` run byte-identically
-— the executable-spec pin of ``tests/test_workload_contract.py``.
+  **Closed loop** (``in_flight_budget=0``): arrival ``k+1`` is booked only
+  once arrival ``k`` completes, at ``max(its arrival time, now)``.  The
+  deployment services exactly one request at a time and arrivals faster than
+  the round trip queue up as backlog — a client that issues requests
+  sequentially.  This is what every workload scenario runs at its default
+  ``n_clients=1``.
+
+  **Open loop** (``in_flight_budget >= 1``): every arrival is booked on the
+  shared :class:`~repro.network.kernel.EventKernel` *up front* and fires at
+  its scheduled time regardless of what completed — a real population of
+  clients does not wait for each other.  Arrivals are admitted under the
+  shared budget; when it is exhausted the typed :class:`FleetPolicy`
+  decides: ``SHED`` drops the request on the floor (counted, never issued),
+  ``QUEUE`` parks it in a client-side backlog that is admitted as slots free
+  up.  Request latency is measured from the *scheduled arrival* to
+  completion, so queueing delay is charged to the service instead of
+  silently vanishing (no coordinated omission).
+
+Without a kernel the driver degrades to an ordered immediate replay
+(:meth:`FleetDriver.run`): exactly the protocol operations ``replay``
+performs, in the same order — the conformance suite's parity pin.
 
 Determinism: sub-seeds and timelines are pure functions of the fleet seed,
 the kernel's seeded tie-break orders same-instant arrivals, and all reported
-numbers are plain rounded floats — fleet runs replay byte-identically per
+numbers are plain rounded floats — runs replay byte-identically per
 ``(seed, n_clients, budget, policy)``.
 """
 
@@ -59,8 +67,7 @@ from repro.service.client import (
     as_reference,
 )
 from repro.workloads.base import EventKind, Workload, WorkloadEvent, arrival_schedule
-from repro.workloads.driver import WorkloadRunStats
-from repro.workloads.stats import latency_summary
+from repro.workloads.stats import WorkloadRunStats, latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel is optional)
     from repro.network.kernel import EventKernel
@@ -94,8 +101,8 @@ class FleetPolicy(str, Enum):
 def derive_client_seed(seed: int, client_index: int) -> int:
     """The deterministic sub-seed of fleet client ``client_index``.
 
-    Client 0 keeps ``seed`` unchanged (a one-client fleet *is* the
-    single-driver run); further clients hash-mix ``(seed, client_index)``
+    Client 0 keeps ``seed`` unchanged (a one-client fleet runs the workload
+    of that very seed); further clients hash-mix ``(seed, client_index)``
     through SHA-256 so distinct fleets never share a per-client sub-stream.
     """
     if client_index < 0:
@@ -174,7 +181,13 @@ class FleetClientStats:
 
 @dataclass
 class FleetRunStats:
-    """Fleet-aggregate counters plus the per-client breakdown."""
+    """Fleet-aggregate counters plus the per-client breakdown.
+
+    A one-client closed-loop run has no fleet to aggregate over — no budget,
+    no backlog, nothing shed — so :meth:`as_dict` reports it as the sole
+    client's flat :class:`~repro.workloads.stats.WorkloadRunStats` block.
+    This is the one place that report shape is decided.
+    """
 
     workload: str = ""
     n_clients: int = 0
@@ -196,6 +209,8 @@ class FleetRunStats:
 
     def as_dict(self) -> dict[str, Any]:
         """Deterministic plain-dict view for scenario results and benchmarks."""
+        if self.n_clients == 1 and self.in_flight_budget == 0:
+            return self.clients[0].run.as_dict()
         elapsed = self.completed_at_ms
         throughput = (self.executed / elapsed * 1000.0) if elapsed > 0 else 0.0
         return {
@@ -238,17 +253,38 @@ class FleetDriver:
         Per-client arrival-rate knobs, forwarded to
         :func:`~repro.workloads.base.arrival_schedule`.  The fleet's offered
         load scales with ``n_clients / mean_gap_ms``.
-    kernel / bus / start_at_ms / one_block_per_entry / expiry_ms_per_tick:
-        As on :class:`~repro.workloads.driver.ScenarioWorkloadDriver`.
+    kernel:
+        The :class:`~repro.network.kernel.EventKernel` to book arrivals on.
+        ``None`` selects the kernel-less immediate mode (:meth:`run`).
+    bus:
+        The producer chain's :class:`~repro.core.events.EventBus`.  Given
+        together with a kernel, the driver subscribes to the typed deletion
+        events and measures request→execution latency in virtual
+        milliseconds.
+    start_at_ms:
+        Offset added to every arrival time.
+    one_block_per_entry:
+        Seal one block per submission (the paper's evaluation model), as
+        :func:`~repro.workloads.base.replay` does.
+    expiry_ms_per_tick:
+        When set, temporary-entry bounds (``expires_at_time``, expressed in
+        workload ticks) are rescaled into virtual milliseconds — chains on a
+        :class:`~repro.core.clock.SimulationClock` measure time in kernel
+        milliseconds, not workload ticks.  ``None`` passes the bounds through
+        unchanged, which keeps kernel-less runs identical to ``replay``.
     in_flight_budget:
         Maximum number of requests admitted to service (issued, not yet
         completed) at any instant — shared across the whole fleet.  ``0``
-        selects the closed-loop spec mode (see module docstring).
+        selects the closed loop (see module docstring).
     policy:
         The :class:`FleetPolicy` applied when the budget is exhausted.
     on_submitted:
         Optional :data:`FleetSubmitHook`; ``on_finished`` is a plain
         attribute called once after the final arrival completed or was shed.
+        Under backlog the *actual* completion time can lie well past the
+        nominal horizon, so post-traffic machinery (settle heartbeats,
+        follow-up requests) must anchor there, not at ``schedule()``'s
+        return value.
     lane_of:
         Optional service-lane selector.  By default the whole fleet drains
         through **one** service pump — requests round-trip strictly one at
@@ -258,17 +294,17 @@ class FleetDriver:
         to give every lane its own pump: round trips in *different* lanes
         overlap in virtual time — lane B's request departs while lane A's
         is still on the wire — so aggregate service rate scales with the
-        number of lanes while each lane stays internally sequential.
+        number of lanes while each lane stays internally sequential.  A
+        result outside ``range(lane_count or 1)`` raises ``ValueError``.
     lane_count:
         Declared number of service lanes.  With more than one lane the
-        driver switches to the **event-driven pump**: ENTRY submissions go
-        through :meth:`LedgerClient.submit_async` and a lane's next request
-        departs from the response-arrival callback instead of a blocking
-        virtual-time wait, so N lanes genuinely sustain N overlapped round
-        trips (the nested blocking pump tops out well short of that — every
-        response return has to unwind through whatever stacked beneath it).
-        Left at ``None`` (or ``1``) the classic blocking pump runs and the
-        kernel sees the exact event sequence of a single-deployment run.
+        **event-driven pump** runs: ENTRY submissions go through
+        :meth:`LedgerClient.submit_async` and a lane's next request departs
+        from the response-arrival callback instead of a blocking
+        virtual-time wait, so N lanes sustain N overlapped round trips.
+        Left at ``None`` (or ``1``) the **blocking pump** drains the single
+        lane and the kernel sees the exact event sequence of a
+        single-deployment run.
     """
 
     def __init__(
@@ -349,18 +385,16 @@ class FleetDriver:
         self._finished = False
         self._processed = 0
         self._in_flight = 0
-        #: Lanes currently inside their pump loop (lane 0 is the only lane
-        #: when ``lane_of`` is None, so the default run never grows these
-        #: maps past one entry and behaves exactly like a single pump).
-        self._pumping: set[int] = set()
-        self._waking: set[int] = set()
+        #: The blocking pump is inside its loop (single-lane runs only).
+        self._pumping = False
         #: Lanes with an async request in flight (event-driven pump only).
         self._busy: set[int] = set()
         self._service: dict[int, deque[FleetArrival]] = {}
         self._backlog: deque[FleetArrival] = deque()
         #: reference key -> virtual request time, for latency pairing.
         self._deletion_requested_at: dict[tuple[int, int], float] = {}
-        #: reference key -> fleet client that issued the request.
+        #: reference key -> fleet client that issued the request; held only
+        #: while the request is in flight or its latency clock is running.
         self._deletion_owner: dict[tuple[int, int], int] = {}
         self._latency_subscription: Optional[Subscription] = None
         self._bus = bus
@@ -383,9 +417,11 @@ class FleetDriver:
         trip overrunning the next arrival cannot nest executions.
 
         Closed loop (``in_flight_budget == 0``): the interleaved timeline is
-        chained exactly like
-        :meth:`~repro.workloads.driver.ScenarioWorkloadDriver.schedule` —
-        the executable-spec mode.
+        chain-scheduled, one arrival at a time.  Booking it up front would
+        let a request whose blocking round trip overruns the next arrival
+        execute that arrival *nested inside itself* — at high arrival rates
+        the nesting chains through the entire stream and overflows the
+        interpreter stack.  Chaining bounds the depth at one event.
         """
         if self.kernel is None:
             raise ValueError("schedule() requires a kernel; use run() without one")
@@ -402,10 +438,7 @@ class FleetDriver:
                 self.kernel.schedule_at(
                     max(arrival.at_ms, self.kernel.now),
                     lambda arrival=arrival: self._on_arrival(arrival),
-                    label=(
-                        f"fleet:{self.workload.name}:c{arrival.client_index}"
-                        f":{arrival.event.kind.value}:{arrival.position}"
-                    ),
+                    label=self._label(arrival),
                 )
         return self.stats.horizon_ms
 
@@ -413,9 +446,9 @@ class FleetDriver:
         """Execute the interleaved timeline immediately, in arrival order.
 
         The kernel-less parity mode: the fleet performs exactly the protocol
-        operations a closed-loop replay performs, in timeline order — the
-        conformance suite pins a one-client fleet against
-        :func:`~repro.workloads.base.replay` and the single driver with it.
+        operations :func:`~repro.workloads.base.replay` performs, in timeline
+        order, so a one-client run leaves identical final chain statistics
+        behind (pinned by ``tests/test_workload_contract.py``).
         """
         if self.kernel is not None:
             raise ValueError("run() is the kernel-less mode; use schedule() with a kernel")
@@ -427,7 +460,7 @@ class FleetDriver:
         return self.stats
 
     # ------------------------------------------------------------------ #
-    # Closed-loop spec mode (budget 0)
+    # Closed loop (budget 0)
     # ------------------------------------------------------------------ #
 
     def _schedule_closed(self, index: int) -> None:
@@ -447,13 +480,12 @@ class FleetDriver:
                 self._complete(arrival)
                 self._schedule_closed(index + 1)
 
-        kernel.schedule_at(
-            max(arrival.at_ms, kernel.now),
-            fire,
-            label=(
-                f"fleet:{self.workload.name}:c{arrival.client_index}"
-                f":{arrival.event.kind.value}:{arrival.position}"
-            ),
+        kernel.schedule_at(max(arrival.at_ms, kernel.now), fire, label=self._label(arrival))
+
+    def _label(self, arrival: FleetArrival) -> str:
+        return (
+            f"fleet:{self.workload.name}:c{arrival.client_index}"
+            f":{arrival.event.kind.value}:{arrival.position}"
         )
 
     # ------------------------------------------------------------------ #
@@ -471,40 +503,38 @@ class FleetDriver:
             return
         self._admit(arrival)
 
-    def _lane(self, arrival: FleetArrival) -> int:
-        return 0 if self.lane_of is None else self.lane_of(arrival)
-
-    def _admit(self, arrival: FleetArrival) -> None:
+    def _enqueue(self, arrival: FleetArrival) -> int:
+        """Take a budget slot and queue the arrival on its service lane."""
+        lane = 0 if self.lane_of is None else self.lane_of(arrival)
+        lanes = self.lane_count or 1
+        if not 0 <= lane < lanes:
+            raise ValueError(
+                f"lane_of sent {self._label(arrival)} to lane {lane}, "
+                f"outside the {lanes} declared lane(s)"
+            )
         self._in_flight += 1
         if self._in_flight > self.stats.in_flight_peak:
             self.stats.in_flight_peak = self._in_flight
-        lane = self._lane(arrival)
         self._service.setdefault(lane, deque()).append(arrival)
+        return lane
+
+    def _admit(self, arrival: FleetArrival) -> None:
+        lane = self._enqueue(arrival)
         if self._async:
             self._pump_async(lane)
-        elif lane not in self._pumping:
-            self._pump(lane)
+        elif not self._pumping:
+            self._pump()
 
-    def _pump(self, lane: int) -> None:
-        """Drain one lane's service queue, one blocking round trip at a time.
+    def _pump(self) -> None:
+        """Drain the single service lane, one blocking round trip at a time.
 
-        Runs inside the kernel callback that admitted the lane's first
-        request.  Arrivals firing *during* a round trip (the transport's
-        nested virtual-time wait) only enqueue — this loop picks up same-lane
-        ones, and an idle *other* lane starts its own pump from the arrival
-        callback, nested inside this lane's virtual-time wait.  That nesting
-        is what makes cross-lane round trips overlap.
-
-        When this pump itself runs nested above other pumping lanes, it
-        yields the stack after every item (a zero-delay wake re-enters the
-        queue at the same virtual instant): draining a whole lane from a
-        nested frame would block the lanes beneath it for the duration, and
-        it is the blocked lanes' overlapped responses — already in flight —
-        that the aggregate service rate comes from.  A single lane never
-        yields, so the default path schedules no extra kernel events.
+        Runs inside the kernel callback that admitted the first request.
+        Arrivals firing *during* a round trip (the transport's nested
+        virtual-time wait) only enqueue — this loop picks them up, so the
+        stack never grows past one request.
         """
-        self._pumping.add(lane)
-        queue = self._service.setdefault(lane, deque())
+        self._pumping = True
+        queue = self._service[0]
         try:
             while queue:
                 arrival = queue.popleft()
@@ -513,59 +543,22 @@ class FleetDriver:
                 finally:
                     self._in_flight -= 1
                     self._complete(arrival)
-                    self._drain_backlog(lane)
-                if len(self._pumping) > 1 and queue:
-                    # Other lanes are stacked beneath this frame: hand the
-                    # stack back so they can progress, and resume this
-                    # lane's queue from a fresh frame at the same instant.
-                    self._wake(lane)
-                    return
+                    self._drain_backlog(0)
         finally:
-            self._pumping.discard(lane)
+            self._pumping = False
 
     def _drain_backlog(self, current_lane: int) -> None:
         """Admit backlogged arrivals into freed budget slots, lane-routed.
 
-        Same-lane admissions are picked up by the caller's pump loop; an
-        idle other lane is woken through a zero-delay kernel event rather
-        than a recursive call, so its round trips run from a fresh frame
-        (bounded stack) while still overlapping this lane's waits.  With a
-        single lane (``lane_of`` None) the kernel path never triggers.
+        Same-lane admissions are picked up by the caller — the blocking
+        pump's loop or the async completion's re-pump.  An async pump never
+        blocks, so an idle other lane is re-entered directly (it self-guards
+        while busy).
         """
         while self._backlog and self._in_flight < self.in_flight_budget:
-            waiting = self._backlog.popleft()
-            self._in_flight += 1
-            if self._in_flight > self.stats.in_flight_peak:
-                self.stats.in_flight_peak = self._in_flight
-            lane = self._lane(waiting)
-            self._service.setdefault(lane, deque()).append(waiting)
-            if lane == current_lane:
-                # Picked up by the caller — the blocking pump's loop or the
-                # async completion's re-pump.
-                continue
-            if self._async:
-                # An async pump never blocks, so an idle other lane can be
-                # re-entered directly (it self-guards while busy).
+            lane = self._enqueue(self._backlog.popleft())
+            if lane != current_lane:
                 self._pump_async(lane)
-            elif lane not in self._pumping:
-                self._wake(lane)
-
-    def _wake(self, lane: int) -> None:
-        """Book a zero-delay kernel event that re-enters a lane's pump."""
-        if lane in self._waking:
-            return
-        assert self.kernel is not None
-        self._waking.add(lane)
-        self.kernel.schedule_at(
-            self.kernel.now,
-            lambda: self._pump_idle(lane),
-            label=f"fleet:{self.workload.name}:lane-{lane}:wake",
-        )
-
-    def _pump_idle(self, lane: int) -> None:
-        self._waking.discard(lane)
-        if lane not in self._pumping and self._service.get(lane):
-            self._pump(lane)
 
     # ------------------------------------------------------------------ #
     # Event-driven pump (multi-lane deployments)
@@ -672,7 +665,7 @@ class FleetDriver:
             self.on_finished()
 
     # ------------------------------------------------------------------ #
-    # Event execution (mirrors ScenarioWorkloadDriver._execute per client)
+    # Event execution
     # ------------------------------------------------------------------ #
 
     def _execute(self, arrival: FleetArrival) -> None:
@@ -704,8 +697,9 @@ class FleetDriver:
             try:
                 idle_block = client.tick(event.idle_ticks)
             except LedgerError:
-                # As in the single driver: one lost tick round trip on a
-                # lossy transport must not abort the timeline.
+                # Unlike submit/request_deletion, the tick protocol path
+                # raises on a failed round trip (a lost response on a lossy
+                # transport).  One lost tick must not abort the timeline.
                 stats.idle_rejected += 1
                 return
             if idle_block:
@@ -728,12 +722,17 @@ class FleetDriver:
         """
         stats = self.stats.clients[client_index].run
         reference = as_reference(target)
-        self._deletion_owner.setdefault(
-            (reference.block_number, reference.entry_number), client_index
-        )
+        key = (reference.block_number, reference.entry_number)
+        owns = self._latency_subscription is not None and key not in self._deletion_owner
+        if owns:
+            self._deletion_owner[key] = client_index
         receipt = self.clients[client_index].request_deletion(
             reference, author, reason=reason
         )
+        if owns and not receipt.approved and key not in self._deletion_requested_at:
+            # No latency clock started, so nothing will be attributed to
+            # this request: forget its owner.
+            self._deletion_owner.pop(key, None)
         stats.deletions_requested += 1
         if receipt.ok:
             stats.blocks_sealed += 1
@@ -767,6 +766,7 @@ class FleetDriver:
                 stats.deletions_pending += 1
         elif event.kind == EventType.DELETION_EXECUTED.value:
             requested_at = self._deletion_requested_at.pop(key, None)
+            self._deletion_owner.pop(key, None)
             if requested_at is not None:
                 latency = round(self.kernel.now - requested_at, 6)
                 stats.deletions_executed += 1

@@ -1,4 +1,4 @@
-"""Latency aggregation shared by the workload drivers.
+"""Run counters and latency aggregation of the workload engine.
 
 The paper's evaluation reports deletion latency as a single mean — which is
 exactly the statistic that hides a long tail.  A mean can look healthy while
@@ -18,6 +18,7 @@ byte-identical per seed.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 #: The percentile levels every latency block reports, in report-key order.
@@ -86,3 +87,63 @@ def has_samples(summary: Any) -> bool:
         return int(summary.get("count", 0)) > 0
     except AttributeError:
         return False
+
+
+@dataclass
+class WorkloadRunStats:
+    """Per-workload counters collected while the driver executes.
+
+    ``deletion_latency_ms`` values are *virtual* milliseconds between an
+    approved deletion request and the marker shift that physically cut the
+    target off — only measured on kernel deployments (the chain's event bus
+    provides the execution signal, the kernel provides the clock).
+    """
+
+    workload: str = ""
+    events_total: int = 0
+    entries_submitted: int = 0
+    entries_rejected: int = 0
+    deletions_requested: int = 0
+    #: Approvals *acknowledged to the client*.  On a lossy transport the
+    #: response of an applied request can be lost, so chain-observed
+    #: ``deletions_executed`` may legitimately exceed this counter (the
+    #: at-least-once gap between the client plane and the chain plane).
+    deletions_approved: int = 0
+    deletions_executed: int = 0
+    #: Approved deletions whose physical cut-off has not been observed —
+    #: chain-observed when the driver tracks the event bus, the
+    #: approved-minus-executed difference otherwise.
+    deletions_pending: int = 0
+    idle_events: int = 0
+    idle_blocks: int = 0
+    #: IDLE events whose tick round trip failed (e.g. the response was lost
+    #: on a lossy transport) — the timeline continues regardless.
+    idle_rejected: int = 0
+    blocks_sealed: int = 0
+    horizon_ms: float = 0.0
+    deletion_latency_ms: list[float] = field(default_factory=list)
+
+    def as_dict(self) -> dict[str, Any]:
+        """Deterministic plain-dict view for scenario results and benchmarks.
+
+        ``deletion_latency_ms`` reports the full percentile block of
+        :func:`latency_summary` — count/mean/min/max alone hid the tail (a
+        bimodal sample keeps a healthy mean while its p99 explodes; pinned
+        by ``tests/test_fleet_driver.py``).
+        """
+        return {
+            "workload": self.workload,
+            "events_total": self.events_total,
+            "entries_submitted": self.entries_submitted,
+            "entries_rejected": self.entries_rejected,
+            "deletions_requested": self.deletions_requested,
+            "deletions_approved": self.deletions_approved,
+            "deletions_executed": self.deletions_executed,
+            "deletions_pending": self.deletions_pending,
+            "idle_events": self.idle_events,
+            "idle_blocks": self.idle_blocks,
+            "idle_rejected": self.idle_rejected,
+            "blocks_sealed": self.blocks_sealed,
+            "horizon_ms": round(self.horizon_ms, 6),
+            "deletion_latency_ms": latency_summary(self.deletion_latency_ms),
+        }

@@ -5,7 +5,8 @@ answers in O(1) must return exactly what the seed's linear scans returned.
 These tests drive randomized seal / delete / summarize / idle-tick traces
 through the chain façade and, after every trace, validate the incremental
 structures against the retained legacy reference implementations
-(:func:`repro.core.legacy_find_entry`, :func:`repro.core.legacy_aggregates`,
+(:func:`repro.core.index.legacy_find_entry`,
+:func:`repro.core.index.legacy_aggregates`,
 :func:`repro.core.partition_into_sequences`) — including ``from_dict``
 rebuilds and ``receive_block`` replication.
 
@@ -31,10 +32,9 @@ from repro.core import (
     ShrinkStrategy,
     SummaryMode,
     default_log_schema,
-    legacy_aggregates,
-    legacy_find_entry,
     partition_into_sequences,
 )
+from repro.core.index import legacy_aggregates, legacy_find_entry
 
 # Tiered Hypothesis settings: traces are comparatively expensive, so the
 # randomized-trace tests run fewer examples than cheap structural checks.

@@ -1,6 +1,6 @@
-"""Property suite for the open-loop fleet engine.
+"""Property suite for the fleet traffic engine.
 
-Two halves, matching the two things the fleet engine must get right:
+Three parts, matching the things the fleet engine must get right:
 
 * **The percentile estimator** (`repro.workloads.stats`) against independent
   oracles — a hand-rolled sorted-list computation and
@@ -10,8 +10,10 @@ Two halves, matching the two things the fleet engine must get right:
 * **Open-loop scheduling** (`repro.workloads.fleet.FleetDriver`) under a
   synthetic blocking service whose round trip costs virtual time: arrivals
   never reorder within a client, the shared in-flight budget is never
-  exceeded, and ``shed + executed == events_total`` under both overload
-  policies.
+  exceeded, ``shed + executed == events_total`` under both overload
+  policies, and an undeclared service lane is refused.
+* **Bounded bookkeeping**: the deletion-owner map holds only pending
+  deletions.
 
 The synthetic client keeps these properties cheap to fuzz: it consumes
 virtual time through the same nested ``run_until`` the real transport uses,
@@ -24,7 +26,10 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ChainConfig, EntryReference
 from repro.network.kernel import EventKernel
+from repro.network.scenarios import run_scenario
+from repro.network.simulator import NetworkSimulator
 from repro.service.client import DeletionReceipt, SubmitReceipt
 from repro.workloads import (
     FleetDriver,
@@ -328,3 +333,77 @@ class TestOpenLoopScheduling:
             FleetDriver([workload], [client], mean_gap_ms=10.0, kernel=kernel, in_flight_budget=-1)
         with pytest.raises(ValueError):
             FleetDriver([workload], [client], mean_gap_ms=10.0, kernel=kernel, policy="drop-everything")
+
+    def test_mode_misuse_is_rejected(self):
+        kernel = EventKernel(seed=1)
+        workload = LoginAuditWorkload(num_events=2, num_users=2, seed=1)
+        client = BlockingStubClient(kernel, 1.0)
+        with pytest.raises(ValueError, match="requires a kernel"):
+            FleetDriver([workload], [client], mean_gap_ms=10.0).schedule()
+        on_kernel = FleetDriver([workload], [client], mean_gap_ms=10.0, kernel=kernel)
+        with pytest.raises(ValueError, match="kernel-less"):
+            on_kernel.run()
+        on_kernel.schedule()
+        with pytest.raises(ValueError, match="already scheduled"):
+            on_kernel.schedule()
+
+    def test_a_lane_outside_the_declared_count_is_rejected(self):
+        """``lane_of`` may not open an undeclared lane — with or without a
+        declared ``lane_count`` — and the error names the arrival."""
+        for lane_count in (None, 2):
+            kernel = EventKernel(seed=1)
+            workload = LoginAuditWorkload(
+                num_events=3, num_users=2, deletion_rate=0.0, idle_rate=0.0, seed=1
+            )
+            driver = FleetDriver(
+                [workload],
+                [BlockingStubClient(kernel, 1.0)],
+                mean_gap_ms=10.0,
+                kernel=kernel,
+                lane_of=lambda arrival: 2,
+                lane_count=lane_count,
+            )
+            driver.schedule()
+            with pytest.raises(ValueError, match=r"fleet:login-audit:c0:entry:0 to lane 2"):
+                kernel.run()
+
+
+# --------------------------------------------------------------------- #
+# Bounded deletion bookkeeping
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("settle_ms", [600.0, 30.0], ids=["settled", "cut-short"])
+def test_deletion_owners_are_held_only_while_a_deletion_is_pending(monkeypatch, settle_ms):
+    """Regression: ``_deletion_owner`` used to keep one key per request for
+    the whole run.  After a ``gdpr-erasure`` fleet run it must hold exactly
+    the still-pending deletions — none once everything executed, and the
+    stragglers when the settle window is cut short."""
+    drivers = []
+    drive_fleet = NetworkSimulator.drive_fleet
+
+    def spy(self, *args, **kwargs):
+        drivers.append(drive_fleet(self, *args, **kwargs))
+        return drivers[-1]
+
+    monkeypatch.setattr(NetworkSimulator, "drive_fleet", spy)
+    run_scenario("gdpr-erasure", seed=23, smoke=True, n_clients=3, settle_ms=settle_ms)
+    (driver,) = drivers
+    runs = [client.run for client in driver.stats.clients]
+    assert sum(run.deletions_executed for run in runs) > 0
+    pending = sum(run.deletions_pending for run in runs)
+    assert (pending > 0) == (settle_ms < 600.0)
+    assert len(driver._deletion_owner) == pending
+
+
+def test_a_rejected_deletion_request_leaves_no_owner_behind():
+    kernel = EventKernel(seed=2)
+    simulator = NetworkSimulator(
+        anchor_count=2, config=ChainConfig.paper_evaluation(), kernel=kernel
+    )
+    driver = simulator.drive_fleet(
+        [LoginAuditWorkload(num_events=2, num_users=2, seed=2)], mean_gap_ms=10.0
+    )
+    receipt = driver.request_deletion(EntryReference(999999, 1), "NOBODY")
+    assert not receipt.approved
+    assert driver._deletion_owner == {}

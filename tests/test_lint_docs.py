@@ -3,8 +3,6 @@ rule-catalogue table in the handbook lists exactly the registered rules."""
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from pathlib import Path
 
 from repro.lint.base import ENGINE_CHECKS, rule_catalogue
@@ -110,27 +108,3 @@ class TestScenarioTableRule:
         sources = {"docs/ARCHITECTURE.md": "# Handbook\n\nno tables here\n"}
         report = run_lint(Project.from_sources(sources), rules=[ScenarioTableRule])
         assert [f.rule_id for f in report.findings] == ["REPRO-DOC402"]
-
-
-class TestDocLinkShim:
-    def test_shim_still_runs_and_passes(self):
-        result = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "check_doc_links.py")],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_shim_usage_error_on_missing_file(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "scripts" / "check_doc_links.py"),
-                "docs/NO_SUCH_FILE.md",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        assert result.returncode == 2

@@ -9,7 +9,7 @@ workloads interchangeably:
   non-decreasing virtual times,
 * every :class:`~repro.workloads.base.EventKind` the generator emits is one
   both :func:`~repro.workloads.base.replay` and
-  :class:`~repro.workloads.driver.ScenarioWorkloadDriver` handle,
+  :class:`~repro.workloads.fleet.FleetDriver` handle,
 * replaying through ``replay`` and through the driver's kernel-less mode
   leaves *identical* final chain statistics behind (the driver performs the
   same protocol operations in the same order).
@@ -29,10 +29,10 @@ from repro.service.client import LocalLedgerClient
 from repro.workloads import (
     CoinTransferWorkload,
     EventKind,
+    FleetDriver,
     GdprErasureWorkload,
     LoginAuditWorkload,
     PaperScenarioWorkload,
-    ScenarioWorkloadDriver,
     SupplyChainWorkload,
     VehicleLifecycleWorkload,
     Workload,
@@ -124,10 +124,10 @@ class TestWorkloadContract:
         replayed = replay(factory(9), LocalLedgerClient(local_chain))
 
         simulator = NetworkSimulator(anchor_count=2, config=config)
-        driver = ScenarioWorkloadDriver(
-            factory(9), simulator.ledger_client(), mean_gap_ms=10.0
+        driver = FleetDriver(
+            [factory(9)], [simulator.ledger_client()], mean_gap_ms=10.0, in_flight_budget=0
         )
-        driven = driver.run()
+        driven = driver.run().clients[0].run
 
         assert local_chain.statistics() == simulator.producer.chain.statistics()
         # The driver's own counters agree with the replay result.
@@ -147,9 +147,9 @@ class TestFleetContract:
     The open-loop engine treats workloads interchangeably too: per
     ``(seed, n_clients)`` the interleaved fleet timeline must be identical
     run after run, every client's own schedule must stay monotone inside
-    the interleave, and a one-client zero-budget fleet must reproduce the
-    closed-loop :class:`ScenarioWorkloadDriver` run byte-identically — the
-    executable-spec pin of the fleet engine.
+    the interleave, and client 0 runs the workload of the fleet seed itself.
+    (The closed loop's kernel-level behaviour is pinned against stored
+    values by ``tests/test_scenario_digests.py``.)
     """
 
     def _fleet(self, factory, seed, n_clients):
@@ -183,70 +183,13 @@ class TestFleetContract:
 
     def test_client_zero_keeps_the_fleet_seed(self, cls, factory):
         """``derive_client_seed(seed, 0) == seed``: a one-client fleet runs
-        the exact single-driver workload, which is what makes the
-        executable-spec pin below meaningful."""
+        the workload's own arrival schedule."""
         assert derive_client_seed(11, 0) == 11
         solo = fleet_timeline(self._fleet(factory, 11, 1), mean_gap_ms=20.0)
         single = arrival_schedule(factory(11), mean_gap_ms=20.0)
         assert [(arrival.at_ms, arrival.event) for arrival in solo] == [
             (round(at, 6), event) for at, event in single
         ]
-
-    def test_one_client_zero_budget_fleet_reproduces_the_closed_loop_run(self, cls, factory):
-        """The executable-spec pin: budget 0 *is* the closed loop.
-
-        Two identically-seeded kernel deployments, one driven by the
-        closed-loop driver and one by a one-client zero-budget fleet, must
-        end in the same state: identical chain statistics and identical
-        kernel statistics (same events booked in the same order, so even
-        the seeded tie-break stream was consumed identically).
-        """
-
-        def deployment(seed):
-            return NetworkSimulator(
-                anchor_count=2,
-                config=ChainConfig.paper_evaluation(),
-                kernel=EventKernel(seed=seed),
-            )
-
-        closed = deployment(23)
-        closed_driver = closed.drive_workload(factory(9), mean_gap_ms=10.0)
-        closed_driver.schedule()
-        assert closed.kernel is not None
-        closed.kernel.run()
-        closed_chain = closed.producer.chain.statistics()
-        closed_report = closed.finalize()
-
-        fleet = deployment(23)
-        fleet_driver = fleet.drive_fleet(
-            self._fleet(factory, 9, 1), mean_gap_ms=10.0, in_flight_budget=0
-        )
-        fleet_driver.schedule()
-        assert fleet.kernel is not None
-        fleet.kernel.run()
-        fleet_chain = fleet.producer.chain.statistics()
-        fleet_report = fleet.finalize()
-
-        assert closed_chain == fleet_chain
-        assert closed_report.kernel == fleet_report.kernel
-        # The sole client's protocol counters agree with the closed driver.
-        closed_stats = closed_report.workloads[closed_driver.workload.name]
-        client_stats = fleet_report.workloads[fleet_driver.workload.name]["clients"][
-            "client-0"
-        ]
-        for counter in (
-            "events_total",
-            "entries_submitted",
-            "entries_rejected",
-            "deletions_requested",
-            "deletions_approved",
-            "deletions_executed",
-            "idle_events",
-            "idle_blocks",
-            "blocks_sealed",
-            "deletion_latency_ms",
-        ):
-            assert closed_stats[counter] == client_stats[counter], counter
 
 
 class TestClientSeedIndependence:
@@ -294,8 +237,6 @@ def test_driver_survives_lost_tick_responses_on_a_lossy_transport():
     a lossy transport the driver must absorb that and keep executing the
     remaining events.
     """
-    from repro.network.kernel import EventKernel
-
     kernel = EventKernel(seed=5)
     simulator = NetworkSimulator(
         anchor_count=2,
@@ -305,10 +246,10 @@ def test_driver_survives_lost_tick_responses_on_a_lossy_transport():
         loss_seed=5,
     )
     workload = LoginAuditWorkload(num_events=40, num_users=3, idle_rate=0.3, seed=5)
-    driver = simulator.drive_workload(workload, mean_gap_ms=10.0)
+    driver = simulator.drive_fleet([workload], mean_gap_ms=10.0, in_flight_budget=0)
     driver.schedule()
     kernel.run()  # must not raise
-    stats = driver.stats
+    stats = driver.stats.clients[0].run
     executed = stats.entries_submitted + stats.deletions_requested + stats.idle_events
     assert executed == stats.events_total  # every event ran despite the loss
     assert stats.idle_rejected > 0  # and the loss genuinely hit a tick
@@ -316,19 +257,20 @@ def test_driver_survives_lost_tick_responses_on_a_lossy_transport():
 
 def test_two_drivers_of_the_same_workload_type_keep_separate_report_entries():
     """Regression: finalize() must not overwrite same-named workload stats."""
-    from repro.network.kernel import EventKernel
-
     kernel = EventKernel(seed=6)
     simulator = NetworkSimulator(
         anchor_count=2, config=ChainConfig.paper_evaluation(), kernel=kernel
     )
-    first = simulator.drive_workload(
-        LoginAuditWorkload(num_events=4, num_users=2, seed=1), mean_gap_ms=10.0
+    first = simulator.drive_fleet(
+        [LoginAuditWorkload(num_events=4, num_users=2, seed=1)],
+        mean_gap_ms=10.0,
+        in_flight_budget=0,
     )
-    second = simulator.drive_workload(
-        LoginAuditWorkload(num_events=7, num_users=2, seed=2),
+    second = simulator.drive_fleet(
+        [LoginAuditWorkload(num_events=7, num_users=2, seed=2)],
         mean_gap_ms=10.0,
         start_at_ms=200.0,
+        in_flight_budget=0,
     )
     first.schedule()
     second.schedule()
