@@ -31,8 +31,6 @@ from repro.crypto.ecdsa import (
     decode_signature,
     ecdsa_sign,
     ecdsa_verify,
-    fast_math_enabled,
-    set_fast_math,
 )
 from repro.crypto.keys import Address, KeyPair, derive_address
 from repro.crypto.signatures import (
@@ -62,8 +60,6 @@ __all__ = [
     "decode_signature",
     "ecdsa_sign",
     "ecdsa_verify",
-    "fast_math_enabled",
-    "set_fast_math",
     "Address",
     "KeyPair",
     "derive_address",

@@ -27,10 +27,8 @@ The implementation is deliberately compact but complete:
   reproducible and testable without an entropy source,
 * low-s normalisation of signatures.
 
-``set_fast_math(False)`` routes every scalar multiplication back through the
-retained affine double-and-add and bypasses the decode caches; the hot-path
-benchmark uses it to measure an honest before/after ratio, and the
-equivalence tests use it to pin fast ≡ affine on random inputs.
+The affine double-and-add is retained as :meth:`CurvePoint.affine_multiply`,
+the executable spec the equivalence tests pin the fast paths against.
 
 It is *not* hardened against side channels; it exists to make the
 reproduction self-contained, not to protect real funds.
@@ -74,31 +72,6 @@ SECP256K1 = CurveParameters(
 #: Window width (bits) of the fixed-base table and the variable-point ladder.
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-
-#: Routing flag: ``True`` takes the Jacobian/table fast paths, ``False`` the
-#: retained affine reference implementation (and uncached decoding).
-_FAST_MATH = True
-
-
-def set_fast_math(enabled: bool) -> None:
-    """Route scalar multiplication through the fast path (default) or the
-    retained affine reference implementation.
-
-    The affine path is kept as the executable spec: the Hypothesis tests in
-    ``tests/test_crypto_fastpath.py`` pin ``fast == affine`` on random
-    scalars and points, and ``benchmarks/bench_hotpath.py`` measures the
-    before/after ratio by flipping this switch.  Disabling fast math also
-    bypasses the decode caches, so the legacy measurements pay the original
-    per-call Tonelli-Shanks square root.
-    """
-    global _FAST_MATH
-    _FAST_MATH = bool(enabled)
-
-
-def fast_math_enabled() -> bool:
-    """True while the Jacobian/table fast paths are active."""
-    return _FAST_MATH
-
 
 class CurvePoint:
     """An affine point on a short Weierstrass curve (or the point at infinity)."""
@@ -189,13 +162,11 @@ class CurvePoint:
         return self.__mul__(scalar)
 
     def __mul__(self, scalar: int) -> "CurvePoint":
-        """Scalar multiplication (Jacobian ladder, or affine in legacy mode)."""
+        """Scalar multiplication (fixed-base table for ``G``, Jacobian ladder otherwise)."""
         if scalar % self.curve.n == 0 or self.is_infinity:
             return CurvePoint.infinity(self.curve)
         if scalar < 0:
             return (-self) * (-scalar)
-        if not _FAST_MATH:
-            return self.affine_multiply(scalar)
         k = scalar % self.curve.n
         if self.x == self.curve.g_x and self.y == self.curve.g_y:
             return _from_jacobian(_fixed_base_mult(k, self.curve), self.curve)
@@ -483,8 +454,6 @@ def decode_point(encoded: str, curve: CurveParameters = SECP256K1) -> CurvePoint
     simulation delivers the same handful of author keys thousands of times,
     and the modular square root dominates the raw decode.
     """
-    if not _FAST_MATH:
-        return CurvePoint.decode(encoded, curve)
     return _decode_point_cached(encoded, curve)
 
 
@@ -500,13 +469,11 @@ def decode_signature(encoded: str) -> "EcdsaSignature":
     (lint rule ``REPRO-PERF501``): seals and entry signatures are re-checked
     on every validation pass, and the pair of 64-char int parses adds up.
     """
-    if not _FAST_MATH:
-        return EcdsaSignature.decode(encoded)
     return _decode_signature_cached(encoded)
 
 
 def clear_decode_caches() -> None:
-    """Drop both decode caches (benchmark hygiene between modes)."""
+    """Drop both decode caches (benchmark and test hygiene)."""
     _decode_point_cached.cache_clear()
     _decode_signature_cached.cache_clear()
 
@@ -570,13 +537,9 @@ def ecdsa_sign(private_key: int, message: bytes, curve: CurveParameters = SECP25
     if not 1 <= private_key < curve.n:
         raise ValueError("private key out of range")
     z = _hash_to_int(message, curve)
-    generator = CurvePoint.generator(curve)
     while True:
         k = _rfc6979_nonce(private_key, z, curve)
-        if _FAST_MATH:
-            point = _from_jacobian(_fixed_base_mult(k, curve), curve)
-        else:
-            point = k * generator
+        point = _from_jacobian(_fixed_base_mult(k, curve), curve)
         assert point.x is not None
         r = point.x % curve.n
         if r == 0:
@@ -606,12 +569,8 @@ def ecdsa_verify(
     w = modular_inverse(signature.s, curve.n)
     u1 = z * w % curve.n
     u2 = signature.r * w % curve.n
-    if _FAST_MATH:
-        assert public_key.x is not None and public_key.y is not None
-        combined = _shamir_combine(u1, u2, public_key.x, public_key.y, curve)
-        point = _from_jacobian(combined, curve)
-    else:
-        point = u1 * CurvePoint.generator(curve) + u2 * public_key
+    assert public_key.x is not None and public_key.y is not None
+    point = _from_jacobian(_shamir_combine(u1, u2, public_key.x, public_key.y, curve), curve)
     if point.is_infinity:
         return False
     assert point.x is not None
@@ -622,6 +581,4 @@ def derive_public_key(private_key: int, curve: CurveParameters = SECP256K1) -> C
     """Compute the public point corresponding to ``private_key``."""
     if not 1 <= private_key < curve.n:
         raise ValueError("private key out of range")
-    if _FAST_MATH:
-        return _from_jacobian(_fixed_base_mult(private_key, curve), curve)
-    return private_key * CurvePoint.generator(curve)
+    return _from_jacobian(_fixed_base_mult(private_key, curve), curve)

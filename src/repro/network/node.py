@@ -246,6 +246,14 @@ class AnchorNode:
             return handler(message)
         except SelectiveDeletionError as exc:
             return message.error(self.node_id, str(exc))
+        except (KeyError, TypeError, ValueError) as exc:
+            # A missing or wrong-typed payload field is the *sender's* fault;
+            # it must come back as a typed rejection, not propagate out of
+            # the delivery event and abort the whole kernel run.
+            return message.error(
+                self.node_id,
+                f"malformed {message.kind.value} payload: {type(exc).__name__}: {exc}",
+            )
 
     def _forward_to_producer(self, message: Message) -> Message:
         """Forward a producer-only message; reply with whatever it said."""
@@ -939,6 +947,28 @@ class ClientNode:
             return message.error(self.client_id, "no response from anchor node")
         return response
 
+    def _entry_message(
+        self,
+        data: dict[str, Any],
+        expires_at_time: Optional[int],
+        expires_at_block: Optional[int],
+        defer_seal: bool,
+    ) -> Message:
+        """The ``SUBMIT_ENTRY`` message carrying ``data``, signed locally."""
+        entry = self._sign_entry(
+            Entry(
+                data=data,
+                author=self.client_id,
+                signature="",
+                expires_at_time=expires_at_time,
+                expires_at_block=expires_at_block,
+            )
+        )
+        payload: dict[str, Any] = {"entry": entry.to_dict()}
+        if defer_seal:
+            payload["defer_seal"] = True
+        return Message(kind=MessageKind.SUBMIT_ENTRY, sender=self.client_id, payload=payload)
+
     def submit_entry(
         self,
         anchor_id: str,
@@ -953,24 +983,10 @@ class ClientNode:
         With ``defer_seal`` the entry is only queued in the producer's
         pending pool; call :meth:`request_seal` to seal a batch explicitly.
         """
-        entry = self._sign_entry(
-            Entry(
-                data=data,
-                author=self.client_id,
-                signature="",
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-            )
+        return self._send(
+            anchor_id,
+            self._entry_message(data, expires_at_time, expires_at_block, defer_seal),
         )
-        payload: dict[str, Any] = {"entry": entry.to_dict()}
-        if defer_seal:
-            payload["defer_seal"] = True
-        message = Message(
-            kind=MessageKind.SUBMIT_ENTRY,
-            sender=self.client_id,
-            payload=payload,
-        )
-        return self._send(anchor_id, message)
 
     def submit_entry_async(
         self,
@@ -989,23 +1005,7 @@ class ClientNode:
         transport), so many submissions — this client's or others' — overlap
         on the kernel.  Requires a kernel-backed transport.
         """
-        entry = self._sign_entry(
-            Entry(
-                data=data,
-                author=self.client_id,
-                signature="",
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-            )
-        )
-        payload: dict[str, Any] = {"entry": entry.to_dict()}
-        if defer_seal:
-            payload["defer_seal"] = True
-        message = Message(
-            kind=MessageKind.SUBMIT_ENTRY,
-            sender=self.client_id,
-            payload=payload,
-        )
+        message = self._entry_message(data, expires_at_time, expires_at_block, defer_seal)
         self.transport.send_async(
             anchor_id,
             message,

@@ -19,59 +19,8 @@ Run from the command line::
     python -m repro simulate --scenario partition-and-heal --seed 11
     python -m repro simulate --scenario failover-storm --smoke
 
-Catalogue
----------
-* ``bursty-traffic``        — traffic bursts separated by idle periods; empty
-  blocks emerge from simulated idle time (Section IV-D3).
-* ``node-churn``            — replicas leave and rejoin; catch-up restores
-  convergence (Section V-B4 isolation recovery).
-* ``partition-and-heal``    — a scheduled partition delays gossip delivery;
-  in-flight messages arrive after the heal.
-* ``failover-storm``        — the producer dies; the quorum elects the most
-  up-to-date replica over delayed ballots and traffic resumes.
-* ``geo-latency-profiles``  — the same workload under increasing cross-region
-  latency penalties.
-* ``gossip-vs-broadcast``   — message cost of overlay gossip versus full
-  broadcast for the same workload.
-* ``replica-bootstrap``     — a node rejoins behind a genesis-marker shift on
-  a lossy network; anti-entropy digests trigger a wire snapshot bootstrap
-  and the deployment converges without any scenario-level fallback.
-
-Adversarial scenarios (byzantine actors from :mod:`repro.adversary`; every
-run pairs the attack counters with the quorum's defence counters under
-``report["adversary"]``):
-
-* ``byzantine-producer``    — an equivocating producer splits conflicting
-  blocks over the replicas; forks are detected and repaired, and the outcome
-  is cross-checked against the 51 %-attack model of
-  :mod:`repro.analysis.attack`.
-* ``forged-erasure``        — forged, impersonated and replayed deletion
-  requests die as typed rejections on the wire path (Sections IV-D1/D2).
-* ``digest-spoof``          — a byzantine peer advertises fabricated
-  ``SYNC_DIGEST`` heads; baited pulls fail harmlessly.
-* ``clock-skew``            — a clock-skewed replica wins the producer
-  failover; its future timestamps age temporary entries prematurely.
-
-Workload scenarios (the full paper workload generators on virtual arrival
-timelines, driven by a :class:`~repro.workloads.fleet.FleetDriver` — closed
-loop at the default ``n_clients=1``, open loop when it is raised above 1):
-
-* ``gdpr-erasure``          — Art. 17 erasure requests trail a personal-data
-  stream; deletion latency is measured in virtual milliseconds.
-* ``supply-chain-recall``   — Industry-4.0 product stages with best-before
-  expiry on simulated time, plus a regulator recall mid-stream.
-* ``vehicle-telemetry``     — workshop maintenance logs on a lossy network;
-  decommissioning triggers authority deletions, anti-entropy repairs loss.
-* ``coin-economy``          — a coin-transfer graph through a partition and
-  heal; lost-wallet outputs are reclaimed by a recovery admin afterwards.
-* ``fleet-saturation``      — an open-loop client fleet drives one
-  deployment past its service rate; the report's p50/p95/p99 request
-  percentiles and shed counters say how it degraded.
-* ``sharded-fleet``         — the same fleet against K author-sharded
-  deployments on one virtual clock behind a
-  :class:`~repro.service.sharding.ShardRouter`; per-shard lanes overlap
-  round trips so the aggregate service rate scales with K, and post-traffic
-  GDPR erasures fan out to exactly the shards holding each author.
+The catalogue is the ``@scenario`` registrations below; ``python -m repro
+simulate --list`` prints every name with its one-line description.
 """
 
 from __future__ import annotations
@@ -100,7 +49,7 @@ from repro.core.errors import SelectiveDeletionError
 from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventKernel
 from repro.network.message import MessageKind, reset_message_counter
-from repro.network.simulator import NetworkSimulator
+from repro.network.simulator import NetworkSimulator, SimulationReport
 from repro.network.transport import GeoLatencyModel, LatencyModel
 from repro.service.sharding import ShardRouter
 from repro.workloads.coins import CoinTransferWorkload
@@ -180,8 +129,8 @@ def validate_overrides(name: str, overrides: dict[str, Any]) -> None:
     Exposed so callers running *several* scenarios (``simulate --scenario
     all``) can reject a typo'd parameter up front instead of aborting
     mid-run after some scenarios already executed.  The type check turns
-    ``records="ten"`` into a named, listed error before any scenario body
-    tries ``int(params["records"])``.
+    ``records="ten"`` into a named, listed error before :func:`run_scenario`
+    casts it to the default's type.
     """
     entry = SCENARIOS.get(name)
     if entry is None:
@@ -224,10 +173,17 @@ def run_scenario(
     if smoke:
         params.update(entry.smoke)
     params.update(overrides)
+    # Bodies read numeric parameters bare: each is cast to its default's
+    # type here, once (``events=8.0`` loops 8 times, ``settle_ms=300`` is a
+    # float).  The echoed "parameters" keep the values as passed.
+    typed = dict(params)
+    for key, default in entry.defaults.items():
+        if isinstance(default, (int, float)) and not isinstance(default, bool):
+            typed[key] = type(default)(params[key])
     # Message ids are process-global; rewind them so byte accounting is
     # identical no matter what ran earlier in the process.
     reset_message_counter()
-    result = entry.fn(seed, params)
+    result = entry.fn(seed, typed)
     return {
         "scenario": name,
         "seed": seed,
@@ -264,17 +220,20 @@ def _overlay(kind: str, anchors: int, *, fanout: int, seed: int) -> Optional[Gos
 
 def _deployment(
     seed: int,
+    params: dict[str, Any],
     *,
-    anchors: int,
+    kernel: Optional[EventKernel] = None,
     overlay: str = "clique",
-    fanout: int = 2,
     latency: Optional[LatencyModel] = None,
     config: Optional[ChainConfig] = None,
-    loss_rate: float = 0.0,
     admins: tuple[str, ...] = (),
     cohesion_checker: Optional[CohesionChecker] = None,
-) -> NetworkSimulator:
+) -> tuple[NetworkSimulator, EventKernel]:
     """A kernel-backed deployment with independently seeded randomness.
+
+    Size, gossip fan-out and loss rate come from the scenario's ``anchors``
+    / ``fanout`` / ``loss_rate`` parameters; ``kernel`` joins an existing
+    virtual clock (further shards) instead of starting one.
 
     The default chain config keeps every block (no retention limit): most
     fault scenarios rely on isolated replicas *catching up* over the wire,
@@ -282,22 +241,105 @@ def _deployment(
     ``replica-bootstrap`` runs the paper's evaluation config instead, so a
     marker shift opens a gap that only the snapshot bootstrap can close.
     """
-    kernel = EventKernel(seed=seed)
-    return NetworkSimulator(
-        anchor_count=anchors,
+    if kernel is None:
+        kernel = EventKernel(seed=seed)
+    simulator = NetworkSimulator(
+        anchor_count=params["anchors"],
         config=config or ChainConfig(sequence_length=3),
         latency=latency or LatencyModel(seed=seed + 1),
         kernel=kernel,
-        gossip=_overlay(overlay, anchors, fanout=fanout, seed=seed + 2),
-        loss_rate=loss_rate,
+        gossip=_overlay(overlay, params["anchors"], fanout=params["fanout"], seed=seed + 2),
+        loss_rate=params.get("loss_rate", 0.0),
         loss_seed=seed + 3,
         admins=admins,
         cohesion_checker=cohesion_checker,
+    )
+    return simulator, kernel
+
+
+def _workload_chain_config(params: dict[str, Any]) -> ChainConfig:
+    """The paper's evaluation config plus the scenario's idle interval."""
+    return dataclasses.replace(
+        ChainConfig.paper_evaluation(),
+        empty_block_interval=params["empty_block_interval_ticks"],
+    )
+
+
+def _book_idle_heartbeat(
+    simulator: NetworkSimulator, kernel: EventKernel, params: dict[str, Any], *, until: float
+) -> None:
+    """Ask the producer periodically whether the idle interval elapsed.
+
+    The heartbeat stands in for the operator's empty-block cron job
+    (Section IV-D3): it merely *asks* — whether an empty block actually
+    appears is decided by simulated time, and empty blocks are what keep
+    delayed deletions moving once workload traffic has ended.
+    """
+    kernel.every(
+        params["idle_heartbeat_ms"],
+        lambda: simulator.producer.chain.idle_tick(),
+        label="idle-heartbeat",
+        until=until,
     )
 
 
 def _login(user: str, index: int) -> dict[str, str]:
     return {"D": f"Login {user} #{index}", "K": user, "S": f"sig_{user}"}
+
+
+def _book_logins(
+    simulator: NetworkSimulator,
+    kernel: EventKernel,
+    params: dict[str, Any],
+    *,
+    start_ms: float,
+    to_producer: bool = False,
+) -> list[int]:
+    """Book ``events`` logins of a client ALPHA, ``entry_gap_ms`` apart.
+
+    Each goes to whoever is producer when it fires (``to_producer``) or
+    walks the anchors until one accepts.  Returns the list the accepted
+    indices are appended to as the run proceeds.
+    """
+    simulator.add_client("ALPHA")
+    accepted: list[int] = []
+
+    def submit(index: int) -> None:
+        response = simulator.submit_entry(
+            "ALPHA",
+            _login("ALPHA", index),
+            anchor_id=simulator.producer_id if to_producer else None,
+        )
+        if not response.is_error:
+            accepted.append(index)
+
+    for index in range(params["events"]):
+        kernel.schedule_at(
+            start_ms + index * params["entry_gap_ms"],
+            lambda index=index: submit(index),
+            label=f"entry-{index}",
+        )
+    return accepted
+
+
+def _split_and_heal(simulator: NetworkSimulator, params: dict[str, Any]) -> None:
+    """Book a partition of the anchors into halves, and its heal."""
+    ids = simulator.anchor_ids
+    near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
+    simulator.schedule_partition(near, far, params["partition_at_ms"])
+    simulator.schedule_heal(params["heal_at_ms"])
+
+
+def _outcome(
+    simulator: NetworkSimulator, report: SimulationReport, **extras: Any
+) -> dict[str, Any]:
+    """The result every single-deployment scenario ends on."""
+    return {
+        "report": report.as_dict(),
+        **extras,
+        "heads": simulator.all_heads(),
+        "replicas_identical": simulator.replicas_identical(),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -321,34 +363,18 @@ def _login(user: str, index: int) -> dict[str, str]:
     smoke={"bursts": 2, "burst_size": 2},
 )
 def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    config = dataclasses.replace(
-        ChainConfig.paper_evaluation(),
-        empty_block_interval=int(params["empty_block_interval_ticks"]),
-    )
-    simulator = _deployment(
-        seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]), config=config
-    )
-    kernel = simulator.kernel
-    assert kernel is not None
+    simulator, kernel = _deployment(seed, params, config=_workload_chain_config(params))
     users = ["ALPHA", "BRAVO", "CHARLIE"]
     for user in users:
         simulator.add_client(user)
-    horizon = float(params["bursts"]) * float(params["burst_gap_ms"])
-    # The idle heartbeat stands in for the operator's empty-block cron job:
-    # it merely *asks* "has the idle interval elapsed?" — whether an empty
-    # block appears is decided by simulated time (Section IV-D3).
-    kernel.every(
-        float(params["idle_heartbeat_ms"]),
-        lambda: simulator.producer.chain.idle_tick(),
-        label="idle-heartbeat",
-        until=horizon,
-    )
-    for burst in range(int(params["bursts"])):
-        base = burst * float(params["burst_gap_ms"]) + 30.0
-        for index in range(int(params["burst_size"])):
+    horizon = params["bursts"] * params["burst_gap_ms"]
+    _book_idle_heartbeat(simulator, kernel, params, until=horizon)
+    for burst in range(params["bursts"]):
+        base = burst * params["burst_gap_ms"] + 30.0
+        for index in range(params["burst_size"]):
             user = users[(burst + index) % len(users)]
             kernel.schedule_at(
-                base + index * float(params["entry_gap_ms"]),
+                base + index * params["entry_gap_ms"],
                 lambda user=user, index=index: simulator.submit_entry(
                     user, _login(user, index)
                 ),
@@ -356,12 +382,7 @@ def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             )
     kernel.run_until(horizon)
     simulator.sync_check()
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(simulator, simulator.finalize())
 
 
 @scenario(
@@ -380,10 +401,7 @@ def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     smoke={"events": 6, "churn": [["anchor-2", 80.0, 220.0]]},
 )
 def _node_churn(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
-    kernel = simulator.kernel
-    assert kernel is not None
-    simulator.add_client("ALPHA")
+    simulator, kernel = _deployment(seed, params)
     for node_id, down_at, up_at in params["churn"]:
         simulator.schedule_offline(node_id, float(down_at))
         simulator.schedule_online(node_id, float(up_at))
@@ -394,21 +412,12 @@ def _node_churn(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             lambda node_id=node_id: simulator.anchors[node_id].catch_up(simulator.producer_id),
             label=f"catch-up:{node_id}",
         )
-    for index in range(int(params["events"])):
-        kernel.schedule_at(
-            25.0 + index * float(params["entry_gap_ms"]),
-            lambda index=index: simulator.submit_entry("ALPHA", _login("ALPHA", index)),
-            label=f"entry-{index}",
-        )
+    _book_logins(simulator, kernel, params, start_ms=25.0)
     report = simulator.finalize()
     # A replica that was offline at the end of traffic may still trail.
     for node_id, _, _ in params["churn"]:
         simulator.anchors[node_id].catch_up(simulator.producer_id)
-    return {
-        "report": report.as_dict(),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(simulator, report)
 
 
 @scenario(
@@ -427,53 +436,35 @@ def _node_churn(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     smoke={"events": 5, "partition_at_ms": 80.0, "heal_at_ms": 260.0},
 )
 def _partition_and_heal(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    simulator = _deployment(
+    simulator, kernel = _deployment(
         seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
+        params,
         latency=LatencyModel(
-            minimum_ms=float(params["latency_min_ms"]),
-            maximum_ms=float(params["latency_max_ms"]),
+            minimum_ms=params["latency_min_ms"],
+            maximum_ms=params["latency_max_ms"],
             seed=seed + 1,
         ),
     )
-    kernel = simulator.kernel
-    assert kernel is not None
-    simulator.add_client("ALPHA")
-    ids = simulator.anchor_ids
-    near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-    simulator.schedule_partition(near, far, float(params["partition_at_ms"]))
-    simulator.schedule_heal(float(params["heal_at_ms"]))
+    _split_and_heal(simulator, params)
     snapshots: dict[str, dict[str, int]] = {}
     kernel.schedule_at(
-        float(params["heal_at_ms"]) - 1.0,
+        params["heal_at_ms"] - 1.0,
         lambda: snapshots.__setitem__("at_heal", simulator.all_heads()),
         label="snapshot-at-heal",
     )
-    for index in range(int(params["events"])):
-        kernel.schedule_at(
-            30.0 + index * float(params["entry_gap_ms"]),
-            lambda index=index: simulator.submit_entry(
-                "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
-            ),
-            label=f"entry-{index}",
-        )
+    _book_logins(simulator, kernel, params, start_ms=30.0, to_producer=True)
     # Gossip hops dropped *during* the partition are gone — and even a
     # near-side replica may sit on buffered out-of-order blocks whose
     # predecessors were lost because the overlay routed them through the
     # far side.  No scripted recovery: the periodic anti-entropy digests
     # alone detect the gaps after the heal and pull the missing blocks
     # (repro.sync.antientropy replacing the old scenario-level catch-up).
-    horizon = float(params["heal_at_ms"]) + 400.0
+    horizon = params["heal_at_ms"] + 400.0
     simulator.enable_anti_entropy(interval_ms=90.0, until=horizon)
     kernel.run_until(horizon)
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "heads_at_heal": snapshots.get("at_heal", {}),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(
+        simulator, simulator.finalize(), heads_at_heal=snapshots.get("at_heal", {})
+    )
 
 
 @scenario(
@@ -491,43 +482,30 @@ def _partition_and_heal(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     smoke={"events": 6, "fail_at_ms": 120.0, "elect_at_ms": 170.0, "recover_at_ms": 340.0},
 )
 def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
-    kernel = simulator.kernel
-    assert kernel is not None
-    simulator.add_client("ALPHA")
+    simulator, kernel = _deployment(seed, params)
     first_producer = simulator.producer_id
-    simulator.schedule_offline(first_producer, float(params["fail_at_ms"]))
+    simulator.schedule_offline(first_producer, params["fail_at_ms"])
     kernel.schedule_at(
-        float(params["elect_at_ms"]),
+        params["elect_at_ms"],
         lambda: simulator.elect_new_producer(exclude=(first_producer,)),
         label="failover-election",
     )
-    simulator.schedule_online(first_producer, float(params["recover_at_ms"]))
+    simulator.schedule_online(first_producer, params["recover_at_ms"])
     kernel.schedule_at(
-        float(params["recover_at_ms"]) + 30.0,
+        params["recover_at_ms"] + 30.0,
         lambda: simulator.anchors[first_producer].catch_up(simulator.producer_id),
         label=f"catch-up:{first_producer}",
     )
-    accepted: list[int] = []
-    for index in range(int(params["events"])):
-        def submit(index: int = index) -> None:
-            response = simulator.submit_entry("ALPHA", _login("ALPHA", index))
-            if not response.is_error:
-                accepted.append(index)
-
-        kernel.schedule_at(
-            25.0 + index * float(params["entry_gap_ms"]), submit, label=f"entry-{index}"
-        )
+    accepted = _book_logins(simulator, kernel, params, start_ms=25.0)
     report = simulator.finalize()
     simulator.anchors[first_producer].catch_up(simulator.producer_id)
-    return {
-        "report": report.as_dict(),
-        "first_producer": first_producer,
-        "final_producer": simulator.producer_id,
-        "entries_accepted": len(accepted),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(
+        simulator,
+        report,
+        first_producer=first_producer,
+        final_producer=simulator.producer_id,
+        entries_accepted=len(accepted),
+    )
 
 
 @scenario(
@@ -544,33 +522,21 @@ def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 )
 def _geo_latency_profiles(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     region_names = ["eu", "us", "ap"]
-    anchors = int(params["anchors"])
     regions = {
         anchor_id: region_names[index % len(region_names)]
-        for index, anchor_id in enumerate(_anchor_ids(anchors))
+        for index, anchor_id in enumerate(_anchor_ids(params["anchors"]))
     }
     profiles: dict[str, dict[str, Any]] = {}
     for profile_name, cross_ms in params["profiles"]:
         reset_message_counter()  # comparable byte accounting per profile
-        simulator = _deployment(
+        simulator, kernel = _deployment(
             seed,
-            anchors=anchors,
-            fanout=int(params["fanout"]),
+            params,
             latency=GeoLatencyModel(
                 seed=seed + 1, regions=dict(regions), cross_region_ms=float(cross_ms)
             ),
         )
-        kernel = simulator.kernel
-        assert kernel is not None
-        simulator.add_client("ALPHA")
-        for index in range(int(params["events"])):
-            kernel.schedule_at(
-                20.0 + index * float(params["entry_gap_ms"]),
-                lambda index=index, simulator=simulator: simulator.submit_entry(
-                    "ALPHA", _login("ALPHA", index)
-                ),
-                label=f"entry-{index}",
-            )
+        _book_logins(simulator, kernel, params, start_ms=20.0)
         report = simulator.finalize()
         profiles[profile_name] = {
             "cross_region_ms": float(cross_ms),
@@ -594,20 +560,8 @@ def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         # so byte accounting would otherwise be skewed against the mode that
         # runs second.
         reset_message_counter()
-        simulator = _deployment(
-            seed, anchors=int(params["anchors"]), overlay=overlay, fanout=int(params["fanout"])
-        )
-        kernel = simulator.kernel
-        assert kernel is not None
-        simulator.add_client("ALPHA")
-        for index in range(int(params["events"])):
-            kernel.schedule_at(
-                20.0 + index * float(params["entry_gap_ms"]),
-                lambda index=index, simulator=simulator: simulator.submit_entry(
-                    "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
-                ),
-                label=f"entry-{index}",
-            )
+        simulator, kernel = _deployment(seed, params, overlay=overlay)
+        _book_logins(simulator, kernel, params, start_ms=20.0, to_producer=True)
         report = simulator.finalize()
         # Gossip fan-out may leave a replica one hop short on sparse graphs;
         # a catch-up round makes the convergence comparison fair.
@@ -662,23 +616,12 @@ def _replica_bootstrap(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     bootstrap — across a transport that randomly loses messages, forcing
     chunk retransmissions.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=ChainConfig.paper_evaluation(),
-        loss_rate=float(params["loss_rate"]),
-    )
-    kernel = simulator.kernel
-    assert kernel is not None
-    simulator.add_client("ALPHA")
+    simulator, kernel = _deployment(seed, params, config=ChainConfig.paper_evaluation())
     straggler = simulator.anchor_ids[-1]
-    horizon = float(params["rejoin_at_ms"]) + float(params["settle_ms"])
-    simulator.enable_anti_entropy(
-        interval_ms=float(params["anti_entropy_interval_ms"]), until=horizon
-    )
-    simulator.schedule_offline(straggler, float(params["offline_at_ms"]))
-    simulator.schedule_online(straggler, float(params["rejoin_at_ms"]))
+    horizon = params["rejoin_at_ms"] + params["settle_ms"]
+    simulator.enable_anti_entropy(interval_ms=params["anti_entropy_interval_ms"], until=horizon)
+    simulator.schedule_offline(straggler, params["offline_at_ms"])
+    simulator.schedule_online(straggler, params["rejoin_at_ms"])
     checkpoints: dict[str, Any] = {}
 
     def snapshot_rejoin_state() -> None:
@@ -686,31 +629,16 @@ def _replica_bootstrap(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         checkpoints["producer_head"] = simulator.producer.chain.head.block_number
         checkpoints["straggler_head"] = simulator.anchors[straggler].chain.head.block_number
 
-    kernel.schedule_at(
-        float(params["rejoin_at_ms"]) - 1.0, snapshot_rejoin_state, label="rejoin-state"
-    )
-    accepted: list[int] = []
-    for index in range(int(params["events"])):
-        def submit(index: int = index) -> None:
-            response = simulator.submit_entry(
-                "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
-            )
-            if not response.is_error:
-                accepted.append(index)
-
-        kernel.schedule_at(
-            25.0 + index * float(params["entry_gap_ms"]), submit, label=f"entry-{index}"
-        )
+    kernel.schedule_at(params["rejoin_at_ms"] - 1.0, snapshot_rejoin_state, label="rejoin-state")
+    accepted = _book_logins(simulator, kernel, params, start_ms=25.0, to_producer=True)
     kernel.run_until(horizon)
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "straggler": straggler,
-        "entries_accepted": len(accepted),
-        "at_rejoin": checkpoints,
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        straggler=straggler,
+        entries_accepted=len(accepted),
+        at_rejoin=checkpoints,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -768,10 +696,7 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     attacker share (success probability >= 0.5 at one block of work) while
     middle-sequence redundancy keeps it protected.
     """
-    simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
-    kernel = simulator.kernel
-    assert kernel is not None
-    simulator.add_client("ALPHA")
+    simulator, kernel = _deployment(seed, params)
     byzantine = simulator.inject_adversary(
         EquivocatingProducer("byzantine-0", simulator.transport)
     )
@@ -780,21 +705,14 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     def attack() -> None:
         victims = [peer for peer in simulator.anchor_ids if peer != simulator.producer_id]
         blocks = byzantine.equivocate(
-            victims, head=simulator.producer.chain.head, variants=int(params["variants"])
+            victims, head=simulator.producer.chain.head, variants=params["variants"]
         )
         forged_heights.extend(block.block_number for block in blocks)
 
-    kernel.schedule_at(float(params["attack_at_ms"]), attack, label="equivocation")
-    for index in range(int(params["events"])):
-        kernel.schedule_at(
-            25.0 + index * float(params["entry_gap_ms"]),
-            lambda index=index: simulator.submit_entry(
-                "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
-            ),
-            label=f"entry-{index}",
-        )
-    horizon = 25.0 + float(params["events"]) * float(params["entry_gap_ms"])
-    kernel.run_until(horizon + float(params["settle_ms"]))
+    kernel.schedule_at(params["attack_at_ms"], attack, label="equivocation")
+    _book_logins(simulator, kernel, params, start_ms=25.0, to_producer=True)
+    horizon = 25.0 + params["events"] * params["entry_gap_ms"]
+    kernel.run_until(horizon + params["settle_ms"])
     # Detection first (the paper's summary-hash comparison), then repair.
     detection = simulator.sync_check()
     repaired = simulator.repair_divergent_replicas()
@@ -802,7 +720,7 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     # Close the loop with Section V-B1: does the deployment's final chain
     # length actually leave summarised history rewritable for this attacker?
     chain_length = simulator.producer.chain.head.block_number + 1
-    share = float(params["attacker_share"])
+    share = params["attacker_share"]
     attack_rng = random.Random(seed + 61)
     model: dict[str, Any] = {"chain_length": chain_length, "attacker_share": share}
     for label, policy in (
@@ -813,7 +731,7 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         outcome = simulate_attack(
             attacker_share=share,
             blocks_to_rewrite=profile.blocks_to_rewrite,
-            trials=int(params["attack_trials"]),
+            trials=params["attack_trials"],
             rng=attack_rng,
         )
         model[label] = {
@@ -825,17 +743,15 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         }
     model["none_rewritable"] = model["no_redundancy"]["analytic_success"] >= 0.5
     model["middle_protected"] = model["middle_sequence"]["analytic_success"] < 0.5
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "forged_heights": forged_heights,
-        "diverged_peers_detected": len(detection.diverged_peers),
-        "replicas_repaired": repaired,
-        "in_sync_after_repair": after_repair.in_sync,
-        "attack_model": model,
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        forged_heights=forged_heights,
+        diverged_peers_detected=len(detection.diverged_peers),
+        replicas_repaired=repaired,
+        in_sync_after_repair=after_repair.in_sync,
+        attack_model=model,
+    )
 
 
 @scenario(
@@ -873,20 +789,17 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     """
     model = BellLaPadulaModel()
     model.clear_subject("SECURITY-OFFICER", SecurityLevel.SECRET)
-    simulator = _deployment(
+    simulator, kernel = _deployment(
         seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
+        params,
         config=ChainConfig.paper_evaluation(),
         cohesion_checker=model.as_cohesion_checker(),
     )
-    kernel = simulator.kernel
-    assert kernel is not None
     simulator.add_client("ALPHA")
     forger = simulator.inject_adversary(DeletionForger("MALLORY", simulator.transport))
     references: dict[int, EntryReference] = {}
     outcomes: dict[str, str] = {}
-    gap = float(params["entry_gap_ms"])
+    gap = params["entry_gap_ms"]
 
     def submit(index: int) -> None:
         response = simulator.submit_entry(
@@ -904,7 +817,7 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             # delete it — the defence in depth the impersonation runs into.
             model.classify_entry(reference, SecurityLevel.CONFIDENTIAL)
 
-    for index in range(int(params["records"])):
+    for index in range(params["records"]):
         kernel.schedule_at(25.0 + index * gap, lambda index=index: submit(index), label=f"record-{index}")
 
     def legitimate_erasure() -> None:
@@ -917,11 +830,11 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         outcomes["legitimate"] = str(response.payload.get("deletion_status", "error"))
 
     kernel.schedule_at(
-        25.0 + float(params["delete_after"]) * gap + gap / 2,
+        25.0 + params["delete_after"] * gap + gap / 2,
         legitimate_erasure,
         label="legitimate-erasure",
     )
-    forge_at = 25.0 + float(params["records"]) * gap + float(params["forge_lag_ms"])
+    forge_at = 25.0 + params["records"] * gap + params["forge_lag_ms"]
 
     def forge_phase() -> None:
         target = references[1]
@@ -932,26 +845,24 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
     kernel.schedule_at(forge_at, forge_phase, label="forge-phase")
     kernel.schedule_at(
-        forge_at + float(params["replay_lag_ms"]),
+        forge_at + params["replay_lag_ms"],
         # limit=1: the first SUBMIT_DELETION on the wire is ALPHA's
         # legitimate request — replayed after its target was cut.
         lambda: forger.replay(simulator.producer_id, limit=1),
         label="replay-phase",
     )
-    kernel.run_until(forge_at + float(params["replay_lag_ms"]) + float(params["settle_ms"]))
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "legitimate_status": outcomes.get("legitimate", "missing"),
-        "typed_rejections": {
+    kernel.run_until(forge_at + params["replay_lag_ms"] + params["settle_ms"])
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        legitimate_status=outcomes.get("legitimate", "missing"),
+        typed_rejections={
             key: forger.stats[key]
             for key in sorted(forger.stats)
             if key.startswith("rejected_")
         },
-        "approved_forgeries": forger.stats.get("approved", 0),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+        approved_forgeries=forger.stats.get("approved", 0),
+    )
 
 
 @scenario(
@@ -980,41 +891,27 @@ def _digest_spoof(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     trace of the attack is the spoofer's own counters (``pulls_baited``,
     ``snapshots_refused``) next to the unchanged convergence report.
     """
-    simulator = _deployment(seed, anchors=int(params["anchors"]), fanout=int(params["fanout"]))
-    kernel = simulator.kernel
-    assert kernel is not None
-    simulator.add_client("ALPHA")
+    simulator, kernel = _deployment(seed, params)
     spoofer = simulator.inject_adversary(DigestSpoofer("spoofer-0", simulator.transport))
-    horizon = 25.0 + float(params["events"]) * float(params["entry_gap_ms"]) + float(
-        params["settle_ms"]
-    )
-    simulator.enable_anti_entropy(
-        interval_ms=float(params["anti_entropy_interval_ms"]), until=horizon
-    )
+    horizon = 25.0 + params["events"] * params["entry_gap_ms"] + params["settle_ms"]
+    simulator.enable_anti_entropy(interval_ms=params["anti_entropy_interval_ms"], until=horizon)
     spoofer.start(
         kernel=kernel,
         targets=simulator.anchor_ids,
-        interval_ms=float(params["spoof_interval_ms"]),
+        interval_ms=params["spoof_interval_ms"],
         head_fn=lambda: simulator.producer.chain.head.block_number,
-        lead=int(params["spoof_lead"]),
+        lead=params["spoof_lead"],
         until=horizon,
     )
-    for index in range(int(params["events"])):
-        kernel.schedule_at(
-            25.0 + index * float(params["entry_gap_ms"]),
-            lambda index=index: simulator.submit_entry("ALPHA", _login("ALPHA", index)),
-            label=f"entry-{index}",
-        )
+    _book_logins(simulator, kernel, params, start_ms=25.0)
     kernel.run_until(horizon)
     spoofer.stop()
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "pulls_baited": spoofer.stats.get("pulls_baited", 0),
-        "snapshots_refused": spoofer.stats.get("snapshots_refused", 0),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        pulls_baited=spoofer.stats.get("pulls_baited", 0),
+        snapshots_refused=spoofer.stats.get("snapshots_refused", 0),
+    )
 
 
 @scenario(
@@ -1047,14 +944,7 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     time); the damage is semantic, and the run measures it: the entry is
     gone while the honest clock says it should have lived.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=ChainConfig.paper_evaluation(),
-    )
-    kernel = simulator.kernel
-    assert kernel is not None
+    simulator, kernel = _deployment(seed, params, config=ChainConfig.paper_evaluation())
     simulator.add_client("ALPHA")
     skewed_id = simulator.anchor_ids[-1]
     actor = simulator.inject_adversary(
@@ -1062,12 +952,12 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             f"skew:{skewed_id}",
             simulator.transport,
             kernel=kernel,
-            skew_ticks=int(params["skew_ticks"]),
+            skew_ticks=params["skew_ticks"],
         )
     )
     actor.apply(simulator.anchors[skewed_id])
     first_producer = simulator.producer_id
-    ttl = int(params["temp_ttl_ticks"])
+    ttl = params["temp_ttl_ticks"]
     checkpoints: dict[str, Any] = {}
 
     def submit(index: int) -> None:
@@ -1086,15 +976,15 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                 "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
             )
 
-    for index in range(int(params["events"])):
+    for index in range(params["events"]):
         kernel.schedule_at(
-            25.0 + index * float(params["entry_gap_ms"]),
+            25.0 + index * params["entry_gap_ms"],
             lambda index=index: submit(index),
             label=f"entry-{index}",
         )
-    simulator.schedule_offline(first_producer, float(params["fail_at_ms"]))
+    simulator.schedule_offline(first_producer, params["fail_at_ms"])
     kernel.schedule_at(
-        float(params["elect_at_ms"]),
+        params["elect_at_ms"],
         # Every honest candidate is excluded: the adversarial premise is
         # that the skewed replica wins the failover.
         lambda: simulator.elect_new_producer(
@@ -1102,19 +992,18 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         ),
         label="skewed-failover",
     )
-    post_base = float(params["elect_at_ms"]) + 40.0
-    for index in range(int(params["post_events"])):
+    post_base = params["elect_at_ms"] + 40.0
+    for index in range(params["post_events"]):
         kernel.schedule_at(
-            post_base + index * float(params["entry_gap_ms"]),
+            post_base + index * params["entry_gap_ms"],
             lambda index=index: simulator.submit_entry(
                 "ALPHA", _login("ALPHA", 100 + index), anchor_id=skewed_id
             ),
             label=f"post-entry-{index}",
         )
-    horizon = post_base + float(params["post_events"]) * float(params["entry_gap_ms"]) + float(
-        params["settle_ms"]
+    kernel.run_until(
+        post_base + params["post_events"] * params["entry_gap_ms"] + params["settle_ms"]
     )
-    kernel.run_until(horizon)
     honest_ticks = int(kernel.now)
     temp_reference = checkpoints.get("temp_reference")
     temp_gone = (
@@ -1122,18 +1011,16 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         and simulator.anchors[skewed_id].chain.find_entry(temp_reference) is None
     )
     head = simulator.anchors[skewed_id].chain.head
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "first_producer": first_producer,
-        "final_producer": simulator.producer_id,
-        "head_timestamp": head.timestamp,
-        "honest_clock_ticks": honest_ticks,
-        "temp_expired": temp_gone,
-        "premature_expiry": bool(temp_gone and honest_ticks < ttl),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        first_producer=first_producer,
+        final_producer=simulator.producer_id,
+        head_timestamp=head.timestamp,
+        honest_clock_ticks=honest_ticks,
+        temp_expired=temp_gone,
+        premature_expiry=bool(temp_gone and honest_ticks < ttl),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -1149,34 +1036,6 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 # resulting reports carry per-workload counters under report["workloads"].
 
 
-def _workload_chain_config(params: dict[str, Any]) -> ChainConfig:
-    """The paper's evaluation config plus the scenario's idle interval."""
-    return dataclasses.replace(
-        ChainConfig.paper_evaluation(),
-        empty_block_interval=int(params["empty_block_interval_ticks"]),
-    )
-
-
-def _book_idle_heartbeat(
-    simulator: NetworkSimulator, params: dict[str, Any], *, until: float
-) -> None:
-    """Ask the producer periodically whether the idle interval elapsed.
-
-    The heartbeat stands in for the operator's empty-block cron job
-    (Section IV-D3): whether an empty block actually appears is decided by
-    simulated time, and empty blocks are what keep delayed deletions moving
-    once workload traffic has ended.
-    """
-    kernel = simulator.kernel
-    assert kernel is not None
-    kernel.every(
-        float(params["idle_heartbeat_ms"]),
-        lambda: simulator.producer.chain.idle_tick(),
-        label="idle-heartbeat",
-        until=until,
-    )
-
-
 def _drive_traffic(
     simulator: NetworkSimulator,
     params: dict[str, Any],
@@ -1190,16 +1049,65 @@ def _drive_traffic(
     :func:`~repro.workloads.fleet.derive_client_seed`, whose client 0 keeps
     the base seed).  ``n_clients == 1`` — every workload scenario's default —
     issues requests sequentially (budget 0); ``n_clients > 1`` runs open
-    loop under the default in-flight budget.
+    loop under the default in-flight budget, unless the caller names one.
     """
-    n_clients = int(params.get("n_clients", 1))
+    n_clients = params["n_clients"]
     if n_clients < 1:
         raise ValueError("n_clients must be at least 1")
+    drive_kwargs.setdefault("in_flight_budget", 0 if n_clients == 1 else 8)
     return simulator.drive_fleet(
         [build_workload(client_index) for client_index in range(n_clients)],
-        in_flight_budget=0 if n_clients == 1 else 8,
+        mean_gap_ms=params["mean_gap_ms"],
+        start_at_ms=20.0,
         **drive_kwargs,
     )
+
+
+def _run_traffic(
+    simulators: list[NetworkSimulator],
+    kernel: EventKernel,
+    driver: FleetDriver,
+    params: dict[str, Any],
+    *,
+    on_submitted: Optional[Callable[..., None]] = None,
+    then: Optional[Callable[[], None]] = None,
+    anti_entropy: bool = False,
+) -> float:
+    """Run the fleet to completion, then let the deployment settle.
+
+    Everything after the traffic is anchored at its *actual* completion:
+    under backlog (arrivals faster than the service round trip) traffic
+    finishes past the nominal horizon, and late requests / settle
+    heartbeats must follow it.  Returns the completion instant.
+
+    The booking order inside the completion hook decides kernel
+    tie-breaks: ``then()`` first (it may consume virtual time, so the
+    settle window opens after it), one idle heartbeat per deployment for
+    ``settle_ms``, and with ``anti_entropy`` digest rounds that outlive the
+    heartbeat by four quiet rounds — while the heartbeat runs, empty blocks
+    keep moving the producer's head, so a straggler's pull can land
+    perpetually one block short; the quiet tail lets the last rounds
+    converge on a stationary head.
+    """
+    completion: dict[str, float] = {}
+
+    def after_traffic() -> None:
+        completion["at_ms"] = kernel.now
+        if then is not None:
+            then()
+        until = kernel.now + params["settle_ms"]
+        for simulator in simulators:
+            _book_idle_heartbeat(simulator, kernel, params, until=until)
+        if anti_entropy:
+            interval = params["anti_entropy_interval_ms"]
+            simulators[0].enable_anti_entropy(interval_ms=interval, until=until + 4 * interval)
+
+    if on_submitted is not None:
+        driver.on_submitted = on_submitted
+    driver.on_finished = after_traffic
+    driver.schedule()
+    kernel.run()
+    return round(completion["at_ms"], 6)
 
 
 @scenario(
@@ -1233,32 +1141,19 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     — and the report's virtual-millisecond latency histogram captures the
     paper's delayed-deletion bound (Section IV-D3) under real message delay.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=_workload_chain_config(params),
-    )
-    kernel = simulator.kernel
-    assert kernel is not None
+    simulator, kernel = _deployment(seed, params, config=_workload_chain_config(params))
 
     def build_workload(client_index: int) -> GdprErasureWorkload:
         return GdprErasureWorkload(
-            num_records=int(params["records"]),
-            num_subjects=int(params["subjects"]),
-            erasure_probability=float(params["erasure_probability"]),
-            min_delay=int(params["min_delay"]),
-            max_delay=int(params["max_delay"]),
+            num_records=params["records"],
+            num_subjects=params["subjects"],
+            erasure_probability=params["erasure_probability"],
+            min_delay=params["min_delay"],
+            max_delay=params["max_delay"],
             seed=derive_client_seed(seed + 17, client_index),
         )
 
-    driver = _drive_traffic(
-        simulator,
-        params,
-        build_workload,
-        mean_gap_ms=float(params["mean_gap_ms"]),
-        start_at_ms=20.0,
-    )
+    driver = _drive_traffic(simulator, params, build_workload)
     # Per-client application state: every fleet client runs its own
     # derived-seed record stream with its own erasure schedule.
     workloads = driver.workloads
@@ -1296,35 +1191,25 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                         flushed.append((client_index, due))
                         erase(client_index, due)
 
-    completion: dict[str, float] = {}
-
-    def after_traffic() -> None:
-        # Anchored at *actual* completion: under backlog (arrivals faster
-        # than the service round trip) traffic finishes past the nominal
-        # horizon, and late erasures / settle heartbeats must follow it.
-        completion["at_ms"] = kernel.now
-        kernel.schedule(
-            float(params["erasure_lag_ms"]), flush_late_erasures, label="late-erasures"
-        )
-        _book_idle_heartbeat(
-            simulator, params, until=kernel.now + float(params["settle_ms"])
-        )
-
-    driver.on_submitted = on_submitted
-    driver.on_finished = after_traffic
-    driver.schedule()
-    kernel.run()
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "erasures_due": sum(
+    completed_at_ms = _run_traffic(
+        [simulator],
+        kernel,
+        driver,
+        params,
+        on_submitted=on_submitted,
+        then=lambda: kernel.schedule(
+            params["erasure_lag_ms"], flush_late_erasures, label="late-erasures"
+        ),
+    )
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        erasures_due=sum(
             len(due) for per_client in erasures_due for due in per_client.values()
         ),
-        "erasures_after_stream": len(flushed),
-        "traffic_completed_at_ms": round(completion["at_ms"], 6),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+        erasures_after_stream=len(flushed),
+        traffic_completed_at_ms=completed_at_ms,
+    )
 
 
 @scenario(
@@ -1358,32 +1243,20 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     moment their final stage ships, deleting the recalled product's whole
     trail on request.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=_workload_chain_config(params),
-        admins=("REGULATOR",),
+    simulator, kernel = _deployment(
+        seed, params, config=_workload_chain_config(params), admins=("REGULATOR",)
     )
-    kernel = simulator.kernel
-    assert kernel is not None
-    n_clients = int(params["n_clients"])
 
     def build_workload(client_index: int) -> SupplyChainWorkload:
         return SupplyChainWorkload(
-            num_products=int(params["products"]),
-            shelf_life_ticks=int(params["shelf_life_ticks"]),
-            stations=int(params["stations"]),
+            num_products=params["products"],
+            shelf_life_ticks=params["shelf_life_ticks"],
+            stations=params["stations"],
             seed=derive_client_seed(seed + 29, client_index),
         )
 
     driver = _drive_traffic(
-        simulator,
-        params,
-        build_workload,
-        mean_gap_ms=float(params["mean_gap_ms"]),
-        start_at_ms=20.0,
-        expiry_ms_per_tick=float(params["expiry_ms_per_tick"]),
+        simulator, params, build_workload, expiry_ms_per_tick=params["expiry_ms_per_tick"]
     )
     workloads = driver.workloads
     # Per-client recall draws and reference maps: fleet clients ship
@@ -1395,7 +1268,7 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             {
                 f"PRODUCT-{index:05d}"
                 for index in range(workload.num_products)
-                if recall_rng.random() < float(params["recall_rate"])
+                if recall_rng.random() < params["recall_rate"]
             }
         )
     product_refs: list[dict[str, list[Any]]] = [{} for _ in workloads]
@@ -1418,18 +1291,9 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                     client_index=client_index,
                 )
 
-    completion: dict[str, float] = {}
-
-    def after_traffic() -> None:
-        completion["at_ms"] = kernel.now
-        _book_idle_heartbeat(
-            simulator, params, until=kernel.now + float(params["settle_ms"])
-        )
-
-    driver.on_submitted = on_submitted
-    driver.on_finished = after_traffic
-    driver.schedule()
-    kernel.run()
+    completed_at_ms = _run_traffic(
+        [simulator], kernel, driver, params, on_submitted=on_submitted
+    )
     # Which product trails are fully gone (expired or recalled) is read
     # through the client *before* finalising, so the lookups' virtual time
     # is part of the deterministic run.
@@ -1439,18 +1303,16 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         for product, refs in sorted(refs_by_product.items())
         if all(driver.client.find_entry(reference) is None for reference in refs)
     )
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "recalled_products": sorted(recalled[0])
-        if n_clients == 1
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        recalled_products=sorted(recalled[0])
+        if params["n_clients"] == 1
         else [sorted(per_client) for per_client in recalled],
-        "recall_requests": recall_requests,
-        "products_fully_vanished": vanished,
-        "traffic_completed_at_ms": round(completion["at_ms"], 6),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+        recall_requests=recall_requests,
+        products_fully_vanished=vanished,
+        traffic_completed_at_ms=completed_at_ms,
+    )
 
 
 @scenario(
@@ -1483,34 +1345,21 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     periodic anti-entropy digests detect and repair the gaps, and the final
     report shows convergence despite the loss.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=_workload_chain_config(params),
-        loss_rate=float(params["loss_rate"]),
-        admins=("REGISTRATION-AUTHORITY",),
+    simulator, kernel = _deployment(
+        seed, params, config=_workload_chain_config(params), admins=("REGISTRATION-AUTHORITY",)
     )
-    kernel = simulator.kernel
-    assert kernel is not None
-    n_clients = int(params["n_clients"])
+    n_clients = params["n_clients"]
 
     def build_workload(client_index: int) -> VehicleLifecycleWorkload:
         return VehicleLifecycleWorkload(
-            num_vehicles=int(params["vehicles"]),
-            events_per_vehicle=int(params["events_per_vehicle"]),
-            decommission_fraction=float(params["decommission_fraction"]),
-            workshops=int(params["workshops"]),
+            num_vehicles=params["vehicles"],
+            events_per_vehicle=params["events_per_vehicle"],
+            decommission_fraction=params["decommission_fraction"],
+            workshops=params["workshops"],
             seed=derive_client_seed(seed + 41, client_index),
         )
 
-    driver = _drive_traffic(
-        simulator,
-        params,
-        build_workload,
-        mean_gap_ms=float(params["mean_gap_ms"]),
-        start_at_ms=20.0,
-    )
+    driver = _drive_traffic(simulator, params, build_workload)
     # Fleet clients reuse the same VIN namespace, so reference maps are
     # keyed by (client, vin).
     vehicle_refs: dict[tuple[int, str], list[Any]] = {}
@@ -1532,34 +1381,15 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         else:
             vehicle_refs.setdefault((client_index, vin), []).append(receipt.reference)
 
-    completion: dict[str, float] = {}
-
-    def after_traffic() -> None:
-        completion["at_ms"] = kernel.now
-        settle = float(params["settle_ms"])
-        _book_idle_heartbeat(simulator, params, until=kernel.now + settle)
-        # Anti-entropy outlives the idle heartbeat by a few quiet rounds:
-        # while the heartbeat runs, empty blocks keep moving the producer's
-        # head, so a straggler's pull can land perpetually one block short —
-        # the quiet tail lets the last rounds converge on a stationary head.
-        quiet = 4 * float(params["anti_entropy_interval_ms"])
-        simulator.enable_anti_entropy(
-            interval_ms=float(params["anti_entropy_interval_ms"]),
-            until=kernel.now + settle + quiet,
-        )
-
-    driver.on_submitted = on_submitted
-    driver.on_finished = after_traffic
-    driver.schedule()
-    kernel.run()
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "decommissioned_vehicles": decommissioned,
-        "traffic_completed_at_ms": round(completion["at_ms"], 6),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
+    completed_at_ms = _run_traffic(
+        [simulator], kernel, driver, params, on_submitted=on_submitted, anti_entropy=True
+    )
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        decommissioned_vehicles=decommissioned,
+        traffic_completed_at_ms=completed_at_ms,
+    )
 
 
 @scenario(
@@ -1595,33 +1425,20 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     and never spent — modelling Section V-A's "coins out of the monetary
     cycle" discussion.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=_workload_chain_config(params),
-        admins=("RECOVERY",),
+    simulator, kernel = _deployment(
+        seed, params, config=_workload_chain_config(params), admins=("RECOVERY",)
     )
-    kernel = simulator.kernel
-    assert kernel is not None
-    n_clients = int(params["n_clients"])
 
     def build_workload(client_index: int) -> CoinTransferWorkload:
         return CoinTransferWorkload(
-            num_transfers=int(params["transfers"]),
-            num_wallets=int(params["wallets"]),
-            spend_probability=float(params["spend_probability"]),
-            lost_wallet_fraction=float(params["lost_wallet_fraction"]),
+            num_transfers=params["transfers"],
+            num_wallets=params["wallets"],
+            spend_probability=params["spend_probability"],
+            lost_wallet_fraction=params["lost_wallet_fraction"],
             seed=derive_client_seed(seed + 53, client_index),
         )
 
-    driver = _drive_traffic(
-        simulator,
-        params,
-        build_workload,
-        mean_gap_ms=float(params["mean_gap_ms"]),
-        start_at_ms=20.0,
-    )
+    driver = _drive_traffic(simulator, params, build_workload)
     workloads = driver.workloads
     # Per-client economies: wallet names and transfer ids repeat across
     # fleet clients, so lost-wallet bookkeeping is keyed by client.
@@ -1646,10 +1463,7 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                 receipt.reference
             )
 
-    ids = simulator.anchor_ids
-    near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-    simulator.schedule_partition(near, far, float(params["partition_at_ms"]))
-    simulator.schedule_heal(float(params["heal_at_ms"]))
+    _split_and_heal(simulator, params)
     recovered: list[int] = []
 
     def reclaim_lost_outputs() -> None:
@@ -1666,40 +1480,95 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             if receipt.approved:
                 recovered.append(transfer_id)
 
-    completion: dict[str, float] = {}
-
-    def after_traffic() -> None:
-        completion["at_ms"] = kernel.now
-        settle = float(params["settle_ms"])
-        kernel.schedule(
-            float(params["recovery_lag_ms"]),
-            reclaim_lost_outputs,
-            label="lost-wallet-recovery",
-        )
-        _book_idle_heartbeat(simulator, params, until=kernel.now + settle)
-        # Quiet convergence tail, as in vehicle-telemetry: the last
-        # anti-entropy rounds run against a stationary head.
-        quiet = 4 * float(params["anti_entropy_interval_ms"])
-        simulator.enable_anti_entropy(
-            interval_ms=float(params["anti_entropy_interval_ms"]),
-            until=kernel.now + settle + quiet,
-        )
-
-    driver.on_submitted = on_submitted
-    driver.on_finished = after_traffic
-    driver.schedule()
-    kernel.run()
-    report = simulator.finalize()
-    return {
-        "report": report.as_dict(),
-        "lost_wallets": sorted(lost[0])
-        if n_clients == 1
+    completed_at_ms = _run_traffic(
+        [simulator],
+        kernel,
+        driver,
+        params,
+        on_submitted=on_submitted,
+        then=lambda: kernel.schedule(
+            params["recovery_lag_ms"], reclaim_lost_outputs, label="lost-wallet-recovery"
+        ),
+        anti_entropy=True,
+    )
+    return _outcome(
+        simulator,
+        simulator.finalize(),
+        lost_wallets=sorted(lost[0])
+        if params["n_clients"] == 1
         else [sorted(per_client) for per_client in lost],
-        "reclaimable_outputs": len(reclaimable),
-        "recovered_outputs": len(recovered),
-        "traffic_completed_at_ms": round(completion["at_ms"], 6),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
+        reclaimable_outputs=len(reclaimable),
+        recovered_outputs=len(recovered),
+        traffic_completed_at_ms=completed_at_ms,
+    )
+
+
+class _TenantLoginWorkload(LoginAuditWorkload):
+    """Per-client tenant namespacing for author-sharded fleets.
+
+    ``fleet-saturation``'s clients all draw from the same three paper users,
+    which under author sharding would pin the whole fleet to at most three
+    shards.  Prefixing each client's users with its tenant id makes the
+    author population scale with the fleet, so SHA-256 placement spreads the
+    load across every shard.  Only the name strings change — arrival times,
+    event kinds and message counts are identical, so the fleet's latency and
+    throughput numbers stay comparable with ``fleet-saturation``.
+    """
+
+    def __init__(self, *, tenant: int, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self.tenant = tenant
+
+    def user(self, index: int) -> str:
+        return f"T{self.tenant:03d}:{super().user(index)}"
+
+
+def _drive_login_fleet(
+    simulator: NetworkSimulator,
+    seed: int,
+    params: dict[str, Any],
+    *,
+    tenanted: bool = False,
+    **drive_kwargs: Any,
+) -> FleetDriver:
+    """The open-loop login-audit fleet of ``fleet-saturation`` / ``sharded-fleet``."""
+
+    def build_workload(client_index: int) -> LoginAuditWorkload:
+        kwargs: dict[str, Any] = {
+            "num_events": params["events_per_client"],
+            "num_users": params["users_per_client"],
+            # No stream deletions: login-audit deletion targets are
+            # position-estimated block numbers, which interleaving breaks —
+            # deletion-latency percentiles under fleets are exercised by
+            # `gdpr-erasure` with `n_clients > 1` (receipt references).
+            "deletion_rate": 0.0,
+            "seed": derive_client_seed(seed + 61, client_index),
+        }
+        if tenanted:
+            return _TenantLoginWorkload(tenant=client_index, **kwargs)
+        return LoginAuditWorkload(**kwargs)
+
+    return _drive_traffic(
+        simulator,
+        params,
+        build_workload,
+        in_flight_budget=params["in_flight_budget"],
+        policy=params["overload_policy"],
+        **drive_kwargs,
+    )
+
+
+def _fleet_headline(
+    fleet: dict[str, Any], params: dict[str, Any], completed_at_ms: float
+) -> dict[str, Any]:
+    """The fleet's headline numbers, lifted out of ``report["workloads"]``."""
+    return {
+        "offered_load_per_s": round(params["n_clients"] / params["mean_gap_ms"] * 1000.0, 6),
+        "throughput_per_s": fleet["throughput_per_s"],
+        "request_p99_ms": fleet["request_latency_ms"]["p99"],
+        "shed": fleet["shed"],
+        "in_flight_peak": fleet["in_flight_peak"],
+        "traffic_completed_at_ms": completed_at_ms,
     }
 
 
@@ -1735,84 +1604,15 @@ def _fleet_saturation(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     `benchmarks/bench_fleet_saturation.py` sweeps ``n_clients`` over this
     scenario's engine to locate the knee.
     """
-    simulator = _deployment(
-        seed,
-        anchors=int(params["anchors"]),
-        fanout=int(params["fanout"]),
-        config=_workload_chain_config(params),
-    )
-    kernel = simulator.kernel
-    assert kernel is not None
-    n_clients = int(params["n_clients"])
-    if n_clients < 1:
-        raise ValueError("n_clients must be at least 1")
-    workloads = [
-        LoginAuditWorkload(
-            num_events=int(params["events_per_client"]),
-            num_users=int(params["users_per_client"]),
-            # No stream deletions: login-audit deletion targets are
-            # position-estimated block numbers, which interleaving breaks —
-            # deletion-latency percentiles under fleets are exercised by
-            # `gdpr-erasure` with `n_clients > 1` (receipt references).
-            deletion_rate=0.0,
-            seed=derive_client_seed(seed + 61, client_index),
-        )
-        for client_index in range(n_clients)
-    ]
-    driver = simulator.drive_fleet(
-        workloads,
-        mean_gap_ms=float(params["mean_gap_ms"]),
-        start_at_ms=20.0,
-        in_flight_budget=int(params["in_flight_budget"]),
-        policy=str(params["overload_policy"]),
-    )
-
-    completion: dict[str, float] = {}
-
-    def after_traffic() -> None:
-        completion["at_ms"] = kernel.now
-        _book_idle_heartbeat(
-            simulator, params, until=kernel.now + float(params["settle_ms"])
-        )
-
-    driver.on_finished = after_traffic
-    driver.schedule()
-    kernel.run()
+    simulator, kernel = _deployment(seed, params, config=_workload_chain_config(params))
+    driver = _drive_login_fleet(simulator, seed, params)
+    completed_at_ms = _run_traffic([simulator], kernel, driver, params)
     report = simulator.finalize()
-    fleet = report.workloads[driver.workload.name]
-    return {
-        "report": report.as_dict(),
-        "offered_load_per_s": round(
-            n_clients / float(params["mean_gap_ms"]) * 1000.0, 6
-        ),
-        "throughput_per_s": fleet["throughput_per_s"],
-        "request_p99_ms": fleet["request_latency_ms"]["p99"],
-        "shed": fleet["shed"],
-        "in_flight_peak": fleet["in_flight_peak"],
-        "traffic_completed_at_ms": round(completion["at_ms"], 6),
-        "heads": simulator.all_heads(),
-        "replicas_identical": simulator.replicas_identical(),
-    }
-
-
-class _TenantLoginWorkload(LoginAuditWorkload):
-    """Per-client tenant namespacing for author-sharded fleets.
-
-    ``fleet-saturation``'s clients all draw from the same three paper users,
-    which under author sharding would pin the whole fleet to at most three
-    shards.  Prefixing each client's users with its tenant id makes the
-    author population scale with the fleet, so SHA-256 placement spreads the
-    load across every shard.  Only the name strings change — arrival times,
-    event kinds and message counts are identical, so the fleet's latency and
-    throughput numbers stay comparable with ``fleet-saturation``.
-    """
-
-    def __init__(self, *, tenant: int, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self.tenant = tenant
-
-    def user(self, index: int) -> str:
-        return f"T{self.tenant:03d}:{super().user(index)}"
+    return _outcome(
+        simulator,
+        report,
+        **_fleet_headline(report.workloads[driver.workload.name], params, completed_at_ms),
+    )
 
 
 @scenario(
@@ -1854,72 +1654,40 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     single-deployment numbers; ``benchmarks/bench_shard_scaling.py`` pins
     that parity and sweeps K for the knee shift.
     """
-    shard_count = int(params["shards"])
+    shard_count = params["shards"]
     if shard_count < 1:
         raise ScenarioError("shards must be at least 1")
-    n_clients = int(params["n_clients"])
-    if n_clients < 1:
-        raise ValueError("n_clients must be at least 1")
-    anchors = int(params["anchors"])
-    fanout = int(params["fanout"])
-    # Shard 0 reuses _deployment verbatim — kernel seed, latency seed+1,
-    # overlay seed+2, loss seed+3 — the K=1 parity anchor.  Further shards
-    # join the same kernel under hash-mixed per-shard seeds.
-    simulators = [
-        _deployment(
-            seed, anchors=anchors, fanout=fanout, config=_workload_chain_config(params)
-        )
+    # Shard 0 is _deployment at the scenario seed — kernel seed, latency
+    # seed+1, overlay seed+2, loss seed+3 — the K=1 parity anchor.  Further
+    # shards join the same kernel under hash-mixed per-shard seeds.
+    config = _workload_chain_config(params)
+    first, kernel = _deployment(seed, params, config=config)
+    simulators = [first] + [
+        _deployment(derive_client_seed(seed, shard), params, kernel=kernel, config=config)[0]
+        for shard in range(1, shard_count)
     ]
-    kernel = simulators[0].kernel
-    assert kernel is not None
-    for shard in range(1, shard_count):
-        shard_seed = derive_client_seed(seed, shard)
-        simulators.append(
-            NetworkSimulator(
-                anchor_count=anchors,
-                config=_workload_chain_config(params),
-                latency=LatencyModel(seed=shard_seed + 1),
-                kernel=kernel,
-                gossip=_overlay("clique", anchors, fanout=fanout, seed=shard_seed + 2),
-                loss_seed=shard_seed + 3,
-            )
-        )
     router = ShardRouter(
         [simulator.ledger_client() for simulator in simulators],
         clock=lambda: kernel.now,
     )
-    workloads = [
-        _TenantLoginWorkload(
-            tenant=client_index,
-            num_events=int(params["events_per_client"]),
-            num_users=int(params["users_per_client"]),
-            deletion_rate=0.0,
-            seed=derive_client_seed(seed + 61, client_index),
-        )
-        for client_index in range(n_clients)
-    ]
     # Every fleet client shares the one router; the lane callback keys the
     # driver's overlap machinery to the author's home shard, so requests
     # bound for different shards proceed concurrently in virtual time.
-    driver = simulators[0].drive_fleet(
-        workloads,
-        mean_gap_ms=float(params["mean_gap_ms"]),
-        start_at_ms=20.0,
-        in_flight_budget=int(params["in_flight_budget"]),
-        policy=str(params["overload_policy"]),
-        clients=[router] * n_clients,
+    driver = _drive_login_fleet(
+        first,
+        seed,
+        params,
+        tenanted=True,
+        clients=[router] * params["n_clients"],
         lane_of=lambda arrival: router.shard_of(arrival.event.author),
         lane_count=shard_count,
     )
-
-    completion: dict[str, float] = {}
     erasures: list[dict[str, Any]] = []
 
-    def after_traffic() -> None:
-        completion["at_ms"] = kernel.now
+    def erasure_sweep() -> None:
         # Cross-shard right-to-be-forgotten sweep: the first authors of the
         # sorted index, each routed to exactly the shards holding them.
-        for author in router.index.authors()[: int(params["erase_authors"])]:
+        for author in router.index.authors()[: params["erase_authors"]]:
             receipt = router.request_erasure(author, reason="Art. 17 sweep")
             erasures.append(
                 {
@@ -1930,16 +1698,10 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                     "effort_units": receipt.effort_units,
                 }
             )
-        until = kernel.now + float(params["settle_ms"])
-        for simulator in simulators:
-            _book_idle_heartbeat(simulator, params, until=until)
 
-    driver.on_finished = after_traffic
-    driver.schedule()
-    kernel.run()
+    completed_at_ms = _run_traffic(simulators, kernel, driver, params, then=erasure_sweep)
     reports = [simulator.finalize() for simulator in simulators]
     report_dict = reports[0].as_dict()
-    fleet = report_dict["workloads"][driver.workload.name]
     # Post-finalize, so the merged statistics round trips stay out of the
     # kernel/transport counters (K=1 parity with fleet-saturation).
     merged = router.statistics()
@@ -1977,14 +1739,9 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     }
     return {
         "report": report_dict,
-        "offered_load_per_s": round(
-            n_clients / float(params["mean_gap_ms"]) * 1000.0, 6
+        **_fleet_headline(
+            report_dict["workloads"][driver.workload.name], params, completed_at_ms
         ),
-        "throughput_per_s": fleet["throughput_per_s"],
-        "request_p99_ms": fleet["request_latency_ms"]["p99"],
-        "shed": fleet["shed"],
-        "in_flight_peak": fleet["in_flight_peak"],
-        "traffic_completed_at_ms": round(completion["at_ms"], 6),
         "erasures": erasures,
         "heads": {
             f"shard-{shard}": simulators[shard].all_heads()

@@ -481,6 +481,22 @@ class NetworkSimulator:
     # Workload operations
     # ------------------------------------------------------------------ #
 
+    def _submit(
+        self, anchor_id: Optional[str], attempt: Callable[[str], Optional[Message]]
+    ) -> Message:
+        """Run ``attempt`` against ``anchor_id`` — or, without one, against
+        every anchor in turn until one accepts (counted as failovers)."""
+        response: Optional[Message] = None
+        for target in [anchor_id] if anchor_id else list(self.anchor_ids):
+            response = attempt(target)
+            if response is not None and not response.is_error:
+                break
+            self.report.failovers += 1
+        assert response is not None
+        if not response.is_error:
+            self.report.blocks_produced += 1
+        return response
+
     def submit_entry(
         self,
         client_id: str,
@@ -492,22 +508,16 @@ class NetworkSimulator:
     ) -> Message:
         """Submit one entry through a client, failing over when needed."""
         client = self.clients[client_id]
-        targets = [anchor_id] if anchor_id else list(self.anchor_ids)
-        response: Optional[Message] = None
-        for target in targets:
-            response = client.submit_entry(
+        response = self._submit(
+            anchor_id,
+            lambda target: client.submit_entry(
                 target,
                 data,
                 expires_at_time=expires_at_time,
                 expires_at_block=expires_at_block,
-            )
-            if response is not None and not response.is_error:
-                break
-            self.report.failovers += 1
-        assert response is not None
+            ),
+        )
         self.report.entries_submitted += 1
-        if not response.is_error:
-            self.report.blocks_produced += 1
         return response
 
     def submit_deletion(
@@ -520,17 +530,10 @@ class NetworkSimulator:
     ) -> Message:
         """Submit a deletion request through a client."""
         client = self.clients[client_id]
-        targets = [anchor_id] if anchor_id else list(self.anchor_ids)
-        response: Optional[Message] = None
-        for anchor in targets:
-            response = client.request_deletion(anchor, target, reason=reason)
-            if response is not None and not response.is_error:
-                break
-            self.report.failovers += 1
-        assert response is not None
+        response = self._submit(
+            anchor_id, lambda anchor: client.request_deletion(anchor, target, reason=reason)
+        )
         self.report.deletions_submitted += 1
-        if not response.is_error:
-            self.report.blocks_produced += 1
         return response
 
     # ------------------------------------------------------------------ #

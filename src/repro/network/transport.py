@@ -25,7 +25,9 @@ The transport runs in one of two modes:
 Handlers are plain callables ``Message -> Message | None``.  Request/response
 exchanges use :meth:`InMemoryTransport.send`; one-way dissemination (gossip,
 block announcements) uses :meth:`InMemoryTransport.post`, whose handler
-return value is discarded.
+return value is discarded.  Both modes and all three entry points
+(``send``, ``send_async``, ``post``) deliver through the same request leg
+and response leg; the modes differ only in *when* a leg runs.
 """
 
 from __future__ import annotations
@@ -302,6 +304,43 @@ class InMemoryTransport:
         self.statistics.bytes_transferred += len(canonical_json(message.to_dict()).encode("utf-8"))
         self.message_log.append(message)
 
+    def _request_leg(
+        self, recipient: str, message: Message, latency_ms: Optional[float] = None
+    ) -> tuple[Optional[str], float, Optional[Message]]:
+        """Deliver ``message`` now: ``(fault, latency, handler response)``.
+
+        The one delivery leg every mode shares.  Deliverability and loss are
+        judged here, at delivery time.  A fault comes back as *text*, never
+        as a :class:`Message`: building one draws a process-global message id
+        (serialised into every later message), and a faulted :meth:`post`
+        reports nothing.  ``latency_ms=None`` samples the latency only for a
+        message that is actually delivered (synchronous mode); scheduled
+        callers pass the sample that already decided the delivery instant.
+        """
+        sender = message.sender
+        if not self._deliverable(sender, recipient):
+            self.statistics.dropped += 1
+            return f"link {sender!r} -> {recipient!r} unavailable", 0.0, None
+        if self._loses():
+            return f"message {sender!r} -> {recipient!r} lost", 0.0, None
+        if latency_ms is None:
+            latency_ms = self.latency.sample_for(sender, recipient)
+        self._account_delivery(message, latency_ms)
+        return None, latency_ms, self._handlers[recipient](message)
+
+    def _response_leg(
+        self, recipient: str, message: Message, response: Message, latency_ms: float
+    ) -> Message:
+        """Carry ``response`` back to the requester, or the loss notice."""
+        if self.kernel is not None and not self._path_open(recipient, message.sender):
+            self.statistics.dropped += 1
+        elif not self._loses():
+            self._account_delivery(response, latency_ms)
+            return response
+        return message.error(
+            "transport", f"response from {recipient!r} to {message.sender!r} lost"
+        )
+
     def send(
         self, recipient: str, message: Message, *, timeout_ms: Optional[float] = None
     ) -> Optional[Message]:
@@ -320,99 +359,52 @@ class InMemoryTransport:
         """
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
-        if self.kernel is not None:
-            return self._send_scheduled(recipient, message, timeout_ms)
-        return self._send_sync(recipient, message, timeout_ms)
-
-    def _send_sync(
-        self, recipient: str, message: Message, timeout_ms: Optional[float]
-    ) -> Optional[Message]:
-        if not self._deliverable(message.sender, recipient):
-            self.statistics.dropped += 1
-            return message.error("transport", f"link {message.sender!r} -> {recipient!r} unavailable")
-        if self._loses():
-            return message.error(
-                "transport", f"message {message.sender!r} -> {recipient!r} lost"
-            )
-        request_latency = self.latency.sample_for(message.sender, recipient)
-        self._account_delivery(message, request_latency)
-        response = self._handlers[recipient](message)
-        if response is None:
-            return None
-        response_latency = self.latency.sample_for(recipient, message.sender)
-        if timeout_ms is not None and request_latency + response_latency > timeout_ms:
-            self.statistics.timeouts += 1
-            return None
-        if self._loses():
-            return message.error(
-                "transport", f"response from {recipient!r} to {message.sender!r} lost"
-            )
-        self._account_delivery(response, response_latency)
-        return response
-
-    def _send_scheduled(
-        self, recipient: str, message: Message, timeout_ms: Optional[float]
-    ) -> Optional[Message]:
         kernel = self.kernel
-        assert kernel is not None
-        start = kernel.now
-        request_latency = self.latency.sample_for(message.sender, recipient)
-        outcome: dict[str, Any] = {}
+        if kernel is None:
+            fault, request_latency, response = self._request_leg(recipient, message)
+            if fault is not None:
+                return message.error("transport", fault)
+            if response is None:
+                return None
+            response_latency = self.latency.sample_for(recipient, message.sender)
+            round_trip = request_latency + response_latency
+        else:
+            start = kernel.now
+            request_latency = self.latency.sample_for(message.sender, recipient)
+            outcome: dict[str, Any] = {}
 
-        def arrive() -> None:
-            # Deliverability is decided at *delivery* time: faults scheduled
-            # (or healed) while the message was in flight apply.
-            if not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                outcome["undeliverable"] = True
-                outcome["response"] = message.error(
-                    "transport", f"link {message.sender!r} -> {recipient!r} unavailable"
-                )
-                return
-            if self._loses():
-                outcome["undeliverable"] = True
-                outcome["response"] = message.error(
-                    "transport", f"message {message.sender!r} -> {recipient!r} lost"
-                )
-                return
-            self._account_delivery(message, request_latency)
-            outcome["response"] = self._handlers[recipient](message)
-            # The handler may itself have consumed virtual time (forwarding
-            # to the producer, announcing blocks); the response leaves the
-            # moment it returns — not when the caller's wait unwinds, which
-            # under concurrent senders can be much later.
-            outcome["handled_at"] = kernel.now
+            def arrive() -> None:
+                fault, _, response = self._request_leg(recipient, message, request_latency)
+                if fault is not None:
+                    response = message.error("transport", fault)
+                # The handler may itself have consumed virtual time
+                # (forwarding to the producer, announcing blocks); the
+                # response leaves the moment it returns — not when the
+                # caller's wait unwinds, which under concurrent senders can
+                # be much later.
+                outcome.update(fault=fault, response=response, handled_at=kernel.now)
 
-        kernel.schedule(
-            request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
-        )
-        kernel.run_until(start + request_latency)
-        response = outcome.get("response")
-        if outcome.get("undeliverable") or response is None:
-            return response
-        response_latency = self.latency.sample_for(recipient, message.sender)
-        arrival = float(outcome["handled_at"]) + response_latency
-        # An arrival instant the clock already reached is not a wait at all:
-        # concurrent exchanges that advanced time past it do not delay this
-        # response (their round trips and ours overlap), and entering the
-        # kernel here would steal same-instant events that belong to the
-        # caller's *next* wait.
-        if arrival > kernel.now:
-            kernel.run_until(arrival)
-        if timeout_ms is not None and arrival - start > timeout_ms:
+            kernel.schedule(
+                request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
+            )
+            kernel.run_until(start + request_latency)
+            response = outcome.get("response")
+            if outcome.get("fault") is not None or response is None:
+                return response
+            response_latency = self.latency.sample_for(recipient, message.sender)
+            arrival = outcome["handled_at"] + response_latency
+            # An arrival instant the clock already reached is not a wait at
+            # all: concurrent exchanges that advanced time past it do not
+            # delay this response (their round trips and ours overlap), and
+            # entering the kernel here would steal same-instant events that
+            # belong to the caller's *next* wait.
+            if arrival > kernel.now:
+                kernel.run_until(arrival)
+            round_trip = arrival - start
+        if timeout_ms is not None and round_trip > timeout_ms:
             self.statistics.timeouts += 1
             return None
-        if not self._path_open(recipient, message.sender):
-            self.statistics.dropped += 1
-            return message.error(
-                "transport", f"response from {recipient!r} to {message.sender!r} lost"
-            )
-        if self._loses():
-            return message.error(
-                "transport", f"response from {recipient!r} to {message.sender!r} lost"
-            )
-        self._account_delivery(response, response_latency)
-        return response
+        return self._response_leg(recipient, message, response, response_latency)
 
     def send_async(
         self,
@@ -445,23 +437,10 @@ class InMemoryTransport:
         request_latency = self.latency.sample_for(message.sender, recipient)
 
         def arrive() -> None:
-            if not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                on_response(
-                    message.error(
-                        "transport", f"link {message.sender!r} -> {recipient!r} unavailable"
-                    )
-                )
+            fault, _, response = self._request_leg(recipient, message, request_latency)
+            if fault is not None:
+                on_response(message.error("transport", fault))
                 return
-            if self._loses():
-                on_response(
-                    message.error(
-                        "transport", f"message {message.sender!r} -> {recipient!r} lost"
-                    )
-                )
-                return
-            self._account_delivery(message, request_latency)
-            response = self._handlers[recipient](message)
             if response is None:
                 on_response(None)
                 return
@@ -472,31 +451,11 @@ class InMemoryTransport:
                 self.statistics.timeouts += 1
                 on_response(None)
                 return
-
-            def respond() -> None:
-                if not self._path_open(recipient, message.sender):
-                    self.statistics.dropped += 1
-                    on_response(
-                        message.error(
-                            "transport",
-                            f"response from {recipient!r} to {message.sender!r} lost",
-                        )
-                    )
-                    return
-                if self._loses():
-                    on_response(
-                        message.error(
-                            "transport",
-                            f"response from {recipient!r} to {message.sender!r} lost",
-                        )
-                    )
-                    return
-                self._account_delivery(response, response_latency)
-                on_response(response)
-
             kernel.schedule(
                 response_latency,
-                respond,
+                lambda: on_response(
+                    self._response_leg(recipient, message, response, response_latency)
+                ),
                 label=f"respond:{message.kind.value}->{message.sender}",
             )
 
@@ -515,28 +474,13 @@ class InMemoryTransport:
         In synchronous mode the message is delivered inline.
         """
         if self.kernel is None:
-            if recipient not in self._handlers or not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                return None
-            if self._loses():
-                return None
-            self._account_delivery(message, self.latency.sample_for(message.sender, recipient))
-            self._handlers[recipient](message)
+            self._request_leg(recipient, message)
             return None
-
         latency = self.latency.sample_for(message.sender, recipient)
-
-        def arrive() -> None:
-            if not self._deliverable(message.sender, recipient):
-                self.statistics.dropped += 1
-                return
-            if self._loses():
-                return
-            self._account_delivery(message, latency)
-            self._handlers[recipient](message)
-
         return self.kernel.schedule(
-            latency, arrive, label=f"post:{message.kind.value}->{recipient}"
+            latency,
+            lambda: self._request_leg(recipient, message, latency),
+            label=f"post:{message.kind.value}->{recipient}",
         )
 
     def broadcast(

@@ -27,7 +27,6 @@ from repro.sync.bootstrap import (
     SnapshotManifest,
     fetch_snapshot,
     fetch_snapshot_striped,
-    probe_snapshot_peer,
     rank_bootstrap_peers,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "SnapshotManifest",
     "fetch_snapshot",
     "fetch_snapshot_striped",
-    "probe_snapshot_peer",
     "rank_bootstrap_peers",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MAX_RESTARTS",

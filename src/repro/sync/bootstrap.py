@@ -305,37 +305,49 @@ class PeerProbe:
     manifest: SnapshotManifest
 
 
-def probe_snapshot_peer(
+def _request_wave(
     transport: "InMemoryTransport",
     requester_id: str,
-    peer_id: str,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Optional[PeerProbe]:
-    """Ask one peer for its snapshot manifest and serving load (no data).
+    requests: Sequence[tuple[Any, str, dict]],
+) -> dict[Any, tuple[Optional[Message], float]]:
+    """Issue one ``SNAPSHOT_REQUEST`` per ``(key, recipient, payload)`` item.
 
-    Returns ``None`` for unreachable peers and peers that cannot serve a
-    snapshot — they simply drop out of the candidate ranking.
+    Returns ``key -> (response, round_trip_ms)``; an unknown recipient or an
+    answer that never landed reads ``(None, 0.0)``.  Under a kernel the whole
+    wave departs at the same virtual instant via
+    :meth:`~repro.network.transport.InMemoryTransport.send_async` and the
+    kernel is stepped until every response (or its loss notice) has landed —
+    the wave costs the *slowest* round trip, not the sum, and every round
+    trip is measured from the shared departure instant.  On a synchronous
+    transport the requests simply run back to back and take no time.
     """
-    started = transport.kernel.now if transport.kernel is not None else 0.0
-    request = Message(
-        kind=MessageKind.SNAPSHOT_REQUEST,
-        sender=requester_id,
-        payload={"probe": True, "chunk_size": chunk_size},
-    )
-    try:
-        response = transport.send(peer_id, request)
-    except TransportError:
-        return None
-    if response is None or response.is_error:
-        return None
-    rtt = (transport.kernel.now - started) if transport.kernel is not None else 0.0
-    return PeerProbe(
-        peer_id=peer_id,
-        rtt_ms=round(rtt, 6),
-        load=int(response.payload.get("load", 0)),
-        manifest=SnapshotManifest.from_dict(response.payload["manifest"]),
-    )
+    answers: dict[Any, tuple[Optional[Message], float]] = {
+        key: (None, 0.0) for key, _, _ in requests
+    }
+    kernel = transport.kernel
+    started = kernel.now if kernel is not None else 0.0
+    pending = {"count": 0}
+    for key, recipient, payload in requests:
+        request = Message(
+            kind=MessageKind.SNAPSHOT_REQUEST, sender=requester_id, payload=payload
+        )
+
+        def on_response(response: Optional[Message], key: Any = key) -> None:
+            answers[key] = (response, kernel.now - started)
+            pending["count"] -= 1
+
+        try:
+            if kernel is None:
+                answers[key] = (transport.send(recipient, request), 0.0)
+            else:
+                transport.send_async(recipient, request, on_response=on_response)
+                pending["count"] += 1
+        except TransportError:
+            pass
+    # Nothing is ever pending on a synchronous transport.
+    while pending["count"] > 0 and kernel.step():
+        pass
+    return answers
 
 
 def rank_bootstrap_peers(
@@ -347,127 +359,36 @@ def rank_bootstrap_peers(
 ) -> list[PeerProbe]:
     """Probe every candidate and rank them nearest-and-least-loaded first.
 
-    All probes depart in one concurrent wave (one round trip of wall time on
-    a kernel transport, not one per candidate), and each peer's RTT is
-    measured from the shared departure instant — directly comparable across
-    peers.  The sort key is ``(rtt_ms, load, peer_id)``: proximity dominates
-    (a bootstrap is dozens of round trips), serving load breaks latency
-    ties, and the peer id makes the ranking a total order so runs replay
-    byte-identically.  Unreachable and snapshot-less peers drop out.
+    A probe asks for the peer's snapshot manifest and serving load, no data.
+    All probes depart in one concurrent wave (:func:`_request_wave`: one
+    round trip of wall time on a kernel transport, not one per candidate),
+    so the RTTs are directly comparable across peers.  The sort key is
+    ``(rtt_ms, load, peer_id)``: proximity dominates (a bootstrap is dozens
+    of round trips), serving load breaks latency ties, and the peer id makes
+    the ranking a total order so runs replay byte-identically.  Unreachable
+    and snapshot-less peers drop out.
     """
-    candidates = [peer for peer in sorted(set(peer_ids)) if peer != requester_id]
-    probes: list[PeerProbe] = []
-    kernel = transport.kernel
-    if kernel is None:
-        for peer_id in candidates:
-            probe = probe_snapshot_peer(
-                transport, requester_id, peer_id, chunk_size=chunk_size
-            )
-            if probe is not None:
-                probes.append(probe)
-        probes.sort(key=lambda probe: (probe.rtt_ms, probe.load, probe.peer_id))
-        return probes
-    started = kernel.now
-    results: dict[str, tuple[Optional[Message], float]] = {}
-    pending = {"count": 0}
-    for peer_id in candidates:
-
-        def on_response(response: Optional[Message], peer_id: str = peer_id) -> None:
-            results[peer_id] = (response, kernel.now - started)
-            pending["count"] -= 1
-
-        pending["count"] += 1
-        try:
-            transport.send_async(
-                peer_id,
-                Message(
-                    kind=MessageKind.SNAPSHOT_REQUEST,
-                    sender=requester_id,
-                    payload={"probe": True, "chunk_size": chunk_size},
-                ),
-                on_response=on_response,
-            )
-        except TransportError:
-            pending["count"] -= 1
-    while pending["count"] > 0 and kernel.step():
-        pass
-    for peer_id in candidates:
-        response, rtt = results.get(peer_id, (None, 0.0))
-        if response is None or response.is_error:
-            continue
-        probes.append(
-            PeerProbe(
-                peer_id=peer_id,
-                rtt_ms=round(rtt, 6),
-                load=int(response.payload.get("load", 0)),
-                manifest=SnapshotManifest.from_dict(response.payload["manifest"]),
-            )
-        )
-    probes.sort(key=lambda probe: (probe.rtt_ms, probe.load, probe.peer_id))
-    return probes
-
-
-def _request_wave(
-    transport: "InMemoryTransport",
-    requester_id: str,
-    requests: Sequence[tuple[int, str, dict]],
-) -> dict[int, Optional[Message]]:
-    """Issue one ``SNAPSHOT_REQUEST`` per ``(key, recipient, payload)`` item.
-
-    Under a kernel the whole wave departs at the same virtual instant via
-    :meth:`~repro.network.transport.InMemoryTransport.send_async` and the
-    kernel is stepped until every response (or its loss notice) has landed —
-    the wave costs the *slowest* round trip, not the sum.  On a synchronous
-    transport the requests simply run back to back.
-    """
-    responses: dict[int, Optional[Message]] = {}
-    kernel = transport.kernel
-    if kernel is None:
-        for key, recipient, payload in requests:
-            request = Message(
-                kind=MessageKind.SNAPSHOT_REQUEST, sender=requester_id, payload=payload
-            )
-            try:
-                responses[key] = transport.send(recipient, request)
-            except TransportError:
-                responses[key] = None
-        return responses
-    pending = {"count": 0}
-    for key, recipient, payload in requests:
-        request = Message(
-            kind=MessageKind.SNAPSHOT_REQUEST, sender=requester_id, payload=payload
-        )
-
-        def on_response(response: Optional[Message], key: int = key) -> None:
-            responses[key] = response
-            pending["count"] -= 1
-
-        pending["count"] += 1
-        try:
-            transport.send_async(recipient, request, on_response=on_response)
-        except TransportError:
-            pending["count"] -= 1
-            responses[key] = None
-    while pending["count"] > 0 and kernel.step():
-        pass
-    return responses
-
-
-def _striped_requests(
-    transport: "InMemoryTransport",
-    requester_id: str,
-    assignments: Sequence[tuple[int, str]],
-    chunk_size: int,
-) -> dict[int, Optional[Message]]:
-    """One concurrent wave of chunk requests, one per ``(index, donor)``."""
-    return _request_wave(
+    answers = _request_wave(
         transport,
         requester_id,
         [
-            (index, donor, {"chunk": index, "chunk_size": chunk_size})
-            for index, donor in assignments
+            (peer_id, peer_id, {"probe": True, "chunk_size": chunk_size})
+            for peer_id in sorted(set(peer_ids))
+            if peer_id != requester_id
         ],
     )
+    probes = [
+        PeerProbe(
+            peer_id=peer_id,
+            rtt_ms=round(rtt, 6),
+            load=int(response.payload.get("load", 0)),
+            manifest=SnapshotManifest.from_dict(response.payload["manifest"]),
+        )
+        for peer_id, (response, rtt) in answers.items()
+        if response is not None and not response.is_error
+    ]
+    probes.sort(key=lambda probe: (probe.rtt_ms, probe.load, probe.peer_id))
+    return probes
 
 
 def fetch_snapshot_striped(
@@ -488,7 +409,7 @@ def fetch_snapshot_striped(
     load-spreading, and self-healing: a chunk whose donor lost it is re-
     requested from the *next* donor rather than burning all retries on one
     sick peer.  Waves of ``len(donors)`` requests are issued concurrently
-    (see :func:`_striped_requests`).
+    (see :func:`_request_wave`).
 
     Donors are replicas with independent clocks: under live traffic they
     seal and replay new blocks at slightly different instants, so one donor
@@ -545,9 +466,16 @@ def fetch_snapshot_striped(
             while work and len(wave) < len(active):
                 index = work.popleft()
                 wave.append((index, active[(index + attempts[index]) % len(active)]))
-            responses = _striped_requests(transport, requester_id, wave, chunk_size)
+            responses = _request_wave(
+                transport,
+                requester_id,
+                [
+                    (index, donor, {"chunk": index, "chunk_size": chunk_size})
+                    for index, donor in wave
+                ],
+            )
             for index, donor in wave:
-                response = responses.get(index)
+                response, _ = responses[index]
                 if response is None or (
                     response.is_error and response.sender == "transport"
                 ):

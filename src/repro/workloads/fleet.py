@@ -39,10 +39,6 @@ time (the trace-driven style of the BlockSim-family simulators).
   completion, so queueing delay is charged to the service instead of
   silently vanishing (no coordinated omission).
 
-Without a kernel the driver degrades to an ordered immediate replay
-(:meth:`FleetDriver.run`): exactly the protocol operations ``replay``
-performs, in the same order — the conformance suite's parity pin.
-
 Determinism: sub-seeds and timelines are pure functions of the fleet seed,
 the kernel's seeded tie-break orders same-instant arrivals, and all reported
 numbers are plain rounded floats — runs replay byte-identically per
@@ -69,7 +65,7 @@ from repro.service.client import (
 from repro.workloads.base import EventKind, Workload, WorkloadEvent, arrival_schedule
 from repro.workloads.stats import WorkloadRunStats, latency_summary
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel is optional)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.kernel import EventKernel
 
 #: Hook invoked after every ENTRY submission:
@@ -255,12 +251,10 @@ class FleetDriver:
         load scales with ``n_clients / mean_gap_ms``.
     kernel:
         The :class:`~repro.network.kernel.EventKernel` to book arrivals on.
-        ``None`` selects the kernel-less immediate mode (:meth:`run`).
     bus:
-        The producer chain's :class:`~repro.core.events.EventBus`.  Given
-        together with a kernel, the driver subscribes to the typed deletion
-        events and measures request→execution latency in virtual
-        milliseconds.
+        The producer chain's :class:`~repro.core.events.EventBus`.  When
+        given, the driver subscribes to the typed deletion events and
+        measures request→execution latency in virtual milliseconds.
     start_at_ms:
         Offset added to every arrival time.
     one_block_per_entry:
@@ -271,7 +265,7 @@ class FleetDriver:
         workload ticks) are rescaled into virtual milliseconds — chains on a
         :class:`~repro.core.clock.SimulationClock` measure time in kernel
         milliseconds, not workload ticks.  ``None`` passes the bounds through
-        unchanged, which keeps kernel-less runs identical to ``replay``.
+        unchanged.
     in_flight_budget:
         Maximum number of requests admitted to service (issued, not yet
         completed) at any instant — shared across the whole fleet.  ``0``
@@ -315,7 +309,7 @@ class FleetDriver:
         mean_gap_ms: float,
         jitter: float = 0.5,
         ms_per_tick: float = 1.0,
-        kernel: Optional["EventKernel"] = None,
+        kernel: "EventKernel",
         bus: Optional[EventBus] = None,
         start_at_ms: float = 0.0,
         one_block_per_entry: bool = True,
@@ -355,7 +349,7 @@ class FleetDriver:
         self.lane_count = lane_count
         #: Event-driven pump active: multi-lane fleets issue requests
         #: asynchronously so lanes overlap without nesting blocking waits.
-        self._async = kernel is not None and lane_count is not None and lane_count > 1
+        self._async = lane_count is not None and lane_count > 1
         #: Called once after the final arrival has completed or been shed.
         self.on_finished: Optional[Callable[[], None]] = None
         self.timeline: list[FleetArrival] = fleet_timeline(
@@ -398,14 +392,14 @@ class FleetDriver:
         self._deletion_owner: dict[tuple[int, int], int] = {}
         self._latency_subscription: Optional[Subscription] = None
         self._bus = bus
-        if bus is not None and kernel is not None:
+        if bus is not None:
             self._latency_subscription = bus.subscribe(
                 self._on_deletion_event,
                 types=(EventType.DELETION_REQUESTED, EventType.DELETION_EXECUTED),
             )
 
     # ------------------------------------------------------------------ #
-    # Execution modes
+    # Booking
     # ------------------------------------------------------------------ #
 
     def schedule(self) -> float:
@@ -423,8 +417,6 @@ class FleetDriver:
         the nesting chains through the entire stream and overflows the
         interpreter stack.  Chaining bounds the depth at one event.
         """
-        if self.kernel is None:
-            raise ValueError("schedule() requires a kernel; use run() without one")
         if self._scheduled:
             raise ValueError("the fleet timeline is already scheduled")
         self._scheduled = True
@@ -442,23 +434,6 @@ class FleetDriver:
                 )
         return self.stats.horizon_ms
 
-    def run(self) -> FleetRunStats:
-        """Execute the interleaved timeline immediately, in arrival order.
-
-        The kernel-less parity mode: the fleet performs exactly the protocol
-        operations :func:`~repro.workloads.base.replay` performs, in timeline
-        order, so a one-client run leaves identical final chain statistics
-        behind (pinned by ``tests/test_workload_contract.py``).
-        """
-        if self.kernel is not None:
-            raise ValueError("run() is the kernel-less mode; use schedule() with a kernel")
-        for arrival in self.timeline:
-            self._execute(arrival)
-            self._complete(arrival)
-        if not self.timeline:
-            self._finish()
-        return self.stats
-
     # ------------------------------------------------------------------ #
     # Closed loop (budget 0)
     # ------------------------------------------------------------------ #
@@ -468,7 +443,6 @@ class FleetDriver:
             self._finish()
             return
         kernel = self.kernel
-        assert kernel is not None
         arrival = self.timeline[index]
 
         def fire() -> None:
@@ -636,7 +610,7 @@ class FleetDriver:
         client.shed += 1
         self.stats.shed += 1
         self._processed += 1
-        self._note_completion_time()
+        self.stats.completed_at_ms = self.kernel.now
         if self._processed >= self.stats.events_total:
             self._finish()
 
@@ -645,17 +619,12 @@ class FleetDriver:
         client.executed += 1
         self.stats.executed += 1
         self._processed += 1
-        if self.kernel is not None:
-            latency = round(self.kernel.now - arrival.at_ms, 6)
-            client.request_latency_ms.append(latency)
-            self.stats.request_latency_ms.append(latency)
-        self._note_completion_time()
+        latency = round(self.kernel.now - arrival.at_ms, 6)
+        client.request_latency_ms.append(latency)
+        self.stats.request_latency_ms.append(latency)
+        self.stats.completed_at_ms = self.kernel.now
         if self._processed >= self.stats.events_total:
             self._finish()
-
-    def _note_completion_time(self) -> None:
-        if self.kernel is not None:
-            self.stats.completed_at_ms = self.kernel.now
 
     def _finish(self) -> None:
         if self._finished:
@@ -752,7 +721,6 @@ class FleetDriver:
     # ------------------------------------------------------------------ #
 
     def _on_deletion_event(self, event: ChainEvent) -> None:
-        assert self.kernel is not None
         reference = event.payload.get("reference") or {}
         key = (reference.get("block_number"), reference.get("entry_number"))
         if None in key:

@@ -334,18 +334,15 @@ class TestOpenLoopScheduling:
         with pytest.raises(ValueError):
             FleetDriver([workload], [client], mean_gap_ms=10.0, kernel=kernel, policy="drop-everything")
 
-    def test_mode_misuse_is_rejected(self):
+    def test_scheduling_twice_is_rejected(self):
         kernel = EventKernel(seed=1)
         workload = LoginAuditWorkload(num_events=2, num_users=2, seed=1)
-        client = BlockingStubClient(kernel, 1.0)
-        with pytest.raises(ValueError, match="requires a kernel"):
-            FleetDriver([workload], [client], mean_gap_ms=10.0).schedule()
-        on_kernel = FleetDriver([workload], [client], mean_gap_ms=10.0, kernel=kernel)
-        with pytest.raises(ValueError, match="kernel-less"):
-            on_kernel.run()
-        on_kernel.schedule()
+        driver = FleetDriver(
+            [workload], [BlockingStubClient(kernel, 1.0)], mean_gap_ms=10.0, kernel=kernel
+        )
+        driver.schedule()
         with pytest.raises(ValueError, match="already scheduled"):
-            on_kernel.schedule()
+            driver.schedule()
 
     def test_a_lane_outside_the_declared_count_is_rejected(self):
         """``lane_of`` may not open an undeclared lane — with or without a

@@ -91,6 +91,31 @@ class TestTransport:
         transport.send("b", Message(kind=MessageKind.SUMMARY_HASH, sender="a"))
         assert len(transport.messages_of_kind(MessageKind.SUMMARY_HASH)) == 1
 
+    @pytest.mark.parametrize("scheduled", [False, True], ids=["synchronous", "scheduled"])
+    @pytest.mark.parametrize("fault", ["offline", "lost"])
+    def test_faulted_post_draws_no_message_id(self, scheduled, fault):
+        """Ids are process-global and serialised into every message: a post
+        that is dropped or lost reports nothing, so it must not build (and
+        thereby number) an error message either."""
+        kernel = EventKernel(seed=1) if scheduled else None
+        transport = InMemoryTransport(
+            kernel=kernel, loss_rate=0.999999 if fault == "lost" else 0.0
+        )
+        delivered = []
+        transport.register("b", delivered.append)
+        if fault == "offline":
+            transport.set_offline("b")
+        ping = Message(kind=MessageKind.SYNC_DIGEST, sender="a")
+        before = Message(kind=MessageKind.ACK, sender="a").message_id
+        transport.post("b", ping)
+        if kernel is not None:
+            kernel.run()
+        after = Message(kind=MessageKind.ACK, sender="a").message_id
+        assert after - before == 1
+        assert not delivered
+        assert transport.statistics.dropped == 1
+        assert transport.statistics.lost == (1 if fault == "lost" else 0)
+
 
 class TestAnchorAndClientNodes:
     def build_network(self, anchor_count=3):
@@ -173,6 +198,64 @@ class TestAnchorAndClientNodes:
             nodes[ids[1]].produce_block()
         block = nodes[ids[0]].produce_block()
         assert block.block_number >= 1
+
+    #: One wrong-typed payload for every dispatched kind that parses a
+    #: payload field (SEAL_REQUEST and QUERY_STATISTICS read nothing).
+    WRONG_TYPED = {
+        MessageKind.SUBMIT_ENTRY: {"entry": 7},
+        MessageKind.SUBMIT_DELETION: {"entry": "x"},
+        MessageKind.IDLE_TICK: {"ticks": "many"},
+        MessageKind.FIND_ENTRY: {"reference": 3},
+        MessageKind.BLOCK_ANNOUNCE: {"block": {}},
+        MessageKind.SUMMARY_HASH: {"block_number": "x"},
+        MessageKind.SYNC_REQUEST: {"from_block": []},
+        MessageKind.SYNC_DIGEST: {"head": "x"},
+        MessageKind.SNAPSHOT_REQUEST: {"chunk_size": "x"},
+        MessageKind.VOTE_REQUEST: {"candidate_head": None},
+    }
+    #: Kinds with a mandatory field: an empty payload is malformed too
+    #: (PRODUCER_CHANGE coerces its one field, so this is its only case).
+    NEEDS_A_FIELD = (
+        MessageKind.SUBMIT_ENTRY,
+        MessageKind.SUBMIT_DELETION,
+        MessageKind.FIND_ENTRY,
+        MessageKind.BLOCK_ANNOUNCE,
+        MessageKind.SUMMARY_HASH,
+        MessageKind.PRODUCER_CHANGE,
+    )
+
+    @pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.value)
+    def test_malformed_payloads_come_back_as_typed_errors(self, kind):
+        """Wire input is untrusted: whatever the payload, the handler answers
+        (or stays silent) — it never raises out of the delivery event."""
+        for payload in ({}, self.WRONG_TYPED.get(kind, {"x": 1})):
+            transport, nodes, ids = self.build_network()
+            response = nodes[ids[0]].handle_message(
+                Message(kind=kind, sender="mallory", payload=payload)
+            )
+            malformed = (payload and kind in self.WRONG_TYPED) or (
+                not payload and kind in self.NEEDS_A_FIELD
+            )
+            if malformed:
+                assert response is not None and response.is_error
+                assert response.payload["reason"].startswith(
+                    f"malformed {kind.value} payload"
+                )
+
+    def test_the_malformed_payload_table_covers_every_dispatched_kind(self):
+        transport, nodes, ids = self.build_network()
+        dispatched = set()
+        for kind in MessageKind:
+            response = nodes[ids[0]].handle_message(Message(kind=kind, sender="x"))
+            unsupported = response is not None and "unsupported message kind" in str(
+                response.payload.get("reason", "")
+            )
+            if not unsupported:
+                dispatched.add(kind)
+        assert dispatched - {MessageKind.SEAL_REQUEST, MessageKind.QUERY_STATISTICS} == {
+            *self.WRONG_TYPED,
+            *self.NEEDS_A_FIELD,
+        }
 
     def test_unknown_message_kind_rejected(self):
         transport, nodes, ids = self.build_network()

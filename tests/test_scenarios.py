@@ -85,6 +85,28 @@ class TestDeterminismPin:
         assert "'evnets'" in str(excinfo.value)
         assert "typo-smoke-check" not in SCENARIOS
 
+    def test_numeric_overrides_reach_the_body_cast_and_are_echoed_as_passed(self):
+        """``run_scenario`` casts each numeric parameter to its default's
+        type once; the ``"parameters"`` echo keeps the caller's values."""
+        from repro.network.scenarios import SCENARIOS, scenario
+
+        seen = {}
+        scenario(
+            "cast-probe",
+            "registration-time cast probe",
+            defaults={"events": 10, "settle_ms": 300.0, "lossy": False, "policy": "queue"},
+        )(lambda seed, params: seen.update(params) or {})
+        try:
+            result = run_scenario("cast-probe", events=4.0, settle_ms=30000)
+        finally:
+            del SCENARIOS["cast-probe"]
+        assert seen == {"events": 4, "settle_ms": 30000.0, "lossy": False, "policy": "queue"}
+        assert (type(seen["events"]), type(seen["settle_ms"])) == (int, float)
+        assert type(seen["lossy"]) is bool
+        echoed = result["parameters"]
+        assert (echoed["events"], echoed["settle_ms"]) == (4.0, 30000)
+        assert (type(echoed["events"]), type(echoed["settle_ms"])) == (float, int)
+
 
 class TestCatalogueDocsSync:
     """docs/ARCHITECTURE.md's scenario table mirrors the live catalogue."""

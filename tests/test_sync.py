@@ -438,10 +438,10 @@ class TestLoadAwareBootstrap:
     def test_probe_returns_manifest_and_load_without_data(self):
         transport, nodes, ids = build_network()
         nodes[ids[0]].chain.add_entry_block(login("ALPHA"), "ALPHA")
-        from repro.sync import probe_snapshot_peer
+        from repro.sync import rank_bootstrap_peers
 
-        probe = probe_snapshot_peer(transport, "rescue", ids[0])
-        assert probe is not None
+        (probe,) = rank_bootstrap_peers(transport, "rescue", [ids[0]])
+        assert probe.peer_id == ids[0]
         assert probe.load == 0
         assert probe.manifest.head_hash == nodes[ids[0]].chain.head.block_hash
         assert nodes[ids[0]].sync_stats["snapshot_probes_served"] == 1

@@ -9,10 +9,7 @@ workloads interchangeably:
   non-decreasing virtual times,
 * every :class:`~repro.workloads.base.EventKind` the generator emits is one
   both :func:`~repro.workloads.base.replay` and
-  :class:`~repro.workloads.fleet.FleetDriver` handle,
-* replaying through ``replay`` and through the driver's kernel-less mode
-  leaves *identical* final chain statistics behind (the driver performs the
-  same protocol operations in the same order).
+  :class:`~repro.workloads.fleet.FleetDriver` handle.
 
 The suite is parametrised over a factory per subclass and fails when a new
 ``Workload`` subclass appears without registering here — joining the
@@ -22,14 +19,12 @@ contract is part of adding a generator.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Blockchain, ChainConfig
+from repro.core import ChainConfig
 from repro.network.kernel import EventKernel
 from repro.network.simulator import NetworkSimulator
-from repro.service.client import LocalLedgerClient
 from repro.workloads import (
     CoinTransferWorkload,
     EventKind,
-    FleetDriver,
     GdprErasureWorkload,
     LoginAuditWorkload,
     PaperScenarioWorkload,
@@ -39,7 +34,6 @@ from repro.workloads import (
     arrival_schedule,
     derive_client_seed,
     fleet_timeline,
-    replay,
 )
 
 #: Small-but-representative instance of every generator.  Each factory takes
@@ -110,34 +104,6 @@ class TestWorkloadContract:
                 assert event.target is not None, "DELETION events must carry a target"
             if event.kind is EventKind.IDLE:
                 assert event.idle_ticks > 0, "IDLE events must advance time"
-
-    def test_replay_and_driver_leave_identical_chain_statistics(self, cls, factory):
-        """The acceptance pin: replay-vs-driver parity, kernel-less.
-
-        ``replay`` drives a local chain; the driver's kernel-less mode
-        drives a synchronous two-anchor deployment through a
-        ``RemoteLedgerClient``.  Both must leave the same final chain
-        statistics — same blocks, same deletion registry, same byte size.
-        """
-        config = ChainConfig.paper_evaluation()
-        local_chain = Blockchain(config)
-        replayed = replay(factory(9), LocalLedgerClient(local_chain))
-
-        simulator = NetworkSimulator(anchor_count=2, config=config)
-        driver = FleetDriver(
-            [factory(9)], [simulator.ledger_client()], mean_gap_ms=10.0, in_flight_budget=0
-        )
-        driven = driver.run().clients[0].run
-
-        assert local_chain.statistics() == simulator.producer.chain.statistics()
-        # The driver's own counters agree with the replay result.
-        assert driven.entries_submitted == replayed.entries
-        assert driven.deletions_requested == replayed.deletions
-        assert driven.deletions_approved == replayed.deletions_approved
-        assert driven.idle_blocks == replayed.idle_blocks
-        assert driven.blocks_sealed == replayed.blocks_sealed
-        # Both anchor replicas converged on the same head.
-        assert simulator.replicas_identical()
 
 
 @pytest.mark.parametrize("cls,factory", FACTORIES, ids=FACTORY_IDS)
