@@ -4,9 +4,10 @@
 code, so a refactor that changes scenario output consistently passes it.
 This module pins ``sha256(canonical JSON of run_scenario(name, seed=s))``
 against ``tests/golden/scenario_digests.json`` — all catalogue scenarios at
-seeds 7 and 23 with default parameters, plus three points that sit on the
-far side of a parameter-dependent code path (an open-loop fleet, a one-shard
-sharded fleet, a larger lossy deployment).
+seeds 7 and 23 with default parameters, plus points that sit on the far side
+of a parameter-dependent code path (an open-loop fleet, a one-shard sharded
+fleet, a larger lossy deployment, and four overloaded runs where arrivals
+outpace the round trip and backlog or shedding carries the result).
 
 A digest that moves means scenario output changed.  If that is intended,
 regenerate the file and say why in the commit::
@@ -29,6 +30,15 @@ FORK_SENSITIVE = [
     ("gdpr-erasure", 23, {"n_clients": 3}),
     ("sharded-fleet", 7, {"shards": 1}),
     ("vehicle-telemetry", 7, {"vehicles": 60, "anchors": 6}),
+    # The backlog regime: arrivals far faster than the round trip.
+    ("gdpr-erasure", 9, {"mean_gap_ms": 0.5, "records": 200}),
+    ("coin-economy", 9, {"mean_gap_ms": 0.5, "transfers": 150}),
+    ("vehicle-telemetry", 2, {"mean_gap_ms": 2.0, "vehicles": 60, "anchors": 6}),
+    (
+        "fleet-saturation",
+        17,
+        {"in_flight_budget": 1, "overload_policy": "shed", "mean_gap_ms": 30.0},
+    ),
 ]
 
 
