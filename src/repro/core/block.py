@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, hash_hex, truncate_hash
 from repro.core.entry import Entry
@@ -331,29 +331,3 @@ def make_genesis_block(*, timestamp: int = 0, entries: Optional[Sequence[Entry]]
         entries=list(entries or []),
         block_type=BlockType.NORMAL,
     )
-
-
-def link_blocks(blocks: Iterable[Block]) -> list[Block]:
-    """Re-link a sequence of blocks so each previous-hash matches its parent.
-
-    Helper for tests and workload generators that build blocks in bulk; the
-    production path always links at append time.
-    """
-    linked: list[Block] = []
-    previous: Optional[Block] = None
-    for block in blocks:
-        if previous is not None:
-            block = Block(
-                block_number=block.block_number,
-                timestamp=block.timestamp,
-                previous_hash=previous.block_hash,
-                entries=list(block.entries),
-                block_type=block.block_type,
-                nonce=block.nonce,
-                redundancy=list(block.redundancy),
-                merged_sequences=list(block.merged_sequences),
-                summary_references=list(block.summary_references),
-            )
-        linked.append(block)
-        previous = block
-    return linked

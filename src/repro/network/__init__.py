@@ -28,7 +28,7 @@ five families:
   ``SYNC_RESPONSE``.
 """
 
-from repro.network.gossip import GossipOverlay, GossipProtocol, GossipResult, GossipTopology
+from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventHandle, EventKernel, KernelError
 from repro.network.message import Message, MessageKind
 from repro.network.node import (
@@ -57,8 +57,6 @@ from repro.network.transport import (
 
 __all__ = [
     "GossipOverlay",
-    "GossipProtocol",
-    "GossipResult",
     "GossipTopology",
     "EventHandle",
     "EventKernel",

@@ -1,25 +1,19 @@
 """Push gossip for block dissemination.
 
 Large anchor-node sets do not broadcast every block to every peer directly;
-they gossip.  This module provides two layers:
-
-* :class:`GossipProtocol` — the abstract round-based model: how many rounds
-  does one item need to cover a topology at a given fan-out?  Used to study
-  dissemination speed analytically (ring vs. random-regular vs. clique) and
-  how node isolation (Section V-B4, Eclipse/Sybil discussion) slows or
-  prevents coverage.
-* :class:`GossipOverlay` — the *live* overlay anchor nodes use when block
-  announcements are disseminated over the kernel-backed transport: each hop
-  picks a deterministic per-``(node, item)`` fan-out subset of its
-  neighbours and forwards via one-way posts, so dissemination consumes
-  virtual time and interleaves with faults and other traffic.
+they gossip.  :class:`GossipTopology` is the peer graph (ring, random-regular,
+clique); :class:`GossipOverlay` is the overlay anchor nodes use when block
+announcements are disseminated over the kernel-backed transport: each hop
+picks a deterministic per-``(node, item)`` fan-out subset of its neighbours
+and forwards via one-way posts, so dissemination consumes virtual time and
+interleaves with faults and other traffic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass
@@ -90,27 +84,6 @@ class GossipTopology:
         return topology
 
 
-@dataclass
-class GossipResult:
-    """Outcome of disseminating one item through the topology."""
-
-    origin: str
-    rounds: int
-    informed: set[str]
-    messages_sent: int
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of nodes that received the item."""
-        return len(self.informed)
-
-    def coverage_ratio(self, total_nodes: int) -> float:
-        """Coverage as a fraction of ``total_nodes``."""
-        if total_nodes <= 0:
-            return 0.0
-        return len(self.informed) / total_nodes
-
-
 class GossipOverlay:
     """Fan-out target selection for transport-level gossip dissemination.
 
@@ -136,44 +109,3 @@ class GossipOverlay:
         # String seeds hash stably (sha512) across processes, unlike tuples.
         rng = random.Random(f"{self.seed}:{node_id}:{item_key}")
         return sorted(rng.sample(neighbours, self.fanout))
-
-
-class GossipProtocol:
-    """Round-based push gossip with configurable fan-out."""
-
-    def __init__(self, topology: GossipTopology, *, fanout: int = 2, seed: int = 29) -> None:
-        if fanout < 1:
-            raise ValueError("fanout must be at least 1")
-        self.topology = topology
-        self.fanout = fanout
-        self._random = random.Random(seed)
-
-    def disseminate(self, origin: str, *, max_rounds: Optional[int] = None) -> GossipResult:
-        """Push an item from ``origin`` until no new node learns about it."""
-        if origin not in self.topology.adjacency:
-            raise KeyError(f"origin {origin!r} is not part of the topology")
-        informed: set[str] = {origin}
-        frontier: set[str] = {origin}
-        rounds = 0
-        messages = 0
-        limit = max_rounds if max_rounds is not None else len(self.topology.nodes) * 2
-        while frontier and rounds < limit:
-            rounds += 1
-            next_frontier: set[str] = set()
-            for node in sorted(frontier):
-                neighbours = sorted(self.topology.neighbours(node))
-                self._random.shuffle(neighbours)
-                for peer in neighbours[: self.fanout]:
-                    messages += 1
-                    if peer not in informed:
-                        informed.add(peer)
-                        next_frontier.add(peer)
-            frontier = next_frontier
-        return GossipResult(origin=origin, rounds=rounds, informed=informed, messages_sent=messages)
-
-    def rounds_to_full_coverage(self, origin: str) -> Optional[int]:
-        """Rounds needed to inform every node, or ``None`` if unreachable."""
-        result = self.disseminate(origin)
-        if len(result.informed) == len(self.topology.nodes):
-            return result.rounds
-        return None

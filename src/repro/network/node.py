@@ -647,8 +647,9 @@ class AnchorNode:
           (``detail`` names the missing range); call
           :meth:`bootstrap_from` (or :meth:`synchronize`, which does both),
         * ``BLOCK_REJECTED`` — the consensus engine refused a replayed block
-          (``detail`` carries its reason); the block is recorded in
-          :attr:`rejected_blocks`.
+          (``detail`` carries its reason; the block is recorded in
+          :attr:`rejected_blocks`), or a buffered gossip announcement forks
+          from the head the replay ended on.
         """
         self.sync_stats["catch_ups"] += 1
         request = Message(
@@ -715,8 +716,13 @@ class AnchorNode:
         if adopted and status is CatchUpStatus.ALREADY_CURRENT:
             status = CatchUpStatus.ADOPTED
         self.sync_stats["blocks_replayed"] += adopted
-        # Gossiped announcements that overtook the gap can now be applied.
-        self._drain_block_buffer()
+        # Gossiped announcements that overtook the gap can now be applied —
+        # unless one of them forks from the head just replayed.
+        try:
+            self._drain_block_buffer()
+        except ChainIntegrityError as exc:
+            status = CatchUpStatus.BLOCK_REJECTED
+            detail = str(exc)
         return CatchUpResult(status=status, adopted=adopted, detail=detail)
 
     def bootstrap_from(
@@ -800,13 +806,7 @@ class AnchorNode:
         self.sync_stats["bootstrap_retransmits"] += report.retransmits
         return report
 
-    def synchronize(
-        self,
-        peer_id: str,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-    ) -> CatchUpResult:
+    def synchronize(self, peer_id: str) -> CatchUpResult:
         """Converge on ``peer_id`` whatever the gap: catch up, else bootstrap.
 
         Incremental catch-up first; if that declines because the gap spans a
@@ -817,9 +817,7 @@ class AnchorNode:
         afterwards, so the call converges on the best peer it *heard of*,
         not merely the one that happened to trigger it.
         """
-        result = self._synchronize_once(
-            peer_id, chunk_size=chunk_size, max_retries=max_retries
-        )
+        result = self._synchronize_once(peer_id)
         # Chase digests deferred by the re-entrancy guard.  Each iteration
         # consumes one deferred digest and only re-pulls while its sender
         # claims a strictly newer head, so the loop ends once the backlog
@@ -829,17 +827,9 @@ class AnchorNode:
             self._deferred_digest = None
             if deferred is None or deferred[1] <= self.chain.head.block_number:
                 return result
-            result = self._synchronize_once(
-                deferred[0], chunk_size=chunk_size, max_retries=max_retries
-            )
+            result = self._synchronize_once(deferred[0])
 
-    def _synchronize_once(
-        self,
-        peer_id: str,
-        *,
-        chunk_size: int,
-        max_retries: int,
-    ) -> CatchUpResult:
+    def _synchronize_once(self, peer_id: str) -> CatchUpResult:
         """One guarded catch-up-or-bootstrap pull against a single peer."""
         self._sync_in_progress = True
         try:
@@ -850,9 +840,7 @@ class AnchorNode:
             # needed head, but every connected peer is a candidate donor —
             # rank them and stripe the chunks across the nearest ones.
             candidates = [peer_id] + [peer for peer in self.peers if peer != peer_id]
-            report = self.bootstrap_from_best(
-                candidates, chunk_size=chunk_size, max_retries=max_retries
-            )
+            report = self.bootstrap_from_best(candidates)
             if not report.succeeded:
                 return CatchUpResult(
                     status=CatchUpStatus.SNAPSHOT_REQUIRED,
@@ -1064,15 +1052,3 @@ class ClientNode:
         """Fetch the operational counters of an anchor's replica."""
         message = Message(kind=MessageKind.QUERY_STATISTICS, sender=self.client_id)
         return self._send(anchor_id, message)
-
-    def fetch_chain(self, anchor_id: str, *, from_block: int = 0) -> list[Block]:
-        """Download the living chain from an anchor node (status-quo sync)."""
-        message = Message(
-            kind=MessageKind.SYNC_REQUEST,
-            sender=self.client_id,
-            payload={"from_block": from_block},
-        )
-        response = self.transport.send(anchor_id, message)
-        if response is None or response.is_error:
-            return []
-        return [Block.from_dict(item) for item in response.payload.get("blocks", [])]

@@ -412,7 +412,6 @@ class InMemoryTransport:
         message: Message,
         *,
         on_response: Callable[[Optional[Message]], None],
-        timeout_ms: Optional[float] = None,
     ) -> None:
         """Event-driven request/response exchange (kernel mode only).
 
@@ -428,12 +427,11 @@ class InMemoryTransport:
 
         ``on_response`` receives the response message, an error message for
         transport faults (matching :meth:`send`'s error surface), or
-        ``None`` for a silent handler or an exceeded ``timeout_ms``.
+        ``None`` for a silent handler.
         """
         kernel = self._require_kernel()
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
-        start = kernel.now
         request_latency = self.latency.sample_for(message.sender, recipient)
 
         def arrive() -> None:
@@ -447,10 +445,6 @@ class InMemoryTransport:
             # The handler may have consumed virtual time; the response
             # leaves the moment it returns, exactly as in the blocking path.
             response_latency = self.latency.sample_for(recipient, message.sender)
-            if timeout_ms is not None and (kernel.now - start) + response_latency > timeout_ms:
-                self.statistics.timeouts += 1
-                on_response(None)
-                return
             kernel.schedule(
                 response_latency,
                 lambda: on_response(

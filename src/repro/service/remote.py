@@ -86,6 +86,14 @@ class RemoteLedgerClient(LedgerClient):
             )
         return response
 
+    def _targets(self, first: Optional[str] = None) -> list[str]:
+        """``first`` (default: the bound anchor), then each anchor not yet listed."""
+        targets = [first if first is not None else self.anchor_id]
+        for fallback in (self.anchor_id, *self.fallback_anchor_ids):
+            if fallback not in targets:
+                targets.append(fallback)
+        return targets
+
     def _with_failover(
         self, operation: Callable[[str], Message], *, first: Optional[str] = None
     ) -> Message:
@@ -98,13 +106,8 @@ class RemoteLedgerClient(LedgerClient):
         replica before trying the rest of the deployment; fallbacks that
         duplicate ``first`` are skipped.
         """
-        primary = first if first is not None else self.anchor_id
-        targets = [primary]
-        for fallback in (self.anchor_id, *self.fallback_anchor_ids):
-            if fallback not in targets:
-                targets.append(fallback)
         response: Optional[Message] = None
-        for target in targets:
+        for target in self._targets(first):
             response = operation(target)
             if not response.is_error:
                 return response
@@ -177,10 +180,7 @@ class RemoteLedgerClient(LedgerClient):
         round-trip time.
         """
         client = self._client_for(author)
-        targets = [self.anchor_id]
-        for fallback in self.fallback_anchor_ids:
-            if fallback not in targets:
-                targets.append(fallback)
+        targets = self._targets()
 
         def attempt(index: int) -> None:
             def handle(response: Message) -> None:

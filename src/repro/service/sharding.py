@@ -274,16 +274,23 @@ class ShardRouter(LedgerClient):
     ) -> SubmitReceipt:
         """Route the record to the author's home shard and index the seal."""
         shard = self.shard_of(author)
-        receipt: SubmitReceipt = self._timed(
-            shard,
-            lambda: self.shards[shard].submit(
-                data,
-                author,
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-                seal=seal,
-            ),
+        started = self.clock() if self.clock is not None else None
+        receipt = self.shards[shard].submit(
+            data,
+            author,
+            expires_at_time=expires_at_time,
+            expires_at_block=expires_at_block,
+            seal=seal,
         )
+        return self._submitted(shard, author, started, receipt)
+
+    def _submitted(
+        self, shard: int, author: str, started: Optional[float], receipt: SubmitReceipt
+    ) -> SubmitReceipt:
+        """Book one answered submission: latency sample, shard count, author index."""
+        if started is not None:
+            assert self.clock is not None
+            self._latency_per_shard[shard].append(round(self.clock() - started, 6))
         self.submitted_per_shard[shard] += 1
         if receipt.ok and receipt.reference is not None:
             self.index.record(author, shard, receipt.reference)
@@ -311,13 +318,7 @@ class ShardRouter(LedgerClient):
         started = self.clock() if self.clock is not None else None
 
         def finish(receipt: SubmitReceipt) -> None:
-            if started is not None:
-                assert self.clock is not None
-                self._latency_per_shard[shard].append(round(self.clock() - started, 6))
-            self.submitted_per_shard[shard] += 1
-            if receipt.ok and receipt.reference is not None:
-                self.index.record(author, shard, receipt.reference)
-            on_receipt(receipt)
+            on_receipt(self._submitted(shard, author, started, receipt))
 
         self.shards[shard].submit_async(
             data,

@@ -1,6 +1,6 @@
 """Storage backends for anchor nodes: memory, append-only journal, snapshots."""
 
-from repro.storage.memstore import BlockStore, MemoryBlockStore, persist_chain
+from repro.storage.memstore import BlockStore, MemoryBlockStore
 from repro.storage.snapshot import (
     SnapshotManager,
     chain_from_payload,
@@ -14,7 +14,6 @@ from repro.storage.wal import JournalBlockStore
 __all__ = [
     "BlockStore",
     "MemoryBlockStore",
-    "persist_chain",
     "SnapshotManager",
     "chain_from_payload",
     "load_snapshot",

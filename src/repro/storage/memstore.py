@@ -71,14 +71,17 @@ class MemoryBlockStore(BlockStore):
         self._first: Optional[int] = None
         self._last: Optional[int] = None
 
-    def append(self, block: Block) -> None:
-        """Store a block, rejecting duplicates and number regressions."""
+    def _check_next(self, block: Block) -> None:
         if block.block_number in self._blocks:
             raise StorageError(f"block {block.block_number} is already stored")
         if self._last is not None and block.block_number != self._last + 1:
             raise StorageError(
                 f"expected block {self._last + 1}, got {block.block_number}"
             )
+
+    def append(self, block: Block) -> None:
+        """Store a block, rejecting duplicates and number regressions."""
+        self._check_next(block)
         self._blocks[block.block_number] = block
         if self._first is None:
             self._first = block.block_number
@@ -116,25 +119,3 @@ class MemoryBlockStore(BlockStore):
             return
         for number in range(self._first, self._last + 1):
             yield self._blocks[number]
-
-
-def persist_chain(store: BlockStore, blocks: list[Block]) -> int:
-    """Append every not-yet-stored block of a living chain to ``store``.
-
-    Returns the number of newly persisted blocks.  Used by anchor nodes after
-    each sealing round.
-    """
-    stored_head = store.head()
-    start_number = stored_head.block_number + 1 if stored_head is not None else None
-    added = 0
-    for block in blocks:
-        if start_number is not None and block.block_number < start_number:
-            continue
-        if start_number is None and len(store) == 0 and block.block_number != blocks[0].block_number:
-            continue
-        try:
-            store.append(block)
-        except StorageError:
-            continue
-        added += 1
-    return added

@@ -58,6 +58,20 @@ def snapshot_digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _restore(text: str, what: str, chain_kwargs: dict) -> Blockchain:
+    """Parse, rebuild and fully verify a chain: hash chain, then the index."""
+    from repro.core.chain import Blockchain
+
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StorageError(f"{what} is not valid JSON: {exc}") from exc
+    chain = Blockchain.from_dict(data, **chain_kwargs)
+    chain.validate()
+    chain.verify_index()
+    return chain
+
+
 def chain_from_payload(payload: str, **chain_kwargs) -> Blockchain:
     """Restore and fully verify a chain from a wire snapshot payload.
 
@@ -67,16 +81,7 @@ def chain_from_payload(payload: str, **chain_kwargs) -> Blockchain:
     lookups from a corrupt cache.  Raises :class:`StorageError` on malformed
     payloads and the chain's own integrity errors on inconsistent state.
     """
-    from repro.core.chain import Blockchain
-
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"snapshot payload is not valid JSON: {exc}") from exc
-    chain = Blockchain.from_dict(data, **chain_kwargs)
-    chain.validate()
-    chain.verify_index()
-    return chain
+    return _restore(payload, "snapshot payload", chain_kwargs)
 
 
 def save_snapshot(chain: Blockchain, path: Union[str, Path]) -> int:
@@ -96,19 +101,10 @@ def load_snapshot(path: Union[str, Path], **chain_kwargs) -> Blockchain:
     freshly joining anchor node never starts serving lookups from a corrupt
     cache.
     """
-    from repro.core.chain import Blockchain
-
     source = Path(path)
     if not source.exists():
         raise StorageError(f"snapshot {source} does not exist")
-    try:
-        payload = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"snapshot {source} is not valid JSON: {exc}") from exc
-    chain = Blockchain.from_dict(payload, **chain_kwargs)
-    chain.validate()
-    chain.verify_index()
-    return chain
+    return _restore(source.read_text(encoding="utf-8"), f"snapshot {source}", chain_kwargs)
 
 
 class SnapshotManager:

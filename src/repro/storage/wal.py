@@ -12,30 +12,28 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Union
 
 from repro.core.block import Block
 from repro.core.errors import StorageError
-from repro.storage.memstore import BlockStore
+from repro.storage.memstore import MemoryBlockStore
 
 
-class JournalBlockStore(BlockStore):
-    """File-backed append-only store with explicit compaction."""
+class JournalBlockStore(MemoryBlockStore):
+    """File-backed append-only store with explicit compaction.
+
+    The in-memory index is :class:`MemoryBlockStore`'s; every mutation
+    writes (and fsyncs) its journal record first.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
+        super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._index: dict[int, Block] = {}
-        self._truncated_before = 0
-        self._last: Optional[int] = None
         if self.path.exists():
             self._load()
         else:
             self.path.touch()
-
-    # ------------------------------------------------------------------ #
-    # Loading and writing
-    # ------------------------------------------------------------------ #
 
     def _load(self) -> None:
         with self.path.open("r", encoding="utf-8") as handle:
@@ -48,19 +46,9 @@ class JournalBlockStore(BlockStore):
                 except json.JSONDecodeError as exc:
                     raise StorageError(f"corrupt journal line {line_number}: {exc}") from exc
                 if record.get("kind") == "truncate":
-                    self._truncated_before = int(record["before"])
-                    doomed = [n for n in self._index if n < self._truncated_before]
-                    for number in doomed:
-                        del self._index[number]
-                    if not self._index:
-                        # Mirror truncate_before: an emptied store accepts a
-                        # fresh range starting at any number.
-                        self._last = None
-                    continue
-                block = Block.from_dict(record["block"])
-                self._index[block.block_number] = block
-                if self._last is None or block.block_number > self._last:
-                    self._last = block.block_number
+                    super().truncate_before(int(record["before"]))
+                else:
+                    super().append(Block.from_dict(record["block"]))
 
     def _write_record(self, record: dict) -> None:
         with self.path.open("a", encoding="utf-8") as handle:
@@ -68,28 +56,11 @@ class JournalBlockStore(BlockStore):
             handle.flush()
             os.fsync(handle.fileno())
 
-    # ------------------------------------------------------------------ #
-    # BlockStore interface
-    # ------------------------------------------------------------------ #
-
     def append(self, block: Block) -> None:
         """Append a block record to the journal (O(1) plus the disk write)."""
-        if block.block_number in self._index:
-            raise StorageError(f"block {block.block_number} is already journaled")
-        if self._last is not None and block.block_number != self._last + 1:
-            raise StorageError(
-                f"expected block {self._last + 1}, got {block.block_number}"
-            )
+        self._check_next(block)
         self._write_record({"kind": "block", "block": block.to_dict()})
-        self._index[block.block_number] = block
-        self._last = block.block_number
-
-    def get(self, block_number: int) -> Block:
-        """Load a block from the in-memory index."""
-        try:
-            return self._index[block_number]
-        except KeyError:
-            raise StorageError(f"block {block_number} is not journaled") from None
+        super().append(block)
 
     def truncate_before(self, block_number: int) -> int:
         """Record a truncation marker and drop the blocks from the index.
@@ -98,31 +69,10 @@ class JournalBlockStore(BlockStore):
         called; this mirrors WAL-style storage engines and lets tests verify
         that compaction — not just logical truncation — reclaims space.
         """
-        doomed = [number for number in self._index if number < block_number]
-        if not doomed:
+        if self._first is None or block_number <= self._first:
             return 0
         self._write_record({"kind": "truncate", "before": block_number})
-        self._truncated_before = max(self._truncated_before, block_number)
-        for number in doomed:
-            del self._index[number]
-        if not self._index:
-            self._last = None
-        return len(doomed)
-
-    def head(self) -> Optional[Block]:
-        """The newest journaled block (O(1))."""
-        return self._index[self._last] if self._last is not None else None
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self) -> Iterator[Block]:
-        for number in sorted(self._index):
-            yield self._index[number]
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
+        return super().truncate_before(block_number)
 
     def file_size(self) -> int:
         """Size of the journal file in bytes."""

@@ -1,4 +1,4 @@
-"""The workload → kernel traffic engine: one driver, two admission modes.
+"""The workload → kernel traffic engine: one driver, one admission path.
 
 :func:`~repro.workloads.base.replay` executes a workload synchronously —
 event after event, no notion of time between them.  The paper's evaluation
@@ -18,26 +18,21 @@ time (the trace-driven style of the BlockSim-family simulators).
   :func:`~repro.workloads.base.arrival_schedule` timeline and interleaves
   them deterministically (sorted by arrival time, ties broken by client then
   position — a pure function of ``(seed, n_clients)``);
-* :class:`FleetDriver` admits the interleaved arrivals to service in one of
-  two modes, selected by ``in_flight_budget``:
+* :class:`FleetDriver` books every arrival on the shared
+  :class:`~repro.network.kernel.EventKernel` *up front*; each fires at its
+  scheduled time regardless of what completed — a real population of clients
+  does not wait for each other.  ``in_flight_budget`` is the number of
+  service slots.  An arrival that finds a slot free is issued; otherwise the
+  typed :class:`FleetPolicy` decides: ``SHED`` drops the request on the
+  floor (counted, never issued), ``QUEUE`` parks it in a client-side backlog
+  that is admitted as slots free up.  Request latency is measured from the
+  *scheduled arrival* to completion, so queueing delay is charged to the
+  service instead of silently vanishing (no coordinated omission).
 
-  **Closed loop** (``in_flight_budget=0``): arrival ``k+1`` is booked only
-  once arrival ``k`` completes, at ``max(its arrival time, now)``.  The
-  deployment services exactly one request at a time and arrivals faster than
-  the round trip queue up as backlog — a client that issues requests
-  sequentially.  This is what every workload scenario runs at its default
-  ``n_clients=1``.
-
-  **Open loop** (``in_flight_budget >= 1``): every arrival is booked on the
-  shared :class:`~repro.network.kernel.EventKernel` *up front* and fires at
-  its scheduled time regardless of what completed — a real population of
-  clients does not wait for each other.  Arrivals are admitted under the
-  shared budget; when it is exhausted the typed :class:`FleetPolicy`
-  decides: ``SHED`` drops the request on the floor (counted, never issued),
-  ``QUEUE`` parks it in a client-side backlog that is admitted as slots free
-  up.  Request latency is measured from the *scheduled arrival* to
-  completion, so queueing delay is charged to the service instead of
-  silently vanishing (no coordinated omission).
+  Budget ``0`` is the closed loop — one slot that always queues, never
+  sheds: request ``k+1`` departs at ``max(its arrival time, completion of
+  k)``, a client that issues requests sequentially.  This is what every
+  workload scenario runs at its default ``n_clients=1``.
 
 Determinism: sub-seeds and timelines are pure functions of the fleet seed,
 the kernel's seeded tie-break orders same-instant arrivals, and all reported
@@ -179,10 +174,10 @@ class FleetClientStats:
 class FleetRunStats:
     """Fleet-aggregate counters plus the per-client breakdown.
 
-    A one-client closed-loop run has no fleet to aggregate over — no budget,
-    no backlog, nothing shed — so :meth:`as_dict` reports it as the sole
-    client's flat :class:`~repro.workloads.stats.WorkloadRunStats` block.
-    This is the one place that report shape is decided.
+    A one-client closed-loop run has no fleet to aggregate over, so
+    :meth:`as_dict` reports it as the sole client's flat
+    :class:`~repro.workloads.stats.WorkloadRunStats` block.  This is the one
+    place that report shape is decided.
     """
 
     workload: str = ""
@@ -269,7 +264,7 @@ class FleetDriver:
     in_flight_budget:
         Maximum number of requests admitted to service (issued, not yet
         completed) at any instant — shared across the whole fleet.  ``0``
-        selects the closed loop (see module docstring).
+        is the closed loop: one slot, queue only (see module docstring).
     policy:
         The :class:`FleetPolicy` applied when the budget is exhausted.
     on_submitted:
@@ -281,24 +276,23 @@ class FleetDriver:
         return value.
     lane_of:
         Optional service-lane selector.  By default the whole fleet drains
-        through **one** service pump — requests round-trip strictly one at
+        through **one** service lane — requests round-trip strictly one at
         a time, which is the single-deployment model (and the source of its
         ~47 req/s ceiling).  A sharded deployment passes
-        ``lane_of(arrival) -> lane`` (typically the arrival author's shard)
-        to give every lane its own pump: round trips in *different* lanes
-        overlap in virtual time — lane B's request departs while lane A's
-        is still on the wire — so aggregate service rate scales with the
-        number of lanes while each lane stays internally sequential.  A
-        result outside ``range(lane_count or 1)`` raises ``ValueError``.
+        ``lane_of(arrival) -> lane`` (typically the arrival author's shard):
+        round trips in *different* lanes overlap in virtual time — lane B's
+        request departs while lane A's is still on the wire — so aggregate
+        service rate scales with the number of lanes while each lane stays
+        internally sequential.  A result outside ``range(lane_count or 1)``
+        raises ``ValueError``.
     lane_count:
-        Declared number of service lanes.  With more than one lane the
-        **event-driven pump** runs: ENTRY submissions go through
+        Declared number of service lanes.  It picks the colour of the ENTRY
+        call, nothing else: with more than one lane submissions go through
         :meth:`LedgerClient.submit_async` and a lane's next request departs
-        from the response-arrival callback instead of a blocking
-        virtual-time wait, so N lanes sustain N overlapped round trips.
-        Left at ``None`` (or ``1``) the **blocking pump** drains the single
-        lane and the kernel sees the exact event sequence of a
-        single-deployment run.
+        from the response-arrival callback, so N lanes sustain N overlapped
+        round trips.  Left at ``None`` (or ``1``) the single lane completes
+        inside the blocking :meth:`LedgerClient.submit` and the kernel sees
+        the exact event sequence of a single-deployment run.
     """
 
     def __init__(
@@ -347,9 +341,11 @@ class FleetDriver:
         self.on_submitted = on_submitted
         self.lane_of = lane_of
         self.lane_count = lane_count
-        #: Event-driven pump active: multi-lane fleets issue requests
-        #: asynchronously so lanes overlap without nesting blocking waits.
+        #: Several lanes submit entries asynchronously so their round trips
+        #: overlap without nesting blocking waits.
         self._async = lane_count is not None and lane_count > 1
+        #: Service slots: budget 0 is the closed loop's single slot.
+        self._slots = max(1, self.in_flight_budget)
         #: Called once after the final arrival has completed or been shed.
         self.on_finished: Optional[Callable[[], None]] = None
         self.timeline: list[FleetArrival] = fleet_timeline(
@@ -379,9 +375,7 @@ class FleetDriver:
         self._finished = False
         self._processed = 0
         self._in_flight = 0
-        #: The blocking pump is inside its loop (single-lane runs only).
-        self._pumping = False
-        #: Lanes with an async request in flight (event-driven pump only).
+        #: Lanes with a request in flight.
         self._busy: set[int] = set()
         self._service: dict[int, deque[FleetArrival]] = {}
         self._backlog: deque[FleetArrival] = deque()
@@ -405,56 +399,23 @@ class FleetDriver:
     def schedule(self) -> float:
         """Book the fleet timeline on the kernel; returns the horizon.
 
-        Open loop (``in_flight_budget >= 1``): every arrival is booked at
-        its scheduled time up front — completions do not gate arrivals, and
-        the arrival callbacks are O(1) (admit / queue / shed) so a round
-        trip overrunning the next arrival cannot nest executions.
-
-        Closed loop (``in_flight_budget == 0``): the interleaved timeline is
-        chain-scheduled, one arrival at a time.  Booking it up front would
-        let a request whose blocking round trip overruns the next arrival
-        execute that arrival *nested inside itself* — at high arrival rates
-        the nesting chains through the entire stream and overflows the
-        interpreter stack.  Chaining bounds the depth at one event.
+        Every arrival is booked at its scheduled time up front — completions
+        do not gate arrivals, and the arrival callbacks are O(1) (admit /
+        queue / shed) so a round trip overrunning the next arrival cannot
+        nest executions.
         """
         if self._scheduled:
             raise ValueError("the fleet timeline is already scheduled")
         self._scheduled = True
         if not self.timeline:
             self._finish()
-            return self.stats.horizon_ms
-        if self.in_flight_budget == 0:
-            self._schedule_closed(0)
-        else:
-            for arrival in self.timeline:
-                self.kernel.schedule_at(
-                    max(arrival.at_ms, self.kernel.now),
-                    lambda arrival=arrival: self._on_arrival(arrival),
-                    label=self._label(arrival),
-                )
+        for arrival in self.timeline:
+            self.kernel.schedule_at(
+                max(arrival.at_ms, self.kernel.now),
+                lambda arrival=arrival: self._on_arrival(arrival),
+                label=self._label(arrival),
+            )
         return self.stats.horizon_ms
-
-    # ------------------------------------------------------------------ #
-    # Closed loop (budget 0)
-    # ------------------------------------------------------------------ #
-
-    def _schedule_closed(self, index: int) -> None:
-        if index >= len(self.timeline):
-            self._finish()
-            return
-        kernel = self.kernel
-        arrival = self.timeline[index]
-
-        def fire() -> None:
-            try:
-                self._execute(arrival)
-            finally:
-                # Even a failing event must not cut the rest of the
-                # timeline short.
-                self._complete(arrival)
-                self._schedule_closed(index + 1)
-
-        kernel.schedule_at(max(arrival.at_ms, kernel.now), fire, label=self._label(arrival))
 
     def _label(self, arrival: FleetArrival) -> str:
         return (
@@ -463,22 +424,21 @@ class FleetDriver:
         )
 
     # ------------------------------------------------------------------ #
-    # Open-loop admission control
+    # Admission control
     # ------------------------------------------------------------------ #
 
     def _on_arrival(self, arrival: FleetArrival) -> None:
-        if self._in_flight >= self.in_flight_budget:
-            if self.policy is FleetPolicy.SHED:
-                self._shed(arrival)
-            else:
-                self._backlog.append(arrival)
-                if len(self._backlog) > self.stats.backlog_peak:
-                    self.stats.backlog_peak = len(self._backlog)
-            return
-        self._admit(arrival)
+        if self._in_flight < self._slots:
+            self._pump(self._enqueue(arrival))
+        elif self.in_flight_budget and self.policy is FleetPolicy.SHED:
+            self._shed(arrival)
+        else:
+            self._backlog.append(arrival)
+            if len(self._backlog) > self.stats.backlog_peak:
+                self.stats.backlog_peak = len(self._backlog)
 
     def _enqueue(self, arrival: FleetArrival) -> int:
-        """Take a budget slot and queue the arrival on its service lane."""
+        """Take a service slot and queue the arrival on its service lane."""
         lane = 0 if self.lane_of is None else self.lane_of(arrival)
         lanes = self.lane_count or 1
         if not 0 <= lane < lanes:
@@ -492,64 +452,33 @@ class FleetDriver:
         self._service.setdefault(lane, deque()).append(arrival)
         return lane
 
-    def _admit(self, arrival: FleetArrival) -> None:
-        lane = self._enqueue(arrival)
-        if self._async:
-            self._pump_async(lane)
-        elif not self._pumping:
-            self._pump()
-
-    def _pump(self) -> None:
-        """Drain the single service lane, one blocking round trip at a time.
-
-        Runs inside the kernel callback that admitted the first request.
-        Arrivals firing *during* a round trip (the transport's nested
-        virtual-time wait) only enqueue — this loop picks them up, so the
-        stack never grows past one request.
-        """
-        self._pumping = True
-        queue = self._service[0]
-        try:
-            while queue:
-                arrival = queue.popleft()
-                try:
-                    self._execute(arrival)
-                finally:
-                    self._in_flight -= 1
-                    self._complete(arrival)
-                    self._drain_backlog(0)
-        finally:
-            self._pumping = False
-
     def _drain_backlog(self, current_lane: int) -> None:
-        """Admit backlogged arrivals into freed budget slots, lane-routed.
+        """Admit backlogged arrivals into freed slots, lane-routed.
 
-        Same-lane admissions are picked up by the caller — the blocking
-        pump's loop or the async completion's re-pump.  An async pump never
-        blocks, so an idle other lane is re-entered directly (it self-guards
-        while busy).
+        Same-lane admissions are picked up by the caller's pump; an idle
+        other lane is entered directly (it self-guards while busy).
         """
-        while self._backlog and self._in_flight < self.in_flight_budget:
+        while self._backlog and self._in_flight < self._slots:
             lane = self._enqueue(self._backlog.popleft())
             if lane != current_lane:
-                self._pump_async(lane)
+                self._pump(lane)
 
-    # ------------------------------------------------------------------ #
-    # Event-driven pump (multi-lane deployments)
-    # ------------------------------------------------------------------ #
+    def _pump(self, lane: int) -> None:
+        """Issue the lane's queued requests, one round trip at a time.
 
-    def _pump_async(self, lane: int) -> None:
-        """Issue the lane's next request without blocking on its round trip.
-
-        Each lane keeps at most one request in flight; the next departs from
-        the completion callback.  A client whose ``submit_async`` completes
-        synchronously (the protocol default, or a zero-latency transport)
-        must not recurse through that callback — the ``sync``/``done`` state
-        pair turns immediate completions back into loop iterations.
+        Each lane keeps at most one request in flight.  A request that
+        completes inside :meth:`_issue` — every blocking call, or an
+        asynchronous one on a zero-latency transport — must not recurse
+        through its completion callback: the ``sync``/``done`` state pair
+        turns it back into a loop iteration.  One that completes later
+        re-enters the pump from that callback.  Arrivals firing *during* a
+        blocking round trip (the transport's nested virtual-time wait) find
+        the lane busy and only enqueue, so the stack never grows past one
+        request.
         """
         if lane in self._busy:
             return
-        queue = self._service.setdefault(lane, deque())
+        queue = self._service[lane]
         while queue:
             arrival = queue.popleft()
             self._busy.add(lane)
@@ -562,41 +491,35 @@ class FleetDriver:
                 self._complete(arrival)
                 self._drain_backlog(lane)
                 if not state["sync"]:
-                    self._pump_async(lane)
+                    self._pump(lane)
 
-            self._execute_async(arrival, done)
+            self._issue(arrival, done)
             state["sync"] = False
             if not state["done"]:
                 return
 
-    def _execute_async(self, arrival: FleetArrival, done: Callable[[], None]) -> None:
+    def _issue(self, arrival: FleetArrival, done: Callable[[], None]) -> None:
         """Run one arrival, signalling completion through ``done``.
 
-        ENTRY events go through the client's asynchronous submit path;
-        deletions and idle ticks are rare bookkeeping round trips that stay
-        on the blocking path (their latency is charged identically).
+        Several lanes send ENTRY events through the client's asynchronous
+        submit path.  Everything else — a single lane's entries, and the
+        rare deletions and idle ticks of any fleet — completes inside the
+        blocking call (latency is charged identically); even a failing
+        event releases its slot.
         """
         event = arrival.event
-        if event.kind is not EventKind.ENTRY:
+        if not (self._async and event.kind is EventKind.ENTRY):
             try:
                 self._execute(arrival)
             finally:
                 done()
             return
-        stats = self.stats.clients[arrival.client_index].run
-        client = self.clients[arrival.client_index]
 
         def on_receipt(receipt: SubmitReceipt) -> None:
-            stats.entries_submitted += 1
-            if not receipt.ok:
-                stats.entries_rejected += 1
-            elif receipt.sealed:
-                stats.blocks_sealed += 1
-            if self.on_submitted is not None:
-                self.on_submitted(arrival.client_index, arrival.position, event, receipt)
+            self._tally_entry(arrival, receipt)
             done()
 
-        client.submit_async(
+        self.clients[arrival.client_index].submit_async(
             event.data,
             event.author,
             on_receipt=on_receipt,
@@ -649,13 +572,7 @@ class FleetDriver:
                 expires_at_block=event.expires_at_block,
                 seal=self.one_block_per_entry,
             )
-            stats.entries_submitted += 1
-            if not receipt.ok:
-                stats.entries_rejected += 1
-            elif receipt.sealed:
-                stats.blocks_sealed += 1
-            if self.on_submitted is not None:
-                self.on_submitted(arrival.client_index, arrival.position, event, receipt)
+            self._tally_entry(arrival, receipt)
         elif event.kind is EventKind.DELETION:
             assert event.target is not None
             self.request_deletion(
@@ -674,6 +591,16 @@ class FleetDriver:
             if idle_block:
                 stats.idle_blocks += 1
                 stats.blocks_sealed += 1
+
+    def _tally_entry(self, arrival: FleetArrival, receipt: SubmitReceipt) -> None:
+        stats = self.stats.clients[arrival.client_index].run
+        stats.entries_submitted += 1
+        if not receipt.ok:
+            stats.entries_rejected += 1
+        elif receipt.sealed:
+            stats.blocks_sealed += 1
+        if self.on_submitted is not None:
+            self.on_submitted(arrival.client_index, arrival.position, arrival.event, receipt)
 
     def request_deletion(
         self,

@@ -323,6 +323,14 @@ class TestAdversarialScenarios:
         actors = result["report"]["adversary"]["actors"]
         assert actors["byzantine-0"]["blocks_forged"] >= 2
 
+    def test_a_forked_announcement_in_the_buffer_ends_catch_up_typed(self):
+        """At seed 5 the repair's catch-up replays up to a head that a
+        buffered equivocated block does not link to; draining that buffer
+        used to raise ``ChainIntegrityError`` out of the scenario."""
+        result = run_scenario("byzantine-producer", seed=5, smoke=True)
+        assert result["replicas_identical"] is True
+        assert result["report"]["adversary"]["defense"]["forks_repaired"] == 2
+
     def test_forged_erasure_dies_in_three_distinct_layers(self):
         result = run_scenario("forged-erasure", seed=13, smoke=True)
         assert result["legitimate_status"] == "approved"

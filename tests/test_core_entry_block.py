@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.block import Block, BlockType, RedundancyRecord, link_blocks, make_genesis_block
+from repro.core.block import Block, BlockType, RedundancyRecord, make_genesis_block
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.errors import ChainIntegrityError, DeletionError, SchemaError
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
@@ -252,16 +252,6 @@ class TestBlock:
             block_number=2, timestamp=1, previous_hash=genesis.block_hash, block_type=BlockType.SUMMARY
         )
         assert summary.display().startswith("S2;")
-
-    def test_link_blocks_helper(self):
-        blocks = [
-            make_genesis_block(),
-            Block(block_number=1, timestamp=1, previous_hash="xx"),
-            Block(block_number=2, timestamp=2, previous_hash="yy"),
-        ]
-        linked = link_blocks(blocks)
-        assert linked[1].previous_hash == linked[0].block_hash
-        assert linked[2].previous_hash == linked[1].block_hash
 
     def test_redundancy_record_roundtrip(self):
         record = RedundancyRecord(

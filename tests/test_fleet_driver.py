@@ -11,7 +11,8 @@ Three parts, matching the things the fleet engine must get right:
   synthetic blocking service whose round trip costs virtual time: arrivals
   never reorder within a client, the shared in-flight budget is never
   exceeded, ``shed + executed == events_total`` under both overload
-  policies, and an undeclared service lane is refused.
+  policies, budget 0 is one slot that only queues (the closed loop, flat
+  stack at any length), and an undeclared service lane is refused.
 * **Bounded bookkeeping**: the deletion-owner map holds only pending
   deletions.
 
@@ -22,6 +23,7 @@ without signatures or replication.
 
 import math
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,8 +185,11 @@ class BlockingStubClient:
     def __init__(self, kernel: EventKernel, service_ms: float) -> None:
         self.kernel = kernel
         self.service_ms = service_ms
+        #: Virtual time at which each request was issued.
+        self.departures: list[float] = []
 
     def _round_trip(self) -> None:
+        self.departures.append(self.kernel.now)
         self.kernel.run_until(self.kernel.now + self.service_ms)
 
     def submit(self, data, author, *, expires_at_time=None, expires_at_block=None, seal=True):
@@ -320,6 +325,51 @@ class TestOpenLoopScheduling:
         assert stats.shed > 0
         assert stats.backlog_peak == 0
         assert stats.executed + stats.shed == stats.events_total
+
+    def test_budget_zero_is_one_slot_that_queues_and_never_sheds(self):
+        """The closed loop: request k+1 departs at max(its arrival, the
+        completion of k) — under SHED too, which only applies to a budget."""
+        driver, _ = run_stub_fleet(
+            seed=3,
+            n_clients=1,
+            budget=0,
+            policy=FleetPolicy.SHED,
+            service_ms=20.0,
+            mean_gap_ms=25.0,
+            events_per_client=40,
+        )
+        stats = driver.stats
+        assert stats.shed == 0 and stats.executed == stats.events_total == 40
+        assert stats.in_flight_peak == 1 and stats.backlog_peak > 0
+        departures = driver.client.departures
+        assert len(departures) == 40
+        free_at = 0.0
+        waited = 0
+        for arrival, departed in zip(driver.timeline, departures):
+            assert departed == pytest.approx(max(arrival.at_ms, free_at), abs=1e-9)
+            waited += free_at > arrival.at_ms
+            free_at = departed + 20.0
+        assert 0 < waited < 40  # both arms of the max occurred
+
+    def test_a_long_closed_loop_overload_keeps_the_stack_flat(self):
+        """3,000 arrivals 25x faster than the service: all of them fire
+        inside earlier round trips, and none may nest an execution."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            driver, _ = run_stub_fleet(
+                seed=5,
+                n_clients=1,
+                budget=0,
+                policy=FleetPolicy.QUEUE,
+                service_ms=5.0,
+                mean_gap_ms=0.2,
+                events_per_client=3000,
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert driver.stats.executed == 3000
+        assert driver.stats.backlog_peak > 2000
 
     def test_invalid_construction_is_rejected(self):
         kernel = EventKernel(seed=1)

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.crypto.keys import KeyPair
 from repro.network import AnchorNode, ClientNode, InMemoryTransport
-from repro.storage import JournalBlockStore, SnapshotManager, persist_chain
+from repro.storage import JournalBlockStore, SnapshotManager
 from repro.workloads import CoinTransferWorkload, EventKind
 
 
@@ -184,15 +184,15 @@ class TestPersistentDeployment:
 
     def test_journal_tracks_marker_shifts(self, tmp_path):
         store = JournalBlockStore(tmp_path / "chain.journal")
-        chain = Blockchain(ChainConfig.paper_evaluation())
+        chain = Blockchain(ChainConfig.paper_evaluation(), store=store)
         for i in range(10):
             chain.add_entry_block(login("ALPHA", f"#{i}"), "ALPHA")
-            persist_chain(store, chain.blocks)
-            store.truncate_before(chain.genesis_marker)
-        assert len(store) >= chain.length
+        assert chain.genesis_marker > 0
+        assert len(store) == chain.length
         assert store.head().block_number == chain.head.block_number
         store.compact()
         reloaded = JournalBlockStore(tmp_path / "chain.journal")
+        assert len(reloaded) == chain.length
         assert reloaded.head().block_number == chain.head.block_number
 
 

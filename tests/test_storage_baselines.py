@@ -18,7 +18,6 @@ from repro.storage import (
     MemoryBlockStore,
     SnapshotManager,
     load_snapshot,
-    persist_chain,
     save_snapshot,
 )
 
@@ -61,16 +60,6 @@ class TestMemoryStore:
         removed = store.truncate_before(chain.blocks[2].block_number)
         assert removed == 2
         assert len(store) == chain.length - 2
-
-    def test_persist_chain_helper(self):
-        chain = build_chain(2)
-        store = MemoryBlockStore()
-        added = persist_chain(store, chain.blocks)
-        assert added == chain.length
-        chain.add_entry_block({"D": "x", "K": "A", "S": "s"}, "A")
-        added_again = persist_chain(store, chain.blocks)
-        assert added_again >= 1
-        assert store.head().block_number == chain.head.block_number
 
 
 class TestJournalStore:
