@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md §6.
+"""Ablations of the design choices the paper leaves open.
 
 Three sweeps:
 

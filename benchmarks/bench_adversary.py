@@ -19,28 +19,20 @@ Expected shape: the zero-adversary baseline converges on residual honest
 gossip alone with zero forged blocks, and convergence time grows
 monotonically with the adversary fraction (each extra attacker adds a
 staggered equivocation round that must be detected and repaired).  The
-measured trajectory is written to ``BENCH_adversary.json``.
-
-Fractions can be overridden for smoke runs:
-``BENCH_ADVERSARY_FRACTIONS=0.0,0.25 pytest benchmarks/bench_adversary.py``.
+measured trajectory is ``BENCH_adversary.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 from repro.adversary import EquivocatingProducer
 from repro.core import ChainConfig
 from repro.network import EventKernel, LatencyModel, NetworkSimulator
 from repro.network.message import reset_message_counter
 
-DEFAULT_FRACTIONS = (0.0, 0.125, 0.25, 0.375)
-#: Full-spread runs refresh the committed trajectory; overridden fractions
-#: (CI smoke, local experiments) write a gitignored .local file instead.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_adversary.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+
+FULL = (0.0, 0.125, 0.25, 0.375)
+SMOKE = (0.0, 0.125, 0.25)
 
 ANCHORS = 8
 ENTRIES = 6
@@ -58,13 +50,6 @@ SEED = 11
 #: Fixed per-hop latency keeps the virtual-time numbers interpretable as
 #: "hops x 10 ms".
 HOP_MS = 10.0
-
-
-def bench_fractions() -> list[float]:
-    raw = os.environ.get("BENCH_ADVERSARY_FRACTIONS", "")
-    if raw:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    return list(DEFAULT_FRACTIONS)
 
 
 def measure(fraction: float) -> dict[str, float]:
@@ -133,57 +118,31 @@ def measure(fraction: float) -> dict[str, float]:
     }
 
 
+SWEEP = sweep.Sweep(
+    "bench_adversary", "BENCH_adversary.json", "virtual",
+    config={
+        "anchors": ANCHORS,
+        "attack_at_ms": ATTACK_AT_MS,
+        "attack_stagger_ms": ATTACK_STAGGER_MS,
+        "hop_ms": HOP_MS,
+        "probe_interval_ms": PROBE_INTERVAL_MS,
+        "seed": SEED,
+    },
+    axes=(sweep.Axis("fractions", "trajectory", FULL, SMOKE, measure),),
+)
+
+
 def test_convergence_vs_adversary_fraction():
-    fractions = bench_fractions()
-    trajectory: dict[float, dict[str, float]] = {}
-    for fraction in fractions:
-        trajectory[fraction] = measure(fraction)
-
-    output_path = OUTPUT_PATH if fractions == list(DEFAULT_FRACTIONS) else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_adversary",
-                "config": {
-                    "anchors": ANCHORS,
-                    "attack_at_ms": ATTACK_AT_MS,
-                    "attack_stagger_ms": ATTACK_STAGGER_MS,
-                    "hop_ms": HOP_MS,
-                    "probe_interval_ms": PROBE_INTERVAL_MS,
-                    "seed": SEED,
-                },
-                "fractions": fractions,
-                "trajectory": {str(fraction): trajectory[fraction] for fraction in fractions},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print()
-    print(f"{'fraction':>9} {'attackers':>10} {'converge ms':>12} {'repaired':>9} {'forged':>7}")
-    for fraction in fractions:
-        row = trajectory[fraction]
-        print(
-            f"{fraction:>9.3f} {row['adversaries']:>10.0f} {row['convergence_ms']:>12.2f} "
-            f"{row['replicas_repaired']:>9.0f} {row['blocks_forged']:>7.0f}"
-        )
+    trajectory = sweep.run(SWEEP).rows["trajectory"]
 
     # The benign baseline needs no forced repairs beyond residual catch-up
-    # and forges nothing, at any spread.
-    if 0.0 in trajectory:
-        assert trajectory[0.0]["blocks_forged"] == 0
-        assert trajectory[0.0]["victims_accepted"] == 0
-
-    if len(fractions) < 3 or 0.0 not in fractions:
-        return  # smoke run: shape assertions need the real fraction spread
+    # and forges nothing.
+    assert trajectory[0.0]["blocks_forged"] == 0
+    assert trajectory[0.0]["victims_accepted"] == 0
 
     # Every attacker forged its two conflicting variants and placed at least
     # one of them on a victim replica.
-    for fraction in fractions:
-        row = trajectory[fraction]
+    for row in trajectory.values():
         assert row["blocks_forged"] == 2 * row["adversaries"]
         if row["adversaries"]:
             assert row["victims_accepted"] >= row["adversaries"]
@@ -191,6 +150,6 @@ def test_convergence_vs_adversary_fraction():
     # Convergence time grows monotonically with the adversary fraction:
     # each extra attacker adds a staggered round that must be detected and
     # repaired before the quorum is byte-identical again.
-    ordered = [trajectory[fraction]["convergence_ms"] for fraction in sorted(fractions)]
+    ordered = [row["convergence_ms"] for row in trajectory.values()]
     assert ordered == sorted(ordered), f"convergence time not monotone: {ordered}"
     assert ordered[-1] > ordered[0], "adversaries did not cost any convergence time"

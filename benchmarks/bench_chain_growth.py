@@ -16,8 +16,6 @@ from repro.baselines import ImmutableChain
 from repro.core import Blockchain, ChainConfig
 from repro.workloads import LoginAuditWorkload, replay
 
-from conftest import login
-
 EVENT_COUNTS = [100, 400]
 
 

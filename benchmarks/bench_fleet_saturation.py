@@ -17,26 +17,21 @@ backlog charges every waiting millisecond to the request).  The knee
 detector pins where the transition happens: the first N whose p50 exceeds
 ``KNEE_P50_INFLATION`` times the baseline (smallest-N) p50.
 
-The measured trajectory is written to ``BENCH_fleet.json``.  Fleet sizes
-can be overridden for smoke runs (writes a gitignored .local file):
-``BENCH_FLEET_SIZES=4,8 pytest benchmarks/bench_fleet_saturation.py``.
+The measured trajectory is ``BENCH_fleet.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.network.scenarios import run_scenario
 from repro.workloads import has_samples
 
-DEFAULT_FLEET_SIZES = (10, 30, 100, 300, 1000, 3000, 10000)
-#: Full-size runs refresh the committed trajectory; overridden sizes (CI
-#: smoke, local experiments) write a gitignored .local file instead.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+
+FULL = (10, 30, 100, 300, 1000, 3000, 10000)
+#: Up to the knee row: the regime change is what a refactor would move.
+SMOKE = (10, 30, 100, 300)
 
 SEED = 7
 EVENTS_PER_CLIENT = 3
@@ -52,26 +47,18 @@ POLICY = "queue"
 #: The knee criterion: p50 this many times the unloaded baseline p50 means
 #: requests spend their life in the backlog, not in the transport.
 KNEE_P50_INFLATION = 10.0
-
-
-def fleet_sizes() -> list[int]:
-    raw = os.environ.get("BENCH_FLEET_SIZES", "")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    return list(DEFAULT_FLEET_SIZES)
+#: What every point of the sweep runs, and the committed file's ``config``.
+PARAMETERS = {
+    "seed": SEED,
+    "events_per_client": EVENTS_PER_CLIENT,
+    "mean_gap_ms": MEAN_GAP_MS,
+    "in_flight_budget": IN_FLIGHT_BUDGET,
+    "overload_policy": POLICY,
+}
 
 
 def measure(n_clients: int) -> dict[str, float]:
-    result = run_scenario(
-        "fleet-saturation",
-        seed=SEED,
-        n_clients=n_clients,
-        events_per_client=EVENTS_PER_CLIENT,
-        mean_gap_ms=MEAN_GAP_MS,
-        in_flight_budget=IN_FLIGHT_BUDGET,
-        overload_policy=POLICY,
-        settle_ms=200.0,
-    )
+    result = run_scenario("fleet-saturation", n_clients=n_clients, settle_ms=200.0, **PARAMETERS)
     assert result["replicas_identical"] is True, (
         f"fleet-saturation did not converge at n_clients={n_clients}"
     )
@@ -106,7 +93,7 @@ def detect_knee(rows: list[dict[str, float]]) -> dict[str, Any]:
     the knee is the first N whose p50 exceeds ``KNEE_P50_INFLATION`` times
     that baseline.  Returns the knee row's N, the last below-knee N, and the
     inflation factors — or ``detected: False`` when the sweep never
-    saturates (smoke runs with tiny fleets).
+    saturates.
 
     Empty windows gate on the sample count first: a row whose fleet
     completed zero requests reports percentiles of 0.0
@@ -142,73 +129,30 @@ def detect_knee(rows: list[dict[str, float]]) -> dict[str, Any]:
     return knee
 
 
+SWEEP = sweep.Sweep(
+    "bench_fleet_saturation", "BENCH_fleet.json", "virtual",
+    config={"scenario": "fleet-saturation", **PARAMETERS},
+    axes=(sweep.Axis("fleet_sizes", "trajectory", FULL, SMOKE, measure),),
+    summarise=lambda rows: {"knee": detect_knee(list(rows["trajectory"].values()))},
+)
+
+
 def test_fleet_saturation_knee_shape():
-    sizes = fleet_sizes()
-    rows = [measure(n) for n in sizes]
-    knee = detect_knee(rows)
+    run = sweep.run(SWEEP)
+    rows = list(run.rows["trajectory"].values())
+    knee = run.summary["knee"]
 
-    output_path = OUTPUT_PATH if sizes == list(DEFAULT_FLEET_SIZES) else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_fleet_saturation",
-                "config": {
-                    "scenario": "fleet-saturation",
-                    "seed": SEED,
-                    "events_per_client": EVENTS_PER_CLIENT,
-                    "mean_gap_ms": MEAN_GAP_MS,
-                    "in_flight_budget": IN_FLIGHT_BUDGET,
-                    "overload_policy": POLICY,
-                },
-                "fleet_sizes": sizes,
-                "trajectory": {str(int(row["n_clients"])): row for row in rows},
-                "knee": knee,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print()
-    print(
-        f"{'clients':>8} {'offered/s':>10} {'tput/s':>8} {'p50 ms':>10} "
-        f"{'p95 ms':>10} {'p99 ms':>10} {'shed':>6}"
-    )
-    for row in rows:
-        print(
-            f"{row['n_clients']:>8.0f} {row['offered_load_per_s']:>10.1f} "
-            f"{row['throughput_per_s']:>8.1f} {row['request_p50_ms']:>10.1f} "
-            f"{row['request_p95_ms']:>10.1f} {row['request_p99_ms']:>10.1f} "
-            f"{row['shed']:>6.0f}"
-        )
-    if knee["detected"]:
-        print(
-            f"knee at N={knee['knee_clients']} "
-            f"(p50 inflation {knee['p50_inflation_at_knee']:.0f}x)"
-        )
-
-    # The output shape holds at any sweep size.
-    assert set(knee) == {
-        "criterion",
-        "baseline_p50_ms",
-        "detected",
-        "knee_clients",
-        "last_unsaturated_clients",
-        "p50_inflation_at_knee",
-    }
     for row in rows:
         assert row["executed"] + row["shed"] == row["events_total"]
         assert row["request_p50_ms"] <= row["request_p95_ms"] <= row["request_p99_ms"]
 
-    if sizes[-1] / sizes[0] < 100:
-        return  # smoke run: the saturation shape needs a real size spread
+    if not run.full:
+        return  # the saturation shape needs the whole size spread
 
     # The knee lies strictly inside the sweep: the smallest fleet is
     # unsaturated, the largest is far past saturation.
     assert knee["detected"], "no saturation knee found across a 1000x size sweep"
-    assert sizes[0] < knee["knee_clients"] <= sizes[-1]
+    assert FULL[0] < knee["knee_clients"] <= FULL[-1]
     assert knee["last_unsaturated_clients"] is not None
 
     # Past the knee, throughput has plateaued at the service rate: growing

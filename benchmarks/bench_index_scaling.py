@@ -18,42 +18,27 @@ for the indexed implementation, next to the retained legacy linear-scan
 reference implementations (:func:`repro.core.index.legacy_find_entry`,
 :func:`repro.core.index.legacy_aggregates`).  Expected shape: the indexed numbers
 stay flat (within 3×) across a 100× size spread while the legacy scans grow
-roughly linearly.  The measured trajectory is written to ``BENCH_index.json``
-in the repository root.
-
-Sizes can be overridden for smoke runs:
-``BENCH_INDEX_SIZES=100,300 pytest benchmarks/bench_index_scaling.py``.
+roughly linearly.  The measured trajectory is ``BENCH_index.json`` — the one
+wall-clock file behind :mod:`sweep`, so a smoke run checks its keys only.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro.core import Blockchain, ChainConfig, EntryReference
 from repro.core.index import legacy_aggregates, legacy_find_entry
 
-DEFAULT_SIZES = (100, 1_000, 10_000)
-#: Full-size runs refresh the committed trajectory; runs with overridden
-#: sizes (CI smoke, local experiments) write a gitignored .local file so the
-#: official 100/1k/10k numbers are never clobbered by a smoke run.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_index.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+
+FULL = (100, 1_000, 10_000)
+SMOKE = (100,)
 
 #: Ratio bound for the O(1) paths across the full size spread (acceptance
 #: criterion: "roughly flat (within 3×) from chain length 100 -> 10k").
 FLAT_RATIO = 3.0
 #: Minimum growth the legacy linear scans must show across a >=10x spread.
 LINEAR_RATIO = 5.0
-
-
-def bench_sizes() -> list[int]:
-    raw = os.environ.get("BENCH_INDEX_SIZES", "")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    return list(DEFAULT_SIZES)
 
 
 def build_unbounded_chain(num_blocks: int) -> Blockchain:
@@ -77,7 +62,8 @@ def time_per_op(fn, *, repeat: int, batches: int = 5) -> float:
     return best / repeat * 1e6
 
 
-def measure(chain: Blockchain) -> dict[str, float]:
+def measure(size: int) -> dict[str, float]:
+    chain = build_unbounded_chain(size)
     blocks = chain.blocks
     marker = chain.genesis_marker
     sequence_length = chain.config.sequence_length
@@ -122,41 +108,21 @@ def measure(chain: Blockchain) -> dict[str, float]:
     return results
 
 
+SWEEP = sweep.Sweep(
+    "bench_index_scaling", "BENCH_index.json", "wall",
+    config={"sequence_length": 3, "retention": None},
+    axes=(sweep.Axis("sizes", "trajectory", FULL, SMOKE, measure),),
+    summarise=lambda rows: {"flat_ratio_bound": FLAT_RATIO},
+)
+
+
 def test_index_scaling_flat_vs_linear():
-    sizes = bench_sizes()
-    trajectory: dict[int, dict[str, float]] = {}
-    for size in sizes:
-        chain = build_unbounded_chain(size)
-        trajectory[size] = measure(chain)
-
-    output_path = OUTPUT_PATH if sizes == list(DEFAULT_SIZES) else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_index_scaling",
-                "config": {"sequence_length": 3, "retention": None},
-                "sizes": sizes,
-                "flat_ratio_bound": FLAT_RATIO,
-                "trajectory": {str(size): trajectory[size] for size in sizes},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print()
-    header = f"{'blocks':>8} " + " ".join(f"{key:>22}" for key in trajectory[sizes[0]])
-    print(header)
-    for size in sizes:
-        row = trajectory[size]
-        print(f"{size:>8} " + " ".join(f"{row[key]:>22.2f}" for key in row))
-
-    smallest, largest = sizes[0], sizes[-1]
+    run = sweep.run(SWEEP)
+    if not run.full:
+        return  # the scaling shape needs the whole size spread
+    trajectory = run.rows["trajectory"]
+    smallest, largest = FULL[0], FULL[-1]
     spread = largest / smallest
-    if spread < 10:
-        return  # smoke run: shape assertions need a real size spread
 
     for key in ("find_hit_us", "find_miss_us", "statistics_us", "seal_us"):
         ratio = trajectory[largest][key] / trajectory[smallest][key]

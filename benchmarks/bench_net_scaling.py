@@ -15,17 +15,10 @@ once with gossip over a random-regular overlay (each node floods its ≤
 ``DEGREE`` neighbours).  Expected shape: the producer's egress per block
 grows linearly with the quorum under broadcast but stays flat under gossip,
 and gossip's dissemination time grows markedly slower across the size
-spread.  The measured trajectory is written to ``BENCH_net.json``.
-
-Sizes can be overridden for smoke runs:
-``BENCH_NET_SIZES=4,6 pytest benchmarks/bench_net_scaling.py``.
+spread.  The measured trajectory is ``BENCH_net.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 from repro.core import ChainConfig
 from repro.network import (
@@ -38,11 +31,10 @@ from repro.network import (
 )
 from repro.network.message import reset_message_counter
 
-DEFAULT_SIZES = (4, 8, 16, 32)
-#: Full-size runs refresh the committed trajectory; overridden sizes (CI
-#: smoke, local experiments) write a gitignored .local file instead.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_net.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+
+FULL = (4, 8, 16, 32)
+SMOKE = (4, 8)
 
 BLOCKS_PER_RUN = 3
 #: Overlay degree: every node floods all its neighbours (fanout == degree),
@@ -52,13 +44,6 @@ SEED = 7
 #: Fixed per-hop latency keeps the virtual-time numbers interpretable as
 #: "hops x 10 ms".
 HOP_MS = 10.0
-
-
-def bench_sizes() -> list[int]:
-    raw = os.environ.get("BENCH_NET_SIZES", "")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    return list(DEFAULT_SIZES)
 
 
 def build_deployment(anchors: int, *, gossip: bool) -> NetworkSimulator:
@@ -79,7 +64,7 @@ def build_deployment(anchors: int, *, gossip: bool) -> NetworkSimulator:
     return simulator
 
 
-def measure(anchors: int, *, gossip: bool) -> dict[str, float]:
+def measure_mode(anchors: int, *, gossip: bool) -> dict[str, float]:
     reset_message_counter()
     simulator = build_deployment(anchors, gossip=gossip)
     kernel = simulator.kernel
@@ -113,59 +98,40 @@ def measure(anchors: int, *, gossip: bool) -> dict[str, float]:
     }
 
 
+def measure(anchors: int) -> dict[str, dict[str, float]]:
+    return {
+        "gossip": measure_mode(anchors, gossip=True),
+        "broadcast": measure_mode(anchors, gossip=False),
+    }
+
+
+SWEEP = sweep.Sweep(
+    "bench_net_scaling", "BENCH_net.json", "virtual",
+    config={
+        "blocks_per_run": BLOCKS_PER_RUN,
+        "overlay_degree": DEGREE,
+        "hop_ms": HOP_MS,
+        "seed": SEED,
+    },
+    axes=(sweep.Axis("sizes", "trajectory", FULL, SMOKE, measure),),
+)
+
+
 def test_net_scaling_gossip_vs_broadcast():
-    sizes = bench_sizes()
-    trajectory: dict[int, dict[str, dict[str, float]]] = {}
-    for size in sizes:
-        trajectory[size] = {
-            "gossip": measure(size, gossip=True),
-            "broadcast": measure(size, gossip=False),
-        }
+    run = sweep.run(SWEEP)
+    trajectory = run.rows["trajectory"]
+    sizes = list(trajectory)
 
-    output_path = OUTPUT_PATH if sizes == list(DEFAULT_SIZES) else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_net_scaling",
-                "config": {
-                    "blocks_per_run": BLOCKS_PER_RUN,
-                    "overlay_degree": DEGREE,
-                    "hop_ms": HOP_MS,
-                    "seed": SEED,
-                },
-                "sizes": sizes,
-                "trajectory": {str(size): trajectory[size] for size in sizes},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print()
-    print(f"{'anchors':>8} {'mode':>10} {'ms/block':>12} {'producer tx':>12} {'delivered':>10}")
     for size in sizes:
-        for mode in ("gossip", "broadcast"):
-            row = trajectory[size][mode]
-            print(
-                f"{size:>8} {mode:>10} {row['dissemination_ms_per_block']:>12.2f} "
-                f"{row['producer_announcements_per_block']:>12.1f} "
-                f"{row['delivered_messages']:>10.0f}"
-            )
-
-    smallest, largest = sizes[0], sizes[-1]
-    # Broadcast egress is structural: the producer contacts every peer.
-    for size in sizes:
+        # Broadcast egress is structural: the producer contacts every peer.
         assert trajectory[size]["broadcast"]["producer_announcements_per_block"] == size - 1
-
-    if largest / smallest < 4:
-        return  # smoke run: shape assertions need a real size spread
-
-    # Gossip bounds the producer's egress by the overlay degree, no matter
-    # how large the quorum grows.
-    for size in sizes:
+        # Gossip bounds the producer's egress by the overlay degree, no
+        # matter how large the quorum grows.
         assert trajectory[size]["gossip"]["producer_announcements_per_block"] <= 2 * DEGREE
+
+    if not run.full:
+        return  # the scaling shape needs the whole size spread
+    smallest, largest = sizes[0], sizes[-1]
 
     # Dissemination time: gossip must scale markedly better than broadcast
     # across the size spread (hop-parallel flood vs. sequential fan-out).

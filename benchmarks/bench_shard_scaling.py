@@ -28,26 +28,22 @@ Three pins ride along, re-proved on every refresh:
   single-producer service rate measured in the same sweep.
 * **Determinism** — the same (seed, K) replays byte-identically.
 
-The measured trajectory is written to ``BENCH_shard.json``.  Shard
-counts can be overridden for smoke runs (writes a gitignored .local
-file): ``BENCH_SHARD_KS=1,2 pytest benchmarks/bench_shard_scaling.py``.
+The measured trajectory is ``BENCH_shard.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import os
-from pathlib import Path
 from typing import Any
 
 from repro.network.scenarios import run_scenario
 from repro.workloads import has_samples
 
-DEFAULT_SHARD_KS = (1, 2, 4, 8)
-#: Full-size runs refresh the committed trajectory; overridden K lists
-#: (CI smoke, local experiments) write a gitignored .local file instead.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+
+FULL = (1, 2, 4, 8)
+SMOKE = (1, 2)
 
 SEED = 7
 #: 120 clients at a 100 ms mean gap offer ~1200 req/s — far past the
@@ -65,29 +61,25 @@ ERASE_AUTHORS = 0
 #: K=4 must deliver at least this multiple of the measured K=1 service
 #: rate — the issue's "3x the ~47 req/s single-producer knee" bar.
 REQUIRED_K4_SPEEDUP = 3.0
+#: The fleet every scenario run of this file drives (``fleet-saturation``'s
+#: parameters too), and the committed file's ``config``.
+FLEET = {
+    "seed": SEED,
+    "n_clients": N_CLIENTS,
+    "events_per_client": EVENTS_PER_CLIENT,
+    "mean_gap_ms": MEAN_GAP_MS,
+    "in_flight_budget": IN_FLIGHT_BUDGET,
+    "overload_policy": POLICY,
+}
 
 
-def shard_counts() -> list[int]:
-    raw = os.environ.get("BENCH_SHARD_KS", "")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    return list(DEFAULT_SHARD_KS)
+def sharded_fleet(shards: int) -> dict[str, Any]:
+    return run_scenario("sharded-fleet", shards=shards, erase_authors=ERASE_AUTHORS, **FLEET)
 
 
-def sweep_overrides(shards: int) -> dict[str, Any]:
-    return {
-        "shards": shards,
-        "n_clients": N_CLIENTS,
-        "events_per_client": EVENTS_PER_CLIENT,
-        "mean_gap_ms": MEAN_GAP_MS,
-        "in_flight_budget": IN_FLIGHT_BUDGET,
-        "overload_policy": POLICY,
-        "erase_authors": ERASE_AUTHORS,
-    }
-
-
-def measure(shards: int) -> dict[str, Any]:
-    result = run_scenario("sharded-fleet", seed=SEED, **sweep_overrides(shards))
+@functools.cache
+def fleet_row(shards: int) -> dict[str, Any]:
+    result = sharded_fleet(shards)
     assert result["replicas_identical"] is True, (
         f"sharded-fleet did not converge at shards={shards}"
     )
@@ -114,6 +106,13 @@ def measure(shards: int) -> dict[str, Any]:
     }
 
 
+def measure(shards: int) -> dict[str, Any]:
+    """The fleet row plus its speedup over the K=1 row (the axis's first)."""
+    row = fleet_row(shards)
+    speedup = row["throughput_per_s"] / fleet_row(1)["throughput_per_s"]
+    return {**row, "speedup_vs_k1": round(speedup, 6)}
+
+
 def canonical(section: Any) -> str:
     return json.dumps(section, sort_keys=True)
 
@@ -128,12 +127,8 @@ def single_deployment_parity() -> dict[str, Any]:
     which is honestly larger under sharding because tenant-prefixed
     author strings (``T000:alice``) cost more on the wire.
     """
-    overrides = {
-        key: value for key, value in sweep_overrides(1).items() if key != "shards"
-    }
-    del overrides["erase_authors"]
-    baseline = run_scenario("fleet-saturation", seed=SEED, **overrides)
-    sharded = run_scenario("sharded-fleet", seed=SEED, **sweep_overrides(1))
+    baseline = run_scenario("fleet-saturation", **FLEET)
+    sharded = sharded_fleet(1)
     base_transport = dict(baseline["report"]["transport"])
     shard_transport = dict(sharded["report"]["transport"])
     base_bytes = base_transport.pop("bytes_transferred")
@@ -157,9 +152,7 @@ def single_deployment_parity() -> dict[str, Any]:
 
 def replay_determinism(shards: int) -> bool:
     """The same (seed, K) must replay byte-identically end to end."""
-    first = run_scenario("sharded-fleet", seed=SEED, **sweep_overrides(shards))
-    second = run_scenario("sharded-fleet", seed=SEED, **sweep_overrides(shards))
-    return canonical(first) == canonical(second)
+    return canonical(sharded_fleet(shards)) == canonical(sharded_fleet(shards))
 
 
 def erasure_fanout(shards: int) -> dict[str, Any]:
@@ -184,74 +177,40 @@ def erasure_fanout(shards: int) -> dict[str, Any]:
     }
 
 
+def summarise(rows: dict[str, dict[int, dict[str, Any]]]) -> dict[str, Any]:
+    ks = list(rows["trajectory"])
+    return {
+        "single_deployment_parity": single_deployment_parity(),
+        "replay_determinism": {
+            "shards": ks[1],
+            "seed": SEED,
+            "byte_identical": replay_determinism(ks[1]),
+        },
+        "cross_shard_erasure": erasure_fanout(max(ks)),
+    }
+
+
+SWEEP = sweep.Sweep(
+    "bench_shard_scaling", "BENCH_shard.json", "virtual",
+    config={"scenario": "sharded-fleet", "required_k4_speedup": REQUIRED_K4_SPEEDUP, **FLEET},
+    axes=(sweep.Axis("shard_counts", "trajectory", FULL, SMOKE, measure),),
+    summarise=summarise,
+)
+
+
 def test_shard_scaling_breaks_the_single_producer_knee():
-    ks = shard_counts()
-    rows = [measure(k) for k in ks]
-    parity = single_deployment_parity()
-    determinism_k = ks[min(1, len(ks) - 1)]
-    deterministic = replay_determinism(determinism_k)
-    fanout = erasure_fanout(max(ks))
-
-    baseline = next((row for row in rows if row["shards"] == 1), rows[0])
-    for row in rows:
-        row["speedup_vs_k1"] = (
-            round(row["throughput_per_s"] / baseline["throughput_per_s"], 6)
-            if baseline["throughput_per_s"] > 0
-            else None
-        )
-
-    output_path = OUTPUT_PATH if ks == list(DEFAULT_SHARD_KS) else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_shard_scaling",
-                "config": {
-                    "scenario": "sharded-fleet",
-                    "seed": SEED,
-                    "n_clients": N_CLIENTS,
-                    "events_per_client": EVENTS_PER_CLIENT,
-                    "mean_gap_ms": MEAN_GAP_MS,
-                    "in_flight_budget": IN_FLIGHT_BUDGET,
-                    "overload_policy": POLICY,
-                    "required_k4_speedup": REQUIRED_K4_SPEEDUP,
-                },
-                "shard_counts": ks,
-                "trajectory": {str(row["shards"]): row for row in rows},
-                "single_deployment_parity": parity,
-                "replay_determinism": {
-                    "shards": determinism_k,
-                    "seed": SEED,
-                    "byte_identical": deterministic,
-                },
-                "cross_shard_erasure": fanout,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print()
-    print(
-        f"{'K':>4} {'offered/s':>10} {'tput/s':>8} {'speedup':>8} "
-        f"{'req p50 ms':>11} {'svc p50 ms':>11} {'shed':>6}"
-    )
-    for row in rows:
-        service_p50 = row["service_p50_ms"]
-        print(
-            f"{row['shards']:>4d} {row['offered_load_per_s']:>10.1f} "
-            f"{row['throughput_per_s']:>8.2f} {row['speedup_vs_k1']:>8.2f} "
-            f"{row['request_p50_ms']:>11.1f} "
-            f"{(service_p50 if service_p50 is not None else 0.0):>11.1f} "
-            f"{row['shed']:>6.0f}"
-        )
+    run = sweep.run(SWEEP)
+    rows = list(run.rows["trajectory"].values())
+    parity = run.summary["single_deployment_parity"]
+    determinism = run.summary["replay_determinism"]
 
     # The spec anchors hold at any sweep size.
     assert parity["workloads_identical"], "K=1 workload stats diverge from fleet-saturation"
     assert parity["kernel_identical"], "K=1 kernel stats diverge from fleet-saturation"
     assert parity["transport_identical_modulo_bytes"]
-    assert deterministic, f"sharded-fleet replay diverged at shards={determinism_k}"
+    assert determinism["byte_identical"], (
+        f"sharded-fleet replay diverged at shards={determinism['shards']}"
+    )
     for row in rows:
         assert row["executed"] + row["shed"] == float(N_CLIENTS * EVENTS_PER_CLIENT)
         assert len(row["submitted_per_shard"]) == row["shards"]
@@ -259,8 +218,8 @@ def test_shard_scaling_breaks_the_single_producer_knee():
             # The author hash spreads the fleet: no shard sits idle.
             assert all(count > 0 for count in row["submitted_per_shard"])
 
-    if ks != list(DEFAULT_SHARD_KS):
-        return  # smoke run: the scaling shape needs the full K spread
+    if not run.full:
+        return  # the scaling shape needs the whole K spread
 
     # Throughput grows monotonically with K at fixed offered load...
     throughputs = [row["throughput_per_s"] for row in rows]

@@ -17,18 +17,10 @@ Two questions decide whether the sync subsystem scales:
    across the sweep's spread).
 
 Both measurements are deterministic (virtual time, seeded randomness); the
-trajectory is written to ``BENCH_sync.json``.  Sizes can be overridden for
-smoke runs::
-
-    BENCH_SYNC_AGES=20,40 BENCH_SYNC_FANOUTS=1,2 \
-        pytest benchmarks/bench_sync.py
+trajectory is ``BENCH_sync.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 from repro.core import Blockchain, ChainConfig
 from repro.network import (
@@ -43,12 +35,13 @@ from repro.network import (
 )
 from repro.network.message import reset_message_counter
 
-DEFAULT_AGES = (40, 80, 160, 320)
-DEFAULT_FANOUTS = (1, 2, 4)
-#: Full-size runs refresh the committed trajectory; overridden sizes (CI
-#: smoke, local experiments) write a gitignored .local file instead.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sync.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+from conftest import login
+
+FULL_AGES = (40, 80, 160, 320)
+SMOKE_AGES = (40, 80)
+FULL_FANOUTS = (1, 2, 4)
+SMOKE_FANOUTS = (1, 2)
 
 SEED = 7
 ANCHORS = 9
@@ -56,17 +49,6 @@ OVERLAY_DEGREE = 4
 STRAGGLERS = 3
 ROUND_MS = 50.0
 MAX_ROUNDS = 80
-
-
-def _env_sizes(name: str, default: tuple[int, ...]) -> list[int]:
-    raw = os.environ.get(name, "")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    return list(default)
-
-
-def login(index: int) -> dict[str, str]:
-    return {"D": f"Login ALPHA #{index}", "K": "ALPHA", "S": "sig_ALPHA"}
 
 
 # --------------------------------------------------------------------- #
@@ -86,7 +68,7 @@ def age_chain(config: ChainConfig, events: int) -> Blockchain:
     chain = Blockchain(config)
     for index in range(events):
         chain.add_entry_block(
-            login(index),
+            login("ALPHA", f"#{index}"),
             "ALPHA",
             expires_at_block=chain.head.block_number + ENTRY_TTL_BLOCKS,
         )
@@ -152,7 +134,7 @@ def measure_convergence_rounds(fanout: int) -> dict[str, float]:
     for node_id in stragglers:
         simulator.take_offline(node_id)
     for index in range(10):
-        simulator.submit_entry("ALPHA", login(index), anchor_id=simulator.producer_id)
+        simulator.submit_entry("ALPHA", login("ALPHA", f"#{index}"), anchor_id=simulator.producer_id)
     kernel.run()  # drain the live gossip among the online replicas
     for node_id in stragglers:
         simulator.bring_online(node_id)
@@ -179,78 +161,47 @@ def measure_convergence_rounds(fanout: int) -> dict[str, float]:
 # --------------------------------------------------------------------- #
 
 
+SWEEP = sweep.Sweep(
+    "bench_sync", "BENCH_sync.json", "virtual",
+    config={
+        "seed": SEED,
+        "anchors": ANCHORS,
+        "overlay_degree": OVERLAY_DEGREE,
+        "stragglers": STRAGGLERS,
+        "round_ms": ROUND_MS,
+    },
+    axes=(
+        sweep.Axis("ages", "bootstrap", FULL_AGES, SMOKE_AGES, measure_bootstrap),
+        sweep.Axis("fanouts", "convergence", FULL_FANOUTS, SMOKE_FANOUTS, measure_convergence_rounds),
+    ),
+)
+
+
 def test_sync_scaling_bootstrap_flat_replay_linear():
-    ages = _env_sizes("BENCH_SYNC_AGES", DEFAULT_AGES)
-    fanouts = _env_sizes("BENCH_SYNC_FANOUTS", DEFAULT_FANOUTS)
-    bootstrap = {age: measure_bootstrap(age) for age in ages}
-    convergence = {fanout: measure_convergence_rounds(fanout) for fanout in fanouts}
+    run = sweep.run(SWEEP)
+    bootstrap, convergence = run.rows["bootstrap"], run.rows["convergence"]
 
-    default_sizes = ages == list(DEFAULT_AGES) and fanouts == list(DEFAULT_FANOUTS)
-    output_path = OUTPUT_PATH if default_sizes else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_sync",
-                "config": {
-                    "seed": SEED,
-                    "anchors": ANCHORS,
-                    "overlay_degree": OVERLAY_DEGREE,
-                    "stragglers": STRAGGLERS,
-                    "round_ms": ROUND_MS,
-                },
-                "ages": ages,
-                "bootstrap": {str(age): bootstrap[age] for age in ages},
-                "fanouts": fanouts,
-                "convergence": {str(fanout): convergence[fanout] for fanout in fanouts},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    # More beacons per round must never slow convergence down.
+    rounds = [row["rounds_to_convergence"] for row in convergence.values()]
+    assert rounds[-1] <= rounds[0]
+
+    if not run.full:
+        return  # flat vs. linear needs the whole age spread
+    smallest, largest = FULL_AGES[0], FULL_AGES[-1]
+    # Retention bounds the living chain, so the snapshot on the wire must
+    # stay flat across the age spread ...
+    snapshot_growth = (
+        bootstrap[largest]["snapshot_wire_bytes"] / bootstrap[smallest]["snapshot_wire_bytes"]
     )
-
-    print()
-    print(f"{'age':>6} {'living':>7} {'created':>8} {'snapshot B':>11} {'replay B':>10}")
-    for age in ages:
-        row = bootstrap[age]
-        print(
-            f"{age:>6} {row['living_blocks']:>7.0f} {row['total_blocks_created']:>8.0f} "
-            f"{row['snapshot_wire_bytes']:>11.0f} {row['replay_bytes']:>10.0f}"
-        )
-    print(f"{'fanout':>6} {'rounds':>7} {'digests':>8}")
-    for fanout in fanouts:
-        row = convergence[fanout]
-        print(f"{fanout:>6} {row['rounds_to_convergence']:>7.0f} {row['digests_posted']:>8.0f}")
-
-    smallest, largest = ages[0], ages[-1]
-    if largest / smallest >= 4:
-        # Retention bounds the living chain, so the snapshot on the wire
-        # must stay flat across the age spread ...
-        snapshot_growth = (
-            bootstrap[largest]["snapshot_wire_bytes"]
-            / bootstrap[smallest]["snapshot_wire_bytes"]
-        )
-        assert snapshot_growth < 3.0, (
-            f"snapshot bootstrap grew {snapshot_growth:.2f}x across a "
-            f"{largest // smallest}x age spread — not flat"
-        )
-        # ... while full-history replay tracks the age almost proportionally.
-        replay_growth = (
-            bootstrap[largest]["replay_bytes"] / bootstrap[smallest]["replay_bytes"]
-        )
-        spread = largest / smallest
-        assert replay_growth > spread / 2, (
-            f"replay bytes grew only {replay_growth:.2f}x across a "
-            f"{spread:.0f}x age spread — expected ~linear"
-        )
-        assert replay_growth > snapshot_growth
-
-    # More beacons per round must never slow convergence down, and across
-    # the sweep's spread they must speed it up.
-    lowest, highest = fanouts[0], fanouts[-1]
-    if highest > lowest:
-        assert (
-            convergence[highest]["rounds_to_convergence"]
-            <= convergence[lowest]["rounds_to_convergence"]
-        )
+    assert snapshot_growth < 3.0, (
+        f"snapshot bootstrap grew {snapshot_growth:.2f}x across a "
+        f"{largest // smallest}x age spread — not flat"
+    )
+    # ... while full-history replay tracks the age almost proportionally.
+    replay_growth = bootstrap[largest]["replay_bytes"] / bootstrap[smallest]["replay_bytes"]
+    spread = largest / smallest
+    assert replay_growth > spread / 2, (
+        f"replay bytes grew only {replay_growth:.2f}x across a "
+        f"{spread:.0f}x age spread — expected ~linear"
+    )
+    assert replay_growth > snapshot_growth

@@ -17,36 +17,21 @@ arrival-rate knob of the traffic engine
 Expected shape: mean deletion latency grows with the arrival gap (roughly
 linearly — the block-count bound is constant, each block just takes longer
 to arrive), while the living chain size stays flat across the whole sweep.
-The measured trajectory is written to ``BENCH_workloads.json``.
-
-Gaps can be overridden for smoke runs:
-``BENCH_WORKLOAD_GAPS=10,20 pytest benchmarks/bench_workload_scenarios.py``.
+The measured trajectory is ``BENCH_workloads.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 from repro.network.scenarios import run_scenario
 
-DEFAULT_GAPS_MS = (16.0, 32.0, 64.0, 128.0)
-#: Full-size runs refresh the committed trajectory; overridden gaps (CI
-#: smoke, local experiments) write a gitignored .local file instead.
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_workloads.json"
-LOCAL_OUTPUT_PATH = OUTPUT_PATH.with_suffix(".local.json")
+import sweep
+
+FULL = (16.0, 32.0, 64.0, 128.0)
+SMOKE = (16.0, 32.0)
 
 SEED = 7
 #: More records than the scenario default so the latency mean is stable.
 RECORDS = 90
-
-
-def bench_gaps() -> list[float]:
-    raw = os.environ.get("BENCH_WORKLOAD_GAPS", "")
-    if raw:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    return list(DEFAULT_GAPS_MS)
 
 
 def measure(mean_gap_ms: float) -> dict[str, float]:
@@ -72,35 +57,17 @@ def measure(mean_gap_ms: float) -> dict[str, float]:
     }
 
 
+SWEEP = sweep.Sweep(
+    "bench_workload_scenarios", "BENCH_workloads.json", "virtual",
+    config={"scenario": "gdpr-erasure", "records": RECORDS, "seed": SEED},
+    axes=(sweep.Axis("gaps_ms", "trajectory", FULL, SMOKE, measure),),
+)
+
+
 def test_workload_scenarios_latency_and_size_shape():
-    gaps = bench_gaps()
-    trajectory = {gap: measure(gap) for gap in gaps}
-
-    output_path = OUTPUT_PATH if gaps == list(DEFAULT_GAPS_MS) else LOCAL_OUTPUT_PATH
-    output_path.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_workload_scenarios",
-                "config": {"scenario": "gdpr-erasure", "records": RECORDS, "seed": SEED},
-                "gaps_ms": gaps,
-                "trajectory": {str(gap): trajectory[gap] for gap in gaps},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print()
-    print(f"{'gap ms':>8} {'lat mean ms':>12} {'lat max ms':>12} {'living':>8} {'created':>8}")
-    for gap in gaps:
-        row = trajectory[gap]
-        print(
-            f"{gap:>8.1f} {row['deletion_latency_mean_ms']:>12.2f} "
-            f"{row['deletion_latency_max_ms']:>12.2f} {row['living_blocks']:>8.0f} "
-            f"{row['total_blocks_created']:>8.0f}"
-        )
+    run = sweep.run(SWEEP)
+    trajectory = run.rows["trajectory"]
+    gaps = list(trajectory)
 
     for gap in gaps:
         row = trajectory[gap]
@@ -111,9 +78,8 @@ def test_workload_scenarios_latency_and_size_shape():
         # everything ever created, independent of the arrival rate.
         assert row["living_blocks"] < row["total_blocks_created"] / 10
 
-    smallest, largest = gaps[0], gaps[-1]
-    if largest / smallest < 4:
-        return  # smoke run: shape assertions need a real rate spread
+    if not run.full:
+        return  # the rate shape needs the whole gap spread
 
     # Chain size is rate-independent: the living block count moves within a
     # narrow absolute band (a few blocks of a summarisation cycle — where
@@ -131,7 +97,7 @@ def test_workload_scenarios_latency_and_size_shape():
         f"deletion latency not non-decreasing across rates: {means}"
     )
     growth = means[-1] / means[0]
-    spread = largest / smallest
+    spread = FULL[-1] / FULL[0]
     assert growth > spread / 4, (
         f"latency grew only {growth:.2f}x across a {spread:.0f}x gap spread"
     )

@@ -1,14 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the ``bench_*.py`` files.
 
-Every benchmark regenerates one row of the per-experiment index in
-DESIGN.md.  Besides timing (pytest-benchmark), each file asserts the *shape*
-of the paper's claim — who wins, by roughly what factor — and prints the
-regenerated rows/series so EXPERIMENTS.md can quote them.
+Besides timing (pytest-benchmark), each file asserts the *shape* of one of
+the paper's claims — who wins, by roughly what factor — and prints the
+regenerated rows.  The files that own a committed ``BENCH_*.json`` run
+through :mod:`sweep`.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core import Blockchain, ChainConfig
 from repro.core.schema import default_log_schema
@@ -23,9 +21,3 @@ def login(user: str, detail: str = "") -> dict:
     """Login entry in the paper's D/K/S format."""
     record = f"Login {user}" if not detail else f"Login {user} {detail}"
     return {"D": record, "K": user, "S": f"sig_{user}"}
-
-
-@pytest.fixture
-def paper_chain() -> Blockchain:
-    """Fresh paper-configuration chain per benchmark round."""
-    return make_paper_chain()

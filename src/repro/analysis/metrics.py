@@ -109,11 +109,6 @@ class DeletionLatencyTracker:
                     )
                 )
 
-    @property
-    def pending_count(self) -> int:
-        """Approved deletions whose execution has not been observed yet."""
-        return len(self._requested)
-
 
 def measure_deletion_latency(chain: Blockchain) -> list[DeletionLatency]:
     """Extract per-deletion latencies from the chain's recorded audit trail.

@@ -3,7 +3,8 @@
 Every baseline models one of the alternatives the paper discusses — keeping
 the full immutable chain, pruning locally, hard-forking, chameleon-hash
 redaction, and off-chain storage of the payload — behind one small interface
-so the comparison benchmark (DESIGN.md, claim C5) can sweep them uniformly:
+so the comparison benchmark (``bench_baseline_comparison.py``) can sweep them
+uniformly:
 
 * ``append_record`` adds one data record,
 * ``request_erasure`` attempts to remove a record and reports whether the

@@ -35,7 +35,6 @@ from repro.core.errors import (
     ConfigurationError,
     ConsensusError,
     DeletionError,
-    RetentionError,
     SchemaError,
     SelectiveDeletionError,
     StorageError,
@@ -93,7 +92,6 @@ __all__ = [
     "ConfigurationError",
     "ConsensusError",
     "DeletionError",
-    "RetentionError",
     "SchemaError",
     "SelectiveDeletionError",
     "StorageError",

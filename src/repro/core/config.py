@@ -65,8 +65,8 @@ class ShrinkStrategy(str, Enum):
     Eq. 1 of the paper removes the first sequence; the evaluation (Fig. 7)
     merges *"the first and second sequence ... into the last summary block"*
     and Section IV-D3 notes that *"multiple sequences can also being combined
-    in one summary block"*.  The strategy makes this choice explicit and is
-    one of the ablations listed in DESIGN.md.
+    in one summary block"*.  The strategy makes this choice explicit;
+    ``benchmarks/bench_ablation_policies.py`` sweeps it.
     """
 
     #: Apply Eq. 1 exactly once: merge only the oldest sequence.

@@ -43,14 +43,6 @@ class DeletionError(SelectiveDeletionError):
     """A deletion request is malformed or references a non-existent entry."""
 
 
-class RetentionError(SelectiveDeletionError):
-    """A retention policy constraint was violated.
-
-    For example shrinking the chain below the configured minimum length or
-    minimum time-span coverage (Section IV-D3).
-    """
-
-
 class ConsensusError(SelectiveDeletionError):
     """The quorum could not reach agreement (marker shift, summary hash)."""
 

@@ -65,11 +65,6 @@ class SequenceView:
         return bool(self.blocks) and self.blocks[-1].is_summary
 
     @property
-    def summary_block(self) -> Optional[Block]:
-        """The terminating summary block, if the sequence is complete."""
-        return self.blocks[-1] if self.is_complete else None
-
-    @property
     def first_timestamp(self) -> int:
         """Timestamp of the first block."""
         return self.blocks[0].timestamp

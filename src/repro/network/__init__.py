@@ -1,7 +1,7 @@
 """Network substrate: anchor nodes, clients, transport, RPC, gossip, simulator.
 
 Replaces the paper's CORBA client–server prototype with an in-process
-simulation (see DESIGN.md for the substitution rationale).  The stack runs
+simulation.  The stack runs
 on a deterministic discrete-event kernel (:mod:`repro.network.kernel`):
 latency decides *when* messages arrive, faults (partitions, outages, seeded
 loss) are scheduled events, and the named-scenario catalogue

@@ -90,13 +90,6 @@ class EventKernel:
         """Number of events still queued (cancelled ones included)."""
         return len(self._queue)
 
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the earliest queued live event, or ``None``."""
-        while self._queue and self._queue[0][3].cancelled:
-            heapq.heappop(self._queue)
-            self.events_cancelled += 1
-        return self._queue[0][0] if self._queue else None
-
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #

@@ -2,7 +2,7 @@
 
 The paper's prototype was a CORBA client–server system; the reproduction
 replaces the middleware with explicit message objects over an in-memory
-transport (see DESIGN.md, substitution table).  Message kinds cover the
+transport.  Message kinds cover the
 interactions the concept needs: submitting entries / deletion requests,
 announcing sealed blocks, comparing locally computed summary-block hashes as
 a synchronisation check (Section IV-B), incremental catch-up and snapshot

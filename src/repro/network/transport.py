@@ -193,10 +193,6 @@ class InMemoryTransport:
             raise TransportError(f"node id {node_id!r} is already registered")
         self._handlers[node_id] = handler
 
-    def unregister(self, node_id: str) -> None:
-        """Remove a node (models a crashed node)."""
-        self._handlers.pop(node_id, None)
-
     @property
     def node_ids(self) -> list[str]:
         """All currently registered node ids."""
@@ -217,11 +213,6 @@ class InMemoryTransport:
         """Drop all traffic between two nodes (both directions)."""
         self._blocked_links.add((first, second))
         self._blocked_links.add((second, first))
-
-    def unblock_link(self, first: str, second: str) -> None:
-        """Restore a previously blocked link."""
-        self._blocked_links.discard((first, second))
-        self._blocked_links.discard((second, first))
 
     def partition(self, group_a: list[str], group_b: list[str]) -> None:
         """Block every link between the two groups (Eclipse-style isolation)."""

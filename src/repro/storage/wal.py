@@ -85,5 +85,14 @@ class JournalBlockStore(MemoryBlockStore):
         with temporary.open("w", encoding="utf-8") as handle:
             for block in self:
                 handle.write(json.dumps({"kind": "block", "block": block.to_dict()}, sort_keys=True) + "\n")
+            # The rename below discards a journal whose appends were each
+            # fsynced; the rewrite must be as durable before it takes over.
+            handle.flush()
+            os.fsync(handle.fileno())
         temporary.replace(self.path)
+        directory = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         return before - self.file_size()

@@ -12,22 +12,12 @@ registration authority requests deletion of all its entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.workloads.base import EventKind, Workload, WorkloadEvent
 
 #: Maintenance event types recorded for a vehicle.
 MAINTENANCE_KINDS = ("mileage-reading", "inspection", "repair", "accident-report")
-
-
-@dataclass
-class VehicleTrace:
-    """Book-keeping of one vehicle's entries (filled in by the driver)."""
-
-    vin: str
-    decommissioned: bool = False
-    entry_positions: list[int] = field(default_factory=list)
 
 
 class VehicleLifecycleWorkload(Workload):

@@ -1,5 +1,9 @@
 """Tests for the storage backends and the Section III baseline systems."""
 
+import os
+import stat
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import (
@@ -87,6 +91,34 @@ class TestJournalStore:
         assert store.file_size() < size_before
         reloaded = JournalBlockStore(path)
         assert len(reloaded) == len(store)
+
+    def test_compact_fsyncs_the_rewrite_before_replacing_the_journal(self, tmp_path, monkeypatch):
+        chain = build_chain(6, config=ChainConfig(sequence_length=3))
+        store = JournalBlockStore(tmp_path / "journal.log")
+        for block in chain.blocks:
+            store.append(block)
+        store.truncate_before(chain.blocks[4].block_number)
+
+        calls = []
+        real_fsync, real_replace = os.fsync, Path.replace
+
+        def fsync(descriptor):
+            kind = "directory" if stat.S_ISDIR(os.fstat(descriptor).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            real_fsync(descriptor)
+
+        def replace(self, target):
+            calls.append(f"replace {self.name} -> {Path(target).name}")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
+        store.compact()
+        assert calls == [
+            "fsync file",
+            "replace journal.log.compact -> journal.log",
+            "fsync directory",
+        ]
 
     def test_truncation_survives_reload_without_compaction(self, tmp_path):
         chain = build_chain(6, config=ChainConfig(sequence_length=3))
