@@ -138,15 +138,9 @@ class DeletionForger(AdversaryActor):
 
     kind = "deletion-forger"
 
-    def __init__(
-        self,
-        actor_id: str,
-        transport: "InMemoryTransport",
-        *,
-        scheme_name: str = "simplified",
-    ) -> None:
+    def __init__(self, actor_id: str, transport: "InMemoryTransport") -> None:
         super().__init__(actor_id, transport)
-        self.scheme = new_scheme(scheme_name)
+        self.scheme = new_scheme("simplified")
 
     # ------------------------------------------------------------------ #
     # The three attacks

@@ -8,7 +8,7 @@ from repro.analysis.attack import (
     confirmation_depth,
     simulate_attack,
 )
-from repro.analysis.compare import ComparisonRow, default_systems, run_comparison
+from repro.analysis.compare import ComparisonRow, run_comparison
 from repro.analysis.recovery import RecoveryReport, analyze_lost_coins, recoverable_after_deletion
 from repro.analysis.metrics import (
     DeletionLatency,
@@ -39,7 +39,6 @@ __all__ = [
     "confirmation_depth",
     "simulate_attack",
     "ComparisonRow",
-    "default_systems",
     "run_comparison",
     "RecoveryReport",
     "analyze_lost_coins",

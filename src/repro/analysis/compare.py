@@ -5,23 +5,24 @@ them — against the selective-deletion chain and every Section III baseline,
 then collects storage, retrievability and effort into one comparison table.
 
 Every system is driven through the :class:`~repro.service.client.LedgerClient`
-protocol (via the baseline adapter), so the harness exercises exactly the
-code path applications use — one driver, many backends.
+protocol — the chain through :class:`~repro.service.client.LocalLedgerClient`,
+the baselines through their adapter — so the harness exercises exactly the
+code path applications use: one driver, many backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from repro.baselines.base import BaselineSystem
 from repro.baselines.chameleon_chain import RedactableChain
 from repro.baselines.full_chain import ImmutableChain
 from repro.baselines.hard_fork import HardForkChain
 from repro.baselines.offchain import OffChainStore
 from repro.baselines.pruning import LocalPruningNode
-from repro.baselines.selective import SelectiveDeletionSystem
+from repro.core.chain import Blockchain
+from repro.core.config import ChainConfig
 from repro.service.baseline import BaselineLedgerClient
+from repro.service.client import LedgerClient, LocalLedgerClient
 from repro.workloads.gdpr import GdprErasureWorkload
 
 
@@ -54,35 +55,44 @@ class ComparisonRow:
         }
 
 
-def default_systems() -> list[BaselineSystem]:
-    """The paper's system plus every Section III baseline."""
-    return [
-        SelectiveDeletionSystem(),
-        ImmutableChain(),
-        LocalPruningNode(keep_recent=50),
-        HardForkChain(),
-        RedactableChain(),
-        OffChainStore(),
-    ]
+#: Selective deletion is global, chain-shrinking and trapdoor-free.
+SELECTIVE_CAPABILITIES = {
+    "name": "selective-deletion",
+    "selective_deletion": True,
+    "global_effect": True,
+    "keeps_chain_verifiable": True,
+    "requires_trapdoor_holder": False,
+}
 
 
 def run_comparison(
     *,
-    systems: Sequence[BaselineSystem] | None = None,
     num_records: int = 120,
     erasure_probability: float = 0.3,
     seed: int = 99,
 ) -> list[ComparisonRow]:
-    """Drive the GDPR workload through every system and collect a table."""
+    """Drive the GDPR workload through the paper's system and every
+    Section III baseline, and collect a table."""
     workload = GdprErasureWorkload(
         num_records=num_records,
         erasure_probability=erasure_probability,
         seed=seed,
     )
     cases = workload.cases()
+    chain = Blockchain(ChainConfig.paper_evaluation())
+    clients: list[LedgerClient] = [LocalLedgerClient(chain)]
+    clients += [
+        BaselineLedgerClient(system)
+        for system in (
+            ImmutableChain(),
+            LocalPruningNode(keep_recent=50),
+            HardForkChain(),
+            RedactableChain(),
+            OffChainStore(),
+        )
+    ]
     rows: list[ComparisonRow] = []
-    for system in systems if systems is not None else default_systems():
-        client = BaselineLedgerClient(system)
+    for client in clients:
         references = []
         erasures = 0
         effective = 0
@@ -105,21 +115,34 @@ def run_comparison(
             effort += receipt.effort_units
             if receipt.globally_effective:
                 effective += 1
-        if isinstance(system, SelectiveDeletionSystem):
-            system.drain_retention()
+        if isinstance(client, BaselineLedgerClient):
+            name, capabilities = client.name, client.system.capabilities()
+        else:
+            name, capabilities = SELECTIVE_CAPABILITIES["name"], SELECTIVE_CAPABILITIES
+            # Deletion is delayed (Section IV-D3): append filler blocks until
+            # the pending deletions executed, so the row measures the state
+            # *after* the summarisation cycles had a chance to run.
+            for _ in range(64):
+                if not any(
+                    chain.is_marked_for_deletion(reference)
+                    and chain.find_entry(reference) is not None
+                    for reference in references
+                ):
+                    break
+                client.submit({"D": "filler", "K": "system", "S": "sig_system"}, "system")
         readable = sum(
             1 for reference in references if client.find_entry(reference) is not None
         )
         rows.append(
             ComparisonRow(
-                system=system.name,
+                system=name,
                 records_written=len(references),
                 erasures_requested=erasures,
                 erasures_effective=effective,
                 records_still_readable=readable,
-                storage_bytes=system.storage_bytes(),
+                storage_bytes=client.statistics()["byte_size"],
                 erasure_effort=effort,
-                capabilities=system.capabilities(),
+                capabilities=capabilities,
             )
         )
     return rows

@@ -6,7 +6,6 @@ from repro.baselines.full_chain import ImmutableChain, SimpleBlock
 from repro.baselines.hard_fork import HardForkChain
 from repro.baselines.offchain import OffChainStore
 from repro.baselines.pruning import LocalPruningNode
-from repro.baselines.selective import SelectiveDeletionSystem
 
 __all__ = [
     "BaselineSystem",
@@ -19,5 +18,4 @@ __all__ = [
     "HardForkChain",
     "OffChainStore",
     "LocalPruningNode",
-    "SelectiveDeletionSystem",
 ]

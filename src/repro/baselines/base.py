@@ -39,7 +39,7 @@ class ErasureOutcome:
 
 
 class BaselineSystem(ABC):
-    """Interface shared by the selective-deletion chain and all baselines."""
+    """Interface shared by all baselines."""
 
     #: Short name used in comparison tables.
     name: str = "abstract"

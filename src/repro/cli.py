@@ -1,7 +1,7 @@
 """Command-line driver.
 
-``python -m repro`` (or the ``selective-deletion`` console script) exposes the
-paper's evaluation scenario and the main analyses without writing any code:
+``python -m repro`` exposes the paper's evaluation scenario and the main
+analyses without writing any code:
 
 * ``scenario`` — replay the Figs. 6-8 logging scenario and print the console
   dumps; ``--via remote`` drives a replicated anchor deployment and
@@ -13,8 +13,6 @@ paper's evaluation scenario and the main analyses without writing any code:
   networked ledger clients and check the statistics are identical,
 * ``simulate`` — run a named scenario from the deterministic-kernel
   catalogue (``--list`` shows it) and print the result as JSON,
-* ``profile``  — run named scenarios under cProfile and print the top
-  offenders (``--json`` for machine-readable rows),
 * ``lint``     — run the static-analysis pass (determinism, protocol and
   docs invariants) over the tree; nonzero exit on any unsuppressed finding.
 
@@ -223,46 +221,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
     return status
 
 
-def _run_profile(args: argparse.Namespace) -> int:
-    """Profile named scenarios; print the top offenders (optionally JSON)."""
-    from repro.analysis.profiling import profile_scenarios, render_profile
-
-    if args.list:
-        for entry in scenario_catalogue():
-            print(f"{entry.name:22s} {entry.description}")
-        return 0
-    if args.scenario is None:
-        print("profile: pass --scenario NAME (or --list to see the catalogue)")
-        return 2
-    try:
-        overrides = _parse_scenario_params(args.param)
-    except ValueError as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
-    names = scenario_names() if args.scenario == "all" else [args.scenario]
-    try:
-        for name in names:
-            validate_overrides(name, overrides)
-        report = profile_scenarios(
-            names,
-            seed=args.seed,
-            smoke=args.smoke,
-            top=args.top,
-            sort=args.sort,
-            overrides=overrides,
-        )
-    except (ScenarioError, ValueError) as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"[profile] JSON report written to {args.json}")
-    print(render_profile(report))
-    return 0
-
-
 def _run_attack(args: argparse.Namespace) -> int:
     rows = attack_resistance_table(
         chain_lengths=[10, 50, 100],
@@ -405,40 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list the scenario catalogue and exit"
     )
     simulate.set_defaults(func=_run_simulate)
-
-    profile = subparsers.add_parser(
-        "profile", help="run scenarios under cProfile and print the top offenders"
-    )
-    profile.add_argument(
-        "--scenario",
-        default=None,
-        help="scenario name from the catalogue, or 'all' (see --list)",
-    )
-    profile.add_argument("--seed", type=int, default=7, help="simulation seed")
-    profile.add_argument(
-        "--smoke", action="store_true", help="tiny parameters (quick profiles)"
-    )
-    profile.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one scenario parameter (repeatable); VALUE is JSON or a string",
-    )
-    profile.add_argument("--top", type=int, default=25, help="rows to report")
-    profile.add_argument(
-        "--sort",
-        choices=["cumulative", "tottime", "calls"],
-        default="cumulative",
-        help="profile sort order",
-    )
-    profile.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the report as JSON"
-    )
-    profile.add_argument(
-        "--list", action="store_true", help="list the scenario catalogue and exit"
-    )
-    profile.set_defaults(func=_run_profile)
 
     attack = subparsers.add_parser("attack", help="51% attack resistance table")
     attack.add_argument("--trials", type=int, default=500, help="Monte-Carlo trials per cell")

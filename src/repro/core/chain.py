@@ -269,13 +269,12 @@ class Blockchain:
         key_pair: Optional[KeyPair] = None,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        validate_schema: bool = True,
     ) -> Entry:
         """Sign an entry and place it in the pending pool.
 
         The entry becomes part of the chain with the next :meth:`seal_block`.
         """
-        if validate_schema and self.schema is not None:
+        if self.schema is not None:
             self.schema.validate(data)
         entry = Entry(
             data=dict(data),
@@ -289,12 +288,7 @@ class Blockchain:
         self._pending.append(entry)
         return entry
 
-    def submit_signed_entry(
-        self,
-        entry: Entry,
-        *,
-        validate_schema: bool = True,
-    ) -> Optional[DeletionDecision]:
+    def submit_signed_entry(self, entry: Entry) -> Optional[DeletionDecision]:
         """Accept an entry that was already signed by the submitting client.
 
         This is the path the anchor nodes use for entries arriving over the
@@ -313,7 +307,7 @@ class Blockchain:
             decision = self.registry.record_request(entry, approved=approved, reason=reason)
             self._publish_deletion_requested(entry.author, reference, approved, reason)
             return decision
-        if validate_schema and self.schema is not None:
+        if self.schema is not None:
             self.schema.validate(entry.data)
         self._pending.append(entry)
         return None

@@ -157,14 +157,10 @@ class EventBus:
         self,
         *,
         audit_limit: int = DEFAULT_AUDIT_LIMIT,
-        audit_types: Optional[Iterable[EventType]] = None,
     ) -> None:
         if audit_limit < 0:
             raise ValueError("audit_limit must be non-negative")
         self.audit_limit = audit_limit
-        self.audit_types = (
-            frozenset(audit_types) if audit_types is not None else AUDIT_EVENT_TYPES
-        )
         self._audit: deque[ChainEvent] = deque(maxlen=audit_limit or None)
         self._tokens = itertools.count(1)
         #: token -> (subscription, callback); insertion order == dispatch order.
@@ -218,7 +214,7 @@ class EventBus:
         """
         self._published += 1
         event_type = event.type
-        if event_type is not None and event_type in self.audit_types and self.audit_limit:
+        if event_type is not None and event_type in AUDIT_EVENT_TYPES and self.audit_limit:
             self._audit.append(event)
         for token, (subscription, callback) in list(self._subscribers.items()):
             if token not in self._subscribers:

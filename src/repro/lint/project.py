@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 #: Directories scanned by default, relative to the repo root.
-DEFAULT_SCAN_DIRS = ("src", "tests", "benchmarks", "examples", "scripts")
+DEFAULT_SCAN_DIRS = ("src", "tests", "benchmarks", "examples")
 
 #: Markdown documents checked by the docs rules.
 DEFAULT_DOC_FILES = ("README.md", "docs")

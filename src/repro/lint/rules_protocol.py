@@ -2,9 +2,9 @@
 
 The anchor-node protocol is defined in three places that can drift apart:
 the :class:`~repro.network.message.MessageKind` registry, the dispatch
-branches spread over ``network/node.py``, ``network/rpc.py`` and the
-adversary/sync modules, and the taxonomy table in ``network/message.py``'s
-docstring.  These rules cross-reference all of them over the whole tree:
+branches spread over ``network/node.py`` and the adversary/sync modules,
+and the taxonomy table in ``network/message.py``'s docstring.  These rules
+cross-reference all of them over the whole tree:
 
 * every registered kind must be *accounted for* — dispatched by a handler
   branch or produced as a reply (``REPRO-P201``); registering a kind and

@@ -1,4 +1,4 @@
-"""Network substrate: anchor nodes, clients, transport, RPC, gossip, simulator.
+"""Network substrate: anchor nodes, clients, transport, gossip, simulator.
 
 Replaces the paper's CORBA client–server prototype with an in-process
 simulation.  The stack runs
@@ -24,8 +24,7 @@ five families:
   incremental catch-up, ``SYNC_DIGEST`` anti-entropy beacons,
   ``SNAPSHOT_REQUEST``/``SNAPSHOT_CHUNK`` wire snapshot bootstrap;
 * **failover** — ``VOTE_REQUEST``/``VOTE_RESPONSE``, ``PRODUCER_CHANGE``;
-* **framing** — ``RPC_CALL``/``RPC_RESULT``, ``ACK``, ``ERROR``,
-  ``SYNC_RESPONSE``.
+* **framing** — ``ACK``, ``ERROR``, ``SYNC_RESPONSE``.
 """
 
 from repro.network.gossip import GossipOverlay, GossipTopology
@@ -38,7 +37,6 @@ from repro.network.node import (
     ClientNode,
     SyncReport,
 )
-from repro.network.rpc import RpcClient, RpcError, RpcServer, RpcTimeout, expose_chain_api
 from repro.network.scenarios import (
     Scenario,
     ScenarioError,
@@ -68,11 +66,6 @@ __all__ = [
     "CatchUpStatus",
     "ClientNode",
     "SyncReport",
-    "RpcClient",
-    "RpcError",
-    "RpcServer",
-    "RpcTimeout",
-    "expose_chain_api",
     "Scenario",
     "ScenarioError",
     "run_scenario",

@@ -191,12 +191,10 @@ class EventKernel:
             self._now = time
         return executed
 
-    def run(self, *, max_events: Optional[int] = None) -> int:
-        """Drain the queue (or execute at most ``max_events``); returns count."""
+    def run(self) -> int:
+        """Drain the queue; returns the number of events executed."""
         executed = 0
         while self._queue:
-            if max_events is not None and executed >= max_events:
-                break
             if self.step():
                 executed += 1
         return executed

@@ -34,8 +34,6 @@ kind                  sender            receiver        payload schema          
 ``VOTE_REQUEST``      candidate         online anchors  ``{proposal_id, candidate, candidate_head}``   ``VOTE_RESPONSE``
 ``VOTE_RESPONSE``     anchor            candidate       ``{proposal_id, approve, head}``               —
 ``PRODUCER_CHANGE``   new producer      online anchors  ``{producer}``                                 ``ACK``
-``RPC_CALL``          rpc client        rpc server      ``{service, method, args, kwargs}``            ``RPC_RESULT``
-``RPC_RESULT``        rpc server        rpc client      ``{value}`` or ``{error}``                     —
 ``ACK``               handler           requester       request-specific receipt fields                —
 ``ERROR``             handler/transport requester       ``{reason}``                                   —
 ===================== ================= =============== ============================================== =================
@@ -59,7 +57,7 @@ from typing import Any, Mapping, Optional
 _MESSAGE_COUNTER = itertools.count(1)
 
 
-def reset_message_counter(start: int = 1) -> None:
+def reset_message_counter() -> None:
     """Rewind the process-global message-id counter.
 
     Message ids exist to link responses to requests; they are process-global
@@ -69,7 +67,7 @@ def reset_message_counter(start: int = 1) -> None:
     across repeated runs — the determinism pin of the scenario catalogue.
     """
     global _MESSAGE_COUNTER
-    _MESSAGE_COUNTER = itertools.count(start)
+    _MESSAGE_COUNTER = itertools.count(1)
 
 
 class MessageKind(str, Enum):
@@ -91,8 +89,6 @@ class MessageKind(str, Enum):
     VOTE_REQUEST = "vote_request"
     VOTE_RESPONSE = "vote_response"
     PRODUCER_CHANGE = "producer_change"
-    RPC_CALL = "rpc_call"
-    RPC_RESULT = "rpc_result"
     ACK = "ack"
     ERROR = "error"
 

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - service imports network, not vice versa
         FleetSubmitHook,
     )
 
-from repro.consensus.base import ConsensusEngine, NullConsensus
 from repro.consensus.election import HeadElection
 from repro.consensus.quorum import Quorum
 from repro.core.chain import Blockchain, CohesionChecker
@@ -120,7 +119,6 @@ class NetworkSimulator:
         client_ids: Optional[list[str]] = None,
         config: Optional[ChainConfig] = None,
         schema: Optional[EntrySchema] = None,
-        engine_factory: Optional[type[ConsensusEngine]] = None,
         latency: Optional[LatencyModel] = None,
         admins: tuple[str, ...] = (),
         kernel: Optional[EventKernel] = None,
@@ -161,12 +159,10 @@ class NetworkSimulator:
                 cohesion_checker=cohesion_checker,
             )
             chain.bus.subscribe(self._count_empty_block, types=(EventType.EMPTY_BLOCK,))
-            engine = engine_factory() if engine_factory is not None else NullConsensus()
             node = AnchorNode(
                 anchor_id,
                 chain,
                 self.transport,
-                engine=engine,
                 is_producer=(anchor_id == self.producer_id),
                 producer_id=self.producer_id,
                 gossip=gossip,
@@ -226,7 +222,7 @@ class NetworkSimulator:
         if node.producer_id != self.producer_id:
             node.set_producer(self.producer_id)
 
-    def corrupt_replica(self, anchor_id: str, *, note: str = "corrupted state") -> None:
+    def corrupt_replica(self, anchor_id: str) -> None:
         """Tamper with one node's replica so its chain state diverges.
 
         The corrupted node seals a rogue block locally (as a faulty or
@@ -237,7 +233,7 @@ class NetworkSimulator:
         tests and benchmarks observe exactly that detection path.
         """
         chain = self.anchors[anchor_id].chain
-        rogue = Entry(data={"D": note, "K": "corruptor", "S": "none"}, author="corruptor", signature="x")
+        rogue = Entry(data={"D": "corrupted state", "K": "corruptor", "S": "none"}, author="corruptor", signature="x")
         chain._pending.append(rogue)  # bypass signing on purpose: this is a fault injection
         chain.seal_block()
 
@@ -292,14 +288,6 @@ class NetworkSimulator:
         if self.kernel is None:
             raise ValueError("this operation requires a kernel-backed deployment")
         return self.kernel
-
-    def run_until(self, time_ms: float) -> int:
-        """Advance virtual time to ``time_ms``, executing everything due."""
-        return self._require_kernel().run_until(time_ms)
-
-    def settle(self) -> int:
-        """Drain every in-flight event (gossip hops, scheduled faults)."""
-        return self._require_kernel().run()
 
     def schedule_offline(self, anchor_id: str, at: float) -> None:
         """Book an outage on the virtual clock."""

@@ -122,6 +122,9 @@ class TransportStatistics:
     messages eaten by the probabilistic loss model (``loss_rate``).  A lost
     message also increments ``dropped``, so the historical total is
     unchanged.
+
+    ``timeouts`` is always 0 — no exchange carries a round-trip budget.  The
+    key stays because every golden scenario digest hashes it.
     """
 
     delivered: int = 0
@@ -178,11 +181,6 @@ class InMemoryTransport:
         self._offline: set[str] = set()
         self.message_log: list[Message] = []
 
-    @property
-    def scheduled(self) -> bool:
-        """True when deliveries run on a kernel's virtual clock."""
-        return self.kernel is not None
-
     # ------------------------------------------------------------------ #
     # Registration and fault injection
     # ------------------------------------------------------------------ #
@@ -192,11 +190,6 @@ class InMemoryTransport:
         if node_id in self._handlers:
             raise TransportError(f"node id {node_id!r} is already registered")
         self._handlers[node_id] = handler
-
-    @property
-    def node_ids(self) -> list[str]:
-        """All currently registered node ids."""
-        return sorted(self._handlers)
 
     def set_offline(self, node_id: str, offline: bool = True) -> None:
         """Take a node off the network without unregistering it."""
@@ -262,12 +255,6 @@ class InMemoryTransport:
             at, lambda: self.set_offline(node_id, True), label=f"offline:{node_id}"
         )
 
-    def schedule_online(self, node_id: str, at: float) -> EventHandle:
-        """Bring a node back at virtual time ``at``."""
-        return self._require_kernel().schedule_at(
-            at, lambda: self.set_offline(node_id, False), label=f"online:{node_id}"
-        )
-
     def schedule_partition(
         self, group_a: Iterable[str], group_b: Iterable[str], at: float
     ) -> EventHandle:
@@ -297,8 +284,8 @@ class InMemoryTransport:
 
     def _request_leg(
         self, recipient: str, message: Message, latency_ms: Optional[float] = None
-    ) -> tuple[Optional[str], float, Optional[Message]]:
-        """Deliver ``message`` now: ``(fault, latency, handler response)``.
+    ) -> tuple[Optional[str], Optional[Message]]:
+        """Deliver ``message`` now: ``(fault, handler response)``.
 
         The one delivery leg every mode shares.  Deliverability and loss are
         judged here, at delivery time.  A fault comes back as *text*, never
@@ -311,13 +298,13 @@ class InMemoryTransport:
         sender = message.sender
         if not self._deliverable(sender, recipient):
             self.statistics.dropped += 1
-            return f"link {sender!r} -> {recipient!r} unavailable", 0.0, None
+            return f"link {sender!r} -> {recipient!r} unavailable", None
         if self._loses():
-            return f"message {sender!r} -> {recipient!r} lost", 0.0, None
+            return f"message {sender!r} -> {recipient!r} lost", None
         if latency_ms is None:
             latency_ms = self.latency.sample_for(sender, recipient)
         self._account_delivery(message, latency_ms)
-        return None, latency_ms, self._handlers[recipient](message)
+        return None, self._handlers[recipient](message)
 
     def _response_leg(
         self, recipient: str, message: Message, response: Message, latency_ms: float
@@ -332,9 +319,7 @@ class InMemoryTransport:
             "transport", f"response from {recipient!r} to {message.sender!r} lost"
         )
 
-    def send(
-        self, recipient: str, message: Message, *, timeout_ms: Optional[float] = None
-    ) -> Optional[Message]:
+    def send(self, recipient: str, message: Message) -> Optional[Message]:
         """Deliver a message and return the handler's response.
 
         Raises :class:`TransportError` when the recipient does not exist;
@@ -345,27 +330,24 @@ class InMemoryTransport:
         In scheduled mode the exchange consumes virtual time: the request is
         delivered at ``now + latency``, any events due earlier (other
         messages, scheduled faults) run first, and the response travels back
-        with its own latency.  ``timeout_ms`` bounds the round trip —
-        ``None`` is returned when the (virtual) round trip exceeds it.
+        with its own latency.
         """
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
         kernel = self.kernel
         if kernel is None:
-            fault, request_latency, response = self._request_leg(recipient, message)
+            fault, response = self._request_leg(recipient, message)
             if fault is not None:
                 return message.error("transport", fault)
             if response is None:
                 return None
             response_latency = self.latency.sample_for(recipient, message.sender)
-            round_trip = request_latency + response_latency
         else:
-            start = kernel.now
             request_latency = self.latency.sample_for(message.sender, recipient)
             outcome: dict[str, Any] = {}
 
             def arrive() -> None:
-                fault, _, response = self._request_leg(recipient, message, request_latency)
+                fault, response = self._request_leg(recipient, message, request_latency)
                 if fault is not None:
                     response = message.error("transport", fault)
                 # The handler may itself have consumed virtual time
@@ -378,7 +360,7 @@ class InMemoryTransport:
             kernel.schedule(
                 request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
             )
-            kernel.run_until(start + request_latency)
+            kernel.run_until(kernel.now + request_latency)
             response = outcome.get("response")
             if outcome.get("fault") is not None or response is None:
                 return response
@@ -391,10 +373,6 @@ class InMemoryTransport:
             # belong to the caller's *next* wait.
             if arrival > kernel.now:
                 kernel.run_until(arrival)
-            round_trip = arrival - start
-        if timeout_ms is not None and round_trip > timeout_ms:
-            self.statistics.timeouts += 1
-            return None
         return self._response_leg(recipient, message, response, response_latency)
 
     def send_async(
@@ -426,7 +404,7 @@ class InMemoryTransport:
         request_latency = self.latency.sample_for(message.sender, recipient)
 
         def arrive() -> None:
-            fault, _, response = self._request_leg(recipient, message, request_latency)
+            fault, response = self._request_leg(recipient, message, request_latency)
             if fault is not None:
                 on_response(message.error("transport", fault))
                 return

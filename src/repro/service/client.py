@@ -182,10 +182,6 @@ class LedgerClient(ABC):
         delayed deletions execute even without traffic.
         """
 
-    def entry_exists(self, reference: TargetLike) -> bool:
-        """True while the referenced record is still retrievable."""
-        return self.find_entry(reference) is not None
-
 
 class LocalLedgerClient(LedgerClient):
     """Drives an in-process :class:`Blockchain` (any storage backend)."""

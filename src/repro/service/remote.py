@@ -44,11 +44,9 @@ class RemoteLedgerClient(LedgerClient):
         anchor_id: str,
         *,
         scheme_name: str = "simplified",
-        query_anchor_id: Optional[str] = None,
         fallback_anchor_ids: Sequence[str] = (),
     ) -> None:
-        """Bind to ``anchor_id`` for submissions (and ``query_anchor_id`` for
-        lookups/statistics, default the same node).
+        """Bind to ``anchor_id`` for submissions, lookups and statistics.
 
         ``scheme_name`` must match the chain configuration of the anchors so
         client-side signatures verify server-side.  ``fallback_anchor_ids``
@@ -58,7 +56,6 @@ class RemoteLedgerClient(LedgerClient):
         """
         self.transport = transport
         self.anchor_id = anchor_id
-        self.query_anchor_id = query_anchor_id or anchor_id
         self.fallback_anchor_ids = tuple(fallback_anchor_ids)
         self.scheme_name = scheme_name
         #: Failovers performed (an anchor answered with an error and a
@@ -86,28 +83,23 @@ class RemoteLedgerClient(LedgerClient):
             )
         return response
 
-    def _targets(self, first: Optional[str] = None) -> list[str]:
-        """``first`` (default: the bound anchor), then each anchor not yet listed."""
-        targets = [first if first is not None else self.anchor_id]
-        for fallback in (self.anchor_id, *self.fallback_anchor_ids):
+    def _targets(self) -> list[str]:
+        """The bound anchor, then each fallback not yet listed."""
+        targets = [self.anchor_id]
+        for fallback in self.fallback_anchor_ids:
             if fallback not in targets:
                 targets.append(fallback)
         return targets
 
-    def _with_failover(
-        self, operation: Callable[[str], Message], *, first: Optional[str] = None
-    ) -> Message:
+    def _with_failover(self, operation: Callable[[str], Message]) -> Message:
         """Run ``operation`` against the bound anchor, falling over on error.
 
         ``operation`` receives an anchor id and returns the response message;
         the first non-error response wins.  When every anchor errors, the
-        last error response is returned for the caller to surface.  Queries
-        pass ``first=query_anchor_id`` so the read path starts at its bound
-        replica before trying the rest of the deployment; fallbacks that
-        duplicate ``first`` are skipped.
+        last error response is returned for the caller to surface.
         """
         response: Optional[Message] = None
-        for target in self._targets(first):
+        for target in self._targets():
             response = operation(target)
             if not response.is_error:
                 return response
@@ -233,18 +225,15 @@ class RemoteLedgerClient(LedgerClient):
         )
 
     def find_entry(self, reference: TargetLike) -> Optional[LedgerRecord]:
-        """Look the record up on the query anchor's replica.
+        """Look the record up on the bound anchor's replica.
 
-        Converged replicas answer lookups identically, so when the query
-        anchor times out the lookup fails over to the rest of the deployment
-        instead of raising — reads survive any single-node outage.
+        Converged replicas answer lookups identically, so when the bound
+        anchor is unreachable the lookup fails over to the rest of the
+        deployment instead of raising — reads survive any single-node outage.
         """
         resolved = as_reference(reference)
         response = self._require_ok(
-            self._with_failover(
-                lambda target: self._driver().find_entry(target, resolved),
-                first=self.query_anchor_id,
-            ),
+            self._with_failover(lambda target: self._driver().find_entry(target, resolved)),
             "find_entry",
         )
         if not response.payload.get("found"):
@@ -258,12 +247,9 @@ class RemoteLedgerClient(LedgerClient):
         )
 
     def statistics(self) -> dict[str, Any]:
-        """The query anchor's replica statistics (with read failover)."""
+        """The bound anchor's replica statistics (with read failover)."""
         response = self._require_ok(
-            self._with_failover(
-                lambda target: self._driver().query_statistics(target),
-                first=self.query_anchor_id,
-            ),
+            self._with_failover(lambda target: self._driver().query_statistics(target)),
             "statistics",
         )
         return dict(response.payload.get("statistics", {}))

@@ -38,18 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - the chain façade imports this package
 WIRE_AUDIT_WINDOW = 64
 
 
-def snapshot_payload(chain: Blockchain, *, audit_window: Optional[int] = WIRE_AUDIT_WINDOW) -> str:
+def snapshot_payload(chain: Blockchain) -> str:
     """Serialise the chain state to one compact canonical string.
 
     The output is deterministic for a given chain state (sorted keys, no
     whitespace), so its length and digest are stable quantities the wire
     protocol can advertise in a manifest before streaming the chunks.  The
-    audit trail is truncated to its newest ``audit_window`` events
-    (``None`` keeps all of them — the file format's behaviour).
+    audit trail is truncated to its newest :data:`WIRE_AUDIT_WINDOW` events
+    (the file format keeps all of them).
     """
     state = chain.to_dict()
-    if audit_window is not None:
-        state["events"] = state["events"][-audit_window:]
+    state["events"] = state["events"][-WIRE_AUDIT_WINDOW:]
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 

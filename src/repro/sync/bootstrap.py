@@ -219,7 +219,6 @@ def fetch_snapshot(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
 ) -> BootstrapReport:
     """Pull a peer's snapshot in bounded chunks; verify it against the manifest.
 
@@ -231,7 +230,7 @@ def fetch_snapshot(
     operating conditions — only on programmer errors.
     """
     report = BootstrapReport(peer_id=peer_id)
-    for restart in range(max_restarts + 1):
+    for restart in range(DEFAULT_MAX_RESTARTS + 1):
         if restart:
             report.restarts += 1
         first = _request_chunk(
@@ -283,7 +282,7 @@ def fetch_snapshot(
         report.payload = payload
         report.payload_bytes = manifest.total_bytes
         return report
-    report.reason = f"peer's head kept moving ({max_restarts} restarts exhausted)"
+    report.reason = f"peer's head kept moving ({DEFAULT_MAX_RESTARTS} restarts exhausted)"
     return report
 
 
@@ -397,8 +396,6 @@ def fetch_snapshot_striped(
     peer_ids: Sequence[str],
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
 ) -> BootstrapReport:
     """Pull one snapshot with chunks striped across the best-ranked peers.
 
@@ -421,7 +418,7 @@ def fetch_snapshot_striped(
     exactly like :func:`fetch_snapshot`'s moved-head restart.
     """
     report = BootstrapReport(peer_id="")
-    for restart in range(max_restarts + 1):
+    for restart in range(DEFAULT_MAX_RESTARTS + 1):
         if restart:
             report.restarts += 1
         ranked = rank_bootstrap_peers(
@@ -481,7 +478,7 @@ def fetch_snapshot_striped(
                 ):
                     attempts[index] += 1
                     report.retransmits += 1
-                    if attempts[index] > max_retries:
+                    if attempts[index] > DEFAULT_MAX_RETRIES:
                         failure = f"chunk {index} exhausted retries"
                         break
                     work.append(index)
@@ -516,5 +513,5 @@ def fetch_snapshot_striped(
         report.payload = payload
         report.payload_bytes = manifest.total_bytes
         return report
-    report.reason = f"peers' heads kept moving ({max_restarts} restarts exhausted)"
+    report.reason = f"peers' heads kept moving ({DEFAULT_MAX_RESTARTS} restarts exhausted)"
     return report

@@ -24,9 +24,9 @@ from repro.adversary import (
 )
 from repro.authz.bell_lapadula import BellLaPadulaModel, SecurityLevel
 from repro.authz.brewer_nash import BrewerNashModel
-from repro.core import ChainConfig
+from repro.core import Block, ChainConfig
 from repro.core.entry import EntryReference
-from repro.network import EventKernel, MessageKind, NetworkSimulator, run_scenario
+from repro.network import EventKernel, Message, MessageKind, NetworkSimulator, run_scenario
 from repro.network.node import (
     DEFAULT_REJECTED_BLOCKS_LIMIT,
     DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT,
@@ -285,24 +285,42 @@ class TestBoundedCollections:
         node._remember_announcement("hash-a")  # re-admitted after eviction
         assert "hash-a" in node._seen_announcements
 
-    def test_limits_must_be_positive(self):
+    def test_a_far_future_announcement_flood_cannot_grow_the_block_buffer(self):
+        """Gossiped blocks far ahead of the head wait in ``_block_buffer``
+        for their predecessors; a flood of them must hit the same cap as the
+        seen-window, and what is evicted is the block *farthest* from the
+        head — the nearest ones are what the drain needs next."""
         simulator = _sync_simulator(anchor_count=1)
-        from repro.network.node import AnchorNode
-
-        with pytest.raises(ValueError):
-            AnchorNode(
-                "bad-node",
-                simulator.producer.chain,
-                simulator.transport,
-                rejected_blocks_limit=0,
+        node = simulator.producer
+        head = node.chain.head.block_number
+        flood = 10_000
+        # A fixed permutation, so neither "evict the oldest" nor "refuse the
+        # newest" would leave exactly the nearest blocks behind.
+        for offset in ((index * 7919) % flood for index in range(flood)):
+            block = Block(
+                block_number=head + 1_000 + offset,
+                timestamp=1,
+                previous_hash=f"forged-{offset}",
             )
-        with pytest.raises(ValueError):
-            AnchorNode(
-                "bad-node-2",
-                simulator.producer.chain,
-                simulator.transport,
-                seen_announcements_limit=0,
+            node.handle_message(
+                Message(
+                    kind=MessageKind.BLOCK_ANNOUNCE,
+                    sender="MALLORY",
+                    payload={
+                        "block": block.to_dict(),
+                        "gossip": {"item": block.block_hash, "hops": 0},
+                    },
+                )
             )
+        assert len(node._seen_announcements) == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
+        assert len(node._block_buffer) == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
+        assert sorted(node._block_buffer) == list(
+            range(head + 1_000, head + 1_000 + DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT)
+        )
+        # Both windows evicted once per flood message past the cap.
+        assert node.sync_stats["announcements_evicted"] == 2 * (
+            flood - DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
+        )
 
 
 class TestAdversarialScenarios:

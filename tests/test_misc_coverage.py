@@ -1,7 +1,11 @@
 """Miscellaneous behaviour tests for smaller helpers across the library."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.analysis.report import render_block, render_chain
 from repro.consensus.pow import _leading_zero_bits
 from repro.core import (
@@ -18,6 +22,23 @@ from repro.core.chain import ChainEvent
 from repro.network import AnchorNode, InMemoryTransport, Message, MessageKind
 from repro.network.node import SyncReport
 from repro.workloads import LoginAuditWorkload, PaperScenarioWorkload, replay
+
+
+def _modules_declaring_all():
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    return [
+        name for name in names if hasattr(importlib.import_module(name), "__all__")
+    ]
+
+
+@pytest.mark.parametrize("module_name", _modules_declaring_all())
+def test_every_exported_name_resolves(module_name):
+    """A deleted class or function must not linger in an ``__all__``."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names nothing for {missing}"
 
 
 class TestLeadingZeroBits:

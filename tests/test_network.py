@@ -1,4 +1,4 @@
-"""Tests of the network substrate: transport, nodes, RPC, gossip, simulator."""
+"""Tests of the network substrate: transport, nodes, gossip, simulator."""
 
 import pytest
 
@@ -15,12 +15,7 @@ from repro.network import (
     Message,
     MessageKind,
     NetworkSimulator,
-    RpcClient,
-    RpcError,
-    RpcServer,
-    RpcTimeout,
     TransportError,
-    expose_chain_api,
 )
 
 
@@ -252,85 +247,8 @@ class TestAnchorAndClientNodes:
     def test_unknown_message_kind_rejected(self):
         transport, nodes, ids = self.build_network()
         # repro: allow[REPRO-P202] deliberately sends a reply-only kind to assert the typed rejection
-        response = transport.send(ids[0], Message(kind=MessageKind.RPC_RESULT, sender="x"))
+        response = transport.send(ids[0], Message(kind=MessageKind.VOTE_RESPONSE, sender="x"))
         assert response.is_error
-
-
-class TestRpc:
-    def test_rpc_roundtrip(self):
-        transport = InMemoryTransport()
-        chain = Blockchain(ChainConfig.paper_evaluation())
-        chain.add_entry_block({"D": "x", "K": "A", "S": "s"}, "A")
-        expose_chain_api("chain-api", transport, chain)
-        client = RpcClient("caller", "chain-api", transport)
-        assert client.length() == chain.length
-        assert client.genesis_marker() == chain.genesis_marker
-        assert client.statistics()["living_blocks"] == chain.length
-
-    def test_unknown_method(self):
-        transport = InMemoryTransport()
-        RpcServer("svc", transport, methods={"ping": lambda: "pong"})
-        client = RpcClient("caller", "svc", transport)
-        assert client.ping() == "pong"
-        with pytest.raises(RpcError):
-            client.reboot()
-
-    def test_remote_exception_propagates_as_rpc_error(self):
-        from repro.core.errors import DeletionError
-
-        def fail():
-            raise DeletionError("nope")
-
-        transport = InMemoryTransport()
-        RpcServer("svc", transport, methods={"fail": fail})
-        client = RpcClient("caller", "svc", transport)
-        with pytest.raises(RpcError, match="nope"):
-            client.fail()
-
-    def test_malformed_call_is_typed_rejection_not_crash(self):
-        # Regression: a wrong-arity call used to raise TypeError inside the
-        # server handler and tear down the delivery instead of replying.
-        transport = InMemoryTransport()
-        RpcServer("svc", transport, methods={"ping": lambda: "pong"})
-        client = RpcClient("caller", "svc", transport)
-        with pytest.raises(RpcError, match="bad call"):
-            client.ping("unexpected-argument")
-        # The server survives and keeps answering well-formed calls.
-        assert client.ping() == "pong"
-
-    def test_non_rpc_message_rejected(self):
-        transport = InMemoryTransport()
-        RpcServer("svc", transport, methods={})
-        response = transport.send("svc", Message(kind=MessageKind.ACK, sender="x"))
-        assert response.is_error
-
-    def test_unknown_service_raises_rpc_error(self):
-        transport = InMemoryTransport()
-        client = RpcClient("caller", "nowhere", transport)
-        with pytest.raises(RpcError, match="unknown service"):
-            client.ping()
-
-    def test_round_trip_exceeding_timeout_raises_rpc_timeout(self):
-        transport = InMemoryTransport(LatencyModel(minimum_ms=30, maximum_ms=40, seed=2))
-        RpcServer("svc", transport, methods={"ping": lambda: "pong"})
-        slow = RpcClient("caller", "svc", transport, timeout_ms=10.0)
-        with pytest.raises(RpcTimeout):
-            slow.ping()
-        assert transport.statistics.timeouts == 1
-        generous = RpcClient("caller", "svc", transport, timeout_ms=10_000.0)
-        assert generous.ping() == "pong"
-
-    def test_rpc_on_kernel_transport_consumes_virtual_time(self):
-        kernel = EventKernel(seed=9)
-        transport = InMemoryTransport(
-            LatencyModel(minimum_ms=25, maximum_ms=25, seed=9), kernel=kernel
-        )
-        RpcServer("svc", transport, methods={"ping": lambda: "pong"})
-        client = RpcClient("caller", "svc", transport)
-        assert client.ping() == "pong"
-        assert kernel.now == 50.0  # request leg + response leg
-        with pytest.raises(RpcTimeout):
-            RpcClient("caller", "svc", transport, timeout_ms=49.0).ping()
 
 
 class TestGossip:

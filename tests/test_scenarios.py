@@ -236,8 +236,9 @@ class TestScheduledFaults:
         )
         transport.register("b", lambda m: m.reply(MessageKind.ACK, "b"))
         transport.schedule_offline("b", 100.0)
-        transport.schedule_online("b", 200.0)
+        kernel.schedule_at(200.0, lambda: transport.set_offline("b", False))
         assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
+        assert kernel.now == 10.0  # request leg + response leg
         kernel.run_until(150.0)
         assert transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
         kernel.run_until(250.0)

@@ -13,7 +13,6 @@ from repro.baselines import (
     OffChainStore,
     RecordRef,
     RedactableChain,
-    SelectiveDeletionSystem,
 )
 from repro.core import Blockchain, ChainConfig
 from repro.core.errors import StorageError
@@ -265,16 +264,3 @@ class TestOffChain:
         assert store.on_chain_bytes() == on_chain_before  # pointer never shrinks
         assert not store.request_erasure(refs[0], "ALPHA").accepted  # idempotent failure
         assert not store.verify_payload(refs[0])
-
-
-class TestSelectiveAdapter:
-    def test_selective_deletion_shrinks_and_erases(self):
-        system = SelectiveDeletionSystem()
-        refs = [system.append_record(record(i), "ALPHA") for i in range(8)]
-        outcome = system.request_erasure(refs[1], "ALPHA")
-        assert outcome.accepted
-        system.drain_retention()
-        assert not system.record_retrievable(refs[1])
-        assert system.record_retrievable(refs[-1])
-        assert system.capabilities()["selective_deletion"]
-        assert not system.request_erasure(RecordRef(index=999), "ALPHA").accepted
