@@ -1,0 +1,38 @@
+"""Findings on file, pinned as strict-xfail tests.
+
+Each test states the behaviour the system *should* have and is expected to
+fail today; ``strict=True`` turns an unexpected pass into a failure, so the
+fix (ROADMAP item 4: one call colour, a retried bootstrap for a stranded
+replica) must flip these to ordinary tests instead of leaving stale prose.
+"""
+
+import pytest
+
+from repro.network.scenarios import run_scenario
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="blocking transport.send inside a handler nests kernel.run_until per in-flight hop",
+)
+@pytest.mark.parametrize(
+    "name, events",
+    [("gossip-vs-broadcast", 60), ("partition-and-heal", 120)],
+)
+def test_twelve_anchor_deployments_run_to_completion(name, events):
+    try:
+        result = run_scenario(name, seed=7, anchors=12, events=events)
+    except RecursionError as exc:
+        # Re-raised bare: pytest spends ~4 s rendering the 1000-frame original.
+        raise RecursionError(str(exc)) from None
+    assert result["scenario"] == name
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a stranded replica gets one bootstrap attempt and one lost reply ends it",
+)
+def test_vehicle_telemetry_converges_at_200_vehicles_on_6_anchors_seed_18():
+    result = run_scenario("vehicle-telemetry", seed=18, vehicles=200, anchors=6)
+    assert result["replicas_identical"] is True

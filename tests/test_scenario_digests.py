@@ -9,6 +9,10 @@ of a parameter-dependent code path (an open-loop fleet, a one-shard sharded
 fleet, a larger lossy deployment, and four overloaded runs where arrivals
 outpace the round trip and backlog or shedding carries the result).
 
+Beside each ``sha256`` the file stores a 16-hex sub-digest per top-level key
+of the result (``report`` expanded one level: ``report.transport``,
+``report.kernel``, …), so a moved digest names the sections that moved.
+
 A digest that moves means scenario output changed.  If that is intended,
 regenerate the file and say why in the commit::
 
@@ -51,10 +55,20 @@ def point_id(name, seed, params):
     return f"{name} @{seed}{suffix}"
 
 
+def _sha256(value):
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def scenario_digest(name, seed, params):
     result = run_scenario(name, seed=seed, **params)
-    canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    sections = {}
+    for key, value in result.items():
+        if key == "report":
+            sections.update({f"report.{sub}": _sha256(value[sub])[:16] for sub in value})
+        else:
+            sections[key] = _sha256(value)[:16]
+    return {"sha256": _sha256(result), "sections": sections}
 
 
 def test_golden_file_covers_exactly_the_pinned_points():
@@ -66,10 +80,17 @@ def test_golden_file_covers_exactly_the_pinned_points():
     "name, seed, params", points(), ids=[point_id(*point) for point in points()]
 )
 def test_scenario_output_matches_its_golden_digest(name, seed, params):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert scenario_digest(name, seed, params) == golden[point_id(name, seed, params)], (
+    golden = json.loads(GOLDEN_PATH.read_text())[point_id(name, seed, params)]
+    actual = scenario_digest(name, seed, params)
+    moved = sorted(
+        section
+        for section in golden["sections"].keys() | actual["sections"].keys()
+        if golden["sections"].get(section) != actual["sections"].get(section)
+    )
+    assert actual == golden, (
         f"scenario {name!r} at seed {seed} (overrides {params}) no longer produces "
-        f"its golden output — see the module docstring to regenerate"
+        f"its golden output; sections that moved: {moved} — see the module "
+        f"docstring to regenerate"
     )
 
 
