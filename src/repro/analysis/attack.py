@@ -21,6 +21,9 @@ from typing import Optional, Sequence
 
 from repro.core.config import RedundancyPolicy
 
+#: Blocks produced per Monte-Carlo trial before the attacker is declared beaten.
+MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class ConfirmationProfile:
@@ -94,7 +97,6 @@ def simulate_attack(
     attacker_share: float,
     blocks_to_rewrite: int,
     trials: int = 2000,
-    max_steps: int = 10_000,
     seed: int = 1337,
     rng: Optional[random.Random] = None,
 ) -> AttackOutcome:
@@ -102,7 +104,7 @@ def simulate_attack(
 
     In each step one block is produced; it belongs to the attacker with
     probability ``attacker_share``.  The attacker starts ``blocks_to_rewrite``
-    blocks behind and wins a trial upon catching up before ``max_steps``.
+    blocks behind and wins a trial upon catching up within ``MAX_STEPS``.
 
     The race is driven by an explicit generator: either the caller's ``rng``
     (shared across calls, e.g. one scenario-seeded stream for a whole
@@ -117,7 +119,7 @@ def simulate_attack(
     successes = 0
     for _ in range(trials):
         deficit = blocks_to_rewrite
-        for _ in range(max_steps):
+        for _ in range(MAX_STEPS):
             if deficit <= 0:
                 break
             if rng.random() < attacker_share:

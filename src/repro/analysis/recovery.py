@@ -57,8 +57,6 @@ def _wallet_balances(transfer_entries: Iterable[Mapping]) -> dict[str, int]:
 def analyze_lost_coins(
     chain: Blockchain,
     lost_wallets: Iterable[str],
-    *,
-    freed_value: int = 0,
 ) -> RecoveryReport:
     """Quantify the value locked in lost wallets on the living chain.
 
@@ -69,9 +67,6 @@ def analyze_lost_coins(
         fields as produced by :class:`repro.workloads.coins.CoinTransferWorkload`).
     lost_wallets:
         Wallets whose keys are considered irrecoverably lost.
-    freed_value:
-        Value already returned to the system by earlier expiry/deletion
-        cycles (callers track this across recovery rounds).
     """
     lost = tuple(sorted(set(lost_wallets)))
     transfer_entries = [
@@ -85,7 +80,7 @@ def analyze_lost_coins(
     return RecoveryReport(
         total_minted=total_moved,
         locked_in_lost_wallets=locked,
-        already_freed=freed_value,
+        already_freed=0,
         recoverable=locked,
         lost_wallets=lost,
     )

@@ -57,8 +57,8 @@ class RedactableChain(BaselineSystem):
     #: multi-party coordination overhead the paper points at.
     REDACTION_EFFORT = 25.0
 
-    def __init__(self, *, trapdoor_seed: str = "redaction-committee") -> None:
-        self._hasher = ChameleonHash.from_seed(trapdoor_seed)
+    def __init__(self) -> None:
+        self._hasher = ChameleonHash.from_seed("redaction-committee")
         self._blocks: list[RedactableBlock] = []
         self._effort = EffortCounter()
 

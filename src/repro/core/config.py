@@ -230,18 +230,18 @@ class ChainConfig:
         )
 
     @classmethod
-    def paper_evaluation(cls, *, max_sequences: int = 2) -> "ChainConfig":
+    def paper_evaluation(cls) -> "ChainConfig":
         """The configuration of the paper's evaluation (Section V).
 
         A summary block every third block, simplified signatures, and — once
-        more than ``max_sequences`` sequences exist — every completed old
-        sequence merged into the newest summary block, which is exactly the
-        behaviour shown in Figs. 6-8 (two sequences merged at once, genesis
-        marker shifted to block 6).
+        more than two sequences exist — every completed old sequence merged
+        into the newest summary block, which is exactly the behaviour shown
+        in Figs. 6-8 (two sequences merged at once, genesis marker shifted to
+        block 6).
         """
         return cls(
             sequence_length=3,
-            retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=max_sequences),
+            retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2),
             shrink_strategy=ShrinkStrategy.ALL_OLD,
             summary_mode=SummaryMode.FULL_COPY,
             redundancy=RedundancyPolicy.NONE,

@@ -78,15 +78,13 @@ def _violates_minimums(
 def select_sequences_to_expire(
     config: ChainConfig,
     sequences: TypingSequence[SequenceView],
-    *,
-    pending_summary_blocks: int = 1,
 ) -> list[SequenceView]:
     """Choose the completed old sequences to merge into the next summary block.
 
     ``sequences`` is the partition of the *living* chain, oldest first; the
     last element is the sequence currently being closed (it never expires).
-    ``pending_summary_blocks`` accounts for the summary block that is about to
-    be appended, so length checks reflect the post-append chain.
+    Length checks count the summary block that is about to be appended, so
+    they reflect the post-append chain.
     """
     if len(sequences) < 2:
         return []
@@ -103,7 +101,7 @@ def select_sequences_to_expire(
 
     def measure_after(expired: list[SequenceView]) -> tuple[int, int, int]:
         remaining = [view for view in sequences if not any(view is gone for gone in expired)]
-        block_count = sum(view.length for view in remaining) + pending_summary_blocks
+        block_count = sum(view.length for view in remaining) + 1
         sequence_count = len(remaining)
         if remaining:
             time_span = remaining[-1].last_timestamp - remaining[0].first_timestamp

@@ -31,7 +31,7 @@ from repro.crypto.ecdsa import (
 Address = str
 
 
-def derive_address(public_key_encoding: str, *, length: int = 40) -> Address:
+def derive_address(public_key_encoding: str) -> Address:
     """Derive a printable address from a compressed public key encoding.
 
     The address is the truncated SHA-256 of the compressed point; 40 hex
@@ -39,7 +39,7 @@ def derive_address(public_key_encoding: str, *, length: int = 40) -> Address:
     chains while staying readable in console dumps.
     """
     digest = hashlib.sha256(public_key_encoding.encode("utf-8")).hexdigest()
-    return digest[:length]
+    return digest[:40]
 
 
 @dataclass

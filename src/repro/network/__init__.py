@@ -17,7 +17,7 @@ the :mod:`repro.network.message` module docstring.  The kinds group into
 five families:
 
 * **client requests** — ``SUBMIT_ENTRY``, ``SUBMIT_DELETION``,
-  ``SEAL_REQUEST``, ``IDLE_TICK``, ``FIND_ENTRY``, ``QUERY_STATISTICS``;
+  ``IDLE_TICK``, ``FIND_ENTRY``, ``QUERY_STATISTICS``;
 * **replication** — ``BLOCK_ANNOUNCE`` (direct or gossip-hopped),
   ``SUMMARY_HASH`` (Section IV-B synchronisation check);
 * **replica synchronisation** (:mod:`repro.sync`) — ``SYNC_REQUEST``

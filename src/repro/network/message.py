@@ -18,9 +18,8 @@ reply — their handler return value is discarded by ``InMemoryTransport.post``.
 ===================== ================= =============== ============================================== =================
 kind                  sender            receiver        payload schema                                 reply
 ===================== ================= =============== ============================================== =================
-``SUBMIT_ENTRY``      client            any anchor      ``{entry, defer_seal?}``                       ``ACK``/``ERROR``
+``SUBMIT_ENTRY``      client            any anchor      ``{entry}``                                    ``ACK``/``ERROR``
 ``SUBMIT_DELETION``   client            any anchor      ``{entry}`` (a deletion-request entry)         ``ACK``/``ERROR``
-``SEAL_REQUEST``      client            producer        ``{}``                                         ``ACK``
 ``IDLE_TICK``         client            producer        ``{ticks}``                                    ``ACK``
 ``FIND_ENTRY``        client            any anchor      ``{reference}``                                ``SYNC_RESPONSE``
 ``QUERY_STATISTICS``  client            any anchor      ``{}``                                         ``SYNC_RESPONSE``
@@ -75,7 +74,6 @@ class MessageKind(str, Enum):
 
     SUBMIT_ENTRY = "submit_entry"
     SUBMIT_DELETION = "submit_deletion"
-    SEAL_REQUEST = "seal_request"
     IDLE_TICK = "idle_tick"
     FIND_ENTRY = "find_entry"
     QUERY_STATISTICS = "query_statistics"

@@ -193,13 +193,13 @@ class AnchorNode:
             "rejected_blocks_evicted": 0,
             "announcements_evicted": 0,
         }
-        if self.engine is not None and chain.block_finalizer is None:
+        if chain.block_finalizer is None:
             chain.block_finalizer = self.engine.prepare_block
         # The producer announces every block its chain seals — no matter
-        # whether the seal was triggered by a submission, an explicit seal
-        # request or an idle tick.  Announcing is a *subscription* to the
-        # chain's event bus, not a call the block-production paths must each
-        # remember to make.
+        # whether the seal was triggered by a submission, a direct
+        # ``seal_block`` or an idle tick.  Announcing is a *subscription* to
+        # the chain's event bus, not a call the block-production paths must
+        # each remember to make.
         if self.is_producer:
             self._announce_subscription = chain.bus.subscribe(
                 self._on_block_sealed, types=(EventType.BLOCK_SEALED,)
@@ -225,7 +225,6 @@ class AnchorNode:
         handlers = {
             MessageKind.SUBMIT_ENTRY: self._handle_submit,
             MessageKind.SUBMIT_DELETION: self._handle_submit,
-            MessageKind.SEAL_REQUEST: self._handle_seal_request,
             MessageKind.IDLE_TICK: self._handle_idle_tick,
             MessageKind.FIND_ENTRY: self._handle_find_entry,
             MessageKind.QUERY_STATISTICS: self._handle_statistics,
@@ -269,25 +268,10 @@ class AnchorNode:
         if decision is not None:
             payload["deletion_status"] = decision.status.value
             payload["deletion_reason"] = decision.reason
-        if message.payload.get("defer_seal"):
-            # Queue only; the client batches entries and seals explicitly.
-            payload["queued"] = True
-            payload["pending_entries"] = len(self.chain.pending_entries)
-            return message.reply(MessageKind.ACK, self.node_id, payload)
         block = self.chain.seal_block()
         payload["block_number"] = block.block_number
         payload["entry_number"] = len(block.entries)
         return message.reply(MessageKind.ACK, self.node_id, payload)
-
-    def _handle_seal_request(self, message: Message) -> Message:
-        if not self.is_producer:
-            return self._forward_to_producer(message)
-        block = self.chain.seal_block()
-        return message.reply(
-            MessageKind.ACK,
-            self.node_id,
-            {"block_number": block.block_number, "entry_count": len(block.entries)},
-        )
 
     def _handle_idle_tick(self, message: Message) -> Message:
         if not self.is_producer:
@@ -610,13 +594,6 @@ class AnchorNode:
             self.node_id, self.gossip.targets(self.node_id, item_key), message
         )
 
-    def produce_block(self) -> Block:
-        """Seal the pending entries locally; the sealed-block subscription
-        announces the result to all peers."""
-        if not self.is_producer:
-            raise SelectiveDeletionError(f"node {self.node_id} is not the block producer")
-        return self.chain.seal_block()
-
     # ------------------------------------------------------------------ #
     # Synchronisation check (Section IV-B)
     # ------------------------------------------------------------------ #
@@ -873,7 +850,7 @@ class AnchorNode:
             self.chain.bus.unsubscribe(self._announce_subscription)
             self._announce_subscription = None
         self.chain = chain
-        if self.engine is not None and chain.block_finalizer is None:
+        if chain.block_finalizer is None:
             chain.block_finalizer = self.engine.prepare_block
         if self.is_producer:
             self._announce_subscription = chain.bus.subscribe(
@@ -939,7 +916,6 @@ class ClientNode:
         data: dict[str, Any],
         expires_at_time: Optional[int],
         expires_at_block: Optional[int],
-        defer_seal: bool,
     ) -> Message:
         """The ``SUBMIT_ENTRY`` message carrying ``data``, signed locally."""
         entry = self._sign_entry(
@@ -951,10 +927,11 @@ class ClientNode:
                 expires_at_block=expires_at_block,
             )
         )
-        payload: dict[str, Any] = {"entry": entry.to_dict()}
-        if defer_seal:
-            payload["defer_seal"] = True
-        return Message(kind=MessageKind.SUBMIT_ENTRY, sender=self.client_id, payload=payload)
+        return Message(
+            kind=MessageKind.SUBMIT_ENTRY,
+            sender=self.client_id,
+            payload={"entry": entry.to_dict()},
+        )
 
     def submit_entry(
         self,
@@ -963,16 +940,10 @@ class ClientNode:
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        defer_seal: bool = False,
     ) -> Message:
-        """Sign a data entry locally and submit it to an anchor node.
-
-        With ``defer_seal`` the entry is only queued in the producer's
-        pending pool; call :meth:`request_seal` to seal a batch explicitly.
-        """
+        """Sign a data entry locally and submit it to an anchor node."""
         return self._send(
-            anchor_id,
-            self._entry_message(data, expires_at_time, expires_at_block, defer_seal),
+            anchor_id, self._entry_message(data, expires_at_time, expires_at_block)
         )
 
     def submit_entry_async(
@@ -983,7 +954,6 @@ class ClientNode:
         on_response: Callable[[Message], None],
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        defer_seal: bool = False,
     ) -> None:
         """:meth:`submit_entry` without the virtual-time wait.
 
@@ -992,7 +962,7 @@ class ClientNode:
         transport), so many submissions — this client's or others' — overlap
         on the kernel.  Requires a kernel-backed transport.
         """
-        message = self._entry_message(data, expires_at_time, expires_at_block, defer_seal)
+        message = self._entry_message(data, expires_at_time, expires_at_block)
         self.transport.send_async(
             anchor_id,
             message,
@@ -1022,11 +992,6 @@ class ClientNode:
             sender=self.client_id,
             payload={"entry": entry.to_dict()},
         )
-        return self._send(anchor_id, message)
-
-    def request_seal(self, anchor_id: str) -> Message:
-        """Ask the producer to seal the queued entries into the next block."""
-        message = Message(kind=MessageKind.SEAL_REQUEST, sender=self.client_id)
         return self._send(anchor_id, message)
 
     def idle_tick(self, anchor_id: str, *, ticks: int = 1) -> Message:

@@ -209,8 +209,6 @@ def _overlay(kind: str, anchors: int, *, fanout: int, seed: int) -> Optional[Gos
         return None
     if kind == "clique":
         topology = GossipTopology.fully_connected(ids)
-    elif kind == "ring":
-        topology = GossipTopology.ring(ids)
     elif kind == "random-regular":
         topology = GossipTopology.random_regular(ids, degree=max(fanout + 1, 3), seed=seed)
     else:

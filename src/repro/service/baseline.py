@@ -65,7 +65,6 @@ class BaselineLedgerClient(LedgerClient):
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> SubmitReceipt:
         """Append one record; expiry bounds are ignored (baselines have no
         temporary entries — one of the capabilities the comparison shows)."""
@@ -74,11 +73,7 @@ class BaselineLedgerClient(LedgerClient):
         key = (block_number, 1)
         self._by_reference[key] = record_ref
         self._records[key] = (dict(data), author)
-        return SubmitReceipt(
-            reference=as_reference(key),
-            block_number=block_number,
-            sealed=True,
-        )
+        return SubmitReceipt(reference=as_reference(key), block_number=block_number)
 
     def request_deletion(
         self,
@@ -126,10 +121,6 @@ class BaselineLedgerClient(LedgerClient):
             "total_blocks_created": self._next_block - 1 - self._summary_slots_skipped,
             "capabilities": self.system.capabilities(),
         }
-
-    def seal(self) -> Optional[int]:
-        """No-op: baselines persist records immediately."""
-        return None
 
     def tick(self, ticks: int = 1) -> bool:
         """No-op: baselines have no idle-block progress rule."""

@@ -18,9 +18,9 @@ operations, which is what makes cross-backend comparisons
 (:mod:`repro.analysis.compare`, the growth benchmarks) apples-to-apples.
 
 The protocol follows the paper's evaluation model: ``submit`` seals one
-block per record by default (every login event becomes one block); batching
-is available by passing ``seal=False`` and calling :meth:`LedgerClient.seal`
-explicitly.
+block per record (every login event becomes one block).  Multi-entry blocks
+live in the core (``Blockchain.add_entry`` ×N + ``seal_block``), not in the
+client protocol.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ class LedgerError(SelectiveDeletionError):
 class SubmitReceipt:
     """Outcome of one record submission."""
 
-    #: Reference the record can later be addressed by; ``None`` until sealed.
+    #: Reference the record can later be addressed by; ``None`` on error.
     reference: Optional[EntryReference]
-    #: Block the record was sealed into; ``None`` while still pending.
+    #: Block the record was sealed into; ``None`` on error.
     block_number: Optional[int]
-    #: Whether the record is already part of a sealed block.
-    sealed: bool
     error: str = ""
 
     @property
@@ -114,9 +112,8 @@ class LedgerClient(ABC):
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> SubmitReceipt:
-        """Submit one signed record; seals one block unless ``seal=False``."""
+        """Submit one signed record and seal it into a block of its own."""
 
     def submit_async(
         self,
@@ -126,7 +123,6 @@ class LedgerClient(ABC):
         on_receipt: Callable[[SubmitReceipt], None],
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> None:
         """:meth:`submit` with the receipt delivered through a callback.
 
@@ -142,7 +138,6 @@ class LedgerClient(ABC):
                 author,
                 expires_at_time=expires_at_time,
                 expires_at_block=expires_at_block,
-                seal=seal,
             )
         )
 
@@ -171,10 +166,6 @@ class LedgerClient(ABC):
         """
 
     @abstractmethod
-    def seal(self) -> Optional[int]:
-        """Seal the pending records into the next block; returns its number."""
-
-    @abstractmethod
     def tick(self, ticks: int = 1) -> bool:
         """Advance ledger time; returns ``True`` when an idle block resulted.
 
@@ -198,22 +189,14 @@ class LocalLedgerClient(LedgerClient):
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> SubmitReceipt:
-        """Sign and queue the record; seal one block unless deferred."""
-        self.chain.add_entry(
-            data,
-            author,
-            expires_at_time=expires_at_time,
-            expires_at_block=expires_at_block,
+        """Sign the record and seal it into a block of its own."""
+        block = self.chain.add_entry_block(
+            data, author, expires_at_time=expires_at_time, expires_at_block=expires_at_block
         )
-        if not seal:
-            return SubmitReceipt(reference=None, block_number=None, sealed=False)
-        block = self.chain.seal_block()
         return SubmitReceipt(
             reference=EntryReference(block.block_number, len(block.entries)),
             block_number=block.block_number,
-            sealed=True,
         )
 
     def request_deletion(
@@ -251,10 +234,6 @@ class LocalLedgerClient(LedgerClient):
     def statistics(self) -> dict[str, Any]:
         """The chain's full operational counters (O(1))."""
         return self.chain.statistics()
-
-    def seal(self) -> Optional[int]:
-        """Seal the pending pool into the next block."""
-        return self.chain.seal_block().block_number
 
     def tick(self, ticks: int = 1) -> bool:
         """Advance the chain clock and apply the idle-block rule."""

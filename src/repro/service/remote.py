@@ -72,7 +72,7 @@ class RemoteLedgerClient(LedgerClient):
         return client
 
     def _driver(self) -> ClientNode:
-        """The client used for author-less operations (seal, tick, queries)."""
+        """The client used for author-less operations (tick, queries)."""
         return self._client_for("ledger-driver")
 
     @staticmethod
@@ -116,20 +116,19 @@ class RemoteLedgerClient(LedgerClient):
     @staticmethod
     def _submit_receipt_from(response: Message) -> SubmitReceipt:
         if response.is_error:
-            return SubmitReceipt(
-                reference=None,
-                block_number=None,
-                sealed=False,
-                error=str(response.payload.get("reason", "submission failed")),
-            )
-        block_number = response.payload.get("block_number")
-        entry_number = response.payload.get("entry_number")
-        if block_number is None or entry_number is None:
-            return SubmitReceipt(reference=None, block_number=None, sealed=False)
+            error = str(response.payload.get("reason", "submission failed"))
+            return SubmitReceipt(reference=None, block_number=None, error=error)
+        try:
+            block_number = int(response.payload["block_number"])
+            entry_number = int(response.payload["entry_number"])
+        except (KeyError, TypeError, ValueError) as exc:
+            # The reply is wire input: an ACK that does not name the sealed
+            # entry is the anchor's fault and must not read as accepted.
+            error = f"malformed ACK: {type(exc).__name__}: {exc}"
+            return SubmitReceipt(reference=None, block_number=None, error=error)
         return SubmitReceipt(
-            reference=EntryReference(int(block_number), int(entry_number)),
-            block_number=int(block_number),
-            sealed=True,
+            reference=EntryReference(block_number, entry_number),
+            block_number=block_number,
         )
 
     def submit(
@@ -139,7 +138,6 @@ class RemoteLedgerClient(LedgerClient):
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> SubmitReceipt:
         """Sign the record as ``author`` and submit it to the bound anchor."""
         response = self._with_failover(
@@ -148,7 +146,6 @@ class RemoteLedgerClient(LedgerClient):
                 dict(data),
                 expires_at_time=expires_at_time,
                 expires_at_block=expires_at_block,
-                defer_seal=not seal,
             )
         )
         return self._submit_receipt_from(response)
@@ -161,7 +158,6 @@ class RemoteLedgerClient(LedgerClient):
         on_receipt: Callable[[SubmitReceipt], None],
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> None:
         """:meth:`submit` without the virtual-time wait (kernel mode only).
 
@@ -191,7 +187,6 @@ class RemoteLedgerClient(LedgerClient):
                 on_response=handle,
                 expires_at_time=expires_at_time,
                 expires_at_block=expires_at_block,
-                defer_seal=not seal,
             )
 
         attempt(0)
@@ -253,13 +248,6 @@ class RemoteLedgerClient(LedgerClient):
             "statistics",
         )
         return dict(response.payload.get("statistics", {}))
-
-    def seal(self) -> Optional[int]:
-        """Ask the producer to seal the queued batch."""
-        response = self._require_ok(
-            self._with_failover(lambda target: self._driver().request_seal(target)), "seal"
-        )
-        return response.payload.get("block_number")
 
     def tick(self, ticks: int = 1) -> bool:
         """Advance the producer's clock; idle blocks replicate automatically."""

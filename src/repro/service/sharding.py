@@ -270,7 +270,6 @@ class ShardRouter(LedgerClient):
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> SubmitReceipt:
         """Route the record to the author's home shard and index the seal."""
         shard = self.shard_of(author)
@@ -280,7 +279,6 @@ class ShardRouter(LedgerClient):
             author,
             expires_at_time=expires_at_time,
             expires_at_block=expires_at_block,
-            seal=seal,
         )
         return self._submitted(shard, author, started, receipt)
 
@@ -304,7 +302,6 @@ class ShardRouter(LedgerClient):
         on_receipt: Callable[[SubmitReceipt], None],
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-        seal: bool = True,
     ) -> None:
         """:meth:`submit` with the receipt delivered through a callback.
 
@@ -326,7 +323,6 @@ class ShardRouter(LedgerClient):
             on_receipt=finish,
             expires_at_time=expires_at_time,
             expires_at_block=expires_at_block,
-            seal=seal,
         )
 
     def request_deletion(
@@ -449,12 +445,6 @@ class ShardRouter(LedgerClient):
             "per_shard": per_shard,
         }
         return merged
-
-    def seal(self) -> Optional[int]:
-        """Seal every shard's pending pool; returns shard 0's block number
-        (per-shard numbers live in :meth:`statistics`)."""
-        numbers = [client.seal() for client in self.shards]
-        return numbers[0]
 
     def tick(self, ticks: int = 1) -> bool:
         """Advance every shard's ledger clock; ``True`` if any shard sealed

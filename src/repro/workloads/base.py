@@ -116,7 +116,6 @@ def replay(
     target: Union[Blockchain, LedgerClient],
     *,
     sample_every: int = 1,
-    one_block_per_entry: bool = True,
 ) -> ReplayResult:
     """Replay a workload through the ledger-client protocol.
 
@@ -147,10 +146,9 @@ def replay(
                 event.author,
                 expires_at_time=event.expires_at_time,
                 expires_at_block=event.expires_at_block,
-                seal=one_block_per_entry,
             )
             result.entries += 1
-            if receipt.sealed:
+            if receipt.ok:
                 result.blocks_sealed += 1
         elif event.kind is EventKind.DELETION:
             assert event.target is not None

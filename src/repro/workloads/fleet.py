@@ -252,9 +252,6 @@ class FleetDriver:
         measures request→execution latency in virtual milliseconds.
     start_at_ms:
         Offset added to every arrival time.
-    one_block_per_entry:
-        Seal one block per submission (the paper's evaluation model), as
-        :func:`~repro.workloads.base.replay` does.
     expiry_ms_per_tick:
         When set, temporary-entry bounds (``expires_at_time``, expressed in
         workload ticks) are rescaled into virtual milliseconds — chains on a
@@ -306,7 +303,6 @@ class FleetDriver:
         kernel: "EventKernel",
         bus: Optional[EventBus] = None,
         start_at_ms: float = 0.0,
-        one_block_per_entry: bool = True,
         expiry_ms_per_tick: Optional[float] = None,
         in_flight_budget: int = 8,
         policy: FleetPolicy | str = FleetPolicy.QUEUE,
@@ -334,7 +330,6 @@ class FleetDriver:
         self.client = self.clients[0]
         self.kernel = kernel
         self.start_at_ms = float(start_at_ms)
-        self.one_block_per_entry = one_block_per_entry
         self.expiry_ms_per_tick = expiry_ms_per_tick
         self.in_flight_budget = int(in_flight_budget)
         self.policy = FleetPolicy(policy)
@@ -525,7 +520,6 @@ class FleetDriver:
             on_receipt=on_receipt,
             expires_at_time=self._rescale_expiry(event.expires_at_time),
             expires_at_block=event.expires_at_block,
-            seal=self.one_block_per_entry,
         )
 
     def _shed(self, arrival: FleetArrival) -> None:
@@ -570,7 +564,6 @@ class FleetDriver:
                 event.author,
                 expires_at_time=self._rescale_expiry(event.expires_at_time),
                 expires_at_block=event.expires_at_block,
-                seal=self.one_block_per_entry,
             )
             self._tally_entry(arrival, receipt)
         elif event.kind is EventKind.DELETION:
@@ -595,10 +588,10 @@ class FleetDriver:
     def _tally_entry(self, arrival: FleetArrival, receipt: SubmitReceipt) -> None:
         stats = self.stats.clients[arrival.client_index].run
         stats.entries_submitted += 1
-        if not receipt.ok:
-            stats.entries_rejected += 1
-        elif receipt.sealed:
+        if receipt.ok:
             stats.blocks_sealed += 1
+        else:
+            stats.entries_rejected += 1
         if self.on_submitted is not None:
             self.on_submitted(arrival.client_index, arrival.position, arrival.event, receipt)
 

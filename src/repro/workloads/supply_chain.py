@@ -17,20 +17,18 @@ from typing import Iterator
 
 from repro.workloads.base import EventKind, Workload, WorkloadEvent
 
-#: Default production stages of one product.
-DEFAULT_STAGES = ("raw-material", "assembly", "quality-check", "packaging", "shipping")
-
 
 class SupplyChainWorkload(Workload):
     """Product tracking with best-before expiry per entry."""
 
     name = "supply-chain"
+    #: Production stages of one product.
+    stages = ("raw-material", "assembly", "quality-check", "packaging", "shipping")
 
     def __init__(
         self,
         *,
         num_products: int = 50,
-        stages: tuple[str, ...] = DEFAULT_STAGES,
         shelf_life_ticks: int = 200,
         stations: int = 5,
         seed: int = 7,
@@ -39,7 +37,6 @@ class SupplyChainWorkload(Workload):
         if num_products < 0 or shelf_life_ticks <= 0 or stations < 1:
             raise ValueError("invalid supply-chain workload parameters")
         self.num_products = num_products
-        self.stages = stages
         self.shelf_life_ticks = shelf_life_ticks
         self.stations = stations
 

@@ -2,7 +2,7 @@
 
 A Hypothesis rule-based state machine drives a synchronous three-anchor
 deployment through random interleavings of the operations a real deployment
-sees — submit, delete, deferred-batch seal, partition, heal, sync — and, in
+sees — submit, delete, multi-entry seal, partition, heal, sync — and, in
 the adversarial variant, one byzantine actor from :mod:`repro.adversary`
 weaving its attacks (equivocation, forged deletions, spoofed digests) into
 the same interleaving.  The property under test is the paper's core
@@ -110,21 +110,18 @@ class ConvergenceMachine(RuleBasedStateMachine):
 
     @rule(user=st.sampled_from(USERS))
     def submit_deferred(self, user):
+        # Multi-entry blocks are the core's (``add_entry`` ×N + ``seal_block``
+        # on the producer chain); replication is the bus subscription's job.
         self.counter += 1
-        client = self.simulator.clients[user]
-        response = client.submit_entry(
-            self.simulator.producer_id,
-            {"D": f"Deferred #{self.counter}", "K": user, "S": f"sig_{user}"},
-            defer_seal=True,
+        self.simulator.producer.chain.add_entry(
+            {"D": f"Deferred #{self.counter}", "K": user, "S": f"sig_{user}"}, user
         )
-        assert not response.is_error
         self.pending += 1
 
     @precondition(lambda self: self.pending > 0)
-    @rule(user=st.sampled_from(USERS))
-    def seal(self, user):
-        response = self.simulator.clients[user].request_seal(self.simulator.producer_id)
-        assert not response.is_error
+    @rule()
+    def seal(self):
+        self.simulator.producer.chain.seal_block()
         self.pending = 0
 
     @rule(reference=references)

@@ -192,9 +192,9 @@ class BlockingStubClient:
         self.departures.append(self.kernel.now)
         self.kernel.run_until(self.kernel.now + self.service_ms)
 
-    def submit(self, data, author, *, expires_at_time=None, expires_at_block=None, seal=True):
+    def submit(self, data, author, *, expires_at_time=None, expires_at_block=None):
         self._round_trip()
-        return SubmitReceipt(reference=None, block_number=None, sealed=False)
+        return SubmitReceipt(reference=None, block_number=None)
 
     def request_deletion(self, target, author, *, reason=""):
         self._round_trip()

@@ -12,7 +12,7 @@ import pytest
 from repro.baselines import ImmutableChain, LocalPruningNode, OffChainStore
 from repro.core import Blockchain, ChainConfig, Entry, EntryReference
 from repro.crypto.signatures import new_scheme, sign_entry
-from repro.network import NetworkSimulator
+from repro.network import InMemoryTransport, MessageKind, NetworkSimulator
 from repro.service import (
     BaselineLedgerClient,
     LedgerClient,
@@ -72,7 +72,7 @@ class TestLocalClient:
     def test_submit_receipt_reference_resolves(self):
         ledger = LocalLedgerClient(Blockchain(paper_config()))
         receipt = ledger.submit({"D": "Login A", "K": "A", "S": "sig_A"}, "A")
-        assert receipt.ok and receipt.sealed
+        assert receipt.ok
         record = ledger.find_entry(receipt.reference)
         assert record is not None
         assert record.data["D"] == "Login A"
@@ -86,16 +86,6 @@ class TestLocalClient:
         for i in range(12):
             ledger.submit({"D": f"fill {i}", "K": "B", "S": "sig_B"}, "B")
         assert ledger.find_entry(receipt.reference) is None
-
-    def test_batched_submission_with_explicit_seal(self):
-        chain = Blockchain(paper_config())
-        ledger = LocalLedgerClient(chain)
-        for i in range(3):
-            receipt = ledger.submit({"D": f"batch {i}", "K": "A", "S": "sig_A"}, "A", seal=False)
-            assert not receipt.sealed and receipt.reference is None
-        block_number = ledger.seal()
-        block = chain.block_by_number(block_number)
-        assert len(block.entries) == 3
 
     def test_tick_produces_idle_block_after_interval(self):
         config = ChainConfig(sequence_length=3, empty_block_interval=5)
@@ -112,7 +102,7 @@ class TestRemoteClient:
     def test_submission_replicates_and_reference_resolves(self):
         simulator, ledger = self.build()
         receipt = ledger.submit({"D": "Login A", "K": "A", "S": "sig_A"}, "A")
-        assert receipt.ok and receipt.sealed
+        assert receipt.ok
         for node in simulator.anchors.values():
             assert node.chain.find_entry(receipt.reference) is not None
         record = ledger.find_entry(receipt.reference)
@@ -122,19 +112,8 @@ class TestRemoteClient:
         simulator = NetworkSimulator(anchor_count=3, config=paper_config())
         via_replica = simulator.ledger_client(simulator.anchor_ids[2])
         receipt = via_replica.submit({"D": "x", "K": "A", "S": "sig_A"}, "A")
-        assert receipt.ok and receipt.sealed
+        assert receipt.ok
         assert simulator.producer.chain.find_entry(receipt.reference) is not None
-
-    def test_remote_batched_seal(self):
-        simulator, ledger = self.build()
-        for i in range(3):
-            receipt = ledger.submit({"D": f"b{i}", "K": "A", "S": "sig_A"}, "A", seal=False)
-            assert not receipt.sealed
-        block_number = ledger.seal()
-        block = simulator.producer.chain.block_by_number(block_number)
-        assert len(block.entries) == 3
-        # The batch block replicated like any other announcement.
-        assert simulator.replicas_identical()
 
     def test_remote_deletion_and_tick(self):
         simulator, ledger = self.build()
@@ -151,7 +130,25 @@ class TestRemoteClient:
         simulator.take_offline(simulator.anchor_ids[0])
         receipt = ledger.submit({"D": "x", "K": "A", "S": "sig_A"}, "A")
         assert not receipt.ok
-        assert not receipt.sealed
+        assert receipt.reference is None
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"block_number": 4}, {"block_number": "four", "entry_number": 1}],
+        ids=["empty", "no-entry-number", "wrong-typed"],
+    )
+    def test_ack_that_does_not_name_the_sealed_entry_is_a_typed_error(self, payload):
+        """Regression: such an ``ACK`` used to read as an accepted receipt
+        with ``reference=None`` (the shape of the deleted "queued" reply)."""
+        transport = InMemoryTransport()
+        transport.register(
+            "anchor", lambda message: message.reply(MessageKind.ACK, "anchor", payload)
+        )
+        ledger = RemoteLedgerClient(transport, "anchor")
+        receipt = ledger.submit({"D": "x", "K": "A", "S": "sig_A"}, "A")
+        assert not receipt.ok
+        assert receipt.error.startswith("malformed ACK: ")
+        assert receipt.reference is None and receipt.block_number is None
 
 
 class TestRemoteFailoverSweep:
@@ -198,7 +195,7 @@ class TestRemoteFailoverSweep:
         deletion = ledger.request_deletion(target.reference, "A")
         assert deletion.ok and deletion.approved
         receipt = ledger.submit({"D": "after", "K": "A", "S": "sig_A"}, "A")
-        assert receipt.ok and receipt.sealed
+        assert receipt.ok
 
         assert ledger.failovers > baseline_failovers
 

@@ -193,13 +193,12 @@ class TestRealProtocol:
 
     def test_every_registered_kind_is_accounted_for(self):
         model = self.real_model()
-        assert len(model.members) == 18
+        assert len(model.members) == 17
         assert set(model.members) == {
-            "SUBMIT_ENTRY", "SUBMIT_DELETION", "SEAL_REQUEST", "IDLE_TICK",
-            "FIND_ENTRY", "QUERY_STATISTICS", "BLOCK_ANNOUNCE", "SUMMARY_HASH",
-            "SYNC_REQUEST", "SYNC_RESPONSE", "SYNC_DIGEST", "SNAPSHOT_REQUEST",
-            "SNAPSHOT_CHUNK", "VOTE_REQUEST", "VOTE_RESPONSE", "PRODUCER_CHANGE",
-            "ACK", "ERROR",
+            "SUBMIT_ENTRY", "SUBMIT_DELETION", "IDLE_TICK", "FIND_ENTRY",
+            "QUERY_STATISTICS", "BLOCK_ANNOUNCE", "SUMMARY_HASH", "SYNC_REQUEST",
+            "SYNC_RESPONSE", "SYNC_DIGEST", "SNAPSHOT_REQUEST", "SNAPSHOT_CHUNK",
+            "VOTE_REQUEST", "VOTE_RESPONSE", "PRODUCER_CHANGE", "ACK", "ERROR",
         }
         unaccounted = set(model.members) - model.accounted
         assert not unaccounted, f"kinds with no handler or reply site: {sorted(unaccounted)}"

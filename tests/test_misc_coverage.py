@@ -21,7 +21,7 @@ from repro.core import (
 from repro.core.chain import ChainEvent
 from repro.network import AnchorNode, InMemoryTransport, Message, MessageKind
 from repro.network.node import SyncReport
-from repro.workloads import LoginAuditWorkload, PaperScenarioWorkload, replay
+from repro.workloads import PaperScenarioWorkload, replay
 
 
 def _modules_declaring_all():
@@ -83,19 +83,6 @@ class TestChainEventAndRendering:
 
 
 class TestReplayVariants:
-    def test_replay_with_batched_blocks(self):
-        chain = Blockchain(ChainConfig(sequence_length=4))
-        result = replay(
-            LoginAuditWorkload(num_events=20, num_users=3, seed=4),
-            chain,
-            one_block_per_entry=False,
-        )
-        # Entries accumulate in the pending pool; no data blocks were sealed.
-        assert result.blocks_sealed == 0
-        assert len(chain.pending_entries) == result.entries
-        block = chain.seal_block()
-        assert block.entry_count == result.entries
-
     def test_replay_sampling_interval(self):
         chain = Blockchain(ChainConfig.paper_evaluation())
         result = replay(PaperScenarioWorkload(extra_cycles=1), chain, sample_every=2)

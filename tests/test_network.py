@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Blockchain, ChainConfig, EntryReference
 from repro.core.errors import SynchronisationError
+from repro.crypto.hashing import canonical_json
 from repro.network import (
     AnchorNode,
     ClientNode,
@@ -179,15 +180,23 @@ class TestAnchorAndClientNodes:
         with pytest.raises(SynchronisationError):
             nodes[ids[0]].sync_check(raise_on_divergence=True)
 
-    def test_produce_block_requires_producer_role(self):
+    def test_a_three_entry_block_sealed_on_the_producer_replicates_byte_identically(self):
+        """Multi-entry blocks live in the core: ``add_entry`` ×N + ``seal_block``
+        on the producer's chain; its ``block-sealed`` subscription announces."""
         transport, nodes, ids = self.build_network()
-        with pytest.raises(Exception):
-            nodes[ids[1]].produce_block()
-        block = nodes[ids[0]].produce_block()
-        assert block.block_number >= 1
+        producer = nodes[ids[0]].chain
+        for user in ("ALPHA", "BRAVO", "CHARLIE"):
+            producer.add_entry({"D": f"Login {user}", "K": user, "S": f"sig_{user}"}, user)
+        block = producer.seal_block()
+        assert len(block.entries) == 3
+        expected = canonical_json([stored.to_dict() for stored in producer.blocks])
+        for node_id in ids[1:]:
+            replica = nodes[node_id].chain
+            assert replica.find_entry(EntryReference(block.block_number, 3)) is not None
+            assert canonical_json([stored.to_dict() for stored in replica.blocks]) == expected
 
     #: One wrong-typed payload for every dispatched kind that parses a
-    #: payload field (SEAL_REQUEST and QUERY_STATISTICS read nothing).
+    #: payload field (QUERY_STATISTICS reads nothing).
     WRONG_TYPED = {
         MessageKind.SUBMIT_ENTRY: {"entry": 7},
         MessageKind.SUBMIT_DELETION: {"entry": "x"},
@@ -239,7 +248,7 @@ class TestAnchorAndClientNodes:
             )
             if not unsupported:
                 dispatched.add(kind)
-        assert dispatched - {MessageKind.SEAL_REQUEST, MessageKind.QUERY_STATISTICS} == {
+        assert dispatched - {MessageKind.QUERY_STATISTICS} == {
             *self.WRONG_TYPED,
             *self.NEEDS_A_FIELD,
         }
