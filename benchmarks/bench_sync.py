@@ -34,9 +34,9 @@ from repro.network import (
     NetworkSimulator,
 )
 from repro.network.message import reset_message_counter
+from repro.workloads import login_record
 
 import sweep
-from conftest import login
 
 FULL_AGES = (40, 80, 160, 320)
 SMOKE_AGES = (40, 80)
@@ -68,7 +68,7 @@ def age_chain(config: ChainConfig, events: int) -> Blockchain:
     chain = Blockchain(config)
     for index in range(events):
         chain.add_entry_block(
-            login("ALPHA", f"#{index}"),
+            login_record("ALPHA", detail=f"#{index}"),
             "ALPHA",
             expires_at_block=chain.head.block_number + ENTRY_TTL_BLOCKS,
         )
@@ -134,7 +134,7 @@ def measure_convergence_rounds(fanout: int) -> dict[str, float]:
     for node_id in stragglers:
         simulator.take_offline(node_id)
     for index in range(10):
-        simulator.submit_entry("ALPHA", login("ALPHA", f"#{index}"), anchor_id=simulator.producer_id)
+        simulator.submit_entry("ALPHA", login_record("ALPHA", detail=f"#{index}"), anchor_id=simulator.producer_id)
     kernel.run()  # drain the live gossip among the online replicas
     for node_id in stragglers:
         simulator.bring_online(node_id)

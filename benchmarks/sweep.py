@@ -6,10 +6,11 @@ JSON, printing the rows and deciding whether a run is wide enough for shape
 assertions happen here and nowhere else.  There is one switch:
 
 * ``BENCH_SMOKE=1`` measures each axis's ``smoke`` prefix, writes nothing and
-  holds the regenerated rows against the committed ones — value by value on
-  the ``"virtual"`` clock (deterministic model outputs), key by key on the
-  ``"wall"`` clock.  Sections computed from the whole axis are left alone: a
-  prefix cannot reproduce them.
+  holds the regenerated rows against the committed ones — key by key on the
+  ``"wall"`` clock, value by value on the other two: ``"virtual"`` (kernel
+  time, deterministic model outputs) and ``"logical"`` (blocks, bytes, counts,
+  seeded-model probabilities).  Sections computed from the whole axis are
+  left alone: a prefix cannot reproduce them.
 * Otherwise it measures ``full`` and rewrites the committed file, stamped
   with its clock; ``git diff`` is then the comparison.
 """
@@ -38,7 +39,7 @@ class Axis:
 class Sweep:
     benchmark: str
     output: str
-    clock: str  # "virtual" | "wall"
+    clock: str  # "virtual" | "logical" | "wall"
     config: dict
     axes: tuple[Axis, ...]
     #: Sections computed from the whole axis: rows by section -> {name: section}.
@@ -71,7 +72,7 @@ def check_against_committed(sweep: Sweep, regenerated: dict, committed: dict) ->
             assert ours.keys() == theirs.keys(), (
                 f"{where}: keys differ: {sorted(ours.keys() ^ theirs.keys())}"
             )
-            if sweep.clock != "virtual":
+            if sweep.clock == "wall":
                 continue  # wall-clock readings never repeat; the keys are the contract
             for key, regenerated_value in ours.items():
                 assert regenerated_value == theirs[key], (

@@ -18,6 +18,10 @@ HISTORICAL_AXIS_KEYS = {
     "bench_fleet_saturation": ("fleet_sizes",),
     "bench_index_scaling": ("sizes",),
     "bench_net_scaling": ("sizes",),
+    "bench_paper": (
+        "growth_events", "deletion_histories", "retained_fractions", "chain_lengths", "record_counts",
+        "anchor_counts", "shelf_lives", "shrink_strategies", "retention_units", "consensus_engines", "figure_numbers",
+    ),
     "bench_shard_scaling": ("shard_counts",),
     "bench_sync": ("ages", "fanouts"),
     "bench_workload_scenarios": ("gaps_ms",),
@@ -79,13 +83,18 @@ def test_full_run_rewrites_the_file_with_clock_stamp_and_axis_key(tmp_path, monk
     assert written == COMMITTED.read_text(encoding="utf-8")
 
 
-def test_wall_clock_smoke_compares_keys_not_readings(tmp_path, monkeypatch):
+@pytest.mark.parametrize("clock", ["wall", "logical"])
+def test_smoke_compares_keys_on_the_wall_clock_and_values_on_the_others(clock, tmp_path, monkeypatch):
     def stub(key, readings):
         axis = sweep.Axis("sizes", "trajectory", (1, 2), (1,), lambda size: {key: next(readings)})
-        return sweep.Sweep("bench_stub", "BENCH_stub.json", "wall", {}, (axis,))
+        return sweep.Sweep("bench_stub", "BENCH_stub.json", clock, {}, (axis,))
 
     sweep.run(stub("op_us", iter([1.0, 2.0])), root=tmp_path)
     monkeypatch.setenv("BENCH_SMOKE", "1")
-    sweep.run(stub("op_us", iter([3.0])), root=tmp_path)  # against a committed 1.0
+    if clock == "wall":
+        sweep.run(stub("op_us", iter([3.0])), root=tmp_path)  # against a committed 1.0
+    else:
+        with pytest.raises(AssertionError, match=r"BENCH_stub.json: sizes=1: op_us: committed 1.0 != regenerated 3.0"):
+            sweep.run(stub("op_us", iter([3.0])), root=tmp_path)
     with pytest.raises(AssertionError, match=r"BENCH_stub.json: sizes=1: keys differ: \['op_ns', 'op_us'\]"):
         sweep.run(stub("op_ns", iter([1.0])), root=tmp_path)

@@ -11,11 +11,15 @@ code *and* documentation:
 * the static-analysis rule table in ``docs/ARCHITECTURE.md`` must list
   exactly the registered rule ids, engine meta-checks included
   (``REPRO-DOC403``) — this file you are reading cannot add a rule without
-  documenting it.
+  documenting it,
+* the claims table in ``docs/CLAIMS.md`` must have exactly one row per
+  section of the committed ``BENCH_paper.json``, each naming code that
+  exists (``REPRO-DOC404``).
 """
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Iterable
 
@@ -36,6 +40,12 @@ SCENARIO_HEADING = "### Scenario catalogue"
 RULES_HEADING = "### Rule catalogue"
 
 ARCHITECTURE_DOC_SUFFIX = "docs/ARCHITECTURE.md"
+
+#: Heading under which the pinned claims table lives, and the file of numbers
+#: its rows point into.
+CLAIMS_HEADING = "## Claims"
+CLAIMS_DOC_SUFFIX = "docs/CLAIMS.md"
+PAPER_BENCH = "BENCH_paper.json"
 
 
 def _table_rows(ctx: FileContext, heading: str) -> list[tuple[int, list[str]]]:
@@ -205,3 +215,52 @@ class RuleTableRule(Rule):
                     number,
                     f"documented rule {rule_id} is not registered in the linter",
                 )
+
+
+@register
+class ClaimsTableRule(Rule):
+    """The claims table and the committed paper numbers name each other."""
+
+    rule_id = "REPRO-DOC404"
+    title = "claims table out of sync with BENCH_paper.json"
+    rationale = (
+        "the claims table is the one place the repository says what it "
+        "reproduces; a claim without a committed number, a number nobody "
+        "claims or a code path that moved away makes it say something else"
+    )
+    example = "a `growth` row after the `growth` section left `BENCH_paper.json`"
+    scope = "project"
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        ctx = project.find(CLAIMS_DOC_SUFFIX)
+        if ctx is None:
+            return
+        documented: dict[str, int] = {}
+        for number, cells in _table_rows(ctx, CLAIMS_HEADING):
+            # claim | paper | the claim | code | section | status
+            if len(cells) != 6 or not re.fullmatch(r"`\w+`", cells[4]):
+                continue
+            documented[cells[4].strip("`")] = number
+            for path in re.findall(r"`([^`]+)`", cells[3]):
+                if not _resolves(project, "", path):
+                    yield self.finding(ctx, number, f"code path {path} of claim {cells[0]} does not exist")
+        sections = _paper_sections(project)
+        for section in sorted(sections - set(documented)):
+            yield self.finding(ctx, 1, f"{PAPER_BENCH} section {section} has no row in the claims table")
+        for section in sorted(set(documented) - sections):
+            yield self.finding(
+                ctx, documented[section], f"claims row names {section}, which is no section of {PAPER_BENCH}"
+            )
+
+
+def _paper_sections(project: Project) -> set[str]:
+    """Keys of the committed file that hold one row per axis value."""
+    synthetic = project.find(PAPER_BENCH)  # real scans hold only code and markdown
+    if synthetic is not None:
+        text = synthetic.source
+    elif project.root is not None and (project.root / PAPER_BENCH).is_file():
+        text = (project.root / PAPER_BENCH).read_text(encoding="utf-8")
+    else:
+        return set()
+    document = json.loads(text)
+    return {key for key, value in document.items() if isinstance(value, dict) and key != "config"}

@@ -210,11 +210,18 @@ class RemoteLedgerClient(LedgerClient):
                 reason="",
                 error=str(response.payload.get("reason", "deletion request failed")),
             )
-        approved = response.payload.get("deletion_status") == "approved"
+        # A deletion request is sealed like any entry; its ACK additionally
+        # carries the decision, without which it must not read as a rejection.
+        sealed = self._submit_receipt_from(response)
+        status = response.payload.get("deletion_status")
+        if not sealed.ok or not isinstance(status, str):
+            error = sealed.error or f"malformed ACK: deletion_status is {status!r}"
+            return DeletionReceipt(approved=False, reason="", error=error)
+        approved = status == "approved"
         return DeletionReceipt(
             approved=approved,
             reason=str(response.payload.get("deletion_reason", "")),
-            block_number=response.payload.get("block_number"),
+            block_number=sealed.block_number,
             globally_effective=approved,
             effort_units=1.0,
         )

@@ -19,6 +19,16 @@ from repro.core.errors import StorageError
 from repro.storage.memstore import MemoryBlockStore
 
 
+def _decode_record(line: bytes) -> Union[Block, int]:
+    """The block a journal line appends, or the number its marker truncates before."""
+    record = json.loads(line)
+    if record["kind"] == "block":
+        return Block.from_dict(record["block"])
+    if record["kind"] == "truncate":
+        return int(record["before"])
+    raise ValueError(f"unknown record kind {record['kind']!r}")
+
+
 class JournalBlockStore(MemoryBlockStore):
     """File-backed append-only store with explicit compaction.
 
@@ -36,19 +46,20 @@ class JournalBlockStore(MemoryBlockStore):
             self.path.touch()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
+        # Bytes, not text: a flipped high bit is a corrupt line like any other.
+        with self.path.open("rb") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StorageError(f"corrupt journal line {line_number}: {exc}") from exc
-                if record.get("kind") == "truncate":
-                    super().truncate_before(int(record["before"]))
+                    record = _decode_record(line)
+                except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                    raise StorageError(f"corrupt journal line {line_number}: {exc!r}") from exc
+                if isinstance(record, Block):
+                    super().append(record)
                 else:
-                    super().append(Block.from_dict(record["block"]))
+                    super().truncate_before(record)
 
     def _write_record(self, record: dict) -> None:
         with self.path.open("a", encoding="utf-8") as handle:

@@ -133,22 +133,35 @@ class TestRemoteClient:
         assert receipt.reference is None
 
     @pytest.mark.parametrize(
-        "payload",
-        [{}, {"block_number": 4}, {"block_number": "four", "entry_number": 1}],
-        ids=["empty", "no-entry-number", "wrong-typed"],
+        "payload, names_the_entry",
+        [
+            ({}, False),
+            ({"block_number": 4}, False),
+            ({"block_number": "four", "entry_number": 1}, False),
+            ({"block_number": 4, "entry_number": 1}, True),
+            ({"block_number": "four", "entry_number": 1, "deletion_status": "approved"}, False),
+        ],
+        ids=["empty", "no-entry-number", "wrong-typed", "no-decision", "decision-wrong-typed-block"],
     )
-    def test_ack_that_does_not_name_the_sealed_entry_is_a_typed_error(self, payload):
+    def test_ack_that_does_not_name_the_sealed_entry_is_a_typed_error(self, payload, names_the_entry):
         """Regression: such an ``ACK`` used to read as an accepted receipt
-        with ``reference=None`` (the shape of the deleted "queued" reply)."""
+        with ``reference=None`` (the shape of the deleted "queued" reply) —
+        and, to ``request_deletion``, as a processed rejection, which an
+        ``ACK`` without a decision still did after PR 23."""
         transport = InMemoryTransport()
         transport.register(
             "anchor", lambda message: message.reply(MessageKind.ACK, "anchor", payload)
         )
         ledger = RemoteLedgerClient(transport, "anchor")
         receipt = ledger.submit({"D": "x", "K": "A", "S": "sig_A"}, "A")
-        assert not receipt.ok
-        assert receipt.error.startswith("malformed ACK: ")
-        assert receipt.reference is None and receipt.block_number is None
+        assert receipt.ok == names_the_entry
+        if not names_the_entry:
+            assert receipt.error.startswith("malformed ACK: ")
+            assert receipt.reference is None and receipt.block_number is None
+        deletion = ledger.request_deletion((1, 1), "A")
+        assert not deletion.ok and not deletion.approved
+        assert deletion.error.startswith("malformed ACK: ")
+        assert deletion.block_number is None
 
 
 class TestRemoteFailoverSweep:

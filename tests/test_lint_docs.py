@@ -3,7 +3,10 @@ rule-catalogue table in the handbook lists exactly the registered rules."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
+
+import pytest
 
 from repro.lint.base import ENGINE_CHECKS, rule_catalogue
 from repro.lint.engine import run_lint
@@ -11,6 +14,7 @@ from repro.lint.project import Project
 from repro.lint.rules_docs import (
     RULES_HEADING,
     BrokenLinkRule,
+    ClaimsTableRule,
     RuleTableRule,
     ScenarioTableRule,
 )
@@ -108,3 +112,39 @@ class TestScenarioTableRule:
         sources = {"docs/ARCHITECTURE.md": "# Handbook\n\nno tables here\n"}
         report = run_lint(Project.from_sources(sources), rules=[ScenarioTableRule])
         assert [f.rule_id for f in report.findings] == ["REPRO-DOC402"]
+
+
+class TestClaimsTableRule:
+    ROW = "| C{n} | §I | claim | `src/repro/{code}.py` | `{section}` | reproduced |\n"
+
+    def lint(self, rows, sections):
+        table = "## Claims\n\n| claim | paper | the claim | code | `BENCH_paper.json` section | status |\n"
+        table += "| --- | --- | --- | --- | --- | --- |\n"
+        table += "".join(self.ROW.format(n=n, code=code, section=section) for n, (code, section) in enumerate(rows))
+        document = {"benchmark": "bench_paper", "clock": "logical", "config": {"seed": 1}}
+        for section in sections:
+            document[f"{section}_values"] = [1]
+            document[section] = {"1": {"blocks": 7}}
+        sources = {
+            "docs/CLAIMS.md": table,
+            "BENCH_paper.json": json.dumps(document),
+            "src/repro/core.py": "value = 1\n",
+        }
+        return run_lint(Project.from_sources(sources), rules=[ClaimsTableRule]).findings
+
+    def test_one_row_per_section_with_existing_code_passes(self):
+        assert not self.lint([("core", "growth"), ("core", "figures")], ["growth", "figures"])
+
+    @pytest.mark.parametrize(
+        "rows, sections, message",
+        [
+            ([("core", "growth")], ["growth", "figures"], "BENCH_paper.json section figures has no row"),
+            ([("core", "growth"), ("core", "figures")], ["growth"], "names figures, which is no section"),
+            ([("moved", "growth")], ["growth"], "code path src/repro/moved.py of claim C0 does not exist"),
+        ],
+        ids=["section-without-row", "row-without-section", "code-path-gone"],
+    )
+    def test_each_direction_of_drift_is_one_finding(self, rows, sections, message):
+        (finding,) = self.lint(rows, sections)
+        assert finding.rule_id == "REPRO-DOC404"
+        assert message in finding.message
