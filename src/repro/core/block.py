@@ -19,9 +19,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, hash_hex, truncate_hash
+from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, canonical_json, sha256_hex, truncate_hash
 from repro.core.entry import Entry
 from repro.core.errors import ChainIntegrityError
+
+#: Opening of ``to_dict()``'s canonical form (``"block_hash"`` sorts first).
+_HASH_MEMBER = '{{"block_hash":"{}",'
 
 
 class BlockType(str, Enum):
@@ -61,8 +64,6 @@ class RedundancyRecord:
     def __canonical_json__(self) -> str:
         """Cached canonical JSON, composed from the entries' own memos."""
         if self._canonical_cache is None:
-            from repro.crypto.hashing import canonical_json
-
             payload = {
                 "sequence_index": self.sequence_index,
                 "first_block_number": self.first_block_number,
@@ -177,22 +178,38 @@ class Block:
             "summary_references": list(self.summary_references),
         }
 
-    def compute_hash(self) -> str:
-        """Recompute the block hash, ignoring the block-level hash cache.
+    def _canonical_content(self) -> str:
+        """Canonical JSON of :meth:`content_dict`: the entries' memos joined
+        directly, spliced in front of one :func:`canonical_json` call over the
+        rest (``"entries"`` sorts before every other content key)."""
+        payload = self._hashable_content()
+        entries = ",".join(entry.__canonical_json__() for entry in payload.pop("entries"))
+        return '{"entries":[' + entries + "]," + canonical_json(payload)[1:]
 
-        The per-entry canonical memos *are* reused: entries are frozen, so
-        their serialisation cannot legitimately change after construction
+    def compute_hash(self) -> str:
+        """Recompute the block hash, ignoring the block-level memos.
+
+        Hashes the bytes of one :meth:`_canonical_content` composition.  The
+        per-entry canonical memos *are* reused: entries are frozen, so their
+        serialisation cannot legitimately change after construction
         (mutating an entry's ``data`` dict in place violates that contract
         and is not detected here).  For a fully from-scratch recomputation,
         hash :meth:`content_dict` directly.
         """
-        return hash_hex(self._hashable_content())
+        return sha256_hex(self._canonical_content().encode("utf-8"))
+
+    def _memoise_hash_and_size(self) -> None:
+        """Derive the block hash and :meth:`byte_size` from one composition."""
+        content = self._canonical_content().encode("utf-8")
+        self._cached_hash = sha256_hex(content)
+        # to_dict()'s canonical form replaces the content's opening brace.
+        self._cached_byte_size = len(_HASH_MEMBER.format(self._cached_hash)) + len(content) - 1
 
     @property
     def block_hash(self) -> str:
         """Cached block hash."""
         if self._cached_hash is None:
-            self._cached_hash = self.compute_hash()
+            self._memoise_hash_and_size()
         return self._cached_hash
 
     def set_nonce(self, nonce: int) -> None:
@@ -209,17 +226,14 @@ class Block:
         self._cached_byte_size = None
 
     def __canonical_json__(self) -> str:
-        """Cached canonical JSON of :meth:`to_dict` (hash included).
+        """Canonical JSON of :meth:`to_dict` (hash included), built on demand.
 
-        Invalidated by :meth:`set_nonce`; otherwise sound because blocks are
-        immutable once appended.
+        Hashing and sizing never need it, so only callers that ask pay for
+        (and keep) the string.  Invalidated by :meth:`set_nonce`; otherwise
+        sound because blocks are immutable once appended.
         """
         if self._cached_canonical is None:
-            from repro.crypto.hashing import canonical_json
-
-            payload = self._hashable_content()
-            payload["block_hash"] = self.block_hash
-            self._cached_canonical = canonical_json(payload)
+            self._cached_canonical = _HASH_MEMBER.format(self.block_hash) + self._canonical_content()[1:]
         return self._cached_canonical
 
     # ------------------------------------------------------------------ #
@@ -271,7 +285,7 @@ class Block:
         mutation performed after a block is built.
         """
         if self._cached_byte_size is None:
-            self._cached_byte_size = len(self.__canonical_json__().encode("utf-8"))
+            self._memoise_hash_and_size()
         return self._cached_byte_size
 
     # ------------------------------------------------------------------ #

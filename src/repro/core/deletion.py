@@ -175,12 +175,17 @@ class DeletionRegistry:
         return (reference.block_number, reference.entry_number) in self._approved_targets
 
     def is_marked_entry(self, entry: Entry, containing_block_number: int) -> bool:
-        """Check an entry (original or summary copy) against the marks."""
+        """Check an entry (original or summary copy) against the marks.
+
+        Runs per carried entry per summary cycle: keyed on the bare tuple.
+        """
+        if not self._approved_targets:
+            return False
         try:
-            reference = entry.reference_in(containing_block_number)
+            key = entry.location_key(containing_block_number)
         except DeletionError:
             return False
-        return self.is_marked(reference)
+        return key in self._approved_targets
 
     def decision_for(self, reference: EntryReference) -> Optional[DeletionDecision]:
         """Latest decision affecting ``reference``, if any."""

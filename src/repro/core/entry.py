@@ -165,8 +165,8 @@ class Entry:
     # Provenance
     # ------------------------------------------------------------------ #
 
-    def reference_in(self, block_number: int) -> EntryReference:
-        """Reference of this entry assuming it sits in ``block_number``.
+    def location_key(self, block_number: int) -> tuple[int, int]:
+        """``(block number, entry number)`` of this entry sitting in ``block_number``.
 
         For copies inside summary blocks the *original* coordinates are used,
         because deletion requests always address the initially integrated
@@ -174,14 +174,14 @@ class Entry:
         """
         if self.entry_number is None and self.origin_entry_number is None:
             raise DeletionError("entry has not been placed into a block yet")
-        if self.is_copy:
-            assert self.origin_block_number is not None
-            return EntryReference(
-                block_number=self.origin_block_number,
-                entry_number=self.origin_entry_number or self.entry_number or 1,
-            )
+        if self.origin_block_number is not None:
+            return self.origin_block_number, self.origin_entry_number or self.entry_number or 1
         assert self.entry_number is not None
-        return EntryReference(block_number=block_number, entry_number=self.entry_number)
+        return block_number, self.entry_number
+
+    def reference_in(self, block_number: int) -> EntryReference:
+        """:meth:`location_key` as a validated :class:`EntryReference`."""
+        return EntryReference(*self.location_key(block_number))
 
     def as_copy(self, *, origin_block_number: int, origin_timestamp: int) -> "Entry":
         """Return a copy of this entry tagged with its origin coordinates.

@@ -121,19 +121,19 @@ class ChainIndex:
         self._entry_count += block.entry_count
         self._byte_size += size
 
-        seen_copies: set[LocationKey] = set()
+        number, summary = block.block_number, block.is_summary
+        originals = self._originals
+        copies: dict[LocationKey, tuple[Block, Entry]] = {}
+        # First match wins within a block, mirroring Block.entry() and
+        # Block.find_copy_of().
         for entry in block.entries:
             if entry.entry_number is not None:
-                original_key = (block.block_number, entry.entry_number)
-                # First match wins within a block, mirroring Block.entry().
-                self._originals.setdefault(original_key, (block, entry))
-            if block.is_summary and entry.origin_block_number is not None:
-                copy_key = (entry.origin_block_number, entry.origin_entry_number)
-                if copy_key not in seen_copies:
-                    seen_copies.add(copy_key)
-                    # The newest living summary block wins, mirroring the
-                    # legacy newest-first scan over summary blocks.
-                    self._copies[copy_key] = (block, entry)
+                originals.setdefault((number, entry.entry_number), (block, entry))
+            if summary and entry.origin_block_number is not None:
+                copies.setdefault((entry.origin_block_number, entry.origin_entry_number), (block, entry))
+        # The newest living summary block wins, mirroring the legacy
+        # newest-first scan over summary blocks.
+        self._copies.update(copies)
 
     def cut_before(self, new_marker: int, cut_blocks: Sequence[Block]) -> None:
         """Unregister the blocks removed by a genesis-marker shift.
@@ -142,6 +142,7 @@ class ChainIndex:
         ``block_number < new_marker``; the marker only ever moves to the block
         after a summary block, so the prefix always covers whole sequences.
         """
+        originals, copies = self._originals, self._copies
         for block in cut_blocks:
             view_index = sequence_index_of(block.block_number, self.sequence_length)
             aggregate = self._per_sequence.get(view_index)
@@ -151,17 +152,18 @@ class ChainIndex:
                 aggregate.byte_size -= size
             self._entry_count -= block.entry_count
             self._byte_size -= size
+            number, summary = block.block_number, block.is_summary
             for entry in block.entries:
                 if entry.entry_number is not None:
-                    original_key = (block.block_number, entry.entry_number)
-                    located = self._originals.get(original_key)
+                    original_key = (number, entry.entry_number)
+                    located = originals.get(original_key)
                     if located is not None and located[0] is block:
-                        del self._originals[original_key]
-                if block.is_summary and entry.origin_block_number is not None:
+                        del originals[original_key]
+                if summary and entry.origin_block_number is not None:
                     copy_key = (entry.origin_block_number, entry.origin_entry_number)
-                    located = self._copies.get(copy_key)
+                    located = copies.get(copy_key)
                     if located is not None and located[0] is block:
-                        del self._copies[copy_key]
+                        del copies[copy_key]
 
         while self._views and self._views[0].blocks:
             view = self._views[0]

@@ -53,6 +53,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional
 
+from repro.crypto.hashing import canonical_json
+
 _MESSAGE_COUNTER = itertools.count(1)
 
 
@@ -100,6 +102,17 @@ class Message:
     payload: Mapping[str, Any] = field(default_factory=dict)
     message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
     in_reply_to: Optional[int] = None
+    _wire_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def wire_size(self) -> int:
+        """Bytes of the canonical :meth:`to_dict` encoding, encoded once even
+        when a gossip or broadcast fan-out delivers the message k times."""
+        if self._wire_size is None:
+            size = len(canonical_json(self.to_dict()).encode("utf-8"))
+            # repro: allow[REPRO-F301] write-once memo of a pure function of frozen fields
+            object.__setattr__(self, "_wire_size", size)
+        return self._wire_size
 
     def reply(self, kind: MessageKind, sender: str, payload: Optional[Mapping[str, Any]] = None) -> "Message":
         """Build a response message linked to this one."""

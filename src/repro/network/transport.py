@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.core.errors import SelectiveDeletionError
-from repro.crypto.hashing import canonical_json
 from repro.network.kernel import EventHandle, EventKernel
 from repro.network.message import Message, MessageKind
 
@@ -279,7 +278,7 @@ class InMemoryTransport:
     def _account_delivery(self, message: Message, latency_ms: float) -> None:
         self.statistics.delivered += 1
         self.statistics.delivery_latency_ms += latency_ms
-        self.statistics.bytes_transferred += len(canonical_json(message.to_dict()).encode("utf-8"))
+        self.statistics.bytes_transferred += message.wire_size
         self.message_log.append(message)
 
     def _request_leg(

@@ -34,7 +34,10 @@ from repro.core import (
     default_log_schema,
     partition_into_sequences,
 )
-from repro.core.index import legacy_aggregates, legacy_find_entry
+from repro.core.block import Block, BlockType
+from repro.core.entry import Entry
+from repro.core.index import ChainIndex, legacy_aggregates, legacy_find_entry
+from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
 
 # Tiered Hypothesis settings: traces are comparatively expensive, so the
 # randomized-trace tests run fewer examples than cheap structural checks.
@@ -266,6 +269,66 @@ class TestIndexMaintenanceDetail:
                 f"sequence {view.index}: {view.entry_count()} entries, "
                 f"{view.byte_size()} bytes"
             ) in text
+
+    def test_duplicate_keys_first_match_in_block_newest_summary_across(self):
+        """Hand-built summaries with duplicate keys — no trace produces them.
+
+        Summary 2 holds two copies of origin (0, 1), both numbered 1, so it
+        repeats an original key and a copy key; summary 5 repeats origin
+        (1, 1) and copies (0, 1) once more.  Within a block the first match
+        wins; across blocks the newest summary wins, which only shows once
+        the cut removes the originals and summary 2.
+        """
+        config = ChainConfig(sequence_length=3)
+
+        def entry(label, origin=None):
+            made = Entry(data={"D": label}, author="A", signature="s", entry_number=1)
+            if origin is None:
+                return made
+            return made.as_copy(origin_block_number=origin, origin_timestamp=0)
+
+        layout = [
+            (BlockType.NORMAL, [entry("a0")]),
+            (BlockType.NORMAL, [entry("a1")]),
+            (BlockType.SUMMARY, [entry("x", 0), entry("y", 0)]),
+            (BlockType.NORMAL, [entry("a3")]),
+            (BlockType.NORMAL, [entry("a4")]),
+            (BlockType.SUMMARY, [entry("p", 1), entry("q", 1), entry("z", 0)]),
+            (BlockType.NORMAL, [entry("a6")]),
+        ]
+        blocks, previous = [], GENESIS_PREVIOUS_HASH
+        for number, (block_type, entries) in enumerate(layout):
+            blocks.append(Block(number, number, previous, entries, block_type=block_type))
+            previous = blocks[-1].block_hash
+        probes = [EntryReference(b, 1) for b in range(7)]
+
+        def located(index, living, marker):
+            """What the index, the linear scan and a rebuilt chain each find."""
+            chain = Blockchain.from_dict(
+                {"config": config.to_dict(), "genesis_marker": marker,
+                 "blocks": [block.to_dict() for block in living]}
+            )
+            chain.verify_index()
+            answers = {}
+            for reference in probes:
+                found = index.find(reference)
+                legacy = legacy_find_entry(living, marker, reference)
+                served = chain.find_entry(reference)
+                assert (found is None) == (legacy is None) == (served is None), reference
+                if found is not None:
+                    assert found[0] is legacy[0] and found[1] is legacy[1], reference
+                    assert served[0].block_number == found[0].block_number, reference
+                    assert served[1].to_dict() == found[1].to_dict(), reference
+                    answers[reference.block_number] = found[1].data["D"]
+            return answers
+
+        index = ChainIndex.build(blocks, config.sequence_length)
+        before = located(index, blocks, 0)
+        assert before == {0: "a0", 1: "a1", 2: "x", 3: "a3", 4: "a4", 5: "p", 6: "a6"}
+
+        index.cut_before(3, blocks[:3])
+        after = located(index, blocks[3:], 3)
+        assert after == {0: "z", 1: "p", 3: "a3", 4: "a4", 5: "p", 6: "a6"}
 
     def test_statistics_is_consistent_after_every_block(self):
         chain = Blockchain(CONFIGS["merkle-reference"])

@@ -1,5 +1,9 @@
 """Unit tests for the entry and block data model."""
 
+import hashlib
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +11,11 @@ from repro.core.block import Block, BlockType, RedundancyRecord, make_genesis_bl
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.errors import ChainIntegrityError, DeletionError, SchemaError
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
+
+#: Examples per ``REPRO_FUZZ_PROFILE`` (the convergence fuzz's tiers).
+FUZZ_EXAMPLES = {"quick": 20, "standard": 100, "determinism": 500}[
+    os.environ.get("REPRO_FUZZ_PROFILE", "quick")
+]
 
 
 def sample_entry(author="ALPHA", **kwargs) -> Entry:
@@ -282,3 +291,103 @@ def test_block_hash_depends_only_on_content(authors):
         entries=[sample_entry(author) for author in authors],
     )
     assert first.block_hash == second.block_hash
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: Text that exercises JSON escaping: non-ASCII, quotes and backslashes.
+tricky_text = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)), st.sampled_from('"\\\né漢\U0001f600')
+    ),
+    max_size=10,
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=False, allow_infinity=False), tricky_text,
+)
+
+
+@st.composite
+def entries(draw) -> Entry:
+    entry = Entry(
+        data=draw(st.dictionaries(st.sampled_from(["D", "K", "S"]) | tricky_text, json_scalars, max_size=3)),
+        author=draw(tricky_text.filter(bool)),
+        signature=draw(tricky_text),
+        kind=draw(st.sampled_from(EntryKind)),
+        entry_number=draw(st.none() | st.integers(1, 50)),
+        expires_at_time=draw(st.none() | st.integers(0, 10**6)),
+        expires_at_block=draw(st.none() | st.integers(0, 10**3)),
+    )
+    if draw(st.booleans()):
+        entry = entry.with_entry_number(entry.entry_number or 1).as_copy(
+            origin_block_number=draw(st.integers(0, 500)), origin_timestamp=draw(st.integers(0, 10**6))
+        )
+    return entry
+
+
+hex_digests = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
+#: Both redundancy shapes of Fig. 9: a Merkle root only, or a full copy.
+redundancy_records = st.one_of(
+    st.builds(
+        RedundancyRecord,
+        sequence_index=st.integers(0, 50),
+        first_block_number=st.integers(0, 500),
+        last_block_number=st.integers(0, 500),
+        merkle_root=hex_digests,
+    ),
+    st.builds(
+        RedundancyRecord,
+        sequence_index=st.integers(0, 50),
+        first_block_number=st.integers(0, 500),
+        last_block_number=st.integers(0, 500),
+        merkle_root=hex_digests,
+        entries=st.lists(entries(), min_size=1, max_size=3).map(tuple),
+    ),
+)
+#: Section V-B2 sequence references and the proof-of-authority seal.
+summary_references = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "sequence_index": st.integers(0, 50),
+            "first_block_number": st.integers(0, 500),
+            "last_block_number": st.integers(0, 500),
+            "entry_count": st.integers(0, 100),
+            "merkle_root": hex_digests,
+        }
+    ),
+    st.fixed_dictionaries({"kind": st.just("poa-seal"), "sealer": tricky_text, "signature": tricky_text}),
+)
+
+
+@st.composite
+def blocks(draw) -> Block:
+    summary = draw(st.booleans())
+    return Block(
+        block_number=draw(st.integers(0, 10**6)),
+        timestamp=draw(st.integers(0, 10**9)),
+        previous_hash=draw(hex_digests | st.just(GENESIS_PREVIOUS_HASH)),
+        entries=draw(st.lists(entries(), max_size=5)),
+        block_type=BlockType.SUMMARY if summary else BlockType.NORMAL,
+        nonce=draw(st.integers(0, 2**32)),
+        redundancy=draw(st.lists(redundancy_records, max_size=2)) if summary else [],
+        merged_sequences=draw(st.lists(st.integers(0, 50), max_size=3)) if summary else [],
+        summary_references=draw(st.lists(summary_references, max_size=2)),
+    )
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True)
+@given(block=blocks(), nonce=st.integers(0, 2**32))
+def test_block_composition_is_byte_identical_to_json_dumps(block, nonce):
+    """Hash, size and canonical string all equal the plain ``json.dumps`` forms."""
+    for stage in ("as built", "after set_nonce"):
+        if stage == "after set_nonce":
+            block.set_nonce(nonce)
+        expected_hash = hashlib.sha256(_dumps(block.content_dict()).encode("utf-8")).hexdigest()
+        assert block.block_hash == expected_hash, stage
+        expected = _dumps(block.to_dict())
+        assert block.byte_size() == len(expected.encode("utf-8")), stage
+        assert block.__canonical_json__() == expected, stage
+        assert Block.from_dict(block.to_dict()).block_hash == expected_hash, stage

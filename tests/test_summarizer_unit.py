@@ -1,5 +1,7 @@
 """Direct unit tests of the summarizer (without going through the chain façade)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -14,6 +16,7 @@ from repro.core import (
 )
 from repro.core.block import BlockType
 from repro.core.deletion import DeletionRegistry, build_deletion_request
+from repro.core.entry import Entry
 from repro.core.summarizer import Summarizer
 from repro.crypto.merkle import MerkleTree
 
@@ -155,3 +158,67 @@ class TestMerkleReferenceMode:
             entry.origin_block_number != 1 or entry.origin_entry_number != 1
             for entry in result.carried_entries
         )
+
+
+class TestSummaryCycleCost:
+    """One summary cycle pays each carried entry's serialisation once.
+
+    Counted by wrapping the functions, not by a clock: the summary block's
+    content is composed once (hash and size both derive from it), the
+    deletion check keys the registry on a bare tuple, and every appended
+    block costs exactly one SHA-256.
+    """
+
+    def test_carried_entries_are_serialised_once_per_cycle(self, monkeypatch):
+        config = ChainConfig(
+            sequence_length=3,
+            retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2),
+            shrink_strategy=ShrinkStrategy.ALL_OLD,
+        )
+        chain = Blockchain(config)
+        for i in range(201):
+            chain.add_entry({"D": f"event {i}", "K": "A", "S": "sig_A"}, "A")
+        chain.seal_block()  # block 1: the entries summary 8 will carry
+        chain.request_deletion(EntryReference(1, 1), "A")
+        while chain.next_block_number < 7:
+            chain.seal_block()
+
+        calls = {"entry_json": 0, "references_in_collect": 0, "sha256": 0}
+        in_collect = [False]
+        entry_json = Entry.__canonical_json__
+        reference_init = EntryReference.__init__
+        collect = Summarizer.collect_entries
+        sha256 = hashlib.sha256
+
+        def counting_entry_json(entry):
+            calls["entry_json"] += 1
+            return entry_json(entry)
+
+        def counting_reference_init(reference, *args, **kwargs):
+            calls["references_in_collect"] += in_collect[0]
+            reference_init(reference, *args, **kwargs)
+
+        def flagged_collect(*args, **kwargs):
+            in_collect[0] = True
+            try:
+                return collect(*args, **kwargs)
+            finally:
+                in_collect[0] = False
+
+        def counting_sha256(*args, **kwargs):
+            calls["sha256"] += 1
+            return sha256(*args, **kwargs)
+
+        monkeypatch.setattr(Entry, "__canonical_json__", counting_entry_json)
+        monkeypatch.setattr(EntryReference, "__init__", counting_reference_init)
+        monkeypatch.setattr(Summarizer, "collect_entries", flagged_collect)
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        sealed = chain.seal_block()  # block 7, then summary 8 merges sequence 0
+
+        summary = chain.head
+        carried = summary.entry_count
+        assert (sealed.block_number, summary.block_number) == (7, 8) and summary.is_summary
+        assert carried >= 200 and chain.genesis_marker == 6
+        assert calls["entry_json"] <= carried + sealed.entry_count
+        assert calls["references_in_collect"] == 0
+        assert calls["sha256"] == 2  # one per appended block
