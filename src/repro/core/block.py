@@ -299,14 +299,15 @@ class Block:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Block":
-        """Rebuild a block from :meth:`to_dict` output and verify its hash."""
+    def from_dict(cls, payload: Mapping[str, Any], *, entries: Optional[list[Entry]] = None) -> "Block":
+        """Rebuild a block from :meth:`to_dict` output and verify its hash;
+        ``entries``, if given, replaces the payload's (already built) entries."""
         header = payload["header"]
         block = cls(
             block_number=int(header["block_number"]),
             timestamp=int(header["timestamp"]),
             previous_hash=str(header["previous_hash"]),
-            entries=[Entry.from_dict(item) for item in payload.get("entries", ())],
+            entries=[Entry.from_dict(item) for item in payload.get("entries", ())] if entries is None else entries,
             block_type=BlockType(header.get("block_type", BlockType.NORMAL.value)),
             nonce=int(header.get("nonce", 0)),
             redundancy=[RedundancyRecord.from_dict(item) for item in payload.get("redundancy", ())],

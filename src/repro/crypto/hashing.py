@@ -5,11 +5,11 @@ each block (Section IV-A).  The Genesis Block of the evaluation prototype
 carries the previous hash ``DEADB`` (Fig. 6); we keep that constant so the
 console figures can be reproduced verbatim.
 
-All hashing in this library goes through :func:`hash_hex`, which serialises
-its input canonically (sorted keys, no whitespace differences) before
-applying SHA-256.  Canonical serialisation is what makes summary blocks
-deterministic: every anchor node computes the identical block hash from the
-identical agreed chain state, which is the core requirement of Section IV-B.
+Every hash is SHA-256 over canonical JSON (sorted keys, fixed separators):
+:func:`hash_hex` serialises any value, a block hashes its content bytes —
+composed once from its entries' memos — with :func:`sha256_hex`.  Canonical
+serialisation makes summary blocks deterministic: every anchor node computes
+the identical block hash from the identical agreed chain state (Section IV-B).
 """
 
 from __future__ import annotations

@@ -8,14 +8,18 @@ in-memory store and the write-ahead journal, and additionally checks the
 journal's compaction — physical space reclamation after marker shifts.
 """
 
-import functools
+import copy
+import json
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.core import Blockchain, ChainConfig, EntryReference
-from repro.core.errors import SelectiveDeletionError, StorageError
-from repro.storage import JournalBlockStore, MemoryBlockStore, wal
+from repro.core import Blockchain, ChainConfig, Entry, EntryReference, EventType
+from repro.core.errors import ChainIntegrityError, SelectiveDeletionError, StorageError
+from repro.crypto.hashing import canonical_json
+from repro.storage import JournalBlockStore, MemoryBlockStore
 
 
 def make_store(kind, tmp_path):
@@ -262,17 +266,20 @@ class TestJournalCrashPointsByEnumeration:
     CONFIG = ChainConfig.paper_evaluation()
 
     @pytest.fixture
-    def journal(self, tmp_path, monkeypatch):
+    def journal(self, tmp_path):
         """The 40-entry ``paper_evaluation`` journal: 70 records whose last six
-        are a 10 kB summary block, a truncation marker and four more blocks."""
+        are a summary block that references the entries it carries over from
+        the previous summary, a truncation marker and four more blocks."""
         chain = Blockchain(self.CONFIG, store=JournalBlockStore(tmp_path / "fixed.journal"))
         for i in range(40):
             chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
-        # Every reopening re-reads the same untouched records in front of the
-        # damaged one; decode each distinct line once.  A failing decode is
-        # not cached, and a damaged line is a distinct line.
-        monkeypatch.setattr(wal, "_decode_record", functools.lru_cache(None)(wal._decode_record))
-        return (tmp_path / "fixed.journal").read_bytes()
+        content = (tmp_path / "fixed.journal").read_bytes()
+        tail = [json.loads(line) for line in content.splitlines()[-6:]]
+        summary = next(
+            r["block"] for r in tail if r["kind"] == "block" and r["block"]["header"]["block_type"] == "summary"
+        )
+        assert any(isinstance(item, list) for item in summary["entries"])
+        return content
 
     @classmethod
     def reopen(cls, path, content):
@@ -284,26 +291,233 @@ class TestJournalCrashPointsByEnumeration:
         chain.validate()
         return "valid"
 
+    @classmethod
+    def tail_reopener(cls, tmp_path, prefix):
+        """``reopen`` of ``prefix + tail`` for any tail, replaying only the tail.
+
+        A record's references resolve against the records before it, so a
+        line is not decoded on its own; instead the untouched prefix is
+        loaded once, and every call replays the tail on a copy of that state
+        — what a full reopening computes after reading the prefix.
+        """
+        (tmp_path / "prefix.journal").write_bytes(prefix)
+        loaded = JournalBlockStore(tmp_path / "prefix.journal")
+
+        def reopen(tail):
+            store = copy.copy(loaded)
+            store._blocks, store._bodies = dict(loaded._blocks), dict(loaded._bodies)
+            store.path = tmp_path / "tail.journal"
+            store.path.write_bytes(tail)
+            try:
+                store._load()
+                chain = Blockchain(cls.CONFIG, store=store)
+            except SelectiveDeletionError as error:
+                return type(error).__name__
+            chain.validate()
+            return "valid"
+
+        return reopen
+
     def test_truncation_at_every_byte_of_the_last_three_records(self, journal, tmp_path):
         records = journal.splitlines(keepends=True)
         first = len(journal) - sum(len(record) for record in records[-3:])
-        outcomes = Counter(
-            self.reopen(tmp_path / "torn.journal", journal[:cut]) for cut in range(first, len(journal))
-        )
+        reopen = self.tail_reopener(tmp_path, journal[:first])
+        outcomes = Counter(reopen(journal[first:cut]) for cut in range(first, len(journal)))
         # A cut on a record boundary, or one that only loses the newline,
         # leaves a valid prefix; every cut inside a record is a torn write.
         assert outcomes == {"valid": 6, "StorageError": len(journal) - first - 6}
+        # The shortcut must agree with a reopening from scratch.
+        for cut in range(first, len(journal), 61):
+            assert self.reopen(tmp_path / "torn.journal", journal[:cut]) == reopen(journal[first:cut])
 
     def test_one_flipped_bit_at_every_byte_of_the_last_six_records(self, journal, tmp_path):
         records = journal.splitlines(keepends=True)
         first = len(journal) - sum(len(record) for record in records[-6:])
-        damaged = bytearray(journal)
+        reopen = self.tail_reopener(tmp_path, journal[:first])
+        damaged = bytearray(journal[first:])
         outcomes = set()
-        for offset in range(first, len(journal)):
+        for offset in range(len(damaged)):
             damaged[offset] ^= 0x01
-            outcomes.add(self.reopen(tmp_path / "rot.journal", bytes(damaged)))
+            outcomes.add(reopen(bytes(damaged)))
+            if offset % 61 == 0:
+                assert self.reopen(tmp_path / "rot.journal", journal[:first] + damaged) == reopen(bytes(damaged))
             damaged[offset] ^= 0x01
         # ``reopen`` lets anything untyped escape (at the parent: 965 bare
         # ``KeyError``s, 184 bare ``ValueError``s); a flip inside an optional
         # key's name or in the trailing newline is what still opens valid.
         assert outcomes == {"valid", "StorageError", "ChainIntegrityError", "SchemaError"}
+
+
+def build_mixed_chain(store=None):
+    """Ten single-entry ``paper_evaluation`` blocks and one executed deletion:
+    carried copies, a summary re-carrying them and two truncation records."""
+    chain = Blockchain(ChainConfig.paper_evaluation(), store=store)
+    for i in range(10):
+        block = chain.add_entry_block({"D": f"record {i}", "K": "A", "S": "sig_A"}, "A")
+        if i == 1:
+            erased = EntryReference(block.block_number, 1)
+        if i == 5:
+            assert chain.request_deletion(erased, "A").is_approved
+            chain.seal_block()
+    return chain
+
+
+class TestJournalBodyReferences:
+    """A block record inlines only the entry bodies the journal does not
+    already hold; a carried copy is an ``[origin_block, origin_entry]``
+    reference that replay resolves to the same ``Entry`` object."""
+
+    CONFIG = ChainConfig.paper_evaluation()
+
+    @staticmethod
+    def records(path):
+        """The journal's records, each checked to be canonical JSON."""
+        lines = path.read_bytes().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [canonical_json(record).encode() for record in records] == lines
+        return records
+
+    @classmethod
+    def inline_bodies(cls, path):
+        """Location key → how many inline bodies the journal holds for it."""
+        counts = Counter()
+        for record in cls.records(path):
+            if record["kind"] == "block":
+                number = record["block"]["header"]["block_number"]
+                counts.update(
+                    Entry.from_dict(item).location_key(number)
+                    for item in record["block"]["entries"]
+                    if isinstance(item, dict)
+                )
+        return counts
+
+    @staticmethod
+    def living_keys(store):
+        return {entry.location_key(block.block_number) for block in store for entry in block.entries}
+
+    def referencing_journal(self, tmp_path):
+        """A journal, its records, and the index of a record with two references."""
+        path = tmp_path / "refs.journal"
+        chain = Blockchain(self.CONFIG, store=JournalBlockStore(path))
+        for i in range(12):
+            chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+        records = self.records(path)
+        index = max(
+            n for n, record in enumerate(records)
+            if record["kind"] == "block"
+            and sum(isinstance(item, list) for item in record["block"]["entries"]) >= 2
+        )
+        return path, records, index
+
+    @staticmethod
+    def rewrite(path, records):
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+
+    def test_reference_to_an_unknown_body_is_a_storage_error(self, tmp_path):
+        path, records, index = self.referencing_journal(tmp_path)
+        entries = records[index]["block"]["entries"]
+        entries[next(n for n, item in enumerate(entries) if isinstance(item, list))] = [9999, 1]
+        self.rewrite(path, records)
+        with pytest.raises(StorageError, match=f"corrupt journal line {index + 1}: KeyError"):
+            JournalBlockStore(path)
+
+    @pytest.mark.parametrize(
+        "reference", [[1], [1, 2, 3], ["a", 2], [None, 1], [1.0, 1], [True, 1], [[1], 2]]
+    )
+    def test_malformed_reference_is_a_storage_error(self, tmp_path, reference):
+        path, records, index = self.referencing_journal(tmp_path)
+        entries = records[index]["block"]["entries"]
+        entries[next(n for n, item in enumerate(entries) if isinstance(item, list))] = reference
+        self.rewrite(path, records)
+        with pytest.raises(StorageError, match=f"corrupt journal line {index + 1}: ValueError"):
+            JournalBlockStore(path)
+
+    def test_reference_to_another_held_body_fails_the_hash_check(self, tmp_path):
+        path, records, index = self.referencing_journal(tmp_path)
+        entries = records[index]["block"]["entries"]
+        first, second = [n for n, item in enumerate(entries) if isinstance(item, list)][:2]
+        entries[first], entries[second] = entries[second], entries[first]
+        self.rewrite(path, records)
+        with pytest.raises(ChainIntegrityError, match="does not match its content"):
+            JournalBlockStore(path)
+
+    def test_bodies_are_written_at_most_twice_and_once_after_compaction(self, tmp_path):
+        """Clock-free cost guard: a summary record does not rewrite the living set."""
+        store = JournalBlockStore(tmp_path / "guard.journal")
+        chain = Blockchain(self.CONFIG, store=store)
+        for i in range(200):
+            chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+            assert len(store._bodies) <= chain.statistics()["living_entries"]
+        # An entry's original record and its first copy, which carries the
+        # origin coordinates; every later summary references that copy.
+        assert max(self.inline_bodies(store.path).values()) == 2
+        assert store.file_size() <= 12 * chain.statistics()["byte_size"]
+        store.compact()
+        assert self.inline_bodies(store.path) == {key: 1 for key in self.living_keys(store)}
+        reopened = Blockchain(self.CONFIG, store=JournalBlockStore(store.path))
+        assert reopened.head.block_hash == chain.head.block_hash
+
+    def test_erased_payload_leaves_the_journal_on_compaction(self, tmp_path):
+        store = JournalBlockStore(tmp_path / "erasure.journal")
+        chain = Blockchain(self.CONFIG, store=store)
+        executed = []
+        chain.bus.subscribe(
+            lambda event: executed.append(EntryReference.from_dict(event.payload["reference"])),
+            types=(EventType.DELETION_EXECUTED,),
+        )
+
+        def erase(reference):
+            assert chain.request_deletion(reference, "A").is_approved
+            chain.seal_block()
+            while reference not in executed or chain.genesis_marker <= reference.block_number:
+                chain.add_entry_block({"D": "fill", "K": "A", "S": "s"}, "A")
+
+        early = EntryReference(chain.add_entry_block({"D": "early-7f3a", "K": "A", "S": "s"}, "A").block_number, 1)
+        late = EntryReference(chain.add_entry_block({"D": "late-c41d", "K": "A", "S": "s"}, "A").block_number, 1)
+        erase(early)
+        for _ in range(12):
+            chain.add_entry_block({"D": "fill", "K": "A", "S": "s"}, "A")
+        erase(late)
+
+        records = self.records(store.path)
+        carriers = sum(
+            1 for record in records
+            if record["kind"] == "block" and record["block"]["header"]["block_type"] == "summary"
+            and any(
+                item == [late.block_number, late.entry_number]
+                or isinstance(item, dict) and item["origin_block_number"] == late.block_number
+                for item in record["block"]["entries"]
+            )
+        )
+        journal = store.path.read_bytes()
+        assert journal.count(b"early-7f3a") == 1  # erased before any summary carried it
+        assert carriers >= 4 and journal.count(b"late-c41d") == 2  # original and first copy
+        store.compact()
+        journal = store.path.read_bytes()
+        assert b"early-7f3a" not in journal and b"late-c41d" not in journal
+        reopened = Blockchain(self.CONFIG, store=JournalBlockStore(store.path))
+        assert reopened.head.block_hash == chain.head.block_hash
+
+    def test_inline_journal_reopens_and_compacts_into_references(self, tmp_path):
+        """``fixtures/inline_bodies.journal`` is :func:`build_mixed_chain`
+        as the journal wrote it before body references existed: every entry
+        body inline, ``json.dumps`` separators."""
+        path = tmp_path / "inline.journal"
+        shutil.copy(Path(__file__).parent / "fixtures" / "inline_bodies.journal", path)
+        assert b'"kind": "block"' in path.read_bytes()
+        current = tmp_path / "current.journal"
+        build_mixed_chain(JournalBlockStore(current))
+        expected = Blockchain(self.CONFIG, store=JournalBlockStore(current))
+        reopened = Blockchain(self.CONFIG, store=JournalBlockStore(path))
+        assert reopened.head.block_hash == expected.head.block_hash == build_mixed_chain().head.block_hash
+        assert reopened.statistics() == expected.statistics()
+
+        reopened.store.compact()
+        assert self.inline_bodies(path) == {key: 1 for key in self.living_keys(reopened.store)}
+        compacted = len(path.read_bytes().splitlines())
+        for i in range(6):
+            reopened.add_entry_block({"D": f"after {i}", "K": "A", "S": "sig_A"}, "A")
+        appended = [record for record in self.records(path)[compacted:] if record["kind"] == "block"]
+        assert any(isinstance(item, list) for record in appended for item in record["block"]["entries"])
+        final = Blockchain(self.CONFIG, store=JournalBlockStore(path))
+        assert final.head.block_hash == reopened.head.block_hash
