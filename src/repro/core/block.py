@@ -87,6 +87,19 @@ class RedundancyRecord:
         )
 
 
+@dataclass(frozen=True)
+class CarryRecord:
+    """What a summary hands the cycle that merges it: its entries' memos (one
+    pointer each), and the ``registry`` whose first ``watermark`` decisions
+    left every entry unmarked; only later approvals and the ``watch``
+    positions (temporaries, deletion requests) can drop one."""
+
+    memos: list[str]
+    registry: object
+    watermark: int
+    watch: tuple[int, ...]
+
+
 @dataclass
 class Block:
     """A block of the selective-deletion blockchain.
@@ -105,11 +118,12 @@ class Block:
     redundancy: list[RedundancyRecord] = field(default_factory=list)
     merged_sequences: list[int] = field(default_factory=list)
     summary_references: list[dict[str, Any]] = field(default_factory=list)
+    _carry: Optional[CarryRecord] = field(default=None, repr=False, compare=False)  # entries taken as given
     _cached_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _cached_canonical: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _cached_byte_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _entry_lookup: Optional[dict[int, Entry]] = field(default=None, init=False, repr=False, compare=False)
-    _copy_lookup: Optional[dict[tuple[int, int], Entry]] = field(
+    _locations: Optional[tuple[dict[tuple[int, int], int], tuple[int, ...]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -120,7 +134,7 @@ class Block:
             raise ChainIntegrityError("timestamp must be non-negative")
         if not self.previous_hash:
             raise ChainIntegrityError("previous hash must not be empty")
-        self.entries = [
+        self.entries = list(self.entries) if self._carry is not None else [
             entry if entry.entry_number is not None else entry.with_entry_number(index)
             for index, entry in enumerate(self.entries, start=1)
         ]
@@ -178,13 +192,18 @@ class Block:
             "summary_references": list(self.summary_references),
         }
 
+    def entry_memos(self) -> list[str]:
+        """The entries' canonical JSON memos, in order (a summary keeps its list)."""
+        carry = self._carry
+        return carry.memos if carry is not None else [entry.__canonical_json__() for entry in self.entries]
+
     def _canonical_content(self) -> str:
         """Canonical JSON of :meth:`content_dict`: the entries' memos joined
         directly, spliced in front of one :func:`canonical_json` call over the
         rest (``"entries"`` sorts before every other content key)."""
         payload = self._hashable_content()
-        entries = ",".join(entry.__canonical_json__() for entry in payload.pop("entries"))
-        return '{"entries":[' + entries + "]," + canonical_json(payload)[1:]
+        del payload["entries"]
+        return '{"entries":[' + ",".join(self.entry_memos()) + "]," + canonical_json(payload)[1:]
 
     def compute_hash(self) -> str:
         """Recompute the block hash, ignoring the block-level memos.
@@ -253,16 +272,30 @@ class Block:
             raise KeyError(f"block {self.block_number} has no entry number {entry_number}")
         return found
 
+    def locations(self) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
+        """Built once: :meth:`Entry.location_key` (the key marks use) → position
+        of the first entry under it, and the positions no key reaches (a
+        repeated key, a copy without its origin entry number).  Serves
+        :meth:`find_copy_of` and the summarizer's check of fresh marks."""
+        if self._locations is None:
+            lookup: dict[tuple[int, int], int] = {}
+            unreached: list[int] = []
+            number = self.block_number
+            for position, entry in enumerate(self.entries):
+                origin = entry.origin_block_number
+                key = (number, entry.entry_number) if origin is None else (origin, entry.origin_entry_number)
+                if not key[1] or key in lookup:
+                    unreached.append(position)
+                else:
+                    lookup[key] = position
+            self._locations = (lookup, tuple(unreached))
+        return self._locations
+
     def find_copy_of(self, origin_block_number: int, origin_entry_number: int) -> Optional[Entry]:
         """Locate the carried-forward copy of an original entry (O(1) lookup)."""
-        if self._copy_lookup is None:
-            lookup: dict[tuple[int, int], Entry] = {}
-            for candidate in self.entries:
-                if candidate.origin_block_number is not None:
-                    key = (candidate.origin_block_number, candidate.origin_entry_number)
-                    lookup.setdefault(key, candidate)
-            self._copy_lookup = lookup
-        return self._copy_lookup.get((origin_block_number, origin_entry_number))
+        position = (self._locations or self.locations())[0].get((origin_block_number, origin_entry_number))
+        entry = None if position is None else self.entries[position]
+        return entry if entry is not None and entry.origin_block_number is not None else None
 
     def data_entries(self) -> list[Entry]:
         """All entries that are plain data records (no deletion requests)."""

@@ -599,8 +599,8 @@ class Blockchain:
         The original position wins if it is still living; otherwise the
         newest carried-forward copy inside a living summary block is
         returned.  Returns ``None`` when the entry does not exist (anymore).
-        This is an O(1) lookup in the incrementally maintained chain index —
-        the complexity the paper claims in Section IV-D (*"blocks are
+        The chain index answers in O(1) per block plus O(living summaries)
+        — the complexity the paper claims in Section IV-D (*"blocks are
         referenced directly by number"*).
         """
         return self._index.find(reference)

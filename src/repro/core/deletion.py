@@ -192,6 +192,16 @@ class DeletionRegistry:
         return self._approved_targets.get((reference.block_number, reference.entry_number))
 
     @property
+    def decision_count(self) -> int:
+        """Decisions recorded so far (a summary's watermark)."""
+        return len(self._decisions)
+
+    def approved_since(self, watermark: int) -> list[tuple[int, int]]:
+        """Target keys approved after the first ``watermark`` decisions (marks are never withdrawn)."""
+        since = self._decisions[watermark:]
+        return [(d.target.block_number, d.target.entry_number) for d in since if d.is_approved]
+
+    @property
     def decisions(self) -> list[DeletionDecision]:
         """All recorded decisions, in chronological order."""
         return list(self._decisions)

@@ -1,4 +1,4 @@
-"""Incremental chain indexing: the O(1) backbone of the hot paths.
+"""Incremental chain indexing: the block-level backbone of the hot paths.
 
 Section IV-D claims deletion-request processing is *"linear and very low as
 blocks are referenced directly by number"*.  The naive implementation of the
@@ -9,12 +9,13 @@ partition is recomputed from scratch each time it is needed.
 
 :class:`ChainIndex` restores the paper's complexity promise.  The
 :class:`~repro.core.chain.Blockchain` façade maintains one instance
-incrementally on every append and marker shift, giving
+incrementally on every append and marker shift, in O(1) per block — it never
+looks at an entry — giving
 
-* an **entry-location index** mapping original ``(block number, entry
-  number)`` coordinates to the living ``(block, entry)`` pair — covering both
-  entries still sitting in their original block and carried-forward copies
-  inside summary blocks (Fig. 4 keeps the original coordinates on copies),
+* an **entry lookup** by original ``(block number, entry number)`` in O(1)
+  per block plus O(living summaries): the living blocks by number answer
+  first, then the living summaries newest first, each through its own lazily
+  built entry lookup (Fig. 4 keeps the original coordinates on copies),
 * **rolling aggregates**: living entry count, serialised byte size, and
   per-sequence entry/byte counts, updated in O(changed blocks) on append and
   cut so ``entry_count()``, ``byte_size()`` and ``statistics()`` are O(1),
@@ -35,6 +36,7 @@ against them and is exercised by the property-based equivalence tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from repro.core.block import Block
@@ -42,9 +44,6 @@ from repro.core.entry import Entry, EntryReference
 from repro.core.errors import ChainIntegrityError
 from repro.core.sequence import SequenceView, partition_into_sequences, sequence_index_of
 from repro.crypto.hashing import canonical_json
-
-#: Location key: the original coordinates an entry is addressed by.
-LocationKey = tuple[int, int]
 
 
 @dataclass
@@ -64,20 +63,19 @@ class ChainIndex:
 
     The owning chain façade must call :meth:`on_append` for every block added
     to the living chain (normal, received, or summary) and
-    :meth:`cut_before` when the genesis marker shifts.  All query methods are
-    O(1); :meth:`sequence_views` is O(number of living blocks) because it
-    returns defensive copies, while :meth:`live_views` exposes the internal
-    partition without copying for read-only internal callers.
+    :meth:`cut_before` when the genesis marker shifts.  The aggregate queries
+    are O(1) and :meth:`find` O(1) per block plus O(living summaries);
+    :meth:`sequence_views` is O(number of living blocks) because it returns
+    defensive copies, while :meth:`live_views` shares the view objects with
+    read-only internal callers.
     """
 
     def __init__(self, sequence_length: int) -> None:
         self.sequence_length = sequence_length
-        #: (block_number, entry_number) -> (block, entry) for entries still
-        #: sitting in their original living block.
-        self._originals: dict[LocationKey, tuple[Block, Entry]] = {}
-        #: (origin_block_number, origin_entry_number) -> (block, entry) for
-        #: the *newest* carried-forward copy inside a living summary block.
-        self._copies: dict[LocationKey, tuple[Block, Entry]] = {}
+        #: The living blocks by number.
+        self._blocks: dict[int, Block] = {}
+        #: The living summary blocks that carry entries, oldest first.
+        self._summaries: list[Block] = []
         self._views: list[SequenceView] = []
         self._per_sequence: dict[int, SequenceAggregate] = {}
         self._entry_count = 0
@@ -120,20 +118,9 @@ class ChainIndex:
         aggregate.byte_size += size
         self._entry_count += block.entry_count
         self._byte_size += size
-
-        number, summary = block.block_number, block.is_summary
-        originals = self._originals
-        copies: dict[LocationKey, tuple[Block, Entry]] = {}
-        # First match wins within a block, mirroring Block.entry() and
-        # Block.find_copy_of().
-        for entry in block.entries:
-            if entry.entry_number is not None:
-                originals.setdefault((number, entry.entry_number), (block, entry))
-            if summary and entry.origin_block_number is not None:
-                copies.setdefault((entry.origin_block_number, entry.origin_entry_number), (block, entry))
-        # The newest living summary block wins, mirroring the legacy
-        # newest-first scan over summary blocks.
-        self._copies.update(copies)
+        self._blocks[block.block_number] = block
+        if block.is_summary and block.entries:
+            self._summaries.append(block)
 
     def cut_before(self, new_marker: int, cut_blocks: Sequence[Block]) -> None:
         """Unregister the blocks removed by a genesis-marker shift.
@@ -142,7 +129,6 @@ class ChainIndex:
         ``block_number < new_marker``; the marker only ever moves to the block
         after a summary block, so the prefix always covers whole sequences.
         """
-        originals, copies = self._originals, self._copies
         for block in cut_blocks:
             view_index = sequence_index_of(block.block_number, self.sequence_length)
             aggregate = self._per_sequence.get(view_index)
@@ -152,18 +138,9 @@ class ChainIndex:
                 aggregate.byte_size -= size
             self._entry_count -= block.entry_count
             self._byte_size -= size
-            number, summary = block.block_number, block.is_summary
-            for entry in block.entries:
-                if entry.entry_number is not None:
-                    original_key = (number, entry.entry_number)
-                    located = originals.get(original_key)
-                    if located is not None and located[0] is block:
-                        del originals[original_key]
-                if summary and entry.origin_block_number is not None:
-                    copy_key = (entry.origin_block_number, entry.origin_entry_number)
-                    located = copies.get(copy_key)
-                    if located is not None and located[0] is block:
-                        del copies[copy_key]
+            self._blocks.pop(block.block_number, None)
+        while self._summaries and self._summaries[0].block_number < new_marker:
+            self._summaries.pop(0)
 
         while self._views and self._views[0].blocks:
             view = self._views[0]
@@ -186,17 +163,24 @@ class ChainIndex:
     # ------------------------------------------------------------------ #
 
     def find(self, reference: EntryReference) -> Optional[tuple[Block, Entry]]:
-        """O(1) located ``(block, entry)`` for a reference, or ``None``.
+        """Located ``(block, entry)`` for a reference, or ``None``.
 
-        The original position wins over carried-forward copies; among living
-        copies the newest summary block wins — both exactly as the legacy
-        linear scan resolved references.
+        O(1) per block plus O(living summaries): the referenced block, if
+        living, answers first; then the living summaries, newest first — the
+        legacy linear scan's resolution order.
         """
-        key = (reference.block_number, reference.entry_number)
-        located = self._originals.get(key)
-        if located is not None:
-            return located
-        return self._copies.get(key)
+        number, entry_number = reference.block_number, reference.entry_number
+        block = self._blocks.get(number)
+        if block is not None:
+            try:
+                return block, block.entry(entry_number)
+            except KeyError:
+                pass
+        for summary in reversed(self._summaries):
+            copy = summary.find_copy_of(number, entry_number)
+            if copy is not None:
+                return summary, copy
+        return None
 
     @property
     def entry_count(self) -> int:
@@ -219,11 +203,12 @@ class ChainIndex:
         return self._complete_views
 
     def live_views(self) -> list[SequenceView]:
-        """The internal partition (shared, read-only by convention).
+        """A list copy of the internal partition's view objects.
 
-        The view objects are mutated in place as blocks are appended and cut;
-        internal single-shot consumers (the summarizer) use this accessor to
-        avoid copying, external callers should use :meth:`sequence_views`.
+        The views themselves are shared and mutated in place as blocks are
+        appended and cut; internal single-shot consumers (the summarizer) use
+        this accessor to avoid copying every view's block list, external
+        callers should use :meth:`sequence_views`.
         """
         return list(self._views)
 
@@ -284,34 +269,14 @@ class ChainIndex:
                 f"scan found {expected_complete}"
             )
 
-        # Rebuild both location maps from scratch in one pass over the blocks
-        # and require the incrementally maintained maps to be identical (same
-        # keys, same block/entry object identities).  This catches any
-        # append/cut maintenance bug in O(total entries).
-        expected_originals: dict[LocationKey, tuple[Block, Entry]] = {}
-        expected_copies: dict[LocationKey, tuple[Block, Entry]] = {}
-        for block in blocks:
-            seen_copies: set[LocationKey] = set()
-            for entry in block.entries:
-                if entry.entry_number is not None:
-                    expected_originals.setdefault((block.block_number, entry.entry_number), (block, entry))
-                if block.is_summary and entry.origin_block_number is not None:
-                    copy_key = (entry.origin_block_number, entry.origin_entry_number)
-                    if copy_key not in seen_copies:
-                        seen_copies.add(copy_key)
-                        expected_copies[copy_key] = (block, entry)
-        for label, ours, expected in (
-            ("original", self._originals, expected_originals),
-            ("copy", self._copies, expected_copies),
-        ):
-            if set(ours) != set(expected):
-                raise ChainIntegrityError(f"{label}-location index keys diverge from the blocks")
-            for key, (block, entry) in expected.items():
-                indexed_block, indexed_entry = ours[key]
-                if indexed_block is not block or indexed_entry is not entry:
-                    raise ChainIntegrityError(
-                        f"{label}-location index for {key} references a stale object"
-                    )
+        # The living blocks by number and the summaries must be exactly the
+        # scanned block objects, in order: a stale or missing one is an
+        # on_append/cut_before maintenance bug.
+        summaries = [block for block in blocks if block.is_summary and block.entries]
+        indexed = (("blocks", list(self._blocks.values()), blocks), ("summaries", self._summaries, summaries))
+        for label, ours, theirs in indexed:
+            if len(ours) != len(theirs) or any(mine is not scanned for mine, scanned in zip(ours, theirs)):
+                raise ChainIntegrityError(f"index's living {label} diverge from the block list")
 
         # Cross-check a bounded sample of references against the retained
         # linear-scan specification — full-strength semantics (original
@@ -320,18 +285,19 @@ class ChainIndex:
         # with chain length so the whole cross-check stays bounded (~100k
         # block visits) even on snapshot loads of very long chains.
         budget = max(4, min(128, 100_000 // max(1, len(blocks))))
-        sample: list[LocationKey] = []
-        for key in expected_originals:
-            sample.append(key)
-            if len(sample) >= budget // 2:
-                break
-        for key in expected_copies:
-            sample.append(key)
-            if len(sample) >= budget:
-                break
-        sample.append((1, 99))  # a miss must miss in both implementations
+        originals = ((block.block_number, entry.entry_number) for block in blocks for entry in block.entries)
+        copies = (
+            (entry.origin_block_number, entry.origin_entry_number)
+            for block in summaries
+            for entry in block.entries
+        )
+        sample: list[tuple[Optional[int], Optional[int]]] = [
+            *islice(originals, budget // 2),
+            *islice(copies, budget - budget // 2),
+            (1, 99),  # a miss must miss in both implementations
+        ]
         for block_number, entry_number in sample:
-            if block_number < 0 or entry_number is None or entry_number < 1:
+            if block_number is None or block_number < 0 or entry_number is None or entry_number < 1:
                 continue
             reference = EntryReference(block_number, entry_number)
             scanned = legacy_find_entry(blocks, genesis_marker, reference)

@@ -14,14 +14,23 @@ a block that
   (Section V-B2), and
 * optionally embeds redundancy material for a middle sequence to hamper the
   51 % attack (Section V-B1, Fig. 9).
+
+The copy is paid by block.  Normal blocks go through
+:func:`~repro.core.retention.entry_survives` entry by entry; a merged
+summary's entries survived the cycle that built it, and only a deletion
+approved since (§IV-D3) or a temporary's bound passing (§IV-D4) can drop one.
+Its :class:`~repro.core.block.CarryRecord` names exactly those, so a cycle
+that drops nothing costs one ``list.extend``, one join of the memos and one
+sha256.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.block import Block, BlockType, RedundancyRecord
+from repro.core.block import Block, BlockType, CarryRecord, RedundancyRecord
 from repro.core.config import ChainConfig, RedundancyPolicy, SummaryMode
 from repro.core.deletion import DeletionRegistry
 from repro.core.entry import Entry
@@ -74,29 +83,67 @@ class Summarizer:
         current_block: int,
     ) -> tuple[list[Entry], list[DroppedEntry]]:
         """Split the expiring sequences' entries into carried and dropped."""
+        return self._carry(expiring, registry, current_time=current_time, current_block=current_block)[:2]
+
+    def _carry(
+        self,
+        expiring: list[SequenceView],
+        registry: DeletionRegistry,
+        *,
+        current_time: int,
+        current_block: int,
+    ) -> tuple[list[Entry], list[DroppedEntry], CarryRecord]:
+        """:meth:`collect_entries`, plus the record the new summary keeps.  A
+        merged summary re-checks only its watch positions and the entries
+        under keys approved since its watermark; the rest ride along."""
         carried: list[Entry] = []
+        memos: list[str] = []
+        watch: list[int] = []
         dropped: list[DroppedEntry] = []
+
+        def survives(block: Block, entry: Entry) -> bool:
+            kept, reason = entry_survives(
+                entry,
+                containing_block_number=block.block_number,
+                registry=registry,
+                current_time=current_time,
+                current_block=current_block,
+            )
+            if not kept:
+                dropped.append(DroppedEntry(block_number=block.block_number, entry=entry, reason=reason))
+            return kept
+
         for view in expiring:
-            for block, entry in view.entries():
-                survives, reason = entry_survives(
-                    entry,
-                    containing_block_number=block.block_number,
-                    registry=registry,
-                    current_time=current_time,
-                    current_block=current_block,
-                )
-                if survives:
-                    carried.append(
-                        entry.as_copy(
-                            origin_block_number=block.block_number,
-                            origin_timestamp=block.timestamp,
-                        )
-                    )
-                else:
-                    dropped.append(
-                        DroppedEntry(block_number=block.block_number, entry=entry, reason=reason)
-                    )
-        return carried, dropped
+            for block in view.blocks:
+                if not block.is_summary:
+                    for entry in block.entries:
+                        if survives(block, entry):
+                            copy = entry.as_copy(
+                                origin_block_number=block.block_number, origin_timestamp=block.timestamp
+                            )
+                            if copy.is_temporary:
+                                watch.append(len(carried))
+                            carried.append(copy)
+                            memos.append(copy.__canonical_json__())
+                    continue
+                entries, record = block.entries, block._carry
+                if record is None or record.registry is not registry:  # loaded, hand-built or foreign
+                    watched = (p for p, e in enumerate(entries) if e.is_temporary or e.is_deletion_request)
+                    record = CarryRecord(block.entry_memos(), registry, 0, tuple(watched))
+                checked = set(record.watch)
+                fresh = registry.approved_since(record.watermark)
+                if fresh:
+                    lookup, unreached = block.locations()
+                    checked.update(lookup[key] for key in fresh if key in lookup)
+                    checked.update(unreached)
+                gone = [p for p in sorted(checked) if not survives(block, entries[p])]
+                watch.extend(len(carried) + p - bisect_left(gone, p) for p in record.watch if p not in gone)
+                start = 0
+                for stop in gone + [len(entries)]:
+                    carried.extend(entries[start:stop])
+                    memos.extend(record.memos[start:stop])
+                    start = stop + 1
+        return carried, dropped, CarryRecord(memos, registry, registry.decision_count, tuple(watch))
 
     # ------------------------------------------------------------------ #
     # Redundancy (Fig. 9)
@@ -164,7 +211,7 @@ class Summarizer:
         the last one being the sequence the new summary block terminates).
         """
         expiring = select_sequences_to_expire(self.config, sequences)
-        carried, dropped = self.collect_entries(
+        carried, dropped, record = self._carry(
             expiring,
             registry,
             current_time=current_time,
@@ -176,6 +223,7 @@ class Summarizer:
         if self.config.summary_mode is SummaryMode.FULL_COPY:
             entries = carried
         else:
+            record = None
             # Group the carried entries by the expiring sequence whose block
             # range their origin falls into — one pass over ``carried``
             # instead of rescanning it per expiring view.  Entries whose
@@ -221,6 +269,7 @@ class Summarizer:
             redundancy=redundancy,
             merged_sequences=[view.index for view in expiring],
             summary_references=summary_references,
+            _carry=record,
         )
 
         new_marker = expiring[-1].last_block_number + 1 if expiring else None

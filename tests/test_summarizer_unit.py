@@ -222,3 +222,93 @@ class TestSummaryCycleCost:
         assert calls["entry_json"] <= carried + sealed.entry_count
         assert calls["references_in_collect"] == 0
         assert calls["sha256"] == 2  # one per appended block
+
+    @staticmethod
+    def _carrying_chain():
+        """Summary 8 carries block 1's 201 entries; every other block holds one."""
+        config = ChainConfig(
+            sequence_length=3,
+            retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2),
+            shrink_strategy=ShrinkStrategy.ALL_OLD,
+        )
+        chain = Blockchain(config)
+        for i in range(201):
+            chain.add_entry({"D": f"event {i}"}, "A")
+        chain.seal_block()
+        while chain.next_block_number < 13:
+            chain.add_entry_block({"D": f"block {chain.next_block_number}"}, "A")
+        return chain
+
+    @staticmethod
+    def _counted_cycle(monkeypatch, chain):
+        """Seal block 13 and count what summary 14's cycle calls."""
+        from collections import Counter
+
+        import repro.core.summarizer as summarizer_module
+        from repro.core.index import ChainIndex
+
+        calls = Counter()
+        results = []
+        in_index = [False]
+
+        def counting(name, function, when=lambda: True):
+            def wrapper(*args, **kwargs):
+                calls[name] += when()
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        def flagged(function):
+            def wrapper(*args, **kwargs):
+                in_index[0] = True
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    in_index[0] = False
+
+            return wrapper
+
+        def capturing(self, **kwargs):
+            results.append(build(self, **kwargs))
+            return results[-1]
+
+        build = Summarizer.build_summary_block
+        monkeypatch.setattr(summarizer_module, "entry_survives", counting("survives", summarizer_module.entry_survives))
+        monkeypatch.setattr(Entry, "as_copy", counting("as_copy", Entry.as_copy))
+        monkeypatch.setattr(Entry, "__canonical_json__", counting("entry_json", Entry.__canonical_json__))
+        monkeypatch.setattr(Entry, "location_key", counting("key_in_index", Entry.location_key, lambda: in_index[0]))
+        monkeypatch.setattr(ChainIndex, "on_append", flagged(ChainIndex.on_append))
+        monkeypatch.setattr(ChainIndex, "cut_before", flagged(ChainIndex.cut_before))
+        monkeypatch.setattr(hashlib, "sha256", counting("sha256", hashlib.sha256))
+        monkeypatch.setattr(Summarizer, "build_summary_block", capturing)
+        sealed = chain.seal_block()
+        (result,) = results
+        assert (sealed.block_number, result.block.block_number) == (13, 14) and chain.head is result.block
+        merged_normal = sum(
+            block.entry_count for view in result.expired_sequences for block in view.blocks if not block.is_summary
+        )
+        assert merged_normal == 4 and result.block.entry_count >= 200
+        return sealed, result, merged_normal, calls
+
+    def test_a_cycle_that_drops_nothing_pays_only_the_merged_normal_blocks(self, monkeypatch):
+        sealed, result, merged_normal, calls = self._counted_cycle(monkeypatch, self._carrying_chain())
+        assert result.dropped_entries == []
+        assert calls["survives"] == calls["as_copy"] == merged_normal
+        assert calls["entry_json"] == merged_normal + sealed.entry_count
+        assert calls["key_in_index"] == 0
+        assert calls["sha256"] == 2  # one per appended block
+
+    def test_a_cycle_that_drops_marked_entries_drops_exactly_those(self, monkeypatch):
+        chain = self._carrying_chain()
+        targets = [EntryReference(1, number) for number in (5, 50, 150)]
+        for target in targets:
+            assert chain.request_deletion(target, "A").is_approved  # sealed into block 13
+        sealed, result, merged_normal, calls = self._counted_cycle(monkeypatch, chain)
+        assert [(d.block_number, d.entry.reference_in(d.block_number), d.reason) for d in result.dropped_entries] == [
+            (8, target, "entry is marked for deletion") for target in targets
+        ]
+        assert calls["survives"] == merged_normal + len(targets)
+        assert calls["as_copy"] == merged_normal
+        assert calls["entry_json"] == merged_normal + sealed.entry_count
+        assert calls["key_in_index"] == 0
+        assert calls["sha256"] == 2

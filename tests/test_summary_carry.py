@@ -1,0 +1,226 @@
+"""Differential oracle for the summary cycle's carry-by-block path.
+
+A summary merges an older summary's entries by block: only keys approved
+since that summary's watermark and its watched temporaries are checked again,
+the rest ride along with their memos (``Summarizer._carry``).  Here a
+Hypothesis driver runs random operations — entries for two authors,
+temporary entries with a τ or α bound, deletions by the author or a foreign
+author, seals, idle ticks and a mid-run snapshot or restart, after which the
+loaded summaries derive their record from the block alone — and after every
+summary recomputes the carried/dropped split from scratch with
+:func:`entry_survives` over the same expiring views.  Carried entries (by
+identity where already copied, in order), drops with their reasons, the block
+hash, and ``find_entry`` against ``legacy_find_entry`` for every reference
+ever issued must all agree.
+
+Examples per ``REPRO_FUZZ_PROFILE``: quick 20 (tier-1), standard 100 and
+determinism 500 (nightly CI).
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import (
+    Blockchain,
+    ChainConfig,
+    EntryReference,
+    LengthUnit,
+    RedundancyPolicy,
+    RetentionPolicy,
+    ShrinkStrategy,
+    SummaryMode,
+)
+from repro.core.index import legacy_find_entry
+from repro.core.retention import entry_survives
+from repro.core.summarizer import Summarizer
+from repro.storage.memstore import MemoryBlockStore
+from repro.storage.snapshot import chain_from_payload, snapshot_payload
+
+FUZZ_EXAMPLES = {"quick": 20, "standard": 100, "determinism": 500}[
+    os.environ.get("REPRO_FUZZ_PROFILE", "quick")
+]
+
+USERS = ("ALPHA", "BRAVO")
+
+CONFIGS = {
+    f"{strategy.value}/{redundancy.value}": ChainConfig(
+        sequence_length=3,
+        retention=RetentionPolicy(unit=LengthUnit.BLOCKS, max_length=7),
+        shrink_strategy=strategy,
+        summary_mode=SummaryMode.FULL_COPY,
+        redundancy=redundancy,
+        empty_block_interval=2,
+    )
+    for strategy in ShrinkStrategy
+    for redundancy in (RedundancyPolicy.NONE, RedundancyPolicy.MIDDLE_MERKLE_ROOT)
+}
+
+#: One step: (kind, number, flag).  ``temporary`` bounds by τ when the flag
+#: is set (else α), ``delete`` asks as a foreign author, ``reload`` goes
+#: through a snapshot (else a restart on the same block objects).
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "temporary", "temporary", "delete", "delete",
+                         "seal", "seal", "seal", "idle", "reload"]),
+        st.integers(0, 10**6),
+        st.booleans(),
+    ),
+    min_size=40,
+    max_size=80,
+)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def from_scratch(expiring, registry, *, current_time, current_block):
+    """Every entry of the expiring views through ``entry_survives``."""
+    carried, dropped = [], []
+    for view in expiring:
+        for block in view.blocks:
+            for entry in block.entries:
+                kept, reason = entry_survives(
+                    entry,
+                    containing_block_number=block.block_number,
+                    registry=registry,
+                    current_time=current_time,
+                    current_block=current_block,
+                )
+                if kept:
+                    copy = entry.as_copy(origin_block_number=block.block_number, origin_timestamp=block.timestamp)
+                    carried.append((copy, copy is entry))
+                else:
+                    dropped.append((block.block_number, entry, reason))
+    return carried, dropped
+
+
+class CheckedSummarizer(Summarizer):
+    """Checks every summary it builds against :func:`from_scratch`."""
+
+    def __init__(self, config: ChainConfig, built: list[int]) -> None:
+        super().__init__(config)
+        self.built = built
+
+    def build_summary_block(self, **kwargs):
+        result = super().build_summary_block(**kwargs)
+        carried, dropped = from_scratch(
+            result.expired_sequences,
+            kwargs["registry"],
+            current_time=kwargs["current_time"],
+            current_block=kwargs["next_block_number"],
+        )
+        assert len(result.carried_entries) == len(carried)
+        for ours, (theirs, same_object) in zip(result.carried_entries, carried):
+            assert ours is theirs if same_object else ours == theirs
+        assert [(d.block_number, d.reason) for d in result.dropped_entries] == [
+            (number, reason) for number, _, reason in dropped
+        ]
+        assert all(d.entry is entry for d, (_, entry, _) in zip(result.dropped_entries, dropped))
+        block = result.block
+        assert block.entries == [copy for copy, _ in carried]
+        assert block.block_hash == hashlib.sha256(_dumps(block.content_dict()).encode("utf-8")).hexdigest()
+        self.built.append(block.block_number)
+        return result
+
+
+def assert_lookups_match(chain: Blockchain, issued) -> None:
+    blocks = chain.blocks
+    for reference, _ in issued:
+        ours = chain.find_entry(reference)
+        theirs = legacy_find_entry(blocks, chain.genesis_marker, reference)
+        assert (ours is None) == (theirs is None), reference
+        if ours is not None:
+            assert ours[0] is theirs[0] and ours[1] is theirs[1], reference
+
+
+def run(config: ChainConfig, steps) -> int:
+    """Drive one chain through ``steps``; returns the number of summaries checked."""
+    built: list[int] = []
+
+    def checked(chain: Blockchain) -> Blockchain:
+        chain.summarizer = CheckedSummarizer(chain.config, built)
+        return chain
+
+    chain = checked(Blockchain(config))
+    issued: list[tuple[EntryReference, str]] = []
+
+    def seal():
+        block = chain.seal_block()
+        issued.extend((entry.reference_in(block.block_number), entry.author) for entry in block.data_entries())
+
+    for kind, number, flag in steps:
+        user = USERS[number % 2]
+        if kind == "add":
+            chain.add_entry({"D": f"Login {user} #{number}"}, user)
+        elif kind == "temporary":
+            bound = number % 8
+            if flag:
+                chain.add_entry({"D": f"temp {user}"}, user, expires_at_time=chain.clock.peek() + bound)
+            else:
+                chain.add_entry({"D": f"temp {user}"}, user, expires_at_block=chain.next_block_number + bound)
+        elif kind == "delete" and issued:
+            reference, author = issued[number % len(issued)]
+            chain.request_deletion(reference, USERS[(USERS.index(author) + flag) % 2])
+        elif kind == "seal":
+            seal()
+        elif kind == "idle":
+            chain.idle_tick()
+        elif kind == "reload":
+            if chain.pending_entries:
+                seal()
+            if flag:
+                chain = checked(chain_from_payload(snapshot_payload(chain)))
+            else:
+                store = MemoryBlockStore()
+                for block in chain.blocks:
+                    store.append(block)
+                chain = checked(Blockchain(config, store=store))
+        assert_lookups_match(chain, issued)
+    for _ in range(2 * config.sequence_length):
+        seal()
+    assert_lookups_match(chain, issued)
+    return len(built)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True)
+@given(steps=operations)
+def test_carry_by_block_matches_entry_by_entry(config_name, steps):
+    assert run(CONFIGS[config_name], steps) >= 2
+
+
+def test_bounded_state_after_300_cycles():
+    """No index structure and no carry record holds a block that was cut."""
+    chain = Blockchain(ChainConfig.paper_evaluation())
+    issued = []
+    while chain.next_block_number < 900:
+        number = chain.next_block_number
+        if number % 7 == 0 and issued:
+            chain.request_deletion(issued.pop(0), "ALPHA")
+        expiry = {"expires_at_block": number + 12} if number % 5 == 0 else {}
+        block = chain.add_entry_block({"D": f"Login {number}"}, "ALPHA", **expiry)
+        issued.append(EntryReference(block.block_number, 1))
+    assert chain.statistics()["deletions"]["executed"] > 0
+
+    def same(ours, theirs) -> bool:
+        return len(ours) == len(theirs) and all(mine is living for mine, living in zip(ours, theirs))
+
+    living = chain.blocks
+    index = chain._index
+    assert same(list(index._blocks.values()), living)
+    assert same(index._summaries, [block for block in living if block.is_summary and block.entries])
+    assert same([block for view in index._views for block in view.blocks], living)
+    # A record holds memo strings, positions, a count and the registry: no
+    # block, so nothing it keeps can outlive a cut.
+    for summary in index._summaries:
+        record = summary._carry
+        assert record.registry is chain.registry
+        assert record.watermark <= chain.registry.decision_count
+        assert len(record.memos) == summary.entry_count
+        assert all(type(memo) is str for memo in record.memos)
+        assert all(type(position) is int for position in record.watch)
