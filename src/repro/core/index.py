@@ -278,6 +278,31 @@ class ChainIndex:
             if len(ours) != len(theirs) or any(mine is not scanned for mine, scanned in zip(ours, theirs)):
                 raise ChainIntegrityError(f"index's living {label} diverge from the block list")
 
+        # Rebuild the resolution from scratch in one pass over the blocks —
+        # first match within a block, the newest summary across blocks, the
+        # original position over any copy — and require find() to return the
+        # identical (block, entry) for every key: O(total entries).
+        originals: dict[tuple[int, int], tuple[Block, Entry]] = {}
+        copies: dict[tuple[int, int], tuple[Block, Entry]] = {}
+        for block in blocks:
+            newest: dict[tuple[int, int], tuple[Block, Entry]] = {}
+            for entry in block.entries:
+                if entry.entry_number is not None:  # positive once set
+                    originals.setdefault((block.block_number, entry.entry_number), (block, entry))
+                origin, origin_entry = entry.origin_block_number, entry.origin_entry_number
+                if block.is_summary and origin is not None and origin >= 0 and (origin_entry or 0) >= 1:
+                    newest.setdefault((origin, origin_entry), (block, entry))
+            copies.update(newest)
+
+        def same(found: Optional[tuple[Block, Entry]], expected: Optional[tuple[Block, Entry]]) -> bool:
+            if found is None or expected is None:
+                return found is expected
+            return found[0] is expected[0] and found[1] is expected[1]
+
+        for key, expected in {**copies, **originals}.items():
+            if not same(self.find(EntryReference(*key)), expected):
+                raise ChainIntegrityError(f"index lookup for {key} is stale")
+
         # Cross-check a bounded sample of references against the retained
         # linear-scan specification — full-strength semantics (original
         # position wins, newest copy wins) without the O(entries x chain
@@ -285,31 +310,10 @@ class ChainIndex:
         # with chain length so the whole cross-check stays bounded (~100k
         # block visits) even on snapshot loads of very long chains.
         budget = max(4, min(128, 100_000 // max(1, len(blocks))))
-        originals = ((block.block_number, entry.entry_number) for block in blocks for entry in block.entries)
-        copies = (
-            (entry.origin_block_number, entry.origin_entry_number)
-            for block in summaries
-            for entry in block.entries
-        )
-        sample: list[tuple[Optional[int], Optional[int]]] = [
-            *islice(originals, budget // 2),
-            *islice(copies, budget - budget // 2),
-            (1, 99),  # a miss must miss in both implementations
-        ]
-        for block_number, entry_number in sample:
-            if block_number is None or block_number < 0 or entry_number is None or entry_number < 1:
-                continue
-            reference = EntryReference(block_number, entry_number)
-            scanned = legacy_find_entry(blocks, genesis_marker, reference)
-            indexed = self.find(reference)
-            if scanned is None and indexed is None:
-                continue
-            if (
-                scanned is None
-                or indexed is None
-                or scanned[0] is not indexed[0]
-                or scanned[1] is not indexed[1]
-            ):
+        sample = [*islice(originals, budget // 2), *islice(copies, budget - budget // 2), (1, 99)]
+        for key in sample:  # (1, 99): a miss must miss in both
+            reference = EntryReference(*key)
+            if not same(self.find(reference), legacy_find_entry(blocks, genesis_marker, reference)):
                 raise ChainIntegrityError(f"lookup for {reference} diverges from the linear scan")
 
 

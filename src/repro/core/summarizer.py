@@ -86,12 +86,7 @@ class Summarizer:
         return self._carry(expiring, registry, current_time=current_time, current_block=current_block)[:2]
 
     def _carry(
-        self,
-        expiring: list[SequenceView],
-        registry: DeletionRegistry,
-        *,
-        current_time: int,
-        current_block: int,
+        self, expiring: list[SequenceView], registry: DeletionRegistry, *, current_time: int, current_block: int
     ) -> tuple[list[Entry], list[DroppedEntry], CarryRecord]:
         """:meth:`collect_entries`, plus the record the new summary keeps.  A
         merged summary re-checks only its watch positions and the entries
@@ -103,11 +98,8 @@ class Summarizer:
 
         def survives(block: Block, entry: Entry) -> bool:
             kept, reason = entry_survives(
-                entry,
-                containing_block_number=block.block_number,
-                registry=registry,
-                current_time=current_time,
-                current_block=current_block,
+                entry, containing_block_number=block.block_number, registry=registry,
+                current_time=current_time, current_block=current_block,
             )
             if not kept:
                 dropped.append(DroppedEntry(block_number=block.block_number, entry=entry, reason=reason))
@@ -125,6 +117,8 @@ class Summarizer:
                                 watch.append(len(carried))
                             carried.append(copy)
                             memos.append(copy.__canonical_json__())
+                    continue
+                if not block.entries:  # empty, or MERKLE_REFERENCE: nothing to carry or check
                     continue
                 entries, record = block.entries, block._carry
                 if record is None or record.registry is not registry:  # loaded, hand-built or foreign

@@ -36,6 +36,7 @@ from repro.core import (
 )
 from repro.core.block import Block, BlockType
 from repro.core.entry import Entry
+from repro.core.errors import ChainIntegrityError
 from repro.core.index import ChainIndex, legacy_aggregates, legacy_find_entry
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
 
@@ -329,6 +330,28 @@ class TestIndexMaintenanceDetail:
         index.cut_before(3, blocks[:3])
         after = located(index, blocks[3:], 3)
         assert after == {0: "z", 1: "p", 3: "a3", 4: "a4", 5: "p", 6: "a6"}
+
+    def test_verify_index_checks_every_lookup_not_only_a_sample(self):
+        config = ChainConfig(
+            sequence_length=3,
+            retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2),
+            shrink_strategy=ShrinkStrategy.ALL_OLD,
+        )
+        chain = Blockchain(config)
+        for i in range(300):
+            chain.add_entry({"D": f"Login {i}", "K": "ALPHA", "S": "sig_ALPHA"}, "ALPHA")
+        chain.seal_block()
+        while chain.genesis_marker <= 1:
+            chain.add_entry_block({"D": "Login BRAVO", "K": "BRAVO", "S": "sig_BRAVO"}, "BRAVO")
+        chain.verify_index()
+        summary = next(block for block in reversed(chain.blocks) if block.is_summary and block.entries)
+        assert summary.entry_count >= 300
+        # Lose the lookup of the newest summary's last copy, far past the
+        # sampled cross-check's reach.
+        lookup, _ = summary.locations()
+        del lookup[summary.entries[-1].location_key(summary.block_number)]
+        with pytest.raises(ChainIntegrityError, match="lookup"):
+            chain.verify_index()
 
     def test_statistics_is_consistent_after_every_block(self):
         chain = Blockchain(CONFIGS["merkle-reference"])

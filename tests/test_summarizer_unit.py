@@ -169,63 +169,11 @@ class TestSummaryCycleCost:
     block costs exactly one SHA-256.
     """
 
-    def test_carried_entries_are_serialised_once_per_cycle(self, monkeypatch):
-        config = ChainConfig(
-            sequence_length=3,
-            retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2),
-            shrink_strategy=ShrinkStrategy.ALL_OLD,
-        )
-        chain = Blockchain(config)
-        for i in range(201):
-            chain.add_entry({"D": f"event {i}", "K": "A", "S": "sig_A"}, "A")
-        chain.seal_block()  # block 1: the entries summary 8 will carry
-        chain.request_deletion(EntryReference(1, 1), "A")
-        while chain.next_block_number < 7:
-            chain.seal_block()
-
-        calls = {"entry_json": 0, "references_in_collect": 0, "sha256": 0}
-        in_collect = [False]
-        entry_json = Entry.__canonical_json__
-        reference_init = EntryReference.__init__
-        collect = Summarizer.collect_entries
-        sha256 = hashlib.sha256
-
-        def counting_entry_json(entry):
-            calls["entry_json"] += 1
-            return entry_json(entry)
-
-        def counting_reference_init(reference, *args, **kwargs):
-            calls["references_in_collect"] += in_collect[0]
-            reference_init(reference, *args, **kwargs)
-
-        def flagged_collect(*args, **kwargs):
-            in_collect[0] = True
-            try:
-                return collect(*args, **kwargs)
-            finally:
-                in_collect[0] = False
-
-        def counting_sha256(*args, **kwargs):
-            calls["sha256"] += 1
-            return sha256(*args, **kwargs)
-
-        monkeypatch.setattr(Entry, "__canonical_json__", counting_entry_json)
-        monkeypatch.setattr(EntryReference, "__init__", counting_reference_init)
-        monkeypatch.setattr(Summarizer, "collect_entries", flagged_collect)
-        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
-        sealed = chain.seal_block()  # block 7, then summary 8 merges sequence 0
-
-        summary = chain.head
-        carried = summary.entry_count
-        assert (sealed.block_number, summary.block_number) == (7, 8) and summary.is_summary
-        assert carried >= 200 and chain.genesis_marker == 6
-        assert calls["entry_json"] <= carried + sealed.entry_count
-        assert calls["references_in_collect"] == 0
-        assert calls["sha256"] == 2  # one per appended block
-
     @staticmethod
-    def _carrying_chain():
-        """Summary 8 carries block 1's 201 entries; every other block holds one."""
+    def _carrying_chain(stop=13, marks=()):
+        """Block 1 holds 201 entries, ``marks`` are requested into block 2, and
+        every other block up to ``stop`` holds one entry; summary 8 carries
+        block 1's entries, summary 14 carries them on."""
         config = ChainConfig(
             sequence_length=3,
             retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2),
@@ -235,13 +183,15 @@ class TestSummaryCycleCost:
         for i in range(201):
             chain.add_entry({"D": f"event {i}"}, "A")
         chain.seal_block()
-        while chain.next_block_number < 13:
+        for target in marks:
+            assert chain.request_deletion(target, "A").is_approved
+        while chain.next_block_number < stop:
             chain.add_entry_block({"D": f"block {chain.next_block_number}"}, "A")
         return chain
 
     @staticmethod
     def _counted_cycle(monkeypatch, chain):
-        """Seal block 13 and count what summary 14's cycle calls."""
+        """Seal the next block and count what the summary cycle it triggers calls."""
         from collections import Counter
 
         import repro.core.summarizer as summarizer_module
@@ -249,22 +199,22 @@ class TestSummaryCycleCost:
 
         calls = Counter()
         results = []
-        in_index = [False]
+        inside = {"index": False, "carry": False}
 
-        def counting(name, function, when=lambda: True):
+        def counting(name, function, scope=None):
             def wrapper(*args, **kwargs):
-                calls[name] += when()
+                calls[name] += scope is None or inside[scope]
                 return function(*args, **kwargs)
 
             return wrapper
 
-        def flagged(function):
+        def flagged(scope, function):
             def wrapper(*args, **kwargs):
-                in_index[0] = True
+                inside[scope] = True
                 try:
                     return function(*args, **kwargs)
                 finally:
-                    in_index[0] = False
+                    inside[scope] = False
 
             return wrapper
 
@@ -276,26 +226,38 @@ class TestSummaryCycleCost:
         monkeypatch.setattr(summarizer_module, "entry_survives", counting("survives", summarizer_module.entry_survives))
         monkeypatch.setattr(Entry, "as_copy", counting("as_copy", Entry.as_copy))
         monkeypatch.setattr(Entry, "__canonical_json__", counting("entry_json", Entry.__canonical_json__))
-        monkeypatch.setattr(Entry, "location_key", counting("key_in_index", Entry.location_key, lambda: in_index[0]))
-        monkeypatch.setattr(ChainIndex, "on_append", flagged(ChainIndex.on_append))
-        monkeypatch.setattr(ChainIndex, "cut_before", flagged(ChainIndex.cut_before))
+        monkeypatch.setattr(Entry, "location_key", counting("key_in_index", Entry.location_key, "index"))
+        monkeypatch.setattr(EntryReference, "__init__", counting("references_in_carry", EntryReference.__init__, "carry"))
+        monkeypatch.setattr(ChainIndex, "on_append", flagged("index", ChainIndex.on_append))
+        monkeypatch.setattr(ChainIndex, "cut_before", flagged("index", ChainIndex.cut_before))
+        monkeypatch.setattr(Summarizer, "_carry", flagged("carry", Summarizer._carry))
         monkeypatch.setattr(hashlib, "sha256", counting("sha256", hashlib.sha256))
         monkeypatch.setattr(Summarizer, "build_summary_block", capturing)
         sealed = chain.seal_block()
         (result,) = results
-        assert (sealed.block_number, result.block.block_number) == (13, 14) and chain.head is result.block
+        assert chain.head is result.block
         merged_normal = sum(
             block.entry_count for view in result.expired_sequences for block in view.blocks if not block.is_summary
         )
-        assert merged_normal == 4 and result.block.entry_count >= 200
         return sealed, result, merged_normal, calls
+
+    def test_carried_entries_are_serialised_once_per_cycle(self, monkeypatch):
+        chain = self._carrying_chain(stop=7, marks=[EntryReference(1, 1)])
+        sealed, result, _, calls = self._counted_cycle(monkeypatch, chain)
+        carried = result.block.entry_count
+        assert (sealed.block_number, result.block.block_number, chain.genesis_marker) == (7, 8, 6)
+        assert carried >= 200
+        assert calls["entry_json"] <= carried + sealed.entry_count
+        assert calls["references_in_carry"] == 0  # the deletion check keys the registry on a bare tuple
+        assert calls["sha256"] == 2  # one per appended block
 
     def test_a_cycle_that_drops_nothing_pays_only_the_merged_normal_blocks(self, monkeypatch):
         sealed, result, merged_normal, calls = self._counted_cycle(monkeypatch, self._carrying_chain())
-        assert result.dropped_entries == []
+        assert (sealed.block_number, result.block.block_number, merged_normal) == (13, 14, 4)
+        assert result.block.entry_count >= 200 and result.dropped_entries == []
         assert calls["survives"] == calls["as_copy"] == merged_normal
         assert calls["entry_json"] == merged_normal + sealed.entry_count
-        assert calls["key_in_index"] == 0
+        assert calls["key_in_index"] == calls["references_in_carry"] == 0
         assert calls["sha256"] == 2  # one per appended block
 
     def test_a_cycle_that_drops_marked_entries_drops_exactly_those(self, monkeypatch):
@@ -304,11 +266,12 @@ class TestSummaryCycleCost:
         for target in targets:
             assert chain.request_deletion(target, "A").is_approved  # sealed into block 13
         sealed, result, merged_normal, calls = self._counted_cycle(monkeypatch, chain)
+        assert (sealed.block_number, result.block.block_number, merged_normal) == (13, 14, 4)
         assert [(d.block_number, d.entry.reference_in(d.block_number), d.reason) for d in result.dropped_entries] == [
             (8, target, "entry is marked for deletion") for target in targets
         ]
         assert calls["survives"] == merged_normal + len(targets)
         assert calls["as_copy"] == merged_normal
         assert calls["entry_json"] == merged_normal + sealed.entry_count
-        assert calls["key_in_index"] == 0
+        assert calls["key_in_index"] == calls["references_in_carry"] == 0
         assert calls["sha256"] == 2
