@@ -86,7 +86,12 @@ class Summarizer:
         return self._carry(expiring, registry, current_time=current_time, current_block=current_block)[:2]
 
     def _carry(
-        self, expiring: list[SequenceView], registry: DeletionRegistry, *, current_time: int, current_block: int
+        self,
+        expiring: list[SequenceView],
+        registry: DeletionRegistry,
+        *,
+        current_time: int,
+        current_block: int,
     ) -> tuple[list[Entry], list[DroppedEntry], CarryRecord]:
         """:meth:`collect_entries`, plus the record the new summary keeps.  A
         merged summary re-checks only its watch positions and the entries
@@ -98,8 +103,11 @@ class Summarizer:
 
         def survives(block: Block, entry: Entry) -> bool:
             kept, reason = entry_survives(
-                entry, containing_block_number=block.block_number, registry=registry,
-                current_time=current_time, current_block=current_block,
+                entry,
+                containing_block_number=block.block_number,
+                registry=registry,
+                current_time=current_time,
+                current_block=current_block,
             )
             if not kept:
                 dropped.append(DroppedEntry(block_number=block.block_number, entry=entry, reason=reason))
