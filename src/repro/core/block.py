@@ -120,7 +120,6 @@ class Block:
     summary_references: list[dict[str, Any]] = field(default_factory=list)
     _carry: Optional[CarryRecord] = field(default=None, repr=False, compare=False)  # entries taken as given
     _cached_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _cached_canonical: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _cached_byte_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _entry_lookup: Optional[dict[int, Entry]] = field(default=None, init=False, repr=False, compare=False)
     _locations: Optional[tuple[dict[tuple[int, int], int], tuple[int, ...]]] = field(
@@ -241,19 +240,12 @@ class Block:
         """
         self.nonce = nonce
         self._cached_hash = None
-        self._cached_canonical = None
         self._cached_byte_size = None
 
     def __canonical_json__(self) -> str:
-        """Canonical JSON of :meth:`to_dict` (hash included), built on demand.
-
-        Hashing and sizing never need it, so only callers that ask pay for
-        (and keep) the string.  Invalidated by :meth:`set_nonce`; otherwise
-        sound because blocks are immutable once appended.
-        """
-        if self._cached_canonical is None:
-            self._cached_canonical = _HASH_MEMBER.format(self.block_hash) + self._canonical_content()[1:]
-        return self._cached_canonical
+        """Canonical JSON of :meth:`to_dict` (hash included), composed from the
+        entry memos on each call and never kept on the block."""
+        return _HASH_MEMBER.format(self.block_hash) + self._canonical_content()[1:]
 
     # ------------------------------------------------------------------ #
     # Entry access
@@ -368,6 +360,16 @@ class Block:
         )
         own = truncate_hash(self.block_hash, hash_length)
         return f"{prefix}; t={self.timestamp}; prev={previous}; hash={own}"
+
+
+def canonical_text_hash(text: str) -> Optional[str]:
+    """The block hash a :meth:`Block.__canonical_json__` text commits to: the
+    sha256 of the content after its ``"block_hash"`` member, computed from the
+    bytes and never read from them (``None`` for text of another shape)."""
+    head, separator, rest = text.partition('",')
+    if not separator or not head.startswith('{"block_hash":"'):
+        return None
+    return sha256_hex(("{" + rest).encode("utf-8"))
 
 
 def make_genesis_block(*, timestamp: int = 0, entries: Optional[Sequence[Entry]] = None) -> Block:

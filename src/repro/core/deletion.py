@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.errors import DeletionError
+from repro.crypto.hashing import canonical_json
 
 
 class DeletionStatus(str, Enum):
@@ -254,6 +255,17 @@ class DeletionRegistry:
                 for decision in self._decisions
             ]
         }
+
+    def __canonical_json__(self) -> str:
+        """Canonical JSON of :meth:`to_dict`, each decision composed around its
+        request's memo.  The producer records the unnumbered original, which has
+        none; it is encoded here without keeping one."""
+        return '{"decisions":[' + ",".join(
+            '{"reason":%s,"request":%s,"status":"%s","target":{"block_number":%d,"entry_number":%d}}'
+            % (canonical_json(d.reason), d.request._canonical_cache or canonical_json(d.request.to_dict()),
+               d.status.value, d.target.block_number, d.target.entry_number)
+            for d in self._decisions
+        ) + "]}"
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DeletionRegistry":

@@ -56,6 +56,8 @@ class EntryReference:
 
     def __canonical_json__(self) -> str:
         """Canonical form: the serialised :meth:`to_dict` payload."""
+        from repro.crypto.hashing import canonical_json
+
         return canonical_json(self.to_dict())
 
     @classmethod

@@ -45,10 +45,10 @@ def canonical_json(value: Any) -> str:
     ``__canonical_json__`` method: re-hashing a summary block then reuses the
     cached per-entry strings instead of re-serialising every entry from
     scratch.  Plain structures (no memoised objects anywhere) take the fast C
-    encoder; only structures that actually contain a memoised object fall
-    back to the recursive Python composer.  Either way the output is
-    byte-identical to ``json.dumps(value, sort_keys=True, separators=(",",
-    ":"))`` on the fully expanded structure.
+    encoder; a container that does hold a memoised object is composed by a
+    recursive Python composer, whose plain parts again take the C encoder.
+    Either way the output is byte-identical to ``json.dumps(value,
+    sort_keys=True, separators=(",", ":"))`` on the fully expanded structure.
 
     Fast path: values whose concrete type is a builtin container or scalar
     cannot carry the memo hook, so they skip the per-value ``getattr`` probe
@@ -56,19 +56,7 @@ def canonical_json(value: Any) -> str:
     non-default options builds a fresh ``JSONEncoder`` per call — measurably
     hot when every block hash serialises through here).
     """
-    cls = value.__class__
-    if cls in _PLAIN_TYPES:
-        try:
-            return _encode_canonical(value)
-        except _NeedsComposition:
-            return _canonical(value)
-    hook = getattr(value, "__canonical_json__", None)
-    if hook is not None:
-        return hook()
-    try:
-        return _encode_canonical(value)
-    except _NeedsComposition:
-        return _canonical(value)
+    return _canonical(value)
 
 
 class _NeedsComposition(Exception):
@@ -95,21 +83,22 @@ _encode_canonical = json.JSONEncoder(
 
 
 def _canonical(value: Any) -> str:
-    if value is None or value is True or value is False or isinstance(value, (str, int, float)):
-        # Scalars (including str/int subclasses such as str-Enums) delegate to
-        # json.dumps so escaping and number formatting match exactly.
+    if value.__class__ in _PLAIN_TYPES:
+        try:
+            return _encode_canonical(value)
+        except _NeedsComposition:  # a memoised object inside: compose this container
+            pass
+    elif isinstance(value, (str, int, float)):
+        # Scalar subclasses such as str-Enums delegate to json.dumps so
+        # escaping and number formatting match exactly.
         return json.dumps(value)
-    hook = getattr(value, "__canonical_json__", None)
-    if hook is not None:
-        return hook()
+    elif getattr(value, "__canonical_json__", None) is not None:
+        return value.__canonical_json__()
     if isinstance(value, dict):
         if all(type(key) is str for key in value):
             return (
                 "{"
-                + ",".join(
-                    json.dumps(key) + ":" + _canonical(item)
-                    for key, item in sorted(value.items(), key=lambda pair: pair[0])
-                )
+                + ",".join(json.dumps(key) + ":" + _canonical(item) for key, item in sorted(value.items()))
                 + "}"
             )
         # Non-string keys: defer to json.dumps, whose key coercion rules are
@@ -126,6 +115,22 @@ def _encode_fallback(value: Any) -> Any:
     if callable(to_dict):
         return to_dict()
     raise TypeError(f"object of type {type(value).__name__} is not JSON serialisable")
+
+
+def canonical_size(value: Any) -> int:
+    """``len(canonical_json(value).encode("utf-8"))`` from one C-encoder pass in
+    which each memoised object stands in as ``0`` and adds its own text's length."""
+    texts: list[str] = []
+
+    def stand_in(obj: Any) -> Any:
+        hook = getattr(obj, "__canonical_json__", None)
+        if hook is None:
+            return _encode_fallback(obj)
+        texts.append(hook())
+        return 0
+
+    skeleton = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=stand_in).encode(value)
+    return len(skeleton.encode("utf-8")) + sum(len(text.encode("utf-8")) - 1 for text in texts)
 
 
 def hash_hex(value: Any, *, digest_length: int = FULL_DIGEST_LENGTH) -> str:

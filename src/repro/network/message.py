@@ -23,7 +23,8 @@ kind                  sender            receiver        payload schema          
 ``IDLE_TICK``         client            producer        ``{ticks}``                                    ``ACK``
 ``FIND_ENTRY``        client            any anchor      ``{reference}``                                ``SYNC_RESPONSE``
 ``QUERY_STATISTICS``  client            any anchor      ``{}``                                         ``SYNC_RESPONSE``
-``BLOCK_ANNOUNCE``    producer/relay    peers           ``{block, gossip?: {item, hops}}``             ``ACK`` or one-way
+``BLOCK_ANNOUNCE``    producer/relay    peers           ``{block, gossip?: {item, hops}}``; ``block``  ``ACK`` or one-way
+                                                        is a :class:`BlockFrame` or its plain dict
 ``SUMMARY_HASH``      anchor            peers           ``{block_number, block_hash}``                 ``SYNC_RESPONSE``
 ``SYNC_REQUEST``      anchor/client     anchor          ``{from_block}``                               ``SYNC_RESPONSE``
 ``SYNC_RESPONSE``     anchor            requester       kind-specific result fields                    —
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional
 
-from repro.crypto.hashing import canonical_json
+from repro.crypto.hashing import canonical_size
 
 _MESSAGE_COUNTER = itertools.count(1)
 
@@ -93,6 +94,20 @@ class MessageKind(str, Enum):
     ERROR = "error"
 
 
+@dataclass(frozen=True, slots=True)
+class BlockFrame:
+    """A block as it travels: its ``to_dict()`` fields plus their canonical
+    text, encoded once for the whole fan-out.  ``canonical_json`` returns the
+    text, so a receiver hashes it and every hop's :attr:`Message.wire_size`
+    reuses it; ``Block.from_dict`` reads the fields, as it reads a plain dict."""
+
+    fields: Mapping[str, Any]
+    text: str
+
+    def __canonical_json__(self) -> str:
+        return self.text
+
+
 @dataclass(frozen=True)
 class Message:
     """A single protocol message."""
@@ -106,10 +121,10 @@ class Message:
 
     @property
     def wire_size(self) -> int:
-        """Bytes of the canonical :meth:`to_dict` encoding, encoded once even
-        when a gossip or broadcast fan-out delivers the message k times."""
+        """Bytes of the canonical :meth:`to_dict` encoding, counted once even
+        when a fan-out delivers the message k times; a frame adds its text's length."""
         if self._wire_size is None:
-            size = len(canonical_json(self.to_dict()).encode("utf-8"))
+            size = canonical_size(self.to_dict())
             # repro: allow[REPRO-F301] write-once memo of a pure function of frozen fields
             object.__setattr__(self, "_wire_size", size)
         return self._wire_size

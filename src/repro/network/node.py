@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from repro.consensus.base import ConsensusEngine, NullConsensus
-from repro.core.block import Block
+from repro.core.block import Block, canonical_text_hash
 from repro.core.chain import Blockchain
 from repro.core.errors import (
     ChainIntegrityError,
@@ -27,9 +27,10 @@ from repro.core.errors import (
 )
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.events import ChainEvent, EventType
+from repro.crypto.hashing import canonical_json
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.gossip import GossipOverlay
-from repro.network.message import Message, MessageKind
+from repro.network.message import BlockFrame, Message, MessageKind
 from repro.network.transport import InMemoryTransport
 from repro.sync.bootstrap import (
     DEFAULT_CHUNK_SIZE,
@@ -305,8 +306,17 @@ class AnchorNode:
         )
 
     def _handle_block_announce(self, message: Message) -> Optional[Message]:
-        block = Block.from_dict(message.payload["block"])
+        # Hash the bytes on the wire first (a frame's text, a plain dict's
+        # encoding): a gossip hop of a block already seen is dropped undecoded.
+        framed = message.payload["block"]
+        digest = canonical_text_hash(canonical_json(framed))
         gossip_meta = message.payload.get("gossip")
+        if gossip_meta is not None and digest in self._seen_announcements:
+            return None
+        # Apply only what from_dict verified, and only if it is what was hashed.
+        block = Block.from_dict(framed.fields if isinstance(framed, BlockFrame) else framed)
+        if block.block_hash != digest:
+            raise ChainIntegrityError(f"announced text of block {block.block_number} does not match its fields")
         if gossip_meta is not None:
             # One-way gossip hop: ingest (buffering out-of-order arrivals)
             # and re-forward while the item is fresh.  No response travels
@@ -315,7 +325,7 @@ class AnchorNode:
             if fresh and self.gossip is not None:
                 self._gossip_forward(
                     str(gossip_meta.get("item", block.block_hash)),
-                    message.payload["block"],
+                    framed,
                     hops=int(gossip_meta.get("hops", 0)) + 1,
                 )
             return None
@@ -567,20 +577,23 @@ class AnchorNode:
             self._announce(block)
 
     def _announce(self, block: Block) -> None:
+        frame = BlockFrame(block.to_dict(), block.__canonical_json__())
         if self.gossip is not None:
             # Gossip-backed dissemination: seed the overlay with the sealed
             # block; peers re-forward hop by hop (over the kernel's virtual
-            # clock when the transport is scheduled).
-            self._gossip_forward(block.block_hash, block.to_dict(), hops=0)
+            # clock when the transport is scheduled).  Its own hash is seen,
+            # so the hops that bring it back are dropped undecoded.
+            self._remember_announcement(block.block_hash)
+            self._gossip_forward(block.block_hash, frame, hops=0)
             return
         message = Message(
             kind=MessageKind.BLOCK_ANNOUNCE,
             sender=self.node_id,
-            payload={"block": block.to_dict()},
+            payload={"block": frame},
         )
         self.transport.broadcast(self.node_id, self.peers, message)
 
-    def _gossip_forward(self, item_key: str, block_payload: dict, *, hops: int) -> None:
+    def _gossip_forward(self, item_key: str, block_payload: BlockFrame | dict, *, hops: int) -> None:
         assert self.gossip is not None
         message = Message(
             kind=MessageKind.BLOCK_ANNOUNCE,

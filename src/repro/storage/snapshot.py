@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.errors import StorageError
+from repro.crypto.hashing import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - the chain façade imports this package
     from repro.core.chain import Blockchain
@@ -46,10 +47,18 @@ def snapshot_payload(chain: Blockchain) -> str:
     protocol can advertise in a manifest before streaming the chunks.  The
     audit trail is truncated to its newest :data:`WIRE_AUDIT_WINDOW` events
     (the file format keeps all of them).
+
+    It encodes :meth:`Blockchain.to_dict`'s shape with the domain objects left
+    in, so the text is joined from pieces that already exist — each block
+    composed from its entry memos, each decision around its request's memo —
+    and equals ``json.dumps`` of the ``to_dict()`` tree byte for byte.
     """
-    state = chain.to_dict()
-    state["events"] = state["events"][-WIRE_AUDIT_WINDOW:]
-    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return canonical_json({
+        "config": chain.config, "genesis_marker": chain.genesis_marker, "blocks": chain.blocks,
+        "registry": chain.registry, "events": chain.events[-WIRE_AUDIT_WINDOW:],
+        "total_blocks_created": chain.total_blocks_created,
+        "deleted_block_count": chain.deleted_block_count, "deleted_entry_count": chain.deleted_entry_count,
+    })
 
 
 def snapshot_digest(payload: str) -> str:
@@ -66,6 +75,7 @@ def _restore(text: str, what: str, chain_kwargs: dict) -> Blockchain:
     except json.JSONDecodeError as exc:
         raise StorageError(f"{what} is not valid JSON: {exc}") from exc
     chain = Blockchain.from_dict(data, **chain_kwargs)
+    del data  # the parsed tree is garbage once the chain is built; verify without it
     chain.validate()
     chain.verify_index()
     return chain

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.block import Block, BlockType, RedundancyRecord, make_genesis_block
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.errors import ChainIntegrityError, DeletionError, SchemaError
-from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
+from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, canonical_json, hash_hex
 
 #: Examples per ``REPRO_FUZZ_PROFILE`` (the convergence fuzz's tiers).
 FUZZ_EXAMPLES = {"quick": 20, "standard": 100, "determinism": 500}[
@@ -30,6 +30,12 @@ class TestEntryReference:
     def test_roundtrip(self):
         ref = EntryReference(7, 2)
         assert EntryReference.from_dict(ref.to_dict()) == ref
+
+    def test_canonical_form_and_hash(self):
+        ref = EntryReference(3, 1)
+        expected = '{"block_number":3,"entry_number":1}'
+        assert canonical_json(ref) == ref.__canonical_json__() == expected
+        assert hash_hex(ref) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
 
     def test_rejects_negative_block(self):
         with pytest.raises(DeletionError):
