@@ -15,11 +15,11 @@ The implementation is deliberately compact but complete:
   against),
 * Jacobian-coordinate scalar multiplication for the hot paths: no modular
   inverse per point addition, a single affine conversion at the end,
-* a precomputed fixed-base window table for the generator, so ``k*G``
-  (signing, key derivation) costs ~64 mixed additions and zero doublings,
-* a windowed Shamir combination for the verify equation ``u1*G + u2*Q``:
-  one shared doubling ladder for both scalars, the ``G`` component folded in
-  from the fixed-base table,
+* a Lim–Lee comb for the generator (4 tables of 255 affine subset sums,
+  built lazily on first use), so ``k*G`` (signing, key derivation) costs 7
+  doublings and at most 32 mixed additions,
+* the verify equation ``u1*G + u2*Q`` as a 4-bit window ladder for
+  ``u2*Q`` plus the comb's ``u1*G``, joined by one Jacobian addition,
 * bounded LRU caches for compressed-point and signature decoding
   (:func:`decode_point` / :func:`decode_signature`) — blocks carry the same
   author keys over and over,
@@ -69,7 +69,7 @@ SECP256K1 = CurveParameters(
     h=1,
 )
 
-#: Window width (bits) of the fixed-base table and the variable-point ladder.
+#: Window width (bits) of the variable-point ladder.
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 
@@ -162,7 +162,7 @@ class CurvePoint:
         return self.__mul__(scalar)
 
     def __mul__(self, scalar: int) -> "CurvePoint":
-        """Scalar multiplication (fixed-base table for ``G``, Jacobian ladder otherwise)."""
+        """Scalar multiplication (comb for ``G``, Jacobian ladder otherwise)."""
         if scalar % self.curve.n == 0 or self.is_infinity:
             return CurvePoint.infinity(self.curve)
         if scalar < 0:
@@ -201,7 +201,10 @@ class CurvePoint:
 
     @classmethod
     def decode(cls, encoded: str, curve: CurveParameters = SECP256K1) -> "CurvePoint":
-        """Decode a compressed SEC1 hex string.
+        """Decode a compressed SEC1 hex string in :meth:`encode`'s spelling.
+
+        Any other spelling of the same point (upper case, ``0x``, whitespace,
+        ``x >= p``) raises ``ValueError``: one key, one encoding.
 
         Hot paths should call :func:`decode_point` instead, which fronts this
         with a bounded LRU cache — the same author keys arrive in block after
@@ -213,6 +216,8 @@ class CurvePoint:
         if prefix not in ("02", "03") or len(x_hex) != 64:
             raise ValueError(f"invalid compressed point encoding: {encoded!r}")
         x = int(x_hex, 16)
+        if x >= curve.p or format(x, "064x") != x_hex:
+            raise ValueError(f"non-canonical compressed point encoding: {encoded!r}")
         y_squared = (pow(x, 3, curve.p) + curve.a * x + curve.b) % curve.p
         y = pow(y_squared, (curve.p + 1) // 4, curve.p)
         if (y * y) % curve.p != y_squared:
@@ -346,48 +351,73 @@ def _batch_to_affine(
     return affine  # type: ignore[return-value]
 
 
-#: Per-curve fixed-base tables: ``table[w][d-1] == (d << (4*w)) * G`` in
-#: affine coordinates, for window ``w`` and digit ``d`` in 1..15.  With it,
-#: ``k*G`` is at most 64 mixed additions and zero doublings.
+#: Lim–Lee comb for ``k*G``: the scalar is read as ``_COMB_TEETH`` rows of
+#: ``_COMB_TABLES * spacing`` bits (8 rows of 32 bits on secp256k1), and
+#: table ``j`` holds, for every tooth pattern ``m`` in 1..255, the sum of the
+#: rows' bases ``2**(row*row_bits + j*spacing) * G`` selected by ``m``.
+_COMB_TEETH = 8
+_COMB_TABLES = 4
+
+#: Per-curve comb tables in affine coordinates, ``tables[j][m - 1]``.
 _FIXED_BASE_TABLES: dict[str, list[list[tuple[int, int]]]] = {}
 
 
+def _comb_spacing(curve: CurveParameters) -> int:
+    """Bits between two tables' shifts (8 on secp256k1: 7 doublings per ``k*G``)."""
+    return -(-curve.n.bit_length() // (_COMB_TEETH * _COMB_TABLES))
+
+
 def _fixed_base_table(curve: CurveParameters) -> list[list[tuple[int, int]]]:
-    table = _FIXED_BASE_TABLES.get(curve.name)
-    if table is None:
+    tables = _FIXED_BASE_TABLES.get(curve.name)
+    if tables is None:
         p, a = curve.p, curve.a
-        windows = (curve.n.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS
+        # powers[s] = 2**(s*spacing) * G; the base of row i in table j is
+        # powers[i * _COMB_TABLES + j].
+        powers = [(curve.g_x, curve.g_y, 1)]
+        spacing = _comb_spacing(curve)
+        for _ in range(_COMB_TEETH * _COMB_TABLES - 1):
+            point = powers[-1]
+            for _ in range(spacing):
+                point = _jac_double(point, p, a)
+            powers.append(point)
+        bases = _batch_to_affine(powers, p)
         flat: list[tuple[int, int, int]] = []
-        base = (curve.g_x, curve.g_y, 1)
-        for _ in range(windows):
-            row = base
-            flat.append(row)
-            for _ in range(_WINDOW_MASK - 1):
-                row = _jac_add(row, base, p, a)
-                flat.append(row)
-            for _ in range(_WINDOW_BITS):
-                base = _jac_double(base, p, a)
+        for j in range(_COMB_TABLES):
+            sums = [_JAC_INFINITY]
+            for m in range(1, 1 << _COMB_TEETH):
+                low = (m & -m).bit_length() - 1
+                bx, by = bases[low * _COMB_TABLES + j]
+                sums.append(_jac_add_affine(sums[m & (m - 1)], bx, by, p, a))
+            flat.extend(sums[1:])
         normalised = _batch_to_affine(flat, p)
-        table = [
-            normalised[w * _WINDOW_MASK : (w + 1) * _WINDOW_MASK] for w in range(windows)
-        ]
-        _FIXED_BASE_TABLES[curve.name] = table
-    return table
+        size = (1 << _COMB_TEETH) - 1
+        tables = [normalised[j * size : (j + 1) * size] for j in range(_COMB_TABLES)]
+        _FIXED_BASE_TABLES[curve.name] = tables
+    return tables
 
 
 def _fixed_base_mult(k: int, curve: CurveParameters) -> tuple[int, int, int]:
-    """``k * G`` from the fixed-base table (``0 < k < n``), in Jacobian form."""
-    table = _fixed_base_table(curve)
+    """``k * G`` from the comb tables (``0 <= k < n``), in Jacobian form.
+
+    Column ``c`` of table ``j`` is the tooth pattern of bit ``j*spacing + c``
+    of every row; one Horner pass over the columns costs ``spacing - 1``
+    doublings and at most ``spacing * _COMB_TABLES`` mixed additions.
+    """
+    tables = _fixed_base_table(curve)
     p, a = curve.p, curve.a
+    spacing = _comb_spacing(curve)
+    row_bits = spacing * _COMB_TABLES
+    # Most significant bit first, so a column's bits are one strided slice.
+    bits = format(k, f"0{row_bits * _COMB_TEETH}b")
     acc = _JAC_INFINITY
-    window = 0
-    while k:
-        digit = k & _WINDOW_MASK
-        if digit:
-            qx, qy = table[window][digit - 1]
-            acc = _jac_add_affine(acc, qx, qy, p, a)
-        k >>= _WINDOW_BITS
-        window += 1
+    for column in range(spacing - 1, -1, -1):
+        if acc[2]:
+            acc = _jac_double(acc, p, a)
+        for j, table in enumerate(tables):
+            pattern = int(bits[row_bits - 1 - j * spacing - column :: row_bits], 2)
+            if pattern:
+                qx, qy = table[pattern - 1]
+                acc = _jac_add_affine(acc, qx, qy, p, a)
     return acc
 
 
@@ -415,25 +445,14 @@ def _window_mult(k: int, qx: int, qy: int, curve: CurveParameters) -> tuple[int,
 def _shamir_combine(
     u1: int, u2: int, qx: int, qy: int, curve: CurveParameters
 ) -> tuple[int, int, int]:
-    """``u1*G + u2*Q`` with one shared ladder (windowed Shamir's trick).
+    """``u1*G + u2*Q``: the ``u2*Q`` window ladder plus the ``u1*G`` comb.
 
-    The ``u2*Q`` component pays the doubling ladder; the ``u1*G`` component
-    rides for free out of the fixed-base table (its windows are
-    position-encoded, so folding it in needs only mixed additions).
+    The ``u2*Q`` component pays the full doubling ladder; ``u1*G`` comes from
+    the comb tables (7 doublings, at most 32 mixed additions) and joins it
+    with one Jacobian addition.
     """
-    p, a = curve.p, curve.a
     acc = _window_mult(u2, qx, qy, curve) if u2 else _JAC_INFINITY
-    if u1:
-        table = _fixed_base_table(curve)
-        window = 0
-        while u1:
-            digit = u1 & _WINDOW_MASK
-            if digit:
-                gx, gy = table[window][digit - 1]
-                acc = _jac_add_affine(acc, gx, gy, p, a)
-            u1 >>= _WINDOW_BITS
-            window += 1
-    return acc
+    return _jac_add(acc, _fixed_base_mult(u1, curve), curve.p, curve.a)
 
 
 # --------------------------------------------------------------------------- #
@@ -491,14 +510,17 @@ class EcdsaSignature:
 
     @classmethod
     def decode(cls, encoded: str) -> "EcdsaSignature":
-        """Decode a signature produced by :meth:`encode`.
+        """Decode a signature in :meth:`encode`'s spelling (lowercase hex).
 
         Hot paths should call :func:`decode_signature` (the bounded-LRU
         wrapper) instead.
         """
         if len(encoded) != 128:
             raise ValueError("encoded ECDSA signature must be 128 hex characters")
-        return cls(r=int(encoded[:64], 16), s=int(encoded[64:], 16))
+        signature = cls(r=int(encoded[:64], 16), s=int(encoded[64:], 16))
+        if signature.encode() != encoded:
+            raise ValueError("non-canonical ECDSA signature encoding")
+        return signature
 
 
 def _hash_to_int(message: bytes, curve: CurveParameters) -> int:
@@ -518,18 +540,18 @@ def _rfc6979_nonce(private_key: int, message_hash: int, curve: CurveParameters) 
 
     k = b"\x00" * 32
     v = b"\x01" * 32
-    k = hmac.new(k, v + b"\x00" + key_bytes + hash_bytes, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + key_bytes + hash_bytes, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
+    k = hmac.digest(k, v + b"\x00" + key_bytes + hash_bytes, "sha256")
+    v = hmac.digest(k, v, "sha256")
+    k = hmac.digest(k, v + b"\x01" + key_bytes + hash_bytes, "sha256")
+    v = hmac.digest(k, v, "sha256")
 
     while True:
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        v = hmac.digest(k, v, "sha256")
         candidate = int.from_bytes(v, "big")
         if 1 <= candidate < curve.n:
             return candidate
-        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        k = hmac.digest(k, v + b"\x00", "sha256")
+        v = hmac.digest(k, v, "sha256")
 
 
 def ecdsa_sign(private_key: int, message: bytes, curve: CurveParameters = SECP256K1) -> EcdsaSignature:

@@ -130,7 +130,7 @@ class EcdsaScheme(SignatureScheme):
         if key_pair is None:
             raise ValueError("EcdsaScheme.sign requires a key pair")
         message = canonical_json({"identity": identity, "payload": payload}).encode("utf-8")
-        signature = key_pair.sign_text(message.decode("utf-8"))
+        signature = key_pair.sign(message).encode()
         return SignedPayload(
             payload=payload,
             signer=identity,

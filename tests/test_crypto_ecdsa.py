@@ -7,6 +7,10 @@ from repro.crypto.ecdsa import (
     SECP256K1,
     CurvePoint,
     EcdsaSignature,
+    _hash_to_int,
+    _rfc6979_nonce,
+    decode_point,
+    decode_signature,
     derive_public_key,
     ecdsa_sign,
     ecdsa_verify,
@@ -121,6 +125,64 @@ class TestSignVerify:
             ecdsa_sign(0, b"x")
         with pytest.raises(ValueError):
             derive_public_key(SECP256K1.n)
+
+    def test_rfc6979_known_answer(self):
+        """The published secp256k1/SHA-256 vector: key 1, "Satoshi Nakamoto"."""
+        message = b"Satoshi Nakamoto"
+        nonce = _rfc6979_nonce(1, _hash_to_int(message, SECP256K1), SECP256K1)
+        assert nonce == 0x8F8A276C19F4149656B280621E358CCE24F5F52542772691EE69063B74F15D15
+        assert ecdsa_sign(1, message) == EcdsaSignature(
+            r=0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
+            s=0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5,
+        )
+
+
+#: A valid compressed point whose ``x`` is 1 (1 + 7 = 8 is a square mod p),
+#: so short spellings of its ``x`` still name a point on the curve.
+X_ONE = "02" + format(1, "064x")
+
+
+class TestCanonicalEncoding:
+    """One key, one spelling: the decoders reject every other spelling."""
+
+    def test_canonical_spellings_decode(self):
+        assert decode_point(X_ONE).x == 1
+        assert decode_signature(format(1, "064x") * 2) == EcdsaSignature(r=1, s=1)
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            CurvePoint.generator().encode().upper(),
+            "02" + "0x" + format(1, "062x"),
+            "02" + " " + format(1, "063x"),
+            "02" + format(SECP256K1.p + 1, "064x"),
+        ],
+        ids=["upper-case", "0x-prefix", "leading-whitespace", "x-not-reduced"],
+    )
+    def test_point_decode_rejects_other_spellings(self, spelling):
+        with pytest.raises(ValueError, match="non-canonical"):
+            decode_point(spelling)
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            ecdsa_sign(7, b"spelling").encode().upper(),
+            "0x" + format(1, "062x") + format(1, "064x"),
+            " " + format(1, "063x") + format(1, "064x"),
+        ],
+        ids=["upper-case", "0x-prefix", "leading-whitespace"],
+    )
+    def test_signature_decode_rejects_other_spellings(self, spelling):
+        with pytest.raises(ValueError, match="non-canonical"):
+            decode_signature(spelling)
+
+    def test_verify_rejects_upper_case_key_and_signature(self):
+        key = KeyPair.from_seed("charlie")
+        signature_hex = key.sign_text("login event")
+        assert verify_with_public_key(key.public_key_hex, b"login event", signature_hex)
+        assert not verify_with_public_key(
+            key.public_key_hex.upper(), b"login event", signature_hex.upper()
+        )
 
 
 class TestKeyPair:
