@@ -68,7 +68,6 @@ def measure_mode(anchors: int, *, gossip: bool) -> dict[str, float]:
     reset_message_counter()
     simulator = build_deployment(anchors, gossip=gossip)
     kernel = simulator.kernel
-    assert kernel is not None
     per_block_ms: list[float] = []
     for index in range(BLOCKS_PER_RUN):
         start = kernel.now

@@ -36,7 +36,7 @@ from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.kernel import EventHandle, EventKernel
+    from repro.network.kernel import EventHandle
     from repro.network.node import AnchorNode
     from repro.network.transport import InMemoryTransport
 
@@ -278,14 +278,13 @@ class DigestSpoofer(AdversaryActor):
     def start(
         self,
         *,
-        kernel: "EventKernel",
         targets: Iterable[str],
         interval_ms: float,
         head_fn: Callable[[], int],
         lead: int = 5,
         until: Optional[float] = None,
     ) -> "EventHandle":
-        """Book recurring spoof rounds on the kernel.
+        """Book recurring spoof rounds on the transport's kernel.
 
         Each round posts a digest claiming ``head_fn() + lead`` — always
         ahead of the honest head, so victims keep believing they are behind.
@@ -297,7 +296,7 @@ class DigestSpoofer(AdversaryActor):
         def _round() -> None:
             self.spoof_round(target_ids, fake_head=head_fn() + lead)
 
-        self._handle = kernel.every(
+        self._handle = self.transport.kernel.every(
             interval_ms, _round, label=f"digest-spoof:{self.actor_id}", until=until
         )
         return self._handle
@@ -346,19 +345,17 @@ class ClockSkewedReplica(AdversaryActor):
         actor_id: str,
         transport: "InMemoryTransport",
         *,
-        kernel: "EventKernel",
         skew_ticks: int,
     ) -> None:
         super().__init__(actor_id, transport)
         if skew_ticks < 0:
             raise ValueError("skew_ticks must be non-negative (clocks only run forward)")
-        self.kernel = kernel
         self.skew_ticks = skew_ticks
         self.stats["skew_ticks"] = skew_ticks
 
     def apply(self, node: "AnchorNode") -> None:
         """Swap the node's chain clock for one running ``skew_ticks`` ahead."""
-        node.chain.clock = SimulationClock(self.kernel, start=self.skew_ticks)
+        node.chain.clock = SimulationClock(self.transport.kernel, start=self.skew_ticks)
         self._bump("replicas_skewed")
 
 

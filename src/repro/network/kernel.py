@@ -2,10 +2,8 @@
 
 The paper's evaluation (Section V) ran on a real CORBA deployment where
 message delay, node outages and partitions genuinely reorder and postpone
-delivery.  The reproduction's transport used to deliver everything
-synchronously in call order and merely *account* latency afterwards, so none
-of those effects could occur.  This module supplies the missing substrate: a
-virtual-time event scheduler the whole network stack runs on.
+delivery.  This module reproduces that substrate: a virtual-time event
+scheduler every transport, and so the whole network stack, runs on.
 
 Design
 ------

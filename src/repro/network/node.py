@@ -973,7 +973,7 @@ class ClientNode:
         The signed entry goes out immediately and ``on_response`` fires when
         the anchor's response arrives (or with an error message on a silent
         transport), so many submissions — this client's or others' — overlap
-        on the kernel.  Requires a kernel-backed transport.
+        on the kernel.
         """
         message = self._entry_message(data, expires_at_time, expires_at_block)
         self.transport.send_async(

@@ -894,7 +894,6 @@ def _digest_spoof(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     horizon = 25.0 + params["events"] * params["entry_gap_ms"] + params["settle_ms"]
     simulator.enable_anti_entropy(interval_ms=params["anti_entropy_interval_ms"], until=horizon)
     spoofer.start(
-        kernel=kernel,
         targets=simulator.anchor_ids,
         interval_ms=params["spoof_interval_ms"],
         head_fn=lambda: simulator.producer.chain.head.block_number,
@@ -949,7 +948,6 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         ClockSkewedReplica(
             f"skew:{skewed_id}",
             simulator.transport,
-            kernel=kernel,
             skew_ticks=params["skew_ticks"],
         )
     )

@@ -13,7 +13,7 @@ and deletion requests.  The simulator exercises the paper's claims that
   anchor nodes (Section V-B4).
 
 The class itself is a thin deployment driver: it wires chains, nodes,
-clients and (optionally) a :class:`~repro.network.kernel.EventKernel` plus a
+clients, an :class:`~repro.network.kernel.EventKernel` and (optionally) a
 :class:`~repro.network.gossip.GossipOverlay` together, offers fault
 injection (immediate or scheduled on the virtual clock) and collects the
 :class:`SimulationReport`.  The *scenario catalogue* — named, seeded,
@@ -103,13 +103,14 @@ class SimulationReport:
 class NetworkSimulator:
     """Builds and drives a deployment of anchor nodes and clients.
 
-    With ``kernel`` the deployment runs on virtual time: chains read a
+    Message delivery is always scheduled on the transport's kernel, and
+    faults can be booked ahead via :meth:`schedule_partition` /
+    :meth:`schedule_heal` / :meth:`schedule_offline`.  With a caller's
+    ``kernel`` the chains also read a
     :class:`~repro.core.clock.SimulationClock` (idle blocks and
-    temporary-entry expiry follow simulated time), message delivery is
-    scheduled, and faults can be booked ahead via
-    :meth:`schedule_partition` / :meth:`schedule_heal` /
-    :meth:`schedule_offline`.  With ``gossip`` sealed blocks disseminate
-    hop-by-hop through the overlay instead of a direct broadcast.
+    temporary-entry expiry follow simulated time).  With ``gossip`` sealed
+    blocks disseminate hop-by-hop through the overlay instead of a direct
+    broadcast.
     """
 
     def __init__(
@@ -131,11 +132,11 @@ class NetworkSimulator:
             raise ValueError("at least one anchor node is required")
         self.config = config or ChainConfig.paper_evaluation()
         self.schema = schema
-        self.kernel = kernel
         self.gossip = gossip
         self.transport = InMemoryTransport(
             latency=latency, kernel=kernel, loss_rate=loss_rate, loss_seed=loss_seed
         )
+        self.kernel = self.transport.kernel
         self.anti_entropy: Optional["AntiEntropyService"] = None
         self._workload_drivers: list["FleetDriver"] = []
         #: Injected byzantine actors (see :mod:`repro.adversary`); their
@@ -152,6 +153,8 @@ class NetworkSimulator:
                 self.config,
                 schema=self.schema,
                 admins=list(admins),
+                # Only a caller's kernel sets the chain clock: a deployment
+                # built without one keeps the paper's logical timestamps.
                 clock=SimulationClock(kernel) if kernel is not None else None,
                 # One shared checker across all replicas, mirroring how each
                 # replica re-evaluates replicated deletion requests against
@@ -281,13 +284,8 @@ class NetworkSimulator:
         return repaired
 
     # ------------------------------------------------------------------ #
-    # Virtual-time control (kernel deployments)
+    # Virtual-time control
     # ------------------------------------------------------------------ #
-
-    def _require_kernel(self) -> EventKernel:
-        if self.kernel is None:
-            raise ValueError("this operation requires a kernel-backed deployment")
-        return self.kernel
 
     def schedule_offline(self, anchor_id: str, at: float) -> None:
         """Book an outage on the virtual clock."""
@@ -295,7 +293,7 @@ class NetworkSimulator:
 
     def schedule_online(self, anchor_id: str, at: float) -> None:
         """Book a recovery on the virtual clock (incl. producer refresh)."""
-        self._require_kernel().schedule_at(
+        self.kernel.schedule_at(
             at, lambda: self.bring_online(anchor_id), label=f"online:{anchor_id}"
         )
 
@@ -316,14 +314,12 @@ class NetworkSimulator:
     ) -> "AntiEntropyService":
         """Book periodic ``SYNC_DIGEST`` rounds on the gossip overlay.
 
-        Requires a kernel-backed deployment with a gossip overlay.  The
-        service's convergence counters are folded into the final report
-        (``report.anti_entropy``); see
+        Requires a gossip overlay.  The service's convergence counters are
+        folded into the final report (``report.anti_entropy``); see
         :class:`repro.sync.antientropy.AntiEntropyService`.
         """
         from repro.sync.antientropy import AntiEntropyService
 
-        kernel = self._require_kernel()
         if self.gossip is None:
             raise ValueError("anti-entropy requires a gossip overlay")
         if self.anti_entropy is not None:
@@ -331,7 +327,6 @@ class NetworkSimulator:
         self.anti_entropy = AntiEntropyService(
             transport=self.transport,
             overlay=self.gossip,
-            kernel=kernel,
             nodes=self.anchors,
             interval_ms=interval_ms,
         )
@@ -359,7 +354,7 @@ class NetworkSimulator:
         lane_of: Optional["Callable[[FleetArrival], int]"] = None,
         lane_count: Optional[int] = None,
     ) -> "FleetDriver":
-        """Bind a workload fleet to this deployment (kernel required).
+        """Bind a workload fleet to this deployment.
 
         Builds a :class:`~repro.workloads.fleet.FleetDriver` over one
         :class:`~repro.service.remote.RemoteLedgerClient` per fleet client
@@ -382,7 +377,6 @@ class NetworkSimulator:
         """
         from repro.workloads.fleet import FleetDriver
 
-        kernel = self._require_kernel()
         driver = FleetDriver(
             workloads,
             (
@@ -393,7 +387,7 @@ class NetworkSimulator:
             mean_gap_ms=mean_gap_ms,
             jitter=jitter,
             ms_per_tick=ms_per_tick,
-            kernel=kernel,
+            kernel=self.kernel,
             bus=self.producer.chain.bus,
             start_at_ms=start_at_ms,
             expiry_ms_per_tick=expiry_ms_per_tick,
@@ -415,9 +409,9 @@ class NetworkSimulator:
 
         The candidate is chosen by :class:`~repro.consensus.election.HeadElection`
         over the online replicas, then confirmed by a quorum vote carried as
-        ``VOTE_REQUEST`` messages over the transport — under a kernel the
-        ballots travel with real delay, so the round's outcome depends on
-        how far each replica has caught up when the ballot reaches it.
+        ``VOTE_REQUEST`` messages over the transport — the ballots travel
+        with real delay, so the round's outcome depends on how far each
+        replica has caught up when the ballot reaches it.
         Returns the new producer id, or ``None`` when no quorum formed.
         """
         online = [
@@ -577,16 +571,15 @@ class NetworkSimulator:
     def finalize(self) -> SimulationReport:
         """Collect final statistics into the report.
 
-        On a kernel deployment every in-flight event is drained first, so
-        gossip hops and scheduled faults still pending are accounted for.
+        Every in-flight event is drained first, so gossip hops and scheduled
+        faults still pending are accounted for.
         """
-        if self.kernel is not None:
-            if self.anti_entropy is not None:
-                # The recurring digest rounds would keep the queue non-empty
-                # forever; stop them so the drain below terminates.
-                self.anti_entropy.stop()
-            self.kernel.run()
-            self.report.kernel = self.kernel.statistics()
+        if self.anti_entropy is not None:
+            # The recurring digest rounds would keep the queue non-empty
+            # forever; stop them so the drain below terminates.
+            self.anti_entropy.stop()
+        self.kernel.run()
+        self.report.kernel = self.kernel.statistics()
         if self.anti_entropy is not None:
             self.report.anti_entropy = self.anti_entropy.statistics()
         for driver in self._workload_drivers:

@@ -5,29 +5,22 @@ message fabric with per-link latency, fault injection (dropped links,
 partitions, outages, seeded probabilistic loss) and full message statistics
 for the evaluation harness.
 
-The transport runs in one of two modes:
-
-* **Synchronous compatibility mode** (no kernel): handlers are invoked
-  immediately in call order, exactly like the original prototype harness.
-  Latency samples are accounted in the statistics but do not affect
-  ordering — convenient for unit tests and the parity harness, but unable
-  to reproduce the reordering/failover effects of Section V-B4.
-* **Scheduled mode** (constructed with an
-  :class:`~repro.network.kernel.EventKernel`): every latency sample becomes
-  a *delivery time*.  Requests and responses are events on the kernel's
-  virtual clock, messages genuinely arrive out of order, and deliverability
-  (offline nodes, blocked links, partitions) is evaluated *at delivery
-  time* — so a message posted during a partition whose delivery time falls
-  after the heal does arrive, and one posted milliseconds before an outage
-  can still be lost.  Faults themselves can be scheduled as kernel events
-  (:meth:`InMemoryTransport.schedule_partition` and friends).
+Every transport runs on an :class:`~repro.network.kernel.EventKernel` —
+the caller's, or one it builds for itself.  Every latency sample becomes a
+*delivery time*: requests and responses are events on the kernel's virtual
+clock, messages genuinely arrive out of order, and deliverability (offline
+nodes, blocked links, partitions) is evaluated *at delivery time* — so a
+message posted during a partition whose delivery time falls after the heal
+does arrive, and one posted milliseconds before an outage can still be
+lost.  Faults themselves can be scheduled as kernel events
+(:meth:`InMemoryTransport.schedule_partition` and friends).
 
 Handlers are plain callables ``Message -> Message | None``.  Request/response
 exchanges use :meth:`InMemoryTransport.send`; one-way dissemination (gossip,
 block announcements) uses :meth:`InMemoryTransport.post`, whose handler
-return value is discarded.  Both modes and all three entry points
-(``send``, ``send_async``, ``post``) deliver through the same request leg
-and response leg; the modes differ only in *when* a leg runs.
+return value is discarded.  All three entry points (``send``,
+``send_async``, ``post``) deliver through the same request leg and response
+leg.
 """
 
 from __future__ import annotations
@@ -52,10 +45,9 @@ class TransportError(SelectiveDeletionError):
 class LatencyModel:
     """Deterministic pseudo-random latency per delivered message (in ms).
 
-    In scheduled mode the sample *is* the delivery delay; in synchronous
-    compatibility mode it is only accumulated into the statistics.  The
-    per-link hook :meth:`sample_for` lets subclasses shape latency by
-    endpoint pair (see :class:`GeoLatencyModel`).
+    The sample *is* the delivery delay.  The per-link hook
+    :meth:`sample_for` lets subclasses shape latency by endpoint pair (see
+    :class:`GeoLatencyModel`).
     """
 
     minimum_ms: float = 1.0
@@ -110,11 +102,9 @@ class GeoLatencyModel(LatencyModel):
 class TransportStatistics:
     """Counters the evaluation harness reads after a simulation run.
 
-    ``delivery_latency_ms`` sums the per-message latency samples.  In
-    scheduled mode these are true delivery latencies (they decided *when*
-    each message arrived); in synchronous mode they remain accounting-only
-    figures that never influenced ordering.  Reports repeat the sum under
-    its historical key ``simulated_latency_ms``.
+    ``delivery_latency_ms`` sums the per-message delivery latencies (the
+    samples that decided *when* each message arrived).  Reports repeat the
+    sum under its historical key ``simulated_latency_ms``.
 
     ``dropped`` counts messages undeliverable for *structural* reasons
     (offline node, blocked link, unknown recipient); ``lost`` counts
@@ -152,8 +142,8 @@ class TransportStatistics:
 class InMemoryTransport:
     """In-process message fabric with fault injection.
 
-    Without a kernel the transport is synchronous (see module docstring);
-    with one, every message delivery is a scheduled virtual-time event.
+    Every message delivery is a scheduled event on ``kernel``; without one
+    the transport builds its own :class:`~repro.network.kernel.EventKernel`.
     """
 
     def __init__(
@@ -167,7 +157,7 @@ class InMemoryTransport:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.latency = latency or LatencyModel()
-        self.kernel = kernel
+        self.kernel = kernel or EventKernel()
         #: Probability that any single delivery is silently eaten by the
         #: network (evaluated per message at delivery time, seeded — so runs
         #: replay identically).  Models the lossy links snapshot bootstrap
@@ -240,17 +230,12 @@ class InMemoryTransport:
         return True
 
     # ------------------------------------------------------------------ #
-    # Scheduled fault injection (kernel mode)
+    # Scheduled fault injection
     # ------------------------------------------------------------------ #
-
-    def _require_kernel(self) -> EventKernel:
-        if self.kernel is None:
-            raise TransportError("scheduling faults requires a kernel-backed transport")
-        return self.kernel
 
     def schedule_offline(self, node_id: str, at: float) -> EventHandle:
         """Take a node off the network at virtual time ``at``."""
-        return self._require_kernel().schedule_at(
+        return self.kernel.schedule_at(
             at, lambda: self.set_offline(node_id, True), label=f"offline:{node_id}"
         )
 
@@ -259,7 +244,7 @@ class InMemoryTransport:
     ) -> EventHandle:
         """Split the network into two groups at virtual time ``at``."""
         first, second = list(group_a), list(group_b)
-        return self._require_kernel().schedule_at(
+        return self.kernel.schedule_at(
             at, lambda: self.partition(first, second), label="partition"
         )
 
@@ -269,7 +254,7 @@ class InMemoryTransport:
         Messages already in flight whose delivery time falls after ``at``
         will arrive — the partition delayed them, it did not consume them.
         """
-        return self._require_kernel().schedule_at(at, self.heal_partition, label="heal")
+        return self.kernel.schedule_at(at, self.heal_partition, label="heal")
 
     # ------------------------------------------------------------------ #
     # Delivery
@@ -282,17 +267,16 @@ class InMemoryTransport:
         self.message_log.append(message)
 
     def _request_leg(
-        self, recipient: str, message: Message, latency_ms: Optional[float] = None
+        self, recipient: str, message: Message, latency_ms: float
     ) -> tuple[Optional[str], Optional[Message]]:
         """Deliver ``message`` now: ``(fault, handler response)``.
 
-        The one delivery leg every mode shares.  Deliverability and loss are
-        judged here, at delivery time.  A fault comes back as *text*, never
-        as a :class:`Message`: building one draws a process-global message id
-        (serialised into every later message), and a faulted :meth:`post`
-        reports nothing.  ``latency_ms=None`` samples the latency only for a
-        message that is actually delivered (synchronous mode); scheduled
-        callers pass the sample that already decided the delivery instant.
+        The one delivery leg every entry point shares.  Deliverability and
+        loss are judged here, at delivery time; ``latency_ms`` is the sample
+        that already decided the delivery instant.  A fault comes back as
+        *text*, never as a :class:`Message`: building one draws a
+        process-global message id (serialised into every later message), and
+        a faulted :meth:`post` reports nothing.
         """
         sender = message.sender
         if not self._deliverable(sender, recipient):
@@ -300,8 +284,6 @@ class InMemoryTransport:
             return f"link {sender!r} -> {recipient!r} unavailable", None
         if self._loses():
             return f"message {sender!r} -> {recipient!r} lost", None
-        if latency_ms is None:
-            latency_ms = self.latency.sample_for(sender, recipient)
         self._account_delivery(message, latency_ms)
         return None, self._handlers[recipient](message)
 
@@ -309,7 +291,7 @@ class InMemoryTransport:
         self, recipient: str, message: Message, response: Message, latency_ms: float
     ) -> Message:
         """Carry ``response`` back to the requester, or the loss notice."""
-        if self.kernel is not None and not self._path_open(recipient, message.sender):
+        if not self._path_open(recipient, message.sender):
             self.statistics.dropped += 1
         elif not self._loses():
             self._account_delivery(response, latency_ms)
@@ -326,52 +308,43 @@ class InMemoryTransport:
         offline (callers can then retry against another anchor node, which is
         exactly the mitigation Section V-B4 proposes against node isolation).
 
-        In scheduled mode the exchange consumes virtual time: the request is
-        delivered at ``now + latency``, any events due earlier (other
-        messages, scheduled faults) run first, and the response travels back
-        with its own latency.
+        The exchange consumes virtual time: the request is delivered at
+        ``now + latency``, any events due earlier (other messages, scheduled
+        faults) run first, and the response travels back with its own
+        latency.
         """
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
         kernel = self.kernel
-        if kernel is None:
-            fault, response = self._request_leg(recipient, message)
+        request_latency = self.latency.sample_for(message.sender, recipient)
+        outcome: dict[str, Any] = {}
+
+        def arrive() -> None:
+            fault, response = self._request_leg(recipient, message, request_latency)
             if fault is not None:
-                return message.error("transport", fault)
-            if response is None:
-                return None
-            response_latency = self.latency.sample_for(recipient, message.sender)
-        else:
-            request_latency = self.latency.sample_for(message.sender, recipient)
-            outcome: dict[str, Any] = {}
+                response = message.error("transport", fault)
+            # The handler may itself have consumed virtual time (forwarding
+            # to the producer, announcing blocks); the response leaves the
+            # moment it returns — not when the caller's wait unwinds, which
+            # under concurrent senders can be much later.
+            outcome.update(fault=fault, response=response, handled_at=kernel.now)
 
-            def arrive() -> None:
-                fault, response = self._request_leg(recipient, message, request_latency)
-                if fault is not None:
-                    response = message.error("transport", fault)
-                # The handler may itself have consumed virtual time
-                # (forwarding to the producer, announcing blocks); the
-                # response leaves the moment it returns — not when the
-                # caller's wait unwinds, which under concurrent senders can
-                # be much later.
-                outcome.update(fault=fault, response=response, handled_at=kernel.now)
-
-            kernel.schedule(
-                request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
-            )
-            kernel.run_until(kernel.now + request_latency)
-            response = outcome.get("response")
-            if outcome.get("fault") is not None or response is None:
-                return response
-            response_latency = self.latency.sample_for(recipient, message.sender)
-            arrival = outcome["handled_at"] + response_latency
-            # An arrival instant the clock already reached is not a wait at
-            # all: concurrent exchanges that advanced time past it do not
-            # delay this response (their round trips and ours overlap), and
-            # entering the kernel here would steal same-instant events that
-            # belong to the caller's *next* wait.
-            if arrival > kernel.now:
-                kernel.run_until(arrival)
+        kernel.schedule(
+            request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
+        )
+        kernel.run_until(kernel.now + request_latency)
+        response = outcome.get("response")
+        if outcome.get("fault") is not None or response is None:
+            return response
+        response_latency = self.latency.sample_for(recipient, message.sender)
+        arrival = outcome["handled_at"] + response_latency
+        # An arrival instant the clock already reached is not a wait at all:
+        # concurrent exchanges that advanced time past it do not delay this
+        # response (their round trips and ours overlap), and entering the
+        # kernel here would steal same-instant events that belong to the
+        # caller's *next* wait.
+        if arrival > kernel.now:
+            kernel.run_until(arrival)
         return self._response_leg(recipient, message, response, response_latency)
 
     def send_async(
@@ -381,7 +354,7 @@ class InMemoryTransport:
         *,
         on_response: Callable[[Optional[Message]], None],
     ) -> None:
-        """Event-driven request/response exchange (kernel mode only).
+        """Event-driven request/response exchange.
 
         Semantically :meth:`send`, but instead of waiting on the virtual
         clock the caller's continuation is invoked when the response
@@ -397,7 +370,6 @@ class InMemoryTransport:
         transport faults (matching :meth:`send`'s error surface), or
         ``None`` for a silent handler.
         """
-        kernel = self._require_kernel()
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
         request_latency = self.latency.sample_for(message.sender, recipient)
@@ -413,7 +385,7 @@ class InMemoryTransport:
             # The handler may have consumed virtual time; the response
             # leaves the moment it returns, exactly as in the blocking path.
             response_latency = self.latency.sample_for(recipient, message.sender)
-            kernel.schedule(
+            self.kernel.schedule(
                 response_latency,
                 lambda: on_response(
                     self._response_leg(recipient, message, response, response_latency)
@@ -421,23 +393,19 @@ class InMemoryTransport:
                 label=f"respond:{message.kind.value}->{message.sender}",
             )
 
-        kernel.schedule(
+        self.kernel.schedule(
             request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
         )
 
-    def post(self, recipient: str, message: Message) -> Optional[EventHandle]:
+    def post(self, recipient: str, message: Message) -> EventHandle:
         """Fire-and-forget one-way delivery; any handler response is discarded.
 
-        This is the primitive gossip and block announcements ride on.  In
-        scheduled mode the message is queued for delivery at ``now +
-        latency`` and the call returns immediately — delivery (and the
-        deliverability check) happens when the kernel reaches that instant,
-        so posts genuinely arrive out of order and may outlive partitions.
-        In synchronous mode the message is delivered inline.
+        This is the primitive gossip and block announcements ride on.  The
+        message is queued for delivery at ``now + latency`` and the call
+        returns immediately — delivery (and the deliverability check)
+        happens when the kernel reaches that instant, so posts genuinely
+        arrive out of order and may outlive partitions.
         """
-        if self.kernel is None:
-            self._request_leg(recipient, message)
-            return None
         latency = self.latency.sample_for(message.sender, recipient)
         return self.kernel.schedule(
             latency,

@@ -127,7 +127,7 @@ class LedgerClient(ABC):
         """:meth:`submit` with the receipt delivered through a callback.
 
         The default completes synchronously — ``on_receipt`` runs before
-        this returns.  Kernel-backed clients override it with a genuinely
+        this returns.  Networked clients override it with a genuinely
         event-driven exchange so concurrent submissions overlap in virtual
         time; callers that need to know whether completion was deferred
         must track it themselves (see ``FleetDriver``'s lane pump).

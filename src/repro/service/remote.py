@@ -159,7 +159,7 @@ class RemoteLedgerClient(LedgerClient):
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
     ) -> None:
-        """:meth:`submit` without the virtual-time wait (kernel mode only).
+        """:meth:`submit` without the virtual-time wait.
 
         The receipt callback fires when the anchor's response arrives;
         failover walks the same target order as the blocking path, one

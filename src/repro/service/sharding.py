@@ -306,7 +306,7 @@ class ShardRouter(LedgerClient):
         """:meth:`submit` with the receipt delivered through a callback.
 
         Routes like :meth:`submit`; whether the exchange overlaps other
-        submissions is the shard client's property (a kernel-backed shard
+        submissions is the shard client's property (a networked shard
         defers the callback, so submissions to *different* shards — and to
         the same shard from different callers — consume concurrent
         round-trip time; this is where the K-fold service rate comes from).

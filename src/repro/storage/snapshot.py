@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.errors import StorageError
 from repro.crypto.hashing import canonical_json
+from repro.storage.wal import replace_durably
 
 if TYPE_CHECKING:  # pragma: no cover - the chain façade imports this package
     from repro.core.chain import Blockchain
@@ -74,7 +75,10 @@ def _restore(text: str, what: str, chain_kwargs: dict) -> Blockchain:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StorageError(f"{what} is not valid JSON: {exc}") from exc
-    chain = Blockchain.from_dict(data, **chain_kwargs)
+    try:
+        chain = Blockchain.from_dict(data, **chain_kwargs)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StorageError(f"{what} is not a chain: {exc!r}") from exc
     del data  # the parsed tree is garbage once the chain is built; verify without it
     chain.validate()
     chain.verify_index()
@@ -94,11 +98,12 @@ def chain_from_payload(payload: str, **chain_kwargs) -> Blockchain:
 
 
 def save_snapshot(chain: Blockchain, path: Union[str, Path]) -> int:
-    """Serialise the chain to ``path``; returns the written size in bytes."""
+    """Serialise the chain to ``path`` atomically; returns the written size in bytes."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(chain.to_dict(), sort_keys=True, indent=2)
-    target.write_text(payload, encoding="utf-8")
+    with replace_durably(target) as handle:
+        handle.write(payload)
     return len(payload.encode("utf-8"))
 
 

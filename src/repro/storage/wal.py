@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Iterator, TextIO, Union
 
 from repro.core.block import Block
 from repro.core.entry import Entry
@@ -31,6 +32,26 @@ from repro.storage.memstore import MemoryBlockStore
 
 #: Location key → (the entry last journalled under it, newest block holding it).
 BodyMap = dict[tuple[int, int], tuple[Entry, int]]
+
+
+@contextmanager
+def replace_durably(path: Path, suffix: str = ".tmp") -> Iterator[TextIO]:
+    """Write ``path`` + ``suffix``, fsync it, rename it over ``path``, fsync the
+    directory; a write that fails part-way leaves ``path`` and removes the rest."""
+    temporary = path.with_suffix(path.suffix + suffix)
+    try:
+        with temporary.open("w", encoding="utf-8") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        temporary.replace(path)
+    finally:
+        temporary.unlink(missing_ok=True)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _block_line(block: Block, bodies: BodyMap) -> str:
@@ -147,20 +168,11 @@ class JournalBlockStore(MemoryBlockStore):
         """Rewrite the journal with each living body once; returns bytes saved."""
         before = self.file_size()
         bodies: BodyMap = {}
-        temporary = self.path.with_suffix(self.path.suffix + ".compact")
-        with temporary.open("w", encoding="utf-8") as handle:
+        # The rename discards a journal whose appends were each fsynced; the
+        # rewrite must be as durable before it takes over.
+        with replace_durably(self.path, ".compact") as handle:
             for block in self:
                 handle.write(_block_line(block, bodies) + "\n")
                 _remember(block, bodies)
-            # The rename below discards a journal whose appends were each
-            # fsynced; the rewrite must be as durable before it takes over.
-            handle.flush()
-            os.fsync(handle.fileno())
-        temporary.replace(self.path)
-        directory = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
         self._bodies = bodies
         return before - self.file_size()

@@ -32,7 +32,7 @@ from repro.network.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.gossip import GossipOverlay
-    from repro.network.kernel import EventHandle, EventKernel
+    from repro.network.kernel import EventHandle
     from repro.network.node import AnchorNode
     from repro.network.transport import InMemoryTransport
 
@@ -48,7 +48,6 @@ class AntiEntropyService:
         *,
         transport: "InMemoryTransport",
         overlay: "GossipOverlay",
-        kernel: "EventKernel",
         nodes: Mapping[str, "AnchorNode"],
         interval_ms: float = DEFAULT_INTERVAL_MS,
     ) -> None:
@@ -56,7 +55,7 @@ class AntiEntropyService:
             raise ValueError(f"interval_ms must be positive, got {interval_ms}")
         self.transport = transport
         self.overlay = overlay
-        self.kernel = kernel
+        self.kernel = transport.kernel
         self.nodes = dict(nodes)
         self.interval_ms = float(interval_ms)
         self.rounds = 0

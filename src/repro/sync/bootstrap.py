@@ -21,9 +21,9 @@ protocol over the ordinary message transport:
    :func:`repro.storage.snapshot.chain_from_payload`.
 
 Everything is deterministic: chunk boundaries are pure arithmetic, the
-digest is sha256 over the canonical payload, and on a kernel-backed
-transport each request/response consumes virtual time — so a bootstrap
-under loss replays byte-identically for a given seed.
+digest is sha256 over the canonical payload, and each request/response
+consumes virtual time on the transport's kernel — so a bootstrap under loss
+replays byte-identically for a given seed.
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ class PeerProbe:
     """One answered bootstrap probe: who, how far, how busy, serving what."""
 
     peer_id: str
-    #: Probe round-trip time in virtual ms (``0.0`` on a synchronous
-    #: transport, where every peer is equally "near").
+    #: Probe round-trip time in virtual ms, measured from the wave's shared
+    #: departure instant (equal for every peer on a zero-latency transport).
     rtt_ms: float
     #: Chunks the peer has served so far — its snapshot-serving load.
     load: int
@@ -312,19 +312,18 @@ def _request_wave(
     """Issue one ``SNAPSHOT_REQUEST`` per ``(key, recipient, payload)`` item.
 
     Returns ``key -> (response, round_trip_ms)``; an unknown recipient or an
-    answer that never landed reads ``(None, 0.0)``.  Under a kernel the whole
-    wave departs at the same virtual instant via
+    answer that never landed reads ``(None, 0.0)``.  The whole wave departs
+    at the same virtual instant via
     :meth:`~repro.network.transport.InMemoryTransport.send_async` and the
     kernel is stepped until every response (or its loss notice) has landed —
     the wave costs the *slowest* round trip, not the sum, and every round
-    trip is measured from the shared departure instant.  On a synchronous
-    transport the requests simply run back to back and take no time.
+    trip is measured from the shared departure instant.
     """
     answers: dict[Any, tuple[Optional[Message], float]] = {
         key: (None, 0.0) for key, _, _ in requests
     }
     kernel = transport.kernel
-    started = kernel.now if kernel is not None else 0.0
+    started = kernel.now
     pending = {"count": 0}
     for key, recipient, payload in requests:
         request = Message(
@@ -336,14 +335,10 @@ def _request_wave(
             pending["count"] -= 1
 
         try:
-            if kernel is None:
-                answers[key] = (transport.send(recipient, request), 0.0)
-            else:
-                transport.send_async(recipient, request, on_response=on_response)
-                pending["count"] += 1
+            transport.send_async(recipient, request, on_response=on_response)
+            pending["count"] += 1
         except TransportError:
             pass
-    # Nothing is ever pending on a synchronous transport.
     while pending["count"] > 0 and kernel.step():
         pass
     return answers
@@ -360,7 +355,7 @@ def rank_bootstrap_peers(
 
     A probe asks for the peer's snapshot manifest and serving load, no data.
     All probes depart in one concurrent wave (:func:`_request_wave`: one
-    round trip of wall time on a kernel transport, not one per candidate),
+    round trip of virtual time, not one per candidate),
     so the RTTs are directly comparable across peers.  The sort key is
     ``(rtt_ms, load, peer_id)``: proximity dominates (a bootstrap is dozens
     of round trips), serving load breaks latency ties, and the peer id makes

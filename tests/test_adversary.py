@@ -34,7 +34,8 @@ from repro.network.node import (
 
 
 def _sync_simulator(**kwargs):
-    """A synchronous (kernel-less) deployment that keeps every block."""
+    """A deployment on its transport's own kernel (logical chain clocks)
+    that keeps every block."""
     kwargs.setdefault("config", ChainConfig(sequence_length=3))
     return NetworkSimulator(anchor_count=kwargs.pop("anchor_count", 3), **kwargs)
 
@@ -70,9 +71,8 @@ class TestActorBasics:
 
     def test_clock_skew_rejects_negative_offsets(self):
         simulator = _sync_simulator()
-        kernel = EventKernel(seed=1)
         with pytest.raises(ValueError):
-            ClockSkewedReplica("skew", simulator.transport, kernel=kernel, skew_ticks=-1)
+            ClockSkewedReplica("skew", simulator.transport, skew_ticks=-1)
 
     def test_equivocation_needs_two_variants(self):
         simulator = _sync_simulator()
@@ -87,7 +87,6 @@ class TestActorBasics:
         )
         spoofer = DigestSpoofer("spoof", simulator.transport)
         spoofer.start(
-            kernel=kernel,
             targets=simulator.anchor_ids,
             interval_ms=50.0,
             head_fn=lambda: 0,
@@ -95,7 +94,6 @@ class TestActorBasics:
         )
         with pytest.raises(ValueError):
             spoofer.start(
-                kernel=kernel,
                 targets=simulator.anchor_ids,
                 interval_ms=50.0,
                 head_fn=lambda: 0,

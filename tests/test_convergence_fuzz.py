@@ -1,8 +1,9 @@
 """Stateful convergence fuzzing: random interleavings must converge.
 
-A Hypothesis rule-based state machine drives a synchronous three-anchor
-deployment through random interleavings of the operations a real deployment
-sees — submit, delete, multi-entry seal, partition, heal, sync — and, in
+A Hypothesis rule-based state machine drives a three-anchor deployment on
+its transport's own kernel (logical chain clocks) through random
+interleavings of the operations a real deployment sees — submit, delete,
+multi-entry seal, partition, heal, sync — and, in
 the adversarial variant, one byzantine actor from :mod:`repro.adversary`
 weaving its attacks (equivocation, forged deletions, spoofed digests) into
 the same interleaving.  The property under test is the paper's core
@@ -186,8 +187,9 @@ class AdversarialConvergenceMachine(ConvergenceMachine):
     """The same interleavings with one byzantine actor woven in.
 
     The actor kind is part of the fuzzed input: equivocating producer,
-    deletion forger, or digest spoofer (clock skew needs a kernel-backed
-    deployment and is exercised by the ``clock-skew`` scenario instead).
+    deletion forger, or digest spoofer (clock skew needs virtual-time chain
+    clocks, i.e. a caller's kernel, and is exercised by the ``clock-skew``
+    scenario instead).
     Honest replicas must *still* end byte-identical, and the forger's
     unauthorized deletions must never be approved.
     """

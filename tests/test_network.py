@@ -8,6 +8,7 @@ from repro.crypto.hashing import canonical_json
 from repro.network import (
     AnchorNode,
     ClientNode,
+    EventHandle,
     EventKernel,
     GossipOverlay,
     GossipTopology,
@@ -87,13 +88,29 @@ class TestTransport:
         transport.send("b", Message(kind=MessageKind.SUMMARY_HASH, sender="a"))
         assert len(transport.messages_of_kind(MessageKind.SUMMARY_HASH)) == 1
 
-    @pytest.mark.parametrize("scheduled", [False, True], ids=["synchronous", "scheduled"])
+    def test_a_transport_built_without_a_kernel_delivers_on_its_own(self):
+        """There is one delivery mode: without a caller's kernel the
+        transport owns one, a post waits for it and a send advances it by
+        both legs' latency samples."""
+        transport = InMemoryTransport(LatencyModel(seed=3))
+        twin = LatencyModel(seed=3)
+        transport.register("b", lambda m: m.reply(MessageKind.ACK, "b"))
+        reply = transport.send("b", Message(kind=MessageKind.SYNC_DIGEST, sender="a"))
+        assert reply is not None and reply.kind is MessageKind.ACK
+        assert transport.kernel.now == twin.sample() + twin.sample()
+        delivered = []
+        transport.register("c", delivered.append)
+        handle = transport.post("c", Message(kind=MessageKind.SYNC_DIGEST, sender="a"))
+        assert isinstance(handle, EventHandle) and not delivered
+        transport.kernel.run()
+        assert len(delivered) == 1
+
     @pytest.mark.parametrize("fault", ["offline", "lost"])
-    def test_faulted_post_draws_no_message_id(self, scheduled, fault):
+    def test_faulted_post_draws_no_message_id(self, fault):
         """Ids are process-global and serialised into every message: a post
         that is dropped or lost reports nothing, so it must not build (and
         thereby number) an error message either."""
-        kernel = EventKernel(seed=1) if scheduled else None
+        kernel = EventKernel(seed=1)
         transport = InMemoryTransport(
             kernel=kernel, loss_rate=0.999999 if fault == "lost" else 0.0
         )
@@ -104,8 +121,7 @@ class TestTransport:
         ping = Message(kind=MessageKind.SYNC_DIGEST, sender="a")
         before = Message(kind=MessageKind.ACK, sender="a").message_id
         transport.post("b", ping)
-        if kernel is not None:
-            kernel.run()
+        kernel.run()
         after = Message(kind=MessageKind.ACK, sender="a").message_id
         assert after - before == 1
         assert not delivered

@@ -294,17 +294,22 @@ def test_a_frame_whose_text_and_fields_disagree_is_never_applied_or_forwarded():
         response = replica.handle_message(announce(mixed, gossip=gossip))
         assert response is not None and response.is_error
         assert "does not match its fields" in response.payload["reason"]
+        replica.transport.kernel.run()
         assert replica.chain.head.block_hash == head and not forwarded
         assert not replica._seen_announcements
     # The text of a block already seen with the fields of the next one: the
     # hop is dropped by its hash, and the next block waits for its own frame.
     replica, producer, first, _, forwarded = gossip_replica()
+    kernel = replica.transport.kernel
     assert replica.handle_message(announce(frame_of(first))) is None
+    kernel.run()
     assert replica.chain.head.block_hash == first.block_hash and len(forwarded) == 1
     second = producer.add_entry_block({"D": "second"}, "ALPHA")
     assert replica.handle_message(announce(BlockFrame(second.to_dict(), first.__canonical_json__()))) is None
+    kernel.run()
     assert replica.chain.head.block_hash == first.block_hash and len(forwarded) == 1
     assert replica.handle_message(announce(frame_of(second))) is None
+    kernel.run()
     assert replica.chain.head.block_hash == second.block_hash and len(forwarded) == 2
     assert forwarded[-1].payload["block"].text == second.__canonical_json__()
 

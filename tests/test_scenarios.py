@@ -244,13 +244,6 @@ class TestScheduledFaults:
         kernel.run_until(250.0)
         assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
 
-    def test_fault_scheduling_requires_kernel(self):
-        from repro.network import TransportError
-
-        transport = InMemoryTransport()
-        with pytest.raises(TransportError):
-            transport.schedule_heal(10.0)
-
 
 class TestScenarioOutcomes:
     def test_partition_and_heal_converges_and_shows_the_delay(self):

@@ -1,5 +1,7 @@
 """Tests for the storage backends and the Section III baseline systems."""
 
+import errno
+import io
 import os
 import stat
 from pathlib import Path
@@ -23,6 +25,27 @@ from repro.storage import (
     load_snapshot,
     save_snapshot,
 )
+
+
+class _TornWriter:
+    """A text file handle whose first write stops half-way with ENOSPC."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
 
 
 def build_chain(entries=5, *, config=None):
@@ -172,6 +195,27 @@ class TestSnapshots:
         assert len(manager.existing_snapshots()) == 2
         restored = manager.restore_latest()
         assert restored.head.block_number == chain.head.block_number
+
+    def test_a_snapshot_write_failing_part_way_leaves_the_previous_one(
+        self, tmp_path, monkeypatch
+    ):
+        manager = SnapshotManager(tmp_path, keep=2)
+        chain = build_chain(2)
+        saved = manager.save(chain)
+        head = chain.head.block_hash
+        chain.add_entry_block({"D": "e9", "K": "A", "S": "s"}, "A")
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornWriter(handle) if "w" in mode else handle
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", torn_open)
+            with pytest.raises(OSError):
+                manager.save(chain)
+        assert sorted(tmp_path.iterdir()) == [saved]
+        assert manager.restore_latest().head.block_hash == head
 
     def test_snapshot_manager_errors(self, tmp_path):
         with pytest.raises(StorageError):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core import Blockchain, ChainConfig
+from repro.core.errors import StorageError
 from repro.network import (
     AnchorNode,
     CatchUpStatus,
@@ -24,6 +25,7 @@ from repro.network import (
 )
 from repro.storage.snapshot import chain_from_payload, snapshot_digest, snapshot_payload
 from repro.sync import BootstrapError, SnapshotChunkCache, fetch_snapshot
+from repro.sync import bootstrap as bootstrap_module
 
 
 def login(user, detail=""):
@@ -278,6 +280,29 @@ class TestWireBootstrap:
         assert restored.head.block_hash == chain.head.block_hash
         assert snapshot_payload(restored) == snapshot_payload(chain)
 
+    @pytest.mark.parametrize("payload", ['{"config": 5}', '{"x": 1}', "[]"])
+    def test_a_payload_that_is_not_a_chain_raises_storage_error(self, payload):
+        with pytest.raises(StorageError):
+            chain_from_payload(payload)
+
+    def test_a_donor_serving_a_non_chain_is_rejected_and_the_replica_untouched(
+        self, monkeypatch
+    ):
+        """The payload matches the donor's own manifest digest, so only the
+        restore can catch it — and it must fail typed, not crash the pull."""
+        transport, nodes, ids = build_network()
+        producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
+        monkeypatch.setattr(bootstrap_module, "snapshot_payload", lambda chain: '{"config": 5}')
+        before = straggler.chain.statistics()
+        for report in (
+            straggler.bootstrap_from(producer.node_id),
+            straggler.bootstrap_from_best([producer.node_id]),
+        ):
+            assert not report.succeeded
+            assert report.reason.startswith("snapshot rejected")
+            assert straggler.chain.statistics() == before
+        assert straggler.sync_stats["bootstraps"] == 0
+
 
 def build_anti_entropy_deployment(seed, *, anchors=4, loss_rate=0.0):
     kernel = EventKernel(seed=seed)
@@ -367,14 +392,10 @@ class TestAntiEntropy:
         assert report.anti_entropy["nodes"]["bootstraps"] >= 1
         assert report.anti_entropy["nodes"]["bootstrap_bytes"] > 0
 
-    def test_anti_entropy_requires_kernel_and_overlay(self):
+    def test_anti_entropy_requires_an_overlay(self):
         simulator = NetworkSimulator(anchor_count=2)
         with pytest.raises(ValueError):
             simulator.enable_anti_entropy()
-        kernel = EventKernel(seed=1)
-        no_overlay = NetworkSimulator(anchor_count=2, kernel=kernel)
-        with pytest.raises(ValueError):
-            no_overlay.enable_anti_entropy()
 
 
 class TestPushPullDigests:
@@ -452,14 +473,14 @@ class TestLoadAwareBootstrap:
         assert served and "data" not in served[-1].payload
 
     def test_ranking_prefers_near_and_lightly_loaded_peers(self):
-        transport, nodes, ids = build_network()
+        transport, nodes, ids = build_network(transport=InMemoryTransport(LatencyModel(0, 0)))
         from repro.sync import rank_bootstrap_peers
 
         # Load one peer: serving chunks bumps its advertised load.
         nodes[ids[1]].sync_stats["chunks_served"] = 9
         ranked = rank_bootstrap_peers(transport, "rescue", ids)
-        # Synchronous transport: every peer is equally near (rtt 0), so load
-        # then peer id decide — the loaded peer ranks last.
+        # Zero latency: every peer is equally near (rtt 0), so load then
+        # peer id decide — the loaded peer ranks last.
         assert [probe.peer_id for probe in ranked] == [ids[0], ids[2], ids[1]]
         assert ranked[-1].load == 9
 
