@@ -17,10 +17,17 @@ A digest that moves means scenario output changed.  If that is intended,
 regenerate the file and say why in the commit::
 
     PYTHONPATH=src python tests/test_scenario_digests.py > tests/golden/scenario_digests.json
+
+Before regenerating, list what moved against any git revision's golden file
+(one line per moved point, naming its moved sections)::
+
+    PYTHONPATH=src python tests/test_scenario_digests.py --diff HEAD
 """
 
+import argparse
 import hashlib
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,6 +78,42 @@ def scenario_digest(name, seed, params):
     return {"sha256": _sha256(result), "sections": sections}
 
 
+def moved_sections(golden, actual):
+    """Names of the sections whose sub-digests differ between two points."""
+    return sorted(
+        section
+        for section in golden["sections"].keys() | actual["sections"].keys()
+        if golden["sections"].get(section) != actual["sections"].get(section)
+    )
+
+
+def print_diff(revision):
+    """Print every point whose digest differs from ``revision``'s golden file."""
+    root = Path(__file__).resolve().parent.parent
+    golden = json.loads(
+        subprocess.run(
+            ["git", "show", f"{revision}:{GOLDEN_PATH.relative_to(root).as_posix()}"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    )
+    ids = [point_id(*point) for point in points()]
+    for stale in sorted(golden.keys() - set(ids)):
+        print(f"{stale}: not pinned any more")
+    moved = 0
+    for point, pid in zip(points(), ids):
+        if pid not in golden:
+            print(f"{pid}: new point")
+            continue
+        actual = scenario_digest(*point)
+        if actual != golden[pid]:
+            moved += 1
+            print(f"{pid}: {', '.join(moved_sections(golden[pid], actual))}")
+    print(f"{moved} of {len(ids)} points moved against {revision}")
+
+
 def test_golden_file_covers_exactly_the_pinned_points():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert sorted(golden) == sorted(point_id(*point) for point in points())
@@ -82,11 +125,7 @@ def test_golden_file_covers_exactly_the_pinned_points():
 def test_scenario_output_matches_its_golden_digest(name, seed, params):
     golden = json.loads(GOLDEN_PATH.read_text())[point_id(name, seed, params)]
     actual = scenario_digest(name, seed, params)
-    moved = sorted(
-        section
-        for section in golden["sections"].keys() | actual["sections"].keys()
-        if golden["sections"].get(section) != actual["sections"].get(section)
-    )
+    moved = moved_sections(golden, actual)
     assert actual == golden, (
         f"scenario {name!r} at seed {seed} (overrides {params}) no longer produces "
         f"its golden output; sections that moved: {moved} — see the module "
@@ -95,4 +134,15 @@ def test_scenario_output_matches_its_golden_digest(name, seed, params):
 
 
 if __name__ == "__main__":
-    print(json.dumps({point_id(*point): scenario_digest(*point) for point in points()}, indent=2))
+    parser = argparse.ArgumentParser(description="Print the golden scenario digests.")
+    parser.add_argument(
+        "--diff",
+        metavar="REV",
+        help="instead, list the points that moved against REV's golden file",
+    )
+    arguments = parser.parse_args()
+    if arguments.diff is None:
+        digests = {point_id(*point): scenario_digest(*point) for point in points()}
+        print(json.dumps(digests, indent=2))
+    else:
+        print_diff(arguments.diff)
