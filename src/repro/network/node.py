@@ -387,7 +387,13 @@ class AnchorNode:
             if not verdict.accepted:
                 self._record_rejected_block(block, verdict.reason)
                 return
-            self.chain.receive_block(block)
+            try:
+                self.chain.receive_block(block)
+            except ChainIntegrityError as exc:
+                # A forked announcement: already out of the buffer, so keep
+                # it where catch_up keeps the same case before re-raising.
+                self._record_rejected_block(block, str(exc))
+                raise
 
     def _handle_vote_request(self, message: Message) -> Message:
         """Vote on a producer-failover proposal (Section IV-A quorum duty).
@@ -802,7 +808,10 @@ class AnchorNode:
 
         Incremental catch-up first; if that declines because the gap spans a
         marker shift, pull the peer's snapshot and finish with a top-off
-        catch-up for blocks the peer sealed while the chunks streamed.  This
+        catch-up for blocks the peer sealed while the chunks streamed.  A
+        catch-up that ends ``PEER_UNREACHABLE`` (its request or reply was
+        lost) is retried up to ``DEFAULT_MAX_RETRIES`` times, so one lost
+        message does not strand a replica that heard of a newer head.  This
         is the pull path anti-entropy digests trigger.  Digests absorbed
         while the pull runs are not wasted: the most advanced one is chased
         afterwards, so the call converges on the best peer it *heard of*,
@@ -824,7 +833,12 @@ class AnchorNode:
         """One guarded catch-up-or-bootstrap pull against a single peer."""
         self._sync_in_progress = True
         try:
-            result = self.catch_up(peer_id)
+            # A lost request or reply says nothing about the gap: ask again,
+            # within the retry bound each snapshot chunk gets.
+            for _ in range(DEFAULT_MAX_RETRIES + 1):
+                result = self.catch_up(peer_id)
+                if result.status is not CatchUpStatus.PEER_UNREACHABLE:
+                    break
             if result.status is not CatchUpStatus.SNAPSHOT_REQUIRED:
                 return result
             # Load-aware recovery: the digest sender proved it serves the

@@ -1676,7 +1676,6 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         tenanted=True,
         clients=[router] * params["n_clients"],
         lane_of=lambda arrival: router.shard_of(arrival.event.author),
-        lane_count=shard_count,
     )
     erasures: list[dict[str, Any]] = []
 

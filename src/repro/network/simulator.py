@@ -352,7 +352,6 @@ class NetworkSimulator:
         anchor_id: Optional[str] = None,
         clients: Optional["Sequence[LedgerClient]"] = None,
         lane_of: Optional["Callable[[FleetArrival], int]"] = None,
-        lane_count: Optional[int] = None,
     ) -> "FleetDriver":
         """Bind a workload fleet to this deployment.
 
@@ -371,9 +370,9 @@ class NetworkSimulator:
 
         ``clients`` overrides the per-client ledger clients (a sharded
         deployment passes one shared :class:`~repro.service.sharding.ShardRouter`
-        per fleet client), and ``lane_of`` / ``lane_count`` forward the
-        fleet engine's service-lane selector and its lane tally so
-        per-shard round trips overlap through the event-driven pump.
+        per fleet client), and ``lane_of`` forwards the fleet engine's
+        service-lane selector so per-shard round trips overlap.  Every lane
+        submits through :meth:`~repro.service.client.LedgerClient.submit_async`.
         """
         from repro.workloads.fleet import FleetDriver
 
@@ -395,7 +394,6 @@ class NetworkSimulator:
             policy=policy,
             on_submitted=on_submitted,
             lane_of=lane_of,
-            lane_count=lane_count,
         )
         self._workload_drivers.append(driver)
         return driver

@@ -126,11 +126,13 @@ class LedgerClient(ABC):
     ) -> None:
         """:meth:`submit` with the receipt delivered through a callback.
 
-        The default completes synchronously — ``on_receipt`` runs before
-        this returns.  Networked clients override it with a genuinely
+        This is the call ``FleetDriver`` submits every entry through.  The
+        default completes synchronously — ``on_receipt`` runs before this
+        returns.  Networked clients override it with a genuinely
         event-driven exchange so concurrent submissions overlap in virtual
-        time; callers that need to know whether completion was deferred
-        must track it themselves (see ``FleetDriver``'s lane pump).
+        time and no round trip waits inside another kernel event; callers
+        that need to know whether completion was deferred must track it
+        themselves (see ``FleetDriver``'s lane pump).
         """
         on_receipt(
             self.submit(

@@ -280,16 +280,12 @@ class FleetDriver:
         round trips in *different* lanes overlap in virtual time — lane B's
         request departs while lane A's is still on the wire — so aggregate
         service rate scales with the number of lanes while each lane stays
-        internally sequential.  A result outside ``range(lane_count or 1)``
-        raises ``ValueError``.
-    lane_count:
-        Declared number of service lanes.  It picks the colour of the ENTRY
-        call, nothing else: with more than one lane submissions go through
-        :meth:`LedgerClient.submit_async` and a lane's next request departs
-        from the response-arrival callback, so N lanes sustain N overlapped
-        round trips.  Left at ``None`` (or ``1``) the single lane completes
-        inside the blocking :meth:`LedgerClient.submit` and the kernel sees
-        the exact event sequence of a single-deployment run.
+        internally sequential.
+
+    Every lane submits its entries through
+    :meth:`LedgerClient.submit_async` and issues its next request from the
+    receipt callback, so an entry's round trip never waits inside another
+    kernel event.
     """
 
     def __init__(
@@ -308,7 +304,6 @@ class FleetDriver:
         policy: FleetPolicy | str = FleetPolicy.QUEUE,
         on_submitted: Optional[FleetSubmitHook] = None,
         lane_of: Optional[Callable[[FleetArrival], int]] = None,
-        lane_count: Optional[int] = None,
     ) -> None:
         if not workloads:
             raise ValueError("a fleet needs at least one client workload")
@@ -335,10 +330,6 @@ class FleetDriver:
         self.policy = FleetPolicy(policy)
         self.on_submitted = on_submitted
         self.lane_of = lane_of
-        self.lane_count = lane_count
-        #: Several lanes submit entries asynchronously so their round trips
-        #: overlap without nesting blocking waits.
-        self._async = lane_count is not None and lane_count > 1
         #: Service slots: budget 0 is the closed loop's single slot.
         self._slots = max(1, self.in_flight_budget)
         #: Called once after the final arrival has completed or been shed.
@@ -435,12 +426,6 @@ class FleetDriver:
     def _enqueue(self, arrival: FleetArrival) -> int:
         """Take a service slot and queue the arrival on its service lane."""
         lane = 0 if self.lane_of is None else self.lane_of(arrival)
-        lanes = self.lane_count or 1
-        if not 0 <= lane < lanes:
-            raise ValueError(
-                f"lane_of sent {self._label(arrival)} to lane {lane}, "
-                f"outside the {lanes} declared lane(s)"
-            )
         self._in_flight += 1
         if self._in_flight > self.stats.in_flight_peak:
             self.stats.in_flight_peak = self._in_flight
@@ -462,14 +447,14 @@ class FleetDriver:
         """Issue the lane's queued requests, one round trip at a time.
 
         Each lane keeps at most one request in flight.  A request that
-        completes inside :meth:`_issue` — every blocking call, or an
-        asynchronous one on a zero-latency transport — must not recurse
-        through its completion callback: the ``sync``/``done`` state pair
-        turns it back into a loop iteration.  One that completes later
+        completes inside :meth:`_issue` — a deletion or idle tick, or an
+        entry submitted to a client that answers synchronously — must not
+        recurse through its completion callback: the ``sync``/``done`` state
+        pair turns it back into a loop iteration.  One that completes later
         re-enters the pump from that callback.  Arrivals firing *during* a
-        blocking round trip (the transport's nested virtual-time wait) find
-        the lane busy and only enqueue, so the stack never grows past one
-        request.
+        blocking deletion or tick (the transport's nested virtual-time wait)
+        find the lane busy and only enqueue, so the stack never grows past
+        one request.
         """
         if lane in self._busy:
             return
@@ -496,14 +481,13 @@ class FleetDriver:
     def _issue(self, arrival: FleetArrival, done: Callable[[], None]) -> None:
         """Run one arrival, signalling completion through ``done``.
 
-        Several lanes send ENTRY events through the client's asynchronous
-        submit path.  Everything else — a single lane's entries, and the
-        rare deletions and idle ticks of any fleet — completes inside the
-        blocking call (latency is charged identically); even a failing
-        event releases its slot.
+        Entries go through the client's asynchronous submit path.  The rare
+        deletions and idle ticks complete inside their blocking call
+        (latency is charged identically); even a failing event releases its
+        slot.
         """
         event = arrival.event
-        if not (self._async and event.kind is EventKind.ENTRY):
+        if event.kind is not EventKind.ENTRY:
             try:
                 self._execute(arrival)
             finally:
@@ -555,18 +539,11 @@ class FleetDriver:
     # ------------------------------------------------------------------ #
 
     def _execute(self, arrival: FleetArrival) -> None:
+        """Run a deletion or idle tick through its blocking call."""
         event = arrival.event
         stats = self.stats.clients[arrival.client_index].run
         client = self.clients[arrival.client_index]
-        if event.kind is EventKind.ENTRY:
-            receipt = client.submit(
-                event.data,
-                event.author,
-                expires_at_time=self._rescale_expiry(event.expires_at_time),
-                expires_at_block=event.expires_at_block,
-            )
-            self._tally_entry(arrival, receipt)
-        elif event.kind is EventKind.DELETION:
+        if event.kind is EventKind.DELETION:
             assert event.target is not None
             self.request_deletion(
                 event.target, event.author, client_index=arrival.client_index

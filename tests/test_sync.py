@@ -21,10 +21,13 @@ from repro.network import (
     GossipTopology,
     InMemoryTransport,
     LatencyModel,
+    Message,
+    MessageKind,
     NetworkSimulator,
+    run_scenario,
 )
 from repro.storage.snapshot import chain_from_payload, snapshot_digest, snapshot_payload
-from repro.sync import BootstrapError, SnapshotChunkCache, fetch_snapshot
+from repro.sync import DEFAULT_MAX_RETRIES, BootstrapError, SnapshotChunkCache, fetch_snapshot
 from repro.sync import bootstrap as bootstrap_module
 
 
@@ -212,6 +215,36 @@ class TestWireBootstrap:
         assert "hash" in result.detail
         assert fork_b.rejected_blocks
 
+    def test_a_forked_announcement_drained_from_the_buffer_is_kept_as_rejected(self):
+        """A gossiped block that overtook its gap waits in the buffer; when
+        the catch-up's replay ends on a head it does not link to, the block
+        has left the buffer and must land in ``rejected_blocks``."""
+        transport, nodes, ids = build_network()
+        straggler = nodes[ids[-1]]
+        fork = Blockchain(ChainConfig.paper_evaluation())
+        fork.add_entry_block(login("MALLORY", "#0"), "MALLORY")
+        forked = fork.add_entry_block(login("MALLORY", "#1"), "MALLORY")
+        transport.set_offline(straggler.node_id)
+        ClientNode("ALPHA", transport).submit_entry(ids[0], login("ALPHA"))
+        transport.set_offline(straggler.node_id, False)
+        straggler.handle_message(
+            Message(
+                kind=MessageKind.BLOCK_ANNOUNCE,
+                sender="MALLORY",
+                payload={
+                    "block": forked.to_dict(),
+                    "gossip": {"item": forked.block_hash, "hops": 0},
+                },
+            )
+        )
+        assert list(straggler._block_buffer) == [forked.block_number]
+        result = straggler.catch_up(ids[0])
+        assert result.status is CatchUpStatus.BLOCK_REJECTED
+        assert straggler._block_buffer == {}
+        assert [(block.block_hash, reason) for block, reason in straggler.rejected_blocks] == [
+            (forked.block_hash, result.detail)
+        ]
+
     def test_digest_at_equal_height_with_different_hash_counts_divergence(self):
         from repro.network import Message, MessageKind
 
@@ -318,6 +351,55 @@ def build_anti_entropy_deployment(seed, *, anchors=4, loss_rate=0.0):
     )
     simulator.add_client("ALPHA")
     return kernel, simulator
+
+
+class TestLostReplyRetry:
+    """A digest-triggered pull whose reply is lost is asked again."""
+
+    def test_a_lost_reply_converges_on_the_second_attempt(self, monkeypatch):
+        transport, nodes, ids = build_network()
+        straggler = nodes[ids[-1]]
+        transport.set_offline(straggler.node_id)
+        ClientNode("ALPHA", transport).submit_entry(ids[0], login("ALPHA"))
+        transport.set_offline(straggler.node_id, False)
+        lost = []
+        response_leg = transport._response_leg
+
+        def lose_first_sync_reply(recipient, message, response, latency_ms):
+            if response.kind is MessageKind.SYNC_RESPONSE and not lost:
+                lost.append(response)
+                return message.error("transport", "response lost")
+            return response_leg(recipient, message, response, latency_ms)
+
+        monkeypatch.setattr(transport, "_response_leg", lose_first_sync_reply)
+        result = straggler.synchronize(ids[0])
+        assert len(lost) == 1
+        assert result.status is CatchUpStatus.ADOPTED
+        assert straggler.sync_stats["catch_ups"] == 2
+        assert straggler.chain.head.block_hash == nodes[ids[0]].chain.head.block_hash
+
+    def test_a_peer_that_stays_unreachable_costs_the_retry_bound(self):
+        transport, nodes, ids = build_network()
+        transport.set_offline(ids[0])
+        straggler = nodes[ids[-1]]
+        result = straggler.synchronize(ids[0])
+        assert result.status is CatchUpStatus.PEER_UNREACHABLE
+        assert straggler.sync_stats["catch_ups"] == DEFAULT_MAX_RETRIES + 1
+
+    @pytest.mark.parametrize("seed", [7, 9, 37])
+    def test_lossy_vehicle_telemetry_converges(self, seed):
+        """The lossy-sync yardstick's smoke size: each seed used to strand a
+        replica behind one lost catch-up reply (9 and 37 with a blocking
+        single-lane pump, 7 with the asynchronous one)."""
+        result = run_scenario(
+            "vehicle-telemetry", seed=seed, vehicles=5, anchors=6,
+            events_per_vehicle=4, settle_ms=800.0,
+        )
+        assert result["replicas_identical"] is True
+
+    def test_vehicle_telemetry_converges_at_200_vehicles_on_6_anchors_seed_18(self):
+        result = run_scenario("vehicle-telemetry", seed=18, vehicles=200, anchors=6)
+        assert result["replicas_identical"] is True
 
 
 class TestAntiEntropy:
