@@ -2,9 +2,9 @@
 
 Each test states the behaviour the system *should* have and is expected to
 fail today; ``strict=True`` turns an unexpected pass into a failure, so the
-fix (ROADMAP item 4: booked traffic and forwarding as continuations, a
-deletion retry that reads its own earlier approval) must flip these to
-ordinary tests instead of leaving stale prose.
+fix (ROADMAP item 4: blocking sends inside handlers become continuations,
+and a retried deletion whose first reply was lost is reported approved)
+must flip these to ordinary tests instead of leaving stale prose.
 """
 
 import pytest

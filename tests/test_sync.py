@@ -2,8 +2,9 @@
 
 Covers the wire snapshot bootstrap (chunking, manifest verification,
 retransmission over lossy links, mid-transfer restarts), the catch-up
-decline reasons that route into it, and the anti-entropy digest rounds —
-including the acceptance pin that convergence is byte-identical per seed.
+decline reasons that route into it, the retried pull after a lost reply,
+and the anti-entropy digest rounds — including the acceptance pin that
+convergence is byte-identical per seed.
 """
 
 import json
@@ -187,8 +188,6 @@ class TestWireBootstrap:
     def test_catch_up_declines_cheaply_across_a_marker_shift(self):
         """The peer must not serialise its living chain into a response the
         requester is bound to discard — the decline carries no blocks."""
-        from repro.network import MessageKind
-
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
         result = straggler.catch_up(ids[0])
@@ -246,8 +245,6 @@ class TestWireBootstrap:
         ]
 
     def test_digest_at_equal_height_with_different_hash_counts_divergence(self):
-        from repro.network import Message, MessageKind
-
         transport, nodes, ids = build_network()
         honest, forked = nodes[ids[0]], nodes["anchor-1"]
         forked.chain.add_entry_block(login("MALLORY"), "MALLORY")
