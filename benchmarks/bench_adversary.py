@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.adversary import EquivocatingProducer
 from repro.core import ChainConfig
-from repro.network import EventKernel, LatencyModel, NetworkSimulator
+from repro.network import EventKernel, LatencyModel, NetworkSimulator, spawn
 from repro.network.message import reset_message_counter
 
 import sweep
@@ -69,10 +69,13 @@ def measure(fraction: float) -> dict[str, float]:
     ]
 
     def submit(index: int) -> None:
-        simulator.submit_entry(
-            "ALPHA",
-            {"D": f"honest event {index}", "K": "ALPHA", "S": "sig_ALPHA"},
-            anchor_id=simulator.producer_id,
+        spawn(
+            kernel,
+            simulator.submit_entry_process(
+                "ALPHA",
+                {"D": f"honest event {index}", "K": "ALPHA", "S": "sig_ALPHA"},
+                anchor_id=simulator.producer_id,
+            ),
         )
 
     for index in range(ENTRIES):
@@ -80,7 +83,7 @@ def measure(fraction: float) -> dict[str, float]:
 
     def attack(actor: EquivocatingProducer) -> None:
         victims = [peer for peer in simulator.anchor_ids if peer != simulator.producer_id]
-        actor.equivocate(victims, head=simulator.producer.chain.head, variants=2)
+        spawn(kernel, actor.equivocate_process(victims, head=simulator.producer.chain.head, variants=2))
 
     for index, actor in enumerate(attackers):
         kernel.schedule_at(
@@ -100,7 +103,13 @@ def measure(fraction: float) -> dict[str, float]:
                 return
         else:
             state["converged_at"] = None  # a later attack re-forked the quorum
-            state["repaired"] += simulator.repair_divergent_replicas()
+
+            def repaired(count: int) -> None:
+                state["repaired"] += count
+                kernel.schedule(PROBE_INTERVAL_MS, probe, label="repair-probe")
+
+            spawn(kernel, simulator.repair_divergent_replicas_process(), repaired)
+            return
         kernel.schedule(PROBE_INTERVAL_MS, probe, label="repair-probe")
 
     kernel.schedule_at(ATTACK_AT_MS, probe, label="repair-probe")

@@ -10,12 +10,13 @@ milliseconds, so the numbers are deterministic and machine-independent —
 * how many announcement messages the producer itself sends (its egress),
 * total delivered messages and bytes on the wire,
 
-once with full broadcast (the producer contacts every peer directly) and
+once with full broadcast (the producer posts to every peer directly) and
 once with gossip over a random-regular overlay (each node floods its ≤
 ``DEGREE`` neighbours).  Expected shape: the producer's egress per block
-grows linearly with the quorum under broadcast but stays flat under gossip,
-and gossip's dissemination time grows markedly slower across the size
-spread.  The measured trajectory is ``BENCH_net.json`` (see :mod:`sweep`).
+grows linearly with the quorum under broadcast but stays flat under gossip;
+in exchange, gossip pays the overlay's hop count in dissemination time,
+while a one-way broadcast reaches every peer in one hop at any size.  The
+measured trajectory is ``BENCH_net.json`` (see :mod:`sweep`).
 """
 
 from __future__ import annotations
@@ -132,17 +133,16 @@ def test_net_scaling_gossip_vs_broadcast():
         return  # the scaling shape needs the whole size spread
     smallest, largest = sizes[0], sizes[-1]
 
-    # Dissemination time: gossip must scale markedly better than broadcast
-    # across the size spread (hop-parallel flood vs. sequential fan-out).
-    gossip_growth = (
+    # Dissemination time: the one-way broadcast is one hop at every size;
+    # gossip trades hops for the producer's bounded egress.
+    broadcast_ms = {trajectory[size]["broadcast"]["dissemination_ms_per_block"] for size in sizes}
+    assert len(broadcast_ms) == 1, f"broadcast dissemination varies with size: {broadcast_ms}"
+    for size in sizes:
+        assert (
+            trajectory[size]["gossip"]["dissemination_ms_per_block"]
+            >= trajectory[size]["broadcast"]["dissemination_ms_per_block"]
+        )
+    assert (
         trajectory[largest]["gossip"]["dissemination_ms_per_block"]
-        / trajectory[smallest]["gossip"]["dissemination_ms_per_block"]
-    )
-    broadcast_growth = (
-        trajectory[largest]["broadcast"]["dissemination_ms_per_block"]
-        / trajectory[smallest]["broadcast"]["dissemination_ms_per_block"]
-    )
-    assert gossip_growth < broadcast_growth, (
-        f"gossip dissemination grew {gossip_growth:.2f}x vs broadcast "
-        f"{broadcast_growth:.2f}x across a {largest // smallest}x size spread"
-    )
+        > trajectory[smallest]["gossip"]["dissemination_ms_per_block"]
+    ), "gossip dissemination should grow with the overlay's diameter"

@@ -37,6 +37,7 @@ def fork_and_repair(simulator: NetworkSimulator) -> None:
     print("------------------------------------------")
     for index in range(6):
         simulator.submit_entry("ALPHA", record(index))
+    simulator.kernel.run()  # announcements are one-way: let them land
     assert simulator.replicas_identical()
     print(f"honest traffic:    head block {simulator.producer.chain.head.block_number}, "
           "all replicas identical")
@@ -59,6 +60,7 @@ def fork_and_repair(simulator: NetworkSimulator) -> None:
     # The next honest block no longer links on the forked replicas — that
     # is the moment the summary-hash comparison can see the split.
     simulator.submit_entry("ALPHA", record(6))
+    simulator.kernel.run()
     sync = simulator.sync_check()
     assert sync.diverged_peers, "the summary-hash round must name the forked peers"
     print(f"summary check:     diverged peers {sync.diverged_peers}")

@@ -31,6 +31,7 @@ def main() -> None:
     for user in ("ALPHA", "BRAVO", "CHARLIE"):
         simulator.submit_entry(user, {"D": f"Login {user}", "K": user, "S": f"sig_{user}"})
     print(render_chain(chain, header="Fig. 6 — three logins, two empty summary blocks"))
+    simulator.kernel.run()  # announcements are one-way: let them land
     print(f"replicas in sync: {simulator.sync_check().in_sync}\n")
 
     # --- Fig. 7: BRAVO requests deletion of (block 3, entry 1) ---------------
@@ -38,6 +39,7 @@ def main() -> None:
     simulator.submit_entry("ALPHA", {"D": "Login ALPHA", "K": "ALPHA", "S": "sig_ALPHA"})
     print(render_chain(chain, header="Fig. 7 — sequences merged, BRAVO's entry not copied"))
     print(f"genesis marker: block {chain.genesis_marker}")
+    simulator.kernel.run()  # announcements are one-way: let them land
     print(f"replicas in sync: {simulator.sync_check().in_sync}\n")
 
     # --- Fig. 8: one cycle ahead, the deletion request itself is gone --------

@@ -28,6 +28,7 @@ from repro.network import (
     InMemoryTransport,
     LatencyModel,
     NetworkSimulator,
+    spawn,
 )
 
 
@@ -59,6 +60,7 @@ def manual_bootstrap() -> None:
     transport.set_offline("anchor-2")  # the replica drops off the network
     for index in range(1, 10):
         client.submit_entry(ids[0], login(index))
+    transport.kernel.run()  # announcements still in flight die at the offline node
     transport.set_offline("anchor-2", False)
 
     producer, straggler = nodes[ids[0]], nodes["anchor-2"]
@@ -100,8 +102,11 @@ def autonomous_bootstrap() -> None:
     for index in range(20):
         kernel.schedule_at(
             25.0 + index * 40.0,
-            lambda index=index: simulator.submit_entry(
-                "ALPHA", login(index), anchor_id=simulator.producer_id
+            lambda index=index: spawn(
+                kernel,
+                simulator.submit_entry_process(
+                    "ALPHA", login(index), anchor_id=simulator.producer_id
+                ),
             ),
             label=f"entry-{index}",
         )

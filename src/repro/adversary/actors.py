@@ -34,6 +34,7 @@ from repro.core.deletion import build_deletion_request
 from repro.core.entry import Entry, EntryReference
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.message import Message, MessageKind
+from repro.network.transport import Process, blocking
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.kernel import EventHandle
@@ -59,13 +60,13 @@ class EquivocatingProducer(AdversaryActor):
 
     kind = "equivocating-producer"
 
-    def equivocate(
+    def equivocate_process(
         self,
         victims: list[str],
         *,
         head: Block,
         variants: int = 2,
-    ) -> list[Block]:
+    ) -> Process:
         """Craft ``variants`` conflicting blocks on ``head``, one per victim.
 
         Victims are served round-robin: victim *i* receives variant
@@ -104,12 +105,14 @@ class EquivocatingProducer(AdversaryActor):
                 sender=self.actor_id,
                 payload={"block": block.to_dict()},
             )
-            response = self.transport.send(victim, announce)
+            response = yield from self.transport.exchange(victim, announce)
             if response is not None and not response.is_error:
                 self._bump("victims_accepted")
             else:
                 self._bump("victims_rejected")
         return blocks
+
+    equivocate = blocking(equivocate_process)
 
 
 class DeletionForger(AdversaryActor):
@@ -146,25 +149,28 @@ class DeletionForger(AdversaryActor):
     # The three attacks
     # ------------------------------------------------------------------ #
 
-    def forge(
+    def forge_process(
         self, anchor_id: str, target: EntryReference, *, reason: str = "forged"
-    ) -> Optional[Message]:
+    ) -> Process:
         """Request deletion of ``target`` signed as the forger itself."""
-        return self._submit(anchor_id, target, signer=self.actor_id, reason=reason)
+        return (yield from self._submit(anchor_id, target, signer=self.actor_id, reason=reason))
 
-    def impersonate(
+    def impersonate_process(
         self,
         anchor_id: str,
         target: EntryReference,
         *,
         victim: str,
         reason: str = "forged",
-    ) -> Optional[Message]:
+    ) -> Process:
         """Request deletion of ``target`` signed *claiming* ``victim``."""
         self._bump("impersonations")
-        return self._submit(anchor_id, target, signer=victim, reason=reason)
+        return (yield from self._submit(anchor_id, target, signer=victim, reason=reason))
 
-    def replay(self, anchor_id: str, *, limit: Optional[int] = None) -> int:
+    forge = blocking(forge_process)
+    impersonate = blocking(impersonate_process)
+
+    def replay_process(self, anchor_id: str, *, limit: Optional[int] = None) -> Process:
         """Re-transmit captured ``SUBMIT_DELETION`` messages verbatim.
 
         Scans the transport's message log (the wire, as seen by an
@@ -186,8 +192,10 @@ class DeletionForger(AdversaryActor):
                 payload=dict(original.payload),
             )
             self._bump("replays_sent")
-            self._classify(self.transport.send(anchor_id, replayed))
+            self._classify((yield from self.transport.exchange(anchor_id, replayed)))
         return len(captured)
+
+    replay = blocking(replay_process)
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -195,7 +203,7 @@ class DeletionForger(AdversaryActor):
 
     def _submit(
         self, anchor_id: str, target: EntryReference, *, signer: str, reason: str
-    ) -> Optional[Message]:
+    ) -> Process:
         request = build_deletion_request(
             target, author=signer, signature="", reason=reason
         )
@@ -206,7 +214,7 @@ class DeletionForger(AdversaryActor):
             payload={"entry": request.to_dict()},
         )
         self._bump("forgeries_sent")
-        response = self.transport.send(anchor_id, message)
+        response = yield from self.transport.exchange(anchor_id, message)
         self._classify(response)
         return response
 

@@ -84,6 +84,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     print(render_statistics(chain))
     print(render_sequences(chain))
     if args.via == "remote":
+        simulator.kernel.run()  # let the last one-way announcements land
         print(f"replicas in sync: {simulator.sync_check().in_sync}")
     return 0
 
@@ -135,6 +136,7 @@ def _run_parity(args: argparse.Namespace) -> int:
     values = list(statistics.values())
     identical = all(value == values[0] for value in values)
     print(f"\nstatistics identical across backends: {identical}")
+    simulator.kernel.run()  # let the last one-way announcements land
     print(f"replicas in sync: {simulator.sync_check().in_sync}")
     return 0 if identical else 1
 

@@ -137,6 +137,11 @@ class SimulationClock:
         """The kernel this clock reads."""
         return self._kernel
 
+    @property
+    def ms_per_tick(self) -> float:
+        """Virtual milliseconds per chain tick."""
+        return self._ms_per_tick
+
     def now(self) -> int:
         """Current chain tick derived from kernel time (never advances)."""
         return self.peek()

@@ -190,7 +190,7 @@ class SentWithoutHandlerRule(Rule):
         "a request constructed and sent must have a receiver-side dispatch branch, "
         "or every delivery dies as 'unsupported message kind'"
     )
-    example = "transport.send(peer, Message(kind=MessageKind.NEW_KIND, ...))"
+    example = "yield from transport.exchange(peer, Message(kind=MessageKind.NEW_KIND, ...))"
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:

@@ -51,6 +51,8 @@ from repro.network.transport import (
     LatencyModel,
     TransportError,
     TransportStatistics,
+    run_process,
+    spawn,
 )
 
 __all__ = [
@@ -78,4 +80,6 @@ __all__ = [
     "LatencyModel",
     "TransportError",
     "TransportStatistics",
+    "run_process",
+    "spawn",
 ]

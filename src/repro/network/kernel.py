@@ -16,9 +16,11 @@ Design
 * ``run_until`` / ``run`` pop due events and advance :attr:`now` — virtual
   time only moves through the kernel, never through the wall clock, which is
   what makes every simulation replayable byte-for-byte.
-* Handlers may schedule further events (including nested ``run_until`` calls
-  from the transport's request/response path); the kernel never schedules
-  into the past, so ``now`` is monotone and the heap invariant holds.
+* Handlers may schedule further events but never run them: entering
+  :meth:`EventKernel.step` or :meth:`EventKernel.run_until` from inside an
+  executing event raises :class:`KernelError` (a request awaiting its reply
+  is a process, :func:`repro.network.transport.spawn`).  Nothing is
+  scheduled into the past, so ``now`` is monotone.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ Action = Callable[[], Any]
 
 
 class KernelError(SelectiveDeletionError):
-    """Raised on invalid scheduling requests (e.g. scheduling into the past)."""
+    """Raised on invalid scheduling requests (e.g. scheduling into the past)
+    and on re-entering the kernel from inside an executing event."""
 
 
 @dataclass(slots=True)
@@ -73,6 +76,8 @@ class EventKernel:
         self.events_scheduled = 0
         self.events_processed = 0
         self.events_cancelled = 0
+        #: The event whose action is executing, ``None`` between events.
+        self._running: Optional[EventHandle] = None
 
     # ------------------------------------------------------------------ #
     # Time
@@ -146,8 +151,17 @@ class EventKernel:
     # Execution
     # ------------------------------------------------------------------ #
 
+    def _check_not_running(self) -> None:
+        if self._running is not None:
+            upcoming = self._queue[0][3].label if self._queue else "nothing"
+            raise KernelError(
+                f"kernel entered from inside event {self._running.label!r} "
+                f"(next due: {upcoming!r}); spawn a process instead of waiting"
+            )
+
     def step(self) -> bool:
         """Execute the single earliest queued event; ``False`` when idle."""
+        self._check_not_running()
         queue = self._queue
         heappop = heapq.heappop
         while queue:
@@ -155,13 +169,13 @@ class EventKernel:
             if handle.cancelled:
                 self.events_cancelled += 1
                 continue
-            # Nested execution (a handler advancing time itself) may already
-            # have moved `now` past this event's nominal time; virtual time
-            # never flows backwards.
-            if time > self._now:
-                self._now = time
+            self._now = time
             self.events_processed += 1
-            action()
+            self._running = handle
+            try:
+                action()
+            finally:
+                self._running = None
             return True
         return False
 
@@ -169,9 +183,9 @@ class EventKernel:
         """Execute every event due at or before ``time``; set now to ``time``.
 
         Returns the number of events executed.  A target before the current
-        virtual time is a no-op (time never rewinds) — this is what makes the
-        call safe to nest from within event handlers.
+        virtual time is a no-op (time never rewinds).
         """
+        self._check_not_running()
         executed = 0
         queue = self._queue
         heappop = heapq.heappop

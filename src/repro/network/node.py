@@ -15,11 +15,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from repro.consensus.base import ConsensusEngine, NullConsensus
 from repro.core.block import Block, canonical_text_hash
 from repro.core.chain import Blockchain
+from repro.core.clock import SimulationClock
 from repro.core.errors import (
     ChainIntegrityError,
     SelectiveDeletionError,
@@ -31,15 +33,15 @@ from repro.crypto.hashing import canonical_json
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.gossip import GossipOverlay
 from repro.network.message import BlockFrame, Message, MessageKind
-from repro.network.transport import InMemoryTransport
+from repro.network.transport import InMemoryTransport, Process, blocking, run_process, spawn
 from repro.sync.bootstrap import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_MAX_RETRIES,
     BootstrapError,
     BootstrapReport,
     SnapshotChunkCache,
-    fetch_snapshot,
-    fetch_snapshot_striped,
+    fetch_snapshot_process,
+    fetch_snapshot_striped_process,
 )
 from repro.storage.snapshot import chain_from_payload
 
@@ -137,7 +139,7 @@ class AnchorNode:
         self.is_producer = is_producer
         self.producer_id = producer_id or node_id
         #: When set, seal announcements disseminate hop-by-hop through this
-        #: overlay via one-way posts instead of a direct full broadcast.
+        #: overlay instead of going to every peer directly.
         self.gossip = gossip
         self.peers: list[str] = []
         #: Bounded window over the most recently rejected blocks: a
@@ -168,9 +170,8 @@ class AnchorNode:
         #: chain is cached per head, so streaming N chunks (plus their
         #: retransmissions) serialises once.
         self._snapshot_cache = SnapshotChunkCache(chain)
-        #: Re-entrancy guard: while a digest-triggered pull is running, the
-        #: nested virtual-time advances may deliver further digests to this
-        #: very node — they must not start a second, overlapping pull.
+        #: While a digest-triggered pull process is running, further digests
+        #: reaching this node must not start a second, overlapping pull.
         self._sync_in_progress = False
         #: Most advanced ``(peer, head)`` digest absorbed by the guard; the
         #: pull loop chases it once the running pull completes, so a pull
@@ -221,8 +222,8 @@ class AnchorNode:
     # Message handling
     # ------------------------------------------------------------------ #
 
-    def handle_message(self, message: Message) -> Optional[Message]:
-        """Dispatch an incoming protocol message."""
+    def handle_message(self, message: Message) -> Any:
+        """Dispatch an incoming protocol message; the reply may be a process."""
         handlers = {
             MessageKind.SUBMIT_ENTRY: self._handle_submit,
             MessageKind.SUBMIT_DELETION: self._handle_submit,
@@ -241,7 +242,7 @@ class AnchorNode:
         if handler is None:
             return message.error(self.node_id, f"unsupported message kind {message.kind.value}")
         try:
-            return handler(message)
+            reply = handler(message)
         except SelectiveDeletionError as exc:
             return message.error(self.node_id, str(exc))
         except (KeyError, TypeError, ValueError) as exc:
@@ -252,15 +253,24 @@ class AnchorNode:
                 self.node_id,
                 f"malformed {message.kind.value} payload: {type(exc).__name__}: {exc}",
             )
+        return self._guarded(message, reply) if isinstance(reply, GeneratorType) else reply
 
-    def _forward_to_producer(self, message: Message) -> Message:
+    def _guarded(self, message: Message, process: Process) -> Process:
+        """A handler's process: its protocol errors are answered like the
+        handler's own, never raised out of the event that resumed it."""
+        try:
+            return (yield from process)
+        except SelectiveDeletionError as exc:
+            return message.error(self.node_id, str(exc))
+
+    def _forward_to_producer(self, message: Message) -> Process:
         """Forward a producer-only message; reply with whatever it said."""
-        response = self.transport.send(self.producer_id, message)
+        response = yield from self.transport.exchange(self.producer_id, message)
         if response is None:
             return message.error(self.node_id, "producer did not respond")
         return response
 
-    def _handle_submit(self, message: Message) -> Message:
+    def _handle_submit(self, message: Message) -> Any:
         if not self.is_producer:
             return self._forward_to_producer(message)
         entry = Entry.from_dict(message.payload["entry"])
@@ -274,11 +284,23 @@ class AnchorNode:
         payload["entry_number"] = len(block.entries)
         return message.reply(MessageKind.ACK, self.node_id, payload)
 
-    def _handle_idle_tick(self, message: Message) -> Message:
+    def _handle_idle_tick(self, message: Message) -> Any:
         if not self.is_producer:
             return self._forward_to_producer(message)
         ticks = int(message.payload.get("ticks", 1))
-        self.chain.clock.advance(ticks)
+        clock = self.chain.clock
+        if isinstance(clock, SimulationClock):
+            # Kernel time cannot be advanced from inside this delivery: the
+            # reply waits the idle window out instead.
+            return self._idle_tick_after(message, ticks * clock.ms_per_tick)
+        clock.advance(ticks)
+        return self._idle_tick_reply(message)
+
+    def _idle_tick_after(self, message: Message, wait_ms: float) -> Process:
+        yield [lambda wake: self.transport.kernel.schedule(wait_ms, lambda: wake(None))]
+        return self._idle_tick_reply(message)
+
+    def _idle_tick_reply(self, message: Message) -> Message:
         block = self.chain.idle_tick()
         payload: dict[str, Any] = {"appended": block is not None}
         if block is not None:
@@ -525,15 +547,15 @@ class AnchorNode:
         """Anti-entropy beacon: pull from the sender when behind, push the
         local digest back when ahead.
 
-        The pull itself (catch-up, possibly a full snapshot bootstrap) runs
-        inside this delivery event, consuming virtual time on a scheduled
-        transport; digests arriving while it runs are absorbed by the
-        re-entrancy guard.  The push-back turns the one-way digest gossip
-        into *push-pull*: a stale replica whose own digest happens to reach
-        an up-to-date peer learns of the newer head in the same round
-        instead of waiting for that peer's fan-out to select it — halving
-        convergence rounds on sparse overlays.  Push-backs fire only when
-        strictly ahead, so two converged replicas never ping-pong.
+        The pull (catch-up, possibly a full snapshot bootstrap) is a kernel
+        process that outlives this delivery; digests arriving while it runs
+        are absorbed by ``_sync_in_progress``.  The push-back turns the
+        one-way digest gossip into *push-pull*: a stale replica whose own
+        digest happens to reach an up-to-date peer learns of the newer head
+        in the same round instead of waiting for that peer's fan-out to
+        select it — halving convergence rounds on sparse overlays.
+        Push-backs fire only when strictly ahead, so two converged replicas
+        never ping-pong.
         """
         self.sync_stats["digests_received"] += 1
         peer_head = int(message.payload.get("head", -1))
@@ -569,7 +591,7 @@ class AnchorNode:
                 self._deferred_digest = (message.sender, peer_head)
             return None
         self.sync_stats["digests_behind"] += 1
-        self.synchronize(message.sender)
+        spawn(self.transport.kernel, self._guarded(message, self.synchronize_process(message.sender)))
         return None
 
     # ------------------------------------------------------------------ #
@@ -583,24 +605,16 @@ class AnchorNode:
             self._announce(block)
 
     def _announce(self, block: Block) -> None:
+        # One-way dissemination: seed the gossip overlay with the sealed
+        # block (peers re-forward hop by hop), or post it to every peer
+        # when there is no overlay.  Receivers buffer out-of-order arrivals
+        # either way.  Its own hash is seen, so hops that bring it back are
+        # dropped undecoded.
+        self._remember_announcement(block.block_hash)
         frame = BlockFrame(block.to_dict(), block.__canonical_json__())
-        if self.gossip is not None:
-            # Gossip-backed dissemination: seed the overlay with the sealed
-            # block; peers re-forward hop by hop (over the kernel's virtual
-            # clock when the transport is scheduled).  Its own hash is seen,
-            # so the hops that bring it back are dropped undecoded.
-            self._remember_announcement(block.block_hash)
-            self._gossip_forward(block.block_hash, frame, hops=0)
-            return
-        message = Message(
-            kind=MessageKind.BLOCK_ANNOUNCE,
-            sender=self.node_id,
-            payload={"block": frame},
-        )
-        self.transport.broadcast(self.node_id, self.peers, message)
+        self._gossip_forward(block.block_hash, frame, hops=0)
 
     def _gossip_forward(self, item_key: str, block_payload: BlockFrame | dict, *, hops: int) -> None:
-        assert self.gossip is not None
         message = Message(
             kind=MessageKind.BLOCK_ANNOUNCE,
             sender=self.node_id,
@@ -609,9 +623,10 @@ class AnchorNode:
                 "gossip": {"item": item_key, "hops": hops},
             },
         )
-        self.transport.publish(
-            self.node_id, self.gossip.targets(self.node_id, item_key), message
+        targets = (
+            self.peers if self.gossip is None else self.gossip.targets(self.node_id, item_key)
         )
+        self.transport.publish(self.node_id, targets, message)
 
     # ------------------------------------------------------------------ #
     # Synchronisation check (Section IV-B)
@@ -624,7 +639,7 @@ class AnchorNode:
                 return block
         return None
 
-    def catch_up(self, peer_id: str) -> CatchUpResult:
+    def catch_up_process(self, peer_id: str) -> Process:
         """Fetch missed blocks from a peer and replay them locally.
 
         A node that was offline (Section V-B4's isolation discussion) asks a
@@ -633,8 +648,8 @@ class AnchorNode:
         itself — the same path as live replication, so the caught-up replica
         ends byte-identical to the peer.
 
-        Return contract: a :class:`CatchUpResult` whose ``status`` states
-        the outcome —
+        Returns a :class:`CatchUpResult` whose ``status`` states the
+        outcome —
 
         * ``ADOPTED`` — ``adopted`` blocks were replayed; the replica now
           matches the peer's head,
@@ -656,7 +671,7 @@ class AnchorNode:
             sender=self.node_id,
             payload={"from_block": self.chain.head.block_number + 1, "contiguous": True},
         )
-        response = self.transport.send(peer_id, request)
+        response = yield from self.transport.exchange(peer_id, request)
         if response is None or response.is_error:
             reason = "" if response is None else str(response.payload.get("reason", ""))
             return CatchUpResult(
@@ -724,23 +739,25 @@ class AnchorNode:
             detail = str(exc)
         return CatchUpResult(status=status, adopted=adopted, detail=detail)
 
-    def bootstrap_from(
+    catch_up = blocking(catch_up_process)
+
+    def bootstrap_from_process(
         self,
         peer_id: str,
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
-    ) -> BootstrapReport:
+    ) -> Process:
         """Adopt a peer's snapshot over the wire (Section V-B4 status quo).
 
         Pulls the peer's serialised chain in bounded, retransmitted chunks
-        (:func:`repro.sync.bootstrap.fetch_snapshot`), rebuilds the chain,
+        (:func:`repro.sync.bootstrap.fetch_snapshot_process`), rebuilds the chain,
         verifies the hash chain, the rebuilt index *and* that the rebuilt
         head hash matches the manifest the peer advertised, then replaces
         the local replica wholesale via :meth:`adopt_chain`.  On failure the
         local replica is untouched and the report carries the reason.
         """
-        report = fetch_snapshot(
+        report = yield from fetch_snapshot_process(
             self.transport,
             self.node_id,
             peer_id,
@@ -749,31 +766,39 @@ class AnchorNode:
         )
         return self._adopt_snapshot_report(report)
 
-    def bootstrap_from_best(
+    bootstrap_from = blocking(bootstrap_from_process)
+
+    def bootstrap_from_best_process(
         self,
         peer_ids: Optional[list[str]] = None,
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> BootstrapReport:
+    ) -> Process:
         """Adopt a snapshot from the best-ranked reachable peers.
 
         Candidates (default: every connected peer) are probed for proximity
         and serving load, and the chunks are striped concurrently across all
         donors serving the winning head
-        (:func:`repro.sync.bootstrap.fetch_snapshot_striped`) — the
+        (:func:`repro.sync.bootstrap.fetch_snapshot_striped_process`) — the
         load-aware flavour of :meth:`bootstrap_from` that the digest-
         triggered pull path uses, so a recovering replica neither hammers
         one donor nor pays a far peer's latency when a near one serves the
         same head.
         """
         candidates = list(peer_ids) if peer_ids is not None else list(self.peers)
-        report = fetch_snapshot_striped(
+        report = yield from fetch_snapshot_striped_process(
             self.transport,
             self.node_id,
             candidates,
             chunk_size=chunk_size,
         )
+        if report.manifest is not None and report.manifest.head_number < self.chain.head.block_number:
+            # The freshest peer that answered is behind us (a spoofed digest
+            # baited the pull): never trade the local head for an older one.
+            report.succeeded, report.reason = False, "every answering peer is behind the local head"
         return self._adopt_snapshot_report(report)
+
+    bootstrap_from_best = blocking(bootstrap_from_best_process)
 
     def _adopt_snapshot_report(self, report: BootstrapReport) -> BootstrapReport:
         """Verify a fetched snapshot and adopt it; shared by both fetchers."""
@@ -803,7 +828,7 @@ class AnchorNode:
         self.sync_stats["bootstrap_retransmits"] += report.retransmits
         return report
 
-    def synchronize(self, peer_id: str) -> CatchUpResult:
+    def synchronize_process(self, peer_id: str) -> Process:
         """Converge on ``peer_id`` whatever the gap: catch up, else bootstrap.
 
         Incremental catch-up first; if that declines because the gap spans a
@@ -817,8 +842,8 @@ class AnchorNode:
         afterwards, so the call converges on the best peer it *heard of*,
         not merely the one that happened to trigger it.
         """
-        result = self._synchronize_once(peer_id)
-        # Chase digests deferred by the re-entrancy guard.  Each iteration
+        result = yield from self._synchronize_once(peer_id)
+        # Chase digests deferred while the pull ran.  Each iteration
         # consumes one deferred digest and only re-pulls while its sender
         # claims a strictly newer head, so the loop ends once the backlog
         # of mid-pull arrivals is worked off.
@@ -827,16 +852,18 @@ class AnchorNode:
             self._deferred_digest = None
             if deferred is None or deferred[1] <= self.chain.head.block_number:
                 return result
-            result = self._synchronize_once(deferred[0])
+            result = yield from self._synchronize_once(deferred[0])
 
-    def _synchronize_once(self, peer_id: str) -> CatchUpResult:
+    synchronize = blocking(synchronize_process)
+
+    def _synchronize_once(self, peer_id: str) -> Process:
         """One guarded catch-up-or-bootstrap pull against a single peer."""
         self._sync_in_progress = True
         try:
             # A lost request or reply says nothing about the gap: ask again,
             # within the retry bound each snapshot chunk gets.
             for _ in range(DEFAULT_MAX_RETRIES + 1):
-                result = self.catch_up(peer_id)
+                result = yield from self.catch_up_process(peer_id)
                 if result.status is not CatchUpStatus.PEER_UNREACHABLE:
                     break
             if result.status is not CatchUpStatus.SNAPSHOT_REQUIRED:
@@ -845,13 +872,13 @@ class AnchorNode:
             # needed head, but every connected peer is a candidate donor —
             # rank them and stripe the chunks across the nearest ones.
             candidates = [peer_id] + [peer for peer in self.peers if peer != peer_id]
-            report = self.bootstrap_from_best(candidates)
+            report = yield from self.bootstrap_from_best_process(candidates)
             if not report.succeeded:
                 return CatchUpResult(
                     status=CatchUpStatus.SNAPSHOT_REQUIRED,
                     detail=f"bootstrap failed: {report.reason}",
                 )
-            top_off = self.catch_up(report.peer_id or peer_id)
+            top_off = yield from self.catch_up_process(report.peer_id or peer_id)
             assert report.manifest is not None
             return CatchUpResult(
                 status=CatchUpStatus.BOOTSTRAPPED,
@@ -891,7 +918,7 @@ class AnchorNode:
         }
         self._drain_block_buffer()
 
-    def sync_check(self, *, raise_on_divergence: bool = False) -> SyncReport:
+    def sync_check_process(self, *, raise_on_divergence: bool = False) -> Process:
         """Compare the latest locally computed summary block with all peers."""
         summary = self.latest_summary_block()
         if summary is None:
@@ -901,9 +928,9 @@ class AnchorNode:
             sender=self.node_id,
             payload={"block_number": summary.block_number, "block_hash": summary.block_hash},
         )
-        responses = self.transport.broadcast(self.node_id, self.peers, message)
+        replies = yield [self.transport.request(peer, message) for peer in self.peers]
         report = SyncReport(block_number=summary.block_number, own_hash=summary.block_hash)
-        for peer, response in responses.items():
+        for peer, (response, _) in zip(self.peers, replies):
             if response is None or response.is_error:
                 report.peer_results[peer] = False
             else:
@@ -913,6 +940,8 @@ class AnchorNode:
                 f"summary block {summary.block_number} diverges on peers {report.diverged_peers}"
             )
         return report
+
+    sync_check = blocking(sync_check_process)
 
 
 class ClientNode:
@@ -932,17 +961,34 @@ class ClientNode:
     def _sign_entry(self, entry: Entry) -> Entry:
         return sign_entry(self.scheme, entry, self.client_id)
 
+    def request_process(self, targets: list[str], build: Callable[[], Message]) -> Process:
+        """Send a fresh ``build()`` to each target in turn until one answers
+        without error — the failover of Section V-B4 against node isolation.
+        Returns ``(first good or last error response, failed attempts)``."""
+        failed = 0
+        response: Optional[Message] = None
+        for target in targets:
+            message = build()
+            response = yield from self.transport.exchange(target, message)
+            if response is None:
+                response = message.error(self.client_id, "no response from anchor node")
+            if not response.is_error:
+                break
+            failed += 1
+        return response, failed
+
     def _send(self, anchor_id: str, message: Message) -> Message:
-        response = self.transport.send(anchor_id, message)
-        if response is None:
-            return message.error(self.client_id, "no response from anchor node")
+        response, _ = run_process(
+            self.request_process([anchor_id], lambda: message), self.transport.kernel
+        )
         return response
 
-    def _entry_message(
+    def entry_message(
         self,
         data: dict[str, Any],
-        expires_at_time: Optional[int],
-        expires_at_block: Optional[int],
+        *,
+        expires_at_time: Optional[int] = None,
+        expires_at_block: Optional[int] = None,
     ) -> Message:
         """The ``SUBMIT_ENTRY`` message carrying ``data``, signed locally."""
         entry = self._sign_entry(
@@ -960,6 +1006,20 @@ class ClientNode:
             payload={"entry": entry.to_dict()},
         )
 
+    def deletion_message(self, target: EntryReference, *, reason: str = "") -> Message:
+        """The signed ``SUBMIT_DELETION`` message for ``target``."""
+        data: dict[str, Any] = {"target": target.to_dict()}
+        if reason:
+            data["reason"] = reason
+        entry = self._sign_entry(
+            Entry(data=data, author=self.client_id, signature="", kind=EntryKind.DELETION_REQUEST)
+        )
+        return Message(
+            kind=MessageKind.SUBMIT_DELETION,
+            sender=self.client_id,
+            payload={"entry": entry.to_dict()},
+        )
+
     def submit_entry(
         self,
         anchor_id: str,
@@ -970,33 +1030,9 @@ class ClientNode:
     ) -> Message:
         """Sign a data entry locally and submit it to an anchor node."""
         return self._send(
-            anchor_id, self._entry_message(data, expires_at_time, expires_at_block)
-        )
-
-    def submit_entry_async(
-        self,
-        anchor_id: str,
-        data: dict[str, Any],
-        *,
-        on_response: Callable[[Message], None],
-        expires_at_time: Optional[int] = None,
-        expires_at_block: Optional[int] = None,
-    ) -> None:
-        """:meth:`submit_entry` without the virtual-time wait.
-
-        The signed entry goes out immediately and ``on_response`` fires when
-        the anchor's response arrives (or with an error message on a silent
-        transport), so many submissions — this client's or others' — overlap
-        on the kernel.
-        """
-        message = self._entry_message(data, expires_at_time, expires_at_block)
-        self.transport.send_async(
             anchor_id,
-            message,
-            on_response=lambda response: on_response(
-                response
-                if response is not None
-                else message.error(self.client_id, "no response from anchor node")
+            self.entry_message(
+                data, expires_at_time=expires_at_time, expires_at_block=expires_at_block
             ),
         )
 
@@ -1008,38 +1044,4 @@ class ClientNode:
         reason: str = "",
     ) -> Message:
         """Sign and submit a deletion request for ``target``."""
-        data: dict[str, Any] = {"target": target.to_dict()}
-        if reason:
-            data["reason"] = reason
-        entry = self._sign_entry(
-            Entry(data=data, author=self.client_id, signature="", kind=EntryKind.DELETION_REQUEST)
-        )
-        message = Message(
-            kind=MessageKind.SUBMIT_DELETION,
-            sender=self.client_id,
-            payload={"entry": entry.to_dict()},
-        )
-        return self._send(anchor_id, message)
-
-    def idle_tick(self, anchor_id: str, *, ticks: int = 1) -> Message:
-        """Advance the producer's clock and trigger its idle-block rule."""
-        message = Message(
-            kind=MessageKind.IDLE_TICK,
-            sender=self.client_id,
-            payload={"ticks": ticks},
-        )
-        return self._send(anchor_id, message)
-
-    def find_entry(self, anchor_id: str, reference: EntryReference) -> Message:
-        """Look an entry up on an anchor's replica by its original reference."""
-        message = Message(
-            kind=MessageKind.FIND_ENTRY,
-            sender=self.client_id,
-            payload={"reference": reference.to_dict()},
-        )
-        return self._send(anchor_id, message)
-
-    def query_statistics(self, anchor_id: str) -> Message:
-        """Fetch the operational counters of an anchor's replica."""
-        message = Message(kind=MessageKind.QUERY_STATISTICS, sender=self.client_id)
-        return self._send(anchor_id, message)
+        return self._send(anchor_id, self.deletion_message(target, reason=reason))

@@ -50,7 +50,7 @@ from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventKernel
 from repro.network.message import MessageKind, reset_message_counter
 from repro.network.simulator import NetworkSimulator, SimulationReport
-from repro.network.transport import GeoLatencyModel, LatencyModel
+from repro.network.transport import GeoLatencyModel, LatencyModel, spawn
 from repro.service.sharding import ShardRouter
 from repro.workloads.coins import CoinTransferWorkload
 from repro.workloads.fleet import FleetDriver, derive_client_seed
@@ -285,6 +285,11 @@ def _login(user: str, index: int) -> dict[str, str]:
     return {"D": f"Login {user} #{index}", "K": user, "S": f"sig_{user}"}
 
 
+def _spawn_at(kernel: EventKernel, at: float, process: Callable[[], Any], *, label: str) -> None:
+    """Start the kernel process ``process()`` at virtual time ``at``."""
+    kernel.schedule_at(at, lambda: spawn(kernel, process()), label=label)
+
+
 def _book_logins(
     simulator: NetworkSimulator,
     kernel: EventKernel,
@@ -302,8 +307,8 @@ def _book_logins(
     simulator.add_client("ALPHA")
     accepted: list[int] = []
 
-    def submit(index: int) -> None:
-        response = simulator.submit_entry(
+    def submit(index: int) -> Any:
+        response = yield from simulator.submit_entry_process(
             "ALPHA",
             _login("ALPHA", index),
             anchor_id=simulator.producer_id if to_producer else None,
@@ -312,7 +317,8 @@ def _book_logins(
             accepted.append(index)
 
     for index in range(params["events"]):
-        kernel.schedule_at(
+        _spawn_at(
+            kernel,
             start_ms + index * params["entry_gap_ms"],
             lambda index=index: submit(index),
             label=f"entry-{index}",
@@ -371,9 +377,10 @@ def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         base = burst * params["burst_gap_ms"] + 30.0
         for index in range(params["burst_size"]):
             user = users[(burst + index) % len(users)]
-            kernel.schedule_at(
+            _spawn_at(
+                kernel,
                 base + index * params["entry_gap_ms"],
-                lambda user=user, index=index: simulator.submit_entry(
+                lambda user=user, index=index: simulator.submit_entry_process(
                     user, _login(user, index)
                 ),
                 label=f"burst-{burst}-entry-{index}",
@@ -405,9 +412,12 @@ def _node_churn(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         simulator.schedule_online(node_id, float(up_at))
         # The returning node asks a reachable anchor for what it missed —
         # the recovery procedure of Section V-B4.
-        kernel.schedule_at(
+        _spawn_at(
+            kernel,
             float(up_at) + 30.0,
-            lambda node_id=node_id: simulator.anchors[node_id].catch_up(simulator.producer_id),
+            lambda node_id=node_id: simulator.anchors[node_id].catch_up_process(
+                simulator.producer_id
+            ),
             label=f"catch-up:{node_id}",
         )
     _book_logins(simulator, kernel, params, start_ms=25.0)
@@ -483,20 +493,26 @@ def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     simulator, kernel = _deployment(seed, params)
     first_producer = simulator.producer_id
     simulator.schedule_offline(first_producer, params["fail_at_ms"])
-    kernel.schedule_at(
+    _spawn_at(
+        kernel,
         params["elect_at_ms"],
-        lambda: simulator.elect_new_producer(exclude=(first_producer,)),
+        lambda: simulator.elect_new_producer_process(exclude=(first_producer,)),
         label="failover-election",
     )
     simulator.schedule_online(first_producer, params["recover_at_ms"])
-    kernel.schedule_at(
+    _spawn_at(
+        kernel,
         params["recover_at_ms"] + 30.0,
-        lambda: simulator.anchors[first_producer].catch_up(simulator.producer_id),
+        lambda: simulator.anchors[first_producer].catch_up_process(simulator.producer_id),
         label=f"catch-up:{first_producer}",
     )
     accepted = _book_logins(simulator, kernel, params, start_ms=25.0)
     report = simulator.finalize()
-    simulator.anchors[first_producer].catch_up(simulator.producer_id)
+    # No anti-entropy runs here: the returning producer, and any replica a
+    # gossip hop missed while the producer changed, catch up once.
+    for node_id in simulator.anchor_ids:
+        if node_id != simulator.producer_id:
+            simulator.anchors[node_id].catch_up(simulator.producer_id)
     return _outcome(
         simulator,
         report,
@@ -700,14 +716,14 @@ def _byzantine_producer(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     )
     forged_heights: list[int] = []
 
-    def attack() -> None:
+    def attack() -> Any:
         victims = [peer for peer in simulator.anchor_ids if peer != simulator.producer_id]
-        blocks = byzantine.equivocate(
+        blocks = yield from byzantine.equivocate_process(
             victims, head=simulator.producer.chain.head, variants=params["variants"]
         )
         forged_heights.extend(block.block_number for block in blocks)
 
-    kernel.schedule_at(params["attack_at_ms"], attack, label="equivocation")
+    _spawn_at(kernel, params["attack_at_ms"], attack, label="equivocation")
     _book_logins(simulator, kernel, params, start_ms=25.0, to_producer=True)
     horizon = 25.0 + params["events"] * params["entry_gap_ms"]
     kernel.run_until(horizon + params["settle_ms"])
@@ -799,8 +815,8 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     outcomes: dict[str, str] = {}
     gap = params["entry_gap_ms"]
 
-    def submit(index: int) -> None:
-        response = simulator.submit_entry(
+    def submit(index: int) -> Any:
+        response = yield from simulator.submit_entry_process(
             "ALPHA",
             {"D": f"Record #{index}", "K": "ALPHA", "S": "sig_ALPHA"},
             anchor_id=simulator.producer_id,
@@ -816,10 +832,10 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             model.classify_entry(reference, SecurityLevel.CONFIDENTIAL)
 
     for index in range(params["records"]):
-        kernel.schedule_at(25.0 + index * gap, lambda index=index: submit(index), label=f"record-{index}")
+        _spawn_at(kernel, 25.0 + index * gap, lambda index=index: submit(index), label=f"record-{index}")
 
-    def legitimate_erasure() -> None:
-        response = simulator.submit_deletion(
+    def legitimate_erasure() -> Any:
+        response = yield from simulator.submit_deletion_process(
             "ALPHA",
             references[0],
             anchor_id=simulator.producer_id,
@@ -827,26 +843,28 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         )
         outcomes["legitimate"] = str(response.payload.get("deletion_status", "error"))
 
-    kernel.schedule_at(
+    _spawn_at(
+        kernel,
         25.0 + params["delete_after"] * gap + gap / 2,
         legitimate_erasure,
         label="legitimate-erasure",
     )
     forge_at = 25.0 + params["records"] * gap + params["forge_lag_ms"]
 
-    def forge_phase() -> None:
+    def forge_phase() -> Any:
         target = references[1]
-        forger.forge(simulator.producer_id, target, reason="hostile takedown")
-        forger.impersonate(
+        yield from forger.forge_process(simulator.producer_id, target, reason="hostile takedown")
+        yield from forger.impersonate_process(
             simulator.producer_id, target, victim="ALPHA", reason="hostile takedown"
         )
 
-    kernel.schedule_at(forge_at, forge_phase, label="forge-phase")
-    kernel.schedule_at(
+    _spawn_at(kernel, forge_at, forge_phase, label="forge-phase")
+    _spawn_at(
+        kernel,
         forge_at + params["replay_lag_ms"],
         # limit=1: the first SUBMIT_DELETION on the wire is ALPHA's
         # legitimate request — replayed after its target was cut.
-        lambda: forger.replay(simulator.producer_id, limit=1),
+        lambda: forger.replay_process(simulator.producer_id, limit=1),
         label="replay-phase",
     )
     kernel.run_until(forge_at + params["replay_lag_ms"] + params["settle_ms"])
@@ -956,11 +974,11 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     ttl = params["temp_ttl_ticks"]
     checkpoints: dict[str, Any] = {}
 
-    def submit(index: int) -> None:
+    def submit(index: int) -> Any:
         if index == 0:
             # The canary: a temporary entry whose honest expiry lies far
             # beyond this run's virtual horizon.
-            response = simulator.submit_entry(
+            response = yield from simulator.submit_entry_process(
                 "ALPHA",
                 {"D": "Temporary record", "K": "ALPHA", "S": "sig_ALPHA"},
                 anchor_id=simulator.producer_id,
@@ -968,31 +986,34 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             )
             checkpoints["temp_reference"] = _ack_reference(response)
         else:
-            simulator.submit_entry(
+            yield from simulator.submit_entry_process(
                 "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
             )
 
     for index in range(params["events"]):
-        kernel.schedule_at(
+        _spawn_at(
+            kernel,
             25.0 + index * params["entry_gap_ms"],
             lambda index=index: submit(index),
             label=f"entry-{index}",
         )
     simulator.schedule_offline(first_producer, params["fail_at_ms"])
-    kernel.schedule_at(
+    _spawn_at(
+        kernel,
         params["elect_at_ms"],
         # Every honest candidate is excluded: the adversarial premise is
         # that the skewed replica wins the failover.
-        lambda: simulator.elect_new_producer(
+        lambda: simulator.elect_new_producer_process(
             exclude=tuple(peer for peer in simulator.anchor_ids if peer != skewed_id)
         ),
         label="skewed-failover",
     )
     post_base = params["elect_at_ms"] + 40.0
     for index in range(params["post_events"]):
-        kernel.schedule_at(
+        _spawn_at(
+            kernel,
             post_base + index * params["entry_gap_ms"],
-            lambda index=index: simulator.submit_entry(
+            lambda index=index: simulator.submit_entry_process(
                 "ALPHA", _login("ALPHA", 100 + index), anchor_id=skewed_id
             ),
             label=f"post-entry-{index}",
@@ -1077,8 +1098,7 @@ def _run_traffic(
     heartbeats must follow it.  Returns the completion instant.
 
     The booking order inside the completion hook decides kernel
-    tie-breaks: ``then()`` first (it may consume virtual time, so the
-    settle window opens after it), one idle heartbeat per deployment for
+    tie-breaks: ``then()`` first, one idle heartbeat per deployment for
     ``settle_ms``, and with ``anti_entropy`` digest rounds that outlive the
     heartbeat by four quiet rounds — while the heartbeat runs, empty blocks
     keep moving the producer's head, so a straggler's pull can land
@@ -1164,11 +1184,14 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     def erase(client_index: int, record_index: int) -> None:
         reference = references[client_index].get(record_index)
         if reference is not None:
-            driver.request_deletion(
-                reference,
-                subjects[client_index][record_index],
-                reason="Art. 17 erasure request",
-                client_index=client_index,
+            spawn(
+                kernel,
+                driver.request_deletion_process(
+                    reference,
+                    subjects[client_index][record_index],
+                    reason="Art. 17 erasure request",
+                    client_index=client_index,
+                ),
             )
 
     def on_submitted(client_index: int, position: int, event: Any, receipt: Any) -> None:
@@ -1280,11 +1303,14 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         if product in recalled[client_index] and event.data.get("stage") == final_stage:
             for reference in product_refs[client_index][product]:
                 recall_requests += 1
-                driver.request_deletion(
-                    reference,
-                    "REGULATOR",
-                    reason=f"recall of {product}",
-                    client_index=client_index,
+                spawn(
+                    kernel,
+                    driver.request_deletion_process(
+                        reference,
+                        "REGULATOR",
+                        reason=f"recall of {product}",
+                        client_index=client_index,
+                    ),
                 )
 
     completed_at_ms = _run_traffic(
@@ -1368,11 +1394,14 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         if event.data.get("maintenance") == "decommissioned":
             decommissioned.append(vin if n_clients == 1 else f"c{client_index}:{vin}")
             for reference in vehicle_refs.get((client_index, vin), []):
-                driver.request_deletion(
-                    reference,
-                    "REGISTRATION-AUTHORITY",
-                    reason=f"{vin} decommissioned",
-                    client_index=client_index,
+                spawn(
+                    kernel,
+                    driver.request_deletion_process(
+                        reference,
+                        "REGISTRATION-AUTHORITY",
+                        reason=f"{vin} decommissioned",
+                        client_index=client_index,
+                    ),
                 )
         else:
             vehicle_refs.setdefault((client_index, vin), []).append(receipt.reference)
@@ -1462,12 +1491,12 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     _split_and_heal(simulator, params)
     recovered: list[int] = []
 
-    def reclaim_lost_outputs() -> None:
+    def reclaim_lost_outputs() -> Any:
         for client_index, transfer_id in reclaimable:
             reference = transfer_refs.get((client_index, transfer_id))
             if reference is None:
                 continue
-            receipt = driver.request_deletion(
+            receipt = yield from driver.request_deletion_process(
                 reference,
                 "RECOVERY",
                 reason="lost-key recovery (Section V-A)",
@@ -1482,8 +1511,11 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         driver,
         params,
         on_submitted=on_submitted,
-        then=lambda: kernel.schedule(
-            params["recovery_lag_ms"], reclaim_lost_outputs, label="lost-wallet-recovery"
+        then=lambda: _spawn_at(
+            kernel,
+            kernel.now + params["recovery_lag_ms"],
+            reclaim_lost_outputs,
+            label="lost-wallet-recovery",
         ),
         anti_entropy=True,
     )
@@ -1679,11 +1711,11 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     )
     erasures: list[dict[str, Any]] = []
 
-    def erasure_sweep() -> None:
+    def erasure_sweep() -> Any:
         # Cross-shard right-to-be-forgotten sweep: the first authors of the
         # sorted index, each routed to exactly the shards holding them.
         for author in router.index.authors()[: params["erase_authors"]]:
-            receipt = router.request_erasure(author, reason="Art. 17 sweep")
+            receipt = yield from router.request_erasure_process(author, reason="Art. 17 sweep")
             erasures.append(
                 {
                     "author": author,
@@ -1694,7 +1726,9 @@ def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                 }
             )
 
-    completed_at_ms = _run_traffic(simulators, kernel, driver, params, then=erasure_sweep)
+    completed_at_ms = _run_traffic(
+        simulators, kernel, driver, params, then=lambda: spawn(kernel, erasure_sweep())
+    )
     reports = [simulator.finalize() for simulator in simulators]
     report_dict = reports[0].as_dict()
     # Post-finalize, so the merged statistics round trips stay out of the

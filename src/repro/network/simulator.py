@@ -52,7 +52,7 @@ from repro.network.gossip import GossipOverlay
 from repro.network.kernel import EventKernel
 from repro.network.message import Message, MessageKind
 from repro.network.node import AnchorNode, ClientNode, SyncReport
-from repro.network.transport import InMemoryTransport, LatencyModel
+from repro.network.transport import InMemoryTransport, LatencyModel, Process, blocking
 
 
 @dataclass
@@ -255,7 +255,7 @@ class NetworkSimulator:
         self.adversaries.append(actor)
         return actor
 
-    def repair_divergent_replicas(self) -> int:
+    def repair_divergent_replicas_process(self) -> Process:
         """Converge every online replica that forked off the producer.
 
         Divergence detection is the summary-hash comparison of
@@ -274,14 +274,16 @@ class NetworkSimulator:
             if node.chain.head.block_hash == self.producer.chain.head.block_hash:
                 continue
             # A merely *lagging* replica converges incrementally.
-            node.catch_up(self.producer_id)
+            yield from node.catch_up_process(self.producer_id)
             if node.chain.head.block_hash != self.producer.chain.head.block_hash:
                 # A genuine fork: wholesale snapshot adoption.
-                node.bootstrap_from(self.producer_id)
+                yield from node.bootstrap_from_process(self.producer_id)
             if node.chain.head.block_hash == self.producer.chain.head.block_hash:
                 repaired += 1
         self._forks_repaired += repaired
         return repaired
+
+    repair_divergent_replicas = blocking(repair_divergent_replicas_process)
 
     # ------------------------------------------------------------------ #
     # Virtual-time control
@@ -372,7 +374,7 @@ class NetworkSimulator:
         deployment passes one shared :class:`~repro.service.sharding.ShardRouter`
         per fleet client), and ``lane_of`` forwards the fleet engine's
         service-lane selector so per-shard round trips overlap.  Every lane
-        submits through :meth:`~repro.service.client.LedgerClient.submit_async`.
+        submits through :meth:`~repro.service.client.LedgerClient.submit_process`.
         """
         from repro.workloads.fleet import FleetDriver
 
@@ -402,7 +404,7 @@ class NetworkSimulator:
     # Producer failover (Section V-B4)
     # ------------------------------------------------------------------ #
 
-    def elect_new_producer(self, *, exclude: tuple[str, ...] = ()) -> Optional[str]:
+    def elect_new_producer_process(self, *, exclude: tuple[str, ...] = ()) -> Process:
         """Promote the most up-to-date reachable replica to block producer.
 
         The candidate is chosen by :class:`~repro.consensus.election.HeadElection`
@@ -423,6 +425,7 @@ class NetworkSimulator:
             chains={anchor_id: self.anchors[anchor_id].chain for anchor_id in online}
         )
         candidate = election.elect(1).anchors[0]
+        voters = [peer for peer in online if peer != candidate]
         quorum = Quorum(online)
         proposal_id = f"failover-{self.report.elections}-{candidate}"
         quorum.propose(proposal_id, "producer-failover", {"candidate": candidate})
@@ -436,8 +439,8 @@ class NetworkSimulator:
                 "candidate_head": self.anchors[candidate].chain.head.block_number,
             },
         )
-        responses = self.transport.broadcast(candidate, online, ballot)
-        for peer, response in responses.items():
+        replies = yield [self.transport.request(peer, ballot) for peer in voters]
+        for peer, (response, _) in zip(voters, replies):
             if response is None or response.is_error:
                 continue
             votes[peer] = bool(response.payload.get("approve", False))
@@ -452,32 +455,30 @@ class NetworkSimulator:
             sender=candidate,
             payload={"producer": candidate},
         )
-        self.transport.broadcast(
-            candidate, [peer for peer in online if peer != candidate], notice
-        )
+        yield [self.transport.request(peer, notice) for peer in voters]
         return candidate
+
+    elect_new_producer = blocking(elect_new_producer_process)
 
     # ------------------------------------------------------------------ #
     # Workload operations
     # ------------------------------------------------------------------ #
 
     def _submit(
-        self, anchor_id: Optional[str], attempt: Callable[[str], Optional[Message]]
-    ) -> Message:
-        """Run ``attempt`` against ``anchor_id`` — or, without one, against
-        every anchor in turn until one accepts (counted as failovers)."""
-        response: Optional[Message] = None
-        for target in [anchor_id] if anchor_id else list(self.anchor_ids):
-            response = attempt(target)
-            if response is not None and not response.is_error:
-                break
-            self.report.failovers += 1
-        assert response is not None
+        self, client: ClientNode, anchor_id: Optional[str], build: Callable[[], Message]
+    ) -> Process:
+        """Send ``build()`` to ``anchor_id`` — or, without one, to every
+        anchor in turn until one accepts (each failed attempt counted as a
+        failover)."""
+        response, failed = yield from client.request_process(
+            [anchor_id] if anchor_id else list(self.anchor_ids), build
+        )
+        self.report.failovers += failed
         if not response.is_error:
             self.report.blocks_produced += 1
         return response
 
-    def submit_entry(
+    def submit_entry_process(
         self,
         client_id: str,
         data: dict[str, Any],
@@ -485,36 +486,38 @@ class NetworkSimulator:
         anchor_id: Optional[str] = None,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-    ) -> Message:
+    ) -> Process:
         """Submit one entry through a client, failing over when needed."""
         client = self.clients[client_id]
-        response = self._submit(
+        response = yield from self._submit(
+            client,
             anchor_id,
-            lambda target: client.submit_entry(
-                target,
-                data,
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
+            lambda: client.entry_message(
+                data, expires_at_time=expires_at_time, expires_at_block=expires_at_block
             ),
         )
         self.report.entries_submitted += 1
         return response
 
-    def submit_deletion(
+    submit_entry = blocking(submit_entry_process)
+
+    def submit_deletion_process(
         self,
         client_id: str,
         target: EntryReference,
         *,
         anchor_id: Optional[str] = None,
         reason: str = "",
-    ) -> Message:
+    ) -> Process:
         """Submit a deletion request through a client."""
         client = self.clients[client_id]
-        response = self._submit(
-            anchor_id, lambda anchor: client.request_deletion(anchor, target, reason=reason)
+        response = yield from self._submit(
+            client, anchor_id, lambda: client.deletion_message(target, reason=reason)
         )
         self.report.deletions_submitted += 1
         return response
+
+    submit_deletion = blocking(submit_deletion_process)
 
     # ------------------------------------------------------------------ #
     # Synchronisation
@@ -553,7 +556,9 @@ class NetworkSimulator:
         """Replay a list of ``(client_id, record)`` login events.
 
         Registers unknown clients on the fly, checks synchronisation every
-        ``sync_every`` submissions and returns the final report.
+        ``sync_every`` submissions — once the one-way announcements have
+        landed, so the kernel must hold no recurring events — and returns
+        the final report.
         """
         for index, (client_id, record) in enumerate(logins, start=1):
             if client_id not in self.clients:
@@ -563,6 +568,7 @@ class NetworkSimulator:
                 {"D": record, "K": client_id, "S": f"sig_{client_id}"},
             )
             if sync_every and index % sync_every == 0:
+                self.kernel.run()
                 self.sync_check()
         return self.finalize()
 

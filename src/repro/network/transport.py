@@ -15,30 +15,109 @@ does arrive, and one posted milliseconds before an outage can still be
 lost.  Faults themselves can be scheduled as kernel events
 (:meth:`InMemoryTransport.schedule_partition` and friends).
 
-Handlers are plain callables ``Message -> Message | None``.  Request/response
-exchanges use :meth:`InMemoryTransport.send`; one-way dissemination (gossip,
-block announcements) uses :meth:`InMemoryTransport.post`, whose handler
-return value is discarded.  All three entry points (``send``,
-``send_async``, ``post``) deliver through the same request leg and response
-leg.
+Handlers are plain callables ``Message -> Message | None``, or return a
+kernel process that produces the reply later (an anchor forwarding to the
+producer).  :meth:`InMemoryTransport.send_async` is the one request/response
+exchange; :meth:`InMemoryTransport.post` is one-way dissemination (gossip,
+block announcements), whose handler return value is discarded.  Both deliver
+through the same request leg.
+
+A protocol of several round trips is written once, as a *kernel process*: a
+generator that yields one wave of requests at a time and is resumed with
+their replies (:func:`spawn`).  The kernel refuses re-entry, so a caller
+inside an event spawns the process; a blocking name (``catch_up``,
+``RemoteLedgerClient.submit``) drives it from outside any event.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from functools import partial
+from types import GeneratorType
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.core.errors import SelectiveDeletionError
 from repro.network.kernel import EventHandle, EventKernel
-from repro.network.message import Message, MessageKind
+from repro.network.message import Message
 
 #: A message handler registered by a node.
-Handler = Callable[[Message], Optional[Message]]
+Handler = Callable[[Message], Any]
+
+#: Starts one request; calls its argument with the reply when it lands.
+Issuer = Callable[[Callable[[Optional[Message]], None]], None]
+
+#: A kernel process: yields waves of issuers, is resumed with one
+#: ``(reply, round_trip_ms)`` per issuer, returns its result.
+Process = Generator[list[Issuer], list[tuple[Optional[Message], float]], Any]
 
 
 class TransportError(SelectiveDeletionError):
     """Raised when a message cannot be delivered (unknown node, partition)."""
+
+
+def spawn(
+    kernel: EventKernel, process: Process, on_done: Optional[Callable[[Any], None]] = None
+) -> None:
+    """Start ``process``; ``on_done`` receives its return value.
+
+    A wave departs at once and resumes the generator in the event that
+    lands its last reply — it costs its slowest round trip, measured from
+    the shared departure, not the sum.  A wave that lands on the spot
+    (empty, or answered synchronously) resumes it in the same loop.
+    """
+
+    def resume(value: Any) -> None:
+        while True:
+            try:
+                wave = process.send(value)
+            except StopIteration as stop:
+                if on_done is not None:
+                    on_done(stop.value)
+                return
+            replies: list[tuple[Optional[Message], float]] = [(None, 0.0)] * len(wave)
+            state = {"pending": len(wave), "deferred": False}
+            started = kernel.now
+
+            def land(index: int, reply: Optional[Message]) -> None:
+                replies[index] = (reply, kernel.now - started)
+                state["pending"] -= 1
+                if state["pending"] == 0 and state["deferred"]:
+                    resume(replies)
+
+            for index, issue in enumerate(wave):
+                issue(partial(land, index))
+            if state["pending"]:
+                state["deferred"] = True
+                return
+            value = replies
+
+    resume(None)
+
+
+def run_process(process: Process, kernel: Optional[EventKernel] = None) -> Any:
+    """Step ``kernel`` until ``process`` returns — the driver behind every
+    blocking name, so only callable outside a kernel event.  A process
+    that never yields needs no kernel."""
+    outcome: list[Any] = []
+    spawn(kernel, process, outcome.append)  # type: ignore[arg-type]
+    while not outcome:
+        if kernel is None or not kernel.step():
+            raise TransportError("process is waiting on a kernel that has nothing left to run")
+    return outcome[0]
+
+
+def blocking(process_fn: Callable[..., Process]) -> Callable[..., Any]:
+    """The blocking twin of a process function or method: it runs the
+    process on the kernel of its first argument (an object with a
+    ``transport``, or a transport)."""
+
+    def drive(owner: Any, *args: Any, **kwargs: Any) -> Any:
+        kernel = getattr(owner, "transport", owner).kernel
+        return run_process(process_fn(owner, *args, **kwargs), kernel)
+
+    drive.__doc__ = f"Drive ``{process_fn.__name__}`` from outside any kernel event."
+    return drive
 
 
 @dataclass
@@ -300,52 +379,19 @@ class InMemoryTransport:
             "transport", f"response from {recipient!r} to {message.sender!r} lost"
         )
 
-    def send(self, recipient: str, message: Message) -> Optional[Message]:
-        """Deliver a message and return the handler's response.
+    def request(self, recipient: str, message: Message) -> Issuer:
+        """One :meth:`send_async` exchange, as an item of a process's wave."""
+        return lambda reply: self.send_async(recipient, message, on_response=reply)
 
-        Raises :class:`TransportError` when the recipient does not exist;
-        returns an error message when the link is blocked or a party is
-        offline (callers can then retry against another anchor node, which is
-        exactly the mitigation Section V-B4 proposes against node isolation).
+    def exchange(self, recipient: str, message: Message) -> Process:
+        """A process of one exchange; its result is the reply."""
+        ((response, _),) = yield [self.request(recipient, message)]
+        return response
 
-        The exchange consumes virtual time: the request is delivered at
-        ``now + latency``, any events due earlier (other messages, scheduled
-        faults) run first, and the response travels back with its own
-        latency.
-        """
-        if recipient not in self._handlers:
-            raise TransportError(f"unknown recipient {recipient!r}")
-        kernel = self.kernel
-        request_latency = self.latency.sample_for(message.sender, recipient)
-        outcome: dict[str, Any] = {}
-
-        def arrive() -> None:
-            fault, response = self._request_leg(recipient, message, request_latency)
-            if fault is not None:
-                response = message.error("transport", fault)
-            # The handler may itself have consumed virtual time (forwarding
-            # to the producer, announcing blocks); the response leaves the
-            # moment it returns — not when the caller's wait unwinds, which
-            # under concurrent senders can be much later.
-            outcome.update(fault=fault, response=response, handled_at=kernel.now)
-
-        kernel.schedule(
-            request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
-        )
-        kernel.run_until(kernel.now + request_latency)
-        response = outcome.get("response")
-        if outcome.get("fault") is not None or response is None:
-            return response
-        response_latency = self.latency.sample_for(recipient, message.sender)
-        arrival = outcome["handled_at"] + response_latency
-        # An arrival instant the clock already reached is not a wait at all:
-        # concurrent exchanges that advanced time past it do not delay this
-        # response (their round trips and ours overlap), and entering the
-        # kernel here would steal same-instant events that belong to the
-        # caller's *next* wait.
-        if arrival > kernel.now:
-            kernel.run_until(arrival)
-        return self._response_leg(recipient, message, response, response_latency)
+    #: A blocked link or an offline party reads as an error reply (callers
+    #: can retry another anchor node — Section V-B4); an unknown recipient
+    #: raises :class:`TransportError`.
+    send = blocking(exchange)
 
     def send_async(
         self,
@@ -354,36 +400,22 @@ class InMemoryTransport:
         *,
         on_response: Callable[[Optional[Message]], None],
     ) -> None:
-        """Event-driven request/response exchange.
+        """The request/response exchange every protocol runs on.
 
-        Semantically :meth:`send`, but instead of waiting on the virtual
-        clock the caller's continuation is invoked when the response
-        arrives: the request is delivered at ``now + latency``, the handler
-        runs at delivery time, and ``on_response`` fires one response
-        latency after the handler returns.  Nothing blocks, so any number
-        of exchanges — to the same node or different ones — overlap fully
-        in virtual time.  This is what lets a sharded fleet keep K
-        deployments busy at once; the blocking :meth:`send` serialises the
-        caller behind one outstanding round trip.
-
-        ``on_response`` receives the response message, an error message for
-        transport faults (matching :meth:`send`'s error surface), or
-        ``None`` for a silent handler.
+        The request is delivered at ``now + latency``; ``on_response`` fires
+        one response latency after the handler — or the process it returned
+        — produces the reply.  Nothing blocks, so exchanges overlap fully in
+        virtual time.  ``on_response`` receives the response, an error
+        message for a transport fault, or ``None`` for a silent handler.
         """
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
         request_latency = self.latency.sample_for(message.sender, recipient)
 
-        def arrive() -> None:
-            fault, response = self._request_leg(recipient, message, request_latency)
-            if fault is not None:
-                on_response(message.error("transport", fault))
-                return
+        def respond(response: Optional[Message]) -> None:
             if response is None:
                 on_response(None)
                 return
-            # The handler may have consumed virtual time; the response
-            # leaves the moment it returns, exactly as in the blocking path.
             response_latency = self.latency.sample_for(recipient, message.sender)
             self.kernel.schedule(
                 response_latency,
@@ -392,6 +424,15 @@ class InMemoryTransport:
                 ),
                 label=f"respond:{message.kind.value}->{message.sender}",
             )
+
+        def arrive() -> None:
+            fault, response = self._request_leg(recipient, message, request_latency)
+            if fault is not None:
+                on_response(message.error("transport", fault))
+            elif isinstance(response, GeneratorType):
+                spawn(self.kernel, response, respond)
+            else:
+                respond(response)
 
         self.kernel.schedule(
             request_latency, arrive, label=f"deliver:{message.kind.value}->{recipient}"
@@ -413,22 +454,6 @@ class InMemoryTransport:
             label=f"post:{message.kind.value}->{recipient}",
         )
 
-    def broadcast(
-        self, sender: str, recipients: list[str], message: Message
-    ) -> dict[str, Optional[Message]]:
-        """Send the same message to several recipients, collecting responses."""
-        self.statistics.broadcasts += 1
-        responses: dict[str, Optional[Message]] = {}
-        for recipient in recipients:
-            if recipient == sender:
-                continue
-            try:
-                responses[recipient] = self.send(recipient, message)
-            except TransportError:
-                responses[recipient] = message.error("transport", f"unknown recipient {recipient!r}")
-                self.statistics.dropped += 1
-        return responses
-
     def publish(self, sender: str, recipients: list[str], message: Message) -> int:
         """One-way fan-out via :meth:`post`; returns the number of posts."""
         self.statistics.broadcasts += 1
@@ -439,7 +464,3 @@ class InMemoryTransport:
             self.post(recipient, message)
             posted += 1
         return posted
-
-    def messages_of_kind(self, kind: MessageKind) -> list[Message]:
-        """Filter the message log by kind (used in tests and reports)."""
-        return [message for message in self.message_log if message.kind is kind]

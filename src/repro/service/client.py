@@ -21,17 +21,25 @@ The protocol follows the paper's evaluation model: ``submit`` seals one
 block per record (every login event becomes one block).  Multi-entry blocks
 live in the core (``Blockchain.add_entry`` ×N + ``seal_block``), not in the
 client protocol.
+
+Each write (``submit``, ``request_deletion``, ``tick``) is also a kernel
+process (``*_process``, :func:`repro.network.transport.spawn`), which callers
+inside a kernel event spawn.  A client implements one of the two forms; the
+other is derived.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.core.chain import Blockchain
 from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.transport import Process
 
 
 class LedgerError(SelectiveDeletionError):
@@ -104,7 +112,13 @@ class LedgerClient(ABC):
     #: Short backend name used in reports.
     name: str = "abstract"
 
-    @abstractmethod
+    def run(self, process: "Process") -> Any:
+        """Drive one of this client's processes from outside any kernel
+        event (networked clients step their deployment's kernel)."""
+        from repro.network.transport import run_process  # network imports service
+
+        return run_process(process)
+
     def submit(
         self,
         data: Mapping[str, Any],
@@ -114,36 +128,26 @@ class LedgerClient(ABC):
         expires_at_block: Optional[int] = None,
     ) -> SubmitReceipt:
         """Submit one signed record and seal it into a block of its own."""
+        return self.run(
+            self.submit_process(
+                data, author, expires_at_time=expires_at_time, expires_at_block=expires_at_block
+            )
+        )
 
-    def submit_async(
+    def submit_process(
         self,
         data: Mapping[str, Any],
         author: str,
         *,
-        on_receipt: Callable[[SubmitReceipt], None],
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-    ) -> None:
-        """:meth:`submit` with the receipt delivered through a callback.
-
-        This is the call ``FleetDriver`` submits every entry through.  The
-        default completes synchronously — ``on_receipt`` runs before this
-        returns.  Networked clients override it with a genuinely
-        event-driven exchange so concurrent submissions overlap in virtual
-        time and no round trip waits inside another kernel event; callers
-        that need to know whether completion was deferred must track it
-        themselves (see ``FleetDriver``'s lane pump).
-        """
-        on_receipt(
-            self.submit(
-                data,
-                author,
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-            )
+    ) -> "Process":
+        """:meth:`submit` as a kernel process returning the receipt."""
+        yield from ()
+        return self.submit(
+            data, author, expires_at_time=expires_at_time, expires_at_block=expires_at_block
         )
 
-    @abstractmethod
     def request_deletion(
         self,
         target: TargetLike,
@@ -152,6 +156,14 @@ class LedgerClient(ABC):
         reason: str = "",
     ) -> DeletionReceipt:
         """Submit a deletion request for ``target`` and seal it into a block."""
+        return self.run(self.request_deletion_process(target, author, reason=reason))
+
+    def request_deletion_process(
+        self, target: TargetLike, author: str, *, reason: str = ""
+    ) -> "Process":
+        """:meth:`request_deletion` as a kernel process returning the receipt."""
+        yield from ()
+        return self.request_deletion(target, author, reason=reason)
 
     @abstractmethod
     def find_entry(self, reference: TargetLike) -> Optional[LedgerRecord]:
@@ -167,13 +179,18 @@ class LedgerClient(ABC):
         :meth:`~repro.core.chain.Blockchain.statistics` dictionary.
         """
 
-    @abstractmethod
     def tick(self, ticks: int = 1) -> bool:
         """Advance ledger time; returns ``True`` when an idle block resulted.
 
         This drives the empty-block progress rule of Section IV-D3 so
         delayed deletions execute even without traffic.
         """
+        return self.run(self.tick_process(ticks))
+
+    def tick_process(self, ticks: int = 1) -> "Process":
+        """:meth:`tick` as a kernel process returning its result."""
+        yield from ()
+        return self.tick(ticks)
 
 
 class LocalLedgerClient(LedgerClient):

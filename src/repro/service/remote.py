@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.entry import EntryReference
-from repro.network.message import Message
+from repro.network.message import Message, MessageKind
 from repro.network.node import ClientNode
-from repro.network.transport import InMemoryTransport
+from repro.network.transport import InMemoryTransport, Process, run_process
 from repro.service.client import (
     DeletionReceipt,
     LedgerClient,
@@ -91,23 +91,30 @@ class RemoteLedgerClient(LedgerClient):
                 targets.append(fallback)
         return targets
 
-    def _with_failover(self, operation: Callable[[str], Message]) -> Message:
-        """Run ``operation`` against the bound anchor, falling over on error.
-
-        ``operation`` receives an anchor id and returns the response message;
-        the first non-error response wins.  When every anchor errors, the
-        last error response is returned for the caller to surface.
-        """
-        response: Optional[Message] = None
-        for target in self._targets():
-            response = operation(target)
-            if not response.is_error:
-                return response
-            self.failovers += 1
-        assert response is not None
-        # Every target failed; one failover count per *extra* target tried.
-        self.failovers -= 1
+    def _request(self, client: ClientNode, build: Callable[[ClientNode], Message]) -> Process:
+        """Walk the bound anchor and its fallbacks until one answers without
+        error; when every anchor errors, the last error response is returned
+        for the caller to surface.  One failover is counted per extra
+        anchor tried."""
+        response, failed = yield from client.request_process(
+            self._targets(), lambda: build(client)
+        )
+        self.failovers += failed - 1 if response.is_error else failed
         return response
+
+    def _driver_request(
+        self, kind: MessageKind, operation: str, payload: Optional[dict[str, Any]] = None
+    ) -> Process:
+        """An author-less request; an error reply raises :class:`LedgerError`."""
+        response = yield from self._request(
+            self._driver(),
+            lambda client: Message(kind=kind, sender=client.client_id, payload=payload or {}),
+        )
+        return self._require_ok(response, operation)
+
+    def run(self, process: Process) -> Any:
+        """Drive a process on the deployment's kernel from outside any event."""
+        return run_process(process, self.transport.kernel)
 
     # ------------------------------------------------------------------ #
     # LedgerClient protocol
@@ -131,78 +138,30 @@ class RemoteLedgerClient(LedgerClient):
             block_number=block_number,
         )
 
-    def submit(
+    def submit_process(
         self,
         data: Mapping[str, Any],
         author: str,
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-    ) -> SubmitReceipt:
+    ) -> Process:
         """Sign the record as ``author`` and submit it to the bound anchor."""
-        response = self._with_failover(
-            lambda target: self._client_for(author).submit_entry(
-                target,
-                dict(data),
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-            )
+        response = yield from self._request(
+            self._client_for(author),
+            lambda client: client.entry_message(
+                dict(data), expires_at_time=expires_at_time, expires_at_block=expires_at_block
+            ),
         )
         return self._submit_receipt_from(response)
 
-    def submit_async(
-        self,
-        data: Mapping[str, Any],
-        author: str,
-        *,
-        on_receipt: Callable[[SubmitReceipt], None],
-        expires_at_time: Optional[int] = None,
-        expires_at_block: Optional[int] = None,
-    ) -> None:
-        """:meth:`submit` without the virtual-time wait.
-
-        The receipt callback fires when the anchor's response arrives;
-        failover walks the same target order as the blocking path, one
-        continuation per attempt.  Overlapping submissions — to one anchor
-        or across a sharded deployment — consume concurrent, not summed,
-        round-trip time.
-        """
-        client = self._client_for(author)
-        targets = self._targets()
-
-        def attempt(index: int) -> None:
-            def handle(response: Message) -> None:
-                if not response.is_error:
-                    on_receipt(self._submit_receipt_from(response))
-                    return
-                if index + 1 < len(targets):
-                    self.failovers += 1
-                    attempt(index + 1)
-                    return
-                on_receipt(self._submit_receipt_from(response))
-
-            client.submit_entry_async(
-                targets[index],
-                dict(data),
-                on_response=handle,
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-            )
-
-        attempt(0)
-
-    def request_deletion(
-        self,
-        target: TargetLike,
-        author: str,
-        *,
-        reason: str = "",
-    ) -> DeletionReceipt:
+    def request_deletion_process(
+        self, target: TargetLike, author: str, *, reason: str = ""
+    ) -> Process:
         """Sign and submit a deletion request; the anchor seals it."""
-        response = self._with_failover(
-            lambda target_anchor: self._client_for(author).request_deletion(
-                target_anchor, as_reference(target), reason=reason
-            )
+        response = yield from self._request(
+            self._client_for(author),
+            lambda client: client.deletion_message(as_reference(target), reason=reason),
         )
         if response.is_error:
             return DeletionReceipt(
@@ -234,9 +193,10 @@ class RemoteLedgerClient(LedgerClient):
         deployment instead of raising — reads survive any single-node outage.
         """
         resolved = as_reference(reference)
-        response = self._require_ok(
-            self._with_failover(lambda target: self._driver().find_entry(target, resolved)),
-            "find_entry",
+        response = self.run(
+            self._driver_request(
+                MessageKind.FIND_ENTRY, "find_entry", {"reference": resolved.to_dict()}
+            )
         )
         if not response.payload.get("found"):
             return None
@@ -250,16 +210,10 @@ class RemoteLedgerClient(LedgerClient):
 
     def statistics(self) -> dict[str, Any]:
         """The bound anchor's replica statistics (with read failover)."""
-        response = self._require_ok(
-            self._with_failover(lambda target: self._driver().query_statistics(target)),
-            "statistics",
-        )
+        response = self.run(self._driver_request(MessageKind.QUERY_STATISTICS, "statistics"))
         return dict(response.payload.get("statistics", {}))
 
-    def tick(self, ticks: int = 1) -> bool:
+    def tick_process(self, ticks: int = 1) -> Process:
         """Advance the producer's clock; idle blocks replicate automatically."""
-        response = self._require_ok(
-            self._with_failover(lambda target: self._driver().idle_tick(target, ticks=ticks)),
-            "tick",
-        )
+        response = yield from self._driver_request(MessageKind.IDLE_TICK, "tick", {"ticks": ticks})
         return bool(response.payload.get("appended"))

@@ -40,18 +40,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.entry import EntryReference
 from repro.service.client import (
     DeletionReceipt,
     LedgerClient,
     LedgerRecord,
-    SubmitReceipt,
     TargetLike,
     as_reference,
 )
 from repro.workloads.stats import latency_summary
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.transport import Process
 
 #: Domain tag for author→shard placement, so shard routing can never
 #: collide with other SHA-256 derivations (client sub-seeds, block hashes).
@@ -251,87 +253,56 @@ class ShardRouter(LedgerClient):
         """The home shard new submissions of ``author`` route to."""
         return shard_of_author(author, len(self.shards))
 
-    def _timed(self, shard: int, operation: Callable[[], Any]) -> Any:
-        if self.clock is None:
-            return operation()
-        started = self.clock()
-        result = operation()
-        self._latency_per_shard[shard].append(round(self.clock() - started, 6))
+    def _timed(self, shard: int, process: "Process") -> "Process":
+        """Run a shard's process, sampling its round trip when clocked."""
+        started = self.clock() if self.clock is not None else None
+        result = yield from process
+        if started is not None:
+            assert self.clock is not None
+            self._latency_per_shard[shard].append(round(self.clock() - started, 6))
         return result
+
+    def run(self, process: "Process") -> Any:
+        """Drive a process from outside any kernel event; the shards share
+        one kernel, so shard 0's client drives it."""
+        return self.shards[0].run(process)
 
     # ------------------------------------------------------------------ #
     # LedgerClient protocol
     # ------------------------------------------------------------------ #
 
-    def submit(
+    def submit_process(
         self,
         data: Mapping[str, Any],
         author: str,
         *,
         expires_at_time: Optional[int] = None,
         expires_at_block: Optional[int] = None,
-    ) -> SubmitReceipt:
-        """Route the record to the author's home shard and index the seal."""
-        shard = self.shard_of(author)
-        started = self.clock() if self.clock is not None else None
-        receipt = self.shards[shard].submit(
-            data,
-            author,
-            expires_at_time=expires_at_time,
-            expires_at_block=expires_at_block,
-        )
-        return self._submitted(shard, author, started, receipt)
+    ) -> "Process":
+        """Route the record to the author's home shard and index the seal.
 
-    def _submitted(
-        self, shard: int, author: str, started: Optional[float], receipt: SubmitReceipt
-    ) -> SubmitReceipt:
-        """Book one answered submission: latency sample, shard count, author index."""
-        if started is not None:
-            assert self.clock is not None
-            self._latency_per_shard[shard].append(round(self.clock() - started, 6))
+        Submissions to *different* shards — and to the same shard from
+        different callers — consume concurrent round-trip time; this is
+        where the K-fold service rate comes from.
+        """
+        shard = self.shard_of(author)
+        receipt = yield from self._timed(
+            shard,
+            self.shards[shard].submit_process(
+                data,
+                author,
+                expires_at_time=expires_at_time,
+                expires_at_block=expires_at_block,
+            ),
+        )
         self.submitted_per_shard[shard] += 1
         if receipt.ok and receipt.reference is not None:
             self.index.record(author, shard, receipt.reference)
         return receipt
 
-    def submit_async(
-        self,
-        data: Mapping[str, Any],
-        author: str,
-        *,
-        on_receipt: Callable[[SubmitReceipt], None],
-        expires_at_time: Optional[int] = None,
-        expires_at_block: Optional[int] = None,
-    ) -> None:
-        """:meth:`submit` with the receipt delivered through a callback.
-
-        Routes like :meth:`submit`; whether the exchange overlaps other
-        submissions is the shard client's property (a networked shard
-        defers the callback, so submissions to *different* shards — and to
-        the same shard from different callers — consume concurrent
-        round-trip time; this is where the K-fold service rate comes from).
-        """
-        shard = self.shard_of(author)
-        started = self.clock() if self.clock is not None else None
-
-        def finish(receipt: SubmitReceipt) -> None:
-            on_receipt(self._submitted(shard, author, started, receipt))
-
-        self.shards[shard].submit_async(
-            data,
-            author,
-            on_receipt=finish,
-            expires_at_time=expires_at_time,
-            expires_at_block=expires_at_block,
-        )
-
-    def request_deletion(
-        self,
-        target: TargetLike,
-        author: str,
-        *,
-        reason: str = "",
-    ) -> DeletionReceipt:
+    def request_deletion_process(
+        self, target: TargetLike, author: str, *, reason: str = ""
+    ) -> "Process":
         """Route a single-entry deletion to the shard holding the entry.
 
         The recorded location wins (an entry always lives where it was
@@ -350,11 +321,13 @@ class ShardRouter(LedgerClient):
             shard = home
         else:
             shard = holders[0]
-        receipt: DeletionReceipt = self._timed(
-            shard,
-            lambda: self.shards[shard].request_deletion(
-                reference, author, reason=reason
-            ),
+        return (yield from self._delete_on(shard, reference, author, reason))
+
+    def _delete_on(
+        self, shard: int, reference: EntryReference, author: str, reason: str
+    ) -> "Process":
+        receipt = yield from self._timed(
+            shard, self.shards[shard].request_deletion_process(reference, author, reason=reason)
         )
         self.deletions_per_shard[shard] += 1
         if receipt.ok and receipt.approved:
@@ -362,6 +335,10 @@ class ShardRouter(LedgerClient):
         return receipt
 
     def request_erasure(self, author: str, *, reason: str = "") -> ErasureReceipt:
+        """Drive :meth:`request_erasure_process` from outside any kernel event."""
+        return self.run(self.request_erasure_process(author, reason=reason))
+
+    def request_erasure_process(self, author: str, *, reason: str = "") -> "Process":
         """Erase every recorded entry of ``author`` — the GDPR Article 17
         request a sharded deployment must route, not broadcast.
 
@@ -385,16 +362,7 @@ class ShardRouter(LedgerClient):
         self.erasures += 1
         receipts: list[DeletionReceipt] = []
         for shard, reference in worklist:
-            receipt: DeletionReceipt = self._timed(
-                shard,
-                lambda shard=shard, reference=reference: self.shards[
-                    shard
-                ].request_deletion(reference, author, reason=reason),
-            )
-            self.deletions_per_shard[shard] += 1
-            receipts.append(receipt)
-            if receipt.ok and receipt.approved:
-                self.index.discard(author, shard, reference)
+            receipts.append((yield from self._delete_on(shard, reference, author, reason)))
         return ErasureReceipt(
             author=author,
             shards=tuple(shards_touched),
@@ -446,12 +414,12 @@ class ShardRouter(LedgerClient):
         }
         return merged
 
-    def tick(self, ticks: int = 1) -> bool:
+    def tick_process(self, ticks: int = 1) -> "Process":
         """Advance every shard's ledger clock; ``True`` if any shard sealed
         an idle block (progress is per-shard, not global)."""
         appended = False
         for shard, client in enumerate(self.shards):
-            appended = self._timed(shard, lambda c=client: c.tick(ticks)) or appended
+            appended = (yield from self._timed(shard, client.tick_process(ticks))) or appended
         return appended
 
     # ------------------------------------------------------------------ #

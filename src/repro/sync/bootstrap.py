@@ -23,7 +23,9 @@ protocol over the ordinary message transport:
 Everything is deterministic: chunk boundaries are pure arithmetic, the
 digest is sha256 over the canonical payload, and each request/response
 consumes virtual time on the transport's kernel — so a bootstrap under loss
-replays byte-identically for a given seed.
+replays byte-identically for a given seed.  Each fetch is a kernel process
+(``*_process``, see :func:`repro.network.transport.spawn`); the plain names
+drive it from outside any kernel event.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.core.errors import SelectiveDeletionError
 from repro.network.message import Message, MessageKind
-from repro.network.transport import TransportError
+from repro.network.transport import Process, blocking
 from repro.storage.snapshot import snapshot_digest, snapshot_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -188,7 +190,7 @@ def _request_chunk(
     *,
     max_retries: int,
     report: BootstrapReport,
-) -> Optional[Message]:
+) -> Process:
     """One chunk request with bounded retransmission on loss.
 
     Transport-generated errors (lost message, blocked link) are retried;
@@ -205,21 +207,21 @@ def _request_chunk(
             sender=requester_id,
             payload={"chunk": index, "chunk_size": chunk_size},
         )
-        response = transport.send(peer_id, request)
+        response = yield from transport.exchange(peer_id, request)
         if response is None or (response.is_error and response.sender == "transport"):
             continue
         return response
     return None
 
 
-def fetch_snapshot(
+def fetch_snapshot_process(
     transport: "InMemoryTransport",
     requester_id: str,
     peer_id: str,
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     max_retries: int = DEFAULT_MAX_RETRIES,
-) -> BootstrapReport:
+) -> Process:
     """Pull a peer's snapshot in bounded chunks; verify it against the manifest.
 
     Returns a :class:`BootstrapReport`; on success ``report.payload`` holds
@@ -233,7 +235,7 @@ def fetch_snapshot(
     for restart in range(DEFAULT_MAX_RESTARTS + 1):
         if restart:
             report.restarts += 1
-        first = _request_chunk(
+        first = yield from _request_chunk(
             transport, requester_id, peer_id, 0, chunk_size,
             max_retries=max_retries, report=report,
         )
@@ -250,7 +252,7 @@ def fetch_snapshot(
         report.chunks_fetched += 1
         stale = False
         for index in range(1, manifest.total_chunks):
-            response = _request_chunk(
+            response = yield from _request_chunk(
                 transport, requester_id, peer_id, index, chunk_size,
                 max_retries=max_retries, report=report,
             )
@@ -286,6 +288,9 @@ def fetch_snapshot(
     return report
 
 
+fetch_snapshot = blocking(fetch_snapshot_process)
+
+
 # --------------------------------------------------------------------- #
 # Load-aware multi-peer bootstrap
 # --------------------------------------------------------------------- #
@@ -304,73 +309,35 @@ class PeerProbe:
     manifest: SnapshotManifest
 
 
-def _request_wave(
-    transport: "InMemoryTransport",
-    requester_id: str,
-    requests: Sequence[tuple[Any, str, dict]],
-) -> dict[Any, tuple[Optional[Message], float]]:
-    """Issue one ``SNAPSHOT_REQUEST`` per ``(key, recipient, payload)`` item.
-
-    Returns ``key -> (response, round_trip_ms)``; an unknown recipient or an
-    answer that never landed reads ``(None, 0.0)``.  The whole wave departs
-    at the same virtual instant via
-    :meth:`~repro.network.transport.InMemoryTransport.send_async` and the
-    kernel is stepped until every response (or its loss notice) has landed —
-    the wave costs the *slowest* round trip, not the sum, and every round
-    trip is measured from the shared departure instant.
-    """
-    answers: dict[Any, tuple[Optional[Message], float]] = {
-        key: (None, 0.0) for key, _, _ in requests
-    }
-    kernel = transport.kernel
-    started = kernel.now
-    pending = {"count": 0}
-    for key, recipient, payload in requests:
-        request = Message(
-            kind=MessageKind.SNAPSHOT_REQUEST, sender=requester_id, payload=payload
-        )
-
-        def on_response(response: Optional[Message], key: Any = key) -> None:
-            answers[key] = (response, kernel.now - started)
-            pending["count"] -= 1
-
-        try:
-            transport.send_async(recipient, request, on_response=on_response)
-            pending["count"] += 1
-        except TransportError:
-            pass
-    while pending["count"] > 0 and kernel.step():
-        pass
-    return answers
-
-
-def rank_bootstrap_peers(
+def rank_bootstrap_peers_process(
     transport: "InMemoryTransport",
     requester_id: str,
     peer_ids: Sequence[str],
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> list[PeerProbe]:
+) -> Process:
     """Probe every candidate and rank them nearest-and-least-loaded first.
 
     A probe asks for the peer's snapshot manifest and serving load, no data.
-    All probes depart in one concurrent wave (:func:`_request_wave`: one
-    round trip of virtual time, not one per candidate),
-    so the RTTs are directly comparable across peers.  The sort key is
-    ``(rtt_ms, load, peer_id)``: proximity dominates (a bootstrap is dozens
-    of round trips), serving load breaks latency ties, and the peer id makes
-    the ranking a total order so runs replay byte-identically.  Unreachable
-    and snapshot-less peers drop out.
+    All probes depart in one wave (one round trip of virtual time, not one
+    per candidate), so the RTTs are directly comparable across peers.  The
+    sort key is ``(rtt_ms, load, peer_id)``: proximity dominates (a
+    bootstrap is dozens of round trips), serving load breaks latency ties,
+    and the peer id makes the ranking a total order so runs replay
+    byte-identically.  Unreachable and snapshot-less peers drop out.
     """
-    answers = _request_wave(
-        transport,
-        requester_id,
-        [
-            (peer_id, peer_id, {"probe": True, "chunk_size": chunk_size})
-            for peer_id in sorted(set(peer_ids))
-            if peer_id != requester_id
-        ],
-    )
+    candidates = [peer_id for peer_id in sorted(set(peer_ids)) if peer_id != requester_id]
+    replies = yield [
+        transport.request(
+            peer_id,
+            Message(
+                kind=MessageKind.SNAPSHOT_REQUEST,
+                sender=requester_id,
+                payload={"probe": True, "chunk_size": chunk_size},
+            ),
+        )
+        for peer_id in candidates
+    ]
     probes = [
         PeerProbe(
             peer_id=peer_id,
@@ -378,30 +345,32 @@ def rank_bootstrap_peers(
             load=int(response.payload.get("load", 0)),
             manifest=SnapshotManifest.from_dict(response.payload["manifest"]),
         )
-        for peer_id, (response, rtt) in answers.items()
+        for peer_id, (response, rtt) in zip(candidates, replies)
         if response is not None and not response.is_error
     ]
     probes.sort(key=lambda probe: (probe.rtt_ms, probe.load, probe.peer_id))
     return probes
 
 
-def fetch_snapshot_striped(
+rank_bootstrap_peers = blocking(rank_bootstrap_peers_process)
+
+
+def fetch_snapshot_striped_process(
     transport: "InMemoryTransport",
     requester_id: str,
     peer_ids: Sequence[str],
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> BootstrapReport:
+) -> Process:
     """Pull one snapshot with chunks striped across the best-ranked peers.
 
-    Candidates are probed and ranked (:func:`rank_bootstrap_peers`); every
+    Candidates are probed and ranked (:func:`rank_bootstrap_peers_process`); every
     peer serving the best peer's exact *payload* joins the donor set, and
     chunk ``i``
     is assigned to donor ``(i + attempts) % len(donors)`` — deterministic,
     load-spreading, and self-healing: a chunk whose donor lost it is re-
     requested from the *next* donor rather than burning all retries on one
-    sick peer.  Waves of ``len(donors)`` requests are issued concurrently
-    (see :func:`_request_wave`).
+    sick peer.  Each wave issues ``len(donors)`` requests concurrently.
 
     Donors are replicas with independent clocks: under live traffic they
     seal and replay new blocks at slightly different instants, so one donor
@@ -416,7 +385,7 @@ def fetch_snapshot_striped(
     for restart in range(DEFAULT_MAX_RESTARTS + 1):
         if restart:
             report.restarts += 1
-        ranked = rank_bootstrap_peers(
+        ranked = yield from rank_bootstrap_peers_process(
             transport, requester_id, peer_ids, chunk_size=chunk_size
         )
         if not ranked:
@@ -458,16 +427,18 @@ def fetch_snapshot_striped(
             while work and len(wave) < len(active):
                 index = work.popleft()
                 wave.append((index, active[(index + attempts[index]) % len(active)]))
-            responses = _request_wave(
-                transport,
-                requester_id,
-                [
-                    (index, donor, {"chunk": index, "chunk_size": chunk_size})
-                    for index, donor in wave
-                ],
-            )
-            for index, donor in wave:
-                response, _ = responses[index]
+            replies = yield [
+                transport.request(
+                    donor,
+                    Message(
+                        kind=MessageKind.SNAPSHOT_REQUEST,
+                        sender=requester_id,
+                        payload={"chunk": index, "chunk_size": chunk_size},
+                    ),
+                )
+                for index, donor in wave
+            ]
+            for (index, donor), (response, _) in zip(wave, replies):
                 if response is None or (
                     response.is_error and response.sender == "transport"
                 ):
@@ -510,3 +481,6 @@ def fetch_snapshot_striped(
         return report
     report.reason = f"peers' heads kept moving ({DEFAULT_MAX_RESTARTS} restarts exhausted)"
     return report
+
+
+fetch_snapshot_striped = blocking(fetch_snapshot_striped_process)

@@ -49,8 +49,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.core.events import ChainEvent, EventBus, EventType, Subscription
+from repro.network.transport import Process, spawn
 from repro.service.client import (
-    DeletionReceipt,
     LedgerClient,
     LedgerError,
     SubmitReceipt,
@@ -282,10 +282,10 @@ class FleetDriver:
         service rate scales with the number of lanes while each lane stays
         internally sequential.
 
-    Every lane submits its entries through
-    :meth:`LedgerClient.submit_async` and issues its next request from the
-    receipt callback, so an entry's round trip never waits inside another
-    kernel event.
+    Every request is a kernel process of its client
+    (:meth:`LedgerClient.submit_process` and friends), spawned on
+    ``kernel``; a lane issues its next request when the process returns,
+    so no round trip waits inside another kernel event.
     """
 
     def __init__(
@@ -447,14 +447,10 @@ class FleetDriver:
         """Issue the lane's queued requests, one round trip at a time.
 
         Each lane keeps at most one request in flight.  A request that
-        completes inside :meth:`_issue` — a deletion or idle tick, or an
-        entry submitted to a client that answers synchronously — must not
-        recurse through its completion callback: the ``sync``/``done`` state
-        pair turns it back into a loop iteration.  One that completes later
-        re-enters the pump from that callback.  Arrivals firing *during* a
-        blocking deletion or tick (the transport's nested virtual-time wait)
-        find the lane busy and only enqueue, so the stack never grows past
-        one request.
+        completes inside :meth:`_issue` (a client that answers
+        synchronously) must not recurse through its completion callback: the
+        ``sync``/``done`` state pair turns it back into a loop iteration.
+        One that completes later re-enters the pump from that callback.
         """
         if lane in self._busy:
             return
@@ -479,32 +475,8 @@ class FleetDriver:
                 return
 
     def _issue(self, arrival: FleetArrival, done: Callable[[], None]) -> None:
-        """Run one arrival, signalling completion through ``done``.
-
-        Entries go through the client's asynchronous submit path.  The rare
-        deletions and idle ticks complete inside their blocking call
-        (latency is charged identically); even a failing event releases its
-        slot.
-        """
-        event = arrival.event
-        if event.kind is not EventKind.ENTRY:
-            try:
-                self._execute(arrival)
-            finally:
-                done()
-            return
-
-        def on_receipt(receipt: SubmitReceipt) -> None:
-            self._tally_entry(arrival, receipt)
-            done()
-
-        self.clients[arrival.client_index].submit_async(
-            event.data,
-            event.author,
-            on_receipt=on_receipt,
-            expires_at_time=self._rescale_expiry(event.expires_at_time),
-            expires_at_block=event.expires_at_block,
-        )
+        """Spawn one arrival's process, signalling completion through ``done``."""
+        spawn(self.kernel, self._execute(arrival), lambda _: done())
 
     def _shed(self, arrival: FleetArrival) -> None:
         client = self.stats.clients[arrival.client_index]
@@ -538,20 +510,28 @@ class FleetDriver:
     # Event execution
     # ------------------------------------------------------------------ #
 
-    def _execute(self, arrival: FleetArrival) -> None:
-        """Run a deletion or idle tick through its blocking call."""
+    def _execute(self, arrival: FleetArrival) -> Process:
+        """One arrival: an entry, a deletion or an idle tick."""
         event = arrival.event
         stats = self.stats.clients[arrival.client_index].run
         client = self.clients[arrival.client_index]
-        if event.kind is EventKind.DELETION:
+        if event.kind is EventKind.ENTRY:
+            receipt = yield from client.submit_process(
+                event.data,
+                event.author,
+                expires_at_time=self._rescale_expiry(event.expires_at_time),
+                expires_at_block=event.expires_at_block,
+            )
+            self._tally_entry(arrival, receipt)
+        elif event.kind is EventKind.DELETION:
             assert event.target is not None
-            self.request_deletion(
+            yield from self.request_deletion_process(
                 event.target, event.author, client_index=arrival.client_index
             )
         else:
             stats.idle_events += 1
             try:
-                idle_block = client.tick(event.idle_ticks)
+                idle_block = yield from client.tick_process(event.idle_ticks)
             except LedgerError:
                 # Unlike submit/request_deletion, the tick protocol path
                 # raises on a failed round trip (a lost response on a lossy
@@ -572,19 +552,19 @@ class FleetDriver:
         if self.on_submitted is not None:
             self.on_submitted(arrival.client_index, arrival.position, arrival.event, receipt)
 
-    def request_deletion(
+    def request_deletion_process(
         self,
         target: TargetLike,
         author: str,
         *,
         reason: str = "",
         client_index: int = 0,
-    ) -> DeletionReceipt:
-        """Submit a deletion request through fleet client ``client_index``.
+    ) -> Process:
+        """Request deletion of ``target`` through fleet client ``client_index``.
 
-        Scenario hooks route application-level erasures through here so the
+        Scenario hooks spawn application-level erasures through here so the
         issuing client's counters and the latency tracker see them exactly
-        like stream-borne DELETION events.
+        like stream-borne DELETION events.  Returns the receipt.
         """
         stats = self.stats.clients[client_index].run
         reference = as_reference(target)
@@ -592,7 +572,7 @@ class FleetDriver:
         owns = self._latency_subscription is not None and key not in self._deletion_owner
         if owns:
             self._deletion_owner[key] = client_index
-        receipt = self.clients[client_index].request_deletion(
+        receipt = yield from self.clients[client_index].request_deletion_process(
             reference, author, reason=reason
         )
         if owns and not receipt.approved and key not in self._deletion_requested_at:

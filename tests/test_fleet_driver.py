@@ -8,7 +8,7 @@ Three parts, matching the things the fleet engine must get right:
   degenerate cases (ties, single sample, empty) and the bimodal regression
   showing why mean-only reporting had to go.
 * **Open-loop scheduling** (`repro.workloads.fleet.FleetDriver`) under a
-  synthetic blocking service whose round trip costs virtual time: arrivals
+  synthetic service whose round trip costs virtual time: arrivals
   never reorder within a client, the shared in-flight budget is never
   exceeded, ``shed + executed == events_total`` under both overload
   policies, and budget 0 is one slot that only queues (the closed loop, flat
@@ -16,10 +16,9 @@ Three parts, matching the things the fleet engine must get right:
 * **Bounded bookkeeping**: the deletion-owner map holds only pending
   deletions.
 
-The synthetic client keeps these properties cheap to fuzz: it answers
-entries on the kernel clock and consumes virtual time for the rest through
-the same nested ``run_until`` the real transport uses, without signatures or
-replication.
+The synthetic client keeps these properties cheap to fuzz: every request is
+a kernel process that waits one service time on the kernel clock, without
+signatures or replication.
 """
 
 import math
@@ -33,6 +32,7 @@ from repro.core import ChainConfig, EntryReference
 from repro.network.kernel import EventKernel
 from repro.network.scenarios import run_scenario
 from repro.network.simulator import NetworkSimulator
+from repro.network.transport import spawn
 from repro.service.client import DeletionReceipt, SubmitReceipt
 from repro.workloads import (
     FleetDriver,
@@ -174,15 +174,13 @@ def test_percentiles_expose_the_tail_the_mean_hides():
 # --------------------------------------------------------------------- #
 
 
-class BlockingStubClient:
+class StubServiceClient:
     """A ledger client whose every round trip costs ``service_ms``.
 
-    An entry's receipt is scheduled ``service_ms`` after submission, the way
-    a networked client answers ``submit_async``.  Deletions and ticks
-    consume virtual time through the same nested ``run_until`` the real
-    ``InMemoryTransport`` performs, so due arrivals genuinely fire *during*
-    a request — the exact re-entrancy the open-loop admission control must
-    survive — without any chain, signature or replication cost.
+    Each request is a kernel process that resumes ``service_ms`` after it
+    departs, the way a networked client's reply lands, so due arrivals
+    genuinely fire *during* a request — the overlap the open-loop admission
+    control must survive — without any chain, signature or replication cost.
     """
 
     def __init__(self, kernel: EventKernel, service_ms: float) -> None:
@@ -191,25 +189,19 @@ class BlockingStubClient:
         #: Virtual time at which each request was issued.
         self.departures: list[float] = []
 
-    def _round_trip(self) -> None:
+    def _round_trip(self, result):
         self.departures.append(self.kernel.now)
-        self.kernel.run_until(self.kernel.now + self.service_ms)
+        yield [lambda land: self.kernel.schedule(self.service_ms, lambda: land(None))]
+        return result
 
-    def submit_async(
-        self, data, author, *, on_receipt, expires_at_time=None, expires_at_block=None
-    ):
-        self.departures.append(self.kernel.now)
-        self.kernel.schedule(
-            self.service_ms, lambda: on_receipt(SubmitReceipt(reference=None, block_number=None))
-        )
+    def submit_process(self, data, author, *, expires_at_time=None, expires_at_block=None):
+        return self._round_trip(SubmitReceipt(reference=None, block_number=None))
 
-    def request_deletion(self, target, author, *, reason=""):
-        self._round_trip()
-        return DeletionReceipt(approved=False, reason="stub")
+    def request_deletion_process(self, target, author, *, reason=""):
+        return self._round_trip(DeletionReceipt(approved=False, reason="stub"))
 
-    def tick(self, ticks=1):
-        self._round_trip()
-        return False
+    def tick_process(self, ticks=1):
+        return self._round_trip(False)
 
 
 def run_stub_fleet(
@@ -222,7 +214,7 @@ def run_stub_fleet(
     mean_gap_ms: float,
     events_per_client: int = 8,
 ):
-    """Drive an entries-only fleet against the blocking stub service."""
+    """Drive an entries-only fleet against the stub service."""
     kernel = EventKernel(seed=seed)
     workloads = [
         LoginAuditWorkload(
@@ -234,7 +226,7 @@ def run_stub_fleet(
         )
         for client_index in range(n_clients)
     ]
-    clients = [BlockingStubClient(kernel, service_ms) for _ in workloads]
+    clients = [StubServiceClient(kernel, service_ms) for _ in workloads]
     driver = FleetDriver(
         workloads,
         clients,
@@ -381,7 +373,7 @@ class TestOpenLoopScheduling:
     def test_invalid_construction_is_rejected(self):
         kernel = EventKernel(seed=1)
         workload = LoginAuditWorkload(num_events=2, num_users=2, seed=1)
-        client = BlockingStubClient(kernel, 1.0)
+        client = StubServiceClient(kernel, 1.0)
         with pytest.raises(ValueError):
             FleetDriver([], [], mean_gap_ms=10.0, kernel=kernel)
         with pytest.raises(ValueError):
@@ -395,32 +387,11 @@ class TestOpenLoopScheduling:
         kernel = EventKernel(seed=1)
         workload = LoginAuditWorkload(num_events=2, num_users=2, seed=1)
         driver = FleetDriver(
-            [workload], [BlockingStubClient(kernel, 1.0)], mean_gap_ms=10.0, kernel=kernel
+            [workload], [StubServiceClient(kernel, 1.0)], mean_gap_ms=10.0, kernel=kernel
         )
         driver.schedule()
         with pytest.raises(ValueError, match="already scheduled"):
             driver.schedule()
-
-
-def test_a_fleet_saturation_run_never_executes_a_kernel_event_inside_another(monkeypatch):
-    """Every lane submits through ``submit_async``: an entry's round trip is
-    two kernel events, never a blocking wait that runs other events from
-    inside the arrival that issued it."""
-    depth = {"current": 0, "deepest": 0}
-    step = EventKernel.step
-
-    def counted_step(kernel):
-        depth["current"] += 1
-        depth["deepest"] = max(depth["deepest"], depth["current"])
-        try:
-            return step(kernel)
-        finally:
-            depth["current"] -= 1
-
-    monkeypatch.setattr(EventKernel, "step", counted_step)
-    result = run_scenario("fleet-saturation", seed=7, smoke=True)
-    assert result["replicas_identical"] is True
-    assert depth["deepest"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -459,6 +430,12 @@ def test_a_rejected_deletion_request_leaves_no_owner_behind():
     driver = simulator.drive_fleet(
         [LoginAuditWorkload(num_events=2, num_users=2, seed=2)], mean_gap_ms=10.0
     )
-    receipt = driver.request_deletion(EntryReference(999999, 1), "NOBODY")
-    assert not receipt.approved
+    receipts = []
+    spawn(
+        simulator.kernel,
+        driver.request_deletion_process(EntryReference(999999, 1), "NOBODY"),
+        receipts.append,
+    )
+    simulator.kernel.run()
+    assert [receipt.approved for receipt in receipts] == [False]
     assert driver._deletion_owner == {}

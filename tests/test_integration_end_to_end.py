@@ -95,6 +95,7 @@ class TestPoaNetwork:
         for i in range(5):
             response = client.submit_entry(ids[0], login("ALPHA", f"#{i}"))
             assert not response.is_error
+        transport.kernel.run()  # let the one-way announcements land
 
         report = nodes[ids[0]].sync_check()
         assert report.in_sync
@@ -302,6 +303,7 @@ class TestRoleControlledNetwork:
         alpha.submit_entry(ids[0], login("ALPHA"))
         response = authority.request_deletion(ids[0], EntryReference(1, 1))
         assert response.payload["deletion_status"] == "approved"
+        transport.kernel.run()
         for node in nodes.values():
             assert node.chain.registry.approved_count == 1
 

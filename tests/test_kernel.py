@@ -74,20 +74,26 @@ class TestEventKernel:
         assert fired == ["first", "chained"]
         assert kernel.now == 15.0
 
-    def test_nested_run_until_inside_handler(self):
+    @pytest.mark.parametrize("enter", ["step", "run_until"])
+    def test_reentering_the_kernel_from_inside_an_event_raises(self, enter):
         kernel = EventKernel()
         fired = []
-        kernel.schedule_at(12.0, lambda: fired.append("in-between"))
+        kernel.schedule_at(12.0, lambda: fired.append("in-between"), label="later")
 
         def handler():
             fired.append("outer")
-            kernel.run_until(kernel.now + 10.0)  # virtual round trip
+            if enter == "step":
+                kernel.step()
+            else:
+                kernel.run_until(kernel.now + 10.0)  # a blocking round trip
 
-        kernel.schedule_at(10.0, handler)
-        kernel.run_until(10.0)
-        # The nested advance processed the event at 12.0 and moved time on.
+        kernel.schedule_at(10.0, handler, label="waiting-handler")
+        with pytest.raises(KernelError, match="'waiting-handler'.*'later'"):
+            kernel.run_until(10.0)
+        # Nothing ran inside the handler, and the kernel stays usable.
+        assert fired == ["outer"]
+        kernel.run()
         assert fired == ["outer", "in-between"]
-        assert kernel.now == 20.0
 
     def test_every_recurs_until_bound_and_cancel_stops_it(self):
         kernel = EventKernel()

@@ -103,6 +103,7 @@ class TestRemoteClient:
         simulator, ledger = self.build()
         receipt = ledger.submit({"D": "Login A", "K": "A", "S": "sig_A"}, "A")
         assert receipt.ok
+        simulator.kernel.run()
         for node in simulator.anchors.values():
             assert node.chain.find_entry(receipt.reference) is not None
         record = ledger.find_entry(receipt.reference)

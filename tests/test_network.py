@@ -18,6 +18,7 @@ from repro.network import (
     MessageKind,
     NetworkSimulator,
     TransportError,
+    run_process,
 )
 
 
@@ -66,27 +67,44 @@ class TestTransport:
         transport.heal_partition()
         assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
 
-    def test_broadcast_collects_responses(self):
-        transport = InMemoryTransport()
-        transport.register("a", lambda m: m.reply(MessageKind.ACK, "a"))
-        transport.register("b", lambda m: m.reply(MessageKind.ACK, "b"))
-        transport.register("c", lambda m: m.reply(MessageKind.ACK, "c"))
-        responses = transport.broadcast("a", ["a", "b", "c", "ghost"], Message(kind=MessageKind.ACK, sender="a"))
-        assert set(responses) == {"b", "c", "ghost"}
-        assert responses["ghost"].is_error
-        assert transport.statistics.broadcasts == 1
+    def test_a_wave_resumes_once_with_every_reply_and_costs_its_slowest_round_trip(self):
+        transport = InMemoryTransport(LatencyModel(seed=3))
+        twin = LatencyModel(seed=3)
+        for node_id in ("b", "c"):
+            transport.register(node_id, lambda m, node_id=node_id: m.reply(MessageKind.ACK, node_id))
+
+        def ask_both():
+            replies = yield [
+                transport.request(node_id, Message(kind=MessageKind.ACK, sender="a"))
+                for node_id in ("b", "c")
+            ]
+            return [(reply.sender, rtt) for reply, rtt in replies]
+
+        (b, b_rtt), (c, c_rtt) = run_process(ask_both(), transport.kernel)
+        requests = [twin.sample(), twin.sample()]
+        responses = [twin.sample(), twin.sample()]
+        assert (b, c) == ("b", "c")
+        assert [b_rtt, c_rtt] == [q + r for q, r in zip(requests, responses)]
+        assert transport.kernel.now == max(b_rtt, c_rtt)
+
+    def test_a_handler_may_answer_through_a_process(self):
+        transport = InMemoryTransport(LatencyModel(minimum_ms=1, maximum_ms=1))
+        transport.register("producer", lambda m: m.reply(MessageKind.ACK, "producer"))
+
+        def forward(message):
+            reply = yield from transport.exchange("producer", message)
+            return reply
+
+        transport.register("replica", forward)
+        reply = transport.send("replica", Message(kind=MessageKind.ACK, sender="client"))
+        assert reply.sender == "producer"
+        assert transport.kernel.now == 4.0
 
     def test_latency_model_validation(self):
         with pytest.raises(ValueError):
             LatencyModel(minimum_ms=5, maximum_ms=1)
         model = LatencyModel(minimum_ms=1, maximum_ms=2, seed=1)
         assert 1 <= model.sample() <= 2
-
-    def test_messages_of_kind(self):
-        transport = InMemoryTransport()
-        transport.register("b", lambda m: None)
-        transport.send("b", Message(kind=MessageKind.SUMMARY_HASH, sender="a"))
-        assert len(transport.messages_of_kind(MessageKind.SUMMARY_HASH)) == 1
 
     def test_a_transport_built_without_a_kernel_delivers_on_its_own(self):
         """There is one delivery mode: without a caller's kernel the
@@ -152,6 +170,7 @@ class TestAnchorAndClientNodes:
         client = ClientNode("ALPHA", transport)
         response = client.submit_entry(ids[0], {"D": "Login ALPHA", "K": "ALPHA", "S": "sig_ALPHA"})
         assert not response.is_error
+        transport.kernel.run()  # the announcement is one-way and still in flight
         heads = {node.chain.head.block_hash for node in nodes.values()}
         assert len(heads) == 1
 
@@ -205,6 +224,7 @@ class TestAnchorAndClientNodes:
             producer.add_entry({"D": f"Login {user}", "K": user, "S": f"sig_{user}"}, user)
         block = producer.seal_block()
         assert len(block.entries) == 3
+        transport.kernel.run()
         expected = canonical_json([stored.to_dict() for stored in producer.blocks])
         for node_id in ids[1:]:
             replica = nodes[node_id].chain

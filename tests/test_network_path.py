@@ -207,7 +207,12 @@ def test_a_gossip_deployment_decodes_each_block_once_per_replica(monkeypatch):
     assert decodes[0] == len(ingested)
     # Every replica forwards once to both others: the producer gets its own
     # block back and each replica the other's copy, all dropped undecoded.
-    assert len(simulator.transport.messages_of_kind(MessageKind.BLOCK_ANNOUNCE)) == 3 * decodes[0]
+    announcements = [
+        message
+        for message in simulator.transport.message_log
+        if message.kind is MessageKind.BLOCK_ANNOUNCE
+    ]
+    assert len(announcements) == 3 * decodes[0]
 
 
 def summary_chain() -> Blockchain:

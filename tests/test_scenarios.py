@@ -245,6 +245,27 @@ class TestScheduledFaults:
         assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
 
 
+@pytest.mark.parametrize("name", scenario_names())
+def test_no_kernel_event_runs_inside_another(monkeypatch, name):
+    """Every exchange is a kernel process: no scenario steps the kernel from
+    inside an executing event.  The depth counter is an independent witness
+    beside the kernel's own re-entry guard."""
+    depth = {"current": 0, "deepest": 0}
+    step = EventKernel.step
+
+    def counted_step(kernel):
+        depth["current"] += 1
+        depth["deepest"] = max(depth["deepest"], depth["current"])
+        try:
+            return step(kernel)
+        finally:
+            depth["current"] -= 1
+
+    monkeypatch.setattr(EventKernel, "step", counted_step)
+    run_scenario(name, seed=7, smoke=True)
+    assert depth["deepest"] == 1
+
+
 class TestScenarioOutcomes:
     def test_partition_and_heal_converges_and_shows_the_delay(self):
         result = run_scenario("partition-and-heal", seed=7, smoke=True)

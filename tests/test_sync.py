@@ -26,6 +26,7 @@ from repro.network import (
     MessageKind,
     NetworkSimulator,
     run_scenario,
+    spawn,
 )
 from repro.storage.snapshot import chain_from_payload, snapshot_digest, snapshot_payload
 from repro.sync import DEFAULT_MAX_RETRIES, BootstrapError, SnapshotChunkCache, fetch_snapshot
@@ -62,6 +63,7 @@ def isolate_across_marker_shift(transport, nodes, ids, *, events=9):
     transport.set_offline(ids[-1])
     for index in range(1, events):
         client.submit_entry(ids[0], login("ALPHA", f"#{index}"))
+    transport.kernel.run()  # announcements in flight die at the offline node
     transport.set_offline(ids[-1], False)
     producer = nodes[ids[0]]
     straggler = nodes[ids[-1]]
@@ -119,6 +121,7 @@ class TestWireBootstrap:
         # The adopted replica keeps replicating live afterwards.
         client = ClientNode("BRAVO", transport)
         client.submit_entry(ids[0], login("BRAVO"))
+        transport.kernel.run()
         assert straggler.chain.head.block_hash == producer.chain.head.block_hash
 
     def test_bootstrap_retransmits_chunks_over_a_lossy_scheduled_transport(self):
@@ -225,6 +228,7 @@ class TestWireBootstrap:
         forked = fork.add_entry_block(login("MALLORY", "#1"), "MALLORY")
         transport.set_offline(straggler.node_id)
         ClientNode("ALPHA", transport).submit_entry(ids[0], login("ALPHA"))
+        transport.kernel.run()
         transport.set_offline(straggler.node_id, False)
         straggler.handle_message(
             Message(
@@ -350,6 +354,28 @@ def build_anti_entropy_deployment(seed, *, anchors=4, loss_rate=0.0):
     return kernel, simulator
 
 
+def test_a_baited_pull_never_trades_the_local_head_for_an_older_snapshot():
+    """A spoofed digest makes the producer pull; its honest peers all trail
+    it, so the best snapshot on offer is older than its own chain."""
+    from repro.adversary import DigestSpoofer
+
+    transport, nodes, ids = build_network()
+    producer = nodes[ids[0]]
+    spoofer = DigestSpoofer("spoofer-0", transport)
+    for peer in ids[1:]:
+        transport.set_offline(peer)
+    ClientNode("ALPHA", transport).submit_entry(ids[0], login("ALPHA"))
+    transport.kernel.run()
+    for peer in ids[1:]:
+        transport.set_offline(peer, False)
+    head = producer.chain.head.block_hash
+    result = producer.synchronize(spoofer.actor_id)
+    assert result.status is CatchUpStatus.SNAPSHOT_REQUIRED
+    assert "behind the local head" in result.detail
+    assert producer.chain.head.block_hash == head
+    assert producer.sync_stats["bootstraps"] == 0
+
+
 class TestLostReplyRetry:
     """A digest-triggered pull whose reply is lost is asked again."""
 
@@ -358,6 +384,7 @@ class TestLostReplyRetry:
         straggler = nodes[ids[-1]]
         transport.set_offline(straggler.node_id)
         ClientNode("ALPHA", transport).submit_entry(ids[0], login("ALPHA"))
+        transport.kernel.run()
         transport.set_offline(straggler.node_id, False)
         lost = []
         response_leg = transport._response_leg
@@ -411,8 +438,11 @@ class TestAntiEntropy:
         for index in range(10):
             kernel.schedule_at(
                 20.0 + index * 45.0,
-                lambda index=index: simulator.submit_entry(
-                    "ALPHA", login("ALPHA", f"#{index}"), anchor_id=simulator.producer_id
+                lambda index=index: spawn(
+                    kernel,
+                    simulator.submit_entry_process(
+                        "ALPHA", login("ALPHA", f"#{index}"), anchor_id=simulator.producer_id
+                    ),
                 ),
                 label=f"entry-{index}",
             )
@@ -453,8 +483,11 @@ class TestAntiEntropy:
         for index in range(20):
             kernel.schedule_at(
                 20.0 + index * 40.0,
-                lambda index=index: simulator.submit_entry(
-                    "ALPHA", login("ALPHA", f"#{index}"), anchor_id=simulator.producer_id
+                lambda index=index: spawn(
+                    kernel,
+                    simulator.submit_entry_process(
+                        "ALPHA", login("ALPHA", f"#{index}"), anchor_id=simulator.producer_id
+                    ),
                 ),
                 label=f"entry-{index}",
             )
@@ -488,7 +521,7 @@ class TestPushPullDigests:
         )
         _, nodes, ids = build_network(transport=transport)
         client = ClientNode("ALPHA", transport)
-        kernel.schedule_at(10.0, lambda: client.submit_entry(ids[0], login("ALPHA")))
+        client.submit_entry(ids[0], login("ALPHA"))
         kernel.run_until(100.0)
         # Hold one replica back, then let only *its* digest travel.
         straggler = nodes[ids[2]]
@@ -546,9 +579,11 @@ class TestLoadAwareBootstrap:
         assert probe.manifest.head_hash == nodes[ids[0]].chain.head.block_hash
         assert nodes[ids[0]].sync_stats["snapshot_probes_served"] == 1
         # The probe shipped no chunk data (that is its whole point).
-        served = transport.messages_of_kind(
-            __import__("repro.network.message", fromlist=["MessageKind"]).MessageKind.SNAPSHOT_CHUNK
-        )
+        served = [
+            message
+            for message in transport.message_log
+            if message.kind is MessageKind.SNAPSHOT_CHUNK
+        ]
         assert served and "data" not in served[-1].payload
 
     def test_ranking_prefers_near_and_lightly_loaded_peers(self):
