@@ -32,6 +32,7 @@ from repro.core.events import ChainEvent, EventType
 from repro.crypto.hashing import canonical_json
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.gossip import GossipOverlay
+from repro.network.kernel import EventHandle, KernelError
 from repro.network.message import BlockFrame, Message, MessageKind
 from repro.network.transport import InMemoryTransport, Process, blocking, run_process, spawn
 from repro.sync.bootstrap import (
@@ -46,6 +47,11 @@ from repro.sync.bootstrap import (
 from repro.storage.snapshot import chain_from_payload
 
 
+#: What a handler or the process it started may raise on a bad request or
+#: reply; each is answered with a typed rejection (:meth:`AnchorNode._rejection`).
+_REJECTED = (SelectiveDeletionError, KeyError, TypeError, ValueError)
+
+
 #: Caps on the per-replica byzantine bookkeeping, mirroring the EventBus
 #: audit log: a flood of invalid blocks must cost the *sender* bandwidth,
 #: not the receiver memory.  Both windows keep the newest items; evictions
@@ -55,6 +61,11 @@ from repro.storage.snapshot import chain_from_payload
 #: blocks (``lossy-sync`` benchmark parameters), well clear of it.
 DEFAULT_REJECTED_BLOCKS_LIMIT = 256
 DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT = 4096
+
+#: A hole in the announced block sequence that outlives this much virtual
+#: time was a lost gossip hop, not two hops overtaking each other: the
+#: replica then asks the producer once for the blocks after its head.
+GAP_PULL_AFTER_MS = 100.0
 
 
 @dataclass
@@ -156,6 +167,14 @@ class AnchorNode:
         #: Capped at ``DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT`` entries; evictions
         #: share the seen-window's counter.
         self._block_buffer: dict[int, Block] = {}
+        #: Pending check of a hole in :attr:`_block_buffer` (see
+        #: ``GAP_PULL_AFTER_MS``), and the ``(hole, producer)`` last pulled:
+        #: one catch-up per hole and producer, so a hole that spans a marker
+        #: shift costs one declined request and is left to anti-entropy's
+        #: snapshot path, while a pull that met a dead producer is retried
+        #: once a new one is elected.
+        self._gap_check: Optional[EventHandle] = None
+        self._gap_pulled: tuple[int, str] = (-1, "")
         #: Hashes of every gossiped block this node has already ingested —
         #: including rejected ones, so an invalid block is never re-forwarded
         #: (two neighbours re-gossiping a rejected block at each other would
@@ -194,6 +213,7 @@ class AnchorNode:
             "snapshot_probes_served": 0,
             "rejected_blocks_evicted": 0,
             "announcements_evicted": 0,
+            "gap_pulls": 0,
         }
         if chain.block_finalizer is None:
             chain.block_finalizer = self.engine.prepare_block
@@ -243,25 +263,36 @@ class AnchorNode:
             return message.error(self.node_id, f"unsupported message kind {message.kind.value}")
         try:
             reply = handler(message)
-        except SelectiveDeletionError as exc:
-            return message.error(self.node_id, str(exc))
-        except (KeyError, TypeError, ValueError) as exc:
-            # A missing or wrong-typed payload field is the *sender's* fault;
-            # it must come back as a typed rejection, not propagate out of
-            # the delivery event and abort the whole kernel run.
-            return message.error(
-                self.node_id,
-                f"malformed {message.kind.value} payload: {type(exc).__name__}: {exc}",
-            )
+        except KernelError:
+            raise  # a re-entered kernel is a bug in this node, not a bad request
+        except _REJECTED as exc:
+            return self._rejection(message, exc)
         return self._guarded(message, reply) if isinstance(reply, GeneratorType) else reply
 
+    def _rejection(self, message: Message, exc: Exception) -> Message:
+        """The typed error reply for a protocol error or a malformed payload.
+
+        A missing or wrong-typed payload field — in the request, or in a
+        peer's reply a process consumes — is the *sender's* fault; it must
+        come back as a rejection, not propagate out of the delivery event
+        and abort the whole kernel run.
+        """
+        if isinstance(exc, SelectiveDeletionError):
+            return message.error(self.node_id, str(exc))
+        return message.error(
+            self.node_id,
+            f"malformed {message.kind.value} payload: {type(exc).__name__}: {exc}",
+        )
+
     def _guarded(self, message: Message, process: Process) -> Process:
-        """A handler's process: its protocol errors are answered like the
+        """A process started by ``message``: its errors are answered like a
         handler's own, never raised out of the event that resumed it."""
         try:
             return (yield from process)
-        except SelectiveDeletionError as exc:
-            return message.error(self.node_id, str(exc))
+        except KernelError:
+            raise
+        except _REJECTED as exc:
+            return self._rejection(message, exc)
 
     def _forward_to_producer(self, message: Message) -> Process:
         """Forward a producer-only message; reply with whatever it said."""
@@ -344,6 +375,12 @@ class AnchorNode:
             # and re-forward while the item is fresh.  No response travels
             # back — the transport discards return values of posts anyway.
             fresh = self._ingest_announced_block(block)
+            if self._block_buffer and self._gap_check is None:
+                self._gap_check = self.transport.kernel.schedule(
+                    GAP_PULL_AFTER_MS,
+                    lambda: self._pull_gap(message),
+                    label=f"gap-check:{self.node_id}",
+                )
             if fresh and self.gossip is not None:
                 self._gossip_forward(
                     str(gossip_meta.get("item", block.block_hash)),
@@ -361,6 +398,21 @@ class AnchorNode:
             self.node_id,
             {"head": self.chain.head.block_number, "head_hash": self.chain.head.block_hash},
         )
+
+    def _pull_gap(self, message: Message) -> None:
+        """Catch up from the producer when a hole in the buffer outlived its
+        grace period (no anti-entropy needs to be running)."""
+        self._gap_check = None
+        hole = (self.chain.next_block_number, self.producer_id)
+        for number in [number for number in self._block_buffer if number < hole[0]]:
+            del self._block_buffer[number]  # covered since it was buffered
+        unpulled = self._block_buffer and hole != self._gap_pulled
+        if not unpulled or self._sync_in_progress or self.is_producer:
+            return
+        self._gap_pulled = hole
+        self.sync_stats["gap_pulls"] += 1
+        pull = self.catch_up_process(self.producer_id)
+        spawn(self.transport.kernel, self._guarded(message, pull))
 
     def _record_rejected_block(self, block: Block, reason: str) -> None:
         """Remember a rejected block in the bounded window (oldest evicted)."""
@@ -404,6 +456,9 @@ class AnchorNode:
         while True:
             block = self._block_buffer.pop(self.chain.next_block_number, None)
             if block is None:
+                if not self._block_buffer and self._gap_check is not None:
+                    self._gap_check.cancel()  # the hole filled in time
+                    self._gap_check = None
                 return
             verdict = self.engine.validate_block(block, self.chain.head)
             if not verdict.accepted:
@@ -709,6 +764,7 @@ class AnchorNode:
                 break
             if block.block_number < self.chain.next_block_number:
                 continue  # already part of the local replica
+            self._block_buffer.pop(block.block_number, None)  # replayed, not drained
             verdict = self.engine.validate_block(block, self.chain.head)
             if not verdict.accepted:
                 self._record_rejected_block(block, verdict.reason)

@@ -508,11 +508,7 @@ def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     )
     accepted = _book_logins(simulator, kernel, params, start_ms=25.0)
     report = simulator.finalize()
-    # No anti-entropy runs here: the returning producer, and any replica a
-    # gossip hop missed while the producer changed, catch up once.
-    for node_id in simulator.anchor_ids:
-        if node_id != simulator.producer_id:
-            simulator.anchors[node_id].catch_up(simulator.producer_id)
+    simulator.anchors[first_producer].catch_up(simulator.producer_id)
     return _outcome(
         simulator,
         report,

@@ -112,6 +112,15 @@ class LedgerClient(ABC):
     #: Short backend name used in reports.
     name: str = "abstract"
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # Each operation's blocking form and ``*_process`` form default to
+        # each other: a backend must implement one, or every call recurses.
+        super().__init_subclass__(**kwargs)
+        for operation in ("submit", "request_deletion", "tick"):
+            forms = (operation, f"{operation}_process")
+            if all(getattr(cls, form) is getattr(LedgerClient, form) for form in forms):
+                raise TypeError(f"{cls.__name__} must implement {' or '.join(forms)}")
+
     def run(self, process: "Process") -> Any:
         """Drive one of this client's processes from outside any kernel
         event (networked clients step their deployment's kernel)."""

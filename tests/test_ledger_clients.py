@@ -306,3 +306,21 @@ class TestProtocolSurface:
             assert receipt.ok
             stats = client.statistics()
             assert {"living_blocks", "byte_size", "total_blocks_created"} <= set(stats)
+
+    def test_a_client_implementing_neither_form_of_an_operation_is_refused(self):
+        # submit and submit_process default to each other; a backend that
+        # implements neither would recurse on its first call.
+        with pytest.raises(TypeError, match="tick or tick_process"):
+
+            class HalfClient(LedgerClient):
+                def submit(self, data, author, *, expires_at_time=None, expires_at_block=None):
+                    raise NotImplementedError
+
+                def request_deletion_process(self, target, author, *, reason=""):
+                    raise NotImplementedError
+
+                def find_entry(self, reference):
+                    return None
+
+                def statistics(self):
+                    return {}

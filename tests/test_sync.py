@@ -376,6 +376,23 @@ def test_a_baited_pull_never_trades_the_local_head_for_an_older_snapshot():
     assert producer.sync_stats["bootstraps"] == 0
 
 
+def test_a_lost_announcement_is_pulled_once_the_next_one_waits_behind_it():
+    """No anti-entropy runs: the buffered successor exposes the hole, and
+    once the hole outlives its grace period the replica pulls it."""
+    transport, nodes, ids = build_network()
+    producer, replica = nodes[ids[0]], nodes[ids[1]]
+    client = ClientNode("ALPHA", transport)
+    transport.block_link(ids[0], ids[1])
+    client.submit_entry(ids[0], login("ALPHA", "#0"))
+    transport.kernel.run()
+    transport.heal_partition()
+    client.submit_entry(ids[0], login("ALPHA", "#1"))
+    transport.kernel.run()
+    assert replica.sync_stats["gap_pulls"] == 1
+    assert nodes[ids[2]].sync_stats["gap_pulls"] == 0
+    assert replica.chain.head.block_hash == producer.chain.head.block_hash
+
+
 class TestLostReplyRetry:
     """A digest-triggered pull whose reply is lost is asked again."""
 
@@ -565,6 +582,33 @@ class TestPushPullDigests:
         nodes[ids[0]].handle_message(digest)
         assert nodes[ids[0]].sync_stats["digests_pushed_back"] == 0
         assert nodes[ids[0]].sync_stats["digests_behind"] == 0
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"blocks": [{"bogus": 1}]}, {"blocks": [], "genesis_marker": "x"}],
+        ids=["block-without-fields", "non-numeric-marker"],
+    )
+    def test_a_malformed_pull_reply_ends_the_pull_not_the_run(self, payload):
+        """The digest-triggered pull is a kernel process; a peer answering it
+        with a malformed SYNC_RESPONSE costs that pull, and the kernel runs on."""
+        transport, nodes, ids = build_network()
+        transport.register(
+            "liar", lambda message: message.reply(MessageKind.SYNC_RESPONSE, "liar", payload)
+        )
+        replica = nodes[ids[1]]
+        head = replica.chain.head.block_hash
+        transport.post(
+            ids[1],
+            Message(kind=MessageKind.SYNC_DIGEST, sender="liar", payload={"head": 50}),
+        )
+        later = []
+        transport.kernel.schedule(500.0, lambda: later.append(transport.kernel.now))
+        transport.kernel.run()
+        assert replica.sync_stats["digests_behind"] == 1
+        assert replica.chain.head.block_hash == head
+        assert not replica._sync_in_progress
+        assert later == [500.0]
 
 
 class TestLoadAwareBootstrap:
