@@ -48,7 +48,7 @@ from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError
 from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventKernel
-from repro.network.message import MessageKind, reset_message_counter
+from repro.network.message import Message, MessageKind, reset_message_counter
 from repro.network.simulator import NetworkSimulator, SimulationReport
 from repro.network.transport import GeoLatencyModel, LatencyModel, spawn
 from repro.service.sharding import ShardRouter
@@ -352,83 +352,6 @@ def _outcome(
 
 
 @scenario(
-    "bursty-traffic",
-    "traffic bursts separated by idle periods; empty blocks emerge from simulated time",
-    defaults={
-        "anchors": 3,
-        "bursts": 4,
-        "burst_size": 5,
-        "burst_gap_ms": 500.0,
-        "entry_gap_ms": 8.0,
-        "idle_heartbeat_ms": 40.0,
-        "empty_block_interval_ticks": 120,
-        "fanout": 2,
-    },
-    smoke={"bursts": 2, "burst_size": 2},
-)
-def _bursty_traffic(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    simulator, kernel = _deployment(seed, params, config=_workload_chain_config(params))
-    users = ["ALPHA", "BRAVO", "CHARLIE"]
-    for user in users:
-        simulator.add_client(user)
-    horizon = params["bursts"] * params["burst_gap_ms"]
-    _book_idle_heartbeat(simulator, kernel, params, until=horizon)
-    for burst in range(params["bursts"]):
-        base = burst * params["burst_gap_ms"] + 30.0
-        for index in range(params["burst_size"]):
-            user = users[(burst + index) % len(users)]
-            _spawn_at(
-                kernel,
-                base + index * params["entry_gap_ms"],
-                lambda user=user, index=index: simulator.submit_entry_process(
-                    user, _login(user, index)
-                ),
-                label=f"burst-{burst}-entry-{index}",
-            )
-    kernel.run_until(horizon)
-    simulator.sync_check()
-    return _outcome(simulator, simulator.finalize())
-
-
-@scenario(
-    "node-churn",
-    "replicas leave and rejoin; catch-up restores convergence after each return",
-    defaults={
-        "anchors": 4,
-        "events": 12,
-        "entry_gap_ms": 60.0,
-        "churn": [
-            ["anchor-2", 120.0, 420.0],
-            ["anchor-3", 360.0, 660.0],
-        ],
-        "fanout": 2,
-    },
-    smoke={"events": 6, "churn": [["anchor-2", 80.0, 220.0]]},
-)
-def _node_churn(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    simulator, kernel = _deployment(seed, params)
-    for node_id, down_at, up_at in params["churn"]:
-        simulator.schedule_offline(node_id, float(down_at))
-        simulator.schedule_online(node_id, float(up_at))
-        # The returning node asks a reachable anchor for what it missed —
-        # the recovery procedure of Section V-B4.
-        _spawn_at(
-            kernel,
-            float(up_at) + 30.0,
-            lambda node_id=node_id: simulator.anchors[node_id].catch_up_process(
-                simulator.producer_id
-            ),
-            label=f"catch-up:{node_id}",
-        )
-    _book_logins(simulator, kernel, params, start_ms=25.0)
-    report = simulator.finalize()
-    # A replica that was offline at the end of traffic may still trail.
-    for node_id, _, _ in params["churn"]:
-        simulator.anchors[node_id].catch_up(simulator.producer_id)
-    return _outcome(simulator, report)
-
-
-@scenario(
     "partition-and-heal",
     "a scheduled partition delays delivery; in-flight messages arrive after the heal",
     defaults={
@@ -608,7 +531,6 @@ def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         "rejoin_at_ms": 1100.0,
         "settle_ms": 700.0,
         "loss_rate": 0.05,
-        "chunk_size": 2048,
         "anti_entropy_interval_ms": 120.0,
         "fanout": 2,
     },

@@ -1,17 +1,28 @@
 """Findings on file.
 
-One finding remains a strict xfail: a retried deletion whose first reply
-was lost is reported rejected although it executes (ROADMAP item 2).  The
-test states the behaviour the system *should* have; ``strict=True`` turns
-an unexpected pass into a failure, so the fix must flip it to an ordinary
-test instead of leaving stale prose.
+Each finding is a strict xfail: the test states the behaviour the system
+*should* have, and ``strict=True`` turns an unexpected pass into a failure,
+so the fix must flip it to an ordinary test instead of leaving stale prose.
+
+- A retried deletion whose first reply was lost is reported rejected
+  although it executes (ROADMAP item 2).
+- Under message loss a signed submission is applied twice: at the
+  ``vehicle-telemetry`` smoke size, seed 7, two records and one deletion
+  request of 44; none without loss (ROADMAP items 1 and 2).
+- ``replica-bootstrap`` at 60 events strands a replica that was never
+  offline: at seed 23 the heads end 87/6/87/87 with ``anchor-3`` the
+  straggler.
 
 The 12-anchor deployments used to die with ``RecursionError`` while every
 blocking exchange nested the kernel; they are ordinary tests now.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
+from repro.core.chain import Blockchain
 from repro.network.scenarios import run_scenario
 
 
@@ -38,3 +49,32 @@ def test_every_executed_deletion_was_reported_approved_under_loss():
     )
     counters = result["report"]["workloads"]["vehicle-lifecycle"]
     assert (counters["deletions_approved"], counters["deletions_executed"]) == (522, 522)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="under message loss a signed submission is applied twice",
+)
+def test_no_signed_submission_is_applied_twice_under_loss(monkeypatch):
+    applied: Counter = Counter()
+    submit = Blockchain.submit_signed_entry
+
+    def counting(self, entry):
+        applied[entry.signature, json.dumps(entry.signing_payload(), sort_keys=True)] += 1
+        return submit(self, entry)
+
+    monkeypatch.setattr(Blockchain, "submit_signed_entry", counting)
+    run_scenario("vehicle-telemetry", seed=7, smoke=True)
+    assert applied
+    assert {key: count for key, count in applied.items() if count > 1} == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="replica-bootstrap at 60 events strands a replica that was never offline",
+)
+def test_replica_bootstrap_converges_at_sixty_events():
+    result = run_scenario("replica-bootstrap", seed=23, events=60)
+    assert result["replicas_identical"], result["heads"]

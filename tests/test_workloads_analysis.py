@@ -255,21 +255,21 @@ class TestCli:
     def test_simulate_command_with_param_override(self, capsys):
         assert (
             cli_main(
-                ["simulate", "--scenario", "bursty-traffic", "--smoke", "--param", "bursts=1"]
+                ["simulate", "--scenario", "clock-skew", "--smoke", "--param", "post_events=1"]
             )
             == 0
         )
-        assert '"bursts": 1' in capsys.readouterr().out
+        assert '"post_events": 1' in capsys.readouterr().out
 
     def test_simulate_command_rejects_typo_param_with_guidance(self, capsys):
-        status = cli_main(["simulate", "--scenario", "bursty-traffic", "--param", "brsts=1"])
+        status = cli_main(["simulate", "--scenario", "clock-skew", "--param", "post_evnts=1"])
         assert status == 2
         captured = capsys.readouterr()
-        assert "'brsts'" in captured.err  # the offending key, named
-        assert "'bursts'" in captured.err  # the valid parameters, listed
+        assert "'post_evnts'" in captured.err  # the offending key, named
+        assert "'post_events'" in captured.err  # the valid parameters, listed
 
     def test_simulate_command_rejects_malformed_param(self, capsys):
-        status = cli_main(["simulate", "--scenario", "bursty-traffic", "--param", "bursts"])
+        status = cli_main(["simulate", "--scenario", "clock-skew", "--param", "post_events"])
         assert status == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
@@ -293,10 +293,12 @@ class TestCli:
         assert "rejected the given parameters" in capsys.readouterr().err
 
     def test_simulate_all_rejects_non_shared_param_before_running(self, capsys):
-        # 'bursts' exists only on bursty-traffic: with --scenario all the
+        # 'post_events' exists only on clock-skew: with --scenario all the
         # override must be rejected up front — no partial scenario output.
-        status = cli_main(["simulate", "--scenario", "all", "--smoke", "--param", "bursts=1"])
+        status = cli_main(
+            ["simulate", "--scenario", "all", "--smoke", "--param", "post_events=1"]
+        )
         assert status == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing ran
-        assert "'bursts'" in captured.err
+        assert "'post_events'" in captured.err
