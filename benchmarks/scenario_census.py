@@ -41,12 +41,13 @@ def trace(name: str, seed: int, smoke: bool) -> tuple[set, set, set]:
             lines.add((filename[len(SRC) :], frame.f_lineno))
         return tracer
 
+    previous = sys.gettrace()
     InMemoryTransport._account_delivery = counting
     sys.settrace(tracer)
     try:
         result = run_scenario(name, seed=seed, smoke=smoke)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
         InMemoryTransport._account_delivery = account
     report = result.pop("report", {})
     return lines, kinds, set(result) | {f"report.{key}" for key in report}

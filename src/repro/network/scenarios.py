@@ -42,7 +42,9 @@ from repro.analysis.attack import (
     simulate_attack,
 )
 from repro.authz.bell_lapadula import BellLaPadulaModel, SecurityLevel
-from repro.core.chain import CohesionChecker
+# CohesionChecker names "Blockchain" as a forward reference; get_type_hints
+# resolves it in this module's namespace.
+from repro.core.chain import Blockchain, CohesionChecker  # noqa: F401
 from repro.core.config import ChainConfig, RedundancyPolicy
 from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError

@@ -1,6 +1,9 @@
 """Scenario-engine tests: determinism pin, scheduled faults, gossip, failover."""
 
+import dataclasses
+import inspect
 import json
+import typing
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.network import (
     run_scenario,
     scenario_names,
 )
+from repro.network import scenarios
 
 
 class TestDeterminismPin:
@@ -251,6 +255,46 @@ def test_no_kernel_event_runs_inside_another(name):
     an executing event raises ``KernelError``, so a scenario that completes
     never stepped one event inside another."""
     run_scenario(name, seed=7, smoke=True)
+
+
+class _ReadParameters(dict):
+    """A scenario's parameters that remember which keys the body read."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_declared_parameter_is_read(name, monkeypatch):
+    """A declared parameter nothing reads is echoed into ``parameters`` (and
+    the golden digests) while changing nothing; every key is read at smoke
+    size."""
+    entry = scenarios.SCENARIOS[name]
+    seen = {}
+
+    def reading(seed, params):
+        seen["params"] = _ReadParameters(params)
+        return entry.fn(seed, seen["params"])
+
+    monkeypatch.setitem(scenarios.SCENARIOS, name, dataclasses.replace(entry, fn=reading))
+    run_scenario(name, seed=7, smoke=True)
+    assert set(entry.defaults) - seen["params"].read == set()
+
+
+def test_every_scenarios_function_has_resolvable_type_hints():
+    """Annotations name imported types, so ``get_type_hints`` resolves them."""
+    for _, function in inspect.getmembers(scenarios, inspect.isfunction):
+        if function.__module__ == scenarios.__name__:
+            typing.get_type_hints(function)
 
 
 class TestScenarioOutcomes:
