@@ -8,7 +8,9 @@ then the location of every unique line outside ``scenarios.py``.  The
 catalogue first runs once untraced, so process-global caches are warm and no
 cache fill is credited to whichever scenario happens to run first.
 
-    PYTHONPATH=src python benchmarks/scenario_census.py [--smoke] [--seed 7]
+    PYTHONPATH=src python benchmarks/scenario_census.py [--smoke]
+
+Every run uses seed 7.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from repro.network.scenarios import run_scenario, scenario_names
 from repro.network.transport import InMemoryTransport
 
 SRC = str(Path(__file__).resolve().parent.parent / "src") + "/"
+SEED = 7
 
 
-def trace(name: str, seed: int, smoke: bool) -> tuple[set, set, set]:
+def trace(name: str, smoke: bool) -> tuple[set, set, set]:
     """The ``src/`` lines, delivered kinds and result sections of one run."""
     lines: set[tuple[str, int]] = set()
     kinds: set[str] = set()
@@ -45,7 +48,7 @@ def trace(name: str, seed: int, smoke: bool) -> tuple[set, set, set]:
     InMemoryTransport._account_delivery = counting
     sys.settrace(tracer)
     try:
-        result = run_scenario(name, seed=seed, smoke=smoke)
+        result = run_scenario(name, seed=SEED, smoke=smoke)
     finally:
         sys.settrace(previous)
         InMemoryTransport._account_delivery = account
@@ -68,11 +71,11 @@ def spans(lines: list[tuple[str, int]]) -> str:
     )
 
 
-def census(seed: int, smoke: bool) -> None:
+def census(smoke: bool) -> None:
     for name in scenario_names():
-        run_scenario(name, seed=seed, smoke=smoke)
-    runs = {name: trace(name, seed, smoke) for name in scenario_names()}
-    print(f"\n{'smoke' if smoke else 'default'} size, seed {seed}\n")
+        run_scenario(name, seed=SEED, smoke=smoke)
+    runs = {name: trace(name, smoke) for name in scenario_names()}
+    print(f"\n{'smoke' if smoke else 'default'} size, seed {SEED}\n")
     print("| scenario | unique lines (outside scenarios.py) | kinds delivered (only here) "
           "| sections (only here) |\n| --- | --- | --- | --- |")
     outside = []
@@ -92,7 +95,6 @@ def census(seed: int, smoke: bool) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="smoke size only")
-    parser.add_argument("--seed", type=int, default=7)
     arguments = parser.parse_args()
     for smoke in (True,) if arguments.smoke else (True, False):
-        census(arguments.seed, smoke)
+        census(smoke)

@@ -18,7 +18,7 @@ def test_spans_joins_consecutive_lines_per_file():
 
 
 def test_trace_records_src_lines_delivered_kinds_and_result_sections():
-    lines, kinds, sections = scenario_census.trace("clock-skew", 7, True)
+    lines, kinds, sections = scenario_census.trace("clock-skew", True)
     assert all(not path.startswith("/") for path, _ in lines)
     assert any(path == "repro/network/scenarios.py" for path, _ in lines)
     assert "submit_entry" in kinds
@@ -30,14 +30,14 @@ def test_trace_restores_the_tracer_and_delivery_hook_when_a_run_fails():
     account = InMemoryTransport._account_delivery
     before = sys.gettrace()
     with pytest.raises(ScenarioError):
-        scenario_census.trace("no-such-scenario", 7, True)
+        scenario_census.trace("no-such-scenario", True)
     assert InMemoryTransport._account_delivery is account
     assert sys.gettrace() is before
 
 
 def test_census_prints_one_row_per_scenario_and_what_only_it_reaches(monkeypatch, capsys):
     monkeypatch.setattr(scenario_census, "scenario_names", lambda: ["clock-skew", "failover-storm"])
-    scenario_census.census(7, smoke=True)
+    scenario_census.census(smoke=True)
     out = capsys.readouterr().out
     assert "smoke size, seed 7" in out
     rows = [line for line in out.splitlines() if line.startswith("| `")]

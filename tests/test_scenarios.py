@@ -1,6 +1,7 @@
 """Scenario-engine tests: determinism pin, scheduled faults, gossip, failover."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import typing
@@ -249,14 +250,6 @@ class TestScheduledFaults:
         assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
 
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_no_kernel_event_runs_inside_another(name):
-    """Every exchange is a kernel process: entering the kernel from inside
-    an executing event raises ``KernelError``, so a scenario that completes
-    never stepped one event inside another."""
-    run_scenario(name, seed=7, smoke=True)
-
-
 class _ReadParameters(dict):
     """A scenario's parameters that remember which keys the body read."""
 
@@ -273,11 +266,10 @@ class _ReadParameters(dict):
         return super().get(key, default)
 
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_every_declared_parameter_is_read(name, monkeypatch):
-    """A declared parameter nothing reads is echoed into ``parameters`` (and
-    the golden digests) while changing nothing; every key is read at smoke
-    size."""
+@functools.cache
+def _unread_parameters(name):
+    """Run ``name`` once at smoke size, seed 7; the declared parameters its
+    body never read.  Both tests below share this one run per scenario."""
     entry = scenarios.SCENARIOS[name]
     seen = {}
 
@@ -285,9 +277,26 @@ def test_every_declared_parameter_is_read(name, monkeypatch):
         seen["params"] = _ReadParameters(params)
         return entry.fn(seed, seen["params"])
 
-    monkeypatch.setitem(scenarios.SCENARIOS, name, dataclasses.replace(entry, fn=reading))
-    run_scenario(name, seed=7, smoke=True)
-    assert set(entry.defaults) - seen["params"].read == set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(scenarios.SCENARIOS, name, dataclasses.replace(entry, fn=reading))
+        run_scenario(name, seed=7, smoke=True)
+    return set(entry.defaults) - seen["params"].read
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_no_kernel_event_runs_inside_another(name):
+    """Every exchange is a kernel process: entering the kernel from inside
+    an executing event raises ``KernelError``, so a scenario that completes
+    never stepped one event inside another."""
+    _unread_parameters(name)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_declared_parameter_is_read(name):
+    """A declared parameter nothing reads is echoed into ``parameters`` (and
+    the golden digests) while changing nothing; every key is read at smoke
+    size."""
+    assert _unread_parameters(name) == set()
 
 
 def test_every_scenarios_function_has_resolvable_type_hints():
