@@ -69,6 +69,10 @@ def measure_mode(anchors: int, *, gossip: bool) -> dict[str, float]:
     reset_message_counter()
     simulator = build_deployment(anchors, gossip=gossip)
     kernel = simulator.kernel
+    producer_announcements = simulator.transport.tap(
+        lambda message: message.sender == simulator.producer_id
+        and message.kind is MessageKind.BLOCK_ANNOUNCE
+    )
     per_block_ms: list[float] = []
     for index in range(BLOCKS_PER_RUN):
         start = kernel.now
@@ -83,16 +87,10 @@ def measure_mode(anchors: int, *, gossip: bool) -> dict[str, float]:
             f"dissemination did not converge at {anchors} anchors "
             f"({'gossip' if gossip else 'broadcast'})"
         )
-    producer_announcements = sum(
-        1
-        for message in simulator.transport.message_log
-        if message.sender == simulator.producer_id
-        and message.kind is MessageKind.BLOCK_ANNOUNCE
-    )
     stats = simulator.transport.statistics
     return {
         "dissemination_ms_per_block": round(sum(per_block_ms) / len(per_block_ms), 6),
-        "producer_announcements_per_block": producer_announcements / BLOCKS_PER_RUN,
+        "producer_announcements_per_block": len(producer_announcements) / BLOCKS_PER_RUN,
         "delivered_messages": float(stats.delivered),
         "bytes_transferred": float(stats.bytes_transferred),
     }

@@ -128,9 +128,11 @@ class DeletionForger(AdversaryActor):
       cryptographically binding, so this passes the signature comparison —
       the semantic-cohesion layer (Section IV-D2: Bell-LaPadula /
       Brewer-Nash) is the defence in depth that must catch it,
-    * :meth:`replay` re-transmits captured ``SUBMIT_DELETION`` messages from
-      the transport's log.  A replay of an already *executed* deletion dies
-      on the missing-target check (the target physically left the chain).
+    * :meth:`replay` re-transmits the ``SUBMIT_DELETION`` messages the
+      forger captured since it was placed — it taps the wire when it is
+      constructed, so it hears only later traffic.  A replay of an already
+      *executed* deletion dies on the missing-target check (the target
+      physically left the chain).
 
     Every response is classified into a typed counter
     (``rejected_unauthorized`` / ``rejected_cohesion`` /
@@ -144,6 +146,9 @@ class DeletionForger(AdversaryActor):
     def __init__(self, actor_id: str, transport: "InMemoryTransport") -> None:
         super().__init__(actor_id, transport)
         self.scheme = new_scheme("simplified")
+        self._captured = transport.tap(
+            lambda message: message.kind is MessageKind.SUBMIT_DELETION
+        )
 
     # ------------------------------------------------------------------ #
     # The three attacks
@@ -173,18 +178,12 @@ class DeletionForger(AdversaryActor):
     def replay_process(self, anchor_id: str, *, limit: Optional[int] = None) -> Process:
         """Re-transmit captured ``SUBMIT_DELETION`` messages verbatim.
 
-        Scans the transport's message log (the wire, as seen by an
-        eavesdropper), re-sends up to ``limit`` distinct deletion
-        submissions to ``anchor_id`` and classifies each response.  Returns
-        the number of replays sent.
+        Re-sends up to ``limit`` of the deletion submissions captured since
+        the forger was placed (the wire, as heard by an eavesdropper) to
+        ``anchor_id`` and classifies each response.  Returns the number of
+        replays sent.
         """
-        captured = [
-            message
-            for message in list(self.transport.message_log)
-            if message.kind is MessageKind.SUBMIT_DELETION
-        ]
-        if limit is not None:
-            captured = captured[:limit]
+        captured = self._captured[:limit]
         for original in captured:
             replayed = Message(
                 kind=MessageKind.SUBMIT_DELETION,

@@ -496,6 +496,10 @@ def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         # runs second.
         reset_message_counter()
         simulator, kernel = _deployment(seed, params, overlay=overlay)
+        producer_announcements = simulator.transport.tap(
+            lambda message: message.sender == simulator.producer_id
+            and message.kind is MessageKind.BLOCK_ANNOUNCE
+        )
         _book_logins(simulator, kernel, params, start_ms=20.0, to_producer=True)
         report = simulator.finalize()
         # Gossip fan-out may leave a replica one hop short on sparse graphs;
@@ -503,19 +507,13 @@ def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         for node_id in simulator.anchor_ids:
             if node_id != simulator.producer_id:
                 simulator.anchors[node_id].catch_up(simulator.producer_id)
-        producer_announcements = sum(
-            1
-            for message in simulator.transport.message_log
-            if message.sender == simulator.producer_id
-            and message.kind is MessageKind.BLOCK_ANNOUNCE
-        )
         modes[mode] = {
             "delivered": report.transport["delivered"],
             "dropped": report.transport["dropped"],
             "bytes_transferred": report.transport["bytes_transferred"],
             # The axis gossip is about: the producer's own egress per block
             # is bounded by the fan-out instead of growing with the quorum.
-            "producer_announcements": producer_announcements,
+            "producer_announcements": len(producer_announcements),
             "virtual_time_ms": report.kernel["virtual_time_ms"],
             "replicas_identical": simulator.replicas_identical(),
         }

@@ -252,6 +252,7 @@ class NetworkSimulator:
         counters with the quorum's defence counters under
         ``report.adversary``.
         """
+        # repro: allow[REPRO-PERF502] one per injected actor, placed at setup
         self.adversaries.append(actor)
         return actor
 
@@ -397,6 +398,7 @@ class NetworkSimulator:
             on_submitted=on_submitted,
             lane_of=lane_of,
         )
+        # repro: allow[REPRO-PERF502] one per fleet driven, registered at setup
         self._workload_drivers.append(driver)
         return driver
 

@@ -3,7 +3,10 @@
 This is the substitution for the paper's CORBA middleware: a deterministic
 message fabric with per-link latency, fault injection (dropped links,
 partitions, outages, seeded probabilistic loss) and full message statistics
-for the evaluation harness.
+for the evaluation harness.  The wire keeps no history: ``message_log`` is a
+window of the newest :data:`MESSAGE_LOG_LIMIT` deliveries, and a reader that
+needs every message of some kind opens a :meth:`InMemoryTransport.tap`
+before the traffic it inspects.
 
 Every transport runs on an :class:`~repro.network.kernel.EventKernel` —
 the caller's, or one it builds for itself.  Every latency sample becomes a
@@ -32,6 +35,7 @@ inside an event spawns the process; a blocking name (``catch_up``,
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from types import GeneratorType
@@ -50,6 +54,9 @@ Issuer = Callable[[Callable[[Optional[Message]], None]], None]
 #: A kernel process: yields waves of issuers, is resumed with one
 #: ``(reply, round_trip_ms)`` per issuer, returns its result.
 Process = Generator[list[Issuer], list[tuple[Optional[Message], float]], Any]
+
+#: Deliveries the transport's ``message_log`` window keeps (newest last).
+MESSAGE_LOG_LIMIT = 256
 
 
 class TransportError(SelectiveDeletionError):
@@ -247,7 +254,10 @@ class InMemoryTransport:
         self._handlers: dict[str, Handler] = {}
         self._blocked_links: set[tuple[str, str]] = set()
         self._offline: set[str] = set()
-        self.message_log: list[Message] = []
+        #: The newest deliveries, newest last — a bounded window, not a
+        #: history: a reader that needs every message opens a :meth:`tap`.
+        self.message_log: deque[Message] = deque(maxlen=MESSAGE_LOG_LIMIT)
+        self._taps: list[tuple[Callable[[Message], bool], list[Message]]] = []
 
     # ------------------------------------------------------------------ #
     # Registration and fault injection
@@ -339,11 +349,26 @@ class InMemoryTransport:
     # Delivery
     # ------------------------------------------------------------------ #
 
+    def tap(self, keep: Callable[[Message], bool]) -> list[Message]:
+        """The delivered messages ``keep`` accepts, from now on.
+
+        The returned list grows as matching messages are delivered (lost
+        and dropped ones never are); the reader holds only what it asked
+        for.
+        """
+        captured: list[Message] = []
+        # repro: allow[REPRO-PERF502] one entry per reader, not per delivery
+        self._taps.append((keep, captured))
+        return captured
+
     def _account_delivery(self, message: Message, latency_ms: float) -> None:
         self.statistics.delivered += 1
         self.statistics.delivery_latency_ms += latency_ms
         self.statistics.bytes_transferred += message.wire_size
         self.message_log.append(message)
+        for keep, captured in self._taps:
+            if keep(message):
+                captured.append(message)
 
     def _request_leg(
         self, recipient: str, message: Message, latency_ms: float

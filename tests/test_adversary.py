@@ -208,6 +208,8 @@ class TestWirePathAuthorization:
             anchor_count=3, config=ChainConfig.paper_evaluation()
         )
         simulator.add_client("ALPHA")
+        # The eavesdropper is on the wire before ALPHA's traffic.
+        forger = DeletionForger("MALLORY", simulator.transport)
         target = _submit_record(simulator, "ALPHA", "Record to erase")
         deletion = simulator.submit_deletion(
             "ALPHA", target, anchor_id=simulator.producer_id, reason="erasure"
@@ -218,11 +220,23 @@ class TestWirePathAuthorization:
         for index in range(10):
             _submit_record(simulator, "ALPHA", f"Filler #{index}")
         assert simulator.producer.chain.find_entry(target) is None
-        forger = DeletionForger("MALLORY", simulator.transport)
         replayed = forger.replay(simulator.producer_id, limit=1)
         assert replayed == 1
         assert forger.stats["rejected_missing_target"] == 1
         assert "approved" not in forger.stats
+
+    def test_forger_placed_after_the_deletion_has_nothing_to_replay(self):
+        simulator = _sync_simulator()
+        simulator.add_client("ALPHA")
+        target = _submit_record(simulator, "ALPHA", "Record to erase")
+        deletion = simulator.submit_deletion(
+            "ALPHA", target, anchor_id=simulator.producer_id, reason="erasure"
+        )
+        assert deletion.payload["deletion_status"] == "approved"
+        # The request crossed the wire before the eavesdropper arrived.
+        forger = DeletionForger("MALLORY", simulator.transport)
+        assert forger.replay(simulator.producer_id) == 0
+        assert "replays_sent" not in forger.stats
 
 
 class TestBoundedCollections:

@@ -3,6 +3,8 @@ pragmas honoured — all on synthetic projects, never the working tree."""
 
 from __future__ import annotations
 
+import inspect
+
 from repro.lint.base import rule_catalogue, rule_ids
 from repro.lint.engine import run_lint
 from repro.lint.project import Project
@@ -13,7 +15,8 @@ from repro.lint.rules_determinism import (
     WallClockRule,
 )
 from repro.lint.rules_frozen import FrozenSetattrRule, MissingCanonicalHookRule
-from repro.lint.rules_perf import UncachedDecodeRule
+from repro.lint.rules_perf import UnboundedListGrowthRule, UncachedDecodeRule
+from repro.network import transport as transport_module
 
 
 def lint_snippet(source: str, rule, rel_path: str = "src/repro/demo.py"):
@@ -220,6 +223,69 @@ class TestUncachedDecodeRule:
             "point = CurvePoint.decode(key_hex)\n"
         )
         assert not lint_snippet(source, UncachedDecodeRule)
+
+
+class TestUnboundedListGrowthRule:
+    TRANSPORT = "src/repro/network/transport.py"
+
+    def test_re_added_unbounded_message_log_flagged(self):
+        # The shipped transport with its window turned back into a list.
+        source = inspect.getsource(transport_module)
+        bounded = "deque(maxlen=MESSAGE_LOG_LIMIT)"
+        assert bounded in source
+        unbounded = source.replace(bounded, "[]")
+        findings = lint_snippet(unbounded, UnboundedListGrowthRule, self.TRANSPORT)
+        assert [f.rule_id for f in findings] == ["REPRO-PERF502"]
+        assert "InMemoryTransport.message_log" in findings[0].message
+        assert "_account_delivery()" in findings[0].message
+        assert not lint_snippet(source, UnboundedListGrowthRule, self.TRANSPORT)
+
+    def test_list_grown_outside_init_flagged(self):
+        source = (
+            "class Peer:\n"
+            "    def __init__(self):\n"
+            "        self.seen: list[str] = []\n"
+            "        self.pending = list()\n"
+            "    def hear(self, item):\n"
+            "        self.seen.append(item)\n"
+            "        self.pending.extend([item])\n"
+        )
+        findings = lint_snippet(source, UnboundedListGrowthRule, "src/repro/sync/peer.py")
+        assert [f.line for f in findings] == [6, 7]
+
+    def test_deque_window_and_init_growth_pass(self):
+        source = (
+            "from collections import deque\n"
+            "class Peer:\n"
+            "    def __init__(self, ids):\n"
+            "        self.seen = deque(maxlen=8)\n"
+            "        self.ids = []\n"
+            "        self.ids.extend(ids)\n"
+            "    def hear(self, item):\n"
+            "        self.seen.append(item)\n"
+        )
+        assert not lint_snippet(source, UnboundedListGrowthRule, "src/repro/network/peer.py")
+
+    def test_other_packages_out_of_scope(self):
+        source = (
+            "class Log:\n"
+            "    def __init__(self):\n"
+            "        self.rows = []\n"
+            "    def add(self, row):\n"
+            "        self.rows.append(row)\n"
+        )
+        assert not lint_snippet(source, UnboundedListGrowthRule, "src/repro/core/log.py")
+
+    def test_pragma_suppresses(self):
+        source = (
+            "class Registry:\n"
+            "    def __init__(self):\n"
+            "        self.actors = []\n"
+            "    def add(self, actor):\n"
+            "        # repro: allow[REPRO-PERF502] one per actor, placed at setup\n"
+            "        self.actors.append(actor)\n"
+        )
+        assert not lint_snippet(source, UnboundedListGrowthRule, "src/repro/network/registry.py")
 
 
 class TestPragmas:

@@ -20,6 +20,7 @@ from repro.network import (
     TransportError,
     run_process,
 )
+from repro.network.transport import MESSAGE_LOG_LIMIT
 
 
 class TestTransport:
@@ -145,6 +146,66 @@ class TestTransport:
         assert not delivered
         assert transport.statistics.dropped == 1
         assert transport.statistics.lost == (1 if fault == "lost" else 0)
+
+    def test_message_log_keeps_only_the_newest_deliveries(self):
+        transport = InMemoryTransport(LatencyModel(seed=3))
+        delivered = []
+
+        def sink(message):
+            delivered.append(message)
+            assert len(transport.message_log) <= MESSAGE_LOG_LIMIT
+
+        transport.register("b", sink)
+        for _ in range(4 * MESSAGE_LOG_LIMIT):
+            transport.post("b", Message(kind=MessageKind.SYNC_DIGEST, sender="a"))
+        transport.kernel.run()
+        assert len(delivered) == 4 * MESSAGE_LOG_LIMIT
+        assert len(transport.message_log) == MESSAGE_LOG_LIMIT
+        assert transport.message_log[-1] is delivered[-1]
+        assert list(transport.message_log) == delivered[-MESSAGE_LOG_LIMIT:]
+
+    def test_a_tap_holds_exactly_the_delivered_messages_under_loss(self):
+        transport = InMemoryTransport(LatencyModel(seed=3), loss_rate=0.3, loss_seed=5)
+        requests = []
+
+        def answer(message):
+            requests.append(message)
+            return message.reply(MessageKind.ACK, "b")
+
+        transport.register("b", answer)
+        transport.register("c", lambda message: None)
+        transport.set_offline("c")
+        everything = transport.tap(lambda message: True)
+        replies = []
+        for _ in range(200):
+            transport.send_async(
+                "b", Message(kind=MessageKind.SYNC_DIGEST, sender="a"), on_response=replies.append
+            )
+            transport.post("c", Message(kind=MessageKind.SYNC_DIGEST, sender="a"))
+        transport.kernel.run()
+        stats = transport.statistics
+        assert stats.lost > 0 and stats.dropped > stats.lost
+        assert len(everything) == stats.delivered
+        # Requests the handler saw and replies that reached the requester —
+        # never a lost or dropped message, nor a transport's error notice.
+        assert [m for m in everything if m.kind is MessageKind.SYNC_DIGEST] == requests
+        assert [m for m in everything if m.kind is MessageKind.ACK] == [
+            reply for reply in replies if not reply.is_error
+        ]
+
+    def test_a_tap_opened_mid_run_sees_only_later_deliveries(self):
+        transport = InMemoryTransport(LatencyModel(seed=3))
+        delivered = []
+        transport.register("b", delivered.append)
+        for _ in range(10):
+            transport.post("b", Message(kind=MessageKind.SYNC_DIGEST, sender="a"))
+        transport.kernel.run()
+        later = transport.tap(lambda message: message.kind is MessageKind.SYNC_DIGEST)
+        for _ in range(5):
+            transport.post("b", Message(kind=MessageKind.SYNC_DIGEST, sender="a"))
+        transport.kernel.run()
+        assert len(delivered) == 15
+        assert later == delivered[10:]
 
 
 class TestAnchorAndClientNodes:

@@ -197,6 +197,9 @@ def test_a_gossip_deployment_decodes_each_block_once_per_replica(monkeypatch):
         gossip=GossipOverlay(GossipTopology.fully_connected(ids), fanout=2, seed=3),
     )
     simulator.add_client("ALPHA")
+    announcements = simulator.transport.tap(
+        lambda message: message.kind is MessageKind.BLOCK_ANNOUNCE
+    )
     for index in range(12):
         simulator.submit_entry("ALPHA", {"D": f"event {index}"}, anchor_id=simulator.producer_id)
         simulator.kernel.run()
@@ -207,11 +210,6 @@ def test_a_gossip_deployment_decodes_each_block_once_per_replica(monkeypatch):
     assert decodes[0] == len(ingested)
     # Every replica forwards once to both others: the producer gets its own
     # block back and each replica the other's copy, all dropped undecoded.
-    announcements = [
-        message
-        for message in simulator.transport.message_log
-        if message.kind is MessageKind.BLOCK_ANNOUNCE
-    ]
     assert len(announcements) == 3 * decodes[0]
 
 

@@ -193,13 +193,10 @@ class TestWireBootstrap:
         requester is bound to discard — the decline carries no blocks."""
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
+        responses = transport.tap(lambda message: message.kind is MessageKind.SYNC_RESPONSE)
         result = straggler.catch_up(ids[0])
         assert result.status is CatchUpStatus.SNAPSHOT_REQUIRED
-        response = [
-            message
-            for message in transport.message_log
-            if message.kind is MessageKind.SYNC_RESPONSE
-        ][-1]
+        response = responses[-1]
         assert response.payload["snapshot_required"] is True
         assert response.payload["blocks"] == []
 
@@ -617,17 +614,13 @@ class TestLoadAwareBootstrap:
         nodes[ids[0]].chain.add_entry_block(login("ALPHA"), "ALPHA")
         from repro.sync import rank_bootstrap_peers
 
+        served = transport.tap(lambda message: message.kind is MessageKind.SNAPSHOT_CHUNK)
         (probe,) = rank_bootstrap_peers(transport, "rescue", [ids[0]])
         assert probe.peer_id == ids[0]
         assert probe.load == 0
         assert probe.manifest.head_hash == nodes[ids[0]].chain.head.block_hash
         assert nodes[ids[0]].sync_stats["snapshot_probes_served"] == 1
         # The probe shipped no chunk data (that is its whole point).
-        served = [
-            message
-            for message in transport.message_log
-            if message.kind is MessageKind.SNAPSHOT_CHUNK
-        ]
         assert served and "data" not in served[-1].payload
 
     def test_ranking_prefers_near_and_lightly_loaded_peers(self):
