@@ -173,7 +173,7 @@ class HeadElection(ElectionStrategy):
 
 
 def elect_anchor_nodes(strategy: ElectionStrategy, seats: int) -> ElectionResult:
-    """Convenience wrapper used by the network simulator."""
+    """Elect ``seats`` anchor nodes with ``strategy`` (``strategy.elect(seats)``)."""
     return strategy.elect(seats)
 
 

@@ -146,8 +146,7 @@ class Blockchain:
         for block in blocks:
             for entry in block.entries:
                 if entry.is_deletion_request:
-                    approved, reason = self._evaluate_deletion(entry, entry.deletion_target())
-                    self.registry.record_request(entry, approved=approved, reason=reason)
+                    self._decide(entry)
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -285,7 +284,7 @@ class Blockchain:
             expires_at_block=expires_at_block,
         )
         entry = sign_entry(self.scheme, entry, author, key_pair)
-        self._pending.append(entry)
+        self._admit(entry)
         return entry
 
     def submit_signed_entry(self, entry: Entry) -> Optional[DeletionDecision]:
@@ -300,17 +299,9 @@ class Blockchain:
         from repro.core.validation import validate_entry_signature
 
         validate_entry_signature(entry, self.config.signature_scheme)
-        if entry.is_deletion_request:
-            reference = entry.deletion_target()
-            approved, reason = self._evaluate_deletion(entry, reference)
-            self._pending.append(entry)
-            decision = self.registry.record_request(entry, approved=approved, reason=reason)
-            self._publish_deletion_requested(entry.author, reference, approved, reason)
-            return decision
-        if self.schema is not None:
+        if self.schema is not None and not entry.is_deletion_request:
             self.schema.validate(entry.data)
-        self._pending.append(entry)
-        return None
+        return self._admit(entry)
 
     def request_deletion(
         self,
@@ -330,17 +321,36 @@ class Blockchain:
         """
         reference = target if isinstance(target, EntryReference) else EntryReference(*target)
         request = build_deletion_request(reference, author=author, signature="", reason=reason)
-        request = sign_entry(self.scheme, request, author, key_pair)
-
-        approved, decision_reason = self._evaluate_deletion(request, reference)
-        self._pending.append(request)
-        decision = self.registry.record_request(request, approved=approved, reason=decision_reason)
-        self._publish_deletion_requested(author, reference, approved, decision_reason)
-        if strict and not approved:
-            raise DeletionError(decision_reason)
+        decision = self._admit(sign_entry(self.scheme, request, author, key_pair))
+        assert decision is not None  # a deletion request is always decided
+        if strict and not decision.is_approved:
+            raise DeletionError(decision.reason)
         return decision
 
-    def _evaluate_deletion(self, request: Entry, reference: EntryReference) -> tuple[bool, str]:
+    def _admit(self, entry: Entry) -> Optional[DeletionDecision]:
+        """The one admission step of a signed entry, local or from the wire.
+
+        A deletion request is decided first, then the entry is queued for
+        the next block, then the decision is published.  Returns the
+        decision for deletion requests, ``None`` otherwise.
+        """
+        decision = self._decide(entry) if entry.is_deletion_request else None
+        self._pending.append(entry)
+        if decision is not None:
+            self._publish_deletion_requested(decision)
+        return decision
+
+    def _decide(self, request: Entry) -> DeletionDecision:
+        """Evaluate a deletion request and record the verdict in the registry.
+
+        Every path that meets a deletion request — admission, replication
+        (:meth:`receive_block`) and restart replay — decides it here.
+        """
+        approved, reason = self._evaluate_deletion(request)
+        return self.registry.record_request(request, approved=approved, reason=reason)
+
+    def _evaluate_deletion(self, request: Entry) -> tuple[bool, str]:
+        reference = request.deletion_target()
         located = self.find_entry(reference)
         if located is None:
             return False, f"target {reference} does not exist in the living chain"
@@ -408,12 +418,7 @@ class Blockchain:
         self._append(block)
         for entry in block.entries:
             if entry.is_deletion_request:
-                reference = entry.deletion_target()
-                approved, reason = self._evaluate_deletion(entry, reference)
-                self.registry.record_request(entry, approved=approved, reason=reason)
-                self._publish_deletion_requested(
-                    entry.author, reference, approved, reason, replicated=True
-                )
+                self._publish_deletion_requested(self._decide(entry), replicated=True)
         self._create_due_summary_blocks()
         return block
 
@@ -570,23 +575,18 @@ class Blockchain:
         )
 
     def _publish_deletion_requested(
-        self,
-        author: str,
-        reference: EntryReference,
-        approved: bool,
-        reason: str,
-        *,
-        replicated: bool = False,
+        self, decision: DeletionDecision, *, replicated: bool = False
     ) -> None:
+        author, approved = decision.request.author, decision.is_approved
         verdict = "approved" if approved else "rejected"
         prefix = "replicated deletion request" if replicated else "deletion request"
         self._publish(
             EventType.DELETION_REQUESTED,
-            f"{prefix} by {author} for {reference} {verdict}: {reason}",
-            reference=reference.to_dict(),
+            f"{prefix} by {author} for {decision.target} {verdict}: {decision.reason}",
+            reference=decision.target.to_dict(),
             author=author,
             approved=approved,
-            reason=reason,
+            reason=decision.reason,
         )
 
     # ------------------------------------------------------------------ #

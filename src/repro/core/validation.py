@@ -32,7 +32,7 @@ from repro.core.entry import Entry
 from repro.core.errors import AuthorizationError, ChainIntegrityError
 from repro.core.sequence import is_summary_slot
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
-from repro.crypto.signatures import SignedPayload, scheme_instance
+from repro.crypto.signatures import SignedPayload, new_scheme
 
 
 def validate_block_link(previous: Block, block: Block) -> None:
@@ -53,7 +53,7 @@ def validate_block_link(previous: Block, block: Block) -> None:
 
 def validate_entry_signature(entry: Entry, scheme_name: str) -> None:
     """Verify one entry signature under the named scheme."""
-    scheme = scheme_instance(scheme_name)
+    scheme = new_scheme(scheme_name)
     signed = SignedPayload(
         payload=entry.signing_payload(),
         signer=entry.author,
@@ -77,7 +77,7 @@ def validate_block_signatures(block: Block, scheme_name: str) -> None:
     """
     if not block.entries:
         return
-    scheme = scheme_instance(scheme_name)
+    scheme = new_scheme(scheme_name)
     batch = [
         SignedPayload(
             payload=entry.signing_payload(),

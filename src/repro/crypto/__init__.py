@@ -39,7 +39,6 @@ from repro.crypto.signatures import (
     SignedPayload,
     SimplifiedScheme,
     new_scheme,
-    scheme_instance,
 )
 from repro.crypto.chameleon import ChameleonHash, ChameleonParameters, Collision
 
@@ -68,7 +67,6 @@ __all__ = [
     "SignedPayload",
     "SimplifiedScheme",
     "new_scheme",
-    "scheme_instance",
     "ChameleonHash",
     "ChameleonParameters",
     "Collision",

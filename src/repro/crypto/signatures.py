@@ -178,37 +178,21 @@ class EcdsaScheme(SignatureScheme):
         return verdicts
 
 
-_SCHEMES: dict[str, type[SignatureScheme]] = {
-    SimplifiedScheme.name: SimplifiedScheme,
-    EcdsaScheme.name: EcdsaScheme,
+#: One shared instance per scheme name: schemes hold no state, so every
+#: chain, client and validator signs and verifies through the same object.
+_SCHEMES: dict[str, SignatureScheme] = {
+    SimplifiedScheme.name: SimplifiedScheme(),
+    EcdsaScheme.name: EcdsaScheme(),
 }
 
 
-#: Shared stateless instances for the validation hot path; invalidated when
-#: :func:`register_scheme` replaces a class.
-_INSTANCES: dict[str, SignatureScheme] = {}
-
-
 def new_scheme(name: str) -> SignatureScheme:
-    """Instantiate a signature scheme by name (``simplified`` or ``ecdsa``)."""
+    """The shared instance of a signature scheme by name (``simplified`` or ``ecdsa``)."""
     try:
-        return _SCHEMES[name]()
+        return _SCHEMES[name]
     except KeyError:
         known = ", ".join(sorted(_SCHEMES))
         raise ValueError(f"unknown signature scheme {name!r}; known schemes: {known}") from None
-
-
-def scheme_instance(name: str) -> SignatureScheme:
-    """A shared instance of the named scheme (schemes are stateless).
-
-    Per-entry validation used to instantiate a fresh scheme object for every
-    signature it checked; the shared instance removes that allocation from
-    the message hot path.
-    """
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _INSTANCES[name] = new_scheme(name)
-    return instance
 
 
 def sign_entry(
@@ -245,5 +229,4 @@ def register_scheme(scheme_class: type[SignatureScheme]) -> None:
     """Register a custom signature scheme (extension hook)."""
     if not scheme_class.name or scheme_class.name == "abstract":
         raise ValueError("signature scheme must define a concrete name")
-    _SCHEMES[scheme_class.name] = scheme_class
-    _INSTANCES.pop(scheme_class.name, None)
+    _SCHEMES[scheme_class.name] = scheme_class()

@@ -27,8 +27,9 @@ from repro.core.errors import (
     SelectiveDeletionError,
     SynchronisationError,
 )
-from repro.core.entry import Entry, EntryKind, EntryReference
-from repro.core.events import ChainEvent, EventType
+from repro.core.deletion import build_deletion_request
+from repro.core.entry import Entry, EntryReference
+from repro.core.events import ChainEvent, EventType, Subscription
 from repro.crypto.hashing import canonical_json
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.gossip import GossipOverlay
@@ -144,7 +145,6 @@ class AnchorNode:
         gossip: Optional[GossipOverlay] = None,
     ) -> None:
         self.node_id = node_id
-        self.chain = chain
         self.transport = transport
         self.engine = engine or NullConsensus()
         self.is_producer = is_producer
@@ -185,10 +185,6 @@ class AnchorNode:
         #: head-number check in :meth:`_ingest_announced_block`.
         self._seen_announcements: dict[str, None] = {}
         self._seen_announcements_limit = DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
-        #: Serving side of the snapshot-bootstrap protocol: the serialised
-        #: chain is cached per head, so streaming N chunks (plus their
-        #: retransmissions) serialises once.
-        self._snapshot_cache = SnapshotChunkCache(chain)
         #: While a digest-triggered pull process is running, further digests
         #: reaching this node must not start a second, overlapping pull.
         self._sync_in_progress = False
@@ -215,20 +211,34 @@ class AnchorNode:
             "announcements_evicted": 0,
             "gap_pulls": 0,
         }
-        if chain.block_finalizer is None:
-            chain.block_finalizer = self.engine.prepare_block
-        # The producer announces every block its chain seals — no matter
-        # whether the seal was triggered by a submission, a direct
-        # ``seal_block`` or an idle tick.  Announcing is a *subscription* to
-        # the chain's event bus, not a call the block-production paths must
-        # each remember to make.
+        self._announce_subscription: Optional[Subscription] = None
+        self._bind(chain)
+        transport.register(node_id, self.handle_message)
+
+    def _bind(self, chain: Optional[Blockchain] = None) -> None:
+        """Wire this node to ``chain``, or re-wire the current one after a
+        role change.
+
+        Binding a chain installs the consensus finalizer hook and the
+        snapshot chunk cache, the serving side of the bootstrap protocol
+        (the serialised chain is cached per head, so streaming N chunks and
+        their retransmissions serialises once).  Either way the producer —
+        and only the producer — ends up subscribed to ``block-sealed``: it
+        announces every block its chain seals, whether a submission, a
+        direct ``seal_block`` or an idle tick triggered the seal.
+        """
+        if self._announce_subscription is not None:
+            self.chain.bus.unsubscribe(self._announce_subscription)
+            self._announce_subscription = None
+        if chain is not None:
+            self.chain = chain
+            if chain.block_finalizer is None:
+                chain.block_finalizer = self.engine.prepare_block
+            self._snapshot_cache = SnapshotChunkCache(chain)
         if self.is_producer:
-            self._announce_subscription = chain.bus.subscribe(
+            self._announce_subscription = self.chain.bus.subscribe(
                 self._on_block_sealed, types=(EventType.BLOCK_SEALED,)
             )
-        else:
-            self._announce_subscription = None
-        transport.register(node_id, self.handle_message)
 
     # ------------------------------------------------------------------ #
     # Peer management
@@ -319,6 +329,8 @@ class AnchorNode:
         if not self.is_producer:
             return self._forward_to_producer(message)
         ticks = int(message.payload.get("ticks", 1))
+        if ticks < 0:
+            raise ValueError(f"ticks must be non-negative, got {ticks}")
         clock = self.chain.clock
         if isinstance(clock, SimulationClock):
             # Kernel time cannot be advanced from inside this delivery: the
@@ -508,16 +520,9 @@ class AnchorNode:
         """
         self.producer_id = producer_id
         becoming = producer_id == self.node_id
-        if becoming and not self.is_producer:
-            self.is_producer = True
-            self._announce_subscription = self.chain.bus.subscribe(
-                self._on_block_sealed, types=(EventType.BLOCK_SEALED,)
-            )
-        elif not becoming and self.is_producer:
-            self.is_producer = False
-            if self._announce_subscription is not None:
-                self.chain.bus.unsubscribe(self._announce_subscription)
-                self._announce_subscription = None
+        if becoming != self.is_producer:
+            self.is_producer = becoming
+            self._bind()
 
     def _handle_summary_hash(self, message: Message) -> Message:
         block_number = int(message.payload["block_number"])
@@ -956,17 +961,7 @@ class AnchorNode:
         announcements the new head already covers are discarded; newer ones
         are drained against the adopted chain.
         """
-        if self._announce_subscription is not None:
-            self.chain.bus.unsubscribe(self._announce_subscription)
-            self._announce_subscription = None
-        self.chain = chain
-        if chain.block_finalizer is None:
-            chain.block_finalizer = self.engine.prepare_block
-        if self.is_producer:
-            self._announce_subscription = chain.bus.subscribe(
-                self._on_block_sealed, types=(EventType.BLOCK_SEALED,)
-            )
-        self._snapshot_cache = SnapshotChunkCache(chain)
+        self._bind(chain)
         self._block_buffer = {
             number: block
             for number, block in self._block_buffer.items()
@@ -1014,9 +1009,6 @@ class ClientNode:
         self.transport = transport
         self.scheme = new_scheme(scheme_name)
 
-    def _sign_entry(self, entry: Entry) -> Entry:
-        return sign_entry(self.scheme, entry, self.client_id)
-
     def request_process(self, targets: list[str], build: Callable[[], Message]) -> Process:
         """Send a fresh ``build()`` to each target in turn until one answers
         without error — the failover of Section V-B4 against node isolation.
@@ -1047,34 +1039,24 @@ class ClientNode:
         expires_at_block: Optional[int] = None,
     ) -> Message:
         """The ``SUBMIT_ENTRY`` message carrying ``data``, signed locally."""
-        entry = self._sign_entry(
-            Entry(
-                data=data,
-                author=self.client_id,
-                signature="",
-                expires_at_time=expires_at_time,
-                expires_at_block=expires_at_block,
-            )
+        entry = Entry(
+            data=data,
+            author=self.client_id,
+            signature="",
+            expires_at_time=expires_at_time,
+            expires_at_block=expires_at_block,
         )
-        return Message(
-            kind=MessageKind.SUBMIT_ENTRY,
-            sender=self.client_id,
-            payload={"entry": entry.to_dict()},
-        )
+        return self._signed_message(MessageKind.SUBMIT_ENTRY, entry)
 
     def deletion_message(self, target: EntryReference, *, reason: str = "") -> Message:
         """The signed ``SUBMIT_DELETION`` message for ``target``."""
-        data: dict[str, Any] = {"target": target.to_dict()}
-        if reason:
-            data["reason"] = reason
-        entry = self._sign_entry(
-            Entry(data=data, author=self.client_id, signature="", kind=EntryKind.DELETION_REQUEST)
-        )
-        return Message(
-            kind=MessageKind.SUBMIT_DELETION,
-            sender=self.client_id,
-            payload={"entry": entry.to_dict()},
-        )
+        entry = build_deletion_request(target, author=self.client_id, signature="", reason=reason)
+        return self._signed_message(MessageKind.SUBMIT_DELETION, entry)
+
+    def _signed_message(self, kind: MessageKind, entry: Entry) -> Message:
+        """Sign ``entry`` as this client and wrap it in a ``kind`` message."""
+        signed = sign_entry(self.scheme, entry, self.client_id)
+        return Message(kind=kind, sender=self.client_id, payload={"entry": signed.to_dict()})
 
     def submit_entry(
         self,

@@ -50,9 +50,10 @@ from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError
 from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventKernel
-from repro.network.message import Message, MessageKind, reset_message_counter
+from repro.network.message import MessageKind, reset_message_counter
 from repro.network.simulator import NetworkSimulator, SimulationReport
 from repro.network.transport import GeoLatencyModel, LatencyModel, spawn
+from repro.service.client import SubmitReceipt
 from repro.service.sharding import ShardRouter
 from repro.workloads.coins import CoinTransferWorkload
 from repro.workloads.fleet import FleetDriver, derive_client_seed
@@ -585,16 +586,6 @@ def _replica_bootstrap(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 # per (seed, parameters) — including everything the adversary does.
 
 
-def _ack_reference(response: Message) -> Optional[EntryReference]:
-    """The sealed entry's origin reference, from a submit ACK."""
-    if response.is_error or "block_number" not in response.payload:
-        return None
-    return EntryReference(
-        block_number=int(response.payload["block_number"]),
-        entry_number=int(response.payload["entry_number"]),
-    )
-
-
 @scenario(
     "byzantine-producer",
     "an equivocating producer splits conflicting blocks over the replicas; "
@@ -739,7 +730,7 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             {"D": f"Record #{index}", "K": "ALPHA", "S": "sig_ALPHA"},
             anchor_id=simulator.producer_id,
         )
-        reference = _ack_reference(response)
+        reference = SubmitReceipt.from_ack(response).reference
         if reference is None:
             return
         references[index] = reference
@@ -902,7 +893,7 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                 anchor_id=simulator.producer_id,
                 expires_at_time=ttl,
             )
-            checkpoints["temp_reference"] = _ack_reference(response)
+            checkpoints["temp_reference"] = SubmitReceipt.from_ack(response).reference
         else:
             yield from simulator.submit_entry_process(
                 "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id

@@ -32,12 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - service imports network, not vice versa
     from repro.service.remote import RemoteLedgerClient
     from repro.sync.antientropy import AntiEntropyService
     from repro.workloads.base import Workload
-    from repro.workloads.fleet import (
-        FleetArrival,
-        FleetDriver,
-        FleetPolicy,
-        FleetSubmitHook,
-    )
+    from repro.workloads.fleet import FleetArrival, FleetDriver, FleetPolicy
 
 from repro.consensus.election import HeadElection
 from repro.consensus.quorum import Quorum
@@ -345,14 +340,10 @@ class NetworkSimulator:
         workloads: "Sequence[Workload]",
         *,
         mean_gap_ms: float,
-        jitter: float = 0.5,
-        ms_per_tick: float = 1.0,
         start_at_ms: float = 0.0,
         expiry_ms_per_tick: Optional[float] = None,
         in_flight_budget: int = 8,
         policy: "FleetPolicy | str" = "queue",
-        on_submitted: Optional["FleetSubmitHook"] = None,
-        anchor_id: Optional[str] = None,
         clients: Optional["Sequence[LedgerClient]"] = None,
         lane_of: Optional["Callable[[FleetArrival], int]"] = None,
     ) -> "FleetDriver":
@@ -360,7 +351,7 @@ class NetworkSimulator:
 
         Builds a :class:`~repro.workloads.fleet.FleetDriver` over one
         :class:`~repro.service.remote.RemoteLedgerClient` per fleet client
-        (all bound to ``anchor_id``, default the producer), wired to this
+        (all bound to the producer), wired to this
         deployment's kernel and the producer chain's event bus.  The caller
         supplies one pre-seeded workload per client — typically built with
         :func:`~repro.workloads.fleet.derive_client_seed` — installs any
@@ -384,18 +375,15 @@ class NetworkSimulator:
             (
                 list(clients)
                 if clients is not None
-                else [self.ledger_client(anchor_id) for _ in workloads]
+                else [self.ledger_client() for _ in workloads]
             ),
             mean_gap_ms=mean_gap_ms,
-            jitter=jitter,
-            ms_per_tick=ms_per_tick,
             kernel=self.kernel,
             bus=self.producer.chain.bus,
             start_at_ms=start_at_ms,
             expiry_ms_per_tick=expiry_ms_per_tick,
             in_flight_budget=in_flight_budget,
             policy=policy,
-            on_submitted=on_submitted,
             lane_of=lane_of,
         )
         # repro: allow[REPRO-PERF502] one per fleet driven, registered at setup

@@ -39,6 +39,7 @@ from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.message import Message
     from repro.network.transport import Process
 
 
@@ -60,6 +61,25 @@ class SubmitReceipt:
     def ok(self) -> bool:
         """True when the submission was accepted."""
         return not self.error
+
+    @classmethod
+    def from_ack(cls, response: "Message") -> "SubmitReceipt":
+        """The receipt an anchor's reply to a submission stands for.
+
+        An error reply carries its reason.  The reply is wire input: an ACK
+        that does not name the sealed entry is the anchor's fault and must
+        not read as accepted.
+        """
+        if response.is_error:
+            error = str(response.payload.get("reason", "submission failed"))
+            return cls(reference=None, block_number=None, error=error)
+        try:
+            block_number = int(response.payload["block_number"])
+            entry_number = int(response.payload["entry_number"])
+        except (KeyError, TypeError, ValueError) as exc:
+            error = f"malformed ACK: {type(exc).__name__}: {exc}"
+            return cls(reference=None, block_number=None, error=error)
+        return cls(reference=EntryReference(block_number, entry_number), block_number=block_number)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.core.entry import EntryReference
 from repro.network.message import Message, MessageKind
 from repro.network.node import ClientNode
 from repro.network.transport import InMemoryTransport, Process, run_process
@@ -120,24 +119,6 @@ class RemoteLedgerClient(LedgerClient):
     # LedgerClient protocol
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _submit_receipt_from(response: Message) -> SubmitReceipt:
-        if response.is_error:
-            error = str(response.payload.get("reason", "submission failed"))
-            return SubmitReceipt(reference=None, block_number=None, error=error)
-        try:
-            block_number = int(response.payload["block_number"])
-            entry_number = int(response.payload["entry_number"])
-        except (KeyError, TypeError, ValueError) as exc:
-            # The reply is wire input: an ACK that does not name the sealed
-            # entry is the anchor's fault and must not read as accepted.
-            error = f"malformed ACK: {type(exc).__name__}: {exc}"
-            return SubmitReceipt(reference=None, block_number=None, error=error)
-        return SubmitReceipt(
-            reference=EntryReference(block_number, entry_number),
-            block_number=block_number,
-        )
-
     def submit_process(
         self,
         data: Mapping[str, Any],
@@ -153,7 +134,7 @@ class RemoteLedgerClient(LedgerClient):
                 dict(data), expires_at_time=expires_at_time, expires_at_block=expires_at_block
             ),
         )
-        return self._submit_receipt_from(response)
+        return SubmitReceipt.from_ack(response)
 
     def request_deletion_process(
         self, target: TargetLike, author: str, *, reason: str = ""
@@ -171,7 +152,7 @@ class RemoteLedgerClient(LedgerClient):
             )
         # A deletion request is sealed like any entry; its ACK additionally
         # carries the decision, without which it must not read as a rejection.
-        sealed = self._submit_receipt_from(response)
+        sealed = SubmitReceipt.from_ack(response)
         status = response.payload.get("deletion_status")
         if not sealed.ok or not isinstance(status, str):
             error = sealed.error or f"malformed ACK: deletion_status is {status!r}"

@@ -120,8 +120,6 @@ def fleet_timeline(
     workloads: Sequence[Workload],
     *,
     mean_gap_ms: float,
-    jitter: float = 0.5,
-    ms_per_tick: float = 1.0,
     start_at_ms: float = 0.0,
 ) -> list[FleetArrival]:
     """Interleave every client's arrival schedule into one fleet timeline.
@@ -136,9 +134,7 @@ def fleet_timeline(
         raise ValueError("start_at_ms must be non-negative")
     arrivals: list[FleetArrival] = []
     for client_index, workload in enumerate(workloads):
-        schedule = arrival_schedule(
-            workload, mean_gap_ms=mean_gap_ms, jitter=jitter, ms_per_tick=ms_per_tick
-        )
+        schedule = arrival_schedule(workload, mean_gap_ms=mean_gap_ms)
         arrivals.extend(
             FleetArrival(
                 at_ms=round(start_at_ms + at, 6),
@@ -240,8 +236,8 @@ class FleetDriver:
         One :class:`~repro.service.client.LedgerClient` per fleet client
         (parallel to ``workloads``); every event of client ``i`` executes
         against ``clients[i]``.
-    mean_gap_ms / jitter / ms_per_tick:
-        Per-client arrival-rate knobs, forwarded to
+    mean_gap_ms:
+        Per-client mean arrival gap, forwarded to
         :func:`~repro.workloads.base.arrival_schedule`.  The fleet's offered
         load scales with ``n_clients / mean_gap_ms``.
     kernel:
@@ -264,13 +260,6 @@ class FleetDriver:
         is the closed loop: one slot, queue only (see module docstring).
     policy:
         The :class:`FleetPolicy` applied when the budget is exhausted.
-    on_submitted:
-        Optional :data:`FleetSubmitHook`; ``on_finished`` is a plain
-        attribute called once after the final arrival completed or was shed.
-        Under backlog the *actual* completion time can lie well past the
-        nominal horizon, so post-traffic machinery (settle heartbeats,
-        follow-up requests) must anchor there, not at ``schedule()``'s
-        return value.
     lane_of:
         Optional service-lane selector.  By default the whole fleet drains
         through **one** service lane — requests round-trip strictly one at
@@ -294,15 +283,12 @@ class FleetDriver:
         clients: Sequence[LedgerClient],
         *,
         mean_gap_ms: float,
-        jitter: float = 0.5,
-        ms_per_tick: float = 1.0,
         kernel: "EventKernel",
         bus: Optional[EventBus] = None,
         start_at_ms: float = 0.0,
         expiry_ms_per_tick: Optional[float] = None,
         in_flight_budget: int = 8,
         policy: FleetPolicy | str = FleetPolicy.QUEUE,
-        on_submitted: Optional[FleetSubmitHook] = None,
         lane_of: Optional[Callable[[FleetArrival], int]] = None,
     ) -> None:
         if not workloads:
@@ -328,17 +314,21 @@ class FleetDriver:
         self.expiry_ms_per_tick = expiry_ms_per_tick
         self.in_flight_budget = int(in_flight_budget)
         self.policy = FleetPolicy(policy)
-        self.on_submitted = on_submitted
         self.lane_of = lane_of
         #: Service slots: budget 0 is the closed loop's single slot.
         self._slots = max(1, self.in_flight_budget)
+        #: Optional :data:`FleetSubmitHook`, called after every ENTRY
+        #: submission.
+        self.on_submitted: Optional[FleetSubmitHook] = None
         #: Called once after the final arrival has completed or been shed.
+        #: Under backlog the *actual* completion time can lie well past the
+        #: nominal horizon, so post-traffic machinery (settle heartbeats,
+        #: follow-up requests) must anchor here, not at ``schedule()``'s
+        #: return value.
         self.on_finished: Optional[Callable[[], None]] = None
         self.timeline: list[FleetArrival] = fleet_timeline(
             self.workloads,
             mean_gap_ms=mean_gap_ms,
-            jitter=jitter,
-            ms_per_tick=ms_per_tick,
             start_at_ms=self.start_at_ms,
         )
         self.stats = FleetRunStats(

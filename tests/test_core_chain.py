@@ -20,7 +20,9 @@ from repro.core import (
     default_log_schema,
 )
 from repro.core.errors import ChainIntegrityError, DeletionError, SchemaError
+from repro.core.events import EventType
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
+from repro.crypto.keys import KeyPair
 
 
 def login_entry(user: str) -> dict:
@@ -363,3 +365,65 @@ class TestStatistics:
     def test_repr_and_len(self, paper_chain):
         assert len(paper_chain) == paper_chain.length
         assert "Blockchain(" in repr(paper_chain)
+
+
+class TestOneDecisionPerDeletionRequest:
+    """A signed deletion request is decided identically whichever way it
+    reaches a chain: locally (``request_deletion``), over the wire
+    (``submit_signed_entry``) or as a replica of its sealed block
+    (``receive_block``)."""
+
+    USERS = ("ALPHA", "BRAVO", "MALLORY")
+
+    @staticmethod
+    def _chain_with_history(scheme: str, keys: dict) -> Blockchain:
+        chain = Blockchain(ChainConfig(signature_scheme=scheme))
+        for user in ("ALPHA", "BRAVO"):
+            chain.add_entry_block(login_entry(user), user, key_pair=keys[user])
+        return chain
+
+    @staticmethod
+    def _requested_events(chain: Blockchain) -> list:
+        seen: list = []
+        chain.bus.subscribe(seen.append, types=(EventType.DELETION_REQUESTED,))
+        return seen
+
+    @pytest.mark.parametrize("scheme", ["simplified", "ecdsa"])
+    def test_every_admission_path_gives_the_same_decision_and_event(self, scheme):
+        keys = {
+            user: KeyPair.from_seed(user) if scheme == "ecdsa" else None for user in self.USERS
+        }
+        local, wire, replica = (self._chain_with_history(scheme, keys) for _ in range(3))
+        assert local.head.block_hash == wire.head.block_hash == replica.head.block_hash
+        events = {chain: self._requested_events(chain) for chain in (local, wire, replica)}
+
+        asks = [  # approved, foreign (unauthorised), missing target
+            (EntryReference(1, 1), "ALPHA"),
+            (EntryReference(1, 1), "MALLORY"),
+            (EntryReference(99, 1), "ALPHA"),
+        ]
+        local_decisions = [
+            local.request_deletion(target, author, key_pair=keys[author], reason="erasure")
+            for target, author in asks
+        ]
+        wire_decisions = [wire.submit_signed_entry(d.request) for d in local_decisions]
+        replica.receive_block(local.seal_block())
+        replica_decisions = replica.registry.decisions[: len(asks)]
+
+        assert [d.status for d in local_decisions] == [
+            DeletionStatus.APPROVED,
+            DeletionStatus.REJECTED,
+            DeletionStatus.REJECTED,
+        ]
+        expected = [(d.status, d.reason, d.target) for d in local_decisions]
+        for decisions in (wire_decisions, replica_decisions):
+            assert [(d.status, d.reason, d.target) for d in decisions] == expected
+
+        local_events = events[local]
+        assert len(local_events) == len(asks)
+        for chain in (wire, replica):
+            assert [e.payload for e in events[chain]] == [e.payload for e in local_events]
+        assert [e.detail for e in events[wire]] == [e.detail for e in local_events]
+        assert [e.detail for e in events[replica]] == [
+            f"replicated {e.detail}" for e in local_events
+        ]

@@ -350,6 +350,20 @@ class TestAnchorAndClientNodes:
             *self.NEEDS_A_FIELD,
         }
 
+    def test_a_negative_idle_tick_is_a_malformed_payload_on_a_kernel_clock(self):
+        """The table's chains run on a logical clock, which rejects a negative
+        advance itself; on a caller's kernel the producer waits the ticks out
+        instead, and a negative wait must not reach ``kernel.schedule``."""
+        simulator = NetworkSimulator(anchor_count=3, kernel=EventKernel(seed=1))
+        head = simulator.producer.chain.head.block_number
+        response = simulator.transport.send(
+            simulator.producer_id,
+            Message(kind=MessageKind.IDLE_TICK, sender="mallory", payload={"ticks": -5}),
+        )
+        assert response.is_error
+        assert response.payload["reason"].startswith("malformed idle_tick payload")
+        assert simulator.producer.chain.head.block_number == head
+
     def test_unknown_message_kind_rejected(self):
         transport, nodes, ids = self.build_network()
         # repro: allow[REPRO-P202] deliberately sends a reply-only kind to assert the typed rejection
