@@ -19,12 +19,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, canonical_json, sha256_hex, truncate_hash
+from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, canonical_json, sha256_hex, sha256_hex_parts, truncate_hash
 from repro.core.entry import Entry
 from repro.core.errors import ChainIntegrityError
 
 #: Opening of ``to_dict()``'s canonical form (``"block_hash"`` sorts first).
 _HASH_MEMBER = '{{"block_hash":"{}",'
+
+#: Opening of the content's canonical form (``"entries"`` sorts first).
+_ENTRIES_OPEN = b'{"entries":['
 
 
 class BlockType(str, Enum):
@@ -89,12 +92,15 @@ class RedundancyRecord:
 
 @dataclass(frozen=True)
 class CarryRecord:
-    """What a summary hands the cycle that merges it: its entries' memos (one
-    pointer each), and the ``registry`` whose first ``watermark`` decisions
-    left every entry unmarked; only later approvals and the ``watch``
-    positions (temporaries, deletion requests) can drop one."""
+    """What a summary hands the cycle that merges it: its entries' memos and
+    :meth:`Entry.location_key` tuples (one pointer each, ``keys`` ``None``
+    where an entry's key depends on the block holding it), and the
+    ``registry`` whose first ``watermark`` decisions left every entry
+    unmarked; only later approvals and the ``watch`` positions (temporaries,
+    deletion requests) can drop one."""
 
     memos: list[str]
+    keys: Optional[list[tuple[int, int]]]
     registry: object
     watermark: int
     watch: tuple[int, ...]
@@ -196,32 +202,42 @@ class Block:
         carry = self._carry
         return carry.memos if carry is not None else [entry.__canonical_json__() for entry in self.entries]
 
-    def _canonical_content(self) -> str:
-        """Canonical JSON of :meth:`content_dict`: the entries' memos joined
-        directly, spliced in front of one :func:`canonical_json` call over the
-        rest (``"entries"`` sorts before every other content key)."""
+    def _content_parts(self) -> tuple[bytes, bytes, bytes]:
+        """The bytes of :meth:`content_dict`'s canonical JSON in three parts:
+        the opening, the entries' memos joined directly, and one
+        :func:`canonical_json` call over the rest (``"entries"`` sorts before
+        every other content key).  Hashed part by part, never concatenated."""
         payload = self._hashable_content()
         del payload["entries"]
-        return '{"entries":[' + ",".join(self.entry_memos()) + "]," + canonical_json(payload)[1:]
+        joined = ",".join(self.entry_memos()).encode("utf-8")
+        return _ENTRIES_OPEN, joined, ("]," + canonical_json(payload)[1:]).encode("utf-8")
+
+    def _canonical_content(self) -> str:
+        """Canonical JSON of :meth:`content_dict`, as one text."""
+        return b"".join(self._content_parts()).decode("utf-8")
+
+    def _hash_parts(self) -> tuple[str, int]:
+        """The sha256 of :meth:`_content_parts` and their total length."""
+        parts = self._content_parts()
+        return sha256_hex_parts(parts), sum(map(len, parts))
 
     def compute_hash(self) -> str:
         """Recompute the block hash, ignoring the block-level memos.
 
-        Hashes the bytes of one :meth:`_canonical_content` composition.  The
+        Streams the bytes of :meth:`_content_parts` into one sha256.  The
         per-entry canonical memos *are* reused: entries are frozen, so their
         serialisation cannot legitimately change after construction
         (mutating an entry's ``data`` dict in place violates that contract
         and is not detected here).  For a fully from-scratch recomputation,
         hash :meth:`content_dict` directly.
         """
-        return sha256_hex(self._canonical_content().encode("utf-8"))
+        return self._hash_parts()[0]
 
     def _memoise_hash_and_size(self) -> None:
         """Derive the block hash and :meth:`byte_size` from one composition."""
-        content = self._canonical_content().encode("utf-8")
-        self._cached_hash = sha256_hex(content)
+        self._cached_hash, length = self._hash_parts()
         # to_dict()'s canonical form replaces the content's opening brace.
-        self._cached_byte_size = len(_HASH_MEMBER.format(self._cached_hash)) + len(content) - 1
+        self._cached_byte_size = len(_HASH_MEMBER.format(self._cached_hash)) + length - 1
 
     @property
     def block_hash(self) -> str:
@@ -268,7 +284,8 @@ class Block:
         """Built once: :meth:`Entry.location_key` (the key marks use) → position
         of the first entry under it, and the positions no key reaches (a
         repeated key, a copy without its origin entry number).  Serves
-        :meth:`find_copy_of` and the summarizer's check of fresh marks."""
+        :meth:`find_copy_of` and the summarizer's check of fresh marks on a
+        block without carried keys (loaded, replayed or hand-built)."""
         if self._locations is None:
             lookup: dict[tuple[int, int], int] = {}
             unreached: list[int] = []
@@ -284,8 +301,20 @@ class Block:
         return self._locations
 
     def find_copy_of(self, origin_block_number: int, origin_entry_number: int) -> Optional[Entry]:
-        """Locate the carried-forward copy of an original entry (O(1) lookup)."""
-        position = (self._locations or self.locations())[0].get((origin_block_number, origin_entry_number))
+        """Locate the carried-forward copy of an original entry: a C-level
+        search of the carried keys, else the lookup :meth:`locations` builds."""
+        key = (origin_block_number, origin_entry_number)
+        keys = None if self._carry is None else self._carry.keys
+        if keys is not None:  # every entry is a copy
+            try:
+                entry = self.entries[keys.index(key)]
+            except ValueError:
+                return None
+            if entry.origin_entry_number:
+                return entry
+            # A copy without its origin entry number is not its key's first
+            # position in the lookup: let the lookup decide.
+        position = (self._locations or self.locations())[0].get(key)
         entry = None if position is None else self.entries[position]
         return entry if entry is not None and entry.origin_block_number is not None else None
 

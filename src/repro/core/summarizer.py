@@ -19,9 +19,10 @@ The copy is paid by block.  Normal blocks go through
 :func:`~repro.core.retention.entry_survives` entry by entry; a merged
 summary's entries survived the cycle that built it, and only a deletion
 approved since (§IV-D3) or a temporary's bound passing (§IV-D4) can drop one.
-Its :class:`~repro.core.block.CarryRecord` names exactly those, so a cycle
-that drops nothing costs one ``list.extend``, one join of the memos and one
-sha256.
+Its :class:`~repro.core.block.CarryRecord` names exactly those and carries
+the entries' memos and location keys, so a cycle that drops nothing costs a
+``list.extend`` per list, one join of the memos and one sha256, and a fresh
+mark is found by a C-level search of the keys.
 """
 
 from __future__ import annotations
@@ -64,6 +65,32 @@ class SummaryResult:
         return self.new_marker is not None
 
 
+#: Fresh marks located by C-level searches of a summary's carried keys
+#: (each a full pass in the worst case) before one Python pass over the
+#: summary, :meth:`Block.locations`, is the cheaper way.
+_SEARCHES_PER_SCAN = 4
+
+
+def _location_keys(block: Block) -> Optional[list[tuple[int, int]]]:
+    """The carried keys of a summary, derived once for one without them:
+    ``None`` unless every entry is a copy (whose key no block changes)."""
+    if block._carry is not None:
+        return block._carry.keys
+    if not all(entry.origin_block_number is not None for entry in block.entries):
+        return None
+    return [entry.location_key(block.block_number) for entry in block.entries]
+
+
+def _positions(keys: list[tuple[int, int]], key: tuple[int, int]) -> list[int]:
+    """Every position of ``key`` in ``keys``, by C-level searches."""
+    found: list[int] = []
+    try:
+        while True:
+            found.append(keys.index(key, found[-1] + 1 if found else 0))
+    except ValueError:
+        return found
+
+
 class Summarizer:
     """Builds summary blocks for a configured chain."""
 
@@ -98,6 +125,7 @@ class Summarizer:
         under keys approved since its watermark; the rest ride along."""
         carried: list[Entry] = []
         memos: list[str] = []
+        keys: Optional[list[tuple[int, int]]] = []
         watch: list[int] = []
         dropped: list[DroppedEntry] = []
 
@@ -125,27 +153,35 @@ class Summarizer:
                                 watch.append(len(carried))
                             carried.append(copy)
                             memos.append(copy.__canonical_json__())
+                            if keys is not None:
+                                keys.append(copy.location_key(block.block_number))
                     continue
                 if not block.entries:  # empty, or MERKLE_REFERENCE: nothing to carry or check
                     continue
                 entries, record = block.entries, block._carry
                 if record is None or record.registry is not registry:  # loaded, hand-built or foreign
                     watched = (p for p, e in enumerate(entries) if e.is_temporary or e.is_deletion_request)
-                    record = CarryRecord(block.entry_memos(), registry, 0, tuple(watched))
+                    record = CarryRecord(block.entry_memos(), _location_keys(block), registry, 0, tuple(watched))
                 checked = set(record.watch)
                 fresh = registry.approved_since(record.watermark)
-                if fresh:
+                if fresh and record.keys is not None and len(fresh) <= _SEARCHES_PER_SCAN:
+                    checked.update(position for key in fresh for position in _positions(record.keys, key))
+                elif fresh:
                     lookup, unreached = block.locations()
                     checked.update(lookup[key] for key in fresh if key in lookup)
                     checked.update(unreached)
                 gone = [p for p in sorted(checked) if not survives(block, entries[p])]
                 watch.extend(len(carried) + p - bisect_left(gone, p) for p in record.watch if p not in gone)
+                if record.keys is None:
+                    keys = None
                 start = 0
                 for stop in gone + [len(entries)]:
                     carried.extend(entries[start:stop])
                     memos.extend(record.memos[start:stop])
+                    if keys is not None:
+                        keys.extend(record.keys[start:stop])
                     start = stop + 1
-        return carried, dropped, CarryRecord(memos, registry, registry.decision_count, tuple(watch))
+        return carried, dropped, CarryRecord(memos, keys, registry, registry.decision_count, tuple(watch))
 
     # ------------------------------------------------------------------ #
     # Redundancy (Fig. 9)

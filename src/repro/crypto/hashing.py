@@ -32,6 +32,14 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def sha256_hex_parts(parts: Iterable[bytes]) -> str:
+    """:func:`sha256_hex` of the concatenated ``parts``, streamed part by part."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
 def canonical_json(value: Any) -> str:
     """Serialise ``value`` to a canonical JSON string.
 

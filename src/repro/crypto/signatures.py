@@ -67,6 +67,9 @@ class SignatureScheme(ABC):
     #: Short name stored in blocks so validators know how to verify.
     name: str = "abstract"
 
+    #: True when :meth:`sign` needs the signer's :class:`KeyPair`.
+    needs_key_pair: bool = False
+
     @abstractmethod
     def sign(self, payload: Any, identity: str, key_pair: Optional[KeyPair] = None) -> SignedPayload:
         """Sign ``payload`` on behalf of ``identity``."""
@@ -124,6 +127,7 @@ class EcdsaScheme(SignatureScheme):
     """Real secp256k1 signatures over the canonical payload serialisation."""
 
     name = "ecdsa"
+    needs_key_pair = True
 
     def sign(self, payload: Any, identity: str, key_pair: Optional[KeyPair] = None) -> SignedPayload:
         """Sign the canonical JSON form of ``payload`` with ``key_pair``."""

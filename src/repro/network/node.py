@@ -31,6 +31,7 @@ from repro.core.deletion import build_deletion_request
 from repro.core.entry import Entry, EntryReference
 from repro.core.events import ChainEvent, EventType, Subscription
 from repro.crypto.hashing import canonical_json
+from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.gossip import GossipOverlay
 from repro.network.kernel import EventHandle, KernelError
@@ -1008,6 +1009,9 @@ class ClientNode:
         self.client_id = client_id
         self.transport = transport
         self.scheme = new_scheme(scheme_name)
+        # The deterministic key of this identity, derived (one k*G) only for
+        # a scheme that signs with a key.
+        self.key_pair = KeyPair.from_seed(client_id) if self.scheme.needs_key_pair else None
 
     def request_process(self, targets: list[str], build: Callable[[], Message]) -> Process:
         """Send a fresh ``build()`` to each target in turn until one answers
@@ -1055,7 +1059,7 @@ class ClientNode:
 
     def _signed_message(self, kind: MessageKind, entry: Entry) -> Message:
         """Sign ``entry`` as this client and wrap it in a ``kind`` message."""
-        signed = sign_entry(self.scheme, entry, self.client_id)
+        signed = sign_entry(self.scheme, entry, self.client_id, self.key_pair)
         return Message(kind=kind, sender=self.client_id, payload={"entry": signed.to_dict()})
 
     def submit_entry(

@@ -346,10 +346,10 @@ class TestIndexMaintenanceDetail:
         chain.verify_index()
         summary = next(block for block in reversed(chain.blocks) if block.is_summary and block.entries)
         assert summary.entry_count >= 300
-        # Lose the lookup of the newest summary's last copy, far past the
-        # sampled cross-check's reach.
-        lookup, _ = summary.locations()
-        del lookup[summary.entries[-1].location_key(summary.block_number)]
+        # Lose the carried key of the newest summary's last copy (what
+        # find() searches), far past the sampled cross-check's reach.
+        assert summary._carry.keys[-1] == summary.entries[-1].location_key(summary.block_number)
+        del summary._carry.keys[-1]
         with pytest.raises(ChainIntegrityError, match="lookup"):
             chain.verify_index()
 

@@ -12,6 +12,11 @@ so the fix must flip it to an ordinary test instead of leaving stale prose.
 - ``replica-bootstrap`` at 60 events strands a replica that was never
   offline: at seed 23 the heads end 87/6/87/87 with ``anchor-3`` the
   straggler.
+- ``failover-storm`` at its default size ends one replica short: heads
+  18/18/18/17 at seed 7 and 17/15/17/17 at seed 23 (ROADMAP item 13).
+- The quorum's master signature is a name: a request signed with Mallory's
+  own key but claiming the admin identity deletes another author's entry
+  (ROADMAP item 14).
 
 The 12-anchor deployments used to die with ``RecursionError`` while every
 blocking exchange nested the kernel; they are ordinary tests now.
@@ -23,6 +28,8 @@ from collections import Counter
 import pytest
 
 from repro.core.chain import Blockchain
+from repro.core.config import ChainConfig
+from repro.crypto.keys import KeyPair
 from repro.network.scenarios import run_scenario
 
 
@@ -82,3 +89,29 @@ def test_no_signed_submission_is_applied_twice_under_loss(monkeypatch):
 def test_replica_bootstrap_converges_at_sixty_events():
     result = run_scenario("replica-bootstrap", seed=23, events=60)
     assert result["replicas_identical"], result["heads"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="failover-storm at its default size ends one replica short",
+)
+@pytest.mark.parametrize("seed", [7, 23])
+def test_failover_storm_converges_at_its_default_size(seed):
+    result = run_scenario("failover-storm", seed=seed)
+    assert result["replicas_identical"], result["heads"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the quorum's master signature is a name, not a key",
+)
+def test_a_master_signature_is_a_key_not_a_name():
+    chain = Blockchain(ChainConfig(signature_scheme="ecdsa"), admins=("ADMIN",))
+    chain.add_entry({"D": "ALICE's record"}, "ALICE", key_pair=KeyPair.from_seed("ALICE"))
+    block = chain.seal_block()
+    target = block.entries[0].reference_in(block.block_number)
+    # Mallory signs with her own key and claims the admin's name.
+    decision = chain.request_deletion(target, "ADMIN", key_pair=KeyPair.from_seed("MALLORY"))
+    assert not decision.is_approved, decision.reason

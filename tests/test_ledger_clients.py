@@ -11,6 +11,7 @@ import pytest
 
 from repro.baselines import ImmutableChain, LocalPruningNode, OffChainStore
 from repro.core import Blockchain, ChainConfig, Entry, EntryReference
+from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network import InMemoryTransport, MessageKind, NetworkSimulator
 from repro.service import (
@@ -125,6 +126,19 @@ class TestRemoteClient:
         assert isinstance(ticked, bool)
         stats = ledger.statistics()
         assert stats["deletions"]["approved"] == 1
+
+    def test_an_ecdsa_client_signs_with_the_key_of_its_identity(self):
+        """Regression: a light client under ECDSA signed with no key pair and
+        raised ``ValueError`` before anything reached the wire."""
+        simulator = NetworkSimulator(config=ChainConfig(signature_scheme="ecdsa"))
+        ledger = RemoteLedgerClient(simulator.transport, simulator.producer_id, scheme_name="ecdsa")
+        receipt = ledger.submit({"D": "x"}, "ALPHA")
+        assert receipt.ok
+        _, stored = simulator.producer.chain.find_entry(receipt.reference)
+        assert stored.public_key == KeyPair.from_seed("ALPHA").public_key_hex
+        deletion = ledger.request_deletion(receipt.reference, "ALPHA")
+        assert deletion.ok and deletion.approved
+        assert deletion.reason == "requester key matches the stored entry key"
 
     def test_error_response_becomes_receipt_error(self):
         simulator, ledger = self.build()

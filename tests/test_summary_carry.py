@@ -11,7 +11,11 @@ summary recomputes the carried/dropped split from scratch with
 :func:`entry_survives` over the same expiring views.  Carried entries (by
 identity where already copied, in order), drops with their reasons, the block
 hash, and ``find_entry`` against ``legacy_find_entry`` for every reference
-ever issued must all agree.
+ever issued must all agree.  Every summary the chain builds also carries its
+entries' location keys (``CarryRecord.keys``, again after a reload), its
+streamed hash and size match the plain ``json.dumps`` bytes, and
+``Block.find_copy_of`` answers like a scan of the entries — in ``FULL_COPY``
+and in ``MERKLE_REFERENCE`` mode.
 
 Examples per ``REPRO_FUZZ_PROFILE``: quick 20 (tier-1), standard 100 and
 determinism 500 (nightly CI).
@@ -20,6 +24,7 @@ determinism 500 (nightly CI).
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,11 +39,13 @@ from repro.core import (
     ShrinkStrategy,
     SummaryMode,
 )
+from repro.core.block import Block
 from repro.core.index import legacy_find_entry
 from repro.core.retention import entry_survives
 from repro.core.summarizer import Summarizer
 from repro.storage.memstore import MemoryBlockStore
 from repro.storage.snapshot import chain_from_payload, snapshot_payload
+from repro.storage.wal import JournalBlockStore
 
 FUZZ_EXAMPLES = {"quick": 20, "standard": 100, "determinism": 500}[
     os.environ.get("REPRO_FUZZ_PROFILE", "quick")
@@ -58,6 +65,9 @@ CONFIGS = {
     for strategy in ShrinkStrategy
     for redundancy in (RedundancyPolicy.NONE, RedundancyPolicy.MIDDLE_MERKLE_ROOT)
 }
+CONFIGS["merkle_reference"] = replace(
+    CONFIGS["all_old/none"], summary_mode=SummaryMode.MERKLE_REFERENCE
+)
 
 #: One step: (kind, number, flag).  ``temporary`` bounds by τ when the flag
 #: is set (else α), ``delete`` asks as a foreign author, ``reload`` goes
@@ -122,10 +132,26 @@ class CheckedSummarizer(Summarizer):
         ]
         assert all(d.entry is entry for d, (_, entry, _) in zip(result.dropped_entries, dropped))
         block = result.block
-        assert block.entries == [copy for copy, _ in carried]
+        full_copy = self.config.summary_mode is SummaryMode.FULL_COPY
+        assert block.entries == ([copy for copy, _ in carried] if full_copy else [])
         assert block.block_hash == hashlib.sha256(_dumps(block.content_dict()).encode("utf-8")).hexdigest()
+        assert block.compute_hash() == block.block_hash
+        assert block.byte_size() == len(_dumps(block.to_dict()).encode("utf-8"))
+        assert block.__canonical_json__() == _dumps(block.to_dict())
+        if full_copy:
+            assert block._carry.keys == [entry.location_key(block.block_number) for entry in block.entries]
+        else:
+            assert block._carry is None
         self.built.append(block.block_number)
         return result
+
+
+def scanned_copy_of(block, key):
+    """:meth:`Block.find_copy_of` by a scan: the first copy under ``key``."""
+    for entry in block.entries:
+        if entry.origin_block_number is not None and (entry.origin_block_number, entry.origin_entry_number) == key:
+            return entry
+    return None
 
 
 def assert_lookups_match(chain: Blockchain, issued) -> None:
@@ -136,6 +162,10 @@ def assert_lookups_match(chain: Blockchain, issued) -> None:
         assert (ours is None) == (theirs is None), reference
         if ours is not None:
             assert ours[0] is theirs[0] and ours[1] is theirs[1], reference
+        key = (reference.block_number, reference.entry_number)
+        for block in blocks:
+            if block.is_summary:
+                assert block.find_copy_of(*key) is scanned_copy_of(block, key), (block.block_number, key)
 
 
 def run(config: ChainConfig, steps) -> int:
@@ -224,3 +254,47 @@ def test_bounded_state_after_300_cycles():
         assert len(record.memos) == summary.entry_count
         assert all(type(memo) is str for memo in record.memos)
         assert all(type(position) is int for position in record.watch)
+
+
+def _erasing_chain(config: ChainConfig, store=None, *, blocks: int = 60) -> Blockchain:
+    """A chain sealing one record per block; every fourth block asks to
+    erase the oldest not yet erased record of a block numbered 3k."""
+    chain = Blockchain(config, store=store)
+    issued = []
+    while chain.next_block_number < blocks:
+        if issued and chain.next_block_number % 4 == 0:
+            chain.request_deletion(issued.pop(0), "ALPHA")
+        block = chain.add_entry_block({"D": f"Login {chain.next_block_number}"}, "ALPHA")
+        if block.block_number % 3 == 0:
+            issued.append(block.data_entries()[0].reference_in(block.block_number))
+    return chain
+
+
+def test_summaries_built_by_the_chain_never_scan_for_locations(monkeypatch):
+    scans = []
+    locations = Block.locations
+    monkeypatch.setattr(Block, "locations", lambda block: scans.append(block.block_number) or locations(block))
+    chain = _erasing_chain(ChainConfig.paper_evaluation(), blocks=150)
+    assert chain.statistics()["deletions"]["executed"] > 0
+    chain.verify_index()
+    assert scans == []
+
+
+@pytest.mark.parametrize("reopen", ["snapshot", "journal"])
+def test_summaries_carry_keys_again_after_a_reload(reopen, tmp_path):
+    config = ChainConfig.paper_evaluation()
+    path = tmp_path / "chain.journal"
+    chain = _erasing_chain(config, JournalBlockStore(path))
+    if reopen == "snapshot":
+        chain = chain_from_payload(snapshot_payload(chain))
+    else:
+        chain = Blockchain(config, store=JournalBlockStore(path))
+    loaded = [block for block in chain.blocks if block.is_summary and block.entries]
+    assert loaded and all(block._carry is None for block in loaded)
+    for number in range(3 * config.sequence_length):
+        chain.add_entry_block({"D": f"after {number}"}, "ALPHA")
+    built = [block for block in chain.blocks if block.is_summary and block.entries]
+    assert built and built[0].block_number > loaded[-1].block_number
+    for block in built:
+        assert block._carry.keys == [entry.location_key(block.block_number) for entry in block.entries]
+    chain.verify_index()
