@@ -97,13 +97,18 @@ class CarryRecord:
     where an entry's key depends on the block holding it), and the
     ``registry`` whose first ``watermark`` decisions left every entry
     unmarked; only later approvals and the ``watch`` positions (temporaries,
-    deletion requests) can drop one."""
+    deletion requests) can drop one.  ``runs`` says where the entries came
+    from, in order: ``(source, start, stop)`` is ``source``'s entries
+    ``start..stop-1``, and a ``None`` source marks new copies at positions
+    ``start..stop-1`` of the summary itself (empty for a record derived from
+    a loaded or foreign block)."""
 
     memos: list[str]
     keys: Optional[list[tuple[int, int]]]
     registry: object
     watermark: int
     watch: tuple[int, ...]
+    runs: tuple[tuple[Optional[int], int, int], ...] = ()
 
 
 @dataclass

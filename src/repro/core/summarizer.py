@@ -22,13 +22,16 @@ approved since (§IV-D3) or a temporary's bound passing (§IV-D4) can drop one.
 Its :class:`~repro.core.block.CarryRecord` names exactly those and carries
 the entries' memos and location keys, so a cycle that drops nothing costs a
 ``list.extend`` per list, one join of the memos and one sha256, and a fresh
-mark is found by a C-level search of the keys.
+mark is found by a C-level search of the keys.  The new record's ``runs``
+name the slices the summary took from each merged summary, so the journal
+(:mod:`repro.storage.wal`) writes those slices, not the entries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Optional
 
 from repro.core.block import Block, BlockType, CarryRecord, RedundancyRecord
@@ -66,8 +69,8 @@ class SummaryResult:
 
 
 #: Fresh marks located by C-level searches of a summary's carried keys
-#: (each a full pass in the worst case) before one Python pass over the
-#: summary, :meth:`Block.locations`, is the cheaper way.
+#: (each a full pass in the worst case) before one C-level membership pass
+#: over the keys is the cheaper way.
 _SEARCHES_PER_SCAN = 4
 
 
@@ -127,6 +130,7 @@ class Summarizer:
         memos: list[str] = []
         keys: Optional[list[tuple[int, int]]] = []
         watch: list[int] = []
+        runs: list[tuple[Optional[int], int, int]] = []
         dropped: list[DroppedEntry] = []
 
         def survives(block: Block, entry: Entry) -> bool:
@@ -144,6 +148,7 @@ class Summarizer:
         for view in expiring:
             for block in view.blocks:
                 if not block.is_summary:
+                    first = len(carried)
                     for entry in block.entries:
                         if survives(block, entry):
                             copy = entry.as_copy(
@@ -155,6 +160,8 @@ class Summarizer:
                             memos.append(copy.__canonical_json__())
                             if keys is not None:
                                 keys.append(copy.location_key(block.block_number))
+                    if len(carried) > first:
+                        runs.append((None, first, len(carried)))
                     continue
                 if not block.entries:  # empty, or MERKLE_REFERENCE: nothing to carry or check
                     continue
@@ -164,8 +171,11 @@ class Summarizer:
                     record = CarryRecord(block.entry_memos(), _location_keys(block), registry, 0, tuple(watched))
                 checked = set(record.watch)
                 fresh = registry.approved_since(record.watermark)
-                if fresh and record.keys is not None and len(fresh) <= _SEARCHES_PER_SCAN:
-                    checked.update(position for key in fresh for position in _positions(record.keys, key))
+                if fresh and record.keys is not None:
+                    if len(fresh) <= _SEARCHES_PER_SCAN:
+                        checked.update(position for key in fresh for position in _positions(record.keys, key))
+                    else:
+                        checked.update(compress(count(), map(set(fresh).__contains__, record.keys)))
                 elif fresh:
                     lookup, unreached = block.locations()
                     checked.update(lookup[key] for key in fresh if key in lookup)
@@ -176,12 +186,14 @@ class Summarizer:
                     keys = None
                 start = 0
                 for stop in gone + [len(entries)]:
+                    if stop > start:
+                        runs.append((block.block_number, start, stop))
                     carried.extend(entries[start:stop])
                     memos.extend(record.memos[start:stop])
                     if keys is not None:
                         keys.extend(record.keys[start:stop])
                     start = stop + 1
-        return carried, dropped, CarryRecord(memos, keys, registry, registry.decision_count, tuple(watch))
+        return carried, dropped, CarryRecord(memos, keys, registry, registry.decision_count, tuple(watch), tuple(runs))
 
     # ------------------------------------------------------------------ #
     # Redundancy (Fig. 9)

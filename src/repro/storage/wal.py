@@ -3,17 +3,18 @@
 One canonical JSON record per line: ``{"before":n,"kind":"truncate"}`` for a
 marker shift, ``{"block":…,"kind":"block"}`` for an append.  A block record
 is the block's ``to_dict()`` form, except that each ``"entries"`` item is an
-inline body (a dict) or an ``[origin_block, origin_entry]`` reference to a
-body the journal already holds — the paper's §V-B2 reference idea on disk.
-Summaries carry their copies by identity, so a summary record inlines only
-the newly expired sequence, not the living set.  Writer and reader keep the
-same body map, location key → (entry, newest block holding it); replay
-resolves a reference to that very ``Entry``, memo included, and still checks
-the rebuilt block's hash.  A truncation forgets the keys no stored block
-holds, so the map is bounded by the living entries.  Compaction rewrites the
-file from an empty map — each living body once, erased bodies physically
-gone — which is how a node recovers the disk space the paper's
-data-reduction claim promises.
+inline body (a dict) or a run ``[block, start, stop]``: entries
+``start..stop-1`` of a block the journal holds — the paper's §V-B2 reference
+idea on disk.  A summary the chain built knows the slices it took from each
+merged summary (:attr:`~repro.core.block.CarryRecord.runs`), so its record
+is one run per slice plus the newly expired sequence's copies, not the
+living set; a run is written only when the stored source holds those very
+``Entry`` objects.  Replay extends the rebuilt summary with the source's
+objects, memos included, and still checks the block's hash.  A truncation is
+its record and the index cut; no other state is kept.  Compaction rewrites
+the file from the stored blocks alone — the first summary inline, each
+living body once, erased bodies physically gone — which is how a node
+recovers the disk space the paper's data-reduction claim promises.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from operator import is_
 from pathlib import Path
-from typing import Any, Iterator, TextIO, Union
+from typing import Iterator, Mapping, TextIO, Union
 
 from repro.core.block import Block
 from repro.core.entry import Entry
 from repro.core.errors import StorageError
 from repro.crypto.hashing import canonical_json
 from repro.storage.memstore import MemoryBlockStore
-
-#: Location key → (the entry last journalled under it, newest block holding it).
-BodyMap = dict[tuple[int, int], tuple[Entry, int]]
 
 
 @contextmanager
@@ -54,41 +53,56 @@ def replace_durably(path: Path, suffix: str = ".tmp") -> Iterator[TextIO]:
         os.close(directory)
 
 
-def _block_line(block: Block, bodies: BodyMap) -> str:
-    """A block's canonical record; entries ``bodies`` holds become references."""
-    items = []
-    for entry in block.entries:
-        key = entry.location_key(block.block_number)
-        held = bodies.get(key)
-        items.append("[%d,%d]" % key if held and held[0] is entry else entry.__canonical_json__())
+def _same(taken: list[Entry], held: list[Entry]) -> bool:
+    """True when both lists hold the very same objects (a C-level pass)."""
+    return len(taken) == len(held) and all(map(is_, taken, held))
+
+
+def _block_line(block: Block, stored: Mapping[int, Block]) -> str:
+    """A block's canonical record: each slice its summary took from a block in
+    ``stored`` — the very same entries — becomes a run, the rest is inline."""
+    carry = block._carry
+    memos, entries = block.entry_memos(), block.entries
+    items: list[str] = []
+    done = 0
+    for source_number, start, stop in carry.runs if carry is not None else ():
+        end = done + stop - start
+        source = stored.get(source_number)  # None for new copies
+        if source is not None and _same(source.entries[start:stop], entries[done:end]):
+            items.append("[%d,%d,%d]" % (source_number, start, stop))
+        else:
+            items.extend(memos[done:end])
+        done = end
+    items.extend(memos[done:])
     rest = canonical_json({"header": block.header_dict(), "merged_sequences": block.merged_sequences,
                            "redundancy": block.redundancy, "summary_references": block.summary_references})
     return f'{{"block":{{"block_hash":"{block.block_hash}","entries":[{",".join(items)}],{rest[1:]},"kind":"block"}}'
 
 
-def _remember(block: Block, bodies: BodyMap) -> None:
-    for entry in block.entries:
-        bodies[entry.location_key(block.block_number)] = (entry, block.block_number)
+def _run(item: list, stored: Mapping[int, Block]) -> list[Entry]:
+    """The entries a ``[block, start, stop]`` run names, as the stored objects."""
+    if len(item) != 3 or not all(type(part) is int for part in item) or not 0 <= item[1] < item[2]:
+        raise ValueError(f"malformed entry run {item!r}")
+    source_number, start, stop = item
+    source = stored.get(source_number)
+    if source is None:
+        raise KeyError(f"run {item!r} names no block the journal holds")
+    if stop > len(source.entries):
+        raise ValueError(f"run {item!r} passes the end of block {source_number}")
+    return source.entries[start:stop]
 
 
-def _resolve(item: Any, bodies: BodyMap) -> Entry:
-    """An inline body, or the entry a reference names."""
-    if not isinstance(item, list):
-        return Entry.from_dict(item)
-    if len(item) != 2 or type(item[0]) is not int or type(item[1]) is not int:
-        raise ValueError(f"malformed entry reference {item!r}")
-    held = bodies.get((item[0], item[1]))
-    if held is None:
-        raise KeyError(f"reference {item!r} names no entry body the journal holds")
-    return held[0]
-
-
-def _decode_record(line: bytes, bodies: BodyMap) -> Union[Block, int]:
+def _decode_record(line: bytes, stored: Mapping[int, Block]) -> Union[Block, int]:
     """The block a journal line appends, or the number its marker truncates before."""
     record = json.loads(line)
     if record["kind"] == "block":
         payload = record["block"]
-        entries = [_resolve(item, bodies) for item in payload.get("entries", ())]
+        entries: list[Entry] = []
+        for item in payload.get("entries", ()):
+            if type(item) is list:
+                entries.extend(_run(item, stored))
+            else:
+                entries.append(Entry.from_dict(item))
         return Block.from_dict(payload, entries=entries)
     if record["kind"] == "truncate":
         return int(record["before"])
@@ -104,7 +118,6 @@ class JournalBlockStore(MemoryBlockStore):
 
     def __init__(self, path: Union[str, Path]) -> None:
         super().__init__()
-        self._bodies: BodyMap = {}
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
@@ -120,14 +133,13 @@ class JournalBlockStore(MemoryBlockStore):
                 if not line:
                     continue
                 try:
-                    record = _decode_record(line, self._bodies)
+                    record = _decode_record(line, self._blocks)
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
                     raise StorageError(f"corrupt journal line {line_number}: {exc!r}") from exc
                 if isinstance(record, Block):
                     super().append(record)
-                    _remember(record, self._bodies)
                 else:
-                    self._forget_before(record)
+                    super().truncate_before(record)
 
     def _write_record(self, line: str) -> None:
         with self.path.open("a", encoding="utf-8") as handle:
@@ -136,12 +148,14 @@ class JournalBlockStore(MemoryBlockStore):
             os.fsync(handle.fileno())
 
     def append(self, block: Block) -> None:
-        """Append a block record to the journal (O(1) plus the new bodies)."""
+        """Append a block record to the journal and fsync it before returning.
+
+        A summary the chain built costs its new bodies plus one run per slice
+        it kept of a merged summary; any other block is written inline.
+        """
         self._check_next(block)
-        self._write_record(_block_line(block, self._bodies))
+        self._write_record(_block_line(block, self._blocks))
         super().append(block)
-        # Only after the write: no later record may reference an unwritten body.
-        _remember(block, self._bodies)
 
     def truncate_before(self, block_number: int) -> int:
         """Record a truncation marker and drop the blocks from the index.
@@ -153,11 +167,6 @@ class JournalBlockStore(MemoryBlockStore):
         if self._first is None or block_number <= self._first:
             return 0
         self._write_record(canonical_json({"before": block_number, "kind": "truncate"}))
-        return self._forget_before(block_number)
-
-    def _forget_before(self, block_number: int) -> int:
-        """Truncate the index and the bodies only the dropped blocks held."""
-        self._bodies = {key: held for key, held in self._bodies.items() if held[1] >= block_number}
         return super().truncate_before(block_number)
 
     def file_size(self) -> int:
@@ -165,14 +174,14 @@ class JournalBlockStore(MemoryBlockStore):
         return self.path.stat().st_size if self.path.exists() else 0
 
     def compact(self) -> int:
-        """Rewrite the journal with each living body once; returns bytes saved."""
+        """Rewrite the journal with only the stored blocks; returns bytes saved.
+        A run is kept only when its source precedes it in the new file."""
         before = self.file_size()
-        bodies: BodyMap = {}
+        written: dict[int, Block] = {}
         # The rename discards a journal whose appends were each fsynced; the
         # rewrite must be as durable before it takes over.
         with replace_durably(self.path, ".compact") as handle:
             for block in self:
-                handle.write(_block_line(block, bodies) + "\n")
-                _remember(block, bodies)
-        self._bodies = bodies
+                handle.write(_block_line(block, written) + "\n")
+                written[block.block_number] = block
         return before - self.file_size()

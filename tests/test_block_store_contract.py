@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import Blockchain, ChainConfig, Entry, EntryReference, EventType
+from repro.core.block import Block
 from repro.core.errors import ChainIntegrityError, SelectiveDeletionError, StorageError
 from repro.crypto.hashing import canonical_json
 from repro.storage import JournalBlockStore, MemoryBlockStore
@@ -268,8 +269,8 @@ class TestJournalCrashPointsByEnumeration:
     @pytest.fixture
     def journal(self, tmp_path):
         """The 40-entry ``paper_evaluation`` journal: 70 records whose last six
-        are a summary block that references the entries it carries over from
-        the previous summary, a truncation marker and four more blocks."""
+        are a summary block that holds the entries it carries over from the
+        previous summary by a run, a truncation marker and four more blocks."""
         chain = Blockchain(self.CONFIG, store=JournalBlockStore(tmp_path / "fixed.journal"))
         for i in range(40):
             chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
@@ -295,7 +296,7 @@ class TestJournalCrashPointsByEnumeration:
     def tail_reopener(cls, tmp_path, prefix):
         """``reopen`` of ``prefix + tail`` for any tail, replaying only the tail.
 
-        A record's references resolve against the records before it, so a
+        A record's runs resolve against the blocks stored before it, so a
         line is not decoded on its own; instead the untouched prefix is
         loaded once, and every call replays the tail on a copy of that state
         — what a full reopening computes after reading the prefix.
@@ -305,7 +306,7 @@ class TestJournalCrashPointsByEnumeration:
 
         def reopen(tail):
             store = copy.copy(loaded)
-            store._blocks, store._bodies = dict(loaded._blocks), dict(loaded._bodies)
+            store._blocks = dict(loaded._blocks)
             store.path = tmp_path / "tail.journal"
             store.path.write_bytes(tail)
             try:
@@ -364,8 +365,9 @@ def build_mixed_chain(store=None):
 
 class TestJournalBodyReferences:
     """A block record inlines only the entry bodies the journal does not
-    already hold; a carried copy is an ``[origin_block, origin_entry]``
-    reference that replay resolves to the same ``Entry`` object."""
+    already hold: a slice a summary kept of a stored summary is a run
+    ``[block, start, stop]``, which replay extends with that block's very
+    ``Entry`` objects."""
 
     CONFIG = ChainConfig.paper_evaluation()
 
@@ -378,11 +380,12 @@ class TestJournalBodyReferences:
         return records
 
     @classmethod
-    def inline_bodies(cls, path):
-        """Location key → how many inline bodies the journal holds for it."""
+    def inline_bodies(cls, path, *, block_type=None):
+        """Location key → how many inline bodies the journal holds for it
+        (in records of ``block_type`` only, if given)."""
         counts = Counter()
         for record in cls.records(path):
-            if record["kind"] == "block":
+            if record["kind"] == "block" and block_type in (None, record["block"]["header"]["block_type"]):
                 number = record["block"]["header"]["block_number"]
                 counts.update(
                     Entry.from_dict(item).location_key(number)
@@ -391,16 +394,50 @@ class TestJournalBodyReferences:
                 )
         return counts
 
+    @classmethod
+    def entry_keys(cls, path):
+        """Block number → its entries' location keys, runs resolved: (record,
+        keys) for each block record, in journal order."""
+        keys_of, replayed = {}, []
+        for record in cls.records(path):
+            if record["kind"] != "block":
+                continue
+            number = record["block"]["header"]["block_number"]
+            keys = []
+            for item in record["block"]["entries"]:
+                if isinstance(item, list):
+                    source, start, stop = item
+                    keys.extend(keys_of[source][start:stop])
+                else:
+                    keys.append(Entry.from_dict(item).location_key(number))
+            keys_of[number] = keys
+            replayed.append((record["block"], keys))
+        return keys_of, replayed
+
     @staticmethod
     def living_keys(store):
         return {entry.location_key(block.block_number) for block in store for entry in block.entries}
 
-    def referencing_journal(self, tmp_path):
-        """A journal, its records, and the index of a record with two references."""
-        path = tmp_path / "refs.journal"
+    @pytest.fixture(scope="class")
+    def runs_journal(self, tmp_path_factory):
+        """The bytes of a journal in which a summary dropped an erased entry
+        from the middle of another, so its record holds two runs."""
+        path = tmp_path_factory.mktemp("runs") / "runs.journal"
         chain = Blockchain(self.CONFIG, store=JournalBlockStore(path))
-        for i in range(12):
-            chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+        for i in range(24):
+            block = chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+            if i == 3:
+                erased = EntryReference(block.block_number, 1)
+            if i == 12:
+                assert chain.request_deletion(erased, "A").is_approved
+        return path.read_bytes()
+
+    @pytest.fixture
+    def referencing_journal(self, tmp_path, runs_journal):
+        """A copy of ``runs_journal``, its records, and the index of the last
+        record with two runs."""
+        path = tmp_path / "refs.journal"
+        path.write_bytes(runs_journal)
         records = self.records(path)
         index = max(
             n for n, record in enumerate(records)
@@ -413,32 +450,83 @@ class TestJournalBodyReferences:
     def rewrite(path, records):
         path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
 
-    def test_reference_to_an_unknown_body_is_a_storage_error(self, tmp_path):
-        path, records, index = self.referencing_journal(tmp_path)
+    @staticmethod
+    def first_run(entries):
+        return next(n for n, item in enumerate(entries) if isinstance(item, list))
+
+    def test_run_from_an_unknown_block_is_a_storage_error(self, referencing_journal):
+        path, records, index = referencing_journal
         entries = records[index]["block"]["entries"]
-        entries[next(n for n, item in enumerate(entries) if isinstance(item, list))] = [9999, 1]
+        entries[self.first_run(entries)][0] = 9999
         self.rewrite(path, records)
         with pytest.raises(StorageError, match=f"corrupt journal line {index + 1}: KeyError"):
             JournalBlockStore(path)
 
     @pytest.mark.parametrize(
-        "reference", [[1], [1, 2, 3], ["a", 2], [None, 1], [1.0, 1], [True, 1], [[1], 2]]
+        "run",
+        [[1], [1, 2], [1, 2, 3, 4], ["a", 0, 1], [1.0, 0, 1], [True, 0, 1], [None, 0, 1],
+         "empty", "reversed", "past the end", "negative start"],
     )
-    def test_malformed_reference_is_a_storage_error(self, tmp_path, reference):
-        path, records, index = self.referencing_journal(tmp_path)
+    def test_malformed_run_is_a_storage_error(self, referencing_journal, run):
+        path, records, index = referencing_journal
         entries = records[index]["block"]["entries"]
-        entries[next(n for n, item in enumerate(entries) if isinstance(item, list))] = reference
+        position = self.first_run(entries)
+        source, start, stop = entries[position]
+        length = len(self.entry_keys(path)[0][source])
+        entries[position] = {
+            "empty": [source, start, start],
+            "reversed": [source, stop, start],
+            "past the end": [source, start, length + 1],
+            "negative start": [source, -1, stop],
+        }.get(run, run) if isinstance(run, str) else [source if part == 1 else part for part in run]
         self.rewrite(path, records)
         with pytest.raises(StorageError, match=f"corrupt journal line {index + 1}: ValueError"):
             JournalBlockStore(path)
 
-    def test_reference_to_another_held_body_fails_the_hash_check(self, tmp_path):
-        path, records, index = self.referencing_journal(tmp_path)
+    def test_swapped_runs_fail_the_hash_check(self, referencing_journal):
+        path, records, index = referencing_journal
         entries = records[index]["block"]["entries"]
         first, second = [n for n, item in enumerate(entries) if isinstance(item, list)][:2]
         entries[first], entries[second] = entries[second], entries[first]
         self.rewrite(path, records)
         with pytest.raises(ChainIntegrityError, match="does not match its content"):
+            JournalBlockStore(path)
+
+    def test_a_run_is_written_only_over_the_summarys_own_entries(self, tmp_path):
+        """A summary appended where the stored block under a run's source
+        number holds other entries is written inline, so the file reopens."""
+        appended = {}
+        chain = Blockchain(self.CONFIG)
+        chain.bus.subscribe(
+            lambda event: appended.setdefault(event.block_number, event.payload["block"]),
+            types=(EventType.BLOCK_APPENDED,),
+        )
+        for i in range(12):
+            chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+        summary = next(b for b in appended.values() if b._carry and any(run[0] is not None for run in b._carry.runs))
+        source_number = next(run[0] for run in summary._carry.runs if run[0] is not None)
+        store = JournalBlockStore(tmp_path / "other.journal")
+        for number in range(source_number, summary.block_number):
+            block = appended[number]
+            if number == source_number:
+                block = Block(block.block_number, block.timestamp, block.previous_hash, block_type=block.block_type,
+                              entries=[Entry.from_dict({**e.to_dict(), "data": {"D": "other"}}) for e in block.entries])
+            store.append(block)
+        store.append(summary)
+        assert not any(isinstance(item, list) for item in self.records(store.path)[-1]["block"]["entries"])
+        assert JournalBlockStore(store.path).head().block_hash == summary.block_hash
+
+    def test_a_journal_of_entry_references_fails_typed(self, tmp_path):
+        """``fixtures/body_references.journal`` is :func:`build_mixed_chain`
+        as the journal wrote it with ``[origin_block, origin_entry]``
+        references in place of runs: no longer read, never a wrong chain."""
+        path = tmp_path / "references.journal"
+        shutil.copy(Path(__file__).parent / "fixtures" / "body_references.journal", path)
+        line = next(
+            n for n, record in enumerate(self.records(path), start=1)
+            if record["kind"] == "block" and any(isinstance(item, list) for item in record["block"]["entries"])
+        )
+        with pytest.raises(StorageError, match=f"corrupt journal line {line}: ValueError"):
             JournalBlockStore(path)
 
     def test_bodies_are_written_at_most_twice_and_once_after_compaction(self, tmp_path):
@@ -447,15 +535,54 @@ class TestJournalBodyReferences:
         chain = Blockchain(self.CONFIG, store=store)
         for i in range(200):
             chain.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
-            assert len(store._bodies) <= chain.statistics()["living_entries"]
         # An entry's original record and its first copy, which carries the
-        # origin coordinates; every later summary references that copy.
+        # origin coordinates; every later summary holds that copy by a run,
+        # so no summary record inlines a carried entry.
         assert max(self.inline_bodies(store.path).values()) == 2
+        assert max(self.inline_bodies(store.path, block_type="summary").values()) == 1
         assert store.file_size() <= 12 * chain.statistics()["byte_size"]
         store.compact()
         assert self.inline_bodies(store.path) == {key: 1 for key in self.living_keys(store)}
         reopened = Blockchain(self.CONFIG, store=JournalBlockStore(store.path))
         assert reopened.head.block_hash == chain.head.block_hash
+
+    def test_a_summary_record_costs_what_changed(self, tmp_path):
+        """Clock-free O(change) guard: a summary record holds at most
+        ``dropped + 1`` runs per merged summary, and inline bodies only for
+        its new copies."""
+        store = JournalBlockStore(tmp_path / "change.journal")
+        chain = Blockchain(self.CONFIG, store=store)
+        issued = []
+        while chain.next_block_number < 200:
+            if issued and chain.next_block_number % 4 == 0:
+                chain.request_deletion(issued.pop(0), "A")
+            block = chain.add_entry_block({"D": f"login {chain.next_block_number}", "K": "A", "S": "s"}, "A")
+            if block.block_number % 3 == 0:
+                issued.append(EntryReference(block.block_number, 1))
+        assert chain.statistics()["deletions"]["executed"] > 0
+
+        keys_of, replayed = self.entry_keys(store.path)
+        carried_before, merging, split = set(), 0, 0
+        for block, keys in replayed:
+            if block["header"]["block_type"] != "summary":
+                continue
+            taken = Counter()
+            runs = Counter()
+            for item in block["entries"]:
+                if isinstance(item, list):
+                    runs[item[0]] += 1
+                    taken[item[0]] += item[2] - item[1]
+            for source, count in runs.items():
+                assert count <= len(keys_of[source]) - taken[source] + 1, (block["header"], source)
+                split = max(split, count)
+            inline = [
+                Entry.from_dict(item).location_key(block["header"]["block_number"])
+                for item in block["entries"] if isinstance(item, dict)
+            ]
+            assert not carried_before.intersection(inline), block["header"]
+            carried_before.update(keys)
+            merging += bool(runs)
+        assert merging >= 30 and split >= 2  # erasures cut merged summaries into several runs
 
     def test_erased_payload_leaves_the_journal_on_compaction(self, tmp_path):
         store = JournalBlockStore(tmp_path / "erasure.journal")
@@ -479,15 +606,12 @@ class TestJournalBodyReferences:
             chain.add_entry_block({"D": "fill", "K": "A", "S": "s"}, "A")
         erase(late)
 
-        records = self.records(store.path)
+        # The summaries holding the late entry's copy: the first copy's
+        # summary inline, every later one by a run over its predecessor.
+        _, replayed = self.entry_keys(store.path)
         carriers = sum(
-            1 for record in records
-            if record["kind"] == "block" and record["block"]["header"]["block_type"] == "summary"
-            and any(
-                item == [late.block_number, late.entry_number]
-                or isinstance(item, dict) and item["origin_block_number"] == late.block_number
-                for item in record["block"]["entries"]
-            )
+            1 for block, keys in replayed
+            if block["header"]["block_type"] == "summary" and (late.block_number, late.entry_number) in keys
         )
         journal = store.path.read_bytes()
         assert journal.count(b"early-7f3a") == 1  # erased before any summary carried it

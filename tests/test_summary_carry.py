@@ -40,9 +40,10 @@ from repro.core import (
     SummaryMode,
 )
 from repro.core.block import Block
+from repro.core.deletion import DeletionRegistry
 from repro.core.index import legacy_find_entry
 from repro.core.retention import entry_survives
-from repro.core.summarizer import Summarizer
+from repro.core.summarizer import _SEARCHES_PER_SCAN, Summarizer
 from repro.storage.memstore import MemoryBlockStore
 from repro.storage.snapshot import chain_from_payload, snapshot_payload
 from repro.storage.wal import JournalBlockStore
@@ -270,11 +271,41 @@ def _erasing_chain(config: ChainConfig, store=None, *, blocks: int = 60) -> Bloc
     return chain
 
 
-def test_summaries_built_by_the_chain_never_scan_for_locations(monkeypatch):
-    scans = []
+def _heavily_erased_chain(config: ChainConfig, *, blocks: int) -> Blockchain:
+    """Ten records per block; each block erases nine of the ten records of
+    the fourth newest one in one burst — more fresh marks than a merged
+    summary's keys are searched for one by one."""
+    chain = Blockchain(config)
+    sealed = []
+    while chain.next_block_number < blocks:
+        if len(sealed) > 3:
+            for entry in sealed[-4][1][:9]:
+                chain.request_deletion(entry.reference_in(sealed[-4][0]), "ALPHA")
+        for record in range(10):
+            chain.add_entry({"D": f"Login {chain.next_block_number}.{record}"}, "ALPHA")
+        block = chain.seal_block()
+        sealed.append((block.block_number, block.data_entries()))
+    return chain
+
+
+@pytest.mark.parametrize("erasing", ["one at a time", "90 % in bursts"])
+def test_summaries_built_by_the_chain_never_scan_for_locations(monkeypatch, erasing):
+    scans, fresh = [], []
     locations = Block.locations
     monkeypatch.setattr(Block, "locations", lambda block: scans.append(block.block_number) or locations(block))
-    chain = _erasing_chain(ChainConfig.paper_evaluation(), blocks=150)
+    approved_since = DeletionRegistry.approved_since
+
+    def counted(registry, watermark):
+        since = approved_since(registry, watermark)
+        fresh.append(len(since))
+        return since
+
+    monkeypatch.setattr(DeletionRegistry, "approved_since", counted)
+    if erasing == "one at a time":
+        chain = _erasing_chain(ChainConfig.paper_evaluation(), blocks=150)
+    else:
+        chain = _heavily_erased_chain(ChainConfig.paper_evaluation(), blocks=60)
+        assert max(fresh) > _SEARCHES_PER_SCAN
     assert chain.statistics()["deletions"]["executed"] > 0
     chain.verify_index()
     assert scans == []
