@@ -462,23 +462,34 @@ class TestJournalBodyReferences:
         with pytest.raises(StorageError, match=f"corrupt journal line {index + 1}: KeyError"):
             JournalBlockStore(path)
 
-    @pytest.mark.parametrize(
-        "run",
-        [[1], [1, 2], [1, 2, 3, 4], ["a", 0, 1], [1.0, 0, 1], [True, 0, 1], [None, 0, 1],
-         "empty", "reversed", "past the end", "negative start"],
-    )
+    #: Each malformed run built from a valid ``[source, start, stop]`` run
+    #: whose source holds ``length`` entries.  ``float(source)`` looks up the
+    #: valid source and ``True`` looks up block 1, so only the reader's
+    #: ``int`` check turns them, and the float stop, into a ``ValueError``.
+    MALFORMED_RUNS = {
+        "one part": lambda source, start, stop, length: [source],
+        "two parts": lambda source, start, stop, length: [source, start],
+        "four parts": lambda source, start, stop, length: [source, start, stop, stop],
+        "string source": lambda source, start, stop, length: ["a", start, stop],
+        "float source": lambda source, start, stop, length: [float(source), start, stop],
+        "bool source": lambda source, start, stop, length: [True, start, stop],
+        "null source": lambda source, start, stop, length: [None, start, stop],
+        "nested source": lambda source, start, stop, length: [[source], start, stop],
+        "float stop": lambda source, start, stop, length: [source, start, float(stop)],
+        "empty": lambda source, start, stop, length: [source, start, start],
+        "reversed": lambda source, start, stop, length: [source, stop, start],
+        "past the end": lambda source, start, stop, length: [source, start, length + 1],
+        "negative start": lambda source, start, stop, length: [source, -1, stop],
+    }
+
+    @pytest.mark.parametrize("run", sorted(MALFORMED_RUNS))
     def test_malformed_run_is_a_storage_error(self, referencing_journal, run):
         path, records, index = referencing_journal
         entries = records[index]["block"]["entries"]
         position = self.first_run(entries)
         source, start, stop = entries[position]
         length = len(self.entry_keys(path)[0][source])
-        entries[position] = {
-            "empty": [source, start, start],
-            "reversed": [source, stop, start],
-            "past the end": [source, start, length + 1],
-            "negative start": [source, -1, stop],
-        }.get(run, run) if isinstance(run, str) else [source if part == 1 else part for part in run]
+        entries[position] = self.MALFORMED_RUNS[run](source, start, stop, length)
         self.rewrite(path, records)
         with pytest.raises(StorageError, match=f"corrupt journal line {index + 1}: ValueError"):
             JournalBlockStore(path)
