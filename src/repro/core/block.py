@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH, canonical_json, sha256_hex, sha256_hex_parts, truncate_hash
 from repro.core.entry import Entry
@@ -133,9 +133,7 @@ class Block:
     _cached_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _cached_byte_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _entry_lookup: Optional[dict[int, Entry]] = field(default=None, init=False, repr=False, compare=False)
-    _locations: Optional[tuple[dict[tuple[int, int], int], tuple[int, ...]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _keys: Optional[list[tuple[int, int]]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.block_number < 0:
@@ -285,43 +283,39 @@ class Block:
             raise KeyError(f"block {self.block_number} has no entry number {entry_number}")
         return found
 
-    def locations(self) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
-        """Built once: :meth:`Entry.location_key` (the key marks use) → position
-        of the first entry under it, and the positions no key reaches (a
-        repeated key, a copy without its origin entry number).  Serves
-        :meth:`find_copy_of` and the summarizer's check of fresh marks on a
-        block without carried keys (loaded, replayed or hand-built)."""
-        if self._locations is None:
-            lookup: dict[tuple[int, int], int] = {}
-            unreached: list[int] = []
+    def location_keys(self) -> list[tuple[int, int]]:
+        """Every entry's :meth:`Entry.location_key` in this block, in order:
+        the one index into its entries (fresh marks, :meth:`find_copy_of`).
+        A summary built here carries the list; any other block derives it
+        once."""
+        carry = self._carry
+        if carry is not None and carry.keys is not None:
+            return carry.keys
+        if self._keys is None:
             number = self.block_number
-            for position, entry in enumerate(self.entries):
-                origin = entry.origin_block_number
-                key = (number, entry.entry_number) if origin is None else (origin, entry.origin_entry_number)
-                if not key[1] or key in lookup:
-                    unreached.append(position)
-                else:
-                    lookup[key] = position
-            self._locations = (lookup, tuple(unreached))
-        return self._locations
+            self._keys = [entry.location_key(number) for entry in self.entries]
+        return self._keys
+
+    def positions_of(self, key: tuple[int, int]) -> Iterator[int]:
+        """Every position of ``key`` in :meth:`location_keys`, in order, each
+        found by a C-level search from the one before."""
+        keys, position = self.location_keys(), -1
+        try:
+            while True:
+                position = keys.index(key, position + 1)
+                yield position
+        except ValueError:
+            return
 
     def find_copy_of(self, origin_block_number: int, origin_entry_number: int) -> Optional[Entry]:
-        """Locate the carried-forward copy of an original entry: a C-level
-        search of the carried keys, else the lookup :meth:`locations` builds."""
+        """The first copy of the original entry at these coordinates (an
+        entry that is not such a copy can sit under the same key)."""
         key = (origin_block_number, origin_entry_number)
-        keys = None if self._carry is None else self._carry.keys
-        if keys is not None:  # every entry is a copy
-            try:
-                entry = self.entries[keys.index(key)]
-            except ValueError:
-                return None
-            if entry.origin_entry_number:
+        for position in self.positions_of(key):
+            entry = self.entries[position]
+            if (entry.origin_block_number, entry.origin_entry_number) == key:
                 return entry
-            # A copy without its origin entry number is not its key's first
-            # position in the lookup: let the lookup decide.
-        position = (self._locations or self.locations())[0].get(key)
-        entry = None if position is None else self.entries[position]
-        return entry if entry is not None and entry.origin_block_number is not None else None
+        return None
 
     def data_entries(self) -> list[Entry]:
         """All entries that are plain data records (no deletion requests)."""

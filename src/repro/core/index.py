@@ -166,12 +166,14 @@ class ChainIndex:
         """Located ``(block, entry)`` for a reference, or ``None``.
 
         O(1) per block plus O(living summaries): the referenced block, if
-        living, answers first; then the living summaries, newest first — the
-        legacy linear scan's resolution order.
+        living and not a summary, answers first; then the living summaries,
+        newest first — the legacy linear scan's resolution order.  A
+        summary's own number addresses no entry: its copies keep the
+        coordinates they were copied from (Fig. 4), which the marks address.
         """
         number, entry_number = reference.block_number, reference.entry_number
         block = self._blocks.get(number)
-        if block is not None:
+        if block is not None and not block.is_summary:
             try:
                 return block, block.entry(entry_number)
             except KeyError:
@@ -280,14 +282,15 @@ class ChainIndex:
 
         # Rebuild the resolution from scratch in one pass over the blocks —
         # first match within a block, the newest summary across blocks, the
-        # original position over any copy — and require find() to return the
-        # identical (block, entry) for every key: O(total entries).
+        # original position (never a summary's own) over any copy — and
+        # require find() to return the identical (block, entry) for every
+        # key: O(total entries).
         originals: dict[tuple[int, int], tuple[Block, Entry]] = {}
         copies: dict[tuple[int, int], tuple[Block, Entry]] = {}
         for block in blocks:
             newest: dict[tuple[int, int], tuple[Block, Entry]] = {}
             for entry in block.entries:
-                if entry.entry_number is not None:  # positive once set
+                if entry.entry_number is not None and not block.is_summary:  # positive once set
                     originals.setdefault((block.block_number, entry.entry_number), (block, entry))
                 origin, origin_entry = entry.origin_block_number, entry.origin_entry_number
                 if block.is_summary and origin is not None and origin >= 0 and (origin_entry or 0) >= 1:
@@ -329,13 +332,14 @@ def legacy_find_entry(
 ) -> Optional[tuple[Block, Entry]]:
     """The seed's O(chain length) lookup, kept as executable specification.
 
-    Looks first at the original block if it is still living, then scans the
-    summary blocks newest-first for a carried-forward copy.  Used by the
-    equivalence tests and the scaling benchmark as the baseline shape.
+    Looks first at the original block if it is still living (a summary holds
+    no originals), then scans the summary blocks newest-first for a
+    carried-forward copy.  Used by the equivalence tests and the scaling
+    benchmark as the baseline shape.
     """
     position = reference.block_number - genesis_marker
     block = blocks[position] if 0 <= position < len(blocks) else None
-    if block is not None and block.block_number == reference.block_number:
+    if block is not None and block.block_number == reference.block_number and not block.is_summary:
         for candidate in block.entries:
             if candidate.entry_number == reference.entry_number:
                 return block, candidate

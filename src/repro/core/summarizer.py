@@ -68,32 +68,12 @@ class SummaryResult:
         return self.new_marker is not None
 
 
-#: Fresh marks located by C-level searches of a summary's carried keys
+#: Fresh marks located by C-level searches of a summary's location keys
 #: before one C-level membership pass over the keys is the cheaper way.  A
 #: search seeks every position, so each is a full pass; measured at 0.4–0.7
 #: of a membership pass (220–8,000 keys, CPython 3.11 on a 2-core Xeon
 #: virtual host), two searches break even and three lose.
 _SEARCHES_PER_SCAN = 2
-
-
-def _location_keys(block: Block) -> Optional[list[tuple[int, int]]]:
-    """The carried keys of a summary, derived once for one without them:
-    ``None`` unless every entry is a copy (whose key no block changes)."""
-    if block._carry is not None:
-        return block._carry.keys
-    if not all(entry.origin_block_number is not None for entry in block.entries):
-        return None
-    return [entry.location_key(block.block_number) for entry in block.entries]
-
-
-def _positions(keys: list[tuple[int, int]], key: tuple[int, int]) -> list[int]:
-    """Every position of ``key`` in ``keys``, by C-level searches."""
-    found: list[int] = []
-    try:
-        while True:
-            found.append(keys.index(key, found[-1] + 1 if found else 0))
-    except ValueError:
-        return found
 
 
 class Summarizer:
@@ -170,18 +150,15 @@ class Summarizer:
                 entries, record = block.entries, block._carry
                 if record is None or record.registry is not registry:  # loaded, hand-built or foreign
                     watched = (p for p, e in enumerate(entries) if e.is_temporary or e.is_deletion_request)
-                    record = CarryRecord(block.entry_memos(), _location_keys(block), registry, 0, tuple(watched))
+                    # A non-copy entry's key changes with the block holding it.
+                    located = block.location_keys() if all(entry.is_copy for entry in entries) else None
+                    record = CarryRecord(block.entry_memos(), located, registry, 0, tuple(watched))
                 checked = set(record.watch)
                 fresh = registry.approved_since(record.watermark)
-                if fresh and record.keys is not None:
-                    if len(fresh) <= _SEARCHES_PER_SCAN:
-                        checked.update(position for key in fresh for position in _positions(record.keys, key))
-                    else:
-                        checked.update(compress(count(), map(set(fresh).__contains__, record.keys)))
-                elif fresh:
-                    lookup, unreached = block.locations()
-                    checked.update(lookup[key] for key in fresh if key in lookup)
-                    checked.update(unreached)
+                if len(fresh) > _SEARCHES_PER_SCAN:
+                    checked.update(compress(count(), map(set(fresh).__contains__, block.location_keys())))
+                else:
+                    checked.update(position for key in fresh for position in block.positions_of(key))
                 gone = [p for p in sorted(checked) if not survives(block, entries[p])]
                 watch.extend(len(carried) + p - bisect_left(gone, p) for p in record.watch if p not in gone)
                 if record.keys is None:

@@ -275,10 +275,11 @@ class TestIndexMaintenanceDetail:
         """Hand-built summaries with duplicate keys — no trace produces them.
 
         Summary 2 holds two copies of origin (0, 1), both numbered 1, so it
-        repeats an original key and a copy key; summary 5 repeats origin
-        (1, 1) and copies (0, 1) once more.  Within a block the first match
-        wins; across blocks the newest summary wins, which only shows once
-        the cut removes the originals and summary 2.
+        repeats a copy key; summary 5 repeats origin (1, 1) and copies (0, 1)
+        once more.  Within a block the first match wins; across blocks the
+        newest summary wins, which only shows once the cut removes the
+        originals and summary 2.  A summary's own number addresses none of
+        its copies: (2, 1) and (5, 1) are found nowhere.
         """
         config = ChainConfig(sequence_length=3)
 
@@ -325,11 +326,11 @@ class TestIndexMaintenanceDetail:
 
         index = ChainIndex.build(blocks, config.sequence_length)
         before = located(index, blocks, 0)
-        assert before == {0: "a0", 1: "a1", 2: "x", 3: "a3", 4: "a4", 5: "p", 6: "a6"}
+        assert before == {0: "a0", 1: "a1", 3: "a3", 4: "a4", 6: "a6"}
 
         index.cut_before(3, blocks[:3])
         after = located(index, blocks[3:], 3)
-        assert after == {0: "z", 1: "p", 3: "a3", 4: "a4", 5: "p", 6: "a6"}
+        assert after == {0: "z", 1: "p", 3: "a3", 4: "a4", 6: "a6"}
 
     def test_verify_index_checks_every_lookup_not_only_a_sample(self):
         config = ChainConfig(

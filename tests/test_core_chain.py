@@ -223,6 +223,24 @@ class TestSelectiveDeletion:
         decision = paper_chain.request_deletion(EntryReference(99, 1), "ALPHA")
         assert decision.status is DeletionStatus.REJECTED
 
+    def test_a_summarys_own_coordinates_address_no_entry(self, paper_chain):
+        """Copies keep their original entry numbers (Fig. 4), so summary 8
+        holds three entries numbered 1.  A request for (8, 1) would match no
+        copy's mark and never execute: it is rejected, and each original
+        coordinate still reaches its copy."""
+        while paper_chain.next_block_number <= 8:
+            paper_chain.add_entry_block(login_entry("ALPHA"), "ALPHA")
+        summary = paper_chain.block_by_number(8)
+        originals = [(1, 1), (3, 1), (4, 1)]
+        assert summary.is_summary and summary.location_keys() == originals
+        decision = paper_chain.request_deletion(EntryReference(8, 1), "ALPHA")
+        assert decision.status is DeletionStatus.REJECTED
+        assert "does not exist" in decision.reason
+        assert paper_chain.find_entry(EntryReference(8, 1)) is None
+        for key in originals:
+            block, copy = paper_chain.find_entry(EntryReference(*key))
+            assert block is summary and copy.location_key(8) == key
+
     def test_strict_mode_raises_on_rejection(self, paper_chain):
         with pytest.raises(DeletionError):
             paper_chain.request_deletion(EntryReference(99, 1), "ALPHA", strict=True)

@@ -39,10 +39,12 @@ from repro.core import (
     ShrinkStrategy,
     SummaryMode,
 )
-from repro.core.block import Block
-from repro.core.deletion import DeletionRegistry
+from repro.core.block import Block, BlockType, CarryRecord
+from repro.core.deletion import DeletionRegistry, build_deletion_request
+from repro.core.entry import Entry
 from repro.core.index import legacy_find_entry
 from repro.core.retention import entry_survives
+from repro.core.sequence import SequenceView
 from repro.core.summarizer import _SEARCHES_PER_SCAN, Summarizer
 from repro.storage.memstore import MemoryBlockStore
 from repro.storage.snapshot import chain_from_payload, snapshot_payload
@@ -290,9 +292,20 @@ def _heavily_erased_chain(config: ChainConfig, *, blocks: int) -> Blockchain:
 
 @pytest.mark.parametrize("erasing", ["one at a time", "90 % in bursts"])
 def test_summaries_built_by_the_chain_never_scan_for_locations(monkeypatch, erasing):
-    scans, fresh = [], []
-    locations = Block.locations
-    monkeypatch.setattr(Block, "locations", lambda block: scans.append(block.block_number) or locations(block))
+    """Fresh marks and lookups search the keys a summary carries: no
+    summary the chain built derives its :meth:`Block.location_keys`."""
+    calls, derived, fresh = [], [], []
+    location_keys = Block.location_keys
+
+    def counted_keys(block):
+        memo = block._keys
+        keys = location_keys(block)
+        calls.append(block.block_number)
+        if memo is None and block._keys is not None:
+            derived.append(block.block_number)
+        return keys
+
+    monkeypatch.setattr(Block, "location_keys", counted_keys)
     approved_since = DeletionRegistry.approved_since
 
     def counted(registry, watermark):
@@ -308,7 +321,68 @@ def test_summaries_built_by_the_chain_never_scan_for_locations(monkeypatch, eras
         assert max(fresh) > _SEARCHES_PER_SCAN
     assert chain.statistics()["deletions"]["executed"] > 0
     chain.verify_index()
-    assert scans == []
+    assert calls and derived == []
+
+
+def _copy(label, origin, number=1, origin_entry=True):
+    """An entry of block ``origin`` numbered ``number``, copied into a summary
+    (without its origin entry number unless ``origin_entry``)."""
+    entry = Entry(data={"D": label}, author="ALPHA", signature="s", entry_number=number)
+    copy = entry.as_copy(origin_block_number=origin, origin_timestamp=0)
+    return copy if origin_entry else replace(copy, origin_entry_number=None)
+
+
+#: Hand-built summary 9's entries and the keys approved for erasure, for the
+#: shapes no summary the chain builds has: a key held twice, an entry that is
+#: no copy (keyed by summary 9 itself, colliding with a copy of block 9) and a
+#: copy without its origin entry number (keyed by its own entry number).
+HAND_BUILT = {
+    "repeated key": ([_copy("a", 1), _copy("b", 1), _copy("c", 2)], [(1, 1)]),
+    "non-copy entry": (
+        [Entry(data={"D": "n"}, author="ALPHA", signature="s", entry_number=1), _copy("m", 9), _copy("c", 2, 2)],
+        [(9, 1), (2, 2)],
+    ),
+    "copy without origin entry number": ([_copy("a", 1), _copy("u", 2, 3, False), _copy("c", 2)], [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("fresh", ["searched", "scanned"])
+@pytest.mark.parametrize("record", ["hand-built", "foreign registry"])
+@pytest.mark.parametrize("shape", sorted(HAND_BUILT))
+def test_summaries_without_carried_keys_carry_and_resolve_like_a_scan(shape, record, fresh):
+    """A summary the chain did not build derives its location keys: the carry
+    drops exactly what :func:`entry_survives` drops, ``find_copy_of`` answers
+    like :func:`scanned_copy_of`, and a new record keeps keys only if every
+    entry is a copy (a non-copy entry's key changes with its block)."""
+    entries, marked = HAND_BUILT[shape]
+    if fresh == "scanned":  # more marks than are searched for one by one
+        marked = marked + [(100, number) for number in range(1, _SEARCHES_PER_SCAN + 1)]
+    everyone_copied = all(entry.is_copy for entry in entries)
+    carry = None
+    if record == "foreign registry":  # built by another chain's summarizer
+        built = Block(9, 8, "aa", entries, block_type=BlockType.SUMMARY)
+        keys = built.location_keys() if everyone_copied else None
+        carry = CarryRecord(built.entry_memos(), keys, DeletionRegistry(), 0, ())
+    block = Block(9, 8, "aa", entries, block_type=BlockType.SUMMARY, _carry=carry)
+    registry = DeletionRegistry()
+    for key in marked:
+        request = build_deletion_request(EntryReference(*key), author="ALPHA", signature="s")
+        registry.record_request(request, approved=True)
+
+    carried, dropped, new_record = Summarizer(ChainConfig())._carry(
+        [SequenceView(index=3, blocks=[block])], registry, current_time=9, current_block=10
+    )
+    survivors, reasons = [], []
+    for entry in block.entries:
+        kept, reason = entry_survives(
+            entry, containing_block_number=9, registry=registry, current_time=9, current_block=10
+        )
+        (survivors if kept else reasons).append(entry if kept else reason)
+    assert len(carried) == len(survivors) and all(ours is theirs for ours, theirs in zip(carried, survivors))
+    assert [d.reason for d in dropped] == reasons and dropped
+    assert (new_record.keys is not None) == everyone_copied
+    for key in {entry.location_key(9) for entry in entries} | {(9, 2)}:
+        assert block.find_copy_of(*key) is scanned_copy_of(block, key), key
 
 
 @pytest.mark.parametrize("reopen", ["snapshot", "journal"])
