@@ -126,8 +126,8 @@ class DeletionForger(AdversaryActor):
     * :meth:`impersonate` signs *claiming the victim's identity*.  The
       simplified signature scheme of the console figures is not
       cryptographically binding, so this passes the signature comparison —
-      the semantic-cohesion layer (Section IV-D2: Bell-LaPadula /
-      Brewer-Nash) is the defence in depth that must catch it,
+      the semantic-cohesion layer (Section IV-D2: Bell-LaPadula) is the
+      defence in depth that must catch it,
     * :meth:`replay` re-transmits the ``SUBMIT_DELETION`` messages the
       forger captured since it was placed — it taps the wire when it is
       constructed, so it hears only later traffic.  A replay of an already

@@ -9,13 +9,11 @@ from repro.analysis.attack import (
     simulate_attack,
 )
 from repro.analysis.compare import ComparisonRow, run_comparison
-from repro.analysis.recovery import RecoveryReport, analyze_lost_coins, recoverable_after_deletion
 from repro.analysis.metrics import (
     DeletionLatency,
     DeletionLatencyTracker,
     GrowthPoint,
     SummarySizeSample,
-    deletion_effectiveness,
     final_reduction_factor,
     growth_curve,
     measure_deletion_latency,
@@ -40,14 +38,10 @@ __all__ = [
     "simulate_attack",
     "ComparisonRow",
     "run_comparison",
-    "RecoveryReport",
-    "analyze_lost_coins",
-    "recoverable_after_deletion",
     "DeletionLatency",
     "DeletionLatencyTracker",
     "GrowthPoint",
     "SummarySizeSample",
-    "deletion_effectiveness",
     "final_reduction_factor",
     "growth_curve",
     "measure_deletion_latency",

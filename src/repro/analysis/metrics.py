@@ -146,16 +146,3 @@ def summary_size_profile(chain: Blockchain) -> list[SummarySizeSample]:
             )
         )
     return profile
-
-
-def deletion_effectiveness(chain: Blockchain) -> dict[str, float]:
-    """Ratios summarising how many approved deletions already took effect."""
-    stats = chain.registry.statistics()
-    approved = stats["approved"]
-    executed = stats["executed"]
-    return {
-        "approved": float(approved),
-        "executed": float(executed),
-        "pending": float(approved - executed),
-        "execution_ratio": (executed / approved) if approved else 1.0,
-    }

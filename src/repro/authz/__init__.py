@@ -1,29 +1,22 @@
 """Authorization and semantic-cohesion layer (Section IV-D1 / IV-D2).
 
-Role-based access control with the quorum's master signature, a dependency
-graph with co-signing for semantic cohesion, and the two automatic models
-the paper proposes: Bell-LaPadula and Brewer-Nash.
+Role-based access control with the quorum's master signature, and the
+Bell-LaPadula model as the chain's automatic semantic-cohesion checker.
 """
 
 from repro.authz.bell_lapadula import BellLaPadulaModel, SecurityLevel
-from repro.authz.brewer_nash import BrewerNashModel, Dataset
 from repro.authz.roles import (
     DEFAULT_ROLE_PERMISSIONS,
     AccessController,
     Permission,
     Role,
 )
-from repro.authz.semantic import CohesionPolicy, DependencyGraph
 
 __all__ = [
     "BellLaPadulaModel",
     "SecurityLevel",
-    "BrewerNashModel",
-    "Dataset",
     "DEFAULT_ROLE_PERMISSIONS",
     "AccessController",
     "Permission",
     "Role",
-    "CohesionPolicy",
-    "DependencyGraph",
 ]

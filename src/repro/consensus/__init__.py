@@ -4,21 +4,11 @@ The selective-deletion concept is consensus-agnostic (Sections IV-A and
 V-B3); this package supplies the engines the network simulator and the
 benchmarks run against — an accept-all null engine, hash-prefix proof of
 work, and anchor-node proof of authority — plus majority voting for the
-quorum decisions (genesis-marker shifts, deletion approvals) and anchor-node
-election strategies.
+quorum decisions (genesis-marker shifts, deletion approvals, producer
+failover).
 """
 
 from repro.consensus.base import ConsensusDecision, ConsensusEngine, NullConsensus
-from repro.consensus.election import (
-    ActivityElection,
-    BordaElection,
-    ElectionResult,
-    ElectionStrategy,
-    HeadElection,
-    StaticElection,
-    elect_anchor_nodes,
-    rotate_quorum,
-)
 from repro.consensus.poa import ProofOfAuthority, ValidatorSet
 from repro.consensus.pow import ProofOfWork
 from repro.consensus.quorum import Proposal, ProposalState, Quorum, VoteOutcome
@@ -27,14 +17,6 @@ __all__ = [
     "ConsensusDecision",
     "ConsensusEngine",
     "NullConsensus",
-    "ActivityElection",
-    "BordaElection",
-    "ElectionResult",
-    "ElectionStrategy",
-    "HeadElection",
-    "StaticElection",
-    "elect_anchor_nodes",
-    "rotate_quorum",
     "ProofOfAuthority",
     "ValidatorSet",
     "ProofOfWork",

@@ -6,10 +6,9 @@ summarisation and retention machinery, deletion requests with delayed
 execution, temporary entries, and chain validation.
 """
 
-from repro.core.aggregation import AggregatedRecord, EntryAggregator, aggregate_events, compression_ratio
 from repro.core.block import Block, BlockType, RedundancyRecord, make_genesis_block
 from repro.core.chain import Blockchain, ChainEvent
-from repro.core.clock import FixedClock, LogicalClock, SimulationClock, SystemClock
+from repro.core.clock import LogicalClock, SimulationClock, SystemClock
 from repro.core.config import (
     ChainConfig,
     LengthUnit,
@@ -31,7 +30,6 @@ from repro.core.index import ChainIndex, SequenceAggregate
 from repro.core.errors import (
     AuthorizationError,
     ChainIntegrityError,
-    CohesionError,
     ConfigurationError,
     ConsensusError,
     DeletionError,
@@ -40,7 +38,7 @@ from repro.core.errors import (
     StorageError,
     SynchronisationError,
 )
-from repro.core.schema import EntrySchema, FieldSpec, default_log_schema, parse_schema_yaml
+from repro.core.schema import EntrySchema, FieldSpec, default_log_schema
 from repro.core.sequence import SequenceView, completed_sequences, partition_into_sequences
 from repro.core.summarizer import DroppedEntry, Summarizer, SummaryResult
 from repro.core.validation import (
@@ -52,17 +50,12 @@ from repro.core.validation import (
 )
 
 __all__ = [
-    "AggregatedRecord",
-    "EntryAggregator",
-    "aggregate_events",
-    "compression_ratio",
     "Block",
     "BlockType",
     "RedundancyRecord",
     "make_genesis_block",
     "Blockchain",
     "ChainEvent",
-    "FixedClock",
     "LogicalClock",
     "SimulationClock",
     "SystemClock",
@@ -88,7 +81,6 @@ __all__ = [
     "SequenceAggregate",
     "AuthorizationError",
     "ChainIntegrityError",
-    "CohesionError",
     "ConfigurationError",
     "ConsensusError",
     "DeletionError",
@@ -99,7 +91,6 @@ __all__ = [
     "EntrySchema",
     "FieldSpec",
     "default_log_schema",
-    "parse_schema_yaml",
     "SequenceView",
     "completed_sequences",
     "partition_into_sequences",

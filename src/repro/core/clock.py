@@ -75,25 +75,6 @@ class LogicalClock:
         self._current += ticks
 
 
-class FixedClock:
-    """A clock frozen at a single value (useful for golden-output tests)."""
-
-    def __init__(self, value: int = 0) -> None:
-        self._value = value
-
-    def now(self) -> int:
-        """Return the frozen value."""
-        return self._value
-
-    def peek(self) -> int:
-        """Return the frozen value (reading never changes it)."""
-        return self._value
-
-    def set(self, value: int) -> None:
-        """Move the frozen value."""
-        self._value = value
-
-
 class SystemClock:
     """Wall-clock seconds since the epoch, as integers."""
 

@@ -35,10 +35,6 @@ class AuthorizationError(SelectiveDeletionError):
     """
 
 
-class CohesionError(SelectiveDeletionError):
-    """A deletion would break semantic cohesion of the chain (Section IV-D2)."""
-
-
 class DeletionError(SelectiveDeletionError):
     """A deletion request is malformed or references a non-existent entry."""
 

@@ -16,7 +16,7 @@ This module implements the decision logic of Sections IV-C and IV-D3:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence as TypingSequence
+from typing import Sequence as TypingSequence
 
 from repro.core.config import ChainConfig, LengthUnit, RetentionPolicy, ShrinkStrategy
 from repro.core.deletion import DeletionRegistry
@@ -182,27 +182,3 @@ def needs_empty_block(
     if config.empty_block_interval is None:
         return False
     return current_time - last_block_timestamp >= config.empty_block_interval
-
-
-def minimum_living_blocks(policy: RetentionPolicy, sequence_length: int) -> int:
-    """Smallest number of living blocks the policy can ever shrink to.
-
-    Helper for capacity planning in the benchmarks: at least the current
-    (possibly still open) sequence survives, plus whatever the minimum bounds
-    require.
-    """
-    floor = max(policy.min_length, policy.min_summary_blocks * sequence_length)
-    return max(floor, 1)
-
-
-def effective_max_blocks(policy: RetentionPolicy, sequence_length: int) -> Optional[int]:
-    """Upper bound on living blocks implied by the policy, if expressible.
-
-    Returns ``None`` for time-based policies, whose bound depends on the
-    workload's arrival rate rather than on a block count.
-    """
-    if policy.max_length is None or policy.unit is LengthUnit.TIME:
-        return None
-    if policy.unit is LengthUnit.BLOCKS:
-        return policy.max_length + sequence_length
-    return (policy.max_length + 1) * sequence_length

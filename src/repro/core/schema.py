@@ -6,11 +6,7 @@ dependency-free schema engine:
 
 * :class:`FieldSpec` describes one field (name, type, required, bounds),
 * :class:`EntrySchema` validates entry data dictionaries against a set of
-  field specs,
-* :func:`parse_schema_yaml` reads the YAML subset needed for schema files
-  (nested two-level mappings with scalar values), so deployments can keep
-  their schemas in plain-text files exactly as the paper suggests without
-  pulling in a YAML dependency.
+  field specs.
 
 The default schema mirrors the console figures: a data record ``D``, the
 user ``K`` and the signature ``S``.
@@ -19,7 +15,7 @@ user ``K`` and the signature ``S``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.core.errors import SchemaError
 from repro.crypto.hashing import canonical_json
@@ -143,94 +139,6 @@ class EntrySchema:
         }
 
 
-def _parse_scalar(raw: str) -> Any:
-    """Interpret a YAML scalar: bool, int, null or bare/quoted string."""
-    text = raw.strip()
-    if text.startswith(("'", '"')) and text.endswith(("'", '"')) and len(text) >= 2:
-        return text[1:-1]
-    lowered = text.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    if lowered in ("null", "~", ""):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
-def parse_schema_yaml(text: str, *, name: str = "entry") -> EntrySchema:
-    """Parse the two-level YAML subset used for entry schema files.
-
-    Expected shape::
-
-        D:
-          type: str
-          required: true
-          max_length: 256
-        K:
-          type: str
-        S:
-          type: str
-
-    Comments (``#``) and blank lines are ignored.  Anything deeper than two
-    levels is rejected — schemas are intentionally flat.
-    """
-    fields: list[FieldSpec] = []
-    current_name: Optional[str] = None
-    current_attrs: dict[str, Any] = {}
-
-    def flush() -> None:
-        nonlocal current_name, current_attrs
-        if current_name is None:
-            return
-        fields.append(
-            FieldSpec(
-                name=current_name,
-                type_name=str(current_attrs.get("type", "any")),
-                required=bool(current_attrs.get("required", True)),
-                max_length=current_attrs.get("max_length"),
-                description=str(current_attrs.get("description", "")),
-            )
-        )
-        current_name = None
-        current_attrs = {}
-
-    # Tolerate uniformly indented documents (e.g. schemas embedded in code):
-    # the indentation of the shallowest non-empty line counts as level zero.
-    cleaned_lines = [raw.split("#", 1)[0].rstrip() for raw in text.splitlines()]
-    non_empty = [line for line in cleaned_lines if line.strip()]
-    base_indent = min((len(line) - len(line.lstrip(" "))) for line in non_empty) if non_empty else 0
-
-    for line_number, line in enumerate(cleaned_lines, start=1):
-        if not line.strip():
-            continue
-        indent = (len(line) - len(line.lstrip(" "))) - base_indent
-        stripped = line.strip()
-        if ":" not in stripped:
-            raise SchemaError(f"schema line {line_number}: expected 'key: value', got {stripped!r}")
-        key, _, value = stripped.partition(":")
-        key = key.strip()
-        if indent == 0:
-            if value.strip():
-                raise SchemaError(
-                    f"schema line {line_number}: top-level field {key!r} must not have an inline value"
-                )
-            flush()
-            current_name = key
-        elif current_name is not None:
-            current_attrs[key] = _parse_scalar(value)
-        else:
-            raise SchemaError(f"schema line {line_number}: attribute {key!r} outside of a field block")
-    flush()
-
-    if not fields:
-        raise SchemaError("schema text declares no fields")
-    return EntrySchema(name=name, fields=tuple(fields))
-
-
 def default_log_schema() -> EntrySchema:
     """Schema of the paper's logging scenario: D (record), K (user), S (signature)."""
     return EntrySchema(
@@ -242,13 +150,3 @@ def default_log_schema() -> EntrySchema:
         ),
         allow_extra_fields=True,
     )
-
-
-def schema_from_fields(name: str, field_types: Mapping[str, str], *, required: Iterable[str] = ()) -> EntrySchema:
-    """Build a schema programmatically from a ``{field: type}`` mapping."""
-    required_set = set(required) or set(field_types)
-    specs = tuple(
-        FieldSpec(name=field_name, type_name=type_name, required=field_name in required_set)
-        for field_name, type_name in field_types.items()
-    )
-    return EntrySchema(name=name, fields=specs)

@@ -16,7 +16,6 @@ library has no third-party runtime dependencies.
 
 from repro.crypto.hashing import (
     GENESIS_PREVIOUS_HASH,
-    HashPointer,
     canonical_json,
     hash_hex,
     hash_pair,
@@ -44,7 +43,6 @@ from repro.crypto.chameleon import ChameleonHash, ChameleonParameters, Collision
 
 __all__ = [
     "GENESIS_PREVIOUS_HASH",
-    "HashPointer",
     "canonical_json",
     "hash_hex",
     "hash_pair",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 #: Previous-hash value of the very first Genesis Block, as printed in Fig. 6
@@ -176,35 +175,3 @@ def truncate_hash(digest: str, length: int = 5) -> str:
     if length <= 0:
         raise ValueError("length must be positive")
     return digest[:length].upper()
-
-
-@dataclass(frozen=True)
-class HashPointer:
-    """A typed reference to another block by hash and block number.
-
-    Summary blocks use hash pointers when they operate in the
-    ``merkle_reference`` mode of Section V-B2: instead of copying the full
-    data of old sequences, only a pointer (block number + digest) is stored.
-    """
-
-    block_number: int
-    digest: str
-
-    def __post_init__(self) -> None:
-        if self.block_number < 0:
-            raise ValueError("block_number must be non-negative")
-        if not self.digest:
-            raise ValueError("digest must not be empty")
-
-    def to_dict(self) -> dict[str, Any]:
-        """Return a JSON-serialisable representation."""
-        return {"block_number": self.block_number, "digest": self.digest}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "HashPointer":
-        """Rebuild a pointer from :meth:`to_dict` output."""
-        return cls(block_number=int(payload["block_number"]), digest=str(payload["digest"]))
-
-    def matches(self, value: Any) -> bool:
-        """Check whether ``value`` hashes to this pointer's digest."""
-        return hash_hex(value) == self.digest

@@ -227,10 +227,3 @@ def sign_entry(
         expires_at_time=entry.expires_at_time,
         expires_at_block=entry.expires_at_block,
     )
-
-
-def register_scheme(scheme_class: type[SignatureScheme]) -> None:
-    """Register a custom signature scheme (extension hook)."""
-    if not scheme_class.name or scheme_class.name == "abstract":
-        raise ValueError("signature scheme must define a concrete name")
-    _SCHEMES[scheme_class.name] = scheme_class()

@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - service imports network, not vice versa
     from repro.workloads.base import Workload
     from repro.workloads.fleet import FleetArrival, FleetDriver, FleetPolicy
 
-from repro.consensus.election import HeadElection
 from repro.consensus.quorum import Quorum
 from repro.core.chain import Blockchain, CohesionChecker
 from repro.core.clock import SimulationClock
@@ -397,8 +396,8 @@ class NetworkSimulator:
     def elect_new_producer_process(self, *, exclude: tuple[str, ...] = ()) -> Process:
         """Promote the most up-to-date reachable replica to block producer.
 
-        The candidate is chosen by :class:`~repro.consensus.election.HeadElection`
-        over the online replicas, then confirmed by a quorum vote carried as
+        The candidate is the online replica with the highest head (ties go
+        to the lowest id), then confirmed by a quorum vote carried as
         ``VOTE_REQUEST`` messages over the transport — the ballots travel
         with real delay, so the round's outcome depends on how far each
         replica has caught up when the ballot reaches it.
@@ -411,10 +410,7 @@ class NetworkSimulator:
         ]
         if not online:
             return None
-        election = HeadElection(
-            chains={anchor_id: self.anchors[anchor_id].chain for anchor_id in online}
-        )
-        candidate = election.elect(1).anchors[0]
+        candidate = min(online, key=lambda a: (-self.anchors[a].chain.head.block_number, a))
         voters = [peer for peer in online if peer != candidate]
         quorum = Quorum(online)
         proposal_id = f"failover-{self.report.elections}-{candidate}"

@@ -2,7 +2,6 @@
 
 from repro.storage.memstore import BlockStore, MemoryBlockStore
 from repro.storage.snapshot import (
-    SnapshotManager,
     chain_from_payload,
     load_snapshot,
     save_snapshot,
@@ -14,7 +13,6 @@ from repro.storage.wal import JournalBlockStore
 __all__ = [
     "BlockStore",
     "MemoryBlockStore",
-    "SnapshotManager",
     "chain_from_payload",
     "load_snapshot",
     "save_snapshot",

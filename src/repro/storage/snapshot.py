@@ -3,8 +3,7 @@
 Snapshots capture the complete state of a :class:`~repro.core.chain.Blockchain`
 (blocks, genesis marker, deletion registry, configuration) in one JSON file.
 They are what a freshly joining anchor node downloads to obtain the *"current
-status quo"* clients and nodes must anchor their trust in (Section V-B3/B4),
-and they double as the persistence format of the examples and benchmarks.
+status quo"* clients and nodes must anchor their trust in (Section V-B3/B4).
 
 Two formats share the same ``to_dict`` payload:
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 from repro.core.errors import StorageError
 from repro.crypto.hashing import canonical_json
@@ -119,43 +118,3 @@ def load_snapshot(path: Union[str, Path], **chain_kwargs) -> Blockchain:
     if not source.exists():
         raise StorageError(f"snapshot {source} does not exist")
     return _restore(source.read_text(encoding="utf-8"), f"snapshot {source}", chain_kwargs)
-
-
-class SnapshotManager:
-    """Keeps a rotating set of snapshots for one chain."""
-
-    def __init__(self, directory: Union[str, Path], *, keep: int = 3, prefix: str = "chain") -> None:
-        if keep < 1:
-            raise StorageError("must keep at least one snapshot")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
-        self.prefix = prefix
-
-    def _snapshot_path(self, head_number: int) -> Path:
-        return self.directory / f"{self.prefix}-{head_number:08d}.json"
-
-    def existing_snapshots(self) -> list[Path]:
-        """Snapshot files, oldest first."""
-        return sorted(self.directory.glob(f"{self.prefix}-*.json"))
-
-    def save(self, chain: Blockchain) -> Path:
-        """Write a snapshot for the chain's current head and rotate old ones."""
-        path = self._snapshot_path(chain.head.block_number)
-        save_snapshot(chain, path)
-        snapshots = self.existing_snapshots()
-        for stale in snapshots[: max(0, len(snapshots) - self.keep)]:
-            stale.unlink()
-        return path
-
-    def latest(self) -> Optional[Path]:
-        """Most recent snapshot path, if any."""
-        snapshots = self.existing_snapshots()
-        return snapshots[-1] if snapshots else None
-
-    def restore_latest(self, **chain_kwargs) -> Blockchain:
-        """Load the most recent snapshot."""
-        latest = self.latest()
-        if latest is None:
-            raise StorageError(f"no snapshots under {self.directory}")
-        return load_snapshot(latest, **chain_kwargs)

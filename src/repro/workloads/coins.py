@@ -1,12 +1,9 @@
 """Cryptocurrency transfer workload.
 
-Used for two purposes:
-
-* the semantic-cohesion tests (Section IV-D2): a transfer that spends the
-  output of an earlier transfer *depends* on it, so deleting the earlier
-  transfer must be refused unless the dependent parties co-sign,
-* the recovery discussion of Section V-A: coins whose keys are lost forever
-  can be reclaimed for the system once their originating entries expire.
+The ``coin-economy`` scenario drives it to model the recovery discussion of
+Section V-A: coins whose keys are lost forever can be reclaimed for the
+system once their originating entries expire.  A transfer that spends the
+output of an earlier transfer names it in ``spends``.
 """
 
 from __future__ import annotations

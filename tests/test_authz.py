@@ -1,19 +1,16 @@
-"""Tests for role-based authorization and the semantic-cohesion models."""
+"""Tests for role-based authorization and the Bell-LaPadula cohesion model."""
 
 import pytest
 
 from repro.authz import (
     AccessController,
     BellLaPadulaModel,
-    BrewerNashModel,
-    CohesionPolicy,
-    DependencyGraph,
     Permission,
     Role,
     SecurityLevel,
 )
 from repro.core import Blockchain, ChainConfig, EntryReference
-from repro.core.errors import AuthorizationError, CohesionError
+from repro.core.errors import AuthorizationError
 
 
 def login(user):
@@ -75,69 +72,6 @@ class TestAccessController:
         ).is_approved
 
 
-class TestDependencyGraph:
-    def test_dependants_and_transitive_closure(self):
-        graph = DependencyGraph()
-        a, b, c = EntryReference(1, 1), EntryReference(3, 1), EntryReference(4, 1)
-        graph.register_entry(a, "ALPHA")
-        graph.register_entry(b, "BRAVO")
-        graph.register_entry(c, "CHARLIE")
-        graph.add_dependency(b, a)  # b depends on a
-        graph.add_dependency(c, b)  # c depends on b
-        assert graph.dependants_of(a) == [b]
-        assert set(graph.transitive_dependants(a)) == {b, c}
-        assert graph.required_cosigners(a) == {"BRAVO", "CHARLIE"}
-
-    def test_self_dependency_rejected(self):
-        graph = DependencyGraph()
-        with pytest.raises(CohesionError):
-            graph.add_dependency(EntryReference(1, 1), EntryReference(1, 1))
-
-    def test_remove_entry_clears_edges(self):
-        graph = DependencyGraph()
-        a, b = EntryReference(1, 1), EntryReference(3, 1)
-        graph.add_dependency(b, a)
-        graph.remove_entry(b)
-        assert graph.dependants_of(a) == []
-
-
-class TestCohesionPolicy:
-    def build_chain_with_dependency(self):
-        policy = CohesionPolicy()
-        chain = Blockchain(ChainConfig.paper_evaluation(), cohesion_checker=policy.as_checker())
-        chain.add_entry_block(login("ALPHA"), "ALPHA")          # block 1
-        chain.add_entry_block(login("BRAVO"), "BRAVO")          # block 3
-        first, second = EntryReference(1, 1), EntryReference(3, 1)
-        policy.graph.register_entry(first, "ALPHA")
-        policy.graph.register_entry(second, "BRAVO")
-        policy.graph.add_dependency(second, first)
-        return chain, policy, first, second
-
-    def test_deletion_blocked_by_living_dependant(self):
-        chain, policy, first, _ = self.build_chain_with_dependency()
-        decision = chain.request_deletion(first, "ALPHA")
-        assert not decision.is_approved
-        assert "co-signatures" in decision.reason
-
-    def test_deletion_allowed_after_cosignature(self):
-        chain, policy, first, _ = self.build_chain_with_dependency()
-        policy.cosign(first, "BRAVO")
-        decision = chain.request_deletion(first, "ALPHA")
-        assert decision.is_approved
-
-    def test_deletion_of_leaf_entry_allowed(self):
-        chain, policy, _, second = self.build_chain_with_dependency()
-        decision = chain.request_deletion(second, "BRAVO")
-        assert decision.is_approved
-
-    def test_missing_cosigners_listing(self):
-        _, policy, first, _ = self.build_chain_with_dependency()
-        assert policy.missing_cosigners(first) == {"BRAVO"}
-        policy.cosign(first, "BRAVO")
-        assert policy.missing_cosigners(first) == set()
-        assert policy.cosigners_of(first) == {"BRAVO"}
-
-
 class TestBellLaPadula:
     def test_read_write_delete_rules(self):
         model = BellLaPadulaModel()
@@ -154,6 +88,19 @@ class TestBellLaPadula:
         with pytest.raises(AuthorizationError):
             model.require_delete("intern", secret_entry)
 
+    def test_unregistered_subjects_and_entries_take_the_defaults(self):
+        model = BellLaPadulaModel(default_clearance=SecurityLevel.INTERNAL)
+        model.clear_subject("officer", SecurityLevel.SECRET)
+        assert model.clearance_of("officer") is SecurityLevel.SECRET
+        assert model.clearance_of("stranger") is SecurityLevel.INTERNAL
+
+    def test_classification_is_keyed_by_block_and_entry_number(self):
+        model = BellLaPadulaModel(default_classification=SecurityLevel.CONFIDENTIAL)
+        model.classify_entry(EntryReference(3, 1), SecurityLevel.PUBLIC)
+        assert model.classification_of(EntryReference(3, 1)) is SecurityLevel.PUBLIC
+        assert model.classification_of(EntryReference(3, 2)) is SecurityLevel.CONFIDENTIAL
+        assert model.classification_of(EntryReference(1, 3)) is SecurityLevel.CONFIDENTIAL
+
     def test_blp_cohesion_checker_on_chain(self):
         model = BellLaPadulaModel()
         model.clear_subject("OFFICER", SecurityLevel.SECRET)
@@ -167,46 +114,3 @@ class TestBellLaPadula:
         model.classify_entry(EntryReference(1, 1), SecurityLevel.CONFIDENTIAL)
         assert chain.request_deletion(EntryReference(1, 1), "OFFICER").is_approved
         assert not chain.request_deletion(EntryReference(1, 1), "INTERN").is_approved
-
-
-class TestBrewerNash:
-    def test_chinese_wall(self):
-        model = BrewerNashModel()
-        model.register_dataset("bank-a", "banking")
-        model.register_dataset("bank-b", "banking")
-        model.register_dataset("oil-x", "energy")
-        entry_a, entry_b = EntryReference(1, 1), EntryReference(3, 1)
-        model.tag_entry(entry_a, "bank-a")
-        model.tag_entry(entry_b, "bank-b")
-        model.record_access("analyst", "bank-a")
-        assert model.may_access("analyst", "bank-a")
-        assert not model.may_access("analyst", "bank-b")
-        assert model.may_access("analyst", "oil-x")
-        assert model.may_delete("analyst", entry_a)
-        assert not model.may_delete("analyst", entry_b)
-        assert model.may_delete("analyst", EntryReference(9, 1))  # untagged
-
-    def test_unknown_dataset_rejected(self):
-        model = BrewerNashModel()
-        with pytest.raises(AuthorizationError):
-            model.tag_entry(EntryReference(1, 1), "ghost")
-        with pytest.raises(AuthorizationError):
-            model.record_access("x", "ghost")
-        assert not model.may_access("x", "ghost")
-
-    def test_brewer_nash_cohesion_checker_on_chain(self):
-        model = BrewerNashModel()
-        model.register_dataset("bank-a", "banking")
-        model.register_dataset("bank-b", "banking")
-        chain = Blockchain(
-            ChainConfig.paper_evaluation(),
-            cohesion_checker=model.as_cohesion_checker(),
-            admins=["ANALYST"],
-        )
-        chain.add_entry_block(login("ALPHA"), "ALPHA")   # block 1 -> bank-a
-        chain.add_entry_block(login("BRAVO"), "BRAVO")   # block 3 -> bank-b
-        model.tag_entry(EntryReference(1, 1), "bank-a")
-        model.tag_entry(EntryReference(3, 1), "bank-b")
-        assert chain.request_deletion(EntryReference(1, 1), "ANALYST").is_approved
-        # The wall now blocks the competing dataset in the same class.
-        assert not chain.request_deletion(EntryReference(3, 1), "ANALYST").is_approved

@@ -1,20 +1,15 @@
-"""Unit tests for the consensus layer (engines, quorum voting, elections)."""
+"""Unit tests for the consensus layer (engines and quorum voting)."""
 
 import pytest
 
 from repro.consensus import (
-    ActivityElection,
-    BordaElection,
     NullConsensus,
     ProofOfAuthority,
     ProofOfWork,
     Proposal,
     ProposalState,
     Quorum,
-    StaticElection,
     ValidatorSet,
-    elect_anchor_nodes,
-    rotate_quorum,
 )
 from repro.core import Blockchain, ChainConfig
 from repro.core.block import Block, make_genesis_block
@@ -189,63 +184,31 @@ class TestQuorum:
         assert stats["accepted"] == 1 and stats["proposals"] == 1
         assert quorum.open_proposals() == []
 
+    def test_record_votes_applies_a_round_in_member_order(self):
+        quorum = Quorum(["a", "b", "c", "d", "e"])
+        quorum.propose("p1", "x", {})
+        outcome = quorum.record_votes("p1", {"e": True, "d": False, "c": True, "b": False, "a": True})
+        assert outcome.state is ProposalState.ACCEPTED
+        assert (outcome.yes_votes, outcome.no_votes, outcome.member_count) == (3, 2, 5)
+
+    def test_record_votes_stops_tallying_once_decided(self):
+        quorum = Quorum(["a", "b", "c"])
+        quorum.propose("p1", "x", {})
+        outcome = quorum.record_votes("p1", {"c": True, "a": False, "b": False})
+        assert outcome.state is ProposalState.REJECTED
+        assert quorum.proposal("p1").votes == {"a": False, "b": False}
+
+    def test_record_votes_of_an_empty_round_leaves_the_proposal_open(self):
+        quorum = Quorum(["a", "b", "c"])
+        quorum.propose("p1", "x", {})
+        outcome = quorum.record_votes("p1", {})
+        assert outcome.state is ProposalState.OPEN and not outcome.decided
+        with pytest.raises(ConsensusError):
+            quorum.record_votes("missing", {"a": True})
+
     def test_proposal_counters(self):
         proposal = Proposal(proposal_id="p", kind="k", payload=None, votes={"a": True, "b": False})
         assert proposal.yes_votes == 1 and proposal.no_votes == 1
-
-
-class TestElections:
-    def test_static_election(self):
-        result = StaticElection(["n1", "n2", "n3"]).elect(2)
-        assert result.anchors == ("n1", "n2")
-        assert result.is_anchor("n1") and not result.is_anchor("n3")
-        with pytest.raises(ConsensusError):
-            StaticElection(["n1"]).elect(2)
-        with pytest.raises(ConsensusError):
-            StaticElection(["n1"]).elect(0)
-
-    def test_activity_election_prefers_active_users(self):
-        chain = Blockchain(ChainConfig(sequence_length=3))
-        for _ in range(3):
-            chain.add_entry_block({"D": "x", "K": "ALPHA", "S": "s"}, "ALPHA")
-        chain.add_entry_block({"D": "x", "K": "BRAVO", "S": "s"}, "BRAVO")
-        election = ActivityElection(chain)
-        result = elect_anchor_nodes(election, 1)
-        assert result.anchors == ("ALPHA",)
-        assert result.scores["ALPHA"] >= 3
-
-    def test_activity_election_threshold(self):
-        chain = Blockchain(ChainConfig(sequence_length=3))
-        chain.add_entry_block({"D": "x", "K": "ALPHA", "S": "s"}, "ALPHA")
-        with pytest.raises(ConsensusError):
-            ActivityElection(chain, minimum_entries=5).elect(1)
-
-    def test_borda_election(self):
-        election = BordaElection()
-        election.add_ballot(["n1", "n2", "n3"])
-        election.add_ballot(["n2", "n1", "n3"])
-        election.add_ballot(["n1", "n3", "n2"])
-        result = election.elect(2)
-        assert result.anchors[0] == "n1"
-        assert set(result.anchors) == {"n1", "n2"}
-
-    def test_borda_rejects_bad_input(self):
-        election = BordaElection()
-        with pytest.raises(ConsensusError):
-            election.add_ballot(["n1", "n1"])
-        with pytest.raises(ConsensusError):
-            election.elect(1)
-        election.add_ballot(["n1"])
-        with pytest.raises(ConsensusError):
-            election.elect(3)
-
-    def test_rotate_quorum(self):
-        rotated = rotate_quorum(["old1", "old2", "old3"], ["new1", "new2", "new3"], keep=1)
-        assert rotated[0] == "old1"
-        assert len(rotated) == 3
-        assert rotate_quorum([], ["a", "b"], keep=0) == ["a", "b"]
-        with pytest.raises(ConsensusError):
-            rotate_quorum(["x"], ["y"], keep=-1)
 
 
 class TestConsensusChainIntegration:

@@ -19,6 +19,8 @@ from repro.core import (
     ShrinkStrategy,
     default_log_schema,
 )
+from repro.core.deletion import default_authorizer
+from repro.core.entry import Entry
 from repro.core.errors import ChainIntegrityError, DeletionError, SchemaError
 from repro.core.events import EventType
 from repro.crypto.hashing import GENESIS_PREVIOUS_HASH
@@ -202,6 +204,18 @@ class TestSelectiveDeletion:
         assert paper_chain.find_entry(EntryReference(3, 1)) is None
         assert paper_chain.find_entry(EntryReference(1, 1)) is not None
 
+    def test_entry_exists_until_the_shrink_purges_it(self, paper_chain):
+        for user in ("ALPHA", "BRAVO", "CHARLIE"):
+            paper_chain.add_entry_block(login_entry(user), user)
+        paper_chain.request_deletion(EntryReference(3, 1), "BRAVO")
+        paper_chain.seal_block()
+        # Approved but delayed: the entry stays retrievable until the cut.
+        assert paper_chain.entry_exists(EntryReference(3, 1))
+        paper_chain.add_entry_block(login_entry("ALPHA"), "ALPHA")
+        assert not paper_chain.entry_exists(EntryReference(3, 1))
+        assert paper_chain.entry_exists(EntryReference(1, 1))
+        assert not paper_chain.entry_exists(EntryReference(999, 1))
+
     def test_foreign_deletion_rejected(self, paper_chain):
         for user in ("ALPHA", "BRAVO", "CHARLIE"):
             paper_chain.add_entry_block(login_entry(user), user)
@@ -269,6 +283,31 @@ class TestSelectiveDeletion:
         assert "summary-created" in kinds
         assert "deletion-requested" in kinds
         assert "deletion-executed" in kinds
+
+
+class TestDefaultAuthorizer:
+    @staticmethod
+    def entry(author, public_key=None):
+        return Entry(data={"D": "x"}, author=author, signature="s", public_key=public_key)
+
+    def test_an_author_may_delete_their_own_entry_and_no_other(self):
+        authorize = default_authorizer()
+        assert authorize(self.entry("ALPHA"), self.entry("ALPHA"))[0]
+        allowed, reason = authorize(self.entry("BRAVO"), self.entry("ALPHA"))
+        assert not allowed
+        assert "'BRAVO'" in reason and "'ALPHA'" in reason
+
+    def test_with_keys_on_both_sides_the_key_decides_not_the_name(self):
+        authorize = default_authorizer()
+        assert authorize(self.entry("ALIAS", "key-1"), self.entry("ALPHA", "key-1"))[0]
+        assert not authorize(self.entry("ALPHA", "key-2"), self.entry("ALPHA", "key-1"))[0]
+
+    def test_admins_may_delete_foreign_entries_unless_disabled(self):
+        request, target = self.entry("ADMIN"), self.entry("ALPHA")
+        assert default_authorizer(admins=["ADMIN"])(request, target)[0]
+        assert not default_authorizer(admins=["ADMIN"], allow_admin_foreign_deletion=False)(
+            request, target
+        )[0]
 
 
 class TestTemporaryEntries:
@@ -383,6 +422,50 @@ class TestStatistics:
     def test_repr_and_len(self, paper_chain):
         assert len(paper_chain) == paper_chain.length
         assert "Blockchain(" in repr(paper_chain)
+
+
+class TestLivingChainQueries:
+    @pytest.fixture
+    def chain(self, paper_chain):
+        for user in ("ALPHA", "BRAVO", "CHARLIE") * 4:
+            paper_chain.add_entry_block(login_entry(user), user)
+        return paper_chain
+
+    def test_iter_entries_walks_every_living_block_in_order(self, chain):
+        pairs = list(chain.iter_entries())
+        assert len(pairs) == chain.entry_count()
+        assert pairs == [(block, entry) for block in chain.blocks for entry in block.entries]
+
+    def test_views_split_the_living_chain_at_its_summary_blocks(self, chain):
+        index = chain._index
+        views = index.sequence_views()
+        assert [block for view in views for block in view.blocks] == chain.blocks
+        assert index.view_count == len(views)
+        assert index.completed_view_count == sum(view.is_complete for view in views)
+        assert index.completed_view_count == chain.completed_sequence_count()
+        assert all(view.blocks[-1].is_summary for view in views if view.is_complete)
+        assert not views[-1].is_complete
+
+    def test_sequence_views_are_snapshots_and_live_views_are_shared(self, chain):
+        index = chain._index
+        snapshot, live = index.sequence_views()[-1], index.live_views()[-1]
+        before = list(snapshot.blocks)
+        chain.add_entry_block(login_entry("ALPHA"), "ALPHA")
+        assert snapshot.blocks == before
+        assert live.blocks[-1] is chain.head
+
+    def test_sequence_aggregates_add_up_to_the_chain_totals(self, chain):
+        aggregates = chain._index.sequence_aggregates()
+        assert list(aggregates) == sorted(view.index for view in chain.sequences())
+        assert sum(row["entry_count"] for row in aggregates.values()) == chain.entry_count()
+        assert sum(row["byte_size"] for row in aggregates.values()) == chain.byte_size()
+        assert aggregates == chain.sequence_statistics()
+
+    def test_a_views_timestamps_bound_its_time_span(self, chain):
+        for view in chain.sequences():
+            assert view.first_timestamp == view.blocks[0].timestamp
+            assert view.last_timestamp == view.blocks[-1].timestamp
+            assert view.time_span() == view.last_timestamp - view.first_timestamp >= 0
 
 
 class TestOneDecisionPerDeletionRequest:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.clock import FixedClock, LogicalClock, SystemClock
+from repro.core.clock import LogicalClock, SystemClock
 from repro.core.config import (
     ChainConfig,
     LengthUnit,
@@ -16,8 +16,6 @@ from repro.core.schema import (
     EntrySchema,
     FieldSpec,
     default_log_schema,
-    parse_schema_yaml,
-    schema_from_fields,
 )
 
 
@@ -157,65 +155,10 @@ class TestEntrySchema:
         assert schema.is_valid({"D": "x", "K": "A", "S": "s"})
         assert not schema.is_valid({})
 
-    def test_schema_from_fields(self):
-        schema = schema_from_fields("vehicle", {"vin": "str", "mileage": "int"}, required=["vin"])
-        schema.validate({"vin": "W0L000051T2123456", "mileage": 5})
-        schema.validate({"vin": "W0L000051T2123456"})
-        with pytest.raises(SchemaError):
-            schema.validate({"mileage": 5})
-
     def test_field_names_and_to_dict(self):
         schema = default_log_schema()
         assert schema.field_names() == ["D", "K", "S"]
         assert schema.to_dict()["name"] == "login-log"
-
-
-class TestSchemaYaml:
-    YAML = """
-    # paper-style entry schema
-    D:
-      type: str
-      required: true
-      max_length: 256
-      description: "data record"
-    K:
-      type: str
-    S:
-      type: str
-      required: yes
-    retries:
-      type: int
-      required: false
-    """
-
-    def test_parse_and_validate(self):
-        schema = parse_schema_yaml(self.YAML, name="audit")
-        schema.validate({"D": "Login", "K": "ALPHA", "S": "sig", "retries": 2})
-        with pytest.raises(SchemaError):
-            schema.validate({"D": 5, "K": "ALPHA", "S": "sig"})
-
-    def test_parse_rejects_garbage_lines(self):
-        with pytest.raises(SchemaError):
-            parse_schema_yaml("just some text without colon")
-
-    def test_parse_rejects_inline_top_level_value(self):
-        with pytest.raises(SchemaError):
-            parse_schema_yaml("D: str")
-
-    def test_parse_rejects_orphan_attribute(self):
-        with pytest.raises(SchemaError):
-            parse_schema_yaml("  type: str")
-
-    def test_parse_rejects_empty_document(self):
-        with pytest.raises(SchemaError):
-            parse_schema_yaml("# only a comment")
-
-    def test_scalar_interpretation(self):
-        schema = parse_schema_yaml("X:\n  type: 'str'\n  required: false\n  max_length: 12")
-        spec = schema.fields[0]
-        assert spec.type_name == "str"
-        assert spec.required is False
-        assert spec.max_length == 12
 
 
 class TestClocks:
@@ -235,17 +178,10 @@ class TestClocks:
         with pytest.raises(ValueError):
             LogicalClock().advance(-1)
 
-    def test_fixed_clock(self):
-        clock = FixedClock(9)
-        assert clock.now() == 9
-        clock.set(11)
-        assert clock.now() == 11
-
     def test_system_clock_returns_int(self):
         assert isinstance(SystemClock().now(), int)
 
     def test_every_clock_supports_passive_peek(self):
-        assert FixedClock(4).peek() == 4
         assert isinstance(SystemClock().peek(), int)
         clock = LogicalClock(start=2)
         assert clock.peek() == 2

@@ -204,6 +204,53 @@ class TestBlock:
         assert summary.find_copy_of(3, 1) is not None
         assert summary.find_copy_of(3, 2) is None
 
+    def test_header_dict_names_the_header_and_not_the_content(self):
+        block = Block(
+            block_number=4, timestamp=2, previous_hash="aa", entries=[sample_entry()], nonce=9
+        )
+        assert block.header_dict() == {
+            "block_number": 4,
+            "timestamp": 2,
+            "previous_hash": "aa",
+            "block_type": "normal",
+            "nonce": 9,
+        }
+        other = Block(
+            block_number=4, timestamp=2, previous_hash="aa", entries=[sample_entry("BRAVO")], nonce=9
+        )
+        assert other.header_dict() == block.header_dict()
+        assert other.block_hash != block.block_hash
+
+    def test_location_keys_address_copies_by_their_origin(self):
+        copy = sample_entry(entry_number=2).as_copy(origin_block_number=3, origin_timestamp=1)
+        summary = Block(
+            block_number=5,
+            timestamp=4,
+            previous_hash="aa",
+            entries=[copy, sample_entry(author="BRAVO")],
+            block_type=BlockType.SUMMARY,
+        )
+        assert summary.location_keys() == [(3, 2), (5, 2)]
+
+    def test_positions_of_yields_every_position_of_a_key_in_order(self):
+        first = sample_entry(entry_number=1).as_copy(origin_block_number=3, origin_timestamp=1)
+        other = sample_entry("BRAVO", entry_number=2).as_copy(origin_block_number=3, origin_timestamp=1)
+        summary = Block(
+            block_number=7,
+            timestamp=5,
+            previous_hash="aa",
+            entries=[first, other, first],
+            block_type=BlockType.SUMMARY,
+        )
+        assert list(summary.positions_of((3, 1))) == [0, 2]
+        assert list(summary.positions_of((3, 2))) == [1]
+
+    def test_positions_of_an_absent_key_yields_nothing(self):
+        block = Block(block_number=1, timestamp=1, previous_hash="aa", entries=[sample_entry()])
+        assert list(block.positions_of((1, 2))) == []
+        assert list(block.positions_of((2, 1))) == []
+        assert list(Block(block_number=2, timestamp=1, previous_hash="aa").positions_of((2, 1))) == []
+
     def test_data_entries_and_deletion_requests(self):
         request = Entry(
             data={"target": {"block_number": 1, "entry_number": 1}},

@@ -19,9 +19,7 @@ from repro.core.entry import Entry, EntryKind
 from repro.core.errors import ChainIntegrityError, ConfigurationError, DeletionError
 from repro.core.retention import (
     chain_exceeds_limit,
-    effective_max_blocks,
     entry_survives,
-    minimum_living_blocks,
     needs_empty_block,
     select_sequences_to_expire,
 )
@@ -35,6 +33,7 @@ from repro.core.sequence import (
 from repro.core.validation import (
     deletion_is_effective,
     is_traceable_extension,
+    validate_block_link,
     validate_chain,
     validate_entry_signature,
     verify_summary_determinism,
@@ -213,14 +212,6 @@ class TestRetentionDecisions:
             ChainConfig(sequence_length=3), last_block_timestamp=0, current_time=10**6
         )
 
-    def test_capacity_helpers(self):
-        assert minimum_living_blocks(RetentionPolicy(min_length=7), 3) == 7
-        assert minimum_living_blocks(RetentionPolicy(min_summary_blocks=2), 3) == 6
-        assert effective_max_blocks(RetentionPolicy(unit=LengthUnit.BLOCKS, max_length=9), 3) == 12
-        assert effective_max_blocks(RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=2), 3) == 9
-        assert effective_max_blocks(RetentionPolicy(unit=LengthUnit.TIME, max_length=5), 3) is None
-        assert effective_max_blocks(RetentionPolicy(), 3) is None
-
 
 class TestSummaryModesAndRedundancy:
     def test_merkle_reference_mode_keeps_summary_small(self):
@@ -326,6 +317,31 @@ class TestValidation:
         )
         with pytest.raises(ChainIntegrityError):
             validate_chain(blocks, config=chain.config, genesis_marker=0)
+
+    def test_block_link_accepts_the_next_block(self):
+        previous, block = build_chain(2).blocks[-2:]
+        validate_block_link(previous, block)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda previous, block: {"block_number": block.block_number + 1},
+            lambda previous, block: {"previous_hash": "0" * 64},
+            lambda previous, block: {"timestamp": previous.timestamp - 1},
+        ],
+        ids=["number-gap", "broken-hash", "timestamp-before-predecessor"],
+    )
+    def test_block_link_rejects_a_bad_neighbour(self, tamper):
+        previous, block = build_chain(2).blocks[-2:]
+        header = {
+            "block_number": block.block_number,
+            "timestamp": block.timestamp,
+            "previous_hash": block.previous_hash,
+            **tamper(previous, block),
+        }
+        tampered = Block(**header, entries=list(block.entries), block_type=block.block_type)
+        with pytest.raises(ChainIntegrityError):
+            validate_block_link(previous, tampered)
 
     def test_validate_empty_chain_rejected(self):
         with pytest.raises(ChainIntegrityError):

@@ -21,8 +21,6 @@ from repro.crypto.signatures import (
     EcdsaScheme,
     SimplifiedScheme,
     new_scheme,
-    register_scheme,
-    SignatureScheme,
 )
 
 
@@ -260,34 +258,6 @@ class TestSignatureSchemes:
         assert isinstance(new_scheme("ecdsa"), EcdsaScheme)
         with pytest.raises(ValueError):
             new_scheme("quantum")
-
-    def test_register_scheme(self):
-        class NullScheme(SignatureScheme):
-            name = "null"
-
-            def sign(self, payload, identity, key_pair=None):
-                from repro.crypto.signatures import SignedPayload
-
-                return SignedPayload(payload=payload, signer=identity, signature="null")
-
-            def verify(self, signed):
-                return signed.signature == "null"
-
-        register_scheme(NullScheme)
-        assert isinstance(new_scheme("null"), NullScheme)
-
-    def test_register_scheme_rejects_abstract_name(self):
-        class Nameless(SignatureScheme):
-            name = "abstract"
-
-            def sign(self, payload, identity, key_pair=None):  # pragma: no cover
-                raise NotImplementedError
-
-            def verify(self, signed):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(ValueError):
-            register_scheme(Nameless)
 
 
 @settings(max_examples=10, deadline=None)

@@ -5,14 +5,17 @@ from hypothesis import given, strategies as st
 
 from repro.crypto.hashing import (
     GENESIS_PREVIOUS_HASH,
-    HashPointer,
     canonical_json,
+    canonical_size,
     hash_hex,
     hash_many,
     hash_pair,
     sha256_hex,
+    sha256_hex_parts,
     truncate_hash,
 )
+from repro.core.block import Block
+from repro.core.entry import Entry
 
 
 class TestSha256Hex:
@@ -28,6 +31,14 @@ class TestSha256Hex:
 
     def test_digest_length(self):
         assert len(sha256_hex(b"anything")) == 64
+
+    def test_parts_hash_as_their_concatenation(self):
+        parts = [b"ab", b"", b"c", "\u00e9".encode("utf-8")]
+        assert sha256_hex_parts(parts) == sha256_hex(b"".join(parts))
+        assert sha256_hex_parts(iter(parts)) == sha256_hex_parts(parts)
+
+    def test_no_parts_hash_as_the_empty_string(self):
+        assert sha256_hex_parts([]) == sha256_hex(b"")
 
 
 class TestCanonicalJson:
@@ -63,6 +74,25 @@ class TestHashHex:
         assert len(hash_hex([1, 2, 3])) == 64
 
 
+class TestCanonicalSize:
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], {"b": [1, 2.5, None], "a": True}, {"name": "Zo\u00eb \u2603"}, "plain"],
+        ids=["empty-dict", "empty-list", "nested", "non-ascii", "string"],
+    )
+    def test_equals_the_utf8_length_of_the_canonical_json(self, value):
+        assert canonical_size(value) == len(canonical_json(value).encode("utf-8"))
+
+    def test_memoised_objects_count_their_own_text(self):
+        entries = [
+            Entry(data={"D": "Login \u00c5SA"}, author="ASA", signature="sig_ASA"),
+            Entry(data={"D": "Login BRAVO"}, author="BRAVO", signature="sig_BRAVO"),
+        ]
+        block = Block(block_number=1, timestamp=1, previous_hash="aa", entries=entries)
+        value = {"blocks": [block], "entries": block.entries, "count": 2}
+        assert canonical_size(value) == len(canonical_json(value).encode("utf-8"))
+
+
 class TestHashHelpers:
     def test_hash_pair_is_order_sensitive(self):
         assert hash_pair("aa", "bb") != hash_pair("bb", "aa")
@@ -80,26 +110,6 @@ class TestHashHelpers:
 
     def test_genesis_constant_matches_paper(self):
         assert GENESIS_PREVIOUS_HASH == "DEADB"
-
-
-class TestHashPointer:
-    def test_roundtrip(self):
-        pointer = HashPointer(block_number=7, digest=hash_hex({"a": 1}))
-        assert HashPointer.from_dict(pointer.to_dict()) == pointer
-
-    def test_matches(self):
-        value = {"payload": [1, 2, 3]}
-        pointer = HashPointer(block_number=0, digest=hash_hex(value))
-        assert pointer.matches(value)
-        assert not pointer.matches({"payload": [1, 2]})
-
-    def test_rejects_negative_block_number(self):
-        with pytest.raises(ValueError):
-            HashPointer(block_number=-1, digest="ab")
-
-    def test_rejects_empty_digest(self):
-        with pytest.raises(ValueError):
-            HashPointer(block_number=0, digest="")
 
 
 @given(st.dictionaries(st.text(max_size=10), st.integers(), max_size=5))

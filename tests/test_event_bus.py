@@ -118,6 +118,14 @@ class TestAuditLog:
         bus.publish(event(EventType.BLOCK_APPENDED))
         assert seen == [EventType.BLOCK_APPENDED.value]
 
+    def test_restore_replaces_the_log_and_keeps_the_newest(self):
+        bus = EventBus(audit_limit=3)
+        bus.publish(event(number=99))
+        bus.restore_audit_log(event(number=number) for number in range(5))
+        assert [e.block_number for e in bus.audit_log] == [2, 3, 4]
+        bus.restore_audit_log([])
+        assert bus.audit_log == []
+
     def test_event_round_trip(self):
         original = event(EventType.DELETION_REQUESTED, number=7, detail="d", approved=True)
         restored = ChainEvent.from_dict(original.to_dict())

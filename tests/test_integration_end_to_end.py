@@ -3,13 +3,12 @@
 These scenarios wire several subsystems together the way a deployment would:
 real ECDSA signatures on the chain, proof-of-authority sealing in the
 multi-node network, quorum voting on marker shifts, persistent storage across
-restarts, semantic cohesion over a coin-transfer workload, and the
-Merkle-reference summary mode backed by the off-chain store.
+restarts, and the Merkle-reference summary mode backed by the off-chain store.
 """
 
 import pytest
 
-from repro.authz import AccessController, CohesionPolicy, Role
+from repro.authz import AccessController, Role
 from repro.baselines import OffChainStore
 from repro.consensus import ProofOfAuthority, ProofOfWork, Quorum, ValidatorSet
 from repro.core import (
@@ -23,8 +22,7 @@ from repro.core import (
 )
 from repro.crypto.keys import KeyPair
 from repro.network import AnchorNode, ClientNode, InMemoryTransport
-from repro.storage import JournalBlockStore, SnapshotManager
-from repro.workloads import CoinTransferWorkload, EventKind
+from repro.storage import JournalBlockStore, load_snapshot, save_snapshot
 
 
 def login(user, detail=""):
@@ -169,13 +167,13 @@ class TestPersistentDeployment:
     """Journal + snapshots through a full scenario with restarts."""
 
     def test_chain_survives_restart_via_snapshot(self, tmp_path):
-        manager = SnapshotManager(tmp_path / "snapshots", keep=2)
+        path = tmp_path / "snapshots" / "chain.json"
         chain = Blockchain(ChainConfig.paper_evaluation())
         for i in range(4):
             chain.add_entry_block(login("ALPHA", f"#{i}"), "ALPHA")
-            manager.save(chain)
+            save_snapshot(chain, path)
         # "Restart": restore from the latest snapshot and keep going.
-        restored = manager.restore_latest()
+        restored = load_snapshot(path)
         restored.request_deletion(EntryReference(restored.blocks[1].block_number, 1), "ALPHA")
         restored.seal_block()
         for i in range(6):
@@ -195,58 +193,6 @@ class TestPersistentDeployment:
         reloaded = JournalBlockStore(tmp_path / "chain.journal")
         assert len(reloaded) == chain.length
         assert reloaded.head().block_number == chain.head.block_number
-
-
-class TestCohesionOverCoinWorkload:
-    """Semantic cohesion driven by a realistic transfer dependency graph."""
-
-    def test_spent_transfers_cannot_be_deleted_without_cosigning(self):
-        policy = CohesionPolicy()
-        chain = Blockchain(
-            ChainConfig(sequence_length=4),  # no shrinking: keep all originals addressable
-            cohesion_checker=policy.as_checker(),
-        )
-        workload = CoinTransferWorkload(num_transfers=30, num_wallets=4, seed=8)
-        transfers = workload.transfers()
-        positions = {}
-        for event, transfer in zip(workload, transfers):
-            assert event.kind is EventKind.ENTRY
-            block = chain.add_entry_block(event.data, event.author)
-            reference = EntryReference(block.block_number, 1)
-            positions[transfer.transfer_id] = (reference, transfer)
-            policy.graph.register_entry(reference, transfer.sender)
-            if transfer.spends is not None:
-                policy.graph.add_dependency(reference, positions[transfer.spends][0])
-
-        spent_ids = {t.spends for t in transfers if t.spends is not None}
-        spent_id = next(iter(spent_ids))
-        reference, transfer = positions[spent_id]
-        # Deleting a spent transfer without the dependants' consent is refused.
-        decision = chain.request_deletion(reference, transfer.sender)
-        assert not decision.is_approved
-        # After all dependent parties co-sign, the same request succeeds.
-        for cosigner in policy.graph.required_cosigners(reference):
-            policy.cosign(reference, cosigner)
-        decision = chain.request_deletion(reference, transfer.sender)
-        assert decision.is_approved
-
-    def test_unspent_transfer_deletable_immediately(self):
-        policy = CohesionPolicy()
-        chain = Blockchain(ChainConfig(sequence_length=4), cohesion_checker=policy.as_checker())
-        workload = CoinTransferWorkload(num_transfers=20, num_wallets=4, seed=8)
-        transfers = workload.transfers()
-        positions = {}
-        for event, transfer in zip(workload, transfers):
-            block = chain.add_entry_block(event.data, event.author)
-            reference = EntryReference(block.block_number, 1)
-            positions[transfer.transfer_id] = (reference, transfer)
-            policy.graph.register_entry(reference, transfer.sender)
-            if transfer.spends is not None:
-                policy.graph.add_dependency(reference, positions[transfer.spends][0])
-        spent_ids = {t.spends for t in transfers if t.spends is not None}
-        leaf = next(t for t in reversed(transfers) if t.transfer_id not in spent_ids)
-        reference, _ = positions[leaf.transfer_id]
-        assert chain.request_deletion(reference, leaf.sender).is_approved
 
 
 class TestMerkleReferenceWithOffChainStore:

@@ -17,6 +17,9 @@ so the fix must flip it to an ordinary test instead of leaving stale prose.
 - The quorum's master signature is a name: a request signed with Mallory's
   own key but claiming the admin identity deletes another author's entry
   (ROADMAP item 14).
+- A chain reopened from its journal reports different ``statistics()`` than
+  the chain that wrote it: the dropped-entry count and the deletion tallies
+  restart at zero although the head hash is the same.
 
 The 12-anchor deployments used to die with ``RecursionError`` while every
 blocking exchange nested the kernel; they are ordinary tests now.
@@ -31,6 +34,7 @@ from repro.core.chain import Blockchain
 from repro.core.config import ChainConfig
 from repro.crypto.keys import KeyPair
 from repro.network.scenarios import run_scenario
+from repro.storage import JournalBlockStore
 
 
 @pytest.mark.parametrize(
@@ -115,3 +119,24 @@ def test_a_master_signature_is_a_key_not_a_name():
     # Mallory signs with her own key and claims the admin's name.
     decision = chain.request_deletion(target, "ADMIN", key_pair=KeyPair.from_seed("MALLORY"))
     assert not decision.is_approved, decision.reason
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a chain reopened from its journal restarts its statistics at zero",
+)
+def test_a_chain_reopened_from_its_journal_reports_the_writers_statistics(tmp_path):
+    path = tmp_path / "chain.journal"
+    writer = Blockchain(ChainConfig.paper_evaluation(), store=JournalBlockStore(path))
+
+    def add_blocks(author, count):
+        for index in range(count):
+            writer.add_entry_block({"D": f"rec {index}", "K": author, "S": f"sig_{author}"}, author)
+
+    add_blocks("ALPHA", 10)
+    writer.request_deletion((1, 1), "ALPHA")
+    add_blocks("BRAVO", 40)
+    reopened = Blockchain(ChainConfig.paper_evaluation(), store=JournalBlockStore(path))
+    assert reopened.head.block_hash == writer.head.block_hash
+    assert reopened.statistics() == writer.statistics()

@@ -4,10 +4,12 @@ pragmas honoured — all on synthetic projects, never the working tree."""
 from __future__ import annotations
 
 import inspect
+import json
 
-from repro.lint.base import rule_catalogue, rule_ids
+from repro.lint.base import Finding, LintReport, rule_catalogue, rule_ids
 from repro.lint.engine import run_lint
 from repro.lint.project import Project
+from repro.lint.reporters import render_json, render_text
 from repro.lint.rules_determinism import (
     HashIdRule,
     UnseededRandomRule,
@@ -379,3 +381,63 @@ class TestEngine:
             Project.from_sources({"src/repro/demo.py": source}), rules=[WallClockRule]
         )
         assert [f.line for f in report.findings] == [2, 3]
+
+
+class TestReporters:
+    @staticmethod
+    def report():
+        return LintReport(
+            findings=[
+                Finding("REPRO-D101", "src/repro/a.py", 3, "wall clock"),
+                Finding("REPRO-D101", "src/repro/b.py", 1, "wall clock"),
+                Finding("REPRO-P501", "src/repro/a.py", 9, "uncached decode"),
+            ],
+            suppressed=[
+                Finding("REPRO-P502", "src/repro/c.py", 2, "growth", True, "bounded by setup")
+            ],
+            files_scanned=4,
+            rules_run=7,
+        )
+
+    def test_by_rule_counts_only_unsuppressed_findings(self):
+        assert self.report().by_rule() == {"REPRO-D101": 2, "REPRO-P501": 1}
+        assert LintReport().by_rule() == {}
+
+    def test_sort_key_orders_by_file_then_line_then_rule(self):
+        findings = [
+            Finding("REPRO-B", "b.py", 1, ""),
+            Finding("REPRO-B", "a.py", 2, ""),
+            Finding("REPRO-A", "a.py", 2, ""),
+            Finding("REPRO-C", "a.py", 1, ""),
+        ]
+        ordered = sorted(findings, key=lambda finding: finding.sort_key)
+        assert [(f.path, f.line, f.rule_id) for f in ordered] == [
+            ("a.py", 1, "REPRO-C"),
+            ("a.py", 2, "REPRO-A"),
+            ("a.py", 2, "REPRO-B"),
+            ("b.py", 1, "REPRO-B"),
+        ]
+
+    def test_text_lists_each_finding_and_a_per_rule_summary(self):
+        lines = render_text(self.report()).splitlines()
+        assert lines == [
+            "src/repro/a.py:3: REPRO-D101 wall clock",
+            "src/repro/b.py:1: REPRO-D101 wall clock",
+            "src/repro/a.py:9: REPRO-P501 uncached decode",
+            "3 finding(s) [REPRO-D101×2, REPRO-P501×1] — 4 files, 7 checks, 1 suppressed",
+        ]
+
+    def test_text_shows_suppressions_only_on_request(self):
+        report = LintReport(suppressed=self.report().suppressed, files_scanned=2, rules_run=5)
+        assert render_text(report) == "clean — 2 files, 5 checks, 1 suppressed"
+        assert render_text(report, show_suppressed=True).splitlines() == [
+            "src/repro/c.py:2: REPRO-P502 suppressed (bounded by setup): growth",
+            "clean — 2 files, 5 checks, 1 suppressed",
+        ]
+
+    def test_json_is_the_report_document(self):
+        report = self.report()
+        payload = json.loads(render_json(report))
+        assert payload == report.to_dict()
+        assert payload["clean"] is False
+        assert payload["suppressed"][0]["suppression_reason"] == "bounded by setup"

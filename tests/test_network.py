@@ -20,7 +20,7 @@ from repro.network import (
     TransportError,
     run_process,
 )
-from repro.network.transport import MESSAGE_LOG_LIMIT
+from repro.network.transport import MESSAGE_LOG_LIMIT, GeoLatencyModel
 
 
 class TestTransport:
@@ -106,6 +106,44 @@ class TestTransport:
             LatencyModel(minimum_ms=5, maximum_ms=1)
         model = LatencyModel(minimum_ms=1, maximum_ms=2, seed=1)
         assert 1 <= model.sample() <= 2
+
+    def test_default_per_link_latency_is_the_plain_sample(self):
+        model, twin = LatencyModel(seed=5), LatencyModel(seed=5)
+        assert [model.sample_for("a", "b"), model.sample_for("b", "a")] == [twin.sample(), twin.sample()]
+
+    def test_geo_latency_charges_crossing_a_region_boundary(self):
+        model = GeoLatencyModel(seed=5, regions={"a": "eu", "b": "us"}, cross_region_ms=80.0)
+        twin = LatencyModel(seed=5)
+        assert model.region_of("a") == "eu"
+        assert model.region_of("c") == model.default_region == "local"
+        assert model.sample_for("a", "b") == twin.sample() + 80.0
+        assert model.sample_for("a", "a") == twin.sample()
+        assert model.sample_for("c", "d") == twin.sample()
+        assert model.sample_for("a", "c") == twin.sample() + 80.0
+        with pytest.raises(ValueError):
+            GeoLatencyModel(cross_region_ms=-1.0)
+
+    def test_is_offline_follows_set_offline(self):
+        transport = InMemoryTransport()
+        transport.register("b", lambda m: m.reply(MessageKind.ACK, "b"))
+        assert not transport.is_offline("b")
+        transport.set_offline("b")
+        assert transport.is_offline("b")
+        assert not transport.is_offline("a")
+        transport.set_offline("b", False)
+        assert not transport.is_offline("b")
+
+    def test_a_scheduled_partition_splits_the_network_at_its_time(self):
+        transport = InMemoryTransport(LatencyModel(minimum_ms=1, maximum_ms=1))
+        for node_id in ("a", "b"):
+            transport.register(node_id, lambda m, node_id=node_id: m.reply(MessageKind.ACK, node_id))
+        transport.schedule_partition(["a"], ["b"], at=50.0)
+        transport.schedule_heal(at=100.0)
+        assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
+        transport.kernel.run_until(60.0)
+        assert transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
+        transport.kernel.run_until(100.0)
+        assert not transport.send("b", Message(kind=MessageKind.ACK, sender="a")).is_error
 
     def test_a_transport_built_without_a_kernel_delivers_on_its_own(self):
         """There is one delivery mode: without a caller's kernel the
@@ -225,6 +263,16 @@ class TestAnchorAndClientNodes:
         for node in nodes.values():
             node.connect(ids)
         return transport, nodes, ids
+
+    def test_latest_summary_block_is_the_newest_on_the_replica(self):
+        transport, nodes, ids = self.build_network(anchor_count=1)
+        node = nodes[ids[0]]
+        assert node.latest_summary_block() is None
+        for index in range(4):
+            node.chain.add_entry_block({"D": f"e{index}", "K": "A", "S": "s"}, "A")
+        summaries = [block for block in node.chain.blocks if block.is_summary]
+        assert len(summaries) >= 2
+        assert node.latest_summary_block() is summaries[-1]
 
     def test_entry_replicated_to_all_anchors(self):
         transport, nodes, ids = self.build_network()
@@ -378,6 +426,22 @@ class TestGossip:
         assert "b" not in topology.nodes
         assert "b" not in topology.neighbours("a")
 
+    def test_add_edge_links_both_ends_and_adds_missing_nodes(self):
+        topology = GossipTopology()
+        topology.add_edge("a", "b")
+        assert topology.nodes == ["a", "b"]
+        assert topology.neighbours("a") == {"b"} and topology.neighbours("b") == {"a"}
+        topology.add_edge("a", "a")
+        assert topology.neighbours("a") == {"b"}
+
+    def test_add_node_is_idempotent_and_keeps_links(self):
+        topology = GossipTopology()
+        topology.add_node("solo")
+        assert topology.nodes == ["solo"] and topology.neighbours("solo") == set()
+        topology.add_edge("solo", "peer")
+        topology.add_node("solo")
+        assert topology.neighbours("solo") == {"peer"}
+
     def test_random_regular_topology(self):
         topology = GossipTopology.random_regular([f"n{i}" for i in range(10)], degree=3)
         assert len(topology.nodes) == 10
@@ -431,6 +495,26 @@ class TestSimulator:
         assert not response.is_error  # failover path picks a reachable anchor
         assert simulator.report.failovers >= 1
         simulator.bring_online("anchor-1")
+
+    def test_failover_elects_the_highest_head_and_breaks_ties_by_lowest_id(self):
+        simulator = NetworkSimulator(anchor_count=4, client_ids=["ALPHA"])
+
+        def submit(index):
+            response = simulator.submit_entry(
+                "ALPHA", {"D": f"e{index}", "K": "ALPHA", "S": "s"}, anchor_id="anchor-0"
+            )
+            assert not response.is_error
+
+        submit(0)
+        simulator.take_offline("anchor-1")  # the lowest replica id falls behind
+        submit(1)
+        submit(2)
+        simulator.bring_online("anchor-1")
+        simulator.take_offline("anchor-0")
+        heads = {a: node.chain.head.block_number for a, node in simulator.anchors.items()}
+        assert heads["anchor-1"] < heads["anchor-2"] == heads["anchor-3"]
+        assert simulator.elect_new_producer(exclude=("anchor-0",)) == "anchor-2"
+        assert simulator.producer_id == "anchor-2"
 
     def test_requires_at_least_one_anchor(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,41 @@ class TestDeterminismPin:
         with pytest.raises(ScenarioError):
             run_scenario("clock-skew", smoke=True, no_such_param=1)
 
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("gdpr-erasure", {"records": "ten"}),
+            ("gdpr-erasure", {"records": True}),
+            ("fleet-saturation", {"overload_policy": 3}),
+            ("geo-latency-profiles", {"profiles": "two-regions"}),
+        ],
+        ids=["str-for-int", "bool-for-int", "int-for-str", "str-for-list"],
+    )
+    def test_an_override_of_the_wrong_type_is_named_before_running(self, name, overrides):
+        (key, value), = overrides.items()
+        with pytest.raises(ScenarioError) as excinfo:
+            scenarios.validate_overrides(name, overrides)
+        message = str(excinfo.value)
+        assert repr(key) in message and repr(value) in message
+        assert type(scenarios.SCENARIOS[name].defaults[key]).__name__ in message
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("gdpr-erasure", {"records": 10.0}),
+            ("gdpr-erasure", {"mean_gap_ms": 10}),
+            ("fleet-saturation", {"overload_policy": "shed", "n_clients": 2}),
+        ],
+        ids=["float-for-int", "int-for-float", "str-and-int"],
+    )
+    def test_numeric_and_matching_overrides_pass(self, name, overrides):
+        scenarios.validate_overrides(name, overrides)
+
+    def test_validate_overrides_lists_the_scenarios_for_an_unknown_name(self):
+        with pytest.raises(ScenarioError) as excinfo:
+            scenarios.validate_overrides("no-such-scenario", {})
+        assert "gdpr-erasure" in str(excinfo.value)
+
     def test_unknown_parameter_error_names_key_and_lists_valid_params(self):
         """A typo'd parameter must be called out, with the fix suggested."""
         with pytest.raises(ScenarioError) as excinfo:

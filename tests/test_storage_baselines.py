@@ -17,11 +17,14 @@ from repro.baselines import (
     RedactableChain,
 )
 from repro.core import Blockchain, ChainConfig
+from repro.baselines.base import EffortCounter, payload_size
+from repro.baselines.chameleon_chain import RedactableBlock
 from repro.core.errors import StorageError
+from repro.crypto.hashing import canonical_json
+from repro.storage.wal import replace_durably
 from repro.storage import (
     JournalBlockStore,
     MemoryBlockStore,
-    SnapshotManager,
     load_snapshot,
     save_snapshot,
 )
@@ -142,6 +145,26 @@ class TestJournalStore:
             "fsync directory",
         ]
 
+    def test_replace_durably_swaps_in_the_finished_file(self, tmp_path):
+        target = tmp_path / "state.json"
+        target.write_text("old", encoding="utf-8")
+        with replace_durably(target, ".next") as handle:
+            handle.write("new")
+            assert target.read_text(encoding="utf-8") == "old"
+            assert (tmp_path / "state.json.next").exists()
+        assert target.read_text(encoding="utf-8") == "new"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_replace_durably_keeps_the_old_file_when_the_writer_fails(self, tmp_path):
+        target = tmp_path / "state.json"
+        target.write_text("old", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with replace_durably(target) as handle:
+                handle.write("half")
+                raise RuntimeError("writer failed")
+        assert target.read_text(encoding="utf-8") == "old"
+        assert sorted(tmp_path.iterdir()) == [target]
+
     def test_truncation_survives_reload_without_compaction(self, tmp_path):
         chain = build_chain(6, config=ChainConfig(sequence_length=3))
         path = tmp_path / "journal.log"
@@ -186,22 +209,12 @@ class TestSnapshots:
         with pytest.raises(StorageError):
             load_snapshot(bad)
 
-    def test_snapshot_manager_rotation(self, tmp_path):
-        manager = SnapshotManager(tmp_path, keep=2)
-        chain = Blockchain(ChainConfig.paper_evaluation())
-        for i in range(4):
-            chain.add_entry_block({"D": f"e{i}", "K": "A", "S": "s"}, "A")
-            manager.save(chain)
-        assert len(manager.existing_snapshots()) == 2
-        restored = manager.restore_latest()
-        assert restored.head.block_number == chain.head.block_number
-
     def test_a_snapshot_write_failing_part_way_leaves_the_previous_one(
         self, tmp_path, monkeypatch
     ):
-        manager = SnapshotManager(tmp_path, keep=2)
+        saved = tmp_path / "chain.json"
         chain = build_chain(2)
-        saved = manager.save(chain)
+        save_snapshot(chain, saved)
         head = chain.head.block_hash
         chain.add_entry_block({"D": "e9", "K": "A", "S": "s"}, "A")
         real_open = io.open
@@ -213,17 +226,9 @@ class TestSnapshots:
         with monkeypatch.context() as patch:
             patch.setattr(io, "open", torn_open)
             with pytest.raises(OSError):
-                manager.save(chain)
+                save_snapshot(chain, saved)
         assert sorted(tmp_path.iterdir()) == [saved]
-        assert manager.restore_latest().head.block_hash == head
-
-    def test_snapshot_manager_errors(self, tmp_path):
-        with pytest.raises(StorageError):
-            SnapshotManager(tmp_path, keep=0)
-        manager = SnapshotManager(tmp_path / "empty")
-        assert manager.latest() is None
-        with pytest.raises(StorageError):
-            manager.restore_latest()
+        assert load_snapshot(saved).head.block_hash == head
 
 
 def record(i, subject="ALPHA"):
@@ -294,6 +299,38 @@ class TestRedactableChain:
     def test_unknown_record(self):
         chain = RedactableChain()
         assert not chain.request_erasure(RecordRef(index=3), "X").accepted
+
+
+class TestBaselineHelpers:
+    def test_effort_counter_sums_charges_and_counts_operations(self):
+        counter = EffortCounter()
+        assert counter.charge(2.5) == 2.5
+        assert counter.charge(4.0) == 4.0
+        assert (counter.total, counter.operations) == (6.5, 2)
+
+    def test_payload_size_is_the_canonical_json_length(self):
+        data = {"K": "\u00c5SA", "D": "record 1"}
+        assert payload_size(data) == len(canonical_json(data).encode("utf-8"))
+        assert payload_size(dict(reversed(list(data.items())))) == payload_size(data)
+
+    def test_a_redactable_header_binds_the_digest_not_the_content(self):
+        block = RedactableBlock(
+            index=1, previous_hash="aa", data=record(1), author="ALPHA", randomness=5, content_digest=99
+        )
+        redacted = RedactableBlock(
+            index=1,
+            previous_hash="aa",
+            data={"redacted": True},
+            author="ALPHA",
+            randomness=17,
+            content_digest=99,
+            redacted=True,
+        )
+        assert redacted.header_hash() == block.header_hash()
+        moved = RedactableBlock(
+            index=1, previous_hash="aa", data=record(1), author="ALPHA", randomness=5, content_digest=98
+        )
+        assert moved.header_hash() != block.header_hash()
 
 
 class TestOffChain:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis import (
+    DeletionLatencyTracker,
     analytic_success_probability,
     attack_resistance_table,
     confirmation_depth,
-    deletion_effectiveness,
     final_reduction_factor,
     growth_curve,
     measure_deletion_latency,
@@ -21,6 +21,8 @@ from repro.analysis import (
 )
 from repro.cli import main as cli_main
 from repro.core import Blockchain, ChainConfig, EntryReference, RedundancyPolicy
+from repro.core.events import ChainEvent, EventType
+from repro.workloads.logging import login_record
 from repro.workloads import (
     CoinTransferWorkload,
     EventKind,
@@ -110,6 +112,35 @@ class TestDomainWorkloads:
         data = transfers[0].to_entry_data()
         assert {"D", "K", "S", "transfer_id"} <= set(data)
 
+    def test_vehicle_entries_name_their_vin_and_a_rotating_workshop(self):
+        workload = VehicleLifecycleWorkload(num_vehicles=3, events_per_vehicle=4, workshops=2, seed=1)
+        assert (workload.vin(7), workload.workshop(0), workload.workshop(3)) == (
+            "VIN000007",
+            "WORKSHOP00",
+            "WORKSHOP01",
+        )
+        maintenance = [e for e in workload if e.data.get("maintenance") != "decommissioned"]
+        assert {e.author for e in maintenance} == {workload.workshop(i) for i in range(2)}
+        assert {e.data["vin"] for e in maintenance} == {workload.vin(i) for i in range(3)}
+
+    def test_supply_chain_stations_rotate_through_the_stages(self):
+        workload = SupplyChainWorkload(num_products=4, stations=3, seed=2)
+        assert workload.station(1) == workload.station(4) == "STATION01"
+        authors = {e.author for e in workload if e.kind is EventKind.ENTRY}
+        assert authors == {workload.station(i) for i in range(3)}
+
+    def test_coin_transfers_move_between_named_wallets(self):
+        workload = CoinTransferWorkload(num_transfers=30, num_wallets=4, lost_wallet_fraction=0.5, seed=4)
+        wallets = {workload.wallet(i) for i in range(4)}
+        assert workload.wallet(3) == "WALLET03"
+        assert all({t.sender, t.receiver} <= wallets for t in workload.transfers())
+        assert workload.lost_wallets() == {"WALLET02", "WALLET03"}
+        assert CoinTransferWorkload(lost_wallet_fraction=0.0).lost_wallets() == set()
+
+    def test_login_record_has_the_papers_d_k_s_fields(self):
+        assert login_record("ALPHA") == {"D": "Login ALPHA", "K": "ALPHA", "S": "sig_ALPHA"}
+        assert login_record("BRAVO", detail="from 10.0.0.2")["D"] == "Login BRAVO from 10.0.0.2"
+
     def test_gdpr_workload_schedule(self):
         workload = GdprErasureWorkload(num_records=40, erasure_probability=0.5, seed=6)
         cases = workload.cases()
@@ -139,15 +170,52 @@ class TestMetrics:
         assert latencies
         assert all(latency.blocks_waited >= 0 for latency in latencies)
 
+    def test_a_tracker_attached_live_matches_the_recorded_trail(self):
+        chain = Blockchain(ChainConfig.paper_evaluation())
+        tracker = DeletionLatencyTracker()
+        tracker.attach(chain)
+        replay(PaperScenarioWorkload(extra_cycles=2), chain)
+        assert tracker.latencies
+        assert tracker.latencies == measure_deletion_latency(chain)
+
+    @staticmethod
+    def deletion_event(event_type, number, reference=(3, 1), **payload):
+        if reference is not None:
+            payload["reference"] = {"block_number": reference[0], "entry_number": reference[1]}
+        return ChainEvent(block_number=number, kind=event_type.value, detail="", payload=payload)
+
+    def test_the_first_approved_request_starts_the_clock(self):
+        tracker = DeletionLatencyTracker().consume(
+            [
+                self.deletion_event(EventType.DELETION_REQUESTED, 5, approved=False),
+                self.deletion_event(EventType.DELETION_REQUESTED, 6, approved=True),
+                self.deletion_event(EventType.DELETION_REQUESTED, 7, approved=True),
+                self.deletion_event(EventType.DELETION_EXECUTED, 11),
+            ]
+        )
+        (latency,) = tracker.latencies
+        assert (latency.requested_at_block, latency.executed_at_block, latency.blocks_waited) == (6, 11, 5)
+
+    def test_unmatched_and_unaddressed_events_are_ignored(self):
+        tracker = DeletionLatencyTracker().consume(
+            [
+                self.deletion_event(EventType.DELETION_EXECUTED, 4),
+                self.deletion_event(EventType.DELETION_REQUESTED, 5, reference=None, approved=True),
+                self.deletion_event(EventType.DELETION_REQUESTED, 6, reference=(2, 1), approved=True),
+                self.deletion_event(EventType.DELETION_EXECUTED, 9, reference=(2, 2)),
+            ]
+        )
+        assert tracker.latencies == []
+
     def test_summary_size_profile_and_effectiveness(self):
         chain = Blockchain(ChainConfig.paper_evaluation())
         replay(PaperScenarioWorkload(extra_cycles=2), chain)
         profile = summary_size_profile(chain)
         assert profile
         assert all(sample.byte_size > 0 for sample in profile)
-        effectiveness = deletion_effectiveness(chain)
-        assert effectiveness["approved"] >= 1
-        assert 0.0 <= effectiveness["execution_ratio"] <= 1.0
+        deletions = chain.statistics()["deletions"]
+        assert deletions["approved"] >= 1
+        assert 0 <= deletions["executed"] <= deletions["approved"]
 
 
 class TestAttackModel:
