@@ -25,7 +25,7 @@ adversarial runs replay byte-identically like every other catalogue entry.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.adversary.base import AdversaryActor
 from repro.core.block import Block

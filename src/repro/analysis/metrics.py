@@ -8,7 +8,7 @@ latency in blocks (claim C2) and summary-block size (claim C3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.chain import Blockchain
 from repro.core.events import ChainEvent, EventType, Subscription

@@ -101,7 +101,9 @@ class CarryRecord:
     from, in order: ``(source, start, stop)`` is ``source``'s entries
     ``start..stop-1``, and a ``None`` source marks new copies at positions
     ``start..stop-1`` of the summary itself (empty for a record derived from
-    a loaded or foreign block)."""
+    a loaded or foreign block).  A block replayed from a journal keeps a
+    record of its memos alone (``registry`` ``None``); a cycle that merges it
+    derives the rest."""
 
     memos: list[str]
     keys: Optional[list[tuple[int, int]]]
@@ -352,9 +354,13 @@ class Block:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any], *, entries: Optional[list[Entry]] = None) -> "Block":
+    def from_dict(
+        cls, payload: Mapping[str, Any], *, entries: Optional[list[Entry]] = None, memos: Optional[list[str]] = None
+    ) -> "Block":
         """Rebuild a block from :meth:`to_dict` output and verify its hash;
-        ``entries``, if given, replaces the payload's (already built) entries."""
+        ``entries``, if given, replaces the payload's (already built) entries,
+        and ``memos``, if given, are those entries' canonical memos — taken as
+        given, the entries already numbered."""
         header = payload["header"]
         block = cls(
             block_number=int(header["block_number"]),
@@ -366,6 +372,7 @@ class Block:
             redundancy=[RedundancyRecord.from_dict(item) for item in payload.get("redundancy", ())],
             merged_sequences=list(payload.get("merged_sequences", ())),
             summary_references=list(payload.get("summary_references", ())),
+            _carry=None if memos is None else CarryRecord(memos, None, None, 0, ()),
         )
         expected = payload.get("block_hash")
         if expected is not None and block.block_hash != expected:

@@ -110,13 +110,14 @@ class Blockchain:
         self._deleted_entry_count = 0
         self._index = ChainIndex(self.config.sequence_length)
 
-        stored = list(self._store)
-        if stored:
-            self._adopt_stored_blocks(stored, clock_provided=clock is not None)
-        else:
-            genesis = make_genesis_block(timestamp=self.clock.now())
-            self._append(genesis)
-        self._create_due_summary_blocks()
+        with self._store.commit_scope():
+            stored = list(self._store)
+            if stored:
+                self._adopt_stored_blocks(stored, clock_provided=clock is not None)
+            else:
+                genesis = make_genesis_block(timestamp=self.clock.now())
+                self._append(genesis)
+            self._create_due_summary_blocks()
 
     def _adopt_stored_blocks(self, blocks: list[Block], *, clock_provided: bool) -> None:
         """Resume from a non-empty block store (durable-mode restart).
@@ -377,7 +378,8 @@ class Blockchain:
         merge expiring sequences, shift the genesis marker and physically cut
         old blocks off.  Subscribers (anchor nodes announcing to their peers)
         are notified through a ``block-sealed`` event once sealing — including
-        the follow-up summary work — has completed.
+        the follow-up summary work — has completed and is durable: the store
+        commits the step's records together (one ``fsync`` on a journal).
         """
         block = Block(
             block_number=self.next_block_number,
@@ -389,8 +391,9 @@ class Blockchain:
         if self.block_finalizer is not None:
             block = self.block_finalizer(block)
         self._pending = []
-        self._append(block)
-        self._create_due_summary_blocks()
+        with self._store.commit_scope():
+            self._append(block)
+            self._create_due_summary_blocks()
         self._publish(
             EventType.BLOCK_SEALED,
             f"block {block.block_number} sealed with {len(block.entries)} entries",
@@ -408,6 +411,7 @@ class Blockchain:
         compute the due summary block locally — the paper's synchronisation
         model of Section IV-B.  Summary blocks are rejected: they *"do not
         need to be propagated"* and must be computed by every node itself.
+        The step's store writes are committed together before it returns.
         """
         if block.is_summary:
             raise ChainIntegrityError("summary blocks are computed locally, never received")
@@ -415,11 +419,12 @@ class Blockchain:
             raise ChainIntegrityError(
                 f"received block {block.block_number} occupies a summary slot"
             )
-        self._append(block)
-        for entry in block.entries:
-            if entry.is_deletion_request:
-                self._publish_deletion_requested(self._decide(entry), replicated=True)
-        self._create_due_summary_blocks()
+        with self._store.commit_scope():
+            self._append(block)
+            for entry in block.entries:
+                if entry.is_deletion_request:
+                    self._publish_deletion_requested(self._decide(entry), replicated=True)
+            self._create_due_summary_blocks()
         return block
 
     def add_entry_block(
@@ -722,8 +727,9 @@ class Blockchain:
         chain._store = store if store is not None else MemoryBlockStore()
         if len(chain._store):
             raise ChainIntegrityError("the store passed to from_dict must be empty")
-        for block in blocks:
-            chain._store.append(block)
+        with chain._store.commit_scope():
+            for block in blocks:
+                chain._store.append(block)
         chain._head = blocks[-1]
         chain._genesis_marker = int(payload.get("genesis_marker", blocks[0].block_number))
         chain._pending = []

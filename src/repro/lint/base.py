@@ -20,7 +20,7 @@ The registry is the single source of truth for the rule catalogue: the CLI's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Type
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Type
 
 if TYPE_CHECKING:  # pragma: no cover - only for type annotations
     from repro.lint.project import FileContext, Project

@@ -6,20 +6,31 @@ choose volatile memory (tests, simulation), an append-only journal
 (:mod:`repro.storage.wal`) or JSON snapshots (:mod:`repro.storage.snapshot`).
 All backends share the :class:`BlockStore` interface, including the
 ``truncate_before`` operation the marker shift needs to physically reclaim
-space.
+space.  A chain step that writes several records opens the store's
+:meth:`~BlockStore.commit_scope`, so the step becomes durable as one commit.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import AbstractContextManager, nullcontext
 from typing import Iterator, Optional
 
 from repro.core.block import Block
 from repro.core.errors import StorageError
 
+#: The commit scope of a store that has nothing to commit: one shared no-op.
+_NO_COMMIT = nullcontext()
+
 
 class BlockStore(ABC):
     """Interface every storage backend implements."""
+
+    def commit_scope(self) -> AbstractContextManager[None]:
+        """A scope whose writes become durable together when its outermost
+        level closes; nested scopes join it.  Outside any scope each write is
+        durable before it returns.  A volatile store returns a shared no-op."""
+        return _NO_COMMIT
 
     @abstractmethod
     def append(self, block: Block) -> None:

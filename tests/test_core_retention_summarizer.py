@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.block import Block, BlockType
 from repro.core.deletion import DeletionRegistry, DeletionStatus, build_deletion_request
-from repro.core.entry import Entry, EntryKind
+from repro.core.entry import Entry
 from repro.core.errors import ChainIntegrityError, ConfigurationError, DeletionError
 from repro.core.retention import (
     chain_exceeds_limit,

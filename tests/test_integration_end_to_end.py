@@ -6,8 +6,6 @@ multi-node network, quorum voting on marker shifts, persistent storage across
 restarts, and the Merkle-reference summary mode backed by the off-chain store.
 """
 
-import pytest
-
 from repro.authz import AccessController, Role
 from repro.baselines import OffChainStore
 from repro.consensus import ProofOfAuthority, ProofOfWork, Quorum, ValidatorSet

@@ -8,7 +8,8 @@ reopening, and at the end, a chain replayed from the file must have the
 writer's head hash, ``statistics()`` and ``find_entry`` answer for every
 reference ever issued (the two figures a restart rebuilds from the living
 blocks alone are compared with a restart from memory); every run the replay reads must yield the very
-``Entry`` objects its source block holds.  A reopening sometimes takes over
+``Entry`` objects its source block holds.  After every seal, a store
+reopened from the file alone must hold the writer's head.  A reopening sometimes takes over
 as the writer, so runs whose source was itself replayed are written too.
 
 Examples per ``REPRO_FUZZ_PROFILE``: quick 10 per configuration (tier-1),
@@ -112,6 +113,8 @@ def run(config: ChainConfig, steps, path) -> int:
     def seal():
         block = chain.seal_block()
         issued.extend(entry.reference_in(block.block_number) for entry in block.data_entries())
+        # An acknowledged step is durable: the file alone yields the head.
+        assert JournalBlockStore(path).head().block_hash == chain.head.block_hash
 
     def reopen() -> Blockchain:
         reopened = Blockchain(config, store=JournalBlockStore(path))

@@ -8,7 +8,7 @@ import typing
 
 import pytest
 
-from repro.core import Blockchain, ChainConfig, SimulationClock
+from repro.core import Blockchain, ChainConfig
 from repro.network import (
     AnchorNode,
     EventKernel,

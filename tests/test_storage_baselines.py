@@ -2,6 +2,7 @@
 
 import errno
 import io
+import json
 import os
 import stat
 from pathlib import Path
@@ -17,9 +18,10 @@ from repro.baselines import (
     RedactableChain,
 )
 from repro.core import Blockchain, ChainConfig
+from repro.core.block import Block
 from repro.baselines.base import EffortCounter, payload_size
 from repro.baselines.chameleon_chain import RedactableBlock
-from repro.core.errors import StorageError
+from repro.core.errors import ChainIntegrityError, StorageError
 from repro.crypto.hashing import canonical_json
 from repro.storage.wal import replace_durably
 from repro.storage import (
@@ -189,6 +191,133 @@ class TestJournalStore:
         store.append(chain.blocks[0])
         with pytest.raises(StorageError):
             store.append(chain.blocks[3])
+
+
+class TestJournalCommits:
+    """One commit per chain step: the journal writes and fsyncs the step's
+    records together, and a step returns only once they are on disk."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync(descriptor):
+            calls.append(descriptor)
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return calls
+
+    @staticmethod
+    def records(path, skip=0):
+        """The kinds of the journal's records after the first ``skip``."""
+        return [
+            record["kind"] if record["kind"] == "truncate" else record["block"]["header"]["block_type"]
+            for record in map(json.loads, path.read_bytes().splitlines()[skip:])
+        ]
+
+    @pytest.mark.parametrize("step", ["seal", "receive"])
+    def test_each_step_is_one_fsync_even_with_a_summary_and_a_marker_shift(self, tmp_path, fsyncs, step):
+        config = ChainConfig.paper_evaluation()
+        path = tmp_path / "chain.journal"
+        chain = Blockchain(config, store=JournalBlockStore(path))
+        producer = chain if step == "seal" else Blockchain(config)
+        written = []
+        for i in range(40):
+            lines, calls = len(self.records(path)), len(fsyncs)
+            block = producer.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+            if step == "receive":
+                chain.receive_block(block)
+            assert len(fsyncs) == calls + 1
+            written.append(self.records(path, lines))
+            assert JournalBlockStore(path).head().block_hash == chain.head.block_hash
+        assert ["normal", "summary", "truncate"] in written
+
+    def test_a_direct_write_is_durable_before_it_returns(self, tmp_path, fsyncs):
+        path = tmp_path / "direct.journal"
+        store = JournalBlockStore(path)
+        blocks = build_chain(6, config=ChainConfig(sequence_length=3)).blocks
+        for count, block in enumerate(blocks, start=1):
+            store.append(block)
+            assert len(fsyncs) == count
+            assert JournalBlockStore(path).head().block_hash == block.block_hash
+        store.truncate_before(blocks[4].block_number)
+        assert len(fsyncs) == len(blocks) + 1
+        assert len(JournalBlockStore(path)) == len(store)
+
+    def test_nested_scopes_commit_once_when_the_outermost_closes(self, tmp_path, fsyncs):
+        blocks = build_chain(6, config=ChainConfig(sequence_length=3)).blocks
+        direct = JournalBlockStore(tmp_path / "direct.journal")
+        for block in blocks:
+            direct.append(block)
+        direct.truncate_before(blocks[4].block_number)
+        fsyncs.clear()
+        store = JournalBlockStore(tmp_path / "scoped.journal")
+        with store.commit_scope():
+            with store.commit_scope():
+                for block in blocks:
+                    store.append(block)
+            store.truncate_before(blocks[4].block_number)
+            assert fsyncs == [] and store.file_size() == 0
+            assert [b.block_hash for b in store] == [b.block_hash for b in direct]
+        assert len(fsyncs) == 1
+        assert store.path.read_bytes() == direct.path.read_bytes()
+
+    def test_a_compaction_inside_a_scope_takes_the_buffered_records_with_it(self, tmp_path, fsyncs):
+        blocks = build_chain(6, config=ChainConfig(sequence_length=3)).blocks
+        store = JournalBlockStore(tmp_path / "chain.journal")
+        with store.commit_scope():
+            for block in blocks:
+                store.append(block)
+            store.compact()
+        assert len(fsyncs) == 2  # the rewrite and its directory; nothing is left to commit
+        assert [b.block_hash for b in JournalBlockStore(store.path)] == [b.block_hash for b in blocks]
+
+    def test_a_memory_store_scope_is_one_shared_no_op(self):
+        assert MemoryBlockStore().commit_scope() is MemoryBlockStore().commit_scope()
+
+    @pytest.mark.parametrize("failure", ["torn write", "fsync"])
+    def test_a_failed_commit_is_typed_and_refuses_writes_until_reopened(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "chain.journal"
+        config = ChainConfig(sequence_length=3)
+        chain = Blockchain(config, store=JournalBlockStore(path))
+        for i in range(4):
+            chain.add_entry_block({"D": f"e{i}", "K": "A", "S": "s"}, "A")
+        committed, size = chain.head.block_hash, path.stat().st_size
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornWriter(handle) if "a" in mode else handle
+
+        def failing_fsync(descriptor):
+            raise OSError(errno.EIO, "input/output error")
+
+        with monkeypatch.context() as patch:
+            if failure == "torn write":
+                patch.setattr(io, "open", torn_open)
+            else:
+                patch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(StorageError, match="commit"):
+                chain.add_entry_block({"D": "lost", "K": "A", "S": "s"}, "A")
+        # The chain's memory is ahead of the file, which is cut back to the
+        # last commit; the store refuses every write until it is reopened.
+        assert chain.head.block_hash != committed
+        assert path.stat().st_size == size
+        store = chain.store
+        head = store.head()
+        after = Block(head.block_number + 1, head.timestamp, head.block_hash)
+        for write in (lambda: store.append(after), lambda: store.truncate_before(head.block_number), store.compact):
+            with pytest.raises(StorageError, match="refuses writes"):
+                write()
+        with pytest.raises(ChainIntegrityError, match="refuses writes"):
+            chain.add_entry_block({"D": "refused", "K": "A", "S": "s"}, "A")
+        assert path.stat().st_size == size
+        reopened = Blockchain(config, store=JournalBlockStore(path))
+        assert reopened.head.block_hash == committed
+        reopened.add_entry_block({"D": "after", "K": "A", "S": "s"}, "A")
+        assert JournalBlockStore(path).head().block_hash == reopened.head.block_hash
 
 
 class TestSnapshots:

@@ -2,8 +2,6 @@
 
 import hashlib
 
-import pytest
-
 from repro.core import (
     Blockchain,
     ChainConfig,
