@@ -13,8 +13,9 @@ analyses without writing any code:
   networked ledger clients and check the statistics are identical,
 * ``simulate`` — run a named scenario from the deterministic-kernel
   catalogue (``--list`` shows it) and print the result as JSON,
-* ``lint``     — run the static-analysis pass (determinism, protocol and
-  docs invariants) over the tree; nonzero exit on any unsuppressed finding.
+* ``lint``     — run the static-analysis pass (determinism, protocol, docs,
+  reach and import invariants) over the tree; nonzero exit on any
+  unsuppressed finding.
 
 Every replay goes through the :class:`~repro.service.client.LedgerClient`
 protocol, so the commands exercise the same layered service API applications
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=_run_compare)
 
     lint = subparsers.add_parser(
-        "lint", help="static analysis: determinism, protocol and docs invariants"
+        "lint", help="static analysis: determinism, protocol, docs, reach and imports"
     )
     add_lint_arguments(lint)
     lint.set_defaults(func=run_lint_command)

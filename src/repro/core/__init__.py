@@ -39,7 +39,7 @@ from repro.core.errors import (
     SynchronisationError,
 )
 from repro.core.schema import EntrySchema, FieldSpec, default_log_schema
-from repro.core.sequence import SequenceView, completed_sequences, partition_into_sequences
+from repro.core.sequence import SequenceView, partition_into_sequences
 from repro.core.summarizer import DroppedEntry, Summarizer, SummaryResult
 from repro.core.validation import (
     deletion_is_effective,
@@ -92,7 +92,6 @@ __all__ = [
     "FieldSpec",
     "default_log_schema",
     "SequenceView",
-    "completed_sequences",
     "partition_into_sequences",
     "DroppedEntry",
     "Summarizer",

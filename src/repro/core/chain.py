@@ -480,10 +480,7 @@ class Blockchain:
                 )
             if block.previous_hash != head.block_hash:
                 raise ChainIntegrityError("previous hash does not match the current head")
-        try:
-            self._store.append(block)
-        except StorageError as exc:
-            raise ChainIntegrityError(f"storage backend rejected block: {exc}") from exc
+        self._store.append(block)
         self._head = block
         self._total_blocks_created += 1
         self._index.on_append(block)

@@ -75,6 +75,7 @@ class LogicalClock:
         self._current += ticks
 
 
+# repro: allow[REPRO-S601] the one wall clock a deployment outside the simulator passes
 class SystemClock:
     """Wall-clock seconds since the epoch, as integers."""
 

@@ -135,11 +135,6 @@ def partition_into_sequences(blocks: Iterable[Block], sequence_length: int) -> l
     return views
 
 
-def completed_sequences(blocks: Iterable[Block], sequence_length: int) -> list[SequenceView]:
-    """Only the sequences already terminated by their summary block."""
-    return [view for view in partition_into_sequences(blocks, sequence_length) if view.is_complete]
-
-
 def middle_sequence(sequences: list[SequenceView]) -> Optional[SequenceView]:
     """Pick the middle sequence ω_{l_β/2} used for attack-hampering redundancy.
 

@@ -140,6 +140,7 @@ def validate_chain(
             validate_block_signatures(block, config.signature_scheme)
 
 
+# repro: allow[REPRO-S601] a paper invariant, for the invariant table
 def verify_summary_determinism(own: Block, other: Block) -> bool:
     """Compare two independently computed summary blocks (Section IV-B).
 
@@ -152,6 +153,7 @@ def verify_summary_determinism(own: Block, other: Block) -> bool:
     return own.block_hash == other.block_hash
 
 
+# repro: allow[REPRO-S601] a paper invariant, for the invariant table
 def is_traceable_extension(known_blocks: Sequence[Block], candidate_blocks: Sequence[Block]) -> bool:
     """Accept a candidate chain only if it extends the known status quo.
 
@@ -180,6 +182,7 @@ def is_traceable_extension(known_blocks: Sequence[Block], candidate_blocks: Sequ
     return True
 
 
+# repro: allow[REPRO-S601] a paper invariant, for the invariant table
 def deletion_is_effective(
     blocks: Sequence[Block],
     registry: DeletionRegistry,

@@ -491,6 +491,7 @@ def decode_signature(encoded: str) -> "EcdsaSignature":
     return _decode_signature_cached(encoded)
 
 
+# repro: allow[REPRO-S601] isolates tests from the process-wide decode caches
 def clear_decode_caches() -> None:
     """Drop both decode caches (benchmark and test hygiene)."""
     _decode_point_cached.cache_clear()

@@ -5,37 +5,8 @@ nonzero on any unsuppressed finding.  The dynamic checks (seed-trace digests,
 convergence fuzzing) sample the behaviour space; this pass proves the
 invariants line-by-line — wall-clock and entropy confinement, ordering
 discipline ahead of hashing, message-kind registry/dispatch consistency,
-frozen-object discipline, and documentation sync.
+frozen-object discipline, documentation sync, and a library without dead
+surface (every public definition reached, every import used).
 
 See ``docs/ARCHITECTURE.md`` ("Static analysis") for the rule catalogue.
 """
-
-from repro.lint.base import (
-    ENGINE_CHECKS,
-    Finding,
-    LintReport,
-    Rule,
-    register,
-    rule_catalogue,
-    rule_ids,
-)
-from repro.lint.engine import LintEngine, run_lint
-from repro.lint.project import FileContext, Pragma, Project
-from repro.lint.reporters import render_json, render_text
-
-__all__ = [
-    "ENGINE_CHECKS",
-    "FileContext",
-    "Finding",
-    "LintEngine",
-    "LintReport",
-    "Pragma",
-    "Project",
-    "Rule",
-    "register",
-    "render_json",
-    "render_text",
-    "rule_catalogue",
-    "rule_ids",
-    "run_lint",
-]

@@ -20,7 +20,7 @@ The registry is the single source of truth for the rule catalogue: the CLI's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Type
+from typing import TYPE_CHECKING, Any, Iterable, Type
 
 if TYPE_CHECKING:  # pragma: no cover - only for type annotations
     from repro.lint.project import FileContext, Project
@@ -75,6 +75,14 @@ class Rule:
     #: ``"file"`` or ``"project"``.
     scope: str = "file"
 
+    def applies_to(self, project: "Project") -> bool:
+        """False when ``project`` lacks what a finding of this rule needs.
+
+        A rule that does not apply does not run, and its pragmas are not
+        judged stale.
+        """
+        return True
+
     def check_file(self, ctx: "FileContext") -> Iterable[Finding]:
         """Yield findings for one parsed Python file (file-scope rules)."""
         return ()
@@ -105,15 +113,16 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 def rule_catalogue() -> list[Type[Rule]]:
     """All registered rule classes, sorted by rule id."""
-    # Import for the registration side effect: the rule modules register
-    # themselves on first import, so the catalogue is complete no matter
-    # which entry point asked for it.
-    from repro.lint import (  # noqa: F401
+    # The rule modules register themselves on first import, so the catalogue
+    # is complete no matter which entry point asked for it.
+    # repro: allow[REPRO-S602] imported for the registration side effect
+    from repro.lint import (
         rules_determinism,
         rules_docs,
         rules_frozen,
         rules_perf,
         rules_protocol,
+        rules_surface,
     )
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
@@ -192,6 +201,3 @@ class LintReport:
         for finding in self.findings:
             counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
         return counts
-
-    def __iter__(self) -> Iterator[Finding]:
-        return iter(self.findings)

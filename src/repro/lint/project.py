@@ -2,7 +2,11 @@
 
 A :class:`Project` is an ordered set of :class:`FileContext` objects — parsed
 Python sources plus raw markdown documents — with the repo root they are
-relative to.  Two constructors exist:
+relative to.  Each Python file is parsed once and walked once: the walk
+numbers every node in source order and records where its subtree ends, so a
+rule asks :meth:`FileContext.nodes` for the nodes of a type (in the whole
+file or under one node) instead of walking the tree itself.  Two
+constructors exist:
 
 * :meth:`Project.from_root` walks the real tree (the CLI path),
 * :meth:`Project.from_sources` builds a synthetic project from
@@ -28,9 +32,12 @@ import ast
 import io
 import re
 import tokenize
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
+
+T = TypeVar("T")
 
 #: Directories scanned by default, relative to the repo root.
 DEFAULT_SCAN_DIRS = ("src", "tests", "benchmarks", "examples")
@@ -55,12 +62,42 @@ class Pragma:
     line: int
     rule_ids: tuple[str, ...]
     reason: str
-    #: Set by the engine when a finding was matched against this pragma.
-    used: bool = False
 
     def covers(self, rule_id: str, line: int) -> bool:
         """True when this pragma suppresses ``rule_id`` findings at ``line``."""
         return rule_id in self.rule_ids and line in (self.line, self.line + 1)
+
+
+@dataclass
+class NodeIndex:
+    """One walk of a tree, numbering its nodes in preorder: the subtree of
+    the node at ``position[node]`` is the range up to ``end[position[node]]``."""
+
+    order: list[ast.AST]
+    end: list[int]
+    position: dict[ast.AST, int]
+    by_type: dict[type, list[int]]
+
+    @classmethod
+    def build(cls, tree: ast.AST) -> "NodeIndex":
+        order: list[ast.AST] = []
+        end: list[int] = []
+        by_type: dict[type, list[int]] = {}
+
+        def visit(node: ast.AST) -> None:
+            at = len(order)
+            order.append(node)
+            end.append(0)
+            by_type.setdefault(type(node), []).append(at)
+            for name in node._fields:
+                value = getattr(node, name, None)
+                for child in value if isinstance(value, list) else (value,):
+                    if isinstance(child, ast.AST):
+                        visit(child)
+            end[at] = len(order)
+
+        visit(tree)
+        return cls(order, end, {node: at for at, node in enumerate(order)}, by_type)
 
 
 @dataclass
@@ -71,6 +108,7 @@ class FileContext:
     source: str
     _tree: Optional[ast.AST] = field(default=None, repr=False)
     _parse_error: Optional[SyntaxError] = field(default=None, repr=False)
+    _index: Optional[NodeIndex] = field(default=None, repr=False)
     _pragmas: Optional[list[Pragma]] = field(default=None, repr=False)
 
     @property
@@ -96,8 +134,38 @@ class FileContext:
     @property
     def parse_error(self) -> Optional[SyntaxError]:
         """The syntax error that prevented parsing, if any."""
-        self.tree  # noqa: B018 - trigger the lazy parse
-        return self._parse_error
+        return self._parse_error if self.tree is None else None
+
+    def nodes(self, *types: type, within: Optional[ast.AST] = None) -> list[Any]:
+        """The nodes of exactly these types, in source order.
+
+        ``within`` narrows the search to one node's subtree, the node itself
+        included (what ``ast.walk(within)`` would visit).
+        """
+        index = self._node_index()
+        low, high = 0, len(index.order)
+        if within is not None:
+            low = index.position[within]
+            high = index.end[low]
+        positions: list[int] = []
+        for kind in types:
+            found = index.by_type.get(kind, ())
+            positions.extend(found[bisect_left(found, low) : bisect_left(found, high)])
+        if len(types) > 1:
+            positions.sort()
+        return [index.order[at] for at in positions]
+
+    def enclosing(self, node: ast.AST, *types: type) -> Optional[Any]:
+        """The innermost proper ancestor of ``node`` of one of ``types``."""
+        index = self._node_index()
+        at = index.position[node]
+        ancestors = [n for n in self.nodes(*types) if index.position[n] < at < index.end[index.position[n]]]
+        return ancestors[-1] if ancestors else None
+
+    def _node_index(self) -> NodeIndex:
+        if self._index is None:
+            self._index = NodeIndex.build(self.tree)
+        return self._index
 
     @property
     def lines(self) -> list[str]:
@@ -110,7 +178,8 @@ class FileContext:
 
         Python files are tokenised so only genuine comments count — pragma-
         shaped text inside string literals (rule examples, docstrings) must
-        not suppress anything.  Other files fall back to a line scan.
+        not suppress anything.  A file whose text never spells ``repro:``
+        holds no pragma and is not tokenised at all.
         """
         if self._pragmas is None:
             parsed: list[Pragma] = []
@@ -135,7 +204,7 @@ class FileContext:
         verbatim, which must not register as suppressions), and findings on
         docs are meant to be fixed, not muted.
         """
-        if not self.is_python:
+        if not self.is_python or "repro:" not in self.source:
             return
         try:
             tokens = list(
@@ -157,6 +226,10 @@ class Project:
 
     files: list[FileContext]
     root: Optional[Path] = None
+    #: False when the run names explicit paths: the project then holds a
+    #: part of the tree, and a rule about the whole tree proves nothing.
+    complete: bool = True
+    _derived: dict[Callable[..., Any], Any] = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_root(
@@ -197,7 +270,7 @@ class Project:
                 continue
             seen.add(rel)
             contexts.append(FileContext(rel_path=rel, source=path.read_text(encoding="utf-8")))
-        return cls(files=contexts, root=root)
+        return cls(files=contexts, root=root, complete=not explicit)
 
     @classmethod
     def from_sources(cls, sources: dict[str, str]) -> "Project":
@@ -208,6 +281,12 @@ class Project:
                 for rel_path, source in sorted(sources.items())
             ]
         )
+
+    def derive(self, build: Callable[["Project"], T]) -> T:
+        """``build(self)``, computed once per project for every rule that asks."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def python_files(self) -> Iterator[FileContext]:
         """The parseable Python files, in scan order."""

@@ -21,7 +21,7 @@ exercises.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro.lint.base import Finding, Rule, register
 from repro.lint.project import FileContext
@@ -90,14 +90,14 @@ def _dotted(node: ast.AST) -> Optional[tuple[str, str]]:
     return None
 
 
-def _from_imports(tree: ast.AST) -> set[tuple[str, str]]:
+def _from_imports(ctx: FileContext) -> set[tuple[str, str]]:
     """``(module, name)`` pairs pulled in via ``from module import name``."""
-    imported: set[tuple[str, str]] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                imported.add((node.module, alias.asname or alias.name))
-    return imported
+    return {
+        (node.module, alias.asname or alias.name)
+        for node in ctx.nodes(ast.ImportFrom)
+        if node.module
+        for alias in node.names
+    }
 
 
 @register
@@ -115,10 +115,8 @@ class WallClockRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.rel_path.endswith(CLOCK_MODULE_SUFFIX):
             return
-        from_imports = _from_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        from_imports = _from_imports(ctx)
+        for node in ctx.nodes(ast.Call):
             chain = _dotted(node.func)
             if chain in WALL_CLOCK_CALLS:
                 yield self.finding(
@@ -155,9 +153,7 @@ class UnseededRandomRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if CRYPTO_PACKAGE_FRAGMENT in ctx.rel_path:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             chain = _dotted(node.func)
             if chain is None:
                 continue
@@ -206,31 +202,21 @@ class HashIdRule(Rule):
     example = "targets.sort(key=lambda n: hash(n))"
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        yield from self._visit(ctx, ctx.tree, in_dunder_hash=False)
-
-    def _visit(
-        self, ctx: FileContext, node: ast.AST, *, in_dunder_hash: bool
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            inside = in_dunder_hash
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # Delegating to hash() over the identity tuple is the idiom
-                # *inside* __hash__ — consistency with __eq__ is all that
-                # matters there, not cross-process stability.
-                inside = child.name == "__hash__"
-            if (
-                not inside
-                and isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id in ("hash", "id")
-            ):
-                yield self.finding(
-                    ctx,
-                    child.lineno,
-                    f"builtin {child.func.id}() is process-specific — derive ordering, "
-                    "tie-breaks and counts from stable content instead",
-                )
-            yield from self._visit(ctx, child, in_dunder_hash=inside)
+        for node in ctx.nodes(ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in ("hash", "id")):
+                continue
+            # Delegating to hash() over the identity tuple is the idiom
+            # *inside* __hash__ — consistency with __eq__ is all that
+            # matters there, not cross-process stability.
+            function = ctx.enclosing(node, ast.FunctionDef, ast.AsyncFunctionDef)
+            if function is not None and function.name == "__hash__":
+                continue
+            yield self.finding(
+                ctx,
+                node.lineno,
+                f"builtin {node.func.id}() is process-specific — derive ordering, "
+                "tie-breaks and counts from stable content instead",
+            )
 
 
 def _is_unordered(node: ast.AST) -> bool:
@@ -285,7 +271,8 @@ class UnsortedIterationRule(Rule):
     example = "digest = hash_many(peer for peer in set(peers))"
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        comprehensions = (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+        for node in ctx.nodes(ast.Call, ast.For, *comprehensions):
             if _is_sink_call(node):
                 # An unordered source anywhere in the sink's arguments —
                 # unless a sorted(...) wrapper stands between them.
@@ -299,17 +286,17 @@ class UnsortedIterationRule(Rule):
                         )
                         break
             elif isinstance(node, ast.For) and _is_unordered(node.iter):
-                if any(_is_sink_call(inner) for inner in ast.walk(node)):
+                if any(_is_sink_call(inner) for inner in ctx.nodes(ast.Call, within=node)):
                     yield self.finding(
                         ctx,
                         node.lineno,
                         "loop over an unordered iterable feeds an order-sensitive "
                         "sink — iterate sorted(...) instead",
                     )
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)):
+            elif isinstance(node, comprehensions):
                 if any(
                     _is_unordered(generator.iter) for generator in node.generators
-                ) and any(_is_sink_call(inner) for inner in ast.walk(node)):
+                ) and any(_is_sink_call(inner) for inner in ctx.nodes(ast.Call, within=node)):
                     yield self.finding(
                         ctx,
                         node.lineno,

@@ -67,22 +67,19 @@ class FrozenSetattrRule(Rule):
     example = "object.__setattr__(block, \"entries\", pruned)"
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        yield from self._scan(ctx, ctx.tree, sanctioned=False)
-
-    def _scan(self, ctx: FileContext, node: ast.AST, *, sanctioned: bool):
-        for child in ast.iter_child_nodes(node):
-            inside = sanctioned
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inside = child.name == SETATTR_SANCTUARY
-            if not inside and _is_object_setattr(child):
-                yield self.finding(
-                    ctx,
-                    child.lineno,
-                    "object.__setattr__ outside __post_init__ mutates a frozen "
-                    "instance — derive the value in __post_init__ or rebuild "
-                    "the object",
-                )
-            yield from self._scan(ctx, child, sanctioned=inside)
+        for node in ctx.nodes(ast.Call):
+            if not _is_object_setattr(node):
+                continue
+            function = ctx.enclosing(node, ast.FunctionDef, ast.AsyncFunctionDef)
+            if function is not None and function.name == SETATTR_SANCTUARY:
+                continue
+            yield self.finding(
+                ctx,
+                node.lineno,
+                "object.__setattr__ outside __post_init__ mutates a frozen "
+                "instance — derive the value in __post_init__ or rebuild "
+                "the object",
+            )
 
 
 @register
@@ -101,8 +98,8 @@ class MissingCanonicalHookRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if CORE_PACKAGE_FRAGMENT not in ctx.rel_path:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or not _is_frozen_dataclass(node):
+        for node in ctx.nodes(ast.ClassDef):
+            if not _is_frozen_dataclass(node):
                 continue
             methods = {
                 member.name

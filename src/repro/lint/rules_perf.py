@@ -58,9 +58,7 @@ class UncachedDecodeRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if CRYPTO_PACKAGE_FRAGMENT in ctx.rel_path:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             func = node.func
             if not (isinstance(func, ast.Attribute) and func.attr == "decode"):
                 continue
@@ -112,9 +110,8 @@ class UnboundedListGrowthRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if not any(fragment in ctx.rel_path for fragment in PER_MESSAGE_PACKAGE_FRAGMENTS):
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(ctx, node)
+        for node in ctx.nodes(ast.ClassDef):
+            yield from self._check_class(ctx, node)
 
     def _check_class(self, ctx: FileContext, node: ast.ClassDef) -> Iterable[Finding]:
         methods = [
@@ -126,10 +123,10 @@ class UnboundedListGrowthRule(Rule):
         for method in methods:
             if method.name != "__init__":
                 continue
-            for statement in ast.walk(method):
+            for statement in ctx.nodes(ast.Assign, ast.AnnAssign, within=method):
                 if isinstance(statement, ast.Assign):
                     targets, value = statement.targets, statement.value
-                elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
+                elif statement.value is not None:
                     targets, value = [statement.target], statement.value
                 else:
                     continue
@@ -138,10 +135,9 @@ class UnboundedListGrowthRule(Rule):
         for method in methods:
             if method.name == "__init__":
                 continue
-            for call in ast.walk(method):
+            for call in ctx.nodes(ast.Call, within=method):
                 if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
+                    isinstance(call.func, ast.Attribute)
                     and call.func.attr in ("append", "extend")
                 ):
                     continue

@@ -78,27 +78,34 @@ def _kind_attr(node: ast.AST) -> Optional[str]:
 
 
 def build_protocol_model(project: Project) -> ProtocolModel:
-    """Scan the whole project for message-kind registration and usage."""
+    """Scan the whole project for message-kind registration and usage.
+
+    The rules share one model per project: they ask ``project.derive``.
+    """
     model = ProtocolModel()
     message_ctx = project.find(MESSAGE_MODULE_SUFFIX)
     model.message_ctx = message_ctx
     if message_ctx is not None and message_ctx.tree is not None:
-        _extract_members(message_ctx, model)
+        model.members.update(_class_members(message_ctx, "MessageKind"))
         _extract_taxonomy(message_ctx, model)
     for ctx in project.python_files():
         _extract_usage(ctx, model)
     return model
 
 
-def _extract_members(ctx: FileContext, model: ProtocolModel) -> None:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ClassDef) and node.name == "MessageKind":
-            for statement in node.body:
-                if isinstance(statement, ast.Assign):
-                    for target in statement.targets:
-                        if isinstance(target, ast.Name):
-                            model.members[target.id] = statement.lineno
-            return
+def _class_members(ctx: FileContext, class_name: str) -> dict[str, int]:
+    """``name -> line`` of the assignments in the body of the first class
+    named ``class_name``."""
+    for node in ctx.nodes(ast.ClassDef):
+        if node.name == class_name:
+            return {
+                target.id: statement.lineno
+                for statement in node.body
+                if isinstance(statement, ast.Assign)
+                for target in statement.targets
+                if isinstance(target, ast.Name)
+            }
+    return {}
 
 
 def _extract_taxonomy(ctx: FileContext, model: ProtocolModel) -> None:
@@ -114,7 +121,7 @@ def _extract_taxonomy(ctx: FileContext, model: ProtocolModel) -> None:
 
 
 def _extract_usage(ctx: FileContext, model: ProtocolModel) -> None:
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes(ast.Dict, ast.Compare, ast.Call):
         if isinstance(node, ast.Dict):
             # A dispatch table: ``{MessageKind.X: self._handle_x, ...}``.
             for key, value in zip(node.keys, node.values):
@@ -167,7 +174,7 @@ class UnaccountedKindRule(Rule):
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        model = build_protocol_model(project)
+        model = project.derive(build_protocol_model)
         if model.message_ctx is None:
             return
         for kind, line in sorted(model.members.items()):
@@ -194,18 +201,15 @@ class SentWithoutHandlerRule(Rule):
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        model = build_protocol_model(project)
+        model = project.derive(build_protocol_model)
         for kind, sites in sorted(model.sent.items()):
             if kind not in model.handled:
                 path, line = sites[0]
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=path,
-                    line=line,
-                    message=(
-                        f"message kind {kind} is sent as a request here but no "
-                        "dispatch branch in the tree handles it"
-                    ),
+                yield self.finding(
+                    path,
+                    line,
+                    f"message kind {kind} is sent as a request here but no "
+                    "dispatch branch in the tree handles it",
                 )
 
 
@@ -223,7 +227,7 @@ class SilentDropRule(Rule):
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        model = build_protocol_model(project)
+        model = project.derive(build_protocol_model)
         node_ctx = project.find("repro/network/node.py")
         if node_ctx is None or node_ctx.tree is None:
             return
@@ -232,17 +236,13 @@ class SilentDropRule(Rule):
         kinds_by_handler: dict[str, list[str]] = {}
         for kind, handler in model.node_handlers.items():
             kinds_by_handler.setdefault(handler, []).append(kind)
-        for node in ast.walk(node_ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in node_ctx.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
             kinds = kinds_by_handler.get(node.name)
             if not kinds:
                 continue
             if all(kind in model.one_way for kind in kinds):
                 continue
-            for statement in ast.walk(node):
-                if not isinstance(statement, ast.Return):
-                    continue
+            for statement in node_ctx.nodes(ast.Return, within=node):
                 value = statement.value
                 drops = value is None or (
                     isinstance(value, ast.Constant) and value.value is None
@@ -271,7 +271,7 @@ class TaxonomyRule(Rule):
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        model = build_protocol_model(project)
+        model = project.derive(build_protocol_model)
         ctx = model.message_ctx
         if ctx is None or not model.members:
             return
@@ -312,14 +312,12 @@ class EventSubscriptionRule(Rule):
         published: set[str] = set()
         subscribed: list[tuple[str, str, int]] = []
         for ctx in project.python_files():
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in ctx.nodes(ast.Call):
                 func = node.func
                 name = getattr(func, "attr", getattr(func, "id", ""))
                 if "publish" in name:
                     for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                        for inner in ast.walk(arg):
+                        for inner in ctx.nodes(ast.Attribute, within=arg):
                             member = self._event_attr(inner)
                             if member is not None:
                                 published.add(member)
@@ -327,27 +325,16 @@ class EventSubscriptionRule(Rule):
                     for keyword in node.keywords:
                         if keyword.arg != "types":
                             continue
-                        for inner in ast.walk(keyword.value):
+                        for inner in ctx.nodes(ast.Attribute, within=keyword.value):
                             member = self._event_attr(inner)
                             if member is not None:
                                 subscribed.append((member, ctx.rel_path, node.lineno))
         for member, path, line in subscribed:
             if member not in members:
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=path,
-                    line=line,
-                    message=f"subscription names unknown event type {member}",
-                )
+                yield self.finding(path, line, f"subscription names unknown event type {member}")
             elif member not in published:
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=path,
-                    line=line,
-                    message=(
-                        f"subscription to EventType.{member}, which no publish "
-                        "site in the tree emits"
-                    ),
+                yield self.finding(
+                    path, line, f"subscription to EventType.{member}, which no publish site in the tree emits"
                 )
 
     @staticmethod
@@ -374,12 +361,4 @@ class EventSubscriptionRule(Rule):
         ctx = project.find(EVENTS_MODULE_SUFFIX)
         if ctx is None or ctx.tree is None:
             return {}
-        members: dict[str, int] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "EventType":
-                for statement in node.body:
-                    if isinstance(statement, ast.Assign):
-                        for target in statement.targets:
-                            if isinstance(target, ast.Name):
-                                members[target.id] = statement.lineno
-        return members
+        return _class_members(ctx, "EventType")

@@ -42,9 +42,8 @@ from repro.analysis.attack import (
     simulate_attack,
 )
 from repro.authz.bell_lapadula import BellLaPadulaModel, SecurityLevel
-# CohesionChecker names "Blockchain" as a forward reference; get_type_hints
-# resolves it in this module's namespace.
-from repro.core.chain import Blockchain, CohesionChecker  # noqa: F401
+# repro: allow[REPRO-S602] CohesionChecker names "Blockchain" as a forward reference get_type_hints resolves here
+from repro.core.chain import Blockchain, CohesionChecker
 from repro.core.config import ChainConfig, RedundancyPolicy
 from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError

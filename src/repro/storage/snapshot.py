@@ -96,6 +96,7 @@ def chain_from_payload(payload: str, **chain_kwargs) -> Blockchain:
     return _restore(payload, "snapshot payload", chain_kwargs)
 
 
+# repro: allow[REPRO-S601] the file format that keeps the registry over a restart
 def save_snapshot(chain: Blockchain, path: Union[str, Path]) -> int:
     """Serialise the chain to ``path`` atomically; returns the written size in bytes."""
     target = Path(path)
@@ -106,6 +107,7 @@ def save_snapshot(chain: Blockchain, path: Union[str, Path]) -> int:
     return len(payload.encode("utf-8"))
 
 
+# repro: allow[REPRO-S601] the file format that keeps the registry over a restart
 def load_snapshot(path: Union[str, Path], **chain_kwargs) -> Blockchain:
     """Restore a chain from a snapshot produced by :func:`save_snapshot`.
 

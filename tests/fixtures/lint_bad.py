@@ -1,12 +1,13 @@
 """Known-bad fixture for the lint gate.
 
-Every statement below violates a determinism or frozen-object rule on
-purpose.  CI runs ``python -m repro lint tests/fixtures/lint_bad.py`` and
+Every statement below violates a determinism, frozen-object or
+unused-import rule on purpose.  CI runs ``python -m repro lint tests/fixtures/lint_bad.py`` and
 asserts a **nonzero** exit: if this file ever passes, the gate is broken.
 The directory is excluded from default scans (see
 ``repro.lint.project.EXCLUDED_PARTS``), so the repo-wide pass stays clean.
 """
 
+import json  # REPRO-S602
 import random
 import time
 

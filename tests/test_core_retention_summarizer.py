@@ -24,7 +24,6 @@ from repro.core.retention import (
     select_sequences_to_expire,
 )
 from repro.core.sequence import (
-    completed_sequences,
     is_summary_slot,
     middle_sequence,
     partition_into_sequences,
@@ -80,11 +79,6 @@ class TestSequenceHelpers:
             assert view.is_complete
             assert view.length == 3
 
-    def test_completed_sequences_filter(self):
-        chain = build_chain(4)
-        completed = completed_sequences(chain.blocks, 3)
-        assert all(view.is_complete for view in completed)
-
     def test_sequence_metrics(self):
         chain = build_chain(4)
         view = partition_into_sequences(chain.blocks, 3)[1]
@@ -96,12 +90,15 @@ class TestSequenceHelpers:
         assert "SequenceView" in repr(view)
 
     def test_middle_sequence_selection(self):
+        def completed(chain):
+            return [view for view in partition_into_sequences(chain.blocks, 3) if view.is_complete]
+
         chain = build_chain(2, config=ChainConfig(sequence_length=3))
-        views = completed_sequences(chain.blocks, 3)
+        views = completed(chain)
         assert middle_sequence(views) is None or len(views) >= 2
         # Build a longer, non-shrinking chain to get several sequences.
         chain = build_chain(10, config=ChainConfig(sequence_length=3))
-        views = completed_sequences(chain.blocks, 3)
+        views = completed(chain)
         picked = middle_sequence(views)
         assert picked is views[len(views) // 2]
 

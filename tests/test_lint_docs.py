@@ -48,9 +48,8 @@ class TestBrokenLinkRule:
         report = run_lint(Project.from_sources(sources), rules=[BrokenLinkRule])
         assert not report.findings
 
-    def test_real_docs_have_no_broken_links(self):
-        project = Project.from_root(REPO_ROOT)
-        report = run_lint(project, rules=[BrokenLinkRule])
+    def test_real_docs_have_no_broken_links(self, repo_project):
+        report = run_lint(repo_project, rules=[BrokenLinkRule])
         assert not report.findings, [f.message for f in report.findings]
 
 
@@ -103,9 +102,8 @@ class TestRuleTableSync:
 
 
 class TestScenarioTableRule:
-    def test_real_scenario_table_in_sync(self):
-        project = Project.from_root(REPO_ROOT)
-        report = run_lint(project, rules=[ScenarioTableRule])
+    def test_real_scenario_table_in_sync(self, repo_project):
+        report = run_lint(repo_project, rules=[ScenarioTableRule])
         assert not report.findings, [f.message for f in report.findings]
 
     def test_missing_table_flagged(self):

@@ -8,8 +8,9 @@ registers."""
 
 from __future__ import annotations
 
-from pathlib import Path
+import pytest
 
+from repro.lint import rules_protocol
 from repro.lint.engine import run_lint
 from repro.lint.project import Project
 from repro.lint.rules_protocol import (
@@ -20,9 +21,6 @@ from repro.lint.rules_protocol import (
     UnaccountedKindRule,
     build_protocol_model,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 def protocol_sources(**overrides: str) -> dict[str, str]:
     """A miniature repo with a consistent two-kind protocol."""
@@ -78,6 +76,17 @@ class TestUnaccountedKind:
         assert [f.rule_id for f in report.findings] == ["REPRO-P201"]
         assert "NEW_KIND" in report.findings[0].message
         assert report.exit_code == 1
+
+    def test_one_lint_run_builds_the_model_once(self, monkeypatch):
+        calls = []
+
+        def counting(project):
+            calls.append(project)
+            return build_protocol_model(project)
+
+        monkeypatch.setattr(rules_protocol, "build_protocol_model", counting)
+        run_lint(Project.from_sources(protocol_sources()))
+        assert len(calls) == 1
 
     def test_reply_only_kind_is_accounted(self):
         # PONG has no dispatch branch but is produced via .reply() — fine.
@@ -187,12 +196,11 @@ class TestEventSubscriptions:
 class TestRealProtocol:
     """The live tree, as the protocol rules see it."""
 
-    def real_model(self):
-        project = Project.from_root(REPO_ROOT)
-        return build_protocol_model(project)
+    @pytest.fixture
+    def model(self, repo_project):
+        return repo_project.derive(build_protocol_model)
 
-    def test_every_registered_kind_is_accounted_for(self):
-        model = self.real_model()
+    def test_every_registered_kind_is_accounted_for(self, model):
         assert len(model.members) == 17
         assert set(model.members) == {
             "SUBMIT_ENTRY", "SUBMIT_DELETION", "IDLE_TICK", "FIND_ENTRY",
@@ -203,15 +211,12 @@ class TestRealProtocol:
         unaccounted = set(model.members) - model.accounted
         assert not unaccounted, f"kinds with no handler or reply site: {sorted(unaccounted)}"
 
-    def test_taxonomy_table_matches_registry(self):
-        model = self.real_model()
+    def test_taxonomy_table_matches_registry(self, model):
         assert set(model.members) == model.documented
 
-    def test_one_way_kinds_are_declared(self):
-        model = self.real_model()
+    def test_one_way_kinds_are_declared(self, model):
         assert "SYNC_DIGEST" in model.one_way
 
-    def test_node_dispatch_table_extracted(self):
-        model = self.real_model()
+    def test_node_dispatch_table_extracted(self, model):
         assert model.node_handlers.get("FIND_ENTRY") == "_handle_find_entry"
         assert len(model.node_handlers) >= 10

@@ -3,10 +3,11 @@ pragmas honoured — all on synthetic projects, never the working tree."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 
-from repro.lint.base import Finding, LintReport, rule_catalogue, rule_ids
+from repro.lint.base import ENGINE_CHECKS, Finding, LintReport, rule_catalogue, rule_ids
 from repro.lint.engine import run_lint
 from repro.lint.project import Project
 from repro.lint.reporters import render_json, render_text
@@ -18,6 +19,7 @@ from repro.lint.rules_determinism import (
 )
 from repro.lint.rules_frozen import FrozenSetattrRule, MissingCanonicalHookRule
 from repro.lint.rules_perf import UnboundedListGrowthRule, UncachedDecodeRule
+from repro.lint.rules_surface import UnreachedDefinitionRule, UnusedImportRule
 from repro.network import transport as transport_module
 
 
@@ -290,6 +292,61 @@ class TestUnboundedListGrowthRule:
         assert not lint_snippet(source, UnboundedListGrowthRule, "src/repro/network/registry.py")
 
 
+class TestUnusedImportRule:
+    def test_a_planted_unused_import_is_found(self):
+        source = "import json\nfrom typing import Any, Optional\n\n\ndef f(x: Optional[int]) -> int:\n    return 1\n"
+        findings = lint_snippet(source, UnusedImportRule)
+        assert [(f.rule_id, f.line, f.message.split()[0]) for f in findings] == [
+            ("REPRO-S602", 1, "json"), ("REPRO-S602", 2, "Any")
+        ]
+
+    def test_all_and_type_strings_count_as_uses_and_noqa_exempts_nothing(self):
+        source = '''"""Optional in a docstring is not a use."""
+from typing import Callable, Optional, Sequence
+import os.path
+import sys  # noqa: F401
+from .workload import Workload, Runner
+from .other import Exported
+
+__all__ = ["Exported"]
+
+
+def run(items: "Sequence[Workload]", hook: Callable[["Runner"], None]) -> None:
+    os.path.join("a", "b")
+'''
+        findings = lint_snippet(source, UnusedImportRule)
+        assert [(f.line, f.message.split()[0]) for f in findings] == [(2, "Optional"), (4, "sys")]
+
+
+class TestUnreachedDefinitionRule:
+    CLI = "from repro import lib\nfrom repro.lib import aliased as renamed, used\nused(); renamed(); getattr(lib, 'by_name')()\n"
+    LIB = (
+        "def used(): return helper()\ndef helper(): pass\ndef aliased(): pass\ndef by_name(): pass\n"
+        "@register\nclass Registered: pass\ndef only_tested(): pass\ndef _private(): pass\n"
+    )
+
+    def lint(self, lib=LIB, complete=True):
+        tests = "from repro.lib import only_tested\nonly_tested()\n"
+        project = Project.from_sources({"src/repro/cli.py": self.CLI, "src/repro/lib.py": lib, "tests/test_lib.py": tests})
+        project.complete = complete
+        return run_lint(project, rules=[UnreachedDefinitionRule])
+
+    def test_a_public_definition_only_tests_reach_is_found(self):
+        (finding,) = self.lint().findings
+        assert (finding.rule_id, finding.path, finding.line) == ("REPRO-S601", "src/repro/lib.py", 7)
+        assert "only_tested" in finding.message
+
+    def test_an_exception_on_a_reached_definition_is_stale(self):
+        report = self.lint("# repro: allow[REPRO-S601] kept on purpose\n" + self.LIB)
+        assert sorted(f.rule_id for f in report.findings) == ["REPRO-A002", "REPRO-S601"]
+
+    def test_a_run_over_named_paths_proves_nothing(self):
+        lib = self.LIB.replace("def only_tested", "# repro: allow[REPRO-S601] kept on purpose\ndef only_tested")
+        report = self.lint(lib, complete=False)
+        assert not report.findings and not report.suppressed
+        assert report.rules_run == len(ENGINE_CHECKS)
+
+
 class TestPragmas:
     def test_same_line_pragma_with_reason_suppresses(self):
         source = "import time\nstamp = time.time()  # repro: allow[REPRO-D101] fixture needs real time\n"
@@ -374,6 +431,18 @@ class TestEngine:
             rules=[WallClockRule],
         )
         assert dirty.exit_code == 1 and not dirty.clean
+
+    def test_node_index_answers_what_a_walk_would(self):
+        ctx = Project.from_sources({"src/repro/demo.py": inspect.getsource(transport_module)}).files[0]
+        parents = {child: node for node in ast.walk(ctx.tree) for child in ast.iter_child_nodes(node)}
+        for function in [ctx.tree, *ctx.nodes(ast.FunctionDef)]:
+            walked = [n for n in ast.walk(function) if isinstance(n, (ast.Call, ast.FunctionDef))]
+            assert set(ctx.nodes(ast.Call, ast.FunctionDef, within=function)) == set(walked)
+        for call in ctx.nodes(ast.Call):
+            ancestor = parents[call]
+            while ancestor in parents and not isinstance(ancestor, (ast.FunctionDef, ast.ClassDef)):
+                ancestor = parents[ancestor]
+            assert ctx.enclosing(call, ast.FunctionDef, ast.ClassDef) is (ancestor if ancestor in parents else None)
 
     def test_findings_sorted_by_position(self):
         source = "import time\nb = time.time()\na = time.time()\n"

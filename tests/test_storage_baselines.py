@@ -21,7 +21,7 @@ from repro.core import Blockchain, ChainConfig
 from repro.core.block import Block
 from repro.baselines.base import EffortCounter, payload_size
 from repro.baselines.chameleon_chain import RedactableBlock
-from repro.core.errors import ChainIntegrityError, StorageError
+from repro.core.errors import StorageError
 from repro.crypto.hashing import canonical_json
 from repro.storage.wal import replace_durably
 from repro.storage import (
@@ -311,7 +311,7 @@ class TestJournalCommits:
         for write in (lambda: store.append(after), lambda: store.truncate_before(head.block_number), store.compact):
             with pytest.raises(StorageError, match="refuses writes"):
                 write()
-        with pytest.raises(ChainIntegrityError, match="refuses writes"):
+        with pytest.raises(StorageError, match="refuses writes"):
             chain.add_entry_block({"D": "refused", "K": "A", "S": "s"}, "A")
         assert path.stat().st_size == size
         reopened = Blockchain(config, store=JournalBlockStore(path))
