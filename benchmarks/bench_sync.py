@@ -91,7 +91,7 @@ def measure_bootstrap(age: int) -> dict[str, float]:
     )
     producer.connect(["producer", "joiner"])
     joiner.connect(["producer", "joiner"])
-    result = joiner.synchronize("producer")
+    result = joiner.sync.synchronize("producer")
     assert result.status is CatchUpStatus.BOOTSTRAPPED, result
     assert joiner.chain.head.block_hash == producer_chain.head.block_hash
     snapshot_wire_bytes = transport.statistics.bytes_transferred

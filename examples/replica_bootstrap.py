@@ -21,7 +21,6 @@ from repro.core import Blockchain, ChainConfig
 from repro.network import (
     AnchorNode,
     CatchUpStatus,
-    ClientNode,
     EventKernel,
     GossipOverlay,
     GossipTopology,
@@ -30,6 +29,7 @@ from repro.network import (
     NetworkSimulator,
     spawn,
 )
+from repro.service.remote import ClientNode
 
 
 def login(index: int) -> dict[str, str]:
@@ -68,12 +68,12 @@ def manual_bootstrap() -> None:
           f"marker at {producer.chain.genesis_marker}")
     print(f"straggler head:    block {straggler.chain.head.block_number}")
 
-    declined = straggler.catch_up(ids[0])
+    declined = straggler.sync.catch_up(ids[0])
     print(f"catch-up declined: {declined.status.value}")
     print(f"  because:         {declined.detail}")
     assert declined.status is CatchUpStatus.SNAPSHOT_REQUIRED
 
-    report = straggler.bootstrap_from(ids[0], chunk_size=1024)
+    report = straggler.sync.bootstrap_from(ids[0], chunk_size=1024)
     assert report.succeeded, report.reason
     print(f"bootstrap:         {report.chunks_fetched} chunks, "
           f"{report.payload_bytes} bytes, digest verified")
@@ -97,7 +97,7 @@ def autonomous_bootstrap() -> None:
     )
     simulator.add_client("ALPHA")
     simulator.enable_anti_entropy(interval_ms=100.0, until=1800.0)
-    simulator.schedule_offline("anchor-3", 40.0)
+    simulator.transport.schedule_offline("anchor-3", 40.0)
     simulator.schedule_online("anchor-3", 1200.0)  # back after the marker shifted
     for index in range(20):
         kernel.schedule_at(

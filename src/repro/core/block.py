@@ -207,15 +207,21 @@ class Block:
         carry = self._carry
         return carry.memos if carry is not None else [entry.__canonical_json__() for entry in self.entries]
 
-    def _content_parts(self) -> tuple[bytes, bytes, bytes]:
-        """The bytes of :meth:`content_dict`'s canonical JSON in three parts:
-        the opening, the entries' memos joined directly, and one
-        :func:`canonical_json` call over the rest (``"entries"`` sorts before
-        every other content key).  Hashed part by part, never concatenated."""
+    def fields_json(self) -> str:
+        """Canonical JSON of the content without ``"entries"``: the one
+        encoding of a block's other fields, for its hash and its journal
+        record alike."""
         payload = self._hashable_content()
         del payload["entries"]
+        return canonical_json(payload)
+
+    def _content_parts(self) -> tuple[bytes, bytes, bytes]:
+        """The bytes of :meth:`content_dict`'s canonical JSON in three parts:
+        the opening, the entries' memos joined directly, and
+        :meth:`fields_json` (``"entries"`` sorts before every other content
+        key).  Hashed part by part, never concatenated."""
         joined = ",".join(self.entry_memos()).encode("utf-8")
-        return _ENTRIES_OPEN, joined, ("]," + canonical_json(payload)[1:]).encode("utf-8")
+        return _ENTRIES_OPEN, joined, ("]," + self.fields_json()[1:]).encode("utf-8")
 
     def _canonical_content(self) -> str:
         """Canonical JSON of :meth:`content_dict`, as one text."""

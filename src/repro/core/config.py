@@ -66,7 +66,7 @@ class ShrinkStrategy(str, Enum):
     merges *"the first and second sequence ... into the last summary block"*
     and Section IV-D3 notes that *"multiple sequences can also being combined
     in one summary block"*.  The strategy makes this choice explicit;
-    ``benchmarks/bench_ablation_policies.py`` sweeps it.
+    ``benchmarks/bench_paper.py`` sweeps it (``ablation_shrink_strategy``).
     """
 
     #: Apply Eq. 1 exactly once: merge only the oldest sequence.

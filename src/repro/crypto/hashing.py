@@ -161,15 +161,6 @@ def hash_pair(left: str, right: str) -> str:
     return sha256_hex((left + right).encode("utf-8"))
 
 
-def hash_many(parts: Iterable[str]) -> str:
-    """Hash an ordered iterable of strings into a single digest."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part.encode("utf-8"))
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
-
-
 def truncate_hash(digest: str, length: int = 5) -> str:
     """Shorten a digest for display, mimicking the paper's console figures."""
     if length <= 0:

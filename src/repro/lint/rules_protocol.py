@@ -2,8 +2,9 @@
 
 The anchor-node protocol is defined in three places that can drift apart:
 the :class:`~repro.network.message.MessageKind` registry, the dispatch
-branches spread over ``network/node.py`` and the adversary/sync modules,
-and the taxonomy table in ``network/message.py``'s docstring.  These rules
+branches — the ``HANDLES`` maps of the protocol classes under
+``network/protocols/`` and the adversary/sync modules' own — and the
+taxonomy table in ``network/message.py``'s docstring.  These rules
 cross-reference all of them over the whole tree:
 
 * every registered kind must be *accounted for* — dispatched by a handler
@@ -26,7 +27,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.lint.base import Finding, Rule, register
 from repro.lint.project import FileContext, Project
@@ -55,8 +56,9 @@ class ProtocolModel:
     one_way: set[str] = field(default_factory=set)
     #: Kinds with a taxonomy row at all.
     documented: set[str] = field(default_factory=set)
-    #: Handler methods per kind in the dispatch dict of network/node.py.
-    node_handlers: dict[str, str] = field(default_factory=dict)
+    #: Kind -> ``(file, class, method)`` of the handler a class-level
+    #: ``HANDLES = {MessageKind.X: "method", ...}`` map names.
+    handlers: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     #: network/message.py context (anchor for registry-level findings).
     message_ctx: Optional[FileContext] = None
 
@@ -120,19 +122,28 @@ def _extract_taxonomy(ctx: FileContext, model: ProtocolModel) -> None:
             model.one_way.add(kind)
 
 
+def _handler_tables(cls: ast.ClassDef) -> Iterator[ast.Dict]:
+    """The dicts ``cls``'s body assigns to ``HANDLES``."""
+    for statement in cls.body:
+        if isinstance(statement, ast.Assign) and isinstance(statement.value, ast.Dict):
+            if any(isinstance(target, ast.Name) and target.id == "HANDLES" for target in statement.targets):
+                yield statement.value
+
+
 def _extract_usage(ctx: FileContext, model: ProtocolModel) -> None:
+    for cls in ctx.nodes(ast.ClassDef):
+        for table in _handler_tables(cls):
+            for key, value in zip(table.keys, table.values):
+                kind = _kind_attr(key) if key is not None else None
+                if kind is not None and isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    model.handlers[kind] = (ctx.rel_path, cls.name, value.value)
     for node in ctx.nodes(ast.Dict, ast.Compare, ast.Call):
         if isinstance(node, ast.Dict):
-            # A dispatch table: ``{MessageKind.X: self._handle_x, ...}``.
-            for key, value in zip(node.keys, node.values):
+            # A dispatch table: ``{MessageKind.X: handler, ...}``.
+            for key in node.keys:
                 kind = _kind_attr(key) if key is not None else None
-                if kind is None:
-                    continue
-                model.handled.setdefault(kind, []).append((ctx.rel_path, key.lineno))
-                if ctx.rel_path.endswith("repro/network/node.py") and isinstance(
-                    value, ast.Attribute
-                ):
-                    model.node_handlers[kind] = value.attr
+                if kind is not None:
+                    model.handled.setdefault(kind, []).append((ctx.rel_path, key.lineno))
         elif isinstance(node, ast.Compare):
             # ``message.kind is MessageKind.X`` (and ==, is not, != guards)
             # are dispatch branches too: the named kind is the one handled.
@@ -228,33 +239,33 @@ class SilentDropRule(Rule):
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         model = project.derive(build_protocol_model)
-        node_ctx = project.find("repro/network/node.py")
-        if node_ctx is None or node_ctx.tree is None:
-            return
         # Kinds a handler serves; a handler shared by several kinds may only
         # return None when *all* of them are one-way.
-        kinds_by_handler: dict[str, list[str]] = {}
-        for kind, handler in model.node_handlers.items():
+        kinds_by_handler: dict[tuple[str, str, str], list[str]] = {}
+        for kind, handler in model.handlers.items():
             kinds_by_handler.setdefault(handler, []).append(kind)
-        for node in node_ctx.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
-            kinds = kinds_by_handler.get(node.name)
-            if not kinds:
-                continue
-            if all(kind in model.one_way for kind in kinds):
-                continue
-            for statement in node_ctx.nodes(ast.Return, within=node):
-                value = statement.value
-                drops = value is None or (
-                    isinstance(value, ast.Constant) and value.value is None
+        for ctx in project.python_files():
+            for cls in ctx.nodes(ast.ClassDef):
+                for node in cls.body:
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    kinds = kinds_by_handler.get((ctx.rel_path, cls.name, node.name))
+                    if kinds and not all(kind in model.one_way for kind in kinds):
+                        yield from self._drops(ctx, node, kinds)
+
+    def _drops(
+        self, ctx: FileContext, handler: ast.FunctionDef | ast.AsyncFunctionDef, kinds: list[str]
+    ) -> Iterable[Finding]:
+        for statement in ctx.nodes(ast.Return, within=handler):
+            value = statement.value
+            if value is None or (isinstance(value, ast.Constant) and value.value is None):
+                yield self.finding(
+                    ctx,
+                    statement.lineno,
+                    f"handler {handler.name} (serving {', '.join(sorted(kinds))}) "
+                    "returns None — two-way kinds must reply or reject with a "
+                    "typed error",
                 )
-                if drops:
-                    yield self.finding(
-                        node_ctx,
-                        statement.lineno,
-                        f"handler {node.name} (serving {', '.join(sorted(kinds))}) "
-                        "returns None — two-way kinds must reply or reject with a "
-                        "typed error",
-                    )
 
 
 @register

@@ -1,4 +1,4 @@
-"""Network substrate: anchor nodes, clients, transport, gossip, simulator.
+"""Network substrate: anchor nodes, transport, gossip, simulator.
 
 Replaces the paper's CORBA client–server prototype with an in-process
 simulation.  The stack runs
@@ -13,30 +13,19 @@ Protocol surface
 All traffic is :class:`~repro.network.message.Message` objects; the
 authoritative message-kind taxonomy (sender, receiver, payload schema and
 reply kind for every :class:`~repro.network.message.MessageKind`) lives in
-the :mod:`repro.network.message` module docstring.  The kinds group into
-five families:
-
-* **client requests** — ``SUBMIT_ENTRY``, ``SUBMIT_DELETION``,
-  ``IDLE_TICK``, ``FIND_ENTRY``, ``QUERY_STATISTICS``;
-* **replication** — ``BLOCK_ANNOUNCE`` (direct or gossip-hopped),
-  ``SUMMARY_HASH`` (Section IV-B synchronisation check);
-* **replica synchronisation** (:mod:`repro.sync`) — ``SYNC_REQUEST``
-  incremental catch-up, ``SYNC_DIGEST`` anti-entropy beacons,
-  ``SNAPSHOT_REQUEST``/``SNAPSHOT_CHUNK`` wire snapshot bootstrap;
-* **failover** — ``VOTE_REQUEST``/``VOTE_RESPONSE``, ``PRODUCER_CHANGE``;
-* **framing** — ``ACK``, ``ERROR``, ``SYNC_RESPONSE``.
+the :mod:`repro.network.message` module docstring.  An
+:class:`~repro.network.node.AnchorNode` serves the request kinds through
+four protocols, one module each under :mod:`repro.network.protocols`:
+client service, block dissemination, replica sync and producer election.
+Light clients (:class:`~repro.service.remote.ClientNode`) live beside the
+ledger client that drives them.
 """
 
 from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventHandle, EventKernel, KernelError
 from repro.network.message import Message, MessageKind
-from repro.network.node import (
-    AnchorNode,
-    CatchUpResult,
-    CatchUpStatus,
-    ClientNode,
-    SyncReport,
-)
+from repro.network.node import AnchorNode
+from repro.network.protocols.sync import CatchUpResult, CatchUpStatus, SyncReport
 from repro.network.scenarios import (
     Scenario,
     ScenarioError,
@@ -66,7 +55,6 @@ __all__ = [
     "AnchorNode",
     "CatchUpResult",
     "CatchUpStatus",
-    "ClientNode",
     "SyncReport",
     "Scenario",
     "ScenarioError",

@@ -332,8 +332,8 @@ def _split_and_heal(simulator: NetworkSimulator, params: dict[str, Any]) -> None
     """Book a partition of the anchors into halves, and its heal."""
     ids = simulator.anchor_ids
     near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-    simulator.schedule_partition(near, far, params["partition_at_ms"])
-    simulator.schedule_heal(params["heal_at_ms"])
+    simulator.transport.schedule_partition(near, far, params["partition_at_ms"])
+    simulator.transport.schedule_heal(params["heal_at_ms"])
 
 
 def _outcome(
@@ -417,7 +417,7 @@ def _partition_and_heal(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     simulator, kernel = _deployment(seed, params)
     first_producer = simulator.producer_id
-    simulator.schedule_offline(first_producer, params["fail_at_ms"])
+    simulator.transport.schedule_offline(first_producer, params["fail_at_ms"])
     _spawn_at(
         kernel,
         params["elect_at_ms"],
@@ -428,12 +428,12 @@ def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     _spawn_at(
         kernel,
         params["recover_at_ms"] + 30.0,
-        lambda: simulator.anchors[first_producer].catch_up_process(simulator.producer_id),
+        lambda: simulator.anchors[first_producer].sync.catch_up_process(simulator.producer_id),
         label=f"catch-up:{first_producer}",
     )
     accepted = _book_logins(simulator, kernel, params, start_ms=25.0)
     report = simulator.finalize()
-    simulator.anchors[first_producer].catch_up(simulator.producer_id)
+    simulator.anchors[first_producer].sync.catch_up(simulator.producer_id)
     return _outcome(
         simulator,
         report,
@@ -506,7 +506,7 @@ def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         # a catch-up round makes the convergence comparison fair.
         for node_id in simulator.anchor_ids:
             if node_id != simulator.producer_id:
-                simulator.anchors[node_id].catch_up(simulator.producer_id)
+                simulator.anchors[node_id].sync.catch_up(simulator.producer_id)
         modes[mode] = {
             "delivered": report.transport["delivered"],
             "dropped": report.transport["dropped"],
@@ -552,7 +552,7 @@ def _replica_bootstrap(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     straggler = simulator.anchor_ids[-1]
     horizon = params["rejoin_at_ms"] + params["settle_ms"]
     simulator.enable_anti_entropy(interval_ms=params["anti_entropy_interval_ms"], until=horizon)
-    simulator.schedule_offline(straggler, params["offline_at_ms"])
+    simulator.transport.schedule_offline(straggler, params["offline_at_ms"])
     simulator.schedule_online(straggler, params["rejoin_at_ms"])
     checkpoints: dict[str, Any] = {}
 
@@ -905,7 +905,7 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             lambda index=index: submit(index),
             label=f"entry-{index}",
         )
-    simulator.schedule_offline(first_producer, params["fail_at_ms"])
+    simulator.transport.schedule_offline(first_producer, params["fail_at_ms"])
     _spawn_at(
         kernel,
         params["elect_at_ms"],

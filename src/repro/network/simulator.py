@@ -12,29 +12,26 @@ and deletion requests.  The simulator exercises the paper's claims that
 * node isolation can be mitigated because clients can fail over to other
   anchor nodes (Section V-B4).
 
-The class itself is a thin deployment driver: it wires chains, nodes,
-clients, an :class:`~repro.network.kernel.EventKernel` and (optionally) a
-:class:`~repro.network.gossip.GossipOverlay` together, offers fault
-injection (immediate or scheduled on the virtual clock) and collects the
-:class:`SimulationReport`.  The *scenario catalogue* — named, seeded,
-reproducible runs such as partition-and-heal or failover-storm — lives in
-:mod:`repro.network.scenarios` and drives this class.
+The class is a thin deployment driver: it wires chains, anchor nodes,
+clients, the kernel and an optional gossip overlay together, injects faults
+and collects the :class:`SimulationReport`.  The anchors' protocols
+(:mod:`repro.network.protocols`) hold the election and repair rules it
+invokes; the scenario catalogue (:mod:`repro.network.scenarios`) drives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - service imports network, not vice versa
     from repro.adversary.base import AdversaryActor
     from repro.service.client import LedgerClient
-    from repro.service.remote import RemoteLedgerClient
+    from repro.service.remote import ClientNode, RemoteLedgerClient
     from repro.sync.antientropy import AntiEntropyService
     from repro.workloads.base import Workload
     from repro.workloads.fleet import FleetArrival, FleetDriver, FleetPolicy
 
-from repro.consensus.quorum import Quorum
 from repro.core.chain import Blockchain, CohesionChecker
 from repro.core.clock import SimulationClock
 from repro.core.config import ChainConfig
@@ -44,8 +41,10 @@ from repro.core.events import EventType
 from repro.core.schema import EntrySchema
 from repro.network.gossip import GossipOverlay
 from repro.network.kernel import EventKernel
-from repro.network.message import Message, MessageKind
-from repro.network.node import AnchorNode, ClientNode, SyncReport
+from repro.network.message import Message
+from repro.network.node import AnchorNode
+from repro.network.protocols.election import most_up_to_date
+from repro.network.protocols.sync import SyncReport
 from repro.network.transport import InMemoryTransport, LatencyModel, Process, blocking
 
 
@@ -75,31 +74,21 @@ class SimulationReport:
     final_chain_statistics: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view for reports and benchmarks."""
-        return {
-            "blocks_produced": self.blocks_produced,
-            "entries_submitted": self.entries_submitted,
-            "deletions_submitted": self.deletions_submitted,
-            "sync_checks": self.sync_checks,
-            "divergences_detected": self.divergences_detected,
-            "failovers": self.failovers,
-            "empty_blocks": self.empty_blocks,
-            "elections": self.elections,
-            "transport": dict(self.transport),
-            "kernel": dict(self.kernel),
-            "anti_entropy": dict(self.anti_entropy),
-            "workloads": dict(self.workloads),
-            "adversary": dict(self.adversary),
-            "final_chain_statistics": dict(self.final_chain_statistics),
-        }
+        """Plain-dict view for reports and benchmarks (each section copied)."""
+        view: dict[str, Any] = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            view[item.name] = dict(value) if isinstance(value, dict) else value
+        return view
 
 
 class NetworkSimulator:
     """Builds and drives a deployment of anchor nodes and clients.
 
     Message delivery is always scheduled on the transport's kernel, and
-    faults can be booked ahead via :meth:`schedule_partition` /
-    :meth:`schedule_heal` / :meth:`schedule_offline`.  With a caller's
+    faults are booked ahead on the transport (``schedule_partition``,
+    ``schedule_heal``, ``schedule_offline``); :meth:`schedule_online` also
+    tells the recovered node of a producer change.  With a caller's
     ``kernel`` the chains also read a
     :class:`~repro.core.clock.SimulationClock` (idle blocks and
     temporary-entry expiry follow simulated time).  With ``gossip`` sealed
@@ -156,7 +145,7 @@ class NetworkSimulator:
                 cohesion_checker=cohesion_checker,
             )
             chain.bus.subscribe(self._count_empty_block, types=(EventType.EMPTY_BLOCK,))
-            node = AnchorNode(
+            self.anchors[anchor_id] = AnchorNode(
                 anchor_id,
                 chain,
                 self.transport,
@@ -164,11 +153,10 @@ class NetworkSimulator:
                 producer_id=self.producer_id,
                 gossip=gossip,
             )
-            self.anchors[anchor_id] = node
         for node in self.anchors.values():
             node.connect(self.anchor_ids)
 
-        self.clients: dict[str, ClientNode] = {}
+        self.clients: dict[str, "ClientNode"] = {}
         for client_id in client_ids or []:
             self.add_client(client_id)
 
@@ -184,8 +172,10 @@ class NetworkSimulator:
         """The current block-producing anchor node."""
         return self.anchors[self.producer_id]
 
-    def add_client(self, client_id: str) -> ClientNode:
+    def add_client(self, client_id: str) -> "ClientNode":
         """Register a new light client."""
+        from repro.service.remote import ClientNode
+
         client = ClientNode(client_id, self.transport, scheme_name=self.config.signature_scheme)
         self.clients[client_id] = client
         return client
@@ -195,13 +185,10 @@ class NetworkSimulator:
         deployment, bound to ``anchor_id`` (default: the producer)."""
         from repro.service.remote import RemoteLedgerClient
 
+        bound = anchor_id or self.producer_id
+        fallbacks = tuple(peer for peer in self.anchor_ids if peer != bound)
         return RemoteLedgerClient(
-            self.transport,
-            anchor_id or self.producer_id,
-            scheme_name=self.config.signature_scheme,
-            fallback_anchor_ids=tuple(
-                peer for peer in self.anchor_ids if peer != (anchor_id or self.producer_id)
-            ),
+            self.transport, bound, scheme_name=self.config.signature_scheme, fallback_anchor_ids=fallbacks
         )
 
     def take_offline(self, anchor_id: str) -> None:
@@ -217,7 +204,11 @@ class NetworkSimulator:
         self.transport.set_offline(anchor_id, False)
         node = self.anchors[anchor_id]
         if node.producer_id != self.producer_id:
-            node.set_producer(self.producer_id)
+            node.election.set_producer(self.producer_id)
+
+    def schedule_online(self, anchor_id: str, at: float) -> None:
+        """Book a recovery on the virtual clock (incl. producer refresh)."""
+        self.kernel.schedule_at(at, lambda: self.bring_online(anchor_id), label=f"online:{anchor_id}")
 
     def corrupt_replica(self, anchor_id: str) -> None:
         """Tamper with one node's replica so its chain state diverges.
@@ -251,59 +242,23 @@ class NetworkSimulator:
         return actor
 
     def repair_divergent_replicas_process(self) -> Process:
-        """Converge every online replica that forked off the producer.
+        """Converge every online replica that forked off the producer (see
+        :meth:`~repro.network.protocols.sync.ReplicaSync.repair_from_process`).
 
-        Divergence detection is the summary-hash comparison of
-        Section IV-B; *repair* is the status-quo adoption of Section V-B4: a
-        forked replica cannot replay its way back (the honest blocks no
-        longer link to its head), so after an incremental catch-up attempt
-        the replica adopts the producer's snapshot wholesale.  Returns the
-        number of replicas repaired; the count is also surfaced as
-        ``report.adversary["defense"]["forks_repaired"]``.
+        Returns the number of replicas repaired; the count is also surfaced
+        as ``report.adversary["defense"]["forks_repaired"]``.
         """
         repaired = 0
         for anchor_id in self.anchor_ids:
-            if anchor_id == self.producer_id or self.transport.is_offline(anchor_id):
-                continue
-            node = self.anchors[anchor_id]
-            if node.chain.head.block_hash == self.producer.chain.head.block_hash:
-                continue
-            # A merely *lagging* replica converges incrementally.
-            yield from node.catch_up_process(self.producer_id)
-            if node.chain.head.block_hash != self.producer.chain.head.block_hash:
-                # A genuine fork: wholesale snapshot adoption.
-                yield from node.bootstrap_from_process(self.producer_id)
-            if node.chain.head.block_hash == self.producer.chain.head.block_hash:
-                repaired += 1
+            if anchor_id != self.producer_id and not self.transport.is_offline(anchor_id):
+                repaired += yield from self.anchors[anchor_id].sync.repair_from_process(self.producer)
         self._forks_repaired += repaired
         return repaired
 
     repair_divergent_replicas = blocking(repair_divergent_replicas_process)
 
     # ------------------------------------------------------------------ #
-    # Virtual-time control
-    # ------------------------------------------------------------------ #
-
-    def schedule_offline(self, anchor_id: str, at: float) -> None:
-        """Book an outage on the virtual clock."""
-        self.transport.schedule_offline(anchor_id, at)
-
-    def schedule_online(self, anchor_id: str, at: float) -> None:
-        """Book a recovery on the virtual clock (incl. producer refresh)."""
-        self.kernel.schedule_at(
-            at, lambda: self.bring_online(anchor_id), label=f"online:{anchor_id}"
-        )
-
-    def schedule_partition(self, group_a: list[str], group_b: list[str], at: float) -> None:
-        """Book a partition on the virtual clock."""
-        self.transport.schedule_partition(group_a, group_b, at)
-
-    def schedule_heal(self, at: float) -> None:
-        """Book the partition heal on the virtual clock."""
-        self.transport.schedule_heal(at)
-
-    # ------------------------------------------------------------------ #
-    # Anti-entropy (repro.sync)
+    # Anti-entropy (repro.sync) and workload timelines (repro.workloads.fleet)
     # ------------------------------------------------------------------ #
 
     def enable_anti_entropy(
@@ -322,17 +277,10 @@ class NetworkSimulator:
         if self.anti_entropy is not None:
             raise ValueError("anti-entropy is already enabled")
         self.anti_entropy = AntiEntropyService(
-            transport=self.transport,
-            overlay=self.gossip,
-            nodes=self.anchors,
-            interval_ms=interval_ms,
+            transport=self.transport, overlay=self.gossip, nodes=self.anchors, interval_ms=interval_ms
         )
         self.anti_entropy.start(until=until)
         return self.anti_entropy
-
-    # ------------------------------------------------------------------ #
-    # Workload timelines (repro.workloads.fleet)
-    # ------------------------------------------------------------------ #
 
     def drive_fleet(
         self,
@@ -350,14 +298,12 @@ class NetworkSimulator:
 
         Builds a :class:`~repro.workloads.fleet.FleetDriver` over one
         :class:`~repro.service.remote.RemoteLedgerClient` per fleet client
-        (all bound to the producer), wired to this
-        deployment's kernel and the producer chain's event bus.  The caller
-        supplies one pre-seeded workload per client — typically built with
-        :func:`~repro.workloads.fleet.derive_client_seed` — installs any
-        hooks, calls
-        :meth:`~repro.workloads.fleet.FleetDriver.schedule`, and advances
-        the kernel; :meth:`finalize` folds the fleet statistics (per-client
-        and aggregate latency percentiles) into ``report.workloads``.
+        (all bound to the producer), wired to this deployment's kernel and
+        the producer chain's event bus.  The caller supplies one pre-seeded
+        workload per client (:func:`~repro.workloads.fleet.derive_client_seed`),
+        installs any hooks, calls :meth:`~repro.workloads.fleet.FleetDriver.schedule`
+        and advances the kernel; :meth:`finalize` folds the fleet statistics
+        into ``report.workloads``.
         ``in_flight_budget=0`` runs the closed loop; with one workload its
         report entry is the flat per-workload counter block.
 
@@ -371,11 +317,7 @@ class NetworkSimulator:
 
         driver = FleetDriver(
             workloads,
-            (
-                list(clients)
-                if clients is not None
-                else [self.ledger_client() for _ in workloads]
-            ),
+            list(clients) if clients is not None else [self.ledger_client() for _ in workloads],
             mean_gap_ms=mean_gap_ms,
             kernel=self.kernel,
             bus=self.producer.chain.bus,
@@ -394,13 +336,9 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
 
     def elect_new_producer_process(self, *, exclude: tuple[str, ...] = ()) -> Process:
-        """Promote the most up-to-date reachable replica to block producer.
+        """Promote the most up-to-date reachable replica to block producer
+        (the rule and the ballot: :mod:`repro.network.protocols.election`).
 
-        The candidate is the online replica with the highest head (ties go
-        to the lowest id), then confirmed by a quorum vote carried as
-        ``VOTE_REQUEST`` messages over the transport — the ballots travel
-        with real delay, so the round's outcome depends on how far each
-        replica has caught up when the ballot reaches it.
         Returns the new producer id, or ``None`` when no quorum formed.
         """
         online = [
@@ -410,48 +348,22 @@ class NetworkSimulator:
         ]
         if not online:
             return None
-        candidate = min(online, key=lambda a: (-self.anchors[a].chain.head.block_number, a))
-        voters = [peer for peer in online if peer != candidate]
-        quorum = Quorum(online)
-        proposal_id = f"failover-{self.report.elections}-{candidate}"
-        quorum.propose(proposal_id, "producer-failover", {"candidate": candidate})
-        votes = {candidate: True}  # the candidate backs itself
-        ballot = Message(
-            kind=MessageKind.VOTE_REQUEST,
-            sender=candidate,
-            payload={
-                "proposal_id": proposal_id,
-                "candidate": candidate,
-                "candidate_head": self.anchors[candidate].chain.head.block_number,
-            },
-        )
-        replies = yield [self.transport.request(peer, ballot) for peer in voters]
-        for peer, (response, _) in zip(voters, replies):
-            if response is None or response.is_error:
-                continue
-            votes[peer] = bool(response.payload.get("approve", False))
-        outcome = quorum.record_votes(proposal_id, votes)
+        candidate = most_up_to_date(self.anchors[anchor_id] for anchor_id in online)
+        proposal_id = f"failover-{self.report.elections}-{candidate.node_id}"
+        accepted = yield from candidate.election.ballot_process(online, proposal_id)
         self.report.elections += 1
-        if outcome.state.value != "accepted":
+        if not accepted:
             return None
-        self.producer_id = candidate
-        self.anchors[candidate].set_producer(candidate)
-        notice = Message(
-            kind=MessageKind.PRODUCER_CHANGE,
-            sender=candidate,
-            payload={"producer": candidate},
-        )
-        yield [self.transport.request(peer, notice) for peer in voters]
-        return candidate
-
-    elect_new_producer = blocking(elect_new_producer_process)
+        self.producer_id = candidate.node_id
+        yield from candidate.election.take_over_process(online)
+        return candidate.node_id
 
     # ------------------------------------------------------------------ #
     # Workload operations
     # ------------------------------------------------------------------ #
 
     def _submit(
-        self, client: ClientNode, anchor_id: Optional[str], build: Callable[[], Message]
+        self, client: "ClientNode", anchor_id: Optional[str], build: Callable[[], Message]
     ) -> Process:
         """Send ``build()`` to ``anchor_id`` — or, without one, to every
         anchor in turn until one accepts (each failed attempt counted as a
@@ -488,12 +400,7 @@ class NetworkSimulator:
     submit_entry = blocking(submit_entry_process)
 
     def submit_deletion_process(
-        self,
-        client_id: str,
-        target: EntryReference,
-        *,
-        anchor_id: Optional[str] = None,
-        reason: str = "",
+        self, client_id: str, target: EntryReference, *, anchor_id: Optional[str] = None, reason: str = ""
     ) -> Process:
         """Submit a deletion request through a client."""
         client = self.clients[client_id]
@@ -512,13 +419,11 @@ class NetworkSimulator:
     def sync_check(self, *, raise_on_divergence: bool = False) -> SyncReport:
         """Run one summary-hash comparison round from the producer."""
         self.report.sync_checks += 1
-        report = self.producer.sync_check(raise_on_divergence=False)
+        report = self.producer.sync.sync_check(raise_on_divergence=False)
         if not report.in_sync:
             self.report.divergences_detected += 1
             if raise_on_divergence:
-                raise SynchronisationError(
-                    f"summary divergence on peers {report.diverged_peers}"
-                )
+                raise SynchronisationError(f"summary divergence on peers {report.diverged_peers}")
         return report
 
     def all_heads(self) -> dict[str, int]:
@@ -527,12 +432,8 @@ class NetworkSimulator:
 
     def replicas_identical(self) -> bool:
         """True when every online replica has the same head hash."""
-        hashes = {
-            node.chain.head.block_hash
-            for anchor_id, node in self.anchors.items()
-            if not self.transport.is_offline(anchor_id)
-        }
-        return len(hashes) == 1
+        online = [node for anchor_id, node in self.anchors.items() if not self.transport.is_offline(anchor_id)]
+        return len({node.chain.head.block_hash for node in online}) == 1
 
     # ------------------------------------------------------------------ #
     # Scenario driver
@@ -549,10 +450,7 @@ class NetworkSimulator:
         for index, (client_id, record) in enumerate(logins, start=1):
             if client_id not in self.clients:
                 self.add_client(client_id)
-            self.submit_entry(
-                client_id,
-                {"D": record, "K": client_id, "S": f"sig_{client_id}"},
-            )
+            self.submit_entry(client_id, {"D": record, "K": client_id, "S": f"sig_{client_id}"})
             if sync_every and index % sync_every == 0:
                 self.kernel.run()
                 self.sync_check()
@@ -583,29 +481,18 @@ class NetworkSimulator:
                 suffix += 1
             self.report.workloads[key] = driver.stats.as_dict()
         if self.adversaries:
-            defense: dict[str, int] = {
-                "digests_diverged": 0,
-                "rejected_blocks": 0,
-                "rejected_blocks_evicted": 0,
-                "announcements_evicted": 0,
+            sync = [node.sync for node in self.anchors.values()]
+            announce = [node.announce for node in self.anchors.values()]
+            defense = {
+                "digests_diverged": sum(part.counters["digests_diverged"] for part in sync),
+                "rejected_blocks": sum(len(part.rejected_blocks) for part in announce),
+                "rejected_blocks_evicted": sum(part.counters["rejected_blocks_evicted"] for part in announce),
+                "announcements_evicted": sum(part.counters["announcements_evicted"] for part in announce),
+                "deletions_rejected": self.producer.chain.registry.rejected_count,
+                "forks_repaired": self._forks_repaired,
             }
-            for node in self.anchors.values():
-                defense["digests_diverged"] += node.sync_stats["digests_diverged"]
-                defense["rejected_blocks"] += len(node.rejected_blocks)
-                defense["rejected_blocks_evicted"] += node.sync_stats[
-                    "rejected_blocks_evicted"
-                ]
-                defense["announcements_evicted"] += node.sync_stats[
-                    "announcements_evicted"
-                ]
-            defense["deletions_rejected"] = self.producer.chain.registry.rejected_count
-            defense["forks_repaired"] = self._forks_repaired
-            self.report.adversary = {
-                "actors": {
-                    actor.actor_id: actor.statistics() for actor in self.adversaries
-                },
-                "defense": defense,
-            }
+            actors = {actor.actor_id: actor.statistics() for actor in self.adversaries}
+            self.report.adversary = {"actors": actors, "defense": defense}
         self.report.transport = self.transport.statistics.as_dict()
         self.report.final_chain_statistics = self.producer.chain.statistics()
         return self.report

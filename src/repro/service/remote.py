@@ -2,7 +2,7 @@
 
 :class:`RemoteLedgerClient` implements the :class:`LedgerClient` protocol on
 top of the anchor-node message protocol: records are signed client-side (one
-:class:`~repro.network.node.ClientNode` per author, the paper's model of
+:class:`ClientNode` per author, the paper's model of
 many users talking to the quorum), submissions travel to an anchor node,
 non-producer anchors forward producer-only operations, and queries are
 served from the contacted anchor's replica.
@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Sequence
 
+from repro.core.deletion import build_deletion_request
+from repro.core.entry import Entry, EntryReference
+from repro.crypto.keys import KeyPair
+from repro.crypto.signatures import new_scheme, sign_entry
 from repro.network.message import Message, MessageKind
-from repro.network.node import ClientNode
 from repro.network.transport import InMemoryTransport, Process, run_process
 from repro.service.client import (
     DeletionReceipt,
@@ -30,6 +33,99 @@ from repro.service.client import (
     TargetLike,
     as_reference,
 )
+
+
+class ClientNode:
+    """A light client submitting entries and deletion requests to anchors."""
+
+    def __init__(
+        self,
+        client_id: str,
+        transport: InMemoryTransport,
+        *,
+        scheme_name: str = "simplified",
+    ) -> None:
+        self.client_id = client_id
+        self.transport = transport
+        self.scheme = new_scheme(scheme_name)
+        # The deterministic key of this identity, derived (one k*G) only for
+        # a scheme that signs with a key.
+        self.key_pair = KeyPair.from_seed(client_id) if self.scheme.needs_key_pair else None
+
+    def request_process(self, targets: list[str], build: Callable[[], Message]) -> Process:
+        """Send a fresh ``build()`` to each target in turn until one answers
+        without error — the failover of Section V-B4 against node isolation.
+        Returns ``(first good or last error response, failed attempts)``."""
+        failed = 0
+        response: Optional[Message] = None
+        for target in targets:
+            message = build()
+            response = yield from self.transport.exchange(target, message)
+            if response is None:
+                response = message.error(self.client_id, "no response from anchor node")
+            if not response.is_error:
+                break
+            failed += 1
+        return response, failed
+
+    def _send(self, anchor_id: str, message: Message) -> Message:
+        response, _ = run_process(
+            self.request_process([anchor_id], lambda: message), self.transport.kernel
+        )
+        return response
+
+    def entry_message(
+        self,
+        data: dict[str, Any],
+        *,
+        expires_at_time: Optional[int] = None,
+        expires_at_block: Optional[int] = None,
+    ) -> Message:
+        """The ``SUBMIT_ENTRY`` message carrying ``data``, signed locally."""
+        entry = Entry(
+            data=data,
+            author=self.client_id,
+            signature="",
+            expires_at_time=expires_at_time,
+            expires_at_block=expires_at_block,
+        )
+        return self._signed_message(MessageKind.SUBMIT_ENTRY, entry)
+
+    def deletion_message(self, target: EntryReference, *, reason: str = "") -> Message:
+        """The signed ``SUBMIT_DELETION`` message for ``target``."""
+        entry = build_deletion_request(target, author=self.client_id, signature="", reason=reason)
+        return self._signed_message(MessageKind.SUBMIT_DELETION, entry)
+
+    def _signed_message(self, kind: MessageKind, entry: Entry) -> Message:
+        """Sign ``entry`` as this client and wrap it in a ``kind`` message."""
+        signed = sign_entry(self.scheme, entry, self.client_id, self.key_pair)
+        return Message(kind=kind, sender=self.client_id, payload={"entry": signed.to_dict()})
+
+    def submit_entry(
+        self,
+        anchor_id: str,
+        data: dict[str, Any],
+        *,
+        expires_at_time: Optional[int] = None,
+        expires_at_block: Optional[int] = None,
+    ) -> Message:
+        """Sign a data entry locally and submit it to an anchor node."""
+        return self._send(
+            anchor_id,
+            self.entry_message(
+                data, expires_at_time=expires_at_time, expires_at_block=expires_at_block
+            ),
+        )
+
+    def request_deletion(
+        self,
+        anchor_id: str,
+        target: EntryReference,
+        *,
+        reason: str = "",
+    ) -> Message:
+        """Sign and submit a deletion request for ``target``."""
+        return self._send(anchor_id, self.deletion_message(target, reason=reason))
 
 
 class RemoteLedgerClient(LedgerClient):

@@ -85,8 +85,7 @@ def _block_line(block: Block, stored: Mapping[int, Block]) -> str:
             items.extend(memos[done:end])
         done = end
     items.extend(memos[done:])
-    rest = canonical_json({"header": block.header_dict(), "merged_sequences": block.merged_sequences,
-                           "redundancy": block.redundancy, "summary_references": block.summary_references})
+    rest = block.fields_json()
     return f'{{"block":{{"block_hash":"{block.block_hash}","entries":[{",".join(items)}],{rest[1:]},"kind":"block"}}'
 
 

@@ -12,7 +12,7 @@ This package closes the replica lifecycle on top of the network stack
   catch-up or, across a marker shift, the snapshot bootstrap.
 
 The decision logic that picks between the two lives in
-:meth:`repro.network.node.AnchorNode.synchronize`.
+:meth:`repro.network.protocols.sync.ReplicaSync.synchronize`.
 """
 
 from repro.sync.antientropy import DEFAULT_INTERVAL_MS, AntiEntropyService

@@ -129,8 +129,9 @@ class AntiEntropyService:
         """Service counters plus the per-node sync counters, aggregated."""
         totals: dict[str, int] = {}
         for node in self.nodes.values():
-            for key, value in node.sync_stats.items():
-                totals[key] = totals.get(key, 0) + value
+            for counters in (node.sync.counters, node.announce.counters):
+                for key, value in counters.items():
+                    totals[key] = totals.get(key, 0) + value
         return {
             "interval_ms": self.interval_ms,
             "rounds": self.rounds,

@@ -1,6 +1,6 @@
 """Snapshot bootstrap over the wire.
 
-Incremental catch-up (``AnchorNode.catch_up``) replays missed *living* blocks
+Incremental catch-up (``ReplicaSync.catch_up``) replays missed *living* blocks
 from a peer.  Once the peer's genesis marker has shifted past a replica's
 head, the blocks the replica would need next have been physically deleted —
 Section V-B4's isolation discussion: a node isolated across a summarisation

@@ -26,10 +26,14 @@ from repro.authz.bell_lapadula import BellLaPadulaModel, SecurityLevel
 from repro.core import Block, ChainConfig
 from repro.core.entry import EntryReference
 from repro.network import EventKernel, Message, MessageKind, NetworkSimulator, run_scenario
-from repro.network.node import (
+from repro.network.protocols.announce import (
     DEFAULT_REJECTED_BLOCKS_LIMIT,
     DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT,
+    BlockDissemination,
 )
+from repro.network.protocols.election import ProducerElection
+from repro.network.protocols.service import ClientService
+from repro.network.protocols.sync import ReplicaSync
 
 
 def _sync_simulator(**kwargs):
@@ -208,100 +212,109 @@ class TestWirePathAuthorization:
         assert "replays_sent" not in forger.stats
 
 
-class TestBoundedCollections:
-    """Satellite: rejected-block window and gossip seen-set stay bounded."""
+def _gossip(node, block_number, previous_hash):
+    """Deliver a forged block to ``node`` as a one-way gossip hop."""
+    block = Block(block_number=block_number, timestamp=1, previous_hash=previous_hash)
+    node.handle_message(
+        Message(
+            kind=MessageKind.BLOCK_ANNOUNCE,
+            sender="MALLORY",
+            payload={"block": block.to_dict(), "gossip": {"item": block.block_hash, "hops": 0}},
+        )
+    )
 
-    def test_default_limits_are_applied(self):
-        simulator = _sync_simulator()
-        node = simulator.producer
-        assert node.rejected_blocks.maxlen == DEFAULT_REJECTED_BLOCKS_LIMIT
-        assert node.sync_stats["rejected_blocks_evicted"] == 0
-        assert node.sync_stats["announcements_evicted"] == 0
+
+def _overfill_rejected_blocks(announce, count, bound):
+    """Forks of the next block, each a different one: every one is kept as
+    rejected, and the window keeps the *newest*."""
+    assert bound == DEFAULT_REJECTED_BLOCKS_LIMIT
+    head = announce.node.chain.head
+    for index in range(count):
+        _gossip(announce.node, head.block_number + 1, f"forged-{index}")
+    assert announce.node.chain.head is head
+    assert announce.counters["rejected_blocks_evicted"] == count - bound
+    assert [block.previous_hash for block, _ in announce.rejected_blocks] == [
+        f"forged-{index}" for index in range(count - bound, count)
+    ]
+
+
+def _overfill_seen_announcements(announce, count, bound):
+    """A FIFO ring: a duplicate is absorbed, the oldest hash is evicted and
+    may come back."""
+    assert bound == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
+    announce.remember("hash-0")
+    announce.remember("hash-0")  # a duplicate: absorbed
+    assert len(announce.seen_announcements) == 1
+    for index in range(1, count):
+        announce.remember(f"hash-{index}")
+    assert announce.counters["announcements_evicted"] == count - bound
+    assert "hash-0" not in announce.seen_announcements  # the first FIFO victim
+    assert f"hash-{count - 1}" in announce.seen_announcements
+    announce.remember("hash-0")  # re-admitted after eviction
+    assert "hash-0" in announce.seen_announcements
+
+
+def _overfill_block_buffer(announce, count, bound):
+    """Gossiped blocks far ahead of the head wait for their predecessors; a
+    flood of them hits the seen-window's cap, and what is evicted is the
+    block *farthest* from the head — the nearest are what the drain needs
+    next.  A fixed permutation, so neither "evict the oldest" nor "refuse
+    the newest" would leave exactly the nearest blocks behind."""
+    assert bound == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
+    first = announce.node.chain.head.block_number + 1_000
+    for offset in ((index * 7919) % count for index in range(count)):
+        _gossip(announce.node, first + offset, f"forged-{offset}")
+    assert sorted(announce.block_buffer) == list(range(first, first + bound))
+    # Both windows evicted once per flood message past the cap.
+    assert len(announce.seen_announcements) == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
+    assert announce.counters["announcements_evicted"] == 2 * (count - bound)
+
+
+#: How each declared window is flooded past its bound; a window a protocol
+#: declares without an entry here fails the test below.
+OVERFILLS = {
+    "rejected_blocks": _overfill_rejected_blocks,
+    "seen_announcements": _overfill_seen_announcements,
+    "block_buffer": _overfill_block_buffer,
+}
+PROTOCOLS = (ClientService, BlockDissemination, ReplicaSync, ProducerElection)
+DECLARED_WINDOWS = [(protocol, window) for protocol in PROTOCOLS for window in protocol.WINDOWS]
+
+
+class TestBoundedCollections:
+    """Every window a protocol keeps about (byzantine) traffic stays bounded."""
+
+    @pytest.mark.parametrize(
+        ("protocol", "window"),
+        DECLARED_WINDOWS,
+        ids=[f"{protocol.__name__}.{window}" for protocol, window in DECLARED_WINDOWS],
+    )
+    def test_a_flood_past_a_declared_window_leaves_it_at_its_bound(self, protocol, window):
+        bound = protocol.WINDOWS[window]
+        assert isinstance(bound, int) and bound > 0, f"{protocol.__name__}.{window} declares no bound"
+        node = _sync_simulator(anchor_count=1).producer
+        owner = next(
+            part for part in (node.service, node.announce, node.sync, node.election) if type(part) is protocol
+        )
+        assert len(getattr(owner, window)) == 0 and not any(owner.counters.values())
+        OVERFILLS[window](owner, bound + 3, bound)
+        assert len(getattr(owner, window)) == bound
 
     def test_catch_up_fork_rejections_stay_inside_the_window(self):
         simulator = _sync_simulator(anchor_count=2)
         simulator.add_client("ALPHA")
         _submit_record(simulator, "ALPHA", "Head record")
         node = simulator.anchors["anchor-1"]
-        node.rejected_blocks = type(node.rejected_blocks)(maxlen=2)
+        node.announce.rejected_blocks = type(node.announce.rejected_blocks)(maxlen=2)
         # A forked replica repeatedly catching up against the honest
         # producer: every attempt rejects the first non-linking block into
         # the *bounded* window.
         simulator.corrupt_replica("anchor-1")
         for index in range(4):
             _submit_record(simulator, "ALPHA", f"Advance head #{index}")
-            node.catch_up(simulator.producer_id)
-        assert len(node.rejected_blocks) == 2
-        assert node.sync_stats["rejected_blocks_evicted"] >= 1
-
-    def test_eviction_counter_via_record_helper(self):
-        simulator = _sync_simulator(anchor_count=1)
-        node = simulator.producer
-        node.rejected_blocks = type(node.rejected_blocks)(maxlen=2)
-        genesis = node.chain.blocks[0]
-        for index in range(5):
-            node._record_rejected_block(genesis, f"test rejection {index}")
-        assert len(node.rejected_blocks) == 2
-        assert node.sync_stats["rejected_blocks_evicted"] == 3
-        # The window keeps the *newest* rejections.
-        assert [reason for _, reason in node.rejected_blocks] == [
-            "test rejection 3",
-            "test rejection 4",
-        ]
-
-    def test_seen_announcements_ring_deduplicates_and_evicts(self):
-        simulator = NetworkSimulator(
-            anchor_count=1, config=ChainConfig(sequence_length=3)
-        )
-        node = simulator.producer
-        node._seen_announcements_limit = 3
-        node._remember_announcement("hash-a")
-        node._remember_announcement("hash-a")  # duplicate: absorbed
-        assert len(node._seen_announcements) == 1
-        for name in ("hash-b", "hash-c", "hash-d"):
-            node._remember_announcement(name)
-        assert len(node._seen_announcements) == 3
-        assert node.sync_stats["announcements_evicted"] == 1
-        assert "hash-a" not in node._seen_announcements  # FIFO victim
-        node._remember_announcement("hash-a")  # re-admitted after eviction
-        assert "hash-a" in node._seen_announcements
-
-    def test_a_far_future_announcement_flood_cannot_grow_the_block_buffer(self):
-        """Gossiped blocks far ahead of the head wait in ``_block_buffer``
-        for their predecessors; a flood of them must hit the same cap as the
-        seen-window, and what is evicted is the block *farthest* from the
-        head — the nearest ones are what the drain needs next."""
-        simulator = _sync_simulator(anchor_count=1)
-        node = simulator.producer
-        head = node.chain.head.block_number
-        flood = 10_000
-        # A fixed permutation, so neither "evict the oldest" nor "refuse the
-        # newest" would leave exactly the nearest blocks behind.
-        for offset in ((index * 7919) % flood for index in range(flood)):
-            block = Block(
-                block_number=head + 1_000 + offset,
-                timestamp=1,
-                previous_hash=f"forged-{offset}",
-            )
-            node.handle_message(
-                Message(
-                    kind=MessageKind.BLOCK_ANNOUNCE,
-                    sender="MALLORY",
-                    payload={
-                        "block": block.to_dict(),
-                        "gossip": {"item": block.block_hash, "hops": 0},
-                    },
-                )
-            )
-        assert len(node._seen_announcements) == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
-        assert len(node._block_buffer) == DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
-        assert sorted(node._block_buffer) == list(
-            range(head + 1_000, head + 1_000 + DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT)
-        )
-        # Both windows evicted once per flood message past the cap.
-        assert node.sync_stats["announcements_evicted"] == 2 * (
-            flood - DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT
-        )
+            node.sync.catch_up(simulator.producer_id)
+        assert len(node.announce.rejected_blocks) == 2
+        assert node.announce.counters["rejected_blocks_evicted"] >= 1
 
 
 class TestAdversarialScenarios:

@@ -4,10 +4,10 @@ from repro.core import Blockchain, ChainConfig, EntryReference
 from repro.network import (
     AnchorNode,
     CatchUpStatus,
-    ClientNode,
     InMemoryTransport,
     NetworkSimulator,
 )
+from repro.service.remote import ClientNode
 
 
 def login(user, detail=""):
@@ -45,21 +45,21 @@ class TestCatchUp:
         transport.set_offline("anchor-2", False)
         assert nodes["anchor-2"].chain.head.block_number < nodes[ids[0]].chain.head.block_number
 
-        result = nodes["anchor-2"].catch_up(ids[0])
+        result = nodes["anchor-2"].sync.catch_up(ids[0])
         assert result.status is CatchUpStatus.ADOPTED
         assert result.adopted >= 2
         assert not result.declined
         assert (
             nodes["anchor-2"].chain.head.block_hash == nodes[ids[0]].chain.head.block_hash
         )
-        report = nodes[ids[0]].sync_check()
+        report = nodes[ids[0]].sync.sync_check()
         assert report.in_sync
 
     def test_catch_up_when_already_current_is_a_noop(self):
         transport, nodes, ids = build_network()
         client = ClientNode("ALPHA", transport)
         client.submit_entry(ids[0], login("ALPHA"))
-        result = nodes["anchor-1"].catch_up(ids[0])
+        result = nodes["anchor-1"].sync.catch_up(ids[0])
         assert result.status is CatchUpStatus.ALREADY_CURRENT
         assert result.adopted == 0
         assert nodes["anchor-1"].chain.head.block_hash == nodes[ids[0]].chain.head.block_hash
@@ -72,13 +72,13 @@ class TestCatchUp:
         client.request_deletion(ids[0], EntryReference(1, 1))
         transport.set_offline("anchor-2", False)
         assert nodes["anchor-2"].chain.registry.approved_count == 0
-        nodes["anchor-2"].catch_up(ids[0])
+        nodes["anchor-2"].sync.catch_up(ids[0])
         assert nodes["anchor-2"].chain.registry.approved_count == 1
 
     def test_catch_up_from_unreachable_peer_reports_why(self):
         transport, nodes, ids = build_network()
         transport.set_offline(ids[0])
-        result = nodes["anchor-1"].catch_up(ids[0])
+        result = nodes["anchor-1"].sync.catch_up(ids[0])
         assert result.status is CatchUpStatus.PEER_UNREACHABLE
         assert result.adopted == 0
         assert result.declined
@@ -95,7 +95,7 @@ class TestCatchUp:
         transport.set_offline("anchor-2", False)
         producer = nodes[ids[0]]
         assert producer.chain.genesis_marker > 0
-        result = nodes["anchor-2"].catch_up(ids[0])
+        result = nodes["anchor-2"].sync.catch_up(ids[0])
         # The peer no longer serves the blocks the stale replica would need
         # next (they were deleted), so incremental catch-up declines and
         # names both the missing range and the remedy.
@@ -113,6 +113,6 @@ class TestSimulatorOfflineRecovery:
         simulator.take_offline("anchor-1")
         simulator.submit_entry("ALPHA", login("ALPHA", "#1"))
         simulator.bring_online("anchor-1")
-        result = simulator.anchors["anchor-1"].catch_up("anchor-0")
+        result = simulator.anchors["anchor-1"].sync.catch_up("anchor-0")
         assert result.adopted >= 1
         assert simulator.replicas_identical()

@@ -8,7 +8,6 @@ from repro.crypto.hashing import (
     canonical_json,
     canonical_size,
     hash_hex,
-    hash_many,
     hash_pair,
     sha256_hex,
     sha256_hex_parts,
@@ -96,10 +95,6 @@ class TestCanonicalSize:
 class TestHashHelpers:
     def test_hash_pair_is_order_sensitive(self):
         assert hash_pair("aa", "bb") != hash_pair("bb", "aa")
-
-    def test_hash_many_differs_from_concatenation_ambiguity(self):
-        # ("ab", "c") must not collide with ("a", "bc").
-        assert hash_many(["ab", "c"]) != hash_many(["a", "bc"])
 
     def test_truncate_hash_uppercase(self):
         assert truncate_hash("deadbeef", 5) == "DEADB"

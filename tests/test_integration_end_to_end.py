@@ -19,7 +19,8 @@ from repro.core import (
     SummaryMode,
 )
 from repro.crypto.keys import KeyPair
-from repro.network import AnchorNode, ClientNode, InMemoryTransport
+from repro.network import AnchorNode, InMemoryTransport
+from repro.service.remote import ClientNode
 from repro.storage import JournalBlockStore, load_snapshot, save_snapshot
 
 
@@ -93,7 +94,7 @@ class TestPoaNetwork:
             assert not response.is_error
         transport.kernel.run()  # let the one-way announcements land
 
-        report = nodes[ids[0]].sync_check()
+        report = nodes[ids[0]].sync.sync_check()
         assert report.in_sync
         heads = {node.chain.head.block_hash for node in nodes.values()}
         assert len(heads) == 1
@@ -133,7 +134,7 @@ class TestPoaNetwork:
         client = ClientNode("ALPHA", transport)
         client.submit_entry("rogue", login("ALPHA"))
         # The replica refused the unauthorized block.
-        assert replica.rejected_blocks
+        assert replica.announce.rejected_blocks
         assert replica.chain.length < producer.chain.length
 
 

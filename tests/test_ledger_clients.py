@@ -209,7 +209,7 @@ class TestRemoteFailoverSweep:
         kernel.run()  # replicate everywhere before the outage
         assert simulator.replicas_identical()
 
-        simulator.schedule_offline(simulator.anchor_ids[1], kernel.now + 5.0)
+        simulator.transport.schedule_offline(simulator.anchor_ids[1], kernel.now + 5.0)
         kernel.run_until(kernel.now + 10.0)
         baseline_failovers = ledger.failovers
 

@@ -37,14 +37,13 @@ def protocol_sources(**overrides: str) -> dict[str, str]:
             '    PONG = "pong"\n'
             '    GOSSIP = "gossip"\n'
         ),
-        "src/repro/network/node.py": (
+        "src/repro/network/protocols/ping.py": (
             "from repro.network.message import Message, MessageKind\n"
-            "class Node:\n"
-            "    def handlers(self):\n"
-            "        return {\n"
-            "            MessageKind.PING: self._handle_ping,\n"
-            "            MessageKind.GOSSIP: self._handle_gossip,\n"
-            "        }\n"
+            "class PingProtocol:\n"
+            "    HANDLES = {\n"
+            "        MessageKind.PING: \"_handle_ping\",\n"
+            "        MessageKind.GOSSIP: \"_handle_gossip\",\n"
+            "    }\n"
             "    def _handle_ping(self, message):\n"
             "        return message.reply(MessageKind.PONG, self.node_id, {})\n"
             "    def _handle_gossip(self, message):\n"
@@ -120,7 +119,8 @@ class TestSilentDrop:
 
     def test_two_way_handler_returning_none_flagged(self):
         sources = protocol_sources()
-        sources["src/repro/network/node.py"] = sources["src/repro/network/node.py"].replace(
+        path = "src/repro/network/protocols/ping.py"
+        sources[path] = sources[path].replace(
             "    def _handle_ping(self, message):\n"
             "        return message.reply(MessageKind.PONG, self.node_id, {})\n",
             "    def _handle_ping(self, message):\n"
@@ -217,6 +217,13 @@ class TestRealProtocol:
     def test_one_way_kinds_are_declared(self, model):
         assert "SYNC_DIGEST" in model.one_way
 
-    def test_node_dispatch_table_extracted(self, model):
-        assert model.node_handlers.get("FIND_ENTRY") == "_handle_find_entry"
-        assert len(model.node_handlers) >= 10
+    def test_protocol_handlers_extracted(self, model, repo_project):
+        assert model.handlers["FIND_ENTRY"] == (
+            "src/repro/network/protocols/service.py", "ClientService", "_handle_find_entry"
+        )
+        # P203 reads the twelve kinds an anchor node serves, and each names a
+        # method its protocol class defines.
+        assert len(model.handlers) == 12
+        for path, cls, method in model.handlers.values():
+            source = repo_project.find(path).source
+            assert f"class {cls}(" in source and f"    def {method}(" in source

@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.chain import ChainEvent
 from repro.network import AnchorNode, InMemoryTransport, Message, MessageKind
-from repro.network.node import SyncReport
+from repro.network.protocols.sync import SyncReport
 from repro.workloads import PaperScenarioWorkload, replay
 
 
@@ -95,7 +95,7 @@ class TestSyncReportAndNodeEdgeCases:
         transport = InMemoryTransport()
         node = AnchorNode("solo", Blockchain(ChainConfig(sequence_length=5)), transport, is_producer=True)
         node.connect(["solo"])
-        report = node.sync_check()
+        report = node.sync.sync_check()
         assert report.block_number == -1
         assert report.in_sync
 

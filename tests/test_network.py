@@ -7,7 +7,6 @@ from repro.core.errors import SynchronisationError
 from repro.crypto.hashing import canonical_json
 from repro.network import (
     AnchorNode,
-    ClientNode,
     EventHandle,
     EventKernel,
     GossipOverlay,
@@ -21,6 +20,7 @@ from repro.network import (
     run_process,
 )
 from repro.network.transport import MESSAGE_LOG_LIMIT, GeoLatencyModel
+from repro.service.remote import ClientNode
 
 
 class TestTransport:
@@ -267,12 +267,12 @@ class TestAnchorAndClientNodes:
     def test_latest_summary_block_is_the_newest_on_the_replica(self):
         transport, nodes, ids = self.build_network(anchor_count=1)
         node = nodes[ids[0]]
-        assert node.latest_summary_block() is None
+        assert node.sync.latest_summary_block() is None
         for index in range(4):
             node.chain.add_entry_block({"D": f"e{index}", "K": "A", "S": "s"}, "A")
         summaries = [block for block in node.chain.blocks if block.is_summary]
         assert len(summaries) >= 2
-        assert node.latest_summary_block() is summaries[-1]
+        assert node.sync.latest_summary_block() is summaries[-1]
 
     def test_entry_replicated_to_all_anchors(self):
         transport, nodes, ids = self.build_network()
@@ -306,7 +306,7 @@ class TestAnchorAndClientNodes:
         client = ClientNode("ALPHA", transport)
         for i in range(4):
             client.submit_entry(ids[0], {"D": f"event {i}", "K": "ALPHA", "S": "sig_ALPHA"})
-        report = nodes[ids[0]].sync_check()
+        report = nodes[ids[0]].sync.sync_check()
         assert report.in_sync
         assert report.block_number >= 2
 
@@ -319,10 +319,10 @@ class TestAnchorAndClientNodes:
         nodes[ids[1]].chain.seal_block()
         client.submit_entry(ids[0], {"D": "b", "K": "ALPHA", "S": "s"})
         client.submit_entry(ids[0], {"D": "c", "K": "ALPHA", "S": "s"})
-        report = nodes[ids[0]].sync_check()
+        report = nodes[ids[0]].sync.sync_check()
         assert ids[1] in report.diverged_peers
         with pytest.raises(SynchronisationError):
-            nodes[ids[0]].sync_check(raise_on_divergence=True)
+            nodes[ids[0]].sync.sync_check(raise_on_divergence=True)
 
     def test_a_three_entry_block_sealed_on_the_producer_replicates_byte_identically(self):
         """Multi-entry blocks live in the core: ``add_entry`` ×N + ``seal_block``
@@ -385,18 +385,38 @@ class TestAnchorAndClientNodes:
 
     def test_the_malformed_payload_table_covers_every_dispatched_kind(self):
         transport, nodes, ids = self.build_network()
+        node = nodes[ids[0]]
         dispatched = set()
         for kind in MessageKind:
-            response = nodes[ids[0]].handle_message(Message(kind=kind, sender="x"))
+            response = node.handle_message(Message(kind=kind, sender="x"))
             unsupported = response is not None and "unsupported message kind" in str(
                 response.payload.get("reason", "")
             )
             if not unsupported:
                 dispatched.add(kind)
+            else:
+                # A kind in no protocol's HANDLES map gets the typed error.
+                assert response.is_error and kind not in node.handlers
+                assert response.payload["reason"] == f"unsupported message kind {kind.value}"
+        assert dispatched == set(node.handlers)
         assert dispatched - {MessageKind.QUERY_STATISTICS} == {
             *self.WRONG_TYPED,
             *self.NEEDS_A_FIELD,
         }
+
+    def test_every_served_kind_is_in_exactly_one_protocol_handles_map(self):
+        transport, nodes, ids = self.build_network()
+        node = nodes[ids[0]]
+        protocols = (node.service, node.announce, node.sync, node.election)
+        owners = [(kind, protocol, name) for protocol in protocols for kind, name in protocol.HANDLES.items()]
+        kinds = [kind for kind, _, _ in owners]
+        assert len(kinds) == len(set(kinds)) == len(node.handlers) == 12
+        for kind, protocol, name in owners:
+            assert node.handlers[kind] == getattr(protocol, name)
+        # The table is built once, at construction, not per delivery.
+        table = node.handlers
+        node.handle_message(Message(kind=MessageKind.QUERY_STATISTICS, sender="x"))
+        assert node.handlers is table
 
     def test_a_negative_idle_tick_is_a_malformed_payload_on_a_kernel_clock(self):
         """The table's chains run on a logical clock, which rejects a negative
@@ -513,7 +533,8 @@ class TestSimulator:
         simulator.take_offline("anchor-0")
         heads = {a: node.chain.head.block_number for a, node in simulator.anchors.items()}
         assert heads["anchor-1"] < heads["anchor-2"] == heads["anchor-3"]
-        assert simulator.elect_new_producer(exclude=("anchor-0",)) == "anchor-2"
+        election = simulator.elect_new_producer_process(exclude=("anchor-0",))
+        assert run_process(election, simulator.kernel) == "anchor-2"
         assert simulator.producer_id == "anchor-2"
 
     def test_requires_at_least_one_anchor(self):

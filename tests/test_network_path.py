@@ -45,6 +45,7 @@ from repro.network import (
     NetworkSimulator,
 )
 from repro.network.message import BlockFrame
+from repro.network.protocols.announce import BlockDissemination
 from repro.storage.snapshot import WIRE_AUDIT_WINDOW, chain_from_payload, snapshot_payload
 
 FUZZ_EXAMPLES = {"quick": 20, "standard": 100, "determinism": 500}[
@@ -180,14 +181,14 @@ def test_a_gossip_deployment_decodes_each_block_once_per_replica(monkeypatch):
     coming back are dropped by hash, so decodes equal fresh ingests."""
     decodes = count_calls(monkeypatch, Block, "from_dict")
     ingested = []
-    ingest = AnchorNode._ingest_announced_block
+    ingest = BlockDissemination.ingest
 
     def counted_ingest(self, block):
         fresh = ingest(self, block)
         ingested.append(fresh)
         return fresh
 
-    monkeypatch.setattr(AnchorNode, "_ingest_announced_block", counted_ingest)
+    monkeypatch.setattr(BlockDissemination, "ingest", counted_ingest)
     ids = ["anchor-0", "anchor-1", "anchor-2"]
     simulator = NetworkSimulator(
         anchor_count=3,
@@ -299,7 +300,7 @@ def test_a_frame_whose_text_and_fields_disagree_is_never_applied_or_forwarded():
         assert "does not match its fields" in response.payload["reason"]
         replica.transport.kernel.run()
         assert replica.chain.head.block_hash == head and not forwarded
-        assert not replica._seen_announcements
+        assert not replica.announce.seen_announcements
     # The text of a block already seen with the fields of the next one: the
     # hop is dropped by its hash, and the next block waits for its own frame.
     replica, producer, first, _, forwarded = gossip_replica()
@@ -319,7 +320,7 @@ def test_a_frame_whose_text_and_fields_disagree_is_never_applied_or_forwarded():
 
 def test_a_tampered_dict_claiming_a_seen_hash_is_not_applied():
     replica, _, first, rival, forwarded = gossip_replica()
-    replica._remember_announcement(first.block_hash)
+    replica.announce.remember(first.block_hash)
     tampered = rival.to_dict()
     tampered["block_hash"] = first.block_hash
     for payload in (tampered, BlockFrame(tampered, json.dumps(tampered, sort_keys=True, separators=(",", ":")))):

@@ -542,7 +542,7 @@ class TestGossipDissemination:
         replica.handle_message(announce(first))
         assert replica.chain.head.block_number == second.block_number
         # Duplicates are recognised and not re-ingested.
-        assert replica._ingest_announced_block(second) is False
+        assert replica.announce.ingest(second) is False
 
     def test_rejected_gossiped_block_is_not_reforwarded(self):
         """Regression: a block the engine rejects must be remembered as seen,
@@ -569,11 +569,11 @@ class TestGossipDissemination:
         )
         replica.connect(["p", "r"])
         block = producer_chain.add_entry_block({"D": "a", "K": "A", "S": "s"}, "A")
-        assert replica._ingest_announced_block(block) is True
-        assert replica.rejected_blocks and replica.chain.head.block_number == 0
+        assert replica.announce.ingest(block) is True
+        assert replica.announce.rejected_blocks and replica.chain.head.block_number == 0
         # A re-announcement of the same rejected block is a known item now.
-        assert replica._ingest_announced_block(block) is False
-        assert len(replica.rejected_blocks) == 1
+        assert replica.announce.ingest(block) is False
+        assert len(replica.announce.rejected_blocks) == 1
 
 
 class TestArrivalSchedule:

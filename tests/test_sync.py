@@ -16,7 +16,6 @@ from repro.core.errors import StorageError
 from repro.network import (
     AnchorNode,
     CatchUpStatus,
-    ClientNode,
     EventKernel,
     GossipOverlay,
     GossipTopology,
@@ -25,9 +24,11 @@ from repro.network import (
     Message,
     MessageKind,
     NetworkSimulator,
+    run_process,
     run_scenario,
     spawn,
 )
+from repro.service.remote import ClientNode
 from repro.storage.snapshot import chain_from_payload, snapshot_digest, snapshot_payload
 from repro.sync import DEFAULT_MAX_RETRIES, BootstrapError, SnapshotChunkCache, fetch_snapshot
 from repro.sync import bootstrap as bootstrap_module
@@ -110,8 +111,8 @@ class TestWireBootstrap:
     def test_bootstrap_converges_a_replica_across_a_marker_shift(self):
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
-        assert straggler.catch_up(ids[0]).status is CatchUpStatus.SNAPSHOT_REQUIRED
-        report = straggler.bootstrap_from(ids[0], chunk_size=512)
+        assert straggler.sync.catch_up(ids[0]).status is CatchUpStatus.SNAPSHOT_REQUIRED
+        report = straggler.sync.bootstrap_from(ids[0], chunk_size=512)
         assert report.succeeded, report.reason
         assert report.chunks_fetched == report.manifest.total_chunks > 1
         assert straggler.chain.head.block_hash == producer.chain.head.block_hash
@@ -138,7 +139,7 @@ class TestWireBootstrap:
         transport.loss_rate = 0.0
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
         transport.loss_rate = 0.25
-        report = straggler.bootstrap_from(ids[0], chunk_size=256, max_retries=8)
+        report = straggler.sync.bootstrap_from(ids[0], chunk_size=256, max_retries=8)
         assert report.succeeded, report.reason
         assert report.retransmits > 0  # losses genuinely hit the transfer
         assert transport.statistics.lost > 0
@@ -148,7 +149,7 @@ class TestWireBootstrap:
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
         served = {"count": 0}
-        original = producer._handle_snapshot_request
+        original = producer.handlers[MessageKind.SNAPSHOT_REQUEST]
 
         def busy_producer(message):
             served["count"] += 1
@@ -159,8 +160,8 @@ class TestWireBootstrap:
                 producer.chain.seal_block()
             return original(message)
 
-        producer._handle_snapshot_request = busy_producer
-        report = straggler.bootstrap_from(ids[0], chunk_size=512)
+        producer.handlers[MessageKind.SNAPSHOT_REQUEST] = busy_producer
+        report = straggler.sync.bootstrap_from(ids[0], chunk_size=512)
         assert report.succeeded, report.reason
         assert report.restarts >= 1
         assert straggler.chain.head.block_hash == producer.chain.head.block_hash
@@ -171,7 +172,7 @@ class TestWireBootstrap:
         doomed index."""
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
-        original = producer._handle_snapshot_request
+        original = producer.handlers[MessageKind.SNAPSHOT_REQUEST]
         state = {"shrunk": False}
 
         def shrinking_producer(message):
@@ -182,8 +183,8 @@ class TestWireBootstrap:
                 )
             return original(message)
 
-        producer._handle_snapshot_request = shrinking_producer
-        report = straggler.bootstrap_from(ids[0], chunk_size=512)
+        producer.handlers[MessageKind.SNAPSHOT_REQUEST] = shrinking_producer
+        report = straggler.sync.bootstrap_from(ids[0], chunk_size=512)
         assert report.succeeded, report.reason
         assert report.restarts >= 1
         assert straggler.chain.head.block_hash == producer.chain.head.block_hash
@@ -194,7 +195,7 @@ class TestWireBootstrap:
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
         responses = transport.tap(lambda message: message.kind is MessageKind.SYNC_RESPONSE)
-        result = straggler.catch_up(ids[0])
+        result = straggler.sync.catch_up(ids[0])
         assert result.status is CatchUpStatus.SNAPSHOT_REQUIRED
         response = responses[-1]
         assert response.payload["snapshot_required"] is True
@@ -209,10 +210,10 @@ class TestWireBootstrap:
         client = ClientNode("ALPHA", transport)
         client.submit_entry(ids[0], login("ALPHA", "#0"))
         client.submit_entry(ids[0], login("ALPHA", "#1"))
-        result = fork_b.catch_up(ids[0])
+        result = fork_b.sync.catch_up(ids[0])
         assert result.status is CatchUpStatus.BLOCK_REJECTED
         assert "hash" in result.detail
-        assert fork_b.rejected_blocks
+        assert fork_b.announce.rejected_blocks
 
     def test_a_forked_announcement_drained_from_the_buffer_is_kept_as_rejected(self):
         """A gossiped block that overtook its gap waits in the buffer; when
@@ -237,11 +238,11 @@ class TestWireBootstrap:
                 },
             )
         )
-        assert list(straggler._block_buffer) == [forked.block_number]
-        result = straggler.catch_up(ids[0])
+        assert list(straggler.announce.block_buffer) == [forked.block_number]
+        result = straggler.sync.catch_up(ids[0])
         assert result.status is CatchUpStatus.BLOCK_REJECTED
-        assert straggler._block_buffer == {}
-        assert [(block.block_hash, reason) for block, reason in straggler.rejected_blocks] == [
+        assert straggler.announce.block_buffer == {}
+        assert [(block.block_hash, reason) for block, reason in straggler.announce.rejected_blocks] == [
             (forked.block_hash, result.detail)
         ]
 
@@ -266,9 +267,9 @@ class TestWireBootstrap:
         assert forked.handle_message(digest) is None
         # No pull was attempted (a replay cannot reconcile a fork) ...
         assert forked.chain.head.block_hash == before
-        assert forked.sync_stats["catch_ups"] == 0
+        assert forked.sync.counters["catch_ups"] == 0
         # ... but the divergence is surfaced in the counters.
-        assert forked.sync_stats["digests_diverged"] == 1
+        assert forked.sync.counters["digests_diverged"] == 1
 
     def test_fetch_from_unreachable_peer_reports_failure(self):
         transport, nodes, ids = build_network()
@@ -278,7 +279,7 @@ class TestWireBootstrap:
         assert "unreachable" in report.reason
         # The local replica is untouched by a failed bootstrap.
         before = nodes["anchor-1"].chain.head.block_hash
-        failed = nodes["anchor-1"].bootstrap_from(ids[0], max_retries=1)
+        failed = nodes["anchor-1"].sync.bootstrap_from(ids[0], max_retries=1)
         assert not failed.succeeded
         assert nodes["anchor-1"].chain.head.block_hash == before
 
@@ -298,7 +299,7 @@ class TestWireBootstrap:
         producer.connect(["p"])  # no announcements; the replica must pull
         replica.connect(["p", "r"])
         producer.chain.add_entry_block(login("ALPHA"), "ALPHA")
-        result = replica.catch_up("p")
+        result = replica.sync.catch_up("p")
         assert result.status is CatchUpStatus.BLOCK_REJECTED
         assert result.declined
         assert "rejected by policy" in result.detail
@@ -326,13 +327,13 @@ class TestWireBootstrap:
         monkeypatch.setattr(bootstrap_module, "snapshot_payload", lambda chain: '{"config": 5}')
         before = straggler.chain.statistics()
         for report in (
-            straggler.bootstrap_from(producer.node_id),
-            straggler.bootstrap_from_best([producer.node_id]),
+            straggler.sync.bootstrap_from(producer.node_id),
+            run_process(straggler.sync.bootstrap_from_best_process([producer.node_id]), transport.kernel),
         ):
             assert not report.succeeded
             assert report.reason.startswith("snapshot rejected")
             assert straggler.chain.statistics() == before
-        assert straggler.sync_stats["bootstraps"] == 0
+        assert straggler.sync.counters["bootstraps"] == 0
 
 
 def build_anti_entropy_deployment(seed, *, anchors=4, loss_rate=0.0):
@@ -366,11 +367,11 @@ def test_a_baited_pull_never_trades_the_local_head_for_an_older_snapshot():
     for peer in ids[1:]:
         transport.set_offline(peer, False)
     head = producer.chain.head.block_hash
-    result = producer.synchronize(spoofer.actor_id)
+    result = producer.sync.synchronize(spoofer.actor_id)
     assert result.status is CatchUpStatus.SNAPSHOT_REQUIRED
     assert "behind the local head" in result.detail
     assert producer.chain.head.block_hash == head
-    assert producer.sync_stats["bootstraps"] == 0
+    assert producer.sync.counters["bootstraps"] == 0
 
 
 def test_a_lost_announcement_is_pulled_once_the_next_one_waits_behind_it():
@@ -385,8 +386,8 @@ def test_a_lost_announcement_is_pulled_once_the_next_one_waits_behind_it():
     transport.heal_partition()
     client.submit_entry(ids[0], login("ALPHA", "#1"))
     transport.kernel.run()
-    assert replica.sync_stats["gap_pulls"] == 1
-    assert nodes[ids[2]].sync_stats["gap_pulls"] == 0
+    assert replica.announce.counters["gap_pulls"] == 1
+    assert nodes[ids[2]].announce.counters["gap_pulls"] == 0
     assert replica.chain.head.block_hash == producer.chain.head.block_hash
 
 
@@ -410,19 +411,19 @@ class TestLostReplyRetry:
             return response_leg(recipient, message, response, latency_ms)
 
         monkeypatch.setattr(transport, "_response_leg", lose_first_sync_reply)
-        result = straggler.synchronize(ids[0])
+        result = straggler.sync.synchronize(ids[0])
         assert len(lost) == 1
         assert result.status is CatchUpStatus.ADOPTED
-        assert straggler.sync_stats["catch_ups"] == 2
+        assert straggler.sync.counters["catch_ups"] == 2
         assert straggler.chain.head.block_hash == nodes[ids[0]].chain.head.block_hash
 
     def test_a_peer_that_stays_unreachable_costs_the_retry_bound(self):
         transport, nodes, ids = build_network()
         transport.set_offline(ids[0])
         straggler = nodes[ids[-1]]
-        result = straggler.synchronize(ids[0])
+        result = straggler.sync.synchronize(ids[0])
         assert result.status is CatchUpStatus.PEER_UNREACHABLE
-        assert straggler.sync_stats["catch_ups"] == DEFAULT_MAX_RETRIES + 1
+        assert straggler.sync.counters["catch_ups"] == DEFAULT_MAX_RETRIES + 1
 
     @pytest.mark.parametrize("seed", [7, 9, 37])
     def test_lossy_vehicle_telemetry_converges(self, seed):
@@ -447,7 +448,7 @@ class TestAntiEntropy:
         reset_message_counter()
         kernel, simulator = build_anti_entropy_deployment(seed)
         simulator.enable_anti_entropy(interval_ms=60.0, until=900.0)
-        simulator.schedule_offline("anchor-3", 40.0)
+        simulator.transport.schedule_offline("anchor-3", 40.0)
         simulator.schedule_online("anchor-3", 600.0)
         for index in range(10):
             kernel.schedule_at(
@@ -492,7 +493,7 @@ class TestAntiEntropy:
         reset_message_counter()
         kernel, simulator = build_anti_entropy_deployment(seed=4)
         simulator.enable_anti_entropy(interval_ms=60.0, until=1600.0)
-        simulator.schedule_offline("anchor-3", 30.0)
+        simulator.transport.schedule_offline("anchor-3", 30.0)
         simulator.schedule_online("anchor-3", 1100.0)
         for index in range(20):
             kernel.schedule_at(
@@ -558,8 +559,8 @@ class TestPushPullDigests:
 
         kernel.schedule_at(120.0, post_digest)
         kernel.run_until(400.0)
-        assert nodes[ids[0]].sync_stats["digests_pushed_back"] == 1
-        assert straggler.sync_stats["digests_behind"] == 1
+        assert nodes[ids[0]].sync.counters["digests_pushed_back"] == 1
+        assert straggler.sync.counters["digests_behind"] == 1
         assert straggler.chain.head.block_hash == nodes[ids[0]].chain.head.block_hash
 
     def test_converged_replicas_never_ping_pong(self):
@@ -577,8 +578,8 @@ class TestPushPullDigests:
             },
         )
         nodes[ids[0]].handle_message(digest)
-        assert nodes[ids[0]].sync_stats["digests_pushed_back"] == 0
-        assert nodes[ids[0]].sync_stats["digests_behind"] == 0
+        assert nodes[ids[0]].sync.counters["digests_pushed_back"] == 0
+        assert nodes[ids[0]].sync.counters["digests_behind"] == 0
 
 
     @pytest.mark.parametrize(
@@ -602,9 +603,9 @@ class TestPushPullDigests:
         later = []
         transport.kernel.schedule(500.0, lambda: later.append(transport.kernel.now))
         transport.kernel.run()
-        assert replica.sync_stats["digests_behind"] == 1
+        assert replica.sync.counters["digests_behind"] == 1
         assert replica.chain.head.block_hash == head
-        assert not replica._sync_in_progress
+        assert not replica.sync.in_progress
         assert later == [500.0]
 
 
@@ -619,7 +620,7 @@ class TestLoadAwareBootstrap:
         assert probe.peer_id == ids[0]
         assert probe.load == 0
         assert probe.manifest.head_hash == nodes[ids[0]].chain.head.block_hash
-        assert nodes[ids[0]].sync_stats["snapshot_probes_served"] == 1
+        assert nodes[ids[0]].sync.counters["snapshot_probes_served"] == 1
         # The probe shipped no chunk data (that is its whole point).
         assert served and "data" not in served[-1].payload
 
@@ -628,7 +629,7 @@ class TestLoadAwareBootstrap:
         from repro.sync import rank_bootstrap_peers
 
         # Load one peer: serving chunks bumps its advertised load.
-        nodes[ids[1]].sync_stats["chunks_served"] = 9
+        nodes[ids[1]].sync.counters["chunks_served"] = 9
         ranked = rank_bootstrap_peers(transport, "rescue", ids)
         # Zero latency: every peer is equally near (rtt 0), so load then
         # peer id decide — the loaded peer ranks last.
@@ -657,7 +658,7 @@ class TestLoadAwareBootstrap:
         assert report.chunks_fetched == report.manifest.total_chunks > 1
         # Every donor genuinely served chunks (the replicas share one head).
         for donor in donors:
-            assert nodes[donor].sync_stats["chunks_served"] > 0
+            assert nodes[donor].sync.counters["chunks_served"] > 0
 
     def test_striped_fetch_prefers_the_most_advanced_head(self):
         transport, nodes, ids = build_network()
@@ -667,7 +668,7 @@ class TestLoadAwareBootstrap:
         # Hold one donor at a stale head: it must not join the donor set.
         stale = Blockchain(ChainConfig.paper_evaluation())
         stale.add_entry_block(login("ALPHA", "stale"), "ALPHA")
-        nodes[ids[1]].adopt_chain(stale)
+        nodes[ids[1]].sync.adopt_chain(stale)
         report = fetch_snapshot_striped(
             transport, straggler.node_id, [ids[0], ids[1]], chunk_size=256
         )
@@ -678,10 +679,10 @@ class TestLoadAwareBootstrap:
     def test_bootstrap_from_best_adopts_the_snapshot(self):
         transport, nodes, ids = build_network()
         producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
-        report = straggler.bootstrap_from_best(chunk_size=512)
+        report = run_process(straggler.sync.bootstrap_from_best_process(chunk_size=512), transport.kernel)
         assert report.succeeded, report.reason
         assert straggler.chain.head.block_hash == producer.chain.head.block_hash
-        assert straggler.sync_stats["bootstraps"] == 1
+        assert straggler.sync.counters["bootstraps"] == 1
 
     def test_striped_fetch_with_no_reachable_peers_reports_failure(self):
         transport, nodes, ids = build_network()
