@@ -284,6 +284,33 @@ DECLARED_WINDOWS = [(protocol, window) for protocol in PROTOCOLS for window in p
 class TestBoundedCollections:
     """Every window a protocol keeps about (byzantine) traffic stays bounded."""
 
+    def test_default_limits_are_applied(self):
+        simulator = _sync_simulator()
+        announce = simulator.producer.announce
+        assert announce.WINDOWS == {
+            "rejected_blocks": DEFAULT_REJECTED_BLOCKS_LIMIT,
+            "seen_announcements": DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT,
+            "block_buffer": DEFAULT_SEEN_ANNOUNCEMENTS_LIMIT,
+        }
+        assert announce.rejected_blocks.maxlen == DEFAULT_REJECTED_BLOCKS_LIMIT
+        assert announce.counters["rejected_blocks_evicted"] == 0
+        assert announce.counters["announcements_evicted"] == 0
+
+    def test_eviction_counter_via_record_helper(self):
+        simulator = _sync_simulator(anchor_count=1)
+        announce = simulator.producer.announce
+        announce.rejected_blocks = type(announce.rejected_blocks)(maxlen=2)
+        genesis = announce.node.chain.blocks[0]
+        for index in range(5):
+            announce.keep_rejected(genesis, f"test rejection {index}")
+        assert len(announce.rejected_blocks) == 2
+        assert announce.counters["rejected_blocks_evicted"] == 3
+        # The window keeps the *newest* rejections, with their reasons.
+        assert [reason for _, reason in announce.rejected_blocks] == [
+            "test rejection 3",
+            "test rejection 4",
+        ]
+
     @pytest.mark.parametrize(
         ("protocol", "window"),
         DECLARED_WINDOWS,
