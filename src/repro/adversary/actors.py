@@ -51,8 +51,10 @@ class EquivocatingProducer(AdversaryActor):
     mutually conflicting blocks that all extend the same honest head, then
     announces a different variant to each victim.  Victims whose replica
     still sits on that head accept the forged block and fork; victims that
-    already advanced reject it (the rejection lands in their bounded
-    ``rejected_blocks`` window).  Honest recovery — divergence detection via
+    already advanced reject it.  The announcement is direct, so the victim
+    answers it with an error and does not keep the block: only a fork met
+    on a gossip hop or during catch-up lands in a replica's bounded
+    ``rejected_blocks`` window.  Honest recovery — divergence detection via
     the summary-hash check, wholesale repair via snapshot bootstrap — is the
     scenario's job; see
     :meth:`repro.network.simulator.NetworkSimulator.repair_divergent_replicas`.

@@ -35,7 +35,6 @@ from repro.network.scenarios import (
 )
 from repro.network.simulator import NetworkSimulator, SimulationReport
 from repro.network.transport import (
-    GeoLatencyModel,
     InMemoryTransport,
     LatencyModel,
     TransportError,
@@ -63,7 +62,6 @@ __all__ = [
     "scenario_names",
     "NetworkSimulator",
     "SimulationReport",
-    "GeoLatencyModel",
     "InMemoryTransport",
     "LatencyModel",
     "TransportError",

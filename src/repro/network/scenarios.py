@@ -16,7 +16,7 @@ inputs produce byte-identical result dictionaries (pinned by
 Run from the command line::
 
     python -m repro simulate --list
-    python -m repro simulate --scenario partition-and-heal --seed 11
+    python -m repro simulate --scenario coin-economy --seed 11
     python -m repro simulate --scenario failover-storm --smoke
 
 The catalogue is the ``@scenario`` registrations below; ``python -m repro
@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.adversary import (
     ClockSkewedReplica,
@@ -49,9 +49,9 @@ from repro.core.entry import EntryReference
 from repro.core.errors import SelectiveDeletionError
 from repro.network.gossip import GossipOverlay, GossipTopology
 from repro.network.kernel import EventKernel
-from repro.network.message import MessageKind, reset_message_counter
+from repro.network.message import reset_message_counter
 from repro.network.simulator import NetworkSimulator, SimulationReport
-from repro.network.transport import GeoLatencyModel, LatencyModel, spawn
+from repro.network.transport import LatencyModel, spawn
 from repro.service.client import SubmitReceipt
 from repro.service.sharding import ShardRouter
 from repro.workloads.coins import CoinTransferWorkload
@@ -200,31 +200,11 @@ def run_scenario(
 # --------------------------------------------------------------------- #
 
 
-def _anchor_ids(count: int) -> list[str]:
-    return [f"anchor-{index}" for index in range(count)]
-
-
-def _overlay(kind: str, anchors: int, *, fanout: int, seed: int) -> Optional[GossipOverlay]:
-    """Build the gossip overlay named by ``kind`` (``"none"`` disables it)."""
-    ids = _anchor_ids(anchors)
-    if kind == "none":
-        return None
-    if kind == "clique":
-        topology = GossipTopology.fully_connected(ids)
-    elif kind == "random-regular":
-        topology = GossipTopology.random_regular(ids, degree=max(fanout + 1, 3), seed=seed)
-    else:
-        raise ScenarioError(f"unknown overlay kind {kind!r}")
-    return GossipOverlay(topology, fanout=fanout, seed=seed)
-
-
 def _deployment(
     seed: int,
     params: dict[str, Any],
     *,
     kernel: Optional[EventKernel] = None,
-    overlay: str = "clique",
-    latency: Optional[LatencyModel] = None,
     config: Optional[ChainConfig] = None,
     admins: tuple[str, ...] = (),
     cohesion_checker: Optional[CohesionChecker] = None,
@@ -232,8 +212,9 @@ def _deployment(
     """A kernel-backed deployment with independently seeded randomness.
 
     Size, gossip fan-out and loss rate come from the scenario's ``anchors``
-    / ``fanout`` / ``loss_rate`` parameters; ``kernel`` joins an existing
-    virtual clock (further shards) instead of starting one.
+    / ``fanout`` / ``loss_rate`` parameters; every anchor gossips over a
+    clique overlay.  ``kernel`` joins an existing virtual clock (further
+    shards) instead of starting one.
 
     The default chain config keeps every block (no retention limit): most
     fault scenarios rely on isolated replicas *catching up* over the wire,
@@ -243,12 +224,15 @@ def _deployment(
     """
     if kernel is None:
         kernel = EventKernel(seed=seed)
+    ids = [f"anchor-{index}" for index in range(params["anchors"])]
     simulator = NetworkSimulator(
         anchor_count=params["anchors"],
         config=config or ChainConfig(sequence_length=3),
-        latency=latency or LatencyModel(seed=seed + 1),
+        latency=LatencyModel(seed=seed + 1),
         kernel=kernel,
-        gossip=_overlay(overlay, params["anchors"], fanout=params["fanout"], seed=seed + 2),
+        gossip=GossipOverlay(
+            GossipTopology.fully_connected(ids), fanout=params["fanout"], seed=seed + 2
+        ),
         loss_rate=params.get("loss_rate", 0.0),
         loss_seed=seed + 3,
         admins=admins,
@@ -292,6 +276,15 @@ def _spawn_at(kernel: EventKernel, at: float, process: Callable[[], Any], *, lab
     kernel.schedule_at(at, lambda: spawn(kernel, process()), label=label)
 
 
+def _spawn_each(
+    kernel: EventKernel, count: int, at_ms: float, gap_ms: float, process: Callable, *, label: str
+) -> None:
+    """Start ``process(i)`` at ``at_ms + i * gap_ms`` for each ``i < count``, in order."""
+    for index in range(count):
+        at = at_ms + index * gap_ms
+        _spawn_at(kernel, at, lambda index=index: process(index), label=f"{label}-{index}")
+
+
 def _book_logins(
     simulator: NetworkSimulator,
     kernel: EventKernel,
@@ -318,22 +311,8 @@ def _book_logins(
         if not response.is_error:
             accepted.append(index)
 
-    for index in range(params["events"]):
-        _spawn_at(
-            kernel,
-            start_ms + index * params["entry_gap_ms"],
-            lambda index=index: submit(index),
-            label=f"entry-{index}",
-        )
+    _spawn_each(kernel, params["events"], start_ms, params["entry_gap_ms"], submit, label="entry")
     return accepted
-
-
-def _split_and_heal(simulator: NetworkSimulator, params: dict[str, Any]) -> None:
-    """Book a partition of the anchors into halves, and its heal."""
-    ids = simulator.anchor_ids
-    near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-    simulator.transport.schedule_partition(near, far, params["partition_at_ms"])
-    simulator.transport.schedule_heal(params["heal_at_ms"])
 
 
 def _outcome(
@@ -351,53 +330,6 @@ def _outcome(
 # --------------------------------------------------------------------- #
 # Catalogue
 # --------------------------------------------------------------------- #
-
-
-@scenario(
-    "partition-and-heal",
-    "a scheduled partition delays delivery; in-flight messages arrive after the heal",
-    defaults={
-        "anchors": 4,
-        "events": 10,
-        "entry_gap_ms": 60.0,
-        "partition_at_ms": 150.0,
-        "heal_at_ms": 450.0,
-        "latency_min_ms": 40.0,
-        "latency_max_ms": 140.0,
-        "fanout": 2,
-    },
-    smoke={"events": 5, "partition_at_ms": 80.0, "heal_at_ms": 260.0},
-)
-def _partition_and_heal(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    simulator, kernel = _deployment(
-        seed,
-        params,
-        latency=LatencyModel(
-            minimum_ms=params["latency_min_ms"],
-            maximum_ms=params["latency_max_ms"],
-            seed=seed + 1,
-        ),
-    )
-    _split_and_heal(simulator, params)
-    snapshots: dict[str, dict[str, int]] = {}
-    kernel.schedule_at(
-        params["heal_at_ms"] - 1.0,
-        lambda: snapshots.__setitem__("at_heal", simulator.all_heads()),
-        label="snapshot-at-heal",
-    )
-    _book_logins(simulator, kernel, params, start_ms=30.0, to_producer=True)
-    # Gossip hops dropped *during* the partition are gone — and even a
-    # near-side replica may sit on buffered out-of-order blocks whose
-    # predecessors were lost because the overlay routed them through the
-    # far side.  No scripted recovery: the periodic anti-entropy digests
-    # alone detect the gaps after the heal and pull the missing blocks
-    # (repro.sync.antientropy replacing the old scenario-level catch-up).
-    horizon = params["heal_at_ms"] + 400.0
-    simulator.enable_anti_entropy(interval_ms=90.0, until=horizon)
-    kernel.run_until(horizon)
-    return _outcome(
-        simulator, simulator.finalize(), heads_at_heal=snapshots.get("at_heal", {})
-    )
 
 
 @scenario(
@@ -441,83 +373,6 @@ def _failover_storm(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         final_producer=simulator.producer_id,
         entries_accepted=len(accepted),
     )
-
-
-@scenario(
-    "geo-latency-profiles",
-    "the same workload under increasing cross-region latency penalties",
-    defaults={
-        "anchors": 4,
-        "events": 8,
-        "entry_gap_ms": 80.0,
-        "profiles": [["single-region", 0.0], ["two-regions", 60.0], ["three-continents", 150.0]],
-        "fanout": 2,
-    },
-    smoke={"events": 4},
-)
-def _geo_latency_profiles(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    region_names = ["eu", "us", "ap"]
-    regions = {
-        anchor_id: region_names[index % len(region_names)]
-        for index, anchor_id in enumerate(_anchor_ids(params["anchors"]))
-    }
-    profiles: dict[str, dict[str, Any]] = {}
-    for profile_name, cross_ms in params["profiles"]:
-        reset_message_counter()  # comparable byte accounting per profile
-        simulator, kernel = _deployment(
-            seed,
-            params,
-            latency=GeoLatencyModel(
-                seed=seed + 1, regions=dict(regions), cross_region_ms=float(cross_ms)
-            ),
-        )
-        _book_logins(simulator, kernel, params, start_ms=20.0)
-        report = simulator.finalize()
-        profiles[profile_name] = {
-            "cross_region_ms": float(cross_ms),
-            "delivery_latency_ms": report.transport["delivery_latency_ms"],
-            "virtual_time_ms": report.kernel["virtual_time_ms"],
-            "replicas_identical": simulator.replicas_identical(),
-        }
-    return {"regions": regions, "profiles": profiles}
-
-
-@scenario(
-    "gossip-vs-broadcast",
-    "message cost of overlay gossip versus full broadcast for the same workload",
-    defaults={"anchors": 8, "events": 6, "entry_gap_ms": 70.0, "fanout": 2},
-    smoke={"anchors": 4, "events": 3},
-)
-def _gossip_vs_broadcast(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    modes: dict[str, dict[str, Any]] = {}
-    for mode, overlay in (("gossip", "random-regular"), ("broadcast", "none")):
-        # Fresh message ids per mode: ids are serialised into every message,
-        # so byte accounting would otherwise be skewed against the mode that
-        # runs second.
-        reset_message_counter()
-        simulator, kernel = _deployment(seed, params, overlay=overlay)
-        producer_announcements = simulator.transport.tap(
-            lambda message: message.sender == simulator.producer_id
-            and message.kind is MessageKind.BLOCK_ANNOUNCE
-        )
-        _book_logins(simulator, kernel, params, start_ms=20.0, to_producer=True)
-        report = simulator.finalize()
-        # Gossip fan-out may leave a replica one hop short on sparse graphs;
-        # a catch-up round makes the convergence comparison fair.
-        for node_id in simulator.anchor_ids:
-            if node_id != simulator.producer_id:
-                simulator.anchors[node_id].sync.catch_up(simulator.producer_id)
-        modes[mode] = {
-            "delivered": report.transport["delivered"],
-            "dropped": report.transport["dropped"],
-            "bytes_transferred": report.transport["bytes_transferred"],
-            # The axis gossip is about: the producer's own egress per block
-            # is bounded by the fan-out instead of growing with the quorum.
-            "producer_announcements": len(producer_announcements),
-            "virtual_time_ms": report.kernel["virtual_time_ms"],
-            "replicas_identical": simulator.replicas_identical(),
-        }
-    return {"modes": modes}
 
 
 @scenario(
@@ -739,8 +594,7 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             # delete it — the defence in depth the impersonation runs into.
             model.classify_entry(reference, SecurityLevel.CONFIDENTIAL)
 
-    for index in range(params["records"]):
-        _spawn_at(kernel, 25.0 + index * gap, lambda index=index: submit(index), label=f"record-{index}")
+    _spawn_each(kernel, params["records"], 25.0, gap, submit, label="record")
 
     def legitimate_erasure() -> Any:
         response = yield from simulator.submit_deletion_process(
@@ -898,13 +752,7 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                 "ALPHA", _login("ALPHA", index), anchor_id=simulator.producer_id
             )
 
-    for index in range(params["events"]):
-        _spawn_at(
-            kernel,
-            25.0 + index * params["entry_gap_ms"],
-            lambda index=index: submit(index),
-            label=f"entry-{index}",
-        )
+    _spawn_each(kernel, params["events"], 25.0, params["entry_gap_ms"], submit, label="entry")
     simulator.transport.schedule_offline(first_producer, params["fail_at_ms"])
     _spawn_at(
         kernel,
@@ -917,15 +765,16 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         label="skewed-failover",
     )
     post_base = params["elect_at_ms"] + 40.0
-    for index in range(params["post_events"]):
-        _spawn_at(
-            kernel,
-            post_base + index * params["entry_gap_ms"],
-            lambda index=index: simulator.submit_entry_process(
-                "ALPHA", _login("ALPHA", 100 + index), anchor_id=skewed_id
-            ),
-            label=f"post-entry-{index}",
-        )
+    _spawn_each(
+        kernel,
+        params["post_events"],
+        post_base,
+        params["entry_gap_ms"],
+        lambda index: simulator.submit_entry_process(
+            "ALPHA", _login("ALPHA", 100 + index), anchor_id=skewed_id
+        ),
+        label="post-entry",
+    )
     kernel.run_until(
         post_base + params["post_events"] * params["entry_gap_ms"] + params["settle_ms"]
     )
@@ -964,24 +813,26 @@ def _clock_skew(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _drive_traffic(
     simulator: NetworkSimulator,
     params: dict[str, Any],
-    build_workload: Callable[[int], Any],
+    build_workload: Callable[[int, int], Any],
+    *,
+    seed: int,
     **drive_kwargs: Any,
 ) -> FleetDriver:
     """A closed-loop client or an open-loop fleet, per ``n_clients``.
 
-    ``build_workload(client_index)`` constructs client ``client_index``'s
-    pre-seeded workload (scenarios derive sub-seeds with
-    :func:`~repro.workloads.fleet.derive_client_seed`, whose client 0 keeps
-    the base seed).  ``n_clients == 1`` — every workload scenario's default —
-    issues requests sequentially (budget 0); ``n_clients > 1`` runs open
-    loop under the default in-flight budget, unless the caller names one.
+    ``build_workload(client_index, client_seed)`` constructs each client's
+    workload, seeded by :func:`~repro.workloads.fleet.derive_client_seed`
+    of ``seed`` (client 0 keeps ``seed``).  ``n_clients == 1`` — every
+    workload scenario's default — issues requests sequentially (budget 0);
+    ``n_clients > 1`` runs open loop under the default in-flight budget,
+    unless the caller names one.
     """
     n_clients = params["n_clients"]
     if n_clients < 1:
         raise ValueError("n_clients must be at least 1")
     drive_kwargs.setdefault("in_flight_budget", 0 if n_clients == 1 else 8)
     return simulator.drive_fleet(
-        [build_workload(client_index) for client_index in range(n_clients)],
+        [build_workload(index, derive_client_seed(seed, index)) for index in range(n_clients)],
         mean_gap_ms=params["mean_gap_ms"],
         start_at_ms=20.0,
         **drive_kwargs,
@@ -1034,6 +885,19 @@ def _run_traffic(
     return round(completion["at_ms"], 6)
 
 
+def _request_deletions(
+    driver: FleetDriver, references: Iterable[Any], author: str, **request: Any
+) -> None:
+    """Spawn one deletion request by ``author`` per reference, in order, through ``driver``."""
+    for reference in references:
+        spawn(driver.kernel, driver.request_deletion_process(reference, author, **request))
+
+
+def _per_client(values: list[Any], params: dict[str, Any]) -> Any:
+    """Each client's collection sorted; a one-client run reports its collection bare."""
+    return sorted(values[0]) if params["n_clients"] == 1 else [sorted(v) for v in values]
+
+
 @scenario(
     "gdpr-erasure",
     "Art. 17 erasure requests trail a personal-data stream; deletion latency in virtual ms",
@@ -1067,17 +931,17 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     """
     simulator, kernel = _deployment(seed, params, config=_workload_chain_config(params))
 
-    def build_workload(client_index: int) -> GdprErasureWorkload:
+    def build_workload(client_index: int, client_seed: int) -> GdprErasureWorkload:
         return GdprErasureWorkload(
             num_records=params["records"],
             num_subjects=params["subjects"],
             erasure_probability=params["erasure_probability"],
             min_delay=params["min_delay"],
             max_delay=params["max_delay"],
-            seed=derive_client_seed(seed + 17, client_index),
+            seed=client_seed,
         )
 
-    driver = _drive_traffic(simulator, params, build_workload)
+    driver = _drive_traffic(simulator, params, build_workload, seed=seed + 17)
     # Per-client application state: every fleet client runs its own
     # derived-seed record stream with its own erasure schedule.
     workloads = driver.workloads
@@ -1092,14 +956,12 @@ def _gdpr_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     def erase(client_index: int, record_index: int) -> None:
         reference = references[client_index].get(record_index)
         if reference is not None:
-            spawn(
-                kernel,
-                driver.request_deletion_process(
-                    reference,
-                    subjects[client_index][record_index],
-                    reason="Art. 17 erasure request",
-                    client_index=client_index,
-                ),
+            _request_deletions(
+                driver,
+                [reference],
+                subjects[client_index][record_index],
+                reason="Art. 17 erasure request",
+                client_index=client_index,
             )
 
     def on_submitted(client_index: int, position: int, event: Any, receipt: Any) -> None:
@@ -1174,16 +1036,20 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         seed, params, config=_workload_chain_config(params), admins=("REGULATOR",)
     )
 
-    def build_workload(client_index: int) -> SupplyChainWorkload:
+    def build_workload(client_index: int, client_seed: int) -> SupplyChainWorkload:
         return SupplyChainWorkload(
             num_products=params["products"],
             shelf_life_ticks=params["shelf_life_ticks"],
             stations=params["stations"],
-            seed=derive_client_seed(seed + 29, client_index),
+            seed=client_seed,
         )
 
     driver = _drive_traffic(
-        simulator, params, build_workload, expiry_ms_per_tick=params["expiry_ms_per_tick"]
+        simulator,
+        params,
+        build_workload,
+        seed=seed + 29,
+        expiry_ms_per_tick=params["expiry_ms_per_tick"],
     )
     workloads = driver.workloads
     # Per-client recall draws and reference maps: fleet clients ship
@@ -1209,17 +1075,11 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             return
         product_refs[client_index].setdefault(product, []).append(receipt.reference)
         if product in recalled[client_index] and event.data.get("stage") == final_stage:
-            for reference in product_refs[client_index][product]:
-                recall_requests += 1
-                spawn(
-                    kernel,
-                    driver.request_deletion_process(
-                        reference,
-                        "REGULATOR",
-                        reason=f"recall of {product}",
-                        client_index=client_index,
-                    ),
-                )
+            trail = product_refs[client_index][product]
+            recall_requests += len(trail)
+            _request_deletions(
+                driver, trail, "REGULATOR", reason=f"recall of {product}", client_index=client_index
+            )
 
     completed_at_ms = _run_traffic(
         [simulator], kernel, driver, params, on_submitted=on_submitted
@@ -1236,9 +1096,7 @@ def _supply_chain_recall(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     return _outcome(
         simulator,
         simulator.finalize(),
-        recalled_products=sorted(recalled[0])
-        if params["n_clients"] == 1
-        else [sorted(per_client) for per_client in recalled],
+        recalled_products=_per_client(recalled, params),
         recall_requests=recall_requests,
         products_fully_vanished=vanished,
         traffic_completed_at_ms=completed_at_ms,
@@ -1280,16 +1138,16 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     )
     n_clients = params["n_clients"]
 
-    def build_workload(client_index: int) -> VehicleLifecycleWorkload:
+    def build_workload(client_index: int, client_seed: int) -> VehicleLifecycleWorkload:
         return VehicleLifecycleWorkload(
             num_vehicles=params["vehicles"],
             events_per_vehicle=params["events_per_vehicle"],
             decommission_fraction=params["decommission_fraction"],
             workshops=params["workshops"],
-            seed=derive_client_seed(seed + 41, client_index),
+            seed=client_seed,
         )
 
-    driver = _drive_traffic(simulator, params, build_workload)
+    driver = _drive_traffic(simulator, params, build_workload, seed=seed + 41)
     # Fleet clients reuse the same VIN namespace, so reference maps are
     # keyed by (client, vin).
     vehicle_refs: dict[tuple[int, str], list[Any]] = {}
@@ -1301,16 +1159,13 @@ def _vehicle_telemetry(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             return
         if event.data.get("maintenance") == "decommissioned":
             decommissioned.append(vin if n_clients == 1 else f"c{client_index}:{vin}")
-            for reference in vehicle_refs.get((client_index, vin), []):
-                spawn(
-                    kernel,
-                    driver.request_deletion_process(
-                        reference,
-                        "REGISTRATION-AUTHORITY",
-                        reason=f"{vin} decommissioned",
-                        client_index=client_index,
-                    ),
-                )
+            _request_deletions(
+                driver,
+                vehicle_refs.get((client_index, vin), []),
+                "REGISTRATION-AUTHORITY",
+                reason=f"{vin} decommissioned",
+                client_index=client_index,
+            )
         else:
             vehicle_refs.setdefault((client_index, vin), []).append(receipt.reference)
 
@@ -1362,16 +1217,16 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         seed, params, config=_workload_chain_config(params), admins=("RECOVERY",)
     )
 
-    def build_workload(client_index: int) -> CoinTransferWorkload:
+    def build_workload(client_index: int, client_seed: int) -> CoinTransferWorkload:
         return CoinTransferWorkload(
             num_transfers=params["transfers"],
             num_wallets=params["wallets"],
             spend_probability=params["spend_probability"],
             lost_wallet_fraction=params["lost_wallet_fraction"],
-            seed=derive_client_seed(seed + 53, client_index),
+            seed=client_seed,
         )
 
-    driver = _drive_traffic(simulator, params, build_workload)
+    driver = _drive_traffic(simulator, params, build_workload, seed=seed + 53)
     workloads = driver.workloads
     # Per-client economies: wallet names and transfer ids repeat across
     # fleet clients, so lost-wallet bookkeeping is keyed by client.
@@ -1396,7 +1251,10 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
                 receipt.reference
             )
 
-    _split_and_heal(simulator, params)
+    ids = simulator.anchor_ids
+    near, far = ids[: len(ids) // 2], ids[len(ids) // 2 :]
+    simulator.transport.schedule_partition(near, far, params["partition_at_ms"])
+    simulator.transport.schedule_heal(params["heal_at_ms"])
     recovered: list[int] = []
 
     def reclaim_lost_outputs() -> Any:
@@ -1430,9 +1288,7 @@ def _coin_economy(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     return _outcome(
         simulator,
         simulator.finalize(),
-        lost_wallets=sorted(lost[0])
-        if params["n_clients"] == 1
-        else [sorted(per_client) for per_client in lost],
+        lost_wallets=_per_client(lost, params),
         reclaimable_outputs=len(reclaimable),
         recovered_outputs=len(recovered),
         traffic_completed_at_ms=completed_at_ms,
@@ -1469,7 +1325,7 @@ def _drive_login_fleet(
 ) -> FleetDriver:
     """The open-loop login-audit fleet of ``fleet-saturation`` / ``sharded-fleet``."""
 
-    def build_workload(client_index: int) -> LoginAuditWorkload:
+    def build_workload(client_index: int, client_seed: int) -> LoginAuditWorkload:
         kwargs: dict[str, Any] = {
             "num_events": params["events_per_client"],
             "num_users": params["users_per_client"],
@@ -1478,7 +1334,7 @@ def _drive_login_fleet(
             # deletion-latency percentiles under fleets are exercised by
             # `gdpr-erasure` with `n_clients > 1` (receipt references).
             "deletion_rate": 0.0,
-            "seed": derive_client_seed(seed + 61, client_index),
+            "seed": client_seed,
         }
         if tenanted:
             return _TenantLoginWorkload(tenant=client_index, **kwargs)
@@ -1488,10 +1344,29 @@ def _drive_login_fleet(
         simulator,
         params,
         build_workload,
+        seed=seed + 61,
         in_flight_budget=params["in_flight_budget"],
         policy=params["overload_policy"],
         **drive_kwargs,
     )
+
+
+#: The login-audit fleet of ``fleet-saturation``; ``sharded-fleet`` runs the
+#: same fleet and adds its shard count and erasure sweep.
+_FLEET_DEFAULTS = {
+    "anchors": 3,
+    "n_clients": 20,
+    "events_per_client": 6,
+    "users_per_client": 3,
+    "mean_gap_ms": 400.0,
+    "in_flight_budget": 8,
+    "overload_policy": "queue",
+    "settle_ms": 400.0,
+    "idle_heartbeat_ms": 60.0,
+    "empty_block_interval_ticks": 150,
+    "fanout": 2,
+}
+_FLEET_SMOKE = {"n_clients": 8, "events_per_client": 4, "settle_ms": 300.0}
 
 
 def _fleet_headline(
@@ -1511,20 +1386,8 @@ def _fleet_headline(
 @scenario(
     "fleet-saturation",
     "an open-loop client fleet drives one deployment to saturation; honest latency percentiles",
-    defaults={
-        "anchors": 3,
-        "n_clients": 20,
-        "events_per_client": 6,
-        "users_per_client": 3,
-        "mean_gap_ms": 400.0,
-        "in_flight_budget": 8,
-        "overload_policy": "queue",
-        "settle_ms": 400.0,
-        "idle_heartbeat_ms": 60.0,
-        "empty_block_interval_ticks": 150,
-        "fanout": 2,
-    },
-    smoke={"n_clients": 8, "events_per_client": 4, "settle_ms": 300.0},
+    defaults=_FLEET_DEFAULTS,
+    smoke=_FLEET_SMOKE,
 )
 def _fleet_saturation(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     """An open-loop login-audit fleet against a single deployment.
@@ -1554,22 +1417,8 @@ def _fleet_saturation(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 @scenario(
     "sharded-fleet",
     "the fleet against K author-sharded deployments on one clock; erasures fan out cross-shard",
-    defaults={
-        "shards": 2,
-        "anchors": 3,
-        "n_clients": 20,
-        "events_per_client": 6,
-        "users_per_client": 3,
-        "mean_gap_ms": 400.0,
-        "in_flight_budget": 8,
-        "overload_policy": "queue",
-        "settle_ms": 400.0,
-        "idle_heartbeat_ms": 60.0,
-        "empty_block_interval_ticks": 150,
-        "fanout": 2,
-        "erase_authors": 2,
-    },
-    smoke={"n_clients": 8, "events_per_client": 4, "settle_ms": 300.0},
+    defaults={"shards": 2, **_FLEET_DEFAULTS, "erase_authors": 2},
+    smoke=_FLEET_SMOKE,
 )
 def _sharded_fleet(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     """The ``fleet-saturation`` fleet against K sharded deployments.

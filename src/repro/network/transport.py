@@ -1,12 +1,12 @@
 """In-memory transport connecting clients and anchor nodes.
 
 This is the substitution for the paper's CORBA middleware: a deterministic
-message fabric with per-link latency, fault injection (dropped links,
-partitions, outages, seeded probabilistic loss) and full message statistics
-for the evaluation harness.  The wire keeps no history: ``message_log`` is a
-window of the newest :data:`MESSAGE_LOG_LIMIT` deliveries, and a reader that
-needs every message of some kind opens a :meth:`InMemoryTransport.tap`
-before the traffic it inspects.
+message fabric with seeded per-message latency, fault injection (dropped
+links, partitions, outages, seeded probabilistic loss) and full message
+statistics for the evaluation harness.  The wire keeps no history:
+``message_log`` is a window of the newest :data:`MESSAGE_LOG_LIMIT`
+deliveries, and a reader that needs every message of some kind opens a
+:meth:`InMemoryTransport.tap` before the traffic it inspects.
 
 Every transport runs on an :class:`~repro.network.kernel.EventKernel` —
 the caller's, or one it builds for itself.  Every latency sample becomes a
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -131,9 +131,8 @@ def blocking(process_fn: Callable[..., Process]) -> Callable[..., Any]:
 class LatencyModel:
     """Deterministic pseudo-random latency per delivered message (in ms).
 
-    The sample *is* the delivery delay.  The per-link hook
-    :meth:`sample_for` lets subclasses shape latency by endpoint pair (see
-    :class:`GeoLatencyModel`).
+    The sample *is* the delivery delay: every message leg, whatever its
+    endpoints, draws the next value from one seeded uniform stream.
     """
 
     minimum_ms: float = 1.0
@@ -148,40 +147,6 @@ class LatencyModel:
     def sample(self) -> float:
         """Draw one latency sample."""
         return self._random.uniform(self.minimum_ms, self.maximum_ms)
-
-    def sample_for(self, sender: str, recipient: str) -> float:
-        """Latency of one ``sender -> recipient`` message (default: :meth:`sample`)."""
-        return self.sample()
-
-
-@dataclass
-class GeoLatencyModel(LatencyModel):
-    """Latency shaped by a region assignment (geo-distributed deployments).
-
-    Nodes map to named regions; messages crossing a region boundary pay a
-    fixed ``cross_region_ms`` penalty on top of the base jitter.  Unmapped
-    nodes fall into ``default_region``.
-    """
-
-    regions: dict[str, str] = field(default_factory=dict)
-    cross_region_ms: float = 80.0
-    default_region: str = "local"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.cross_region_ms < 0:
-            raise ValueError("cross_region_ms must be non-negative")
-
-    def region_of(self, node_id: str) -> str:
-        """Region a node is pinned to."""
-        return self.regions.get(node_id, self.default_region)
-
-    def sample_for(self, sender: str, recipient: str) -> float:
-        """Base jitter plus the cross-region penalty when regions differ."""
-        base = self.sample()
-        if self.region_of(sender) != self.region_of(recipient):
-            return base + self.cross_region_ms
-        return base
 
 
 @dataclass
@@ -435,13 +400,13 @@ class InMemoryTransport:
         """
         if recipient not in self._handlers:
             raise TransportError(f"unknown recipient {recipient!r}")
-        request_latency = self.latency.sample_for(message.sender, recipient)
+        request_latency = self.latency.sample()
 
         def respond(response: Optional[Message]) -> None:
             if response is None:
                 on_response(None)
                 return
-            response_latency = self.latency.sample_for(recipient, message.sender)
+            response_latency = self.latency.sample()
             self.kernel.schedule(
                 response_latency,
                 lambda: on_response(
@@ -472,7 +437,7 @@ class InMemoryTransport:
         happens when the kernel reaches that instant, so posts genuinely
         arrive out of order and may outlive partitions.
         """
-        latency = self.latency.sample_for(message.sender, recipient)
+        latency = self.latency.sample()
         return self.kernel.schedule(
             latency,
             lambda: self._request_leg(recipient, message, latency),

@@ -14,6 +14,12 @@ so the fix must flip it to an ordinary test instead of leaving stale prose.
   straggler.
 - ``failover-storm`` at its default size ends one replica short: heads
   18/18/18/17 at seed 7 and 17/15/17/17 at seed 23 (ROADMAP item 13).
+- ``gdpr-erasure`` at four anchors strands its replicas: heads (min–max)
+  26–128, 11–125 and 0–129 at seeds 5, 7 and 23.  At seed 7 every replica
+  makes one gap pull and then waits behind a hole with 62–75 blocks
+  buffered.  ``supply-chain-recall`` and ``fleet-saturation`` strand
+  replicas at 4–12 anchors too.  At their default of three anchors, fan-out
+  2 reaches every peer directly and all three converge (ROADMAP item 13).
 - The quorum's master signature is a name: a request signed with Mallory's
   own key but claiming the admin identity deletes another author's entry
   (ROADMAP item 14).
@@ -37,14 +43,10 @@ from repro.network.scenarios import run_scenario
 from repro.storage import JournalBlockStore
 
 
-@pytest.mark.parametrize(
-    "name, events",
-    [("gossip-vs-broadcast", 60), ("partition-and-heal", 120)],
-)
-def test_twelve_anchor_deployments_run_to_completion(name, events):
-    result = run_scenario(name, seed=7, anchors=12, events=events)
-    runs = result.get("modes", {name: result})
-    assert {run: row["replicas_identical"] for run, row in runs.items()} == dict.fromkeys(runs, True)
+@pytest.mark.parametrize("name", ["coin-economy", "replica-bootstrap"])
+def test_twelve_anchor_deployments_run_to_completion(name):
+    result = run_scenario(name, seed=7, anchors=12)
+    assert result["replicas_identical"], result["heads"]
 
 
 @pytest.mark.xfail(
@@ -103,6 +105,17 @@ def test_replica_bootstrap_converges_at_sixty_events():
 @pytest.mark.parametrize("seed", [7, 23])
 def test_failover_storm_converges_at_its_default_size(seed):
     result = run_scenario("failover-storm", seed=seed)
+    assert result["replicas_identical"], result["heads"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="gdpr-erasure at four anchors strands replicas behind a hole",
+)
+@pytest.mark.parametrize("seed", [5, 7, 23])
+def test_gdpr_erasure_converges_at_four_anchors(seed):
+    result = run_scenario("gdpr-erasure", seed=seed, anchors=4)
     assert result["replicas_identical"], result["heads"]
 
 

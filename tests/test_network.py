@@ -19,7 +19,7 @@ from repro.network import (
     TransportError,
     run_process,
 )
-from repro.network.transport import MESSAGE_LOG_LIMIT, GeoLatencyModel
+from repro.network.transport import MESSAGE_LOG_LIMIT
 from repro.service.remote import ClientNode
 
 
@@ -107,21 +107,19 @@ class TestTransport:
         model = LatencyModel(minimum_ms=1, maximum_ms=2, seed=1)
         assert 1 <= model.sample() <= 2
 
-    def test_default_per_link_latency_is_the_plain_sample(self):
-        model, twin = LatencyModel(seed=5), LatencyModel(seed=5)
-        assert [model.sample_for("a", "b"), model.sample_for("b", "a")] == [twin.sample(), twin.sample()]
-
-    def test_geo_latency_charges_crossing_a_region_boundary(self):
-        model = GeoLatencyModel(seed=5, regions={"a": "eu", "b": "us"}, cross_region_ms=80.0)
-        twin = LatencyModel(seed=5)
-        assert model.region_of("a") == "eu"
-        assert model.region_of("c") == model.default_region == "local"
-        assert model.sample_for("a", "b") == twin.sample() + 80.0
-        assert model.sample_for("a", "a") == twin.sample()
-        assert model.sample_for("c", "d") == twin.sample()
-        assert model.sample_for("a", "c") == twin.sample() + 80.0
-        with pytest.raises(ValueError):
-            GeoLatencyModel(cross_region_ms=-1.0)
+    def test_each_message_leg_draws_the_next_latency_sample(self):
+        """Request, response and post legs take the model's samples in order,
+        whatever their endpoints."""
+        transport, twin = InMemoryTransport(LatencyModel(seed=5)), LatencyModel(seed=5)
+        arrivals = []
+        transport.register("b", lambda m: m.reply(MessageKind.ACK, "b"))
+        transport.register("c", lambda m: arrivals.append(transport.kernel.now) and None)
+        transport.send("b", Message(kind=MessageKind.ACK, sender="a"))
+        request, response = twin.sample(), twin.sample()
+        assert transport.kernel.now == request + response
+        transport.post("c", Message(kind=MessageKind.ACK, sender="b"))
+        transport.kernel.run()
+        assert arrivals == [request + response + twin.sample()]
 
     def test_is_offline_follows_set_offline(self):
         transport = InMemoryTransport()

@@ -6,8 +6,9 @@ This module pins ``sha256(canonical JSON of run_scenario(name, seed=s))``
 against ``tests/golden/scenario_digests.json`` — all catalogue scenarios at
 seeds 7 and 23 with default parameters, plus points that sit on the far side
 of a parameter-dependent code path (an open-loop fleet, a one-shard sharded
-fleet, a larger lossy deployment, and four overloaded runs where arrivals
-outpace the round trip and backlog or shedding carries the result).
+fleet, a larger lossy deployment, four overloaded runs where arrivals
+outpace the round trip and backlog or shedding carries the result, and four
+twelve-anchor deployments).
 
 Beside each ``sha256`` the file stores a 16-hex sub-digest per top-level key
 of the result (``report`` expanded one level: ``report.transport``,
@@ -50,6 +51,11 @@ FORK_SENSITIVE = [
         17,
         {"in_flight_budget": 1, "overload_policy": "shed", "mean_gap_ms": 30.0},
     ),
+    # Twelve anchors: fan-out 2 reaches a sixth of the peers directly.
+    ("coin-economy", 7, {"anchors": 12}),
+    ("coin-economy", 23, {"anchors": 12}),
+    ("replica-bootstrap", 7, {"anchors": 12}),
+    ("replica-bootstrap", 23, {"anchors": 12}),
 ]
 
 
