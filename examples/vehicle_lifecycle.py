@@ -24,20 +24,16 @@ from repro import (
     ShrinkStrategy,
 )
 from repro.analysis import render_statistics
-from repro.authz import AccessController, Role
 from repro.workloads import EventKind, VehicleLifecycleWorkload
 
 
 def main() -> None:
-    controller = AccessController()
-    controller.assign("REGISTRATION-AUTHORITY", Role.ADMIN)
-
     config = ChainConfig(
         sequence_length=4,
         retention=RetentionPolicy(unit=LengthUnit.SEQUENCES, max_length=4),
         shrink_strategy=ShrinkStrategy.TO_LIMIT,
     )
-    chain = Blockchain(config, authorizer=controller.deletion_authorizer())
+    chain = Blockchain(config, admins=("REGISTRATION-AUTHORITY",))
 
     workload = VehicleLifecycleWorkload(
         num_vehicles=12, events_per_vehicle=6, decommission_fraction=0.5, seed=11

@@ -26,7 +26,8 @@ Subpackages
 ``repro.network``
     Anchor-node / client simulation replacing the paper's CORBA prototype.
 ``repro.authz``
-    Role-based authorization and semantic-cohesion checking.
+    Bell-LaPadula semantic-cohesion checking (the authorization rule itself
+    is ``repro.core.authorize_deletion``).
 ``repro.storage``
     In-memory, append-only file and snapshot storage backends.
 ``repro.baselines``

@@ -9,7 +9,7 @@ actor                      attacks                                        honest
                                                                           comparison; repair by snapshot
                                                                           bootstrap (Section V-B4)
 :class:`DeletionForger`    deletion authorization (Section IV-D1/D2)      typed rejections from the
-                                                                          authorizer and cohesion layers
+                                                                          authorization and cohesion layers
 :class:`DigestSpoofer`     anti-entropy pulls (:mod:`repro.sync`)         baited pulls fail harmlessly;
                                                                           replicas keep their state
 :class:`ClockSkewedReplica` block timestamps (Sections IV-D3/D4)          expiry evaluates on *on-chain*

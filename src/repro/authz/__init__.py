@@ -1,22 +1,11 @@
-"""Authorization and semantic-cohesion layer (Section IV-D1 / IV-D2).
+"""Semantic-cohesion layer (Section IV-D2).
 
-Role-based access control with the quorum's master signature, and the
-Bell-LaPadula model as the chain's automatic semantic-cohesion checker.
+The Bell-LaPadula model as the chain's automatic semantic-cohesion checker.
+The authorization rule of Section IV-D1 — owners delete their own entries,
+the quorum's master signature deletes any — is one function,
+:func:`repro.core.deletion.authorize_deletion`, fed by ``Blockchain.admins``.
 """
 
 from repro.authz.bell_lapadula import BellLaPadulaModel, SecurityLevel
-from repro.authz.roles import (
-    DEFAULT_ROLE_PERMISSIONS,
-    AccessController,
-    Permission,
-    Role,
-)
 
-__all__ = [
-    "BellLaPadulaModel",
-    "SecurityLevel",
-    "DEFAULT_ROLE_PERMISSIONS",
-    "AccessController",
-    "Permission",
-    "Role",
-]
+__all__ = ["BellLaPadulaModel", "SecurityLevel"]

@@ -3,9 +3,9 @@
 Section IV-D2 suggests that an automatic approach to deciding deletions
 *"could be designed based on the principle of Bell-LaPadula model or
 Brewer-Nash Model"*.  This module implements the Bell-LaPadula side: entries
-and subjects carry security levels, reads follow *no read up*, writes follow
-*no write down* (the \\*-property), and deletions are only granted to subjects
-whose clearance dominates the entry's classification.
+and subjects carry security levels, reads follow *no read up*, and deletions
+are only granted to subjects whose clearance dominates the entry's
+classification.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Optional
 
 from repro.core.chain import Blockchain, CohesionChecker
 from repro.core.entry import EntryReference
-from repro.core.errors import AuthorizationError
 
 
 class SecurityLevel(IntEnum):
@@ -30,7 +29,7 @@ class SecurityLevel(IntEnum):
 
 @dataclass
 class BellLaPadulaModel:
-    """Mandatory access control with the simple-security and star properties."""
+    """Mandatory access control with the simple-security property."""
 
     subject_clearance: dict[str, SecurityLevel] = field(default_factory=dict)
     object_classification: dict[tuple[int, int], SecurityLevel] = field(default_factory=dict)
@@ -60,16 +59,12 @@ class BellLaPadulaModel:
         )
 
     # ------------------------------------------------------------------ #
-    # The two BLP properties plus the deletion rule
+    # The simple-security property and the deletion rule
     # ------------------------------------------------------------------ #
 
     def may_read(self, subject: str, reference: EntryReference) -> bool:
         """Simple security property: no read up."""
         return self.clearance_of(subject) >= self.classification_of(reference)
-
-    def may_write(self, subject: str, reference: EntryReference) -> bool:
-        """Star property: no write down."""
-        return self.clearance_of(subject) <= self.classification_of(reference)
 
     def may_delete(self, subject: str, reference: EntryReference) -> bool:
         """Deletion rule: the subject's clearance must dominate the entry.
@@ -79,14 +74,6 @@ class BellLaPadulaModel:
         not apply because nothing is disclosed to lower levels.
         """
         return self.may_read(subject, reference)
-
-    def require_delete(self, subject: str, reference: EntryReference) -> None:
-        """Raise :class:`AuthorizationError` when deletion is not allowed."""
-        if not self.may_delete(subject, reference):
-            raise AuthorizationError(
-                f"{subject!r} (clearance {self.clearance_of(subject).name}) may not delete "
-                f"{reference} (classified {self.classification_of(reference).name})"
-            )
 
     # ------------------------------------------------------------------ #
     # Chain integration

@@ -21,8 +21,8 @@ from repro.core.deletion import (
     DeletionDecision,
     DeletionRegistry,
     DeletionStatus,
+    authorize_deletion,
     build_deletion_request,
-    default_authorizer,
 )
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.events import AUDIT_EVENT_TYPES, EventBus, EventType, Subscription
@@ -68,8 +68,8 @@ __all__ = [
     "DeletionDecision",
     "DeletionRegistry",
     "DeletionStatus",
+    "authorize_deletion",
     "build_deletion_request",
-    "default_authorizer",
     "Entry",
     "EntryKind",
     "EntryReference",

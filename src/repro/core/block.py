@@ -133,6 +133,7 @@ class Block:
     summary_references: list[dict[str, Any]] = field(default_factory=list)
     _carry: Optional[CarryRecord] = field(default=None, repr=False, compare=False)  # entries taken as given
     _cached_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _cached_fields: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _cached_byte_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _entry_lookup: Optional[dict[int, Entry]] = field(default=None, init=False, repr=False, compare=False)
     _keys: Optional[list[tuple[int, int]]] = field(default=None, init=False, repr=False, compare=False)
@@ -210,10 +211,16 @@ class Block:
     def fields_json(self) -> str:
         """Canonical JSON of the content without ``"entries"``: the one
         encoding of a block's other fields, for its hash and its journal
-        record alike."""
-        payload = self._hashable_content()
-        del payload["entries"]
-        return canonical_json(payload)
+        record alike.  A text encoded before the block's hash is kept until
+        the hash takes it over, so a journal append encodes it once."""
+        fields = self._cached_fields
+        if fields is None:
+            payload = self._hashable_content()
+            del payload["entries"]
+            fields = canonical_json(payload)
+            if self._cached_hash is None:
+                self._cached_fields = fields
+        return fields
 
     def _content_parts(self) -> tuple[bytes, bytes, bytes]:
         """The bytes of :meth:`content_dict`'s canonical JSON in three parts:
@@ -247,6 +254,7 @@ class Block:
     def _memoise_hash_and_size(self) -> None:
         """Derive the block hash and :meth:`byte_size` from one composition."""
         self._cached_hash, length = self._hash_parts()
+        self._cached_fields = None
         # to_dict()'s canonical form replaces the content's opening brace.
         self._cached_byte_size = len(_HASH_MEMBER.format(self._cached_hash)) + length - 1
 
@@ -267,6 +275,7 @@ class Block:
         """
         self.nonce = nonce
         self._cached_hash = None
+        self._cached_fields = None
         self._cached_byte_size = None
 
     def __canonical_json__(self) -> str:

@@ -39,11 +39,10 @@ from repro.core.block import Block, BlockType, make_genesis_block
 from repro.core.clock import Clock, LogicalClock
 from repro.core.config import ChainConfig
 from repro.core.deletion import (
-    Authorizer,
     DeletionDecision,
     DeletionRegistry,
+    authorize_deletion,
     build_deletion_request,
-    default_authorizer,
 )
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.errors import ChainIntegrityError, DeletionError, StorageError
@@ -73,7 +72,6 @@ class Blockchain:
         *,
         clock: Optional[Clock] = None,
         schema: Optional[EntrySchema] = None,
-        authorizer: Optional[Authorizer] = None,
         cohesion_checker: Optional[CohesionChecker] = None,
         admins: Iterable[str] = (),
         block_finalizer: Optional[Callable[[Block], Block]] = None,
@@ -87,10 +85,8 @@ class Blockchain:
         self.registry = DeletionRegistry()
         self.summarizer = Summarizer(self.config)
         self.cohesion_checker = cohesion_checker
-        self.authorizer = authorizer or default_authorizer(
-            admins=admins,
-            allow_admin_foreign_deletion=self.config.allow_foreign_deletion_by_admin,
-        )
+        #: Holders of the quorum's master signature (Section IV-D1).
+        self.admins = frozenset(admins)
         #: Hook applied to every freshly built *normal* block before it is
         #: appended — consensus engines use it to mine or seal the block.
         #: Summary blocks bypass the hook because every anchor node must be
@@ -358,7 +354,12 @@ class Blockchain:
         _, target_entry = located
         if target_entry.is_deletion_request:
             return False, "deletion requests cannot themselves be deleted"
-        allowed, reason = self.authorizer(request, target_entry)
+        allowed, reason = authorize_deletion(
+            request,
+            target_entry,
+            admins=self.admins,
+            admins_delete_foreign=self.config.allow_foreign_deletion_by_admin,
+        )
         if not allowed:
             return False, reason
         if self.cohesion_checker is not None:
@@ -687,7 +688,6 @@ class Blockchain:
         *,
         clock: Optional[Clock] = None,
         schema: Optional[EntrySchema] = None,
-        authorizer: Optional[Authorizer] = None,
         cohesion_checker: Optional[CohesionChecker] = None,
         admins: Iterable[str] = (),
         store: Optional[BlockStore] = None,
@@ -709,10 +709,7 @@ class Blockchain:
         chain.registry = DeletionRegistry.from_dict(payload.get("registry", {}))
         chain.summarizer = Summarizer(config)
         chain.cohesion_checker = cohesion_checker
-        chain.authorizer = authorizer or default_authorizer(
-            admins=admins,
-            allow_admin_foreign_deletion=config.allow_foreign_deletion_by_admin,
-        )
+        chain.admins = frozenset(admins)
         chain.block_finalizer = None
         chain.bus = event_bus if event_bus is not None else EventBus()
         chain.bus.restore_audit_log(

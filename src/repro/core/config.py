@@ -167,8 +167,8 @@ class ChainConfig:
         Name of the signature scheme used for entries and deletion requests
         (``"simplified"`` or ``"ecdsa"``).
     allow_foreign_deletion_by_admin:
-        Whether holders of the ``ADMIN`` role (the quorum's master signature)
-        may delete entries they did not author (Section IV-D1).
+        Whether members of the chain's ``admins`` set (the quorum's master
+        signature) may delete entries they did not author (Section IV-D1).
     """
 
     sequence_length: int = 3

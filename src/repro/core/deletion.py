@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import AbstractSet, Any, Mapping, Optional
 
 from repro.core.entry import Entry, EntryKind, EntryReference
 from repro.core.errors import DeletionError
@@ -51,11 +51,6 @@ class DeletionDecision:
         return self.status in (DeletionStatus.APPROVED, DeletionStatus.EXECUTED)
 
 
-#: Signature of an authorization hook: receives the deletion request entry and
-#: the target entry, returns (allowed, reason).
-Authorizer = Callable[[Entry, Entry], tuple[bool, str]]
-
-
 def build_deletion_request(
     target: EntryReference,
     *,
@@ -82,33 +77,31 @@ def build_deletion_request(
     )
 
 
-def default_authorizer(
+def authorize_deletion(
+    request: Entry,
+    target: Entry,
     *,
-    admins: Iterable[str] = (),
-    allow_admin_foreign_deletion: bool = True,
-) -> Authorizer:
-    """The paper's authorization rule (Section IV-D1).
+    admins: AbstractSet[str],
+    admins_delete_foreign: bool,
+) -> tuple[bool, str]:
+    """The paper's authorization rule (Section IV-D1), as ``(allowed, reason)``.
 
     A user may only delete entries whose stored signature shares the same key
-    (here: the same author identity / public key); members of the quorum with
-    the master signature — modelled as the ``admins`` set — may delete any
-    entry when ``allow_admin_foreign_deletion`` is enabled.
+    (here: the same public key when both entries carry one, else the same
+    author identity); members of the quorum with the master signature —
+    modelled as the ``admins`` set — may delete any entry when
+    ``admins_delete_foreign`` is enabled.
     """
-    admin_set = set(admins)
-
-    def authorize(request: Entry, target: Entry) -> tuple[bool, str]:
-        if request.public_key and target.public_key:
-            if request.public_key == target.public_key:
-                return True, "requester key matches the stored entry key"
-        elif request.author == target.author:
-            return True, "requester matches the stored entry author"
-        if allow_admin_foreign_deletion and request.author in admin_set:
-            return True, "requester holds the quorum master signature"
-        return False, (
-            f"user {request.author!r} is not allowed to delete an entry of {target.author!r}"
-        )
-
-    return authorize
+    if request.public_key and target.public_key:
+        if request.public_key == target.public_key:
+            return True, "requester key matches the stored entry key"
+    elif request.author == target.author:
+        return True, "requester matches the stored entry author"
+    if admins_delete_foreign and request.author in admins:
+        return True, "requester holds the quorum master signature"
+    return False, (
+        f"user {request.author!r} is not allowed to delete an entry of {target.author!r}"
+    )
 
 
 @dataclass

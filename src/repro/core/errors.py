@@ -30,8 +30,8 @@ class SchemaError(SelectiveDeletionError):
 class AuthorizationError(SelectiveDeletionError):
     """A signed action is not permitted for the signing participant.
 
-    Covers forged signatures, users trying to delete entries of other users,
-    and role violations (Section IV-D1).
+    Covers forged signatures and users trying to delete entries of other
+    users (Section IV-D1).
     """
 
 

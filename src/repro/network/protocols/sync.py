@@ -392,7 +392,7 @@ class ReplicaSync(Protocol):
                 report.payload,
                 clock=local.clock,
                 schema=local.schema,
-                authorizer=local.authorizer,
+                admins=local.admins,
                 cohesion_checker=local.cohesion_checker,
                 event_bus=local.bus,
             )

@@ -554,12 +554,12 @@ def _forged_erasure(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     The forger MALLORY then attacks the second record three ways, and each
     attempt must die in a *different* layer, visible as a typed rejection:
 
-    * ``forge``       — signed as MALLORY: the authorizer's signature
-      comparison rejects (``rejected_unauthorized``),
+    * ``forge``       — signed as MALLORY: the authorization rule's
+      signature comparison rejects (``rejected_unauthorized``),
     * ``impersonate`` — signed claiming ALPHA: the simplified scheme is not
-      binding, so the authorizer passes — but the record is classified
-      CONFIDENTIAL above ALPHA's own clearance, so the Bell-LaPadula
-      cohesion layer rejects (``rejected_cohesion``),
+      binding, so the authorization rule passes — but the record is
+      classified CONFIDENTIAL above ALPHA's own clearance, so the
+      Bell-LaPadula cohesion layer rejects (``rejected_cohesion``),
     * ``replay``      — ALPHA's captured legitimate request, re-sent after
       its execution: the target physically left the chain, so the
       missing-target check rejects (``rejected_missing_target``).

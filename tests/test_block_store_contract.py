@@ -557,6 +557,22 @@ class TestJournalBodyReferences:
         reopened = Blockchain(self.CONFIG, store=JournalBlockStore(store.path))
         assert reopened.head.block_hash == chain.head.block_hash
 
+    def test_each_appended_block_encodes_its_fields_once(self, tmp_path, monkeypatch):
+        """The journal record reuses the fields text the block's hash encoded."""
+        encodes = Counter()
+        hashable_content = Block._hashable_content
+
+        def counted(block):
+            encodes[block.block_number] += 1
+            return hashable_content(block)
+
+        monkeypatch.setattr(Block, "_hashable_content", counted)
+        chain = Blockchain(self.CONFIG, store=JournalBlockStore(tmp_path / "once.journal"))
+        for step in range(40):
+            chain.add_entry_block({"D": f"login {step}", "K": "A", "S": "s"}, "A")
+        assert chain.next_block_number == 61
+        assert encodes == Counter(range(61))
+
     def test_a_summary_record_costs_what_changed(self, tmp_path):
         """Clock-free O(change) guard: a summary record holds at most
         ``dropped + 1`` runs per merged summary, and inline bodies only for

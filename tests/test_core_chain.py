@@ -19,7 +19,7 @@ from repro.core import (
     ShrinkStrategy,
     default_log_schema,
 )
-from repro.core.deletion import default_authorizer
+from repro.core.deletion import authorize_deletion
 from repro.core.entry import Entry
 from repro.core.errors import ChainIntegrityError, DeletionError, SchemaError
 from repro.core.events import EventType
@@ -285,28 +285,32 @@ class TestSelectiveDeletion:
         assert "deletion-executed" in kinds
 
 
-class TestDefaultAuthorizer:
+class TestAuthorizeDeletion:
     @staticmethod
     def entry(author, public_key=None):
         return Entry(data={"D": "x"}, author=author, signature="s", public_key=public_key)
 
+    @staticmethod
+    def authorize(request, target, admins=frozenset(), admins_delete_foreign=True):
+        return authorize_deletion(
+            request, target, admins=admins, admins_delete_foreign=admins_delete_foreign
+        )
+
     def test_an_author_may_delete_their_own_entry_and_no_other(self):
-        authorize = default_authorizer()
-        assert authorize(self.entry("ALPHA"), self.entry("ALPHA"))[0]
-        allowed, reason = authorize(self.entry("BRAVO"), self.entry("ALPHA"))
+        assert self.authorize(self.entry("ALPHA"), self.entry("ALPHA"))[0]
+        allowed, reason = self.authorize(self.entry("BRAVO"), self.entry("ALPHA"))
         assert not allowed
         assert "'BRAVO'" in reason and "'ALPHA'" in reason
 
     def test_with_keys_on_both_sides_the_key_decides_not_the_name(self):
-        authorize = default_authorizer()
-        assert authorize(self.entry("ALIAS", "key-1"), self.entry("ALPHA", "key-1"))[0]
-        assert not authorize(self.entry("ALPHA", "key-2"), self.entry("ALPHA", "key-1"))[0]
+        assert self.authorize(self.entry("ALIAS", "key-1"), self.entry("ALPHA", "key-1"))[0]
+        assert not self.authorize(self.entry("ALPHA", "key-2"), self.entry("ALPHA", "key-1"))[0]
 
     def test_admins_may_delete_foreign_entries_unless_disabled(self):
         request, target = self.entry("ADMIN"), self.entry("ALPHA")
-        assert default_authorizer(admins=["ADMIN"])(request, target)[0]
-        assert not default_authorizer(admins=["ADMIN"], allow_admin_foreign_deletion=False)(
-            request, target
+        assert self.authorize(request, target, frozenset({"ADMIN"}))[0]
+        assert not self.authorize(
+            request, target, frozenset({"ADMIN"}), admins_delete_foreign=False
         )[0]
 
 

@@ -6,7 +6,6 @@ multi-node network, quorum voting on marker shifts, persistent storage across
 restarts, and the Merkle-reference summary mode backed by the off-chain store.
 """
 
-from repro.authz import AccessController, Role
 from repro.baselines import OffChainStore
 from repro.consensus import ProofOfAuthority, ProofOfWork, Quorum, ValidatorSet
 from repro.core import (
@@ -223,17 +222,15 @@ class TestMerkleReferenceWithOffChainStore:
 
 
 class TestRoleControlledNetwork:
-    """Role-based access control plugged into the replicated deployment."""
+    """The quorum's master signature in the replicated deployment."""
 
     def test_admin_deletion_propagates_to_replicas(self):
-        controller = AccessController()
-        controller.assign("AUTHORITY", Role.ADMIN)
         transport = InMemoryTransport()
         config = ChainConfig.paper_evaluation()
         ids = ["anchor-0", "anchor-1"]
         nodes = {}
         for node_id in ids:
-            chain = Blockchain(config, authorizer=controller.deletion_authorizer())
+            chain = Blockchain(config, admins=("AUTHORITY",))
             nodes[node_id] = AnchorNode(
                 node_id,
                 chain,

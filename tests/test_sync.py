@@ -7,6 +7,7 @@ and the anti-entropy digest rounds — including the acceptance pin that
 convergence is byte-identical per seed.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -123,6 +124,46 @@ class TestWireBootstrap:
         client = ClientNode("BRAVO", transport)
         client.submit_entry(ids[0], login("BRAVO"))
         transport.kernel.run()
+        assert straggler.chain.head.block_hash == producer.chain.head.block_hash
+
+    @pytest.mark.parametrize("admins_delete_foreign", [True, False])
+    def test_an_adopted_replica_decides_deletions_like_its_producer(self, admins_delete_foreign):
+        """The replica keeps its admin set across adoption, and the producer's
+        ``allow_foreign_deletion_by_admin`` arrives inside the payload."""
+        transport = InMemoryTransport()
+        ids = ["anchor-0", "anchor-1"]
+        producer_config = dataclasses.replace(
+            ChainConfig.paper_evaluation(), allow_foreign_deletion_by_admin=admins_delete_foreign
+        )
+        nodes = {
+            node_id: AnchorNode(
+                node_id,
+                Blockchain(
+                    producer_config if node_id == ids[0] else ChainConfig.paper_evaluation(),
+                    admins=("ADMIN",),
+                ),
+                transport,
+                is_producer=(node_id == ids[0]),
+                producer_id=ids[0],
+            )
+            for node_id in ids
+        }
+        for node in nodes.values():
+            node.connect(ids)
+        producer, straggler = isolate_across_marker_shift(transport, nodes, ids)
+        assert straggler.sync.bootstrap_from(ids[0]).succeeded
+        assert straggler.chain.admins == frozenset({"ADMIN"})
+        block = next(b for b in reversed(producer.chain.blocks) if not b.is_summary)
+        target = block.entries[0].reference_in(block.block_number)
+        response = ClientNode("ADMIN", transport).request_deletion(ids[0], target)
+        transport.kernel.run()
+        expected = "approved" if admins_delete_foreign else "rejected"
+        assert response.payload["deletion_status"] == expected
+        produced, replicated = (
+            node.chain.registry.decisions[-1] for node in (producer, straggler)
+        )
+        assert replicated.target == produced.target == target
+        assert (replicated.status, replicated.reason) == (produced.status, produced.reason)
         assert straggler.chain.head.block_hash == producer.chain.head.block_hash
 
     def test_bootstrap_retransmits_chunks_over_a_lossy_scheduled_transport(self):
