@@ -25,6 +25,31 @@ class TestAdminsOnChain:
             EntryReference(bravo_block.block_number, 1), "CHARLIE"
         ).is_approved
 
+    def test_admin_set_is_fixed_when_the_chain_is_built(self):
+        admins = ["ADMIN"]
+        chain = Blockchain(ChainConfig(sequence_length=3), admins=admins)
+        admins.append("CHARLIE")
+        assert chain.admins == frozenset({"ADMIN"})
+        bravo_block = chain.add_entry_block(login("BRAVO"), "BRAVO")
+        decision = chain.request_deletion(EntryReference(bravo_block.block_number, 1), "CHARLIE")
+        assert not decision.is_approved
+        assert "'CHARLIE'" in decision.reason
+
+    def test_config_can_withhold_foreign_deletion_from_admins(self):
+        chain = Blockchain(
+            ChainConfig(sequence_length=3, allow_foreign_deletion_by_admin=False),
+            admins=("ADMIN",),
+        )
+        bravo_block = chain.add_entry_block(login("BRAVO"), "BRAVO")
+        admin_block = chain.add_entry_block(login("ADMIN"), "ADMIN")
+        # The admin keeps the owner's right over its own entry ...
+        assert chain.request_deletion(EntryReference(admin_block.block_number, 1), "ADMIN").is_approved
+        chain.seal_block()
+        # ... but without the flag holds no master right over a foreign one.
+        assert not chain.request_deletion(
+            EntryReference(bravo_block.block_number, 1), "ADMIN"
+        ).is_approved
+
 
 class TestBellLaPadula:
     def test_read_and_delete_rules(self):
