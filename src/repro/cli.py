@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(func=_run_simulate)
 
-    attack = subparsers.add_parser("attack", help="51% attack resistance table")
+    attack = subparsers.add_parser("attack", help="51%% attack resistance table")
     attack.add_argument("--trials", type=int, default=500, help="Monte-Carlo trials per cell")
     attack.set_defaults(func=_run_attack)
 

@@ -1,4 +1,4 @@
-"""Append-only journal (write-ahead log) block store.
+"""Append-only journal (write-ahead log) block store that rewrites itself.
 
 One canonical JSON record per line: ``{"before":n,"kind":"truncate"}`` for a
 marker shift, ``{"block":…,"kind":"block"}`` for an append.  A block record
@@ -16,6 +16,20 @@ the index cut; no other state is kept.  Compaction rewrites the file from
 the stored blocks alone — the first summary inline, each living body once,
 erased bodies physically gone — which is how a node recovers the disk space
 the paper's data-reduction claim promises.
+
+The store compacts itself by the doubling rule: once the file has grown past
+its last rewrite (or its size at open) by that size, and by at least
+:data:`REWRITE_FLOOR`, the commit that grew it is followed by a rewrite.
+Each byte appended thus costs at most one byte rewritten, the file never
+passes its rewritten size plus the larger of that size and the floor, plus
+one step, and a restart replays about the living chain rather than its
+history.  An erased body leaves the file at the first rewrite after its
+``deletion-executed``.  The rewrite runs only once the memory index holds
+the committed records — after the outermost commit scope closes, or after a
+write made outside any scope — and the step that triggered it is already
+durable, so a rewrite that fails is counted (``counters["failed_rewrites"]``)
+and retried at the next commit, never raised.  A rewrite that never took
+over (``<journal>.compact``) is deleted when the journal is opened.
 
 Records are written by commits: one ``open``, ``write``, ``flush`` and
 ``fsync`` per commit.  A write outside any
@@ -42,6 +56,13 @@ from repro.core.entry import Entry
 from repro.core.errors import StorageError
 from repro.crypto.hashing import canonical_json
 from repro.storage.memstore import MemoryBlockStore
+
+#: The least growth, in bytes, past the journal's last rewrite that makes it
+#: rewrite itself; a small journal is not rewritten for every few records.
+REWRITE_FLOOR = 64 * 1024
+
+#: The suffix of a rewrite in progress, beside the journal it replaces.
+_REWRITE_SUFFIX = ".compact"
 
 
 @contextmanager
@@ -130,12 +151,13 @@ def _decode_record(line: bytes, stored: Mapping[int, Block]) -> Union[Block, int
 
 
 class JournalBlockStore(MemoryBlockStore):
-    """File-backed append-only store with explicit compaction.
+    """File-backed append-only store that compacts itself by the doubling rule.
 
     The in-memory index is :class:`MemoryBlockStore`'s; every mutation hands
     its journal record to the current commit first — outside a
     :meth:`commit_scope` it is fsynced before the mutation returns, inside
-    one when the outermost scope closes.
+    one when the outermost scope closes.  ``counters`` holds the rewrites
+    made and the automatic ones that failed.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -144,11 +166,17 @@ class JournalBlockStore(MemoryBlockStore):
         self._buffer: list[str] = []
         self._depth = 0
         self._failed: Optional[OSError] = None
+        self.counters = {"rewrites": 0, "failed_rewrites": 0}
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        # A rewrite that never took over is not the journal, and it may hold
+        # bodies erased since.
+        self.path.with_suffix(self.path.suffix + _REWRITE_SUFFIX).unlink(missing_ok=True)
         if self.path.exists():
             self._load()
         else:
             self.path.touch()
+        #: The file's size now, and right after its last rewrite (or at open).
+        self._size = self._rewritten = self.file_size()
 
     def _load(self) -> None:
         # Bytes, not text: a flipped high bit is a corrupt line like any other.
@@ -180,6 +208,7 @@ class JournalBlockStore(MemoryBlockStore):
             self._depth -= 1
             if self._depth == 0 and self._buffer:
                 self._commit()
+                self._rewrite_if_grown()
 
     def _writable(self) -> None:
         if self._failed is not None:
@@ -205,6 +234,7 @@ class JournalBlockStore(MemoryBlockStore):
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
+                self._size = handle.tell()
         except OSError as exc:
             self._failed = exc
             if committed is not None:
@@ -222,18 +252,34 @@ class JournalBlockStore(MemoryBlockStore):
         self._check_next(block)
         self._write_record(_block_line(block, self._blocks))
         super().append(block)
+        self._rewrite_if_grown()
 
     def truncate_before(self, block_number: int) -> int:
         """Record a truncation marker and drop the blocks from the index.
 
-        The journal file itself keeps growing until :meth:`compact` is
-        called; this mirrors WAL-style storage engines and lets tests verify
-        that compaction — not just logical truncation — reclaims space.
+        The dropped blocks stay in the file until it is rewritten — by the
+        doubling rule, or by an explicit :meth:`compact`.
         """
         if self._first is None or block_number <= self._first:
             return 0
         self._write_record(canonical_json({"before": block_number, "kind": "truncate"}))
-        return super().truncate_before(block_number)
+        removed = super().truncate_before(block_number)
+        self._rewrite_if_grown()
+        return removed
+
+    def _rewrite_if_grown(self) -> None:
+        """Compact once the file has grown past its last rewrite by the larger
+        of that rewrite's size and :data:`REWRITE_FLOOR`.  Runs only outside
+        any scope, after the memory index holds every committed record; the
+        step is durable already, so a failed rewrite is counted, not raised."""
+        if self._depth or self._size - self._rewritten < max(self._rewritten, REWRITE_FLOOR):
+            return
+        try:
+            self.compact()
+        except OSError:
+            # ``replace_durably`` left the journal as it was; the next commit
+            # finds the file still grown and tries again.
+            self.counters["failed_rewrites"] += 1
 
     def file_size(self) -> int:
         """Size of the journal file in bytes."""
@@ -247,10 +293,12 @@ class JournalBlockStore(MemoryBlockStore):
         written: dict[int, Block] = {}
         # The rename discards a journal whose commits were each fsynced; the
         # rewrite must be as durable before it takes over.
-        with replace_durably(self.path, ".compact") as handle:
+        with replace_durably(self.path, _REWRITE_SUFFIX) as handle:
             for block in self:
                 handle.write(_block_line(block, written) + "\n")
                 written[block.block_number] = block
         # The rewrite holds every buffered record's effect.
         self._buffer.clear()
-        return before - self.file_size()
+        self._size = self._rewritten = self.file_size()
+        self.counters["rewrites"] += 1
+        return before - self._size

@@ -20,7 +20,7 @@ from repro.core import Blockchain, ChainConfig, Entry, EntryReference, EventType
 from repro.core.block import Block
 from repro.core.errors import ChainIntegrityError, SelectiveDeletionError, StorageError
 from repro.crypto.hashing import canonical_json
-from repro.storage import JournalBlockStore, MemoryBlockStore
+from repro.storage import JournalBlockStore, MemoryBlockStore, wal
 
 
 def make_store(kind, tmp_path):
@@ -573,12 +573,9 @@ class TestJournalBodyReferences:
         assert chain.next_block_number == 61
         assert encodes == Counter(range(61))
 
-    def test_a_summary_record_costs_what_changed(self, tmp_path):
-        """Clock-free O(change) guard: a summary record holds at most
-        ``dropped + 1`` runs per merged summary, and inline bodies only for
-        its new copies."""
-        store = JournalBlockStore(tmp_path / "change.journal")
-        chain = Blockchain(self.CONFIG, store=store)
+    def drive_summaries_with_erasures(self, path):
+        """200 blocks of one author, every third one erased later."""
+        chain = Blockchain(self.CONFIG, store=JournalBlockStore(path))
         issued = []
         while chain.next_block_number < 200:
             if issued and chain.next_block_number % 4 == 0:
@@ -587,8 +584,15 @@ class TestJournalBodyReferences:
             if block.block_number % 3 == 0:
                 issued.append(EntryReference(block.block_number, 1))
         assert chain.statistics()["deletions"]["executed"] > 0
+        return chain
 
-        keys_of, replayed = self.entry_keys(store.path)
+    @classmethod
+    def summary_record_costs(cls, path):
+        """Assert that each summary record in the journal holds at most
+        ``dropped + 1`` runs per merged summary and inline bodies only for
+        entries no earlier record of the file carried; returns how many
+        summary records merged one, and the most runs over one source."""
+        keys_of, replayed = cls.entry_keys(path)
         carried_before, merging, split = set(), 0, 0
         for block, keys in replayed:
             if block["header"]["block_type"] != "summary":
@@ -609,7 +613,41 @@ class TestJournalBodyReferences:
             assert not carried_before.intersection(inline), block["header"]
             carried_before.update(keys)
             merging += bool(runs)
+        return merging, split
+
+    def test_a_summary_record_costs_what_changed(self, tmp_path, monkeypatch):
+        """Clock-free O(change) guard: a summary record holds at most
+        ``dropped + 1`` runs per merged summary, and inline bodies only for
+        its new copies — over a file that is never rewritten, since a
+        rewrite inlines its first summary again."""
+        monkeypatch.setattr(wal, "REWRITE_FLOOR", 1 << 62)
+        store = self.drive_summaries_with_erasures(tmp_path / "change.journal").store
+        assert store.counters["rewrites"] == 0
+        merging, split = self.summary_record_costs(store.path)
         assert merging >= 30 and split >= 2  # erasures cut merged summaries into several runs
+
+    def test_a_summary_record_costs_what_changed_in_every_rewrite_epoch(self, tmp_path, monkeypatch):
+        """The same guard over each file the journal was between rewrites:
+        a rewrite starts the file over with its first summary inline, and
+        every summary appended after it again costs only what changed."""
+        epochs = []
+        replace_durably = wal.replace_durably
+
+        def keep_epoch(path, suffix):
+            epochs.append(path.read_bytes())
+            return replace_durably(path, suffix)
+
+        monkeypatch.setattr(wal, "REWRITE_FLOOR", 0)
+        monkeypatch.setattr(wal, "replace_durably", keep_epoch)
+        store = self.drive_summaries_with_erasures(tmp_path / "change.journal").store
+        epochs.append(store.path.read_bytes())
+        assert len(epochs) == store.counters["rewrites"] + 1 >= 5
+        merging = split = 0
+        for content in epochs:
+            (tmp_path / "epoch.journal").write_bytes(content)
+            merged, most = self.summary_record_costs(tmp_path / "epoch.journal")
+            merging, split = merging + merged, max(split, most)
+        assert merging >= 30 and split >= 2
 
     def test_erased_payload_leaves_the_journal_on_compaction(self, tmp_path):
         store = JournalBlockStore(tmp_path / "erasure.journal")

@@ -11,6 +11,9 @@ blocks alone are compared with a restart from memory); every run the replay read
 ``Entry`` objects its source block holds.  After every seal, a store
 reopened from the file alone must hold the writer's head.  A reopening sometimes takes over
 as the writer, so runs whose source was itself replayed are written too.
+Each drive runs twice: at the journal's own rewrite floor, and at a floor of
+0, where the journal rewrites itself whenever its file has doubled — right
+after the commit of the step that grew it, outside any commit scope.
 
 Examples per ``REPRO_FUZZ_PROFILE``: quick 10 per configuration (tier-1),
 standard 100 and determinism 500 (nightly CI).
@@ -153,17 +156,40 @@ def run(config: ChainConfig, steps, path) -> int:
     )
 
 
+#: The journal's rewrite floor per drive: its own, and 0 (a rewrite whenever
+#: the file has doubled since the last one).
+FLOORS = {"appending": wal.REWRITE_FLOOR, "rewriting": 0}
+
+
+@pytest.mark.parametrize("floor", sorted(FLOORS))
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True)
 @given(steps=operations)
-def test_a_reopened_journal_holds_the_writers_chain(config_name, steps, tmp_path_factory):
+def test_a_reopened_journal_holds_the_writers_chain(config_name, floor, steps, tmp_path_factory):
     path = tmp_path_factory.mktemp("journal") / "chain.journal"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wal, "_decode_record", checked_decode)
+        patch.setattr(wal, "REWRITE_FLOOR", FLOORS[floor])
         run(CONFIGS[config_name], steps, path)
 
 
-def test_the_driver_writes_runs(tmp_path):
-    """The property is not vacuous: a long ``FULL_COPY`` drive writes runs."""
+@pytest.mark.parametrize("floor", sorted(FLOORS))
+def test_the_driver_writes_runs(tmp_path, monkeypatch, floor):
+    """The property is not vacuous: a long ``FULL_COPY`` drive writes runs,
+    and at a floor of 0 its journal is rewritten again and again (the last
+    rewrite may leave a file with none)."""
+    rewrites = []
+    replace_durably = wal.replace_durably
+
+    def counted(path, suffix):
+        rewrites.append(path)
+        return replace_durably(path, suffix)
+
+    monkeypatch.setattr(wal, "REWRITE_FLOOR", FLOORS[floor])
+    monkeypatch.setattr(wal, "replace_durably", counted)
     steps = [("add", n, False) for n in range(4)] + [("seal", 0, False)] * 30
-    assert run(CONFIGS["full_copy/none"], steps, tmp_path / "chain.journal") > 0
+    written = run(CONFIGS["full_copy/none"], steps, tmp_path / "chain.journal")
+    if floor == "appending":
+        assert written > 0 and not rewrites
+    else:
+        assert len(rewrites) >= 5

@@ -17,12 +17,13 @@ from repro.baselines import (
     RecordRef,
     RedactableChain,
 )
-from repro.core import Blockchain, ChainConfig
+from repro.core import Blockchain, ChainConfig, EventType
 from repro.core.block import Block
 from repro.baselines.base import EffortCounter, payload_size
 from repro.baselines.chameleon_chain import RedactableBlock
 from repro.core.errors import StorageError
 from repro.crypto.hashing import canonical_json
+from repro.storage import wal
 from repro.storage.wal import replace_durably
 from repro.storage import (
     JournalBlockStore,
@@ -318,6 +319,86 @@ class TestJournalCommits:
         assert reopened.head.block_hash == committed
         reopened.add_entry_block({"D": "after", "K": "A", "S": "s"}, "A")
         assert JournalBlockStore(path).head().block_hash == reopened.head.block_hash
+
+
+class TestJournalRewrites:
+    """The journal rewrites itself after a commit once its file has doubled
+    (here at a floor of 0); the step that grew it is durable already."""
+
+    @pytest.fixture(autouse=True)
+    def no_floor(self, monkeypatch):
+        monkeypatch.setattr(wal, "REWRITE_FLOOR", 0)
+
+    @pytest.mark.parametrize("step", ["seal", "receive"])
+    def test_a_step_that_rewrites_costs_three_fsyncs_and_any_other_one(self, tmp_path, monkeypatch, step):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda descriptor: fsyncs.append(descriptor) or real_fsync(descriptor))
+        config = ChainConfig.paper_evaluation()
+        chain = Blockchain(config, store=JournalBlockStore(tmp_path / "chain.journal"))
+        producer = chain if step == "seal" else Blockchain(config)
+        costs = set()
+        for i in range(40):
+            calls, rewrites = len(fsyncs), chain.store.counters["rewrites"]
+            block = producer.add_entry_block({"D": f"login {i}", "K": "A", "S": "s"}, "A")
+            if step == "receive":
+                chain.receive_block(block)
+            # (rewrites, fsyncs): the commit, then the rewrite and its directory.
+            costs.add((chain.store.counters["rewrites"] - rewrites, len(fsyncs) - calls))
+        assert costs == {(0, 1), (1, 3)}
+
+    def test_a_direct_append_rewrites_only_once_its_block_is_held(self, tmp_path):
+        """An ``append`` outside any scope is its own commit; the rewrite
+        after it must already see the block, or the file loses the block
+        that was just made durable."""
+        path = tmp_path / "direct.journal"
+        blocks = build_chain(12).blocks
+        store = JournalBlockStore(path)
+        for block in blocks:
+            store.append(block)
+            assert [b.block_hash for b in JournalBlockStore(path)] == [b.block_hash for b in store]
+        assert store.counters["rewrites"] >= 3
+        assert store.truncate_before(blocks[len(blocks) // 2].block_number) > 0
+        assert [b.block_hash for b in JournalBlockStore(path)] == [b.block_hash for b in store]
+
+    @pytest.mark.parametrize("failure", ["torn write", "rename"])
+    def test_a_failed_rewrite_is_counted_and_leaves_the_step_standing(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "chain.journal"
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornWriter(handle) if "w" in mode else handle
+
+        def failing_replace(self, target):
+            raise OSError(errno.EXDEV, "invalid cross-device link")
+
+        sealed = []
+        with monkeypatch.context() as patch:
+            if failure == "torn write":
+                patch.setattr(io, "open", torn_open)
+            else:
+                patch.setattr(Path, "replace", failing_replace)
+            chain = Blockchain(ChainConfig(sequence_length=3), store=JournalBlockStore(path))
+            chain.bus.subscribe(lambda event: sealed.append(event.block_number), types=(EventType.BLOCK_SEALED,))
+            store = chain.store
+            for i in range(6):
+                committed = path.read_bytes()
+                block = chain.add_entry_block({"D": f"e{i}", "K": "A", "S": "s"}, "A")
+                # Every step met the rule and failed to rewrite: the file is
+                # the last one plus this step's commit, and nothing beside it.
+                assert path.read_bytes().startswith(committed) and sorted(tmp_path.iterdir()) == [path]
+                assert sealed[-1] == block.block_number
+                assert JournalBlockStore(path).head().block_hash == chain.head.block_hash
+            assert store.counters == {"rewrites": 0, "failed_rewrites": 7}  # with the genesis commit
+            with pytest.raises(OSError):
+                store.compact()
+        assert store.counters["failed_rewrites"] == 7
+        chain.add_entry_block({"D": "retried", "K": "A", "S": "s"}, "A")
+        assert store.counters == {"rewrites": 1, "failed_rewrites": 7}
+        assert Blockchain(ChainConfig(sequence_length=3), store=JournalBlockStore(path)).head.block_hash == (
+            chain.head.block_hash
+        )
 
 
 class TestSnapshots:

@@ -316,6 +316,11 @@ class TestCli:
         assert cli_main(["attack", "--trials", "50"]) == 0
         assert "51%" in capsys.readouterr().out
 
+    def test_the_help_names_the_attack_command(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        assert "51% attack resistance table" in " ".join(capsys.readouterr().out.split())
+
     def test_compare_command(self, capsys):
         assert cli_main(["compare", "--records", "30"]) == 0
         assert "selective-deletion" in capsys.readouterr().out
