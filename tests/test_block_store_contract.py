@@ -633,9 +633,9 @@ class TestJournalBodyReferences:
         epochs = []
         replace_durably = wal.replace_durably
 
-        def keep_epoch(path, suffix):
+        def keep_epoch(path, *args, **kwargs):
             epochs.append(path.read_bytes())
-            return replace_durably(path, suffix)
+            return replace_durably(path, *args, **kwargs)
 
         monkeypatch.setattr(wal, "REWRITE_FLOOR", 0)
         monkeypatch.setattr(wal, "replace_durably", keep_epoch)

@@ -181,9 +181,9 @@ def test_the_driver_writes_runs(tmp_path, monkeypatch, floor):
     rewrites = []
     replace_durably = wal.replace_durably
 
-    def counted(path, suffix):
+    def counted(path, *args, **kwargs):
         rewrites.append(path)
-        return replace_durably(path, suffix)
+        return replace_durably(path, *args, **kwargs)
 
     monkeypatch.setattr(wal, "REWRITE_FLOOR", FLOORS[floor])
     monkeypatch.setattr(wal, "replace_durably", counted)

@@ -363,6 +363,9 @@ class TestJournalRewrites:
 
     @pytest.mark.parametrize("failure", ["torn write", "rename"])
     def test_a_failed_rewrite_is_counted_and_leaves_the_step_standing(self, tmp_path, monkeypatch, failure):
+        """A rewrite that fails before its rename leaves the file as it was
+        and the store writable; it is tried again only once the file has
+        doubled since, so a lasting failure does not cost a rewrite a step."""
         path = tmp_path / "chain.journal"
         real_open = io.open
 
@@ -382,23 +385,69 @@ class TestJournalRewrites:
             chain = Blockchain(ChainConfig(sequence_length=3), store=JournalBlockStore(path))
             chain.bus.subscribe(lambda event: sealed.append(event.block_number), types=(EventType.BLOCK_SEALED,))
             store = chain.store
-            for i in range(6):
+            tried = [path.stat().st_size]  # the genesis commit met the rule and failed
+            assert store.counters == {"rewrites": 0, "failed_rewrites": 1}
+            for i in range(12):
                 committed = path.read_bytes()
                 block = chain.add_entry_block({"D": f"e{i}", "K": "A", "S": "s"}, "A")
-                # Every step met the rule and failed to rewrite: the file is
-                # the last one plus this step's commit, and nothing beside it.
+                # The file is the last one plus this step's commit, and nothing beside it.
                 assert path.read_bytes().startswith(committed) and sorted(tmp_path.iterdir()) == [path]
                 assert sealed[-1] == block.block_number
                 assert JournalBlockStore(path).head().block_hash == chain.head.block_hash
-            assert store.counters == {"rewrites": 0, "failed_rewrites": 7}  # with the genesis commit
+                if path.stat().st_size >= 2 * tried[-1]:
+                    tried.append(path.stat().st_size)
+                assert store.counters == {"rewrites": 0, "failed_rewrites": len(tried)}
+            assert 3 <= len(tried) < 12
             with pytest.raises(OSError):
                 store.compact()
-        assert store.counters["failed_rewrites"] == 7
-        chain.add_entry_block({"D": "retried", "K": "A", "S": "s"}, "A")
-        assert store.counters == {"rewrites": 1, "failed_rewrites": 7}
+        assert store.counters == {"rewrites": 0, "failed_rewrites": len(tried)}
+        while not store.counters["rewrites"]:
+            # Not due before this step, or the last one would have rewritten.
+            assert path.stat().st_size < 2 * tried[-1]
+            chain.add_entry_block({"D": "retried", "K": "A", "S": "s"}, "A")
+        assert store.counters == {"rewrites": 1, "failed_rewrites": len(tried)}
         assert Blockchain(ChainConfig(sequence_length=3), store=JournalBlockStore(path)).head.block_hash == (
             chain.head.block_hash
         )
+
+    def test_a_rewrite_whose_directory_fsync_fails_leaves_the_step_standing_and_refuses_writes(
+        self, tmp_path, monkeypatch
+    ):
+        """After the rename a crash may still bring back the old journal, which
+        lacks every later commit: the step that rewrote stands, and the store
+        refuses writes until it is reopened."""
+        path = tmp_path / "chain.journal"
+        config = ChainConfig(sequence_length=3)
+        chain = Blockchain(config, store=JournalBlockStore(path))
+        sealed = []
+        chain.bus.subscribe(lambda event: sealed.append(event.block_number), types=(EventType.BLOCK_SEALED,))
+        store = chain.store
+        rewrites = store.counters["rewrites"]
+        real_fsync = os.fsync
+
+        def fsync(descriptor):
+            if stat.S_ISDIR(os.fstat(descriptor).st_mode):
+                raise OSError(errno.EIO, "input/output error")
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        while not store.counters["failed_rewrites"]:
+            block = chain.add_entry_block({"D": "grows", "K": "A", "S": "s"}, "A")
+            assert sealed[-1] == block.block_number
+        # The rewrite took over and holds the step it followed.
+        assert store.counters["rewrites"] == rewrites and sorted(tmp_path.iterdir()) == [path]
+        committed, size = chain.head.block_hash, path.stat().st_size
+        assert JournalBlockStore(path).head().block_hash == committed
+        with pytest.raises(StorageError, match="refuses writes"):
+            chain.add_entry_block({"D": "refused", "K": "A", "S": "s"}, "A")
+        with pytest.raises(StorageError, match="refuses writes"):
+            store.compact()
+        assert path.stat().st_size == size
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        reopened = Blockchain(config, store=JournalBlockStore(path))
+        assert reopened.head.block_hash == committed
+        reopened.add_entry_block({"D": "after", "K": "A", "S": "s"}, "A")
+        assert JournalBlockStore(path).head().block_hash == reopened.head.block_hash
 
 
 class TestSnapshots:
